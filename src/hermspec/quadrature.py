@@ -30,6 +30,10 @@ TWO_PI = 2.0 * math.pi
 # finite in float64
 MAX_GRADED_LEVELS = 160
 
+# generalized Gauss-Laguerre rules stop here: their largest node s is about 4m,
+# and the e^s scale of the integrands they serve nears float64 overflow beyond
+MAX_LAGUERRE_NODES = 150
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -142,8 +146,10 @@ def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
         )
     if m < 1:
         raise ValueError("node count must be >= 1")
-    if m > 150:
-        raise ValueError("absorbing rule limited to 150 nodes (e^s weight overflow)")
+    if m > MAX_LAGUERRE_NODES:
+        raise ValueError(
+            f"absorbing rule limited to {MAX_LAGUERRE_NODES} nodes (e^s weight overflow)"
+        )
     s, lam = roots_genlaguerre(m, alpha)
     nodes = np.sqrt(s)
     weights = 0.5 * lam * np.exp(s)

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import poch, roots_genlaguerre
 
 from .errors import CapabilityError, ToleranceError
-from .hermite import HermiteBasis, eval_h_all
+from .hermite import HermiteBasis, eval_h_all, eval_laguerre
 from .quadrature import (
+    MAX_LAGUERRE_NODES,
     circle_directions,
     gauss_hermite,
     gauss_legendre_panels,
@@ -456,6 +458,37 @@ def _level_weighted_integral(basis, items, n, k, delta, wd, scale):
     return float(np.dot(w, dens))
 
 
+def check_admissible(dw: int, delta: float, odd_in_axis: bool = False) -> None:
+    """The admissibility rule for a weight |x_w|^(-2 delta) on dw axes.
+
+    Raises ValueError naming the case violated: a negative delta; a one-axis
+    weight past delta = 1, or at delta >= 1/2 unless every mode is odd in that
+    axis (odd_in_axis; a full level is not); a two-axis weight at delta >= 1,
+    where the integral diverges; three or more axes past delta = 1.
+    """
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    if dw == 1 and delta > 1.0:
+        raise ValueError("one-axis weight needs delta <= 1")
+    if dw == 1 and delta >= 0.5 and not odd_in_axis:
+        raise ValueError(
+            "one-axis weight with delta >= 1/2 needs every mode odd in that axis"
+        )
+    if dw == 2 and delta >= 1.0:
+        raise ValueError("two-axis weight needs delta < 1 (the integral diverges at 1)")
+    if dw >= 3 and delta > 1.0:
+        raise ValueError("weight on three or more axes needs delta <= 1")
+
+
+def _weight_axes(n: int, weight_dims) -> tuple:
+    if weight_dims is None:
+        return tuple(range(n))
+    wd = tuple(sorted(set(int(c) for c in weight_dims)))
+    if not wd or any(c < 0 or c >= n for c in wd):
+        raise ValueError("weight_dims must be a nonempty subset of the axes")
+    return wd
+
+
 def time_avg_weighted(
     state: SpectralState,
     delta: float,
@@ -467,31 +500,12 @@ def time_avg_weighted(
 
     Equals 2*pi times the sum over levels of integral |P_k f|^2 / w with
     w = (sum of squares over weight_dims)^delta, by phase orthogonality of
-    distinct eigenvalues over a full period.  Admissibility: delta < 1 on a
-    two-axis weight, delta <= 1 on three axes; a one-axis weight with
-    delta >= 1/2 additionally needs every mode odd in that axis.
+    distinct eigenvalues over a full period.  Admissibility is
+    check_admissible, with the state's parity along a one-axis weight.
     """
-    if weight_dims is None:
-        wd = tuple(range(state.n))
-    else:
-        wd = tuple(sorted(set(int(c) for c in weight_dims)))
-    if not wd or any(c < 0 or c >= state.n for c in wd):
-        raise ValueError("weight_dims must be a nonempty subset of the axes")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    dw = len(wd)
-    if dw == 2 and delta >= 1.0:
-        raise ValueError("two-axis weight needs delta < 1 (the integral diverges at 1)")
-    if dw >= 3 and delta > 1.0:
-        raise ValueError("three-axis weight needs delta <= 1")
-    if dw == 1 and delta > 1.0:
-        raise ValueError("one-axis weight needs delta <= 1")
-    if dw == 1 and delta >= 0.5:
-        axis = wd[0]
-        if any(a[axis] % 2 == 0 for a in state.coefficients):
-            raise ValueError(
-                "one-axis weight with delta >= 1/2 needs every mode odd in that axis"
-            )
+    wd = _weight_axes(state.n, weight_dims)
+    odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)
+    check_admissible(len(wd), delta, odd_in_axis=odd)
     if basis is None:
         basis = HermiteBasis.build(state.k_max)
     by_level = {}
@@ -522,12 +536,7 @@ def level_gram(
     """
     if n not in (2, 3):
         raise ValueError("gram assembly supports n = 2 or 3")
-    if weight_dims is None:
-        wd = tuple(range(n))
-    else:
-        wd = tuple(sorted(set(int(c) for c in weight_dims)))
-    if not wd or any(c < 0 or c >= n for c in wd):
-        raise ValueError("weight_dims must be a nonempty subset of the axes")
+    wd = _weight_axes(n, weight_dims)
     if weight_power < 0:
         raise ValueError("weight_power must be >= 0")
     if weight_power >= len(wd):
@@ -546,6 +555,97 @@ def level_gram(
         B[row] = prod
     M = (B * w) @ B.T
     return 0.5 * (M + M.T)
+
+
+@dataclass(frozen=True)
+class LevelTop:
+    """Top eigenvalue of a weighted level gram and a radial mode attaining it.
+
+    The mode is r^l L_j^(a)(r^2) e^(-r^2/2) times a degree-l spherical
+    harmonic on the weighted axes (a = l + dw/2 - 1), at level 2j + l there.
+    """
+
+    value: float
+    j: int
+    l: int
+
+
+def _radial_mode_exponents(dw: int, j: int, l: int, weight_power: float) -> tuple:
+    if dw < 1 or j < 0 or l < 0 or (dw == 1 and l > 1):
+        raise ValueError(f"no radial mode (j={j}, l={l}) in {dw} dimensions")
+    a = l + dw / 2.0 - 1.0
+    mu = weight_power / 2.0
+    if weight_power < 0 or a - mu <= -1.0:
+        raise ValueError(
+            f"weight power {weight_power:g} is not integrable against the mode "
+            f"(j={j}, l={l}) in {dw} dimensions"
+        )
+    return a, mu
+
+
+def radial_eigenvalue(dw: int, j: int, l: int, weight_power: float) -> float:
+    """Eigenvalue of the |x|^(-weight_power) level gram on the radial mode (j, l).
+
+    With mu = weight_power/2, a = l + dw/2 - 1 and s = r^2 it is the Laguerre ratio
+    int s^(a-mu) e^-s L_j^(a)(s)^2 ds / int s^a e^-s L_j^(a)(s)^2 ds, which the
+    expansion of L_j^(a) over the L_i^(a-mu) turns into a sum of positive terms
+        T_i = C(mu+j-i-1, j-i)^2 Gamma(a-mu+i+1)/i! * j!/Gamma(j+a+1),  i = 0..j.
+    T_j = 1/poch(a-mu+j+1, mu) and each lower term is the next one times a
+    rational factor, so nothing overflows and no large log-gamma cancels.
+    """
+    a, mu = _radial_mode_exponents(dw, j, l, weight_power)
+    b = a - mu
+    i = np.arange(j, dtype=float)
+    m = j - i
+    factors = ((mu + m - 1.0) / m) ** 2 * (i + 1.0) / (b + i + 1.0)
+    ratios = np.append(np.cumprod(factors[::-1])[::-1], 1.0)
+    return math.fsum(ratios / poch(b + j + 1.0, mu))
+
+
+def radial_eigenvalue_quadrature(dw: int, j: int, l: int, weight_power: float) -> float:
+    """The same eigenvalue by (j+1)-node generalized Gauss-Laguerre in s = r^2.
+
+    The rule for s^(a-mu) e^-s is exact on the degree-2j integrand L_j^(a)^2;
+    the denominator is its closed form Gamma(j+a+1)/j!.  An independent route
+    to radial_eigenvalue, which the level scans use as their gate.
+    """
+    a, mu = _radial_mode_exponents(dw, j, l, weight_power)
+    if j + 1 > MAX_LAGUERRE_NODES:
+        raise CapabilityError(
+            f"Gauss-Laguerre route limited to {MAX_LAGUERRE_NODES} nodes (j={j})"
+        )
+    s, w = roots_genlaguerre(j + 1, a - mu)
+    vals = eval_laguerre(j, a, s)
+    return math.fsum(w * vals * vals) * math.exp(math.lgamma(j + 1) - math.lgamma(j + a + 1))
+
+
+@lru_cache(maxsize=None)
+def _radial_level_top(dw: int, k: int, weight_power: float) -> LevelTop:
+    # level k in dw dimensions holds the modes with 2j + l = k; in 1D only l = k mod 2
+    ls = (k % 2,) if dw == 1 else range(k % 2, k + 1, 2)
+    modes = [((k - l) // 2, l) for l in ls]
+    return max((LevelTop(radial_eigenvalue(dw, j, l, weight_power), j, l) for j, l in modes),
+               key=lambda t: t.value)
+
+
+def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop:
+    """Top eigenvalue of level_gram(n, k, weight_power, weight_dims), exactly.
+
+    A radial weight commutes with rotations of the weighted axes, so the level
+    gram is diagonal in the Laguerre x spherical-harmonic basis there, and
+    each eigenvalue is a radial_eigenvalue.  With free axes, level k splits
+    into (weighted level k_w) x (free level k - k_w) and the top is the largest
+    weighted top over k_w <= k.  The gram is symmetric positive semidefinite,
+    so this is also its largest singular value.
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    wd = _weight_axes(n, weight_dims)
+    dw = len(wd)
+    check_admissible(dw, weight_power / 2.0)
+    levels = (k,) if dw == n else range(k + 1)
+    return max((_radial_level_top(dw, kw, float(weight_power)) for kw in levels),
+               key=lambda t: t.value)
 
 
 def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,

@@ -74,7 +74,7 @@ def test_kato_2d_endpoint_needs_control_flag(tmp_path, capsys):
     assert main(args + ["--negative-controls"]) == 0
     capsys.readouterr()
     manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
-    assert [r.estimate_id for r in manifest.reports] == ["kato_nd"]
+    assert [r.estimate_id for r in manifest.reports] == ["negative_control"]
     assert manifest.reports[0].parameters["negative_control"] is True
     assert os.path.exists(out / "negative_control.csv")
 
@@ -117,6 +117,22 @@ def test_inconclusive_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(["norms", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_numerical_failure_is_recorded_not_aborted(tmp_path, capsys):
+    # the radial lift's norm validation fails at trial 0 for k_max = 26
+    out = tmp_path / "run"
+    args = ["identities", "--kmax", "26", "--trials", "1", "--out", str(out)]
+    assert main(args) == 2
+    capsys.readouterr()
+    manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
+    statuses = {r.estimate_id: r.status for r in manifest.reports}
+    assert statuses == {"odd_identity": "passed", "radial_3d_identity": "inconclusive",
+                        "appendix_identities": "passed"}
+    radial = manifest.reports[1]
+    assert "radial lift normalization failed" in radial.parameters["error"]
+    for key in COMMAND_CHECKS["identities"]:
+        assert os.path.exists(out / f"{key}.csv")
 
 
 def test_jobs_env_override(tmp_path, capsys, monkeypatch):

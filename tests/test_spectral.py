@@ -11,6 +11,7 @@ from hermspec.spectral import (
     KernelQuery,
     SpectralState,
     bessel_sobolev_norm,
+    check_admissible,
     coefficients_from_function,
     collapse_trace_norm,
     eigen_level,
@@ -22,12 +23,15 @@ from hermspec.spectral import (
     hermite_sobolev_norm,
     kernel_diagonal_ratio,
     level_gram,
+    level_top,
     make_state,
     oscillator_energy_sq,
     parity_decompose,
     project,
     projection_kernel,
     propagate,
+    radial_eigenvalue,
+    radial_eigenvalue_quadrature,
     random_state,
     state_from_json,
     state_norm_sq,
@@ -451,6 +455,97 @@ def test_level_gram_symmetric_and_rule_stable():
     assert np.max(np.abs(M - M2)) < 1e-11
     with pytest.raises(ValueError):
         level_gram(2, 3, 2.0, basis=BASIS)
+
+
+def _radial_spectrum(n, k, weight_power, wd):
+    # level k: weighted level k_w times free level k - k_w; a dw-dimensional
+    # level k_w holds the modes 2j + l = k_w, l with its harmonic multiplicity
+    dw = len(wd)
+    values = []
+    for kw in (k,) if dw == n else range(k + 1):
+        free = math.comb(k - kw + n - dw - 1, n - dw - 1) if n > dw else 1
+        for l in range(kw % 2, kw + 1, 2):
+            if dw == 1 and l > 1:
+                break
+            harmonics = 1 if dw == 1 or l == 0 else (2 if dw == 2 else 2 * l + 1)
+            values += [radial_eigenvalue(dw, (kw - l) // 2, l, weight_power)] * (
+                harmonics * free)
+    return np.sort(values)
+
+
+@pytest.mark.parametrize(
+    "n, wd, powers",
+    [
+        (2, (0, 1), (0.5, 1.0, 1.5)),
+        (3, (0, 1, 2), (0.5, 1.0, 2.0)),
+        (2, (0,), (0.5,)),
+        (3, (0, 1), (0.5, 1.0, 1.5)),
+    ],
+)
+def test_radial_spectrum_matches_level_gram(n, wd, powers):
+    for p in powers:
+        for k in range(11):
+            exact = _radial_spectrum(n, k, p, wd)
+            gram = np.linalg.eigvalsh(level_gram(n, k, p, basis=BASIS, weight_dims=wd))
+            assert exact.shape == gram.shape
+            assert np.max(np.abs(exact - gram) / gram) <= 1e-12, (p, k)
+            top = level_top(n, k, p, wd)
+            assert top.value == exact[-1]
+            assert radial_eigenvalue(len(wd), top.j, top.l, p) == top.value
+
+
+def test_radial_eigenvalue_matches_mpmath_laguerre_integral():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for dw, j, l, p in [(3, 0, 0, 2.0), (3, 3, 0, 2.0), (3, 5, 2, 1.0),
+                        (2, 4, 1, 0.5), (1, 6, 1, 1.5), (1, 7, 0, 0.5)]:
+        a = l + mpmath.mpf(dw) / 2 - 1
+        mu = mpmath.mpf(p) / 2
+
+        def integral(power):
+            # int s^power e^-s L_j^a(s)^2 ds with s = t^2, which tames the
+            # endpoint singularity for tanh-sinh
+            return mpmath.quad(
+                lambda t: 2 * t ** (2 * power + 1) * mpmath.exp(-t * t)
+                * mpmath.laguerre(j, a, t * t) ** 2,
+                [0, 1, 2, 4, mpmath.inf],
+            )
+
+        expected = float(integral(a - mu) / integral(a))
+        assert radial_eigenvalue(dw, j, l, p) == pytest.approx(expected, rel=1e-13)
+        assert radial_eigenvalue_quadrature(dw, j, l, p) == pytest.approx(
+            expected, rel=1e-12)
+
+
+def test_radial_eigenvalue_ground_values_and_limits():
+    # the constants the Kato and operator-norm scans pin at level 0
+    assert level_top(3, 0, 2.0).value == pytest.approx(2.0, rel=1e-15)
+    assert level_top(3, 0, 1.0).value == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
+    assert level_top(2, 7, 0.0).value == 1.0
+    with pytest.raises(ValueError):
+        radial_eigenvalue(1, 0, 2, 0.5)
+    with pytest.raises(ValueError):
+        radial_eigenvalue(2, 1, 0, 2.0)
+    with pytest.raises(CapabilityError):
+        radial_eigenvalue_quadrature(3, 150, 0, 2.0)
+    with pytest.raises(ValueError):
+        level_top(2, 3, 2.0)
+    with pytest.raises(ValueError):
+        level_top(2, 3, 1.0, (0,))
+
+
+def test_admissibility_rule_names_each_case():
+    for dw, delta, odd, text in [
+        (3, -0.1, False, "delta must be >= 0"),
+        (1, 1.5, True, "one-axis weight needs delta <= 1"),
+        (1, 0.5, False, "needs every mode odd"),
+        (2, 1.0, False, "two-axis weight needs delta < 1"),
+        (3, 1.25, False, "three or more axes"),
+    ]:
+        with pytest.raises(ValueError, match=text):
+            check_admissible(dw, delta, odd)
+    check_admissible(1, 1.0, odd_in_axis=True)
+    check_admissible(3, 1.0)
 
 
 def test_random_state_determinism_and_parity():

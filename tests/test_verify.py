@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hermspec.errors import ToleranceError
+from hermspec.errors import CapabilityError, ToleranceError
 from hermspec.spectral import make_state, random_state, time_avg_weighted
 from hermspec.verify import (
     CSV_HEADER,
@@ -83,8 +83,8 @@ def test_trend_slope_behaviour():
 
 
 def test_estimate_id_registry_is_fixed():
-    assert len(ESTIMATE_IDS) == 11
-    assert len(set(ESTIMATE_IDS)) == 11
+    assert len(ESTIMATE_IDS) == 12
+    assert len(set(ESTIMATE_IDS)) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,31 @@ def test_kato_partial_axes():
     r = check_kato(ScanConfig(k_max=5, trials=2), 2, 0.25, axes=(0,))
     assert r.status == "passed"
     assert r.parameters["axes"] == "0"
+
+
+def test_kato_large_k_exact_route():
+    r = check_kato(ScanConfig(k_max=200), 3, 1.0)
+    assert r.status == "passed"
+    assert len(r.samples) == 201
+    # the inverse-square constant is 2 on even levels and 2/3 on odd ones
+    for lab, v in r.samples:
+        k = int(lab[2:])
+        assert v == pytest.approx(FOUR_PI if k % 2 == 0 else FOUR_PI / 3, rel=1e-12)
+    assert 0.0 <= r.parameters["route_drift"] <= 1e-11
+    with pytest.raises(CapabilityError):
+        check_kato(ScanConfig(k_max=300), 3, 1.0)
+
+
+def test_level_scans_route_disagreement_is_inconclusive(monkeypatch):
+    import hermspec.verify as V
+
+    exact = V.radial_eigenvalue_quadrature
+    monkeypatch.setattr(V, "radial_eigenvalue_quadrature",
+                        lambda *args: exact(*args) * (1.0 + 1e-6))
+    cfg = ScanConfig(k_max=3)
+    for r in (check_kato(cfg, 3, 1.0), check_operator_norms(cfg, 3)):
+        assert r.status == "inconclusive"
+        assert r.parameters["route_drift"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_operator_norms_ground_value():
@@ -254,6 +279,18 @@ def test_determinism_across_cache_reset():
     m1 = RunManifest("x", cfg, (r1,))
     m2 = RunManifest("x", cfg, (r2,))
     assert manifest_to_json_bytes(m1) == manifest_to_json_bytes(m2)
+
+
+def test_one_basis_rebuilt_only_for_larger_degree():
+    import hermspec.verify as V
+
+    clear_caches()
+    b = V._basis(5)
+    assert V._basis(3) is b
+    b8 = V._basis(8)
+    assert b8.max_degree == 8
+    assert V._basis(6) is b8
+    clear_caches()
 
 
 def test_ratio_scaling_covariance():
