@@ -1,4 +1,4 @@
-"""Command-line front end: pick checks, run them on a worker pool, write files.
+"""Command-line front end: pick checks, run them in order, write files.
 
 Each subcommand names a fixed set of checks.  The run always writes
 <out>/manifest.json (config snapshot, every report, wall time per check) and
@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import ToleranceError
@@ -124,8 +123,6 @@ def build_parser() -> _Parser:
                        help="per-check table format (default csv)")
         p.add_argument("--negative-controls", action="store_true",
                        help="include the divergence demonstration")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker pool size (default: HK_JOBS or cpu count)")
     return parser
 
 
@@ -164,37 +161,16 @@ def _select_checks(args) -> tuple:
     return tuple(keys)
 
 
-def _jobs_from_args(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        env = os.environ.get("HK_JOBS", "").strip()
-        if env:
-            jobs = int(env)
-        else:
-            jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    return jobs
-
-
-def run_checks(cfg: ScanConfig, keys, options, jobs: int = 1) -> RunManifest:
-    """Execute the named checks on a thread pool; reports keep key order."""
+def run_checks(cfg: ScanConfig, keys, options) -> RunManifest:
+    """Execute the named checks one after another, timing each."""
     wall: dict = {}
-
-    def work(key):
+    reports = []
+    for key in keys:
         t0 = time.perf_counter()
-        report = CHECK_REGISTRY[key](cfg, options)
-        return key, report, time.perf_counter() - t0
-
-    reports = {}
-    with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(keys)))) as pool:
-        for key, report, dt in pool.map(work, keys):
-            reports[key] = report
-            wall[key] = dt
-    ordered = tuple(reports[key] for key in keys)
+        reports.append(CHECK_REGISTRY[key](cfg, options))
+        wall[key] = time.perf_counter() - t0
     return RunManifest(
-        version=__version__, config=cfg, reports=ordered, wall_time_s=wall
+        version=__version__, config=cfg, reports=tuple(reports), wall_time_s=wall
     )
 
 
@@ -219,13 +195,12 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         keys = _select_checks(args)
-        jobs = _jobs_from_args(args)
     except ValueError as exc:
         sys.stderr.write(f"hermspec: error: {exc}\n")
         return EX_USAGE
     options = {"n": args.n, "delta": args.delta}
     try:
-        manifest = run_checks(cfg, keys, options, jobs)
+        manifest = run_checks(cfg, keys, options)
     except ValueError as exc:
         sys.stderr.write(f"hermspec: error: {exc}\n")
         return EX_USAGE

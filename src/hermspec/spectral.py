@@ -157,41 +157,46 @@ def evaluate_state(basis: HermiteBasis, state: SpectralState, points) -> np.ndar
     return complex(out[0]) if single else out
 
 
-def _eval_items(basis: HermiteBasis, items: list, flat: np.ndarray) -> np.ndarray:
-    n = flat.shape[1]
-    out = np.zeros(flat.shape[0], dtype=complex)
-    if not items:
-        return out
-    degs = [max(alpha[c] for alpha, _ in items) for c in range(n)]
-    tabs = [eval_h_all(basis, degs[c], flat[:, c]) for c in range(n)]
-    for alpha, coeff in items:
-        prod = tabs[0][alpha[0]].copy()
-        for c in range(1, n):
-            prod *= tabs[c][alpha[c]]
-        out += coeff * prod
+def _mode_matrix(tabs: list, idx: np.ndarray) -> np.ndarray:
+    """Product eigenfunction values, one row per multi-index row of idx.
+
+    tabs[c] holds the 1D modes along axis c, shape (max degree + 1, N); row i
+    of the result (shape (len(idx), N)) is the product over c of
+    tabs[c][idx[i, c]].
+    """
+    out = tabs[0][idx[:, 0]]
+    for c in range(1, len(tabs)):
+        out *= tabs[c][idx[:, c]]
     return out
+
+
+def _eval_items(basis: HermiteBasis, items: list, flat: np.ndarray) -> np.ndarray:
+    if not items:
+        return np.zeros(flat.shape[0], dtype=complex)
+    idx = np.array([alpha for alpha, _ in items])
+    tabs = [eval_h_all(basis, int(idx[:, c].max()), flat[:, c]) for c in range(flat.shape[1])]
+    return np.array([coeff for _, coeff in items]) @ _mode_matrix(tabs, idx)
 
 
 def evaluate_state_grid(basis: HermiteBasis, state: SpectralState, axes_nodes: list) -> np.ndarray:
     """State values on a tensor grid, returned with shape (len(axis_0), ...).
 
-    Each coefficient contributes an outer product of 1D mode values, which is
-    far cheaper than evaluating on the flattened point set.
+    The coefficients are scattered into a dense tensor over the per-axis
+    degrees, which is contracted with each axis's 1D mode table in turn, so
+    no product over the full grid is formed per coefficient.
     """
     if len(axes_nodes) != state.n:
         raise ValueError("need one node array per axis")
-    shape = tuple(len(a) for a in axes_nodes)
-    out = np.zeros(shape, dtype=complex)
     items = list(state.coefficients.items())
     if not items:
-        return out
-    degs = [max(alpha[c] for alpha, _ in items) for c in range(state.n)]
-    tabs = [eval_h_all(basis, degs[c], np.asarray(axes_nodes[c], dtype=float)) for c in range(state.n)]
-    for alpha, coeff in items:
-        prod = tabs[0][alpha[0]]
-        for c in range(1, state.n):
-            prod = np.multiply.outer(prod, tabs[c][alpha[c]])
-        out += coeff * prod
+        return np.zeros(tuple(len(a) for a in axes_nodes), dtype=complex)
+    idx = np.array([alpha for alpha, _ in items])
+    degs = idx.max(axis=0)
+    out = np.zeros(tuple(degs + 1), dtype=complex)
+    out[tuple(idx.T)] = [coeff for _, coeff in items]
+    for c in range(state.n):
+        tab = eval_h_all(basis, int(degs[c]), np.asarray(axes_nodes[c], dtype=float))
+        out = np.tensordot(out, tab, axes=([0], [0]))
     return out
 
 
@@ -314,13 +319,8 @@ def kernel_diagonal(basis: HermiteBasis, n: int, k: int, points) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[None, :]
     tabs = [eval_h_all(basis, k, pts[:, c]) for c in range(n)]
-    out = np.zeros(pts.shape[0])
-    for alpha in enumerate_multiindices(n, k):
-        prod = tabs[0][alpha[0]].copy()
-        for c in range(1, n):
-            prod *= tabs[c][alpha[c]]
-        out += prod * prod
-    return out
+    B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
+    return (B * B).sum(axis=0)
 
 
 def kernel_diagonal_ratio(n: int, k: int, grid, basis: HermiteBasis | None = None) -> float:
@@ -395,6 +395,20 @@ def _even_count(x: float) -> int:
     return m + (m % 2)
 
 
+def _radial_nodes(k: int, scale: float) -> int:
+    # absorbing-rule node count of the level-k grid at a rule scale
+    return max(3, int(math.ceil((k / 2.0 + 3.0) * scale)))
+
+
+def _max_rule_level(scale: float) -> int:
+    """Highest level whose grid at this rule scale stays within the absorbing
+    rule's node cap, or -1 when even level 0 does not."""
+    k = max(-1, int(2.0 * (MAX_LAGUERRE_NODES / scale - 3.0)) + 2)
+    while k >= 0 and _radial_nodes(k, scale) > MAX_LAGUERRE_NODES:
+        k -= 1
+    return k
+
+
 def _level_grid(n: int, k: int, delta: float, wd: tuple, scale: float, divide: bool):
     """Product grid and weights for one level integral with weight on axes wd.
 
@@ -405,7 +419,7 @@ def _level_grid(n: int, k: int, delta: float, wd: tuple, scale: float, divide: b
     weight exponent by +2 (hence the delta - 1 below).
     """
     dw = len(wd)
-    m_r = max(3, int(math.ceil((k / 2.0 + 3.0) * scale)))
+    m_r = _radial_nodes(k, scale)
     if dw == 1:
         radial = radial_rule_absorbing(1, delta - 1.0 if divide else delta, m_r)
         dirs = np.array([[1.0], [-1.0]])
@@ -444,18 +458,38 @@ def _tensor_free_axes(base_pts, base_w, n, wd, k, scale):
     return pts, w
 
 
-def _level_weighted_integral(basis, items, n, k, delta, wd, scale):
-    if not items:
-        return 0.0
-    dw = len(wd)
-    divide = dw == 1 and delta >= 0.5
+# grid points per block of the level-form accumulation: a block's mode matrix
+# and tables stay a few MB while the full matrix never exists
+_FORM_BLOCK = 16384
+
+
+# bounded: a run reuses a few dozen forms, but arbitrary sparse states each
+# key a new index set
+@lru_cache(maxsize=256)
+def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float, divide: bool,
+                indices: tuple) -> np.ndarray:
+    """Weighted gram of the level-k indices on the level grid.
+
+    Entry (i, j) is sum_p w_p Phi_i(p) Phi_j(p) over the _level_grid and
+    _tensor_free_axes grid, with each mode divided by x_w first on the
+    one-axis divide path; a level's functional is then c^H G c.  It depends
+    on the level, weight and rule, never on the state, so it is built once
+    and returned read-only.
+    """
     base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
-    vals = _eval_items(basis, items, pts)
-    if divide:
-        vals = vals / pts[:, wd[0]]
-    dens = np.abs(vals) ** 2
-    return float(np.dot(w, dens))
+    idx = np.array(indices)
+    degs = idx.max(axis=0)
+    basis = HermiteBasis.build(k)
+    G = np.zeros((len(indices), len(indices)))
+    for lo in range(0, w.size, _FORM_BLOCK):
+        block = pts[lo : lo + _FORM_BLOCK]
+        B = _mode_matrix([eval_h_all(basis, int(degs[c]), block[:, c]) for c in range(n)], idx)
+        if divide:
+            B /= block[:, wd[0]]
+        G += (B * w[lo : lo + _FORM_BLOCK]) @ B.T
+    G.flags.writeable = False
+    return G
 
 
 def check_admissible(dw: int, delta: float, odd_in_axis: bool = False) -> None:
@@ -501,21 +535,26 @@ def time_avg_weighted(
     Equals 2*pi times the sum over levels of integral |P_k f|^2 / w with
     w = (sum of squares over weight_dims)^delta, by phase orthogonality of
     distinct eigenvalues over a full period.  Admissibility is
-    check_admissible, with the state's parity along a one-axis weight.
+    check_admissible, with the state's parity along a one-axis weight.  Each
+    level's integral is c^H G c with G the level form memoized per (level,
+    weight, rule, index set); a basis, when given, must cover the degrees.
     """
     wd = _weight_axes(state.n, weight_dims)
     odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)
     check_admissible(len(wd), delta, odd_in_axis=odd)
-    if basis is None:
-        basis = HermiteBasis.build(state.k_max)
+    if basis is not None:
+        basis.require(max((max(a) for a in state.coefficients), default=0))
+    divide = len(wd) == 1 and delta >= 0.5
     by_level = {}
-    for alpha, coeff in state.coefficients.items():
+    for alpha, coeff in sorted(state.coefficients.items()):
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
-    total = math.fsum(
-        _level_weighted_integral(basis, items, state.n, k, delta, wd, rule_scale)
-        for k, items in sorted(by_level.items())
-    )
-    return TWO_PI * total
+    terms = []
+    for k, items in sorted(by_level.items()):
+        G = _level_form(state.n, k, float(delta), wd, float(rule_scale), divide,
+                        tuple(alpha for alpha, _ in items))
+        c = np.array([coeff for _, coeff in items])
+        terms.append(float(np.vdot(c, G @ c).real))
+    return TWO_PI * math.fsum(terms)
 
 
 def level_gram(
@@ -545,14 +584,8 @@ def level_gram(
         basis = HermiteBasis.build(k)
     base_pts, base_w = _level_grid(n, k, weight_power / 2.0, wd, rule_scale, False)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, rule_scale)
-    indices = enumerate_multiindices(n, k)
     tabs = [eval_h_all(basis, k, pts[:, c]) for c in range(n)]
-    B = np.empty((len(indices), pts.shape[0]))
-    for row, alpha in enumerate(indices):
-        prod = tabs[0][alpha[0]].copy()
-        for c in range(1, n):
-            prod *= tabs[c][alpha[c]]
-        B[row] = prod
+    B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
     M = (B * w) @ B.T
     return 0.5 * (M + M.T)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_laguerre
@@ -52,6 +53,7 @@ from .quadrature import (
     radial_rule_panels,
     truncation_radius,
 )
+from . import spectral
 from .spectral import (
     SpectralState,
     bessel_sobolev_norm,
@@ -222,17 +224,20 @@ def trend_slope(pairs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one shared Hermite basis, rebuilt only when a larger degree is asked for; a
-# basis serves every degree up to its own, so a thread holding a smaller one
-# replaced by another thread still computes correctly
+# one shared Hermite basis, rebuilt only when a larger degree is asked for
 
 _BASIS = None
 
 
 def clear_caches() -> None:
-    """Drop the memoized basis table (for honest re-runs)."""
+    """Drop every memo, for honest re-runs: the shared basis, the level forms
+    of time_avg_weighted, the lifted radial mode integrals and the exact
+    level tops."""
     global _BASIS
     _BASIS = None
+    spectral._level_form.cache_clear()
+    spectral._radial_level_top.cache_clear()
+    _radial_mode_integral.cache_clear()
 
 
 def _basis(max_degree: int) -> HermiteBasis:
@@ -249,6 +254,23 @@ def _require_gate_capacity(k_max: int) -> None:
         raise CapabilityError(
             f"level scans are gated up to k_max = {2 * MAX_LAGUERRE_NODES - 1}"
         )
+
+
+def _require_rule_capacity(cfg: ScanConfig, name: str, top_level) -> None:
+    """Raise before any work when the doubled rule of the highest level the
+    scan reaches, top_level(k_max), needs more absorbing-rule nodes than the cap."""
+    max_level = spectral._max_rule_level(2.0 * cfg.rule_scale)
+    if top_level(cfg.k_max) <= max_level:
+        return
+    # top_level(k) >= k - 1, so no k_max past max_level + 1 fits
+    limit = max_level + 1
+    while limit >= 0 and top_level(limit) > max_level:
+        limit -= 1
+    supported = f"up to k_max = {limit}" if limit >= 0 else "for no k_max"
+    raise CapabilityError(
+        f"{name} is supported {supported} at rule_scale {cfg.rule_scale:g}: its "
+        f"doubled rule is limited to {MAX_LAGUERRE_NODES} absorbing-rule nodes"
+    )
 
 
 def _gated_level_top(n, k, weight_power, axes) -> tuple:
@@ -268,6 +290,7 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     The full functional over a period must equal 4*pi times the squared norm,
     and each level must contribute 2*pi times twice its squared coefficient.
     """
+    _require_rule_capacity(cfg, "odd_identity", lambda k_max: 2 * k_max + 1)
     tol = cfg.tolerance_for("odd_identity")
     per_level_tol = 1e-9
     mode_cap = 2 * cfg.k_max + 1
@@ -307,19 +330,28 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     return _report("odd_identity", params, samples, tol, ok, stable)
 
 
-def _radial_level_value(basis, degree, coeff, delta, R, n_panels, nodes_pp, n_ang):
-    # one 3D level of the lifted state: |a|^2 h_d(|x|)^2 / (2 pi |x|^2), weighted
-    amp = abs(coeff) ** 2
+@lru_cache(maxsize=None)
+def _radial_mode_integral(degree, delta, R, n_panels, nodes_pp, n_ang) -> float:
+    # one 3D level of the lifted unit mode: h_d(|x|)^2 / (2 pi |x|^2), weighted;
+    # a trial's level is this times |a|^2
+    basis = _basis(degree)
 
     def F(x1, x2, x3):
         r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         val = eval_h(basis, degree, r.ravel()).reshape(r.shape)
-        return amp * (val * val) / (TWO_PI * r * r)
+        return (val * val) / (TWO_PI * r * r)
 
     return integrate_radial_3d(
         F, delta, R,
         n_panels=n_panels, nodes_per_panel=nodes_pp,
         n_theta=n_ang, n_phi=n_ang,
+    )
+
+
+def _lifted_sum(items, delta, R, n_panels, nodes_pp) -> float:
+    return math.fsum(
+        abs(c) ** 2 * _radial_mode_integral(a[0], delta, R, n_panels, nodes_pp, 4)
+        for a, c in items
     )
 
 
@@ -335,7 +367,6 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     tol = cfg.tolerance_for("radial_3d_identity")
     corr_tol = 1e-10
     mode_cap = 2 * cfg.k_max + 1
-    basis = _basis(mode_cap)
     R = truncation_radius(mode_cap, 3)
     n_panels = max(40, int(math.ceil(4.0 * R * cfg.rule_scale)))
     samples = []
@@ -346,10 +377,7 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
         g = random_state(1, mode_cap, [cfg.seed, CHECK_INDEX["radial_3d_identity"], t],
                          parity="odd")
         items = sorted(g.coefficients.items())
-        norm3 = math.fsum(
-            _radial_level_value(basis, a[0], c, 0.0, R, n_panels, 8, 4)
-            for a, c in items
-        )
+        norm3 = _lifted_sum(items, 0.0, R, n_panels, 8)
         norm1 = state_norm_sq(g)
         samples.append((f"trial={t:02d}/normsq", norm3 / norm1))
         if abs(math.sqrt(norm3) - math.sqrt(norm1)) > corr_tol * math.sqrt(norm1):
@@ -361,14 +389,8 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
             )
             stable = False
             break
-        v1 = TWO_PI * math.fsum(
-            _radial_level_value(basis, a[0], c, 1.0, R, n_panels, 8, 4)
-            for a, c in items
-        )
-        v2 = TWO_PI * math.fsum(
-            _radial_level_value(basis, a[0], c, 1.0, R, 2 * n_panels, 16, 4)
-            for a, c in items
-        )
+        v1 = TWO_PI * _lifted_sum(items, 1.0, R, n_panels, 8)
+        v2 = TWO_PI * _lifted_sum(items, 1.0, R, 2 * n_panels, 16)
         stable = stable and _drift_ok(v1, v2, cfg.gate_tol)
         ratio = v1 / norm3
         samples.append((f"trial={t:02d}/functional", ratio))
@@ -634,6 +656,8 @@ def even_cover_holds(k: int) -> bool:
 
 def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     """Inverse-square functional on fully even 3D states, plus the index cover."""
+    # fully even states live on the even levels only
+    _require_rule_capacity(cfg, "even_3d", lambda k_max: k_max - k_max % 2)
     bound = cfg.bound_for("even_3d")
     basis = _basis(cfg.k_max)
     samples = []

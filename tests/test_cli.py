@@ -35,7 +35,6 @@ def test_usage_errors_exit_64(capsys):
     assert main([]) == EX_USAGE
     assert main(["norms", "--kmax", "-3"]) == EX_USAGE
     assert main(["norms", "--tol", "-1"]) == EX_USAGE
-    assert main(["norms", "--jobs", "0"]) == EX_USAGE
     capsys.readouterr()
 
 
@@ -133,13 +132,6 @@ def test_numerical_failure_is_recorded_not_aborted(tmp_path, capsys):
     assert "radial lift normalization failed" in radial.parameters["error"]
     for key in COMMAND_CHECKS["identities"]:
         assert os.path.exists(out / f"{key}.csv")
-
-
-def test_jobs_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HK_JOBS", "2")
-    out = tmp_path / "run"
-    assert main(["norms", "--kmax", "4", "--out", str(out)]) == 0
-    capsys.readouterr()
 
 
 def test_summary_lines_on_stdout(tmp_path, capsys):

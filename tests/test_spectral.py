@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from hermspec import CapabilityError, HermiteBasis, ToleranceError, eval_h
+from hermspec import CapabilityError, HermiteBasis, ToleranceError, eval_h, spectral
 from hermspec.quadrature import gauss_hermite, gauss_legendre_panels, integrate_cyl_2d
 from hermspec.spectral import (
     KernelQuery,
     SpectralState,
+    _level_grid,
+    _tensor_free_axes,
     bessel_sobolev_norm,
     check_admissible,
     coefficients_from_function,
@@ -258,6 +260,56 @@ def test_plancherel_against_grid_quadrature():
         for _ in range(n):
             dens = np.tensordot(dens, comp, axes=([0], [0]))
         assert float(dens) == pytest.approx(state_norm_sq(state), abs=1e-8)
+
+
+def test_evaluate_state_grid_matches_pointwise_evaluation():
+    states = [
+        random_state(1, 9, [11, 1]),
+        random_state(2, 6, [11, 2]),
+        random_state(3, 4, [11, 3]),
+        # the largest degree differs per axis
+        make_state(3, {(4, 0, 1): 0.5 - 1j, (0, 2, 0): 0.25, (1, 0, 3): 1j}),
+    ]
+    for state in states:
+        axes = [np.linspace(-3.0 - c, 2.5 + c, 7 - c) for c in range(state.n)]
+        grid = evaluate_state_grid(BASIS, state, axes)
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        flat = evaluate_state(BASIS, state, mesh)
+        assert grid.shape == tuple(len(a) for a in axes)
+        assert np.max(np.abs(grid.ravel() - flat)) <= 1e-13
+
+
+def _time_avg_reference(state, delta, wd):
+    # evaluate_phi per index, summed in a loop on the same level grid: shares
+    # neither the mode-matrix kernel nor the memoized level forms
+    divide = len(wd) == 1 and delta >= 0.5
+    total = 0.0
+    for k in sorted({sum(a) for a in state.coefficients}):
+        base_pts, base_w = _level_grid(state.n, k, delta, wd, 1.0, divide)
+        pts, w = _tensor_free_axes(base_pts, base_w, state.n, wd, k, 1.0)
+        vals = np.zeros(w.size, dtype=complex)
+        for alpha, coeff in state.coefficients.items():
+            if sum(alpha) == k:
+                vals += coeff * evaluate_phi(BASIS, alpha, pts)
+        if divide:
+            vals /= pts[:, wd[0]]
+        total += float(np.dot(w, np.abs(vals) ** 2))
+    return TWO_PI * total
+
+
+@pytest.mark.parametrize("state, delta, wd", [
+    (random_state(1, 9, [12, 1], parity="odd"), 1.0, (0,)),  # the divide path
+    (random_state(2, 6, [12, 2]), 0.5, (0, 1)),
+    (random_state(3, 5, [12, 3]), 1.0, (0, 1, 2)),
+    (random_state(3, 4, [12, 4]), 0.5, (0, 1)),  # one free axis
+])
+def test_time_avg_matches_per_index_reference(state, delta, wd, monkeypatch):
+    # small blocks, so every form is accumulated over several of them
+    monkeypatch.setattr(spectral, "_FORM_BLOCK", 50)
+    spectral._level_form.cache_clear()
+    got = time_avg_weighted(state, delta, wd, basis=BASIS)
+    spectral._level_form.cache_clear()
+    assert got == pytest.approx(_time_avg_reference(state, delta, wd), rel=1e-13)
 
 
 def test_time_avg_odd_single_mode_is_4pi():

@@ -106,6 +106,15 @@ def test_odd_identity_small():
         assert abs(v - 1.0) <= 1e-9
 
 
+def test_odd_identity_node_cap_is_checked_up_front():
+    # the doubled rule of the top level 2 k_max + 1 needs ceil((k/2 + 3) * 2) nodes
+    assert check_odd_identity(ScanConfig(k_max=71, trials=1)).status == "passed"
+    with pytest.raises(CapabilityError, match="up to k_max = 71"):
+        check_odd_identity(ScanConfig(k_max=72, trials=1))
+    with pytest.raises(CapabilityError, match="for no k_max"):
+        check_odd_identity(ScanConfig(k_max=0, trials=1, rule_scale=40.0))
+
+
 def test_radial_3d_small():
     r = check_radial_3d_identity(ScanConfig(k_max=4, trials=2))
     assert r.status == "passed"
@@ -212,6 +221,12 @@ def test_even_3d_small():
     assert abs(ground - FOUR_PI) <= 1e-9 * FOUR_PI
 
 
+def test_even_3d_node_cap_is_checked_up_front():
+    # fully even states reach level 144 at k_max = 145, and 146 at k_max = 146
+    with pytest.raises(CapabilityError, match="up to k_max = 145"):
+        check_even_3d(ScanConfig(k_max=146, trials=1))
+
+
 def test_sobolev_small_and_bad_order():
     with pytest.raises(ValueError):
         check_hermite_sobolev(SMALL, 0.75)
@@ -291,6 +306,30 @@ def test_one_basis_rebuilt_only_for_larger_degree():
     assert b8.max_degree == 8
     assert V._basis(6) is b8
     clear_caches()
+
+
+def test_memo_caches_are_read_only_reused_and_cleared():
+    import hermspec.spectral as S
+    import hermspec.verify as V
+
+    caches = (S._level_form, S._radial_level_top, V._radial_mode_integral)
+    clear_caches()
+    f = random_state(3, 4, [5, 1])
+    g = random_state(3, 4, [5, 2])
+    time_avg_weighted(f, 0.5)
+    built = S._level_form.cache_info().currsize
+    time_avg_weighted(g, 0.5)
+    # g has f's index set on every level: no new form is built
+    assert S._level_form.cache_info().currsize == built
+    assert S._level_form.cache_info().hits >= built
+    check_radial_3d_identity(ScanConfig(k_max=2, trials=1))
+    check_kato(ScanConfig(k_max=2), 3, 0.5)
+    assert all(c.cache_info().currsize > 0 for c in caches)
+    form = S._level_form(1, 1, 1.0, (0,), 1.0, True, ((1,),))
+    with pytest.raises(ValueError):
+        form[0, 0] = 0.0
+    clear_caches()
+    assert all(c.cache_info().currsize == 0 for c in caches)
 
 
 def test_ratio_scaling_covariance():
