@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import CapabilityError
 from .hermite import HermiteBasis, eval_h_all, half_line_integral_even
+from .quadrature import gauss_legendre_panels, gauss_rule
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,7 +93,7 @@ def x_odd(basis: HermiteBasis, k: int, x) -> np.ndarray:
 
 def _cumulative_half_line(basis: HermiteBasis, degree: int, targets: np.ndarray) -> np.ndarray:
     """integral_0^t h_degree for each t in targets (nonnegative, ascending)."""
-    x_ref, w_ref = roots_legendre(_SEG_NODES)
+    x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
     edges = [0.0]
     target_idx = []
     for t in targets:
@@ -204,14 +204,9 @@ def norm_sq_even_recursive(k: int) -> float:
 
 def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     T = math.sqrt(2.0 * (2 * k_max + 1)) + 10.0
-    x_ref, w_ref = roots_legendre(16)
     n_panels = int(math.ceil(2.0 * T)) * max(1, int(refine))
-    edges = np.linspace(0.0, T, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
-    weights = (half[:, None] * w_ref[None, :]).ravel()
-    return nodes, weights
+    rule = gauss_legendre_panels(0.0, T, n_panels, 16)
+    return rule.nodes, rule.weights
 
 
 def norm_sq_odd_quadrature(basis: HermiteBasis, k: int, refine: int = 1) -> float:

@@ -11,6 +11,9 @@ Two radial schemes back the same contract:
   precisely the shape of every spectral level integrand, and it is unavailable
   exactly where the underlying integral diverges (exponent <= -1).
 
+Every Gauss rule comes from one memoized routine, gauss_rule, so a run builds
+each (family, node count, exponent) once.
+
 Sums are accumulated with numpy pairwise dots inside chunks and math.fsum
 across chunks, so values are partition-invariant well below 1e-13.
 """
@@ -19,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_hermite, roots_legendre
+
+from .hermite import HermiteBasis, eval_h_all
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +38,135 @@ MAX_GRADED_LEVELS = 160
 # generalized Gauss-Laguerre rules stop here: their largest node s is about 4m,
 # and the e^s scale of the integrands they serve nears float64 overflow beyond
 MAX_LAGUERRE_NODES = 150
+
+# past this many nodes the classical Hermite polynomials overflow float64, and
+# gauss_rule takes the Newton step on the normalized Hermite functions instead
+_HERMITE_POLY_NODES = 150
+
+
+def _legendre_poly(n: int, x: np.ndarray) -> np.ndarray:
+    """P_n(x) by the difference form d_k = P_(k+1) - P_k of the recurrence,
+    which keeps full relative accuracy toward x = +-1; the plain recurrence
+    serves |x| < 1e-5, where the difference form cancels."""
+    if n == 0:
+        return np.ones_like(x)
+    d = x - 1.0
+    p = x.copy()
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p = p + d
+    small = np.abs(x) < 1e-5
+    if small.any():
+        xs = x[small]
+        prev, cur = np.ones_like(xs), xs.copy()
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * xs * cur - k * prev) / (k + 1)
+        p[small] = cur
+    return p
+
+
+def _laguerre_poly(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_n^alpha(x) / C(n+alpha, n) by the difference form of the recurrence."""
+    if n == 0:
+        return np.ones_like(x)
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+    return p
+
+
+def _hermite_poly(n: int, x: np.ndarray) -> np.ndarray:
+    """Physicists' H_n(x) as 2^(n/2) He_n(sqrt(2) x), He_n by its recurrence."""
+    if n == 0:
+        return np.ones_like(x)
+    t = math.sqrt(2) * x
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    for k in range(n, 1, -1):
+        prev, cur = cur, t * cur - k * prev
+    return (t * cur - prev) * math.pow(2, n / 2.0)
+
+
+def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal Jacobi matrix, ascending."""
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(jac)
+
+
+def _christoffel(fm: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Unscaled Gauss weights 1/(p_(n-1) p_n') at the nodes.
+
+    Both factors are first divided by the geometric middle of their range, so
+    the product neither overflows nor underflows."""
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    return 1.0 / (fm * dy)
+
+
+# bounded: `hermspec all` uses about 120 distinct rules, but a long-lived
+# caller may ask for arbitrary exponents
+@lru_cache(maxsize=512)
+def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the m-point Gauss rule, memoized, read-only.
+
+    family "legendre" is weight 1 on [-1, 1], "hermite" e^(-x^2) on the line
+    and "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
+    MAX_LAGUERRE_NODES nodes).  Golub-Welsch: the nodes are the eigenvalues of
+    the Jacobi matrix, polished by one Newton step on the polynomial, and the
+    weights follow from p_(m-1) and p_m' at the nodes, scaled to the weight's
+    total mass.  Hermite rules past 150 nodes work on the normalized Hermite
+    functions instead, where the polynomials would overflow.
+    """
+    if m < 1:
+        raise ValueError("node count must be >= 1")
+    k = np.arange(1, m, dtype=float)
+    if family == "legendre":
+        mass = 2.0
+        x = _golub_welsch(np.zeros(m), k * np.sqrt(1.0 / (4 * k * k - 1)))
+        y = _legendre_poly(m, x)
+        dy = (-m * x * y + m * _legendre_poly(m - 1, x)) / (1 - x ** 2)
+        x = x - y / dy
+        w = _christoffel(_legendre_poly(m - 1, x), dy)
+    elif family == "hermite":
+        mass = math.sqrt(math.pi)
+        x = _golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
+        if m <= _HERMITE_POLY_NODES:
+            y = _hermite_poly(m, x)
+            dy = 2.0 * m * _hermite_poly(m - 1, x)
+            x = x - y / dy
+            w = _christoffel(_hermite_poly(m - 1, x), dy)
+        else:
+            # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
+            basis = HermiteBasis.build(m)
+            h = eval_h_all(basis, m, x)
+            x = x - h[m] / (math.sqrt(2.0 * m) * h[m - 1] - x * h[m])
+            h = eval_h_all(basis, m - 1, x)
+            w = np.exp(-x * x) / np.einsum("ij,ij->j", h, h)
+    elif family == "laguerre":
+        if alpha <= -1.0:
+            raise ValueError("Laguerre exponent must be > -1")
+        if m > MAX_LAGUERRE_NODES:
+            raise ValueError(f"Laguerre rules limited to {MAX_LAGUERRE_NODES} nodes")
+        mass = math.gamma(alpha + 1.0)
+        x = _golub_welsch(2 * np.arange(m, dtype=float) + alpha + 1, -np.sqrt(k * (k + alpha)))
+        # in the scaled polynomials of _laguerre_poly, L_m' = m (L_m - L_(m-1)) / x
+        y = _laguerre_poly(m, alpha, x)
+        dy = (m * y - m * _laguerre_poly(m - 1, alpha, x)) / x
+        x = x - y / dy
+        w = _christoffel(_laguerre_poly(m - 1, alpha, x), dy)
+    else:
+        raise ValueError("family must be legendre, hermite or laguerre")
+    if family != "laguerre":
+        # symmetric weight: make the rule exactly antipodal
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w = w * (mass / w.sum())
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -54,17 +188,13 @@ class QuadratureRule:
 
 def gauss_legendre(m: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 2m-1."""
-    if m < 1:
-        raise ValueError("node count must be >= 1")
-    x, w = roots_legendre(m)
+    x, w = gauss_rule("legendre", m)
     return QuadratureRule("gauss_legendre_panels", x, w, ("interval", -1.0, 1.0, 1))
 
 
 def gauss_hermite(m: int) -> QuadratureRule:
     """Gauss-Hermite rule for weight e^(-x^2) on the line."""
-    if m < 1:
-        raise ValueError("node count must be >= 1")
-    x, w = roots_hermite(m)
+    x, w = gauss_rule("hermite", m)
     return QuadratureRule("gauss_hermite", x, w, ("line", m))
 
 
@@ -72,7 +202,7 @@ def gauss_legendre_panels(a: float, b: float, n_panels: int, m: int) -> Quadratu
     """Composite Gauss-Legendre rule: n_panels uniform panels of m nodes on [a, b]."""
     if n_panels < 1:
         raise ValueError("panel count must be >= 1")
-    x, w = roots_legendre(m)
+    x, w = gauss_rule("legendre", m)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -118,7 +248,7 @@ def radial_rule_panels(
         )
     if R <= 0:
         raise ValueError("R must be > 0")
-    x, w = roots_legendre(m)
+    x, w = gauss_rule("legendre", m)
     edges = _graded_edges(R, n_panels)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -144,13 +274,11 @@ def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
             f"weight exponent {exponent:g} is not integrable at r=0 "
             f"(dim={dim}, delta={delta:g})"
         )
-    if m < 1:
-        raise ValueError("node count must be >= 1")
     if m > MAX_LAGUERRE_NODES:
         raise ValueError(
             f"absorbing rule limited to {MAX_LAGUERRE_NODES} nodes (e^s weight overflow)"
         )
-    s, lam = roots_genlaguerre(m, alpha)
+    s, lam = gauss_rule("laguerre", m, alpha)
     nodes = np.sqrt(s)
     weights = 0.5 * lam * np.exp(s)
     kind = {1: "gauss_legendre_panels", 2: "radial_polar_2d", 3: "radial_spherical_3d"}[dim]
@@ -178,7 +306,7 @@ def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]
     """
     if n_phi < 2 or n_phi % 2:
         raise ValueError("n_phi must be even and >= 2")
-    u, wu = roots_legendre(n_theta)
+    u, wu = gauss_rule("legendre", n_theta)
     phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
     su = np.sqrt(1.0 - u * u)
     dirs = np.empty((n_theta, n_phi, 3))
@@ -191,8 +319,8 @@ def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]
 
 def _sphere_directions_gl(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     # tensor Gauss-Legendre in (cos theta, phi), used by the generic 3D integrator
-    u, wu = roots_legendre(n_theta)
-    p, wp = roots_legendre(n_phi)
+    u, wu = gauss_rule("legendre", n_theta)
+    p, wp = gauss_rule("legendre", n_phi)
     phi = math.pi * (p + 1.0)
     wphi = math.pi * wp
     su = np.sqrt(1.0 - u * u)
@@ -256,7 +384,7 @@ def integrate_cyl_2d(
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1) for the 2D weight")
     radial = radial_rule_panels(2, delta, R, n_panels, nodes_per_panel)
-    u, wu = roots_legendre(n_phi)
+    u, wu = gauss_rule("legendre", n_phi)
     phi = math.pi * (u + 1.0)
     dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     return _radial_angular_sum(radial, dirs, math.pi * wu, F)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import poch, roots_genlaguerre
 
 from .errors import CapabilityError, ToleranceError
 from .hermite import HermiteBasis, eval_h_all, eval_laguerre
@@ -34,6 +33,7 @@ from .quadrature import (
     circle_directions,
     gauss_hermite,
     gauss_legendre_panels,
+    gauss_rule,
     radial_rule_absorbing,
     sphere_directions,
     truncation_radius,
@@ -616,6 +616,34 @@ def _radial_mode_exponents(dw: int, j: int, l: int, weight_power: float) -> tupl
     return a, mu
 
 
+def poch(a: float, m: float) -> float:
+    """Pochhammer ratio (a)_m = Gamma(a+m)/Gamma(a) for a > 0 and m >= 0.
+
+    The integer part of m is peeled off as an exact product, so poch(x, 1.0)
+    is x itself.  The fractional rest is a gamma ratio below 171, where
+    Gamma stays finite, a three-term expansion in 1/a past 1e4, and a
+    log-gamma difference between the two.
+    """
+    if not (a > 0.0 and m >= 0.0):
+        raise ValueError("poch needs a > 0 and m >= 0")
+    r = 1.0
+    while m >= 1.0:
+        m -= 1.0
+        r *= a + m
+    if m == 0.0:
+        return r
+    if a > 1e4:
+        return r * a ** m * (
+            1.0
+            + m * (m - 1) / (2 * a)
+            + m * (m - 1) * (m - 2) * (3 * m - 1) / (24 * a * a)
+            + m * m * (m - 1) * (m - 1) * (m - 2) * (m - 3) / (48 * a * a * a)
+        )
+    if a + m < 171.0:
+        return r * (math.gamma(a + m) / math.gamma(a))
+    return r * math.exp(math.lgamma(a + m) - math.lgamma(a))
+
+
 def radial_eigenvalue(dw: int, j: int, l: int, weight_power: float) -> float:
     """Eigenvalue of the |x|^(-weight_power) level gram on the radial mode (j, l).
 
@@ -647,7 +675,7 @@ def radial_eigenvalue_quadrature(dw: int, j: int, l: int, weight_power: float) -
         raise CapabilityError(
             f"Gauss-Laguerre route limited to {MAX_LAGUERRE_NODES} nodes (j={j})"
         )
-    s, w = roots_genlaguerre(j + 1, a - mu)
+    s, w = gauss_rule("laguerre", j + 1, a - mu)
     vals = eval_laguerre(j, a, s)
     return math.fsum(w * vals * vals) * math.exp(math.lgamma(j + 1) - math.lgamma(j + a + 1))
 

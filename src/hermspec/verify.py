@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .antideriv import (
     merge_identity_check,
@@ -49,6 +49,8 @@ from .quadrature import (
     MAX_LAGUERRE_NODES,
     TWO_PI,
     circle_directions,
+    gauss_legendre_panels,
+    gauss_rule,
     integrate_radial_3d,
     radial_rule_panels,
     truncation_radius,
@@ -230,11 +232,12 @@ _BASIS = None
 
 
 def clear_caches() -> None:
-    """Drop every memo, for honest re-runs: the shared basis, the level forms
-    of time_avg_weighted, the lifted radial mode integrals and the exact
-    level tops."""
+    """Drop every memo, for honest re-runs: the shared basis, the Gauss
+    rules, the level forms of time_avg_weighted, the lifted radial mode
+    integrals and the exact level tops."""
     global _BASIS
     _BASIS = None
+    gauss_rule.cache_clear()
     spectral._level_form.cache_clear()
     spectral._radial_level_top.cache_clear()
     _radial_mode_integral.cache_clear()
@@ -644,13 +647,19 @@ def _random_fully_even(n, k_max, seed_seq) -> SpectralState:
 
 def even_cover_holds(k: int) -> bool:
     """Every fully even index of total degree k has a coordinate carrying at
-    least half the rest; the three half-dominant families cover the level."""
-    for alpha in enumerate_multiindices(3, k):
-        if any(c % 2 for c in alpha):
-            continue
-        a1, a2, a3 = alpha
-        if not (2 * a1 >= a2 + a3 or 2 * a2 >= a1 + a3 or 2 * a3 >= a1 + a2):
-            return False
+    least half the rest; the three half-dominant families cover the level.
+
+    The fully even indices are alpha = 2b with |b| = k/2, and none exist at
+    odd k; halving alpha leaves the inequalities unchanged, so they are
+    tested on b."""
+    if k % 2:
+        return True
+    half = k // 2
+    for b1 in range(half + 1):
+        for b2 in range(half - b1 + 1):
+            b3 = half - b1 - b2
+            if not (2 * b1 >= b2 + b3 or 2 * b2 >= b1 + b3 or 2 * b3 >= b1 + b2):
+                return False
     return True
 
 
@@ -819,7 +828,7 @@ def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
 
 def _laguerre_integral_quadrature(params: LaguerreParams, m: int) -> float:
     # substitute v = beta*u; plain Gauss-Laguerre is exact on the polynomial
-    nodes, weights = roots_laguerre(m)
+    nodes, weights = gauss_rule("laguerre", m)
     vals = eval_laguerre(params.degree, params.type_exponent, nodes / params.decay_rate)
     return float(np.dot(weights, vals)) / params.decay_rate
 
@@ -861,8 +870,6 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
         res = gamma_duplication_residual(z)
         samples.append((f"duplication z={z:g}", res))
         ok = ok and res <= dup_tol
-    from fractions import Fraction
-
     half = Fraction(1, 2)
     for k in range(min(cfg.k_max, 20) + 1):
         r1 = binom_reflection_residual(half, k)
@@ -873,15 +880,8 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     # the odd antiderivative spans only lower even modes: orthogonal to the
     # next even eigenfunction up
     basis = _basis(2 * min(cfg.k_max, 20) + 1)
-    from scipy.special import roots_legendre
-
-    x_ref, w_ref = roots_legendre(16)
-    T = 20.0
-    edges = np.linspace(-T, T, 161)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + halfw[:, None] * x_ref[None, :]).ravel()
-    weights = (halfw[:, None] * w_ref[None, :]).ravel()
+    rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
+    nodes, weights = rule.nodes, rule.weights
     for k in range(1, min(cfg.k_max, 20) + 1):
         integrand = eval_h(basis, 2 * k, nodes) * x_odd(basis, k - 1, nodes)
         res = abs(float(np.dot(weights, integrand)))

@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: flags, files, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +141,19 @@ def test_summary_lines_on_stdout(tmp_path, capsys):
     assert main(["norms", "--kmax", "4", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "antideriv_norms: passed" in captured.out
+
+
+def test_full_run_loads_no_scipy(tmp_path):
+    # a fresh interpreter, so no other test's import can hide a lazy one
+    code = (
+        "import sys\n"
+        "from hermspec.cli import main\n"
+        f"rc = main(['all', '--kmax', '4', '--trials', '1', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"

@@ -9,9 +9,11 @@ from hermspec import (
     HermiteBasis,
     circle_directions,
     eval_h,
+    eval_h_all,
     gauss_hermite,
     gauss_legendre,
     gauss_legendre_panels,
+    gauss_rule,
     integrate_cyl_2d,
     integrate_radial_3d,
     radial_rule_absorbing,
@@ -178,3 +180,82 @@ def test_sphere_rule_integrates_low_degree_harmonics():
 
 def test_truncation_radius_formula():
     assert truncation_radius(20, 3) == pytest.approx(math.sqrt(43.0) + 10.0, rel=1e-15)
+
+
+# the memo would keep every rule of the sweeps below; the unwrapped routine
+# computes exactly what the memoized one returns
+_build_rule = gauss_rule.__wrapped__
+
+LAGUERRE_EXPONENTS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0)
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+@pytest.mark.parametrize("family, alpha", [("legendre", 0.0), ("hermite", 0.0)]
+                         + [("laguerre", a) for a in LAGUERRE_EXPONENTS])
+def test_gauss_rule_matches_scipy(family, alpha):
+    special = pytest.importorskip("scipy.special")
+    ref = {
+        "legendre": special.roots_legendre,
+        "hermite": special.roots_hermite,
+        "laguerre": lambda m: special.roots_genlaguerre(m, alpha),
+    }[family]
+    for m in range(1, 151):
+        x, w = _build_rule(family, m, alpha)
+        xr, wr = ref(m)
+        assert np.all(np.diff(x) > 0)
+        nonzero = xr != 0
+        assert np.array_equal(x[~nonzero], xr[~nonzero])
+        if nonzero.any():
+            assert _max_rel(x[nonzero], xr[nonzero]) <= 1e-15, (family, alpha, m)
+        assert _max_rel(w, wr) <= 1e-13, (family, alpha, m)
+
+
+@pytest.mark.parametrize("m", [151, 200, 300])
+def test_gauss_hermite_past_polynomial_range(m):
+    special = pytest.importorskip("scipy.special")
+    x, w = _build_rule("hermite", m)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)
+    assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
+    xr, wr = special.roots_hermite(m)
+    nonzero = xr != 0
+    assert _max_rel(x[nonzero], xr[nonzero]) <= 1e-12
+    assert _max_rel(w, wr) <= 1e-12
+    # exact on h_k h_l with the Gaussian compensated: the Gram matrix of
+    # h_0..h_(m-1) under the rule is the identity
+    comp = w * np.exp(x * x)
+    h = eval_h_all(HermiteBasis.build(m - 1), m - 1, x)
+    gram = (h * comp) @ h.T
+    assert np.max(np.abs(gram - np.eye(m))) <= 1e-12
+
+
+def test_gauss_rule_memo_is_read_only_shared_and_cleared():
+    from hermspec.verify import clear_caches
+
+    clear_caches()
+    x, w = gauss_rule("laguerre", 9, 0.5)
+    again = gauss_rule("laguerre", 9, 0.5)
+    assert again[0] is x and again[1] is w
+    assert gauss_rule.cache_info().currsize == 1
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the rule objects built on top share the memoized arrays
+    assert gauss_legendre(7).nodes is gauss_rule("legendre", 7)[0]
+    clear_caches()
+    assert gauss_rule.cache_info().currsize == 0
+    assert gauss_rule("laguerre", 9, 0.5)[0] is not x
+
+
+def test_gauss_rule_guards():
+    with pytest.raises(ValueError):
+        gauss_rule("legendre", 0)
+    with pytest.raises(ValueError):
+        gauss_rule("jacobi", 4)
+    with pytest.raises(ValueError):
+        gauss_rule("laguerre", 4, -1.0)
+    with pytest.raises(ValueError):
+        gauss_rule("laguerre", 151)

@@ -213,6 +213,22 @@ def test_even_cover_exhaustive():
         assert even_cover_holds(k)
 
 
+def test_even_cover_matches_filtered_enumeration():
+    from hermspec.spectral import enumerate_multiindices
+
+    def filtered(k):
+        # the fully even indices found by filtering the whole level
+        for a1, a2, a3 in enumerate_multiindices(3, k):
+            if a1 % 2 or a2 % 2 or a3 % 2:
+                continue
+            if not (2 * a1 >= a2 + a3 or 2 * a2 >= a1 + a3 or 2 * a3 >= a1 + a2):
+                return False
+        return True
+
+    for k in range(61):
+        assert even_cover_holds(k) == filtered(k)
+
+
 def test_even_3d_small():
     r = check_even_3d(ScanConfig(k_max=4, trials=2))
     assert r.status == "passed"
