@@ -31,20 +31,6 @@ _SEG_WIDTH = 0.25
 
 
 @dataclass(frozen=True)
-class AntiderivativeSeries:
-    """A single antiderivative: parity, half-degree, and its evaluation route.
-
-    Odd parity carries the exact finite expansion as (degree, coefficient)
-    pairs; even parity carries no expansion and is flagged for quadrature.
-    """
-
-    parity: str
-    half_degree: int
-    expansion: tuple[tuple[int, float], ...]
-    quadrature_fallback: bool
-
-
-@dataclass(frozen=True)
 class NormTable:
     """Squared norms up to a cutoff: I_odd[k] is the odd full norm,
     V_even[k] the even half norm (full norm / 2)."""
@@ -54,8 +40,9 @@ class NormTable:
     source: str
 
 
-def odd_series(k: int) -> AntiderivativeSeries:
-    """Exact expansion of the antiderivative of h_{2k+1} over even-degree modes.
+def odd_series(k: int) -> tuple[tuple[int, float], ...]:
+    """Exact expansion of the antiderivative of h_{2k+1} over even-degree modes,
+    as (degree, coefficient) pairs.
 
     Unrolls the one-step reduction: each step trades the degree-(2m+1)
     integrand for a degree-2m term with coefficient -sqrt(2/(2m+1)) plus a
@@ -70,23 +57,16 @@ def odd_series(k: int) -> AntiderivativeSeries:
         pairs.append((2 * k - 2 * i, -math.sqrt(2.0 / (2 * k + 1 - 2 * i)) * prefix))
         prefix *= math.sqrt((2 * k - 2 * i) / (2 * k + 1 - 2 * i))
     pairs.append((0, -SQRT2 * prefix))
-    return AntiderivativeSeries("odd", k, tuple(pairs), False)
-
-
-def even_series(k: int) -> AntiderivativeSeries:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return AntiderivativeSeries("even", k, (), True)
+    return tuple(pairs)
 
 
 def x_odd(basis: HermiteBasis, k: int, x) -> np.ndarray:
     """Antiderivative of h_{2k+1}, vanishing at both infinities, via its expansion."""
     basis.require(2 * k + 1)
-    series = odd_series(k)
     t = np.asarray(x, dtype=float)
     h = eval_h_all(basis, 2 * k, t)
     out = np.zeros_like(t)
-    for degree, coeff in series.expansion:
+    for degree, coeff in odd_series(k):
         out += coeff * h[degree]
     return out
 
@@ -155,7 +135,7 @@ def norm_sq_odd_recursive(k: int) -> float:
 
 def norm_sq_odd_expansion(k: int) -> float:
     """Sum of squared expansion coefficients (orthonormality makes this the norm)."""
-    return math.fsum(c * c for _, c in odd_series(k).expansion)
+    return math.fsum(c * c for _, c in odd_series(k))
 
 
 def partial_binomial_sum(k: int, numerator: float) -> float:

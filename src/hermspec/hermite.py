@@ -76,25 +76,6 @@ def eval_h(basis: HermiteBasis, k: int, t):
     return eval_h_all(basis, k, t)[k]
 
 
-def eval_h_scaled_all(basis: HermiteBasis, k_max: int, t) -> np.ndarray:
-    """h_k(t) * e^(t^2/2), i.e. c_k H_k(t): the polynomial part of every h_k.
-
-    Used where a quadrature rule supplies the Gaussian itself (Gauss-Hermite
-    compensation, Laguerre-absorbed radial rules).
-    """
-    basis.require(k_max)
-    t = np.asarray(t, dtype=float)
-    out = np.empty((k_max + 1,) + t.shape)
-    out[0] = np.full(t.shape, PI_Q)
-    if k_max >= 1:
-        out[1] = SQRT2 * PI_Q * t
-    for k in range(1, k_max):
-        out[k + 1] = t * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(
-            k / (k + 1.0)
-        ) * out[k - 1]
-    return out
-
-
 def eval_hermite_poly(k: int, t) -> np.ndarray:
     """Classical Hermite polynomial H_k(t) from its explicit alternating sum.
 

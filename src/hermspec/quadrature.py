@@ -106,6 +106,13 @@ def _christoffel(fm: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return 1.0 / (fm * dy)
 
 
+def _hermite_sq_sum(x: np.ndarray, m: int) -> np.ndarray:
+    """sum_(j<m) h_j(x)^2; at the nodes of the m-point Gauss-Hermite rule its
+    reciprocal is w e^(x^2), which stays finite where w underflows."""
+    h = eval_h_all(HermiteBasis.build(m - 1), m - 1, x)
+    return np.einsum("ij,ij->j", h, h)
+
+
 # bounded: `hermspec all` uses about 120 distinct rules, but a long-lived
 # caller may ask for arbitrary exponents
 @lru_cache(maxsize=512)
@@ -140,11 +147,9 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
             w = _christoffel(_hermite_poly(m - 1, x), dy)
         else:
             # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
-            basis = HermiteBasis.build(m)
-            h = eval_h_all(basis, m, x)
+            h = eval_h_all(HermiteBasis.build(m), m, x)
             x = x - h[m] / (math.sqrt(2.0 * m) * h[m - 1] - x * h[m])
-            h = eval_h_all(basis, m - 1, x)
-            w = np.exp(-x * x) / np.einsum("ij,ij->j", h, h)
+            w = np.exp(-x * x) / _hermite_sq_sum(x, m)
     elif family == "laguerre":
         if alpha <= -1.0:
             raise ValueError("Laguerre exponent must be > -1")
@@ -169,17 +174,35 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
     return x, w
 
 
+@lru_cache(maxsize=128)
+def hermite_compensated_weights(m: int) -> np.ndarray:
+    """Weights w e^(x^2) of the m-point Gauss-Hermite rule, memoized, read-only.
+
+    They integrate f against dx rather than e^(-x^2) dx.  Up to 150 nodes they
+    are the rule's weights times e^(x^2); past that the outer weights underflow
+    (0 * inf), so they are the Christoffel values 1/sum h_j^2 (exactly
+    antipodal, as the nodes and the parity of h_j are), scaled to the rule's
+    mass as gauss_rule scales its weights.
+    """
+    x, w = gauss_rule("hermite", m)
+    if m <= _HERMITE_POLY_NODES:
+        comp = w * np.exp(x * x)
+    else:
+        comp = 1.0 / _hermite_sq_sum(x, m)
+        comp *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), comp)
+    comp.flags.writeable = False
+    return comp
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes, positive weights, and a domain descriptor.
+    """Nodes and positive weights.
 
     nodes has shape (N,) for line/radial rules and (N, d) for product grids.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple
 
     def integrate(self, values: np.ndarray) -> float:
         """Contract sampled integrand values against the weights."""
@@ -189,13 +212,13 @@ class QuadratureRule:
 def gauss_legendre(m: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 2m-1."""
     x, w = gauss_rule("legendre", m)
-    return QuadratureRule("gauss_legendre_panels", x, w, ("interval", -1.0, 1.0, 1))
+    return QuadratureRule(x, w)
 
 
 def gauss_hermite(m: int) -> QuadratureRule:
     """Gauss-Hermite rule for weight e^(-x^2) on the line."""
     x, w = gauss_rule("hermite", m)
-    return QuadratureRule("gauss_hermite", x, w, ("line", m))
+    return QuadratureRule(x, w)
 
 
 def gauss_legendre_panels(a: float, b: float, n_panels: int, m: int) -> QuadratureRule:
@@ -208,7 +231,7 @@ def gauss_legendre_panels(a: float, b: float, n_panels: int, m: int) -> Quadratu
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return QuadratureRule("gauss_legendre_panels", nodes, weights, ("interval", a, b, n_panels))
+    return QuadratureRule(nodes, weights)
 
 
 def _graded_edges(R: float, n_panels: int) -> np.ndarray:
@@ -254,8 +277,7 @@ def radial_rule_panels(
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel() * nodes ** exponent
-    kind = {1: "gauss_legendre_panels", 2: "radial_polar_2d", 3: "radial_spherical_3d"}[dim]
-    return QuadratureRule(kind, nodes, weights, ("radius", R, len(edges) - 1))
+    return QuadratureRule(nodes, weights)
 
 
 def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
@@ -281,8 +303,7 @@ def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
     s, lam = gauss_rule("laguerre", m, alpha)
     nodes = np.sqrt(s)
     weights = 0.5 * lam * np.exp(s)
-    kind = {1: "gauss_legendre_panels", 2: "radial_polar_2d", 3: "radial_spherical_3d"}[dim]
-    return QuadratureRule(kind, nodes, weights, ("absorbing", m))
+    return QuadratureRule(nodes, weights)
 
 
 def circle_directions(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,21 +338,6 @@ def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]
     return dirs.reshape(-1, 3), w
 
 
-def _sphere_directions_gl(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    # tensor Gauss-Legendre in (cos theta, phi), used by the generic 3D integrator
-    u, wu = gauss_rule("legendre", n_theta)
-    p, wp = gauss_rule("legendre", n_phi)
-    phi = math.pi * (p + 1.0)
-    wphi = math.pi * wp
-    su = np.sqrt(1.0 - u * u)
-    dirs = np.empty((n_theta, n_phi, 3))
-    dirs[:, :, 0] = su[:, None] * np.cos(phi)[None, :]
-    dirs[:, :, 1] = su[:, None] * np.sin(phi)[None, :]
-    dirs[:, :, 2] = u[:, None] * np.ones_like(phi)[None, :]
-    w = (wu[:, None] * wphi[None, :]).ravel()
-    return dirs.reshape(-1, 3), w
-
-
 def _radial_angular_sum(radial: QuadratureRule, dirs, dw, F, chunk=262144) -> float:
     r = radial.nodes
     parts = []
@@ -359,12 +365,12 @@ def integrate_radial_3d(
 
     F is a vectorized callable F(x1, x2, x3).  The factor r^(2-2*delta) is
     absorbed into the graded radial rule (bounded for all delta <= 1); the
-    angular part is tensor Gauss-Legendre in (cos theta, phi).
+    angular part is sphere_directions (n_phi even).
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1] for the 3D weight")
     radial = radial_rule_panels(3, delta, R, n_panels, nodes_per_panel)
-    dirs, dw = _sphere_directions_gl(n_theta, n_phi)
+    dirs, dw = sphere_directions(n_theta, n_phi)
     return _radial_angular_sum(radial, dirs, dw, F)
 
 
@@ -384,10 +390,8 @@ def integrate_cyl_2d(
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1) for the 2D weight")
     radial = radial_rule_panels(2, delta, R, n_panels, nodes_per_panel)
-    u, wu = gauss_rule("legendre", n_phi)
-    phi = math.pi * (u + 1.0)
-    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    return _radial_angular_sum(radial, dirs, math.pi * wu, F)
+    dirs, dw = circle_directions(n_phi)
+    return _radial_angular_sum(radial, dirs, dw, F)
 
 
 def truncation_radius(k_max: int, n: int) -> float:

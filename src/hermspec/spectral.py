@@ -34,6 +34,7 @@ from .quadrature import (
     gauss_hermite,
     gauss_legendre_panels,
     gauss_rule,
+    hermite_compensated_weights,
     radial_rule_absorbing,
     sphere_directions,
     truncation_radius,
@@ -273,22 +274,22 @@ def coefficients_from_function(
 
 
 def _coefficients_once(f, n, k_max, m, basis):
+    # the adjoint of evaluate_state_grid: contract the sampled values with one
+    # weighted mode table per axis, then read every index off the dense result
     if basis is None:
         basis = HermiteBasis.build(k_max)
-    rule = gauss_hermite(m)
-    nodes = rule.nodes
-    comp = rule.weights * np.exp(nodes * nodes)
+    nodes = gauss_hermite(m).nodes
     grids = np.meshgrid(*([nodes] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    fv = np.asarray(f(pts), dtype=complex).reshape([m] * n)
-    tab = eval_h_all(basis, k_max, nodes)
-    coeffs = {}
-    for k in range(k_max + 1):
-        for alpha in _level_indices(n, k):
-            val = fv
-            for c, deg in enumerate(alpha):
-                val = np.tensordot(val, tab[deg] * comp, axes=([0], [0]))
-            coeffs[alpha] = complex(val)
+    out = np.asarray(f(pts), dtype=complex).reshape([m] * n)
+    tab = (eval_h_all(basis, k_max, nodes) * hermite_compensated_weights(m)).T
+    for _ in range(n):
+        out = np.tensordot(out, tab, axes=([0], [0]))
+    coeffs = {
+        alpha: complex(out[alpha])
+        for k in range(k_max + 1)
+        for alpha in _level_indices(n, k)
+    }
     return SpectralState(n, coeffs, k_max)
 
 
@@ -300,17 +301,9 @@ def projection_kernel(query: KernelQuery, basis: HermiteBasis | None = None) -> 
     y = np.asarray(query.y, dtype=float)
     if x.shape != (query.n,) or y.shape != (query.n,):
         raise ValueError("points must be n-vectors")
-    tx = [eval_h_all(basis, query.k, x[c : c + 1]) for c in range(query.n)]
-    ty = [eval_h_all(basis, query.k, y[c : c + 1]) for c in range(query.n)]
-    total = 0.0
-    for alpha in enumerate_multiindices(query.n, query.k):
-        px = 1.0
-        py = 1.0
-        for c, deg in enumerate(alpha):
-            px *= tx[c][deg, 0]
-            py *= ty[c][deg, 0]
-        total += px * py
-    return float(total)
+    tabs = [eval_h_all(basis, query.k, np.array([x[c], y[c]])) for c in range(query.n)]
+    B = _mode_matrix(tabs, np.array(enumerate_multiindices(query.n, query.k)))
+    return float(B[:, 0] @ B[:, 1])
 
 
 def kernel_diagonal(basis: HermiteBasis, n: int, k: int, points) -> np.ndarray:
@@ -449,12 +442,11 @@ def _tensor_free_axes(base_pts, base_w, n, wd, k, scale):
     w = base_w
     for c in free:
         m_h = max(4, int(math.ceil((k + 3) * scale)))
-        rule = gauss_hermite(m_h)
-        comp = rule.weights * np.exp(rule.nodes ** 2)
+        nodes = gauss_hermite(m_h).nodes
         n_old = pts.shape[0]
         pts = np.repeat(pts, m_h, axis=0)
-        pts[:, c] = np.tile(rule.nodes, n_old)
-        w = np.repeat(w, m_h) * np.tile(comp, n_old)
+        pts[:, c] = np.tile(nodes, n_old)
+        w = np.repeat(w, m_h) * np.tile(hermite_compensated_weights(m_h), n_old)
     return pts, w
 
 
@@ -715,7 +707,10 @@ def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
 
     Groups coefficients by eigenvalue, restricts each group to (x, x, x) with
     x in R^3, and integrates by a sqrt(3)-rescaled compensated Gauss-Hermite
-    tensor rule matching the e^(-3|x|^2) density of the restriction.
+    tensor rule matching the e^(-3|x|^2) density of the restriction.  Axis j
+    of R^3 carries the 9D axes j, j+3 and j+6, so a mode restricts to a
+    product of three 1D tables, one per triple (a_j, a_(j+3), a_(j+6)); each
+    level is a dense tensor over its triples, contracted axis by axis.
     """
     if state.n != 9:
         raise ValueError("collapse restriction is defined for n = 9")
@@ -724,29 +719,27 @@ def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
     if basis is None:
         basis = HermiteBasis.build(state.k_max)
     m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
-    rule = gauss_hermite(m)
-    y = rule.nodes
-    comp = rule.weights * np.exp(y * y)
-    x = y / math.sqrt(3.0)
-    tab = eval_h_all(basis, state.k_max, x)
+    y = gauss_hermite(m).nodes
+    comp = hermite_compensated_weights(m)
+    tab = eval_h_all(basis, state.k_max, y / math.sqrt(3.0))
     by_level = {}
     for alpha, coeff in state.coefficients.items():
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
     total = 0.0
     scale3 = 3.0 ** -1.5
     for k, items in sorted(by_level.items()):
-        restricted = np.zeros((m, m, m), dtype=complex)
-        for alpha, coeff in items:
-            f1 = tab[alpha[0]] * tab[alpha[3]] * tab[alpha[6]]
-            f2 = tab[alpha[1]] * tab[alpha[4]] * tab[alpha[7]]
-            f3 = tab[alpha[2]] * tab[alpha[5]] * tab[alpha[8]]
-            restricted += coeff * np.multiply.outer(np.multiply.outer(f1, f2), f3)
-        dens = np.abs(restricted) ** 2
-        val = np.tensordot(
-            np.tensordot(np.tensordot(dens, comp, axes=([0], [0])), comp, axes=([0], [0])),
-            comp,
-            axes=([0], [0]),
-        )
+        # triples[i, j] is (a_j, a_(j+3), a_(j+6)) of the i-th coefficient
+        triples = np.array([alpha for alpha, _ in items]).reshape(-1, 3, 3).transpose(0, 2, 1)
+        uniq, pos = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
+        pos = pos.reshape(-1, 3)
+        restricted = np.zeros((len(uniq),) * 3, dtype=complex)
+        restricted[pos[:, 0], pos[:, 1], pos[:, 2]] = [coeff for _, coeff in items]
+        F = _mode_matrix([tab, tab, tab], uniq)
+        for _ in range(3):
+            restricted = np.tensordot(restricted, F, axes=([0], [0]))
+        val = np.abs(restricted) ** 2
+        for _ in range(3):
+            val = np.tensordot(val, comp, axes=([0], [0]))
         total += scale3 * float(val)
     return TWO_PI * total
 

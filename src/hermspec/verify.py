@@ -15,6 +15,9 @@ are thresholds for regression detection, not claimed sharp constants.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +43,7 @@ from .hermite import (
     LaguerreParams,
     binom_reflection_residual,
     eval_h,
+    eval_h_all,
     eval_laguerre,
     gamma_duplication_residual,
     laguerre_exp_integral,
@@ -51,7 +55,7 @@ from .quadrature import (
     circle_directions,
     gauss_legendre_panels,
     gauss_rule,
-    integrate_radial_3d,
+    hermite_compensated_weights,
     radial_rule_panels,
     truncation_radius,
 )
@@ -233,14 +237,16 @@ _BASIS = None
 
 def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the shared basis, the Gauss
-    rules, the level forms of time_avg_weighted, the lifted radial mode
-    integrals and the exact level tops."""
+    rules and their compensated Hermite weights, the level forms of
+    time_avg_weighted, the lifted radial mode integrals and the exact level
+    tops."""
     global _BASIS
     _BASIS = None
     gauss_rule.cache_clear()
     spectral._level_form.cache_clear()
     spectral._radial_level_top.cache_clear()
-    _radial_mode_integral.cache_clear()
+    _radial_mode_integrals.cache_clear()
+    hermite_compensated_weights.cache_clear()
 
 
 def _basis(max_degree: int) -> HermiteBasis:
@@ -334,28 +340,27 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
 
 
 @lru_cache(maxsize=None)
-def _radial_mode_integral(degree, delta, R, n_panels, nodes_pp, n_ang) -> float:
-    # one 3D level of the lifted unit mode: h_d(|x|)^2 / (2 pi |x|^2), weighted;
-    # a trial's level is this times |a|^2
-    basis = _basis(degree)
+def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
+    """Weighted 3D integrals of the lifted unit modes h_d(|x|)^2 / (2 pi |x|^2),
+    one per degree d <= top, from one Hermite table on the radial rule.
 
-    def F(x1, x2, x3):
-        r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-        val = eval_h(basis, degree, r.ravel()).reshape(r.shape)
-        return (val * val) / (TWO_PI * r * r)
-
-    return integrate_radial_3d(
-        F, delta, R,
-        n_panels=n_panels, nodes_per_panel=nodes_pp,
-        n_theta=n_ang, n_phi=n_ang,
-    )
+    The integrand is radial, so its angular integral is exactly 4 pi and each
+    integral is 2 sum_i w_i h_d(r_i)^2 / r_i^2 on the graded radial rule; a
+    trial's level is its entry times |a|^2.  integrate_radial_3d is the
+    reference for this route.
+    """
+    radial = radial_rule_panels(3, delta, R, n_panels, nodes_pp)
+    r = radial.nodes
+    h = eval_h_all(_basis(top), top, r)
+    out = 2.0 * ((h * h / (r * r)) @ radial.weights)
+    out.flags.writeable = False
+    return out
 
 
 def _lifted_sum(items, delta, R, n_panels, nodes_pp) -> float:
-    return math.fsum(
-        abs(c) ** 2 * _radial_mode_integral(a[0], delta, R, n_panels, nodes_pp, 4)
-        for a, c in items
-    )
+    top = max(a[0] for a, _ in items)
+    lift = _radial_mode_integrals(top, delta, R, n_panels, nodes_pp)
+    return math.fsum(abs(c) ** 2 * lift[a[0]] for a, c in items)
 
 
 def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
@@ -954,8 +959,6 @@ def _fmt_float(x: float) -> str:
 
 
 def _json_text(obj) -> str:
-    import json as _json
-
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -965,10 +968,10 @@ def _json_text(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ",".join(
-            _json.dumps(str(k)) + ":" + _json_text(v) for k, v in sorted(obj.items())
+            json.dumps(str(k)) + ":" + _json_text(v) for k, v in sorted(obj.items())
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
@@ -1042,9 +1045,7 @@ def _report_from_dict(d: dict) -> EstimateReport:
 
 
 def manifest_from_json_bytes(data: bytes) -> RunManifest:
-    import json as _json
-
-    obj = _json.loads(data.decode("ascii"))
+    obj = json.loads(data.decode("ascii"))
     return RunManifest(
         version=str(obj["version"]),
         config=_config_from_dict(obj["config"]),
@@ -1061,9 +1062,6 @@ def emit_table(manifest: RunManifest, fmt: str) -> bytes:
     if fmt == "json":
         return manifest_to_json_bytes(manifest)
     if fmt == "csv":
-        import csv
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(CSV_HEADER.split(","))

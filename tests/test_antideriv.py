@@ -10,7 +10,6 @@ from scipy.special import erf
 
 from hermspec import HermiteBasis, eval_h, half_line_integral_even
 from hermspec.antideriv import (
-    even_series,
     merge_identity_check,
     merge_identity_exact,
     norm_sq_even_closed,
@@ -43,14 +42,8 @@ def cumulative_oracle(degree, x, lo=-12.0):
 
 def test_odd_series_structure():
     s = odd_series(2)
-    assert s.parity == "odd"
-    assert s.half_degree == 2
-    assert [d for d, _ in s.expansion] == [4, 2, 0]
-    assert not s.quadrature_fallback
-    e = even_series(3)
-    assert e.parity == "even"
-    assert e.expansion == ()
-    assert e.quadrature_fallback
+    assert [d for d, _ in s] == [4, 2, 0]
+    assert s[0][1] == pytest.approx(-math.sqrt(2.0 / 5.0), rel=1e-15)
 
 
 def test_odd_value_at_origin():

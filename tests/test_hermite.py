@@ -17,7 +17,6 @@ from hermspec import (
     binom_reflection_residual,
     eval_h,
     eval_h_all,
-    eval_h_scaled_all,
     eval_hermite_poly,
     eval_laguerre,
     gamma_duplication_residual,
@@ -27,6 +26,7 @@ from hermspec import (
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
 )
+from hermspec.quadrature import hermite_compensated_weights
 
 T = np.linspace(-6.0, 6.0, 241)
 
@@ -58,21 +58,12 @@ def test_parity_is_exact_in_floating_point():
 
 
 def test_orthonormality_via_gauss_hermite():
-    # scaled (Gaussian-free) values make the product a polynomial, so a 41-node
-    # rule integrates every pair with k <= 40 exactly
+    # the compensated weights w e^(x^2) leave w times a polynomial, so a
+    # 41-node rule integrates every pair with k <= 40 exactly
     basis = HermiteBasis.build(40)
-    rule = gauss_hermite(41)
-    phi = eval_h_scaled_all(basis, 40, rule.nodes)
-    gram = (phi * rule.weights) @ phi.T
+    h = eval_h_all(basis, 40, gauss_hermite(41).nodes)
+    gram = (h * hermite_compensated_weights(41)) @ h.T
     assert np.max(np.abs(gram - np.eye(41))) < 1e-12
-
-
-def test_scaled_values_equal_h_times_inverse_gaussian():
-    basis = HermiteBasis.build(15)
-    t = np.linspace(-3.0, 3.0, 31)
-    h = eval_h_all(basis, 15, t)
-    phi = eval_h_scaled_all(basis, 15, t)
-    assert np.max(np.abs(phi - h * np.exp(t * t / 2.0))) < 1e-10
 
 
 def test_lowering_identity_against_finite_differences():

@@ -21,6 +21,8 @@ from hermspec import (
     sphere_directions,
     truncation_radius,
 )
+from hermspec.quadrature import hermite_compensated_weights
+from hermspec.spectral import coefficients_from_function
 
 
 def test_gauss_legendre_one_node():
@@ -54,7 +56,6 @@ def test_panels_integrate_smooth_function():
 def test_panel_rule_shape_and_domain():
     rule = gauss_legendre_panels(-1.0, 3.0, 5, 4)
     assert rule.nodes.shape == (20,)
-    assert rule.domain == ("interval", -1.0, 3.0, 5)
     assert np.all(np.diff(rule.nodes) > 0)
 
 
@@ -229,6 +230,41 @@ def test_gauss_hermite_past_polynomial_range(m):
     h = eval_h_all(HermiteBasis.build(m - 1), m - 1, x)
     gram = (h * comp) @ h.T
     assert np.max(np.abs(gram - np.eye(m))) <= 1e-12
+
+
+def test_hermite_compensated_weights_past_underflow():
+    # at 400 nodes the outer weights underflow to 0, where w e^(x^2) is 0 * inf
+    x, w = gauss_rule("hermite", 400)
+    assert w.min() == 0.0
+    comp = hermite_compensated_weights(400)
+    assert np.all(np.isfinite(comp)) and np.all(comp > 0)
+    assert np.array_equal(comp, comp[::-1])
+    assert abs(np.dot(np.exp(-x * x), comp) - math.sqrt(math.pi)) <= 1e-13
+    # where w e^(x^2) is finite, the Christoffel values agree with it
+    for m in (151, 300):
+        x, w = gauss_rule("hermite", m)
+        assert _max_rel(hermite_compensated_weights(m), w * np.exp(x * x)) <= 1e-12
+    # a mode comes back through the 400-node rule, the doubling gate's rule at
+    # m = 200 (an 800-node Hermite rule has NaN nodes: h_0 underflows there)
+    basis = HermiteBasis.build(9)
+    state = coefficients_from_function(lambda p: eval_h(basis, 7, p[:, 0]), 1, 9, m=200)
+    for (k,), c in state.coefficients.items():
+        assert abs(c - (1.0 if k == 7 else 0.0)) <= 1e-12, k
+
+
+def test_hermite_compensated_weights_memo():
+    from hermspec.verify import clear_caches
+
+    # up to 150 nodes: the rule's weights times e^(x^2), byte for byte
+    for m in (1, 24, 150):
+        x, w = gauss_rule("hermite", m)
+        assert np.array_equal(hermite_compensated_weights(m), w * np.exp(x * x))
+    comp = hermite_compensated_weights(24)
+    assert hermite_compensated_weights(24) is comp
+    with pytest.raises(ValueError):
+        comp[0] = 0.0
+    clear_caches()
+    assert hermite_compensated_weights.cache_info().currsize == 0
 
 
 def test_gauss_rule_memo_is_read_only_shared_and_cleared():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hermspec import CapabilityError, HermiteBasis, ToleranceError, eval_h, spectral
+from hermspec import CapabilityError, HermiteBasis, ToleranceError, eval_h, eval_h_all, spectral
 from hermspec.quadrature import gauss_hermite, gauss_legendre_panels, integrate_cyl_2d
 from hermspec.spectral import (
     KernelQuery,
@@ -167,6 +167,12 @@ def test_projection_kernel_values():
         evaluate_phi(BASIS, a, x) ** 2 for a in enumerate_multiindices(3, 2)
     )
     assert projection_kernel(KernelQuery(3, 2, x, x), BASIS) == pytest.approx(brute, rel=1e-13)
+    # off the diagonal: the level-3 indices in n=3 at two distinct points
+    y = (-0.7, 0.2, 0.5)
+    brute = sum(
+        evaluate_phi(BASIS, a, x) * evaluate_phi(BASIS, a, y) for a in enumerate_multiindices(3, 3)
+    )
+    assert projection_kernel(KernelQuery(3, 3, x, y), BASIS) == pytest.approx(brute, rel=1e-13)
 
 
 def test_kernel_reproducing_property():
@@ -477,6 +483,39 @@ def test_collapse_single_mode_matches_direct_spatial():
         val = np.tensordot(val, comp, axes=([0], [0]))
     direct = TWO_PI * 3.0 ** -1.5 * float(val)
     assert got == pytest.approx(direct, rel=1e-11)
+
+
+def _collapse_per_coefficient(state, rule_scale):
+    # reference: one outer product of the three restricted factors per
+    # coefficient, axis j of R^3 carrying the 9D axes j, j+3 and j+6
+    m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
+    rule = gauss_hermite(m)
+    comp = rule.weights * np.exp(rule.nodes ** 2)
+    tab = eval_h_all(BASIS, state.k_max, rule.nodes / math.sqrt(3.0))
+    total = 0.0
+    for k in range(state.k_max + 1):
+        restricted = np.zeros((m, m, m), dtype=complex)
+        for alpha, coeff in state.coefficients.items():
+            if sum(alpha) != k:
+                continue
+            f1, f2, f3 = (tab[alpha[j]] * tab[alpha[j + 3]] * tab[alpha[j + 6]] for j in range(3))
+            restricted += coeff * np.multiply.outer(np.multiply.outer(f1, f2), f3)
+        val = np.abs(restricted) ** 2
+        for _ in range(3):
+            val = np.tensordot(val, comp, axes=([0], [0]))
+        total += 3.0 ** -1.5 * float(val)
+    return TWO_PI * total
+
+
+@pytest.mark.parametrize("rule_scale", [1.0, 2.0])
+def test_collapse_cross_terms_match_per_coefficient_reference(rule_scale):
+    # every index up to level 3 (220 coefficients on 4 levels), so the
+    # restriction mixes many coefficients within each level
+    state = random_state(9, 3, [11, 9])
+    assert len(state.coefficients) == 220
+    got = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
+    ref = _collapse_per_coefficient(state, rule_scale)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_collapse_guards():

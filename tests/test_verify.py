@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hermspec.errors import CapabilityError, ToleranceError
+from hermspec.hermite import HermiteBasis, eval_h
+from hermspec.quadrature import integrate_radial_3d, truncation_radius
 from hermspec.spectral import make_state, random_state, time_avg_weighted
 from hermspec.verify import (
     CSV_HEADER,
@@ -328,7 +330,7 @@ def test_memo_caches_are_read_only_reused_and_cleared():
     import hermspec.spectral as S
     import hermspec.verify as V
 
-    caches = (S._level_form, S._radial_level_top, V._radial_mode_integral)
+    caches = (S._level_form, S._radial_level_top, V._radial_mode_integrals)
     clear_caches()
     f = random_state(3, 4, [5, 1])
     g = random_state(3, 4, [5, 2])
@@ -346,6 +348,27 @@ def test_memo_caches_are_read_only_reused_and_cleared():
         form[0, 0] = 0.0
     clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_radial_lift_table_matches_3d_integrator(delta):
+    # each entry of the one-table lift against the full 3D integral of its
+    # single lifted mode, on the same radial rule
+    import hermspec.verify as V
+
+    mode_cap = 41
+    R = truncation_radius(mode_cap, 3)
+    n_panels = max(40, int(math.ceil(4.0 * R)))
+    lift = V._radial_mode_integrals(mode_cap, delta, R, n_panels, 8)
+    basis = HermiteBasis.build(mode_cap)
+    for d in range(1, mode_cap + 1, 2):
+        def F(x1, x2, x3, d=d):
+            r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+            return eval_h(basis, d, r) ** 2 / (2.0 * math.pi * r * r)
+
+        ref = integrate_radial_3d(F, delta, R, n_panels=n_panels, nodes_per_panel=8,
+                                  n_theta=4, n_phi=4)
+        assert abs(lift[d] - ref) <= 1e-13 * abs(ref), d
 
 
 def test_ratio_scaling_covariance():
