@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapabilityError
 from .hermite import HermiteBasis, eval_h_all
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +43,10 @@ MAX_LAGUERRE_NODES = 150
 # past this many nodes the classical Hermite polynomials overflow float64, and
 # gauss_rule takes the Newton step on the normalized Hermite functions instead
 _HERMITE_POLY_NODES = 150
+
+# Gauss-Hermite rules stop here: past it, h_0 = pi^(-1/4) e^(-x^2/2) at the outer
+# node is subnormal (from 766 nodes it underflows to 0, and the nodes are NaN)
+MAX_HERMITE_NODES = 728
 
 
 def _legendre_poly(n: int, x: np.ndarray) -> np.ndarray:
@@ -125,7 +130,8 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
     the Jacobi matrix, polished by one Newton step on the polynomial, and the
     weights follow from p_(m-1) and p_m' at the nodes, scaled to the weight's
     total mass.  Hermite rules past 150 nodes work on the normalized Hermite
-    functions instead, where the polynomials would overflow.
+    functions instead, where the polynomials would overflow, up to
+    MAX_HERMITE_NODES (CapabilityError past it).
     """
     if m < 1:
         raise ValueError("node count must be >= 1")
@@ -138,6 +144,8 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
         x = x - y / dy
         w = _christoffel(_legendre_poly(m - 1, x), dy)
     elif family == "hermite":
+        if m > MAX_HERMITE_NODES:
+            raise CapabilityError(f"Gauss-Hermite rules limited to {MAX_HERMITE_NODES} nodes")
         mass = math.sqrt(math.pi)
         x = _golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
         if m <= _HERMITE_POLY_NODES:

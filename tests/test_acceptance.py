@@ -146,15 +146,16 @@ def test_criterion_08_morawetz_2d():
 
 
 def test_criterion_09_even_3d_and_cover():
+    # the fully even part of every even level keeps its sharp constant 4*pi
     r = check_even_3d(ScanConfig())
     ok = (
         r.status == "passed"
-        and r.parameters["cover_holds"]
-        and r.parameters["cover_k_max"] >= 40
+        and abs(r.parameters["sharp"] - 4.0 * math.pi) <= 1e-14 * 4.0 * math.pi
+        and r.parameters["route_drift"] <= ScanConfig().gate_tol
     )
     _verdict(9, ok,
-             f"fully-even 3D sup {r.sup_ratio:.4f}, "
-             f"index cover exhaustive to k={r.parameters['cover_k_max']}")
+             f"fully-even 3D sharp {r.parameters['sharp']:.4f} (4 pi), "
+             f"route drift {r.parameters['route_drift']:.1e}")
 
 
 def test_criterion_10_sobolev_comparison():

@@ -1,0 +1,68 @@
+"""Property tests of the Gauss rules: mass, antipodal symmetry, exactness."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hermspec.quadrature import gauss_rule  # noqa: E402
+
+# deterministic across runs, and nothing written to disk
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# past about 40 nodes the top monomials of the Legendre rule lose digits to
+# the node error near +-1; this range keeps every family within 1e-12
+MAX_NODES = 40
+
+
+@st.composite
+def rules(draw, families=("legendre", "hermite", "laguerre")):
+    family = draw(st.sampled_from(families))
+    m = draw(st.integers(1, MAX_NODES))
+    alpha = draw(st.floats(-0.95, 8.0)) if family == "laguerre" else 0.0
+    return family, m, alpha
+
+
+def _moment(family: str, alpha: float, d: int) -> float:
+    """Exact integral of x^d against the family's weight."""
+    if family == "laguerre":
+        return math.exp(math.lgamma(d + alpha + 1.0))
+    if d % 2:
+        return 0.0
+    if family == "legendre":
+        return 2.0 / (d + 1)
+    return math.gamma((d + 1) / 2.0)
+
+
+@PROPERTY
+@given(rules())
+def test_gauss_rule_mass(rule):
+    family, m, alpha = rule
+    x, w = gauss_rule(family, m, alpha)
+    assert x.shape == w.shape == (m,)
+    assert np.all(w > 0) and np.all(np.diff(x) > 0)
+    assert math.isclose(math.fsum(w), _moment(family, alpha, 0), rel_tol=1e-14)
+
+
+@PROPERTY
+@given(rules(families=("legendre", "hermite")))
+def test_gauss_rule_antipodal(rule):
+    family, m, alpha = rule
+    x, w = gauss_rule(family, m, alpha)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+
+
+@PROPERTY
+@given(rules(), st.data())
+def test_gauss_rule_exact_on_monomials(rule, data):
+    family, m, alpha = rule
+    d = data.draw(st.integers(0, 2 * m - 1), label="degree")
+    x, w = gauss_rule(family, m, alpha)
+    got = math.fsum(w * x ** d)
+    # relative to the integral of |x|^d, so odd degrees have a scale too
+    scale = max(math.fsum(w * np.abs(x) ** d), 1e-300)
+    assert abs(got - _moment(family, alpha, d)) <= 1e-12 * scale

@@ -21,7 +21,8 @@ from hermspec import (
     sphere_directions,
     truncation_radius,
 )
-from hermspec.quadrature import hermite_compensated_weights
+from hermspec.errors import CapabilityError
+from hermspec.quadrature import MAX_HERMITE_NODES, hermite_compensated_weights
 from hermspec.spectral import coefficients_from_function
 
 
@@ -245,11 +246,39 @@ def test_hermite_compensated_weights_past_underflow():
         x, w = gauss_rule("hermite", m)
         assert _max_rel(hermite_compensated_weights(m), w * np.exp(x * x)) <= 1e-12
     # a mode comes back through the 400-node rule, the doubling gate's rule at
-    # m = 200 (an 800-node Hermite rule has NaN nodes: h_0 underflows there)
+    # m = 200 (an 800-node Hermite rule is past MAX_HERMITE_NODES)
     basis = HermiteBasis.build(9)
     state = coefficients_from_function(lambda p: eval_h(basis, 7, p[:, 0]), 1, 9, m=200)
     for (k,), c in state.coefficients.items():
         assert abs(c - (1.0 if k == 7 else 0.0)) <= 1e-12, k
+
+
+def test_gauss_hermite_at_its_node_limit():
+    m = MAX_HERMITE_NODES
+    x, w = _build_rule("hermite", m)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    # the recurrence's starting value h_0 stays a normal float at every node
+    assert np.exp(-0.5 * x[-1] ** 2) >= np.finfo(float).tiny
+    assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
+    comp = hermite_compensated_weights(m)
+    assert np.all(np.isfinite(comp)) and np.all(comp > 0)
+    assert abs(np.dot(np.exp(-x * x), comp) - math.sqrt(math.pi)) <= 1e-13
+    # one node more and h_0 turns subnormal at the outer node (the largest
+    # eigenvalue of the (m+1)-point Jacobi matrix)
+    off = np.sqrt(np.arange(1, m + 1) / 2.0)
+    x_next = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1]
+    assert np.exp(-0.5 * x_next ** 2) < np.finfo(float).tiny
+
+
+def test_gauss_hermite_past_its_node_limit_raises():
+    with pytest.raises(CapabilityError, match=f"limited to {MAX_HERMITE_NODES} nodes"):
+        gauss_rule("hermite", MAX_HERMITE_NODES + 1)
+    with pytest.raises(CapabilityError):
+        hermite_compensated_weights(MAX_HERMITE_NODES + 1)
+    # the rule that used to come back with NaN nodes
+    with pytest.raises(CapabilityError):
+        gauss_hermite(800)
 
 
 def test_hermite_compensated_weights_memo():

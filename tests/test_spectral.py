@@ -124,6 +124,33 @@ def test_coefficients_gate_trips_on_coarse_rule():
         coefficients_from_function(f, 1, 2, m=3, basis=BASIS)
 
 
+def test_coefficients_gate_raises_on_nan():
+    # every comparison with NaN is False, so the gate is written as not (<=)
+    with pytest.raises(ToleranceError):
+        coefficients_from_function(lambda p: np.full(p.shape[0], np.nan), 1, 4, basis=BASIS)
+
+
+def test_coefficients_gate_sees_a_nan_behind_finite_drifts(monkeypatch):
+    # the builtin max keeps its first finite value past a later NaN
+    real = spectral._coefficients_once
+
+    def last_fine_nan(f, n, k_max, m, basis):
+        state = real(f, n, k_max, m, basis)
+        if m == 2 * 9:  # the fine rule only
+            state.coefficients[(k_max,)] = complex(np.nan)
+        return state
+
+    monkeypatch.setattr(spectral, "_coefficients_once", last_fine_nan)
+    with pytest.raises(ToleranceError):
+        coefficients_from_function(lambda p: eval_h(BASIS, 1, p[:, 0]), 1, 3, m=9, basis=BASIS)
+
+
+def test_bessel_sobolev_gate_raises_on_nan():
+    state = make_state(1, {(0,): 1.0, (1,): complex(np.nan)})
+    with pytest.raises(ToleranceError):
+        bessel_sobolev_norm(state, 1.0, basis=BASIS)
+
+
 def test_propagate_phases():
     state = random_state(2, 5, [3, 1])
     assert propagate(state, 0.0).coefficients == state.coefficients

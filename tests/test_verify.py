@@ -31,7 +31,6 @@ from hermspec.verify import (
     check_radial_3d_identity,
     clear_caches,
     emit_table,
-    even_cover_holds,
     manifest_from_json_bytes,
     manifest_to_json_bytes,
     negative_control_divergence,
@@ -210,33 +209,53 @@ def test_morawetz_ground_state_value():
     assert abs(ground - 2.0) <= 1e-10
 
 
-def test_even_cover_exhaustive():
-    for k in range(41):
-        assert even_cover_holds(k)
-
-
-def test_even_cover_matches_filtered_enumeration():
-    from hermspec.spectral import enumerate_multiindices
-
-    def filtered(k):
-        # the fully even indices found by filtering the whole level
-        for a1, a2, a3 in enumerate_multiindices(3, k):
-            if a1 % 2 or a2 % 2 or a3 % 2:
-                continue
-            if not (2 * a1 >= a2 + a3 or 2 * a2 >= a1 + a3 or 2 * a3 >= a1 + a2):
-                return False
-        return True
-
-    for k in range(61):
-        assert even_cover_holds(k) == filtered(k)
-
-
 def test_even_3d_small():
     r = check_even_3d(ScanConfig(k_max=4, trials=2))
     assert r.status == "passed"
-    assert r.parameters["cover_holds"] is True
-    ground = dict(r.samples)["ground"]
-    assert abs(ground - FOUR_PI) <= 1e-9 * FOUR_PI
+    samples = dict(r.samples)
+    assert abs(samples["ground"] - FOUR_PI) <= 1e-9 * FOUR_PI
+    # one sharp row per even level, each exactly 4*pi
+    assert [lab for lab, _ in r.samples if lab.startswith("k=")] == ["k=00", "k=02", "k=04"]
+    for k in (0, 2, 4):
+        assert abs(samples[f"k={k:02d}"] - FOUR_PI) <= 1e-14 * FOUR_PI
+    assert abs(r.parameters["sharp"] - FOUR_PI) <= 1e-14 * FOUR_PI
+    assert 0.0 <= r.parameters["route_drift"] <= ScanConfig().gate_tol
+    for t in range(2):
+        assert samples[f"trial={t:02d}"] <= r.parameters["sharp"] * (1.0 + 1e-9)
+
+
+def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
+    # the route gate, the ground sample and the trials share one form per
+    # even level, all at the configured rule scale
+    from hermspec import spectral
+
+    real = spectral._level_form
+    scales = []
+
+    def recording(*args):
+        scales.append(args[4])
+        return real(*args)
+
+    clear_caches()
+    monkeypatch.setattr(spectral, "_level_form", recording)
+    check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
+    assert set(scales) == {1.5}
+    assert real.cache_info().misses == 4
+
+
+def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
+    from hermspec import verify
+
+    real = verify.level_top
+
+    def shifted(n, k, weight_power, weight_dims=None):
+        top = real(n, k, weight_power, weight_dims)
+        return type(top)(top.value * (1.0 + 1e-6), top.j, top.l)
+
+    monkeypatch.setattr(verify, "level_top", shifted)
+    r = check_even_3d(ScanConfig(k_max=4, trials=1))
+    assert r.status == "inconclusive"
+    assert r.parameters["route_drift"] > 1e-7
 
 
 def test_even_3d_node_cap_is_checked_up_front():
