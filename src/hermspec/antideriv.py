@@ -74,29 +74,25 @@ def x_odd(basis: HermiteBasis, k: int, x) -> np.ndarray:
 def _cumulative_half_line(basis: HermiteBasis, degree: int, targets: np.ndarray) -> np.ndarray:
     """integral_0^t h_degree for each t in targets (nonnegative, ascending)."""
     x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
-    edges = [0.0]
-    target_idx = []
-    for t in targets:
-        prev = edges[-1]
-        gap = t - prev
-        if gap <= 0.0:
-            target_idx.append(len(edges) - 1)
-            continue
-        n_sub = max(1, int(math.ceil(gap / _SEG_WIDTH)))
-        for j in range(1, n_sub):
-            edges.append(prev + gap * j / n_sub)
-        edges.append(t)
-        target_idx.append(len(edges) - 1)
-    edges = np.asarray(edges)
-    if len(edges) == 1:
+    targets = np.asarray(targets, dtype=float)
+    # each target t past the last edge prev adds n_sub equal panels up to t
+    prev = np.maximum.accumulate(np.concatenate(([0.0], targets)))[:-1]
+    gap = targets - prev
+    n_sub = np.where(gap > 0.0, np.ceil(gap / _SEG_WIDTH), 0.0).astype(int)
+    if not n_sub.any():
         return np.zeros(len(targets))
+    ends = np.cumsum(n_sub)
+    owner = np.repeat(np.arange(len(targets)), n_sub)
+    j = np.arange(1, ends[-1] + 1) - (ends - n_sub)[owner]
+    edges = np.concatenate(([0.0], prev[owner] + gap[owner] * j / n_sub[owner]))
+    edges[ends[n_sub > 0]] = targets[n_sub > 0]
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
     vals = eval_h_all(basis, degree, nodes)[degree].reshape(-1, _SEG_NODES)
     seg = (vals * w_ref[None, :]).sum(axis=1) * half
     cum = np.concatenate(([0.0], np.cumsum(seg)))
-    return cum[np.asarray(target_idx, dtype=int)]
+    return cum[ends]
 
 
 def x_even(basis: HermiteBasis, k: int, x) -> np.ndarray:

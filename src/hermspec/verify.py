@@ -61,20 +61,17 @@ from .quadrature import (
 )
 from . import spectral
 from .spectral import (
-    SpectralState,
     bessel_sobolev_norm,
     check_admissible,
     collapse_trace_norm,
     enumerate_multiindices,
     evaluate_phi,
-    evaluate_state,
     hermite_sobolev_norm,
     kernel_diagonal,
     kernel_diagonal_ratio,
     level_top,
     make_state,
     oscillator_energy_sq,
-    project,
     radial_eigenvalue_quadrature,
     random_state,
     state_norm_sq,
@@ -266,7 +263,7 @@ def _require_gate_capacity(k_max: int) -> None:
         )
 
 
-def _require_rule_capacity(cfg: ScanConfig, name: str, top_level) -> None:
+def _require_rule_capacity(cfg: ScanConfig, name: str, top_level, reason=None) -> None:
     """Raise before any work when the doubled rule of the highest level the
     scan reaches, top_level(k_max), needs more absorbing-rule nodes than the cap."""
     max_level = spectral._max_rule_level(2.0 * cfg.rule_scale)
@@ -277,9 +274,9 @@ def _require_rule_capacity(cfg: ScanConfig, name: str, top_level) -> None:
     while limit >= 0 and top_level(limit) > max_level:
         limit -= 1
     supported = f"up to k_max = {limit}" if limit >= 0 else "for no k_max"
+    reason = reason or f"its doubled rule is limited to {MAX_LAGUERRE_NODES} absorbing-rule nodes"
     raise CapabilityError(
-        f"{name} is supported {supported} at rule_scale {cfg.rule_scale:g}: its "
-        f"doubled rule is limited to {MAX_LAGUERRE_NODES} absorbing-rule nodes"
+        f"{name} is supported {supported} at rule_scale {cfg.rule_scale:g}: {reason}"
     )
 
 
@@ -599,20 +596,19 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
             ),
         ]
     )
-    samples = []
-    ok = True
-    phi00 = make_state(2, {(0, 0): 1.0})
-    base = TWO_PI * float(np.max(np.abs(evaluate_state(basis, phi00, pts)) ** 2))
-    samples.append(("ground", base))
-    ok = ok and abs(base - 2.0) <= 1e-10 and base <= bound
+    # every mode |alpha| <= k_max on the grid, one row per index, built once
+    idx = np.array([a for k in range(cfg.k_max + 1) for a in enumerate_multiindices(2, k)])
+    B = spectral._mode_matrix([eval_h_all(basis, cfg.k_max, pts[:, c]) for c in range(2)], idx)
+    level_of = idx.sum(axis=1)
+    base = TWO_PI * float(np.max(B[0] ** 2))
+    samples = [("ground", base)]
+    ok = abs(base - 2.0) <= 1e-10 and base <= bound
     for t in range(cfg.trials):
         f = random_state(2, cfg.k_max, [cfg.seed, CHECK_INDEX["morawetz_2d"], t])
-        acc = np.zeros(pts.shape[0])
-        for k in range(cfg.k_max + 1):
-            level = project(f, k)
-            if not level.coefficients:
-                continue
-            acc += np.abs(evaluate_state(basis, level, pts)) ** 2
+        # one row of coefficients per level: row k holds P_k f
+        C = np.zeros((cfg.k_max + 1, len(idx)), dtype=complex)
+        C[level_of, np.arange(len(idx))] = [f.coefficients[tuple(a)] for a in idx.tolist()]
+        acc = np.sum(np.hypot(C.real @ B, C.imag @ B) ** 2, axis=0)
         ratio = TWO_PI * float(np.max(acc)) / state_norm_sq(f)
         samples.append((f"trial={t:02d}", ratio))
         ok = ok and ratio <= bound
@@ -627,21 +623,6 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     return _report("morawetz_2d", params, samples, bound, ok, True)
 
 
-def _random_fully_even(n, k_max, seed_seq) -> SpectralState:
-    rng = np.random.default_rng(seed_seq)
-    indices = [
-        alpha
-        for k in range(k_max + 1)
-        for alpha in enumerate_multiindices(n, k)
-        if not any(c % 2 for c in alpha)
-    ]
-    re = rng.standard_normal(len(indices))
-    im = rng.standard_normal(len(indices))
-    norm = math.sqrt(float(np.sum(re * re + im * im)))
-    coeffs = {a: complex(x, y) / norm for a, x, y in zip(indices, re, im)}
-    return make_state(n, coeffs, k_max)
-
-
 def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     """Inverse-square functional on fully even 3D states against its sharp value.
 
@@ -651,7 +632,9 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     it.  Random fully even states must stay below the largest sharp value.
     """
     # fully even states live on the even levels only
-    _require_rule_capacity(cfg, "even_3d", lambda k_max: k_max - k_max % 2)
+    # it builds no doubled rule, but keeps that limit to bound its level forms
+    _require_rule_capacity(cfg, "even_3d", lambda k_max: k_max - k_max % 2,
+                           "the limit bounds the size of its level forms")
     bound = cfg.bound_for("even_3d")
     basis = _basis(cfg.k_max)
     samples = []
@@ -662,9 +645,15 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     samples.append(("ground", v0))
     ok = abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI and v0 <= bound
     sharp = 0.0
-    for k in range(0, cfg.k_max + 1, 2):
+    # the fully even indices of level k are 2 beta, |beta| = k/2, in the
+    # descending order of enumerate_multiindices(3, k)
+    even = {
+        k: [tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2)]
+        for k in range(0, cfg.k_max + 1, 2)
+    }
+    for k, level in even.items():
         # sorted as time_avg_weighted keys its forms, so the trials reuse them
-        idx = tuple(sorted(a for a in enumerate_multiindices(3, k) if not any(c % 2 for c in a)))
+        idx = tuple(sorted(level))
         form = spectral._level_form(3, k, 1.0, (0, 1, 2), float(cfg.rule_scale), False, idx)
         quad = float(np.linalg.eigvalsh(form)[-1])
         s_k = level_top(3, k, 2.0).value
@@ -673,8 +662,13 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         samples.append((f"k={k:02d}", TWO_PI * s_k))
         sharp = max(sharp, TWO_PI * s_k)
     ok = ok and sharp <= bound
+    indices = [a for level in even.values() for a in level]
     for t in range(cfg.trials):
-        d = _random_fully_even(3, cfg.k_max, [cfg.seed, CHECK_INDEX["even_3d"], t])
+        rng = np.random.default_rng([cfg.seed, CHECK_INDEX["even_3d"], t])
+        re = rng.standard_normal(len(indices))
+        im = rng.standard_normal(len(indices))
+        norm = math.sqrt(float(np.sum(re * re + im * im)))
+        d = make_state(3, {a: complex(x, y) / norm for a, x, y in zip(indices, re, im)}, cfg.k_max)
         v = time_avg_weighted(d, 1.0, rule_scale=cfg.rule_scale, basis=basis)
         ratio = v / state_norm_sq(d)
         samples.append((f"trial={t:02d}", ratio))

@@ -8,8 +8,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from hermspec import HermiteBasis, eval_h, half_line_integral_even
+from hermspec import HermiteBasis, eval_h, eval_h_all, gauss_rule, half_line_integral_even
 from hermspec.antideriv import (
+    _SEG_NODES,
+    _SEG_WIDTH,
+    _cumulative_half_line,
+    _norm_rule,
     merge_identity_check,
     merge_identity_exact,
     norm_sq_even_closed,
@@ -262,3 +266,57 @@ def test_norm_table_sources():
     assert all(0.0 < 2.0 * v <= 3.0 for v in closed.V_even)
     with pytest.raises(ValueError):
         norm_table(5, "magic")
+
+
+def cumulative_half_line_loop(basis, degree, targets):
+    """The per-target panel-edge loop that _cumulative_half_line replaced."""
+    x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
+    edges = [0.0]
+    target_idx = []
+    for t in targets:
+        prev = edges[-1]
+        gap = t - prev
+        if gap <= 0.0:
+            target_idx.append(len(edges) - 1)
+            continue
+        n_sub = max(1, int(math.ceil(gap / _SEG_WIDTH)))
+        for j in range(1, n_sub):
+            edges.append(prev + gap * j / n_sub)
+        edges.append(t)
+        target_idx.append(len(edges) - 1)
+    edges = np.asarray(edges)
+    if len(edges) == 1:
+        return np.zeros(len(targets))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
+    vals = eval_h_all(basis, degree, nodes)[degree].reshape(-1, _SEG_NODES)
+    seg = (vals * w_ref[None, :]).sum(axis=1) * half
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    return cum[np.asarray(target_idx, dtype=int)]
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [0.0, 0.0, 0.1, 0.3, 2.0],  # leading zeros
+        [0.2, 0.2, 0.2, 1.7, 1.7, 3.0],  # duplicates
+        [0.05, 1.3, 7.77, 7.8, 19.123456789],  # gaps wider than _SEG_WIDTH
+        [5.4321],  # a single target
+        [0.0, 0.0, 0.0],  # all zeros
+        [],  # empty
+    ],
+)
+def test_cumulative_half_line_edges_match_the_loop(targets):
+    t = np.asarray(targets, dtype=float)
+    for degree in (0, 6, 13):
+        got = _cumulative_half_line(BASIS, degree, t)
+        assert np.array_equal(got, cumulative_half_line_loop(BASIS, degree, t))
+
+
+def test_cumulative_half_line_matches_the_loop_on_the_norm_rules():
+    for k in (0, 7, 20):
+        for refine in (1, 2):
+            t = np.sort(_norm_rule(k, refine)[0])
+            got = _cumulative_half_line(BASIS, 2 * k, t)
+            assert np.array_equal(got, cumulative_half_line_loop(BASIS, 2 * k, t))

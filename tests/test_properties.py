@@ -1,4 +1,5 @@
-"""Property tests of the Gauss rules: mass, antipodal symmetry, exactness."""
+"""Property tests: the Gauss rules (mass, antipodal symmetry, exactness) and
+the admissibility rule of the weighted functionals."""
 
 import math
 
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hermspec.quadrature import gauss_rule  # noqa: E402
+from hermspec.spectral import check_admissible  # noqa: E402
 
 # deterministic across runs, and nothing written to disk
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -66,3 +68,33 @@ def test_gauss_rule_exact_on_monomials(rule, data):
     # relative to the integral of |x|^d, so odd degrees have a scale too
     scale = max(math.fsum(w * np.abs(x) ** d), 1e-300)
     assert abs(got - _moment(family, alpha, d)) <= 1e-12 * scale
+
+
+def _violates(dw: int, delta: float, odd: bool) -> bool:
+    """The cases check_admissible documents, one per line."""
+    return (
+        not delta >= 0.0  # negative or NaN
+        or (dw == 1 and delta > 1.0)
+        or (dw == 1 and delta >= 0.5 and not odd)
+        or (dw == 2 and delta >= 1.0)
+        or (dw >= 3 and delta > 1.0)
+    )
+
+
+# the case boundaries and their float neighbours, then anything in range
+EDGES = [0.0, 0.5, 1.0, math.nextafter(0.0, -1.0), math.nextafter(0.5, 0.0),
+         math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.nan, math.inf]
+deltas = st.one_of(st.sampled_from(EDGES), st.floats(-2.0, 3.0))
+
+
+@PROPERTY
+@given(st.integers(1, 6), deltas, st.booleans())
+def test_check_admissible_raises_exactly_when_a_condition_fails(dw, delta, odd):
+    if _violates(dw, delta, odd):
+        with pytest.raises(ValueError):
+            check_admissible(dw, delta, odd)
+        return
+    check_admissible(dw, delta, odd)
+    # an admitted weight |x_w|^(-2 delta) is locally integrable against the
+    # modes: 2 delta < dw, or < 3 when every mode vanishes on the one axis
+    assert 2.0 * delta < dw + (2 if dw == 1 and odd else 0)

@@ -2,15 +2,25 @@
 serialization round-trips, and each scan at desk scale."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from hermspec.errors import CapabilityError, ToleranceError
+from hermspec import hermite, spectral, verify
 from hermspec.hermite import HermiteBasis, eval_h
 from hermspec.quadrature import integrate_radial_3d, truncation_radius
-from hermspec.spectral import make_state, random_state, time_avg_weighted
+from hermspec.spectral import (
+    evaluate_state,
+    make_state,
+    project,
+    random_state,
+    state_norm_sq,
+    time_avg_weighted,
+)
 from hermspec.verify import (
+    CHECK_INDEX,
     CSV_HEADER,
     DEFAULT_BOUNDS,
     DEFAULT_TOLERANCES,
@@ -209,6 +219,71 @@ def test_morawetz_ground_state_value():
     assert abs(ground - 2.0) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [42, 1])
+def test_morawetz_trials_match_the_per_level_route(seed):
+    # oracle: project each trial on every level and evaluate it on its own
+    cfg = ScanConfig(k_max=8, trials=3, seed=seed)
+    r = check_morawetz_2d(cfg)
+    basis = HermiteBasis.build(cfg.k_max)
+    radii = np.linspace(0.0, math.sqrt(2.0 * cfg.k_max + 2.0) + 4.0, 48)[1:]
+    theta = 0.35 + TWO_PI * np.arange(16) / 16.0
+    pts = np.concatenate(
+        [
+            np.zeros((1, 2)),
+            np.stack(
+                [np.outer(radii, np.cos(theta)).ravel(), np.outer(radii, np.sin(theta)).ravel()],
+                axis=1,
+            ),
+        ]
+    )
+    assert pts.shape[0] == r.parameters["grid_points"]
+    ground = make_state(2, {(0, 0): 1.0})
+    expected = {"ground": TWO_PI * float(np.max(np.abs(evaluate_state(basis, ground, pts)) ** 2))}
+    for t in range(cfg.trials):
+        f = random_state(2, cfg.k_max, [seed, CHECK_INDEX["morawetz_2d"], t])
+        acc = np.zeros(pts.shape[0])
+        for k in range(cfg.k_max + 1):
+            acc += np.abs(evaluate_state(basis, project(f, k), pts)) ** 2
+        expected[f"trial={t:02d}"] = TWO_PI * float(np.max(acc)) / state_norm_sq(f)
+    assert [lab for lab, _ in r.samples] == list(expected)
+    for lab, got in r.samples:
+        assert abs(got - expected[lab]) <= 1e-13 * expected[lab], lab
+    bound = DEFAULT_BOUNDS["morawetz_2d"]
+    holds = abs(expected["ground"] - 2.0) <= 1e-10 and max(expected.values()) <= bound
+    assert r.status == ("passed" if holds else "failed")
+
+
+def _count_calls(monkeypatch, real) -> list:
+    """Count calls of real through every hermspec module that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hermspec" or name.startswith("hermspec."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("check", [check_morawetz_2d, check_even_3d])
+def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
+    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    levels = _count_calls(monkeypatch, spectral.enumerate_multiindices)
+    counts = []
+    for trials in (2, 5):
+        clear_caches()
+        tables.clear()
+        levels.clear()
+        check(ScanConfig(k_max=6, trials=trials))
+        counts.append((len(tables), len(levels)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0
+
+
 def test_even_3d_small():
     r = check_even_3d(ScanConfig(k_max=4, trials=2))
     assert r.status == "passed"
@@ -227,8 +302,6 @@ def test_even_3d_small():
 def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     # the route gate, the ground sample and the trials share one form per
     # even level, all at the configured rule scale
-    from hermspec import spectral
-
     real = spectral._level_form
     scales = []
 
@@ -244,8 +317,6 @@ def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
-    from hermspec import verify
-
     real = verify.level_top
 
     def shifted(n, k, weight_power, weight_dims=None):
@@ -262,6 +333,25 @@ def test_even_3d_node_cap_is_checked_up_front():
     # fully even states reach level 144 at k_max = 145, and 146 at k_max = 146
     with pytest.raises(CapabilityError, match="up to k_max = 145"):
         check_even_3d(ScanConfig(k_max=146, trials=1))
+
+
+def test_even_3d_limit_names_the_level_form_size(monkeypatch):
+    # even_3d builds no doubled rule; its limit bounds the size of its forms
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(spectral, "_level_form", no_work)
+    monkeypatch.setattr(verify, "time_avg_weighted", no_work)
+    with pytest.raises(CapabilityError) as info:
+        check_even_3d(ScanConfig(k_max=146, trials=1))
+    message = str(info.value)
+    assert message == (
+        "even_3d is supported up to k_max = 145 at rule_scale 1: "
+        "the limit bounds the size of its level forms"
+    )
+    assert "doubled rule" not in message
+    with pytest.raises(CapabilityError, match="its doubled rule is limited to 150"):
+        check_odd_identity(ScanConfig(k_max=72, trials=1))
 
 
 def test_sobolev_small_and_bad_order():
@@ -394,8 +484,6 @@ def test_ratio_scaling_covariance():
     # both sides quadratic in the state: rescaling must not move any ratio
     f = random_state(2, 5, [7, 1])
     g = make_state(2, {a: 3.0 * c for a, c in f.coefficients.items()}, f.k_max)
-    from hermspec.spectral import state_norm_sq
-
     r_f = time_avg_weighted(f, 0.5) / state_norm_sq(f)
     r_g = time_avg_weighted(g, 0.5) / state_norm_sq(g)
     assert abs(r_f - r_g) <= 1e-13 * max(1.0, abs(r_f))
