@@ -71,8 +71,9 @@ def x_odd(basis: HermiteBasis, k: int, x) -> np.ndarray:
     return out
 
 
-def _cumulative_half_line(basis: HermiteBasis, degree: int, targets: np.ndarray) -> np.ndarray:
-    """integral_0^t h_degree for each t in targets (nonnegative, ascending)."""
+def _cumulative_half_line(basis: HermiteBasis, degrees: tuple, targets: np.ndarray) -> np.ndarray:
+    """integral_0^t h_d for each degree d and each t in targets (nonnegative,
+    ascending), shape (len(degrees), len(targets)), from one Hermite table."""
     x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
     targets = np.asarray(targets, dtype=float)
     # each target t past the last edge prev adds n_sub equal panels up to t
@@ -80,7 +81,7 @@ def _cumulative_half_line(basis: HermiteBasis, degree: int, targets: np.ndarray)
     gap = targets - prev
     n_sub = np.where(gap > 0.0, np.ceil(gap / _SEG_WIDTH), 0.0).astype(int)
     if not n_sub.any():
-        return np.zeros(len(targets))
+        return np.zeros((len(degrees), len(targets)))
     ends = np.cumsum(n_sub)
     owner = np.repeat(np.arange(len(targets)), n_sub)
     j = np.arange(1, ends[-1] + 1) - (ends - n_sub)[owner]
@@ -89,10 +90,10 @@ def _cumulative_half_line(basis: HermiteBasis, degree: int, targets: np.ndarray)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
-    vals = eval_h_all(basis, degree, nodes)[degree].reshape(-1, _SEG_NODES)
-    seg = (vals * w_ref[None, :]).sum(axis=1) * half
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    return cum[ends]
+    rows = eval_h_all(basis, max(degrees), nodes)[list(degrees)]
+    seg = (rows.reshape(len(degrees), -1, _SEG_NODES) * w_ref).sum(axis=2) * half
+    cum = np.concatenate((np.zeros((len(degrees), 1)), np.cumsum(seg, axis=1)), axis=1)
+    return cum[:, ends]
 
 
 def x_even(basis: HermiteBasis, k: int, x) -> np.ndarray:
@@ -105,7 +106,7 @@ def x_even(basis: HermiteBasis, k: int, x) -> np.ndarray:
     t = np.asarray(x, dtype=float)
     flat = np.abs(t).ravel()
     order = np.argsort(flat)
-    sorted_vals = _cumulative_half_line(basis, 2 * k, flat[order])
+    sorted_vals = _cumulative_half_line(basis, (2 * k,), flat[order])[0]
     out = np.empty_like(flat)
     out[order] = sorted_vals
     out -= half_line_integral_even(k)
@@ -199,6 +200,31 @@ def norm_sq_even_quadrature(basis: HermiteBasis, k: int, refine: int = 1) -> flo
     return 2.0 * float(np.dot(weights, vals * vals))
 
 
+def norm_sq_quadrature_all(basis: HermiteBasis, k_max: int,
+                           refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Odd and even squared norms for k = 0..k_max by direct quadrature on the
+    one rule _norm_rule(k_max, refine).
+
+    The odd antiderivatives are one odd_series coefficient matrix times one
+    Hermite table on the rule nodes; the even ones are one cumulative
+    half-line pass over every even degree.  The per-k functions
+    norm_sq_odd_quadrature and norm_sq_even_quadrature are its reference.
+    """
+    basis.require(2 * k_max + 1)
+    nodes, weights = _norm_rule(k_max, refine)
+    coeffs = np.zeros((k_max + 1, 2 * k_max + 1))
+    for k in range(k_max + 1):
+        for degree, c in odd_series(k):
+            coeffs[k, degree] = c
+    odd = coeffs @ eval_h_all(basis, 2 * k_max, nodes)
+    order = np.argsort(nodes)
+    even = np.empty_like(odd)
+    even[:, order] = _cumulative_half_line(
+        basis, tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
+    even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
+    return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
+
+
 def norm_table(k_max: int, source: str, basis: HermiteBasis | None = None) -> NormTable:
     """Tabulates odd full norms and even half norms for k = 0..k_max from one source."""
     if source == "closed_form":
@@ -210,9 +236,9 @@ def norm_table(k_max: int, source: str, basis: HermiteBasis | None = None) -> No
     elif source == "quadrature":
         if basis is None:
             basis = HermiteBasis.build(2 * k_max + 1)
-        basis.require(2 * k_max + 1)
-        odd = tuple(norm_sq_odd_quadrature(basis, k) for k in range(k_max + 1))
-        even = tuple(0.5 * norm_sq_even_quadrature(basis, k) for k in range(k_max + 1))
+        odd, even = norm_sq_quadrature_all(basis, k_max)
+        odd = tuple(float(v) for v in odd)
+        even = tuple(0.5 * float(v) for v in even)
     else:
         raise ValueError("source must be closed_form, recursion, or quadrature")
     return NormTable(odd, even, source)

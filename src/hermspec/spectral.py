@@ -519,18 +519,16 @@ def _weight_axes(n: int, weight_dims) -> tuple:
     return wd
 
 
-def time_avg_weighted(
+def time_avg_levels(
     state: SpectralState,
     delta: float,
     weight_dims=None,
     rule_scale: float = 1.0,
     basis: HermiteBasis | None = None,
-) -> float:
-    """Time average over one period of the weighted squared solution.
+) -> dict:
+    """Each level's weighted integral int |P_k f|^2 / w, keyed by k.
 
-    Equals 2*pi times the sum over levels of integral |P_k f|^2 / w with
-    w = (sum of squares over weight_dims)^delta, by phase orthogonality of
-    distinct eigenvalues over a full period.  Admissibility is
+    w = (sum of squares over weight_dims)^delta.  Admissibility is
     check_admissible, with the state's parity along a one-axis weight.  Each
     level's integral is c^H G c with G the level form memoized per (level,
     weight, rule, index set); a basis, when given, must cover the degrees.
@@ -544,13 +542,30 @@ def time_avg_weighted(
     by_level = {}
     for alpha, coeff in sorted(state.coefficients.items()):
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
-    terms = []
+    levels = {}
     for k, items in sorted(by_level.items()):
         G = _level_form(state.n, k, float(delta), wd, float(rule_scale), divide,
                         tuple(alpha for alpha, _ in items))
         c = np.array([coeff for _, coeff in items])
-        terms.append(float(np.vdot(c, G @ c).real))
-    return TWO_PI * math.fsum(terms)
+        levels[k] = float(np.vdot(c, G @ c).real)
+    return levels
+
+
+def time_avg_weighted(
+    state: SpectralState,
+    delta: float,
+    weight_dims=None,
+    rule_scale: float = 1.0,
+    basis: HermiteBasis | None = None,
+) -> float:
+    """Time average over one period of the weighted squared solution.
+
+    Equals 2*pi times the sum over levels of integral |P_k f|^2 / w, by phase
+    orthogonality of distinct eigenvalues over a full period; the level terms
+    and the admissibility rule are those of time_avg_levels.
+    """
+    return TWO_PI * math.fsum(
+        time_avg_levels(state, delta, weight_dims, rule_scale, basis).values())
 
 
 def level_gram(
@@ -705,6 +720,24 @@ def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop
                key=lambda t: t.value)
 
 
+# bounded like _level_form: a run keys one index set per level
+@lru_cache(maxsize=256)
+def _collapse_triples(indices: tuple) -> tuple:
+    """The distinct triples (a_j, a_(j+3), a_(j+6)) of a level's 9D indices,
+    and for each index the rows of its three triples, shape (len(indices), 3).
+
+    They depend only on the index set, never on the state or the rule, so
+    they are found once and returned read-only.
+    """
+    # triples[i, j] is (a_j, a_(j+3), a_(j+6)) of the i-th index
+    triples = np.array(indices).reshape(-1, 3, 3).transpose(0, 2, 1)
+    uniq, pos = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
+    pos = pos.reshape(-1, 3)
+    uniq.flags.writeable = False
+    pos.flags.writeable = False
+    return uniq, pos
+
+
 def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
                         basis: HermiteBasis | None = None) -> float:
     """Time average of the squared 9D solution restricted to the triple diagonal.
@@ -732,10 +765,7 @@ def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
     total = 0.0
     scale3 = 3.0 ** -1.5
     for k, items in sorted(by_level.items()):
-        # triples[i, j] is (a_j, a_(j+3), a_(j+6)) of the i-th coefficient
-        triples = np.array([alpha for alpha, _ in items]).reshape(-1, 3, 3).transpose(0, 2, 1)
-        uniq, pos = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
-        pos = pos.reshape(-1, 3)
+        uniq, pos = _collapse_triples(tuple(alpha for alpha, _ in items))
         restricted = np.zeros((len(uniq),) * 3, dtype=complex)
         restricted[pos[:, 0], pos[:, 1], pos[:, 2]] = [coeff for _, coeff in items]
         F = _mode_matrix([tab, tab, tab], uniq)

@@ -23,6 +23,7 @@ from hermspec.antideriv import (
     norm_sq_odd_expansion,
     norm_sq_odd_quadrature,
     norm_sq_odd_recursive,
+    norm_sq_quadrature_all,
     norm_table,
     odd_series,
     partial_binomial_sum,
@@ -309,14 +310,28 @@ def cumulative_half_line_loop(basis, degree, targets):
 )
 def test_cumulative_half_line_edges_match_the_loop(targets):
     t = np.asarray(targets, dtype=float)
-    for degree in (0, 6, 13):
-        got = _cumulative_half_line(BASIS, degree, t)
-        assert np.array_equal(got, cumulative_half_line_loop(BASIS, degree, t))
+    got = _cumulative_half_line(BASIS, (0, 6, 13), t)
+    assert got.shape == (3, t.size)
+    for row, degree in zip(got, (0, 6, 13)):
+        assert np.array_equal(row, cumulative_half_line_loop(BASIS, degree, t))
 
 
 def test_cumulative_half_line_matches_the_loop_on_the_norm_rules():
     for k in (0, 7, 20):
         for refine in (1, 2):
             t = np.sort(_norm_rule(k, refine)[0])
-            got = _cumulative_half_line(BASIS, 2 * k, t)
+            got = _cumulative_half_line(BASIS, (2 * k,), t)[0]
             assert np.array_equal(got, cumulative_half_line_loop(BASIS, 2 * k, t))
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("k_max", [0, 1, 20, 40])
+def test_norm_sq_quadrature_all_matches_the_per_k_routes(k_max, refine):
+    # one rule for every k against each k's own rule
+    odd, even = norm_sq_quadrature_all(BASIS, k_max, refine)
+    assert odd.shape == even.shape == (k_max + 1,)
+    for k in range(k_max + 1):
+        ref = norm_sq_odd_quadrature(BASIS, k, refine)
+        assert abs(odd[k] - ref) <= 1e-14 * ref, k
+        ref = norm_sq_even_quadrature(BASIS, k, refine)
+        assert abs(even[k] - ref) <= 1e-14 * ref, k

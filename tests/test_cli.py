@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hermspec import verify
 from hermspec.cli import (
     CHECK_REGISTRY,
     COMMAND_CHECKS,
@@ -120,10 +121,16 @@ def test_inconclusive_exits_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_numerical_failure_is_recorded_not_aborted(tmp_path, capsys):
-    # the radial lift's norm validation fails at trial 0 for k_max = 26
+def test_numerical_failure_is_recorded_not_aborted(tmp_path, capsys, monkeypatch):
+    # a perturbed radial lift fails the norm validation at trial 0
+    real = verify._radial_mode_integrals
+
+    def perturbed(top, delta, *rule):
+        return real(top, delta, *rule) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(verify, "_radial_mode_integrals", perturbed)
     out = tmp_path / "run"
-    args = ["identities", "--kmax", "26", "--trials", "1", "--out", str(out)]
+    args = ["identities", "--kmax", "6", "--trials", "1", "--out", str(out)]
     assert main(args) == 2
     capsys.readouterr()
     manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
@@ -134,6 +141,14 @@ def test_numerical_failure_is_recorded_not_aborted(tmp_path, capsys):
     assert "radial lift normalization failed" in radial.parameters["error"]
     for key in COMMAND_CHECKS["identities"]:
         assert os.path.exists(out / f"{key}.csv")
+
+
+def test_identities_pass_at_kmax_26(tmp_path, capsys):
+    # the coarse radial rule failed the lift validation here; the doubled one passes
+    out = tmp_path / "run"
+    args = ["identities", "--kmax", "26", "--out", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
 
 
 def test_summary_lines_on_stdout(tmp_path, capsys):

@@ -1,7 +1,10 @@
-"""Property tests: the Gauss rules (mass, antipodal symmetry, exactness) and
-the admissibility rule of the weighted functionals."""
+"""Property tests: the Gauss rules (mass, antipodal symmetry, exactness), the
+admissibility rule of the weighted functionals, and byte-determinism of a
+full run across cache state."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hermspec.cli import COMMAND_CHECKS, main  # noqa: E402
 from hermspec.quadrature import gauss_rule  # noqa: E402
 from hermspec.spectral import check_admissible  # noqa: E402
+from hermspec.verify import clear_caches  # noqa: E402
 
 # deterministic across runs, and nothing written to disk
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -98,3 +103,19 @@ def test_check_admissible_raises_exactly_when_a_condition_fails(dw, delta, odd):
     # an admitted weight |x_w|^(-2 delta) is locally integrable against the
     # modes: 2 delta < dw, or < 3 when every mode vanishes on the one axis
     assert 2.0 * delta < dw + (2 if dw == 1 and odd else 0)
+
+
+@settings(PROPERTY, max_examples=3)
+@given(st.integers(0, 2**32 - 1))
+def test_all_tables_byte_identical_cold_and_warm(seed):
+    # the first run builds every memo, the second reads them back
+    args = ["all", "--kmax", "4", "--trials", "2", "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cold, warm = os.path.join(tmp, "cold"), os.path.join(tmp, "warm")
+        clear_caches()
+        assert main(args + ["--out", cold]) == 0
+        assert main(args + ["--out", warm]) == 0
+        for key in COMMAND_CHECKS["all"]:
+            with open(os.path.join(cold, f"{key}.csv"), "rb") as a, \
+                    open(os.path.join(warm, f"{key}.csv"), "rb") as b:
+                assert a.read() == b.read(), key

@@ -39,6 +39,7 @@ from hermspec.spectral import (
     state_from_json,
     state_norm_sq,
     state_to_json,
+    time_avg_levels,
     time_avg_weighted,
 )
 
@@ -346,6 +347,30 @@ def test_time_avg_matches_per_index_reference(state, delta, wd, monkeypatch):
     assert got == pytest.approx(_time_avg_reference(state, delta, wd), rel=1e-13)
 
 
+def _fully_even_state(k_max, seed):
+    # the states of even_3d: random coefficients on the indices 2 beta
+    idx = [tuple(2 * c for c in b) for k in range(0, k_max + 1, 2)
+           for b in enumerate_multiindices(3, k // 2)]
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+    return make_state(3, dict(zip(idx, c / np.linalg.norm(c))), k_max)
+
+
+@pytest.mark.parametrize("state, wd", [
+    (random_state(1, 11, [13, 1], parity="odd"), (0,)),  # the divide path
+    (_fully_even_state(6, [13, 3]), None),
+])
+@pytest.mark.parametrize("rule_scale", [1.0, 2.0])
+def test_time_avg_levels_match_the_functional_bit_for_bit(state, wd, rule_scale):
+    levels = time_avg_levels(state, 1.0, wd, rule_scale, BASIS)
+    assert list(levels) == sorted({sum(a) for a in state.coefficients})
+    assert TWO_PI * math.fsum(levels.values()) == time_avg_weighted(
+        state, 1.0, wd, rule_scale, BASIS)
+    # each level is the functional of that level's projection alone
+    for k, term in levels.items():
+        assert TWO_PI * term == time_avg_weighted(project(state, k), 1.0, wd, rule_scale, BASIS)
+
+
 def test_time_avg_odd_single_mode_is_4pi():
     state = make_state(1, {(1,): 1.0})
     got = time_avg_weighted(state, 1.0, (0,), basis=BASIS)
@@ -543,6 +568,47 @@ def test_collapse_cross_terms_match_per_coefficient_reference(rule_scale):
     got = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
     ref = _collapse_per_coefficient(state, rule_scale)
     assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def _collapse_unique_per_call(state, rule_scale):
+    # the route that finds every level's triples with np.unique on each call
+    m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
+    rule = gauss_hermite(m)
+    comp = rule.weights * np.exp(rule.nodes ** 2)
+    tab = eval_h_all(BASIS, state.k_max, rule.nodes / math.sqrt(3.0))
+    by_level = {}
+    for alpha, coeff in state.coefficients.items():
+        by_level.setdefault(sum(alpha), []).append((alpha, coeff))
+    total = 0.0
+    for k, items in sorted(by_level.items()):
+        triples = np.array([alpha for alpha, _ in items]).reshape(-1, 3, 3).transpose(0, 2, 1)
+        uniq, pos = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
+        pos = pos.reshape(-1, 3)
+        restricted = np.zeros((len(uniq),) * 3, dtype=complex)
+        restricted[pos[:, 0], pos[:, 1], pos[:, 2]] = [coeff for _, coeff in items]
+        F = tab[uniq[:, 0]] * tab[uniq[:, 1]] * tab[uniq[:, 2]]
+        for _ in range(3):
+            restricted = np.tensordot(restricted, F, axes=([0], [0]))
+        val = np.abs(restricted) ** 2
+        for _ in range(3):
+            val = np.tensordot(val, comp, axes=([0], [0]))
+        total += 3.0 ** -1.5 * float(val)
+    return TWO_PI * total
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_collapse_memoized_triples_match_the_per_call_route(seed):
+    state = random_state(9, 3, [seed, 9])
+    for rule_scale in (1.0, 2.0):
+        spectral._collapse_triples.cache_clear()
+        cold = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
+        warm = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
+        assert cold == warm == _collapse_unique_per_call(state, rule_scale)
+    uniq, pos = spectral._collapse_triples(tuple(enumerate_multiindices(9, 2)))
+    with pytest.raises(ValueError):
+        uniq[0, 0] = 1
+    with pytest.raises(ValueError):
+        pos[0, 0] = 1
 
 
 def test_collapse_guards():

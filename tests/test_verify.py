@@ -136,6 +136,19 @@ def test_radial_3d_small():
             assert abs(v - 1.0) <= 1e-9
 
 
+def test_radial_lift_norm_holds_on_the_doubled_rule_up_to_the_cap():
+    # the validation rule: every odd degree the scans reach (k_max <= 71, the
+    # odd_identity cap) lifts to a unit 3D norm far inside corr_tol = 1e-10
+    import hermspec.verify as V
+
+    for k_max in (20, 26, 71):
+        mode_cap = 2 * k_max + 1
+        R = truncation_radius(mode_cap, 3)
+        n_panels = max(40, int(math.ceil(4.0 * R)))
+        lift = V._radial_mode_integrals(mode_cap, 0.0, R, 2 * n_panels, 16)
+        assert np.max(np.abs(lift[1::2] - 1.0)) <= 1e-14, k_max
+
+
 def test_kato_inadmissible_combinations():
     with pytest.raises(ValueError):
         check_kato(SMALL, 2, 1.0)
@@ -282,6 +295,38 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
         counts.append((len(tables), len(levels)))
     assert counts[0] == counts[1]
     assert counts[0][0] > 0 and counts[0][1] > 0
+
+
+def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
+    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    counts = []
+    for k_max in (6, 12):
+        clear_caches()
+        tables.clear()
+        assert check_antideriv_norms(ScanConfig(k_max=k_max)).status == "passed"
+        counts.append(len(tables))
+    assert counts[0] == counts[1] > 0
+
+
+def test_odd_identity_one_level_pass_per_trial_and_rule(monkeypatch):
+    passes = _count_calls(monkeypatch, spectral.time_avg_levels)
+    for trials in (2, 5):
+        passes.clear()
+        assert check_odd_identity(ScanConfig(k_max=6, trials=trials)).status == "passed"
+        assert len(passes) == 2 * trials
+
+
+def test_collapse_triples_found_once_per_level():
+    misses = []
+    for trials in (2, 5):
+        clear_caches()
+        r = check_collapse_9d(ScanConfig(k_max=3, trials=trials))
+        assert r.status == "passed"
+        misses.append(spectral._collapse_triples.cache_info().misses)
+    # levels 0..3; the ground state shares level 0's index set
+    assert misses == [4, 4]
+    clear_caches()
+    assert spectral._collapse_triples.cache_info().currsize == 0
 
 
 def test_even_3d_small():
