@@ -345,16 +345,19 @@ def bessel_sobolev_norm(
 ) -> float:
     """Flat-Laplacian Sobolev norm (integral (1+|xi|^2)^s |fhat|^2)^(1/2).
 
-    The transform side is evaluated directly from the phase-twisted
-    coefficients on a panelized tensor grid; the rule is doubled and drift
-    beyond gate_tol raises a tolerance error.
+    The transform side is the phase-twisted coefficients (-i)^|alpha| c_alpha
+    against the memoized _sobolev_form of the state's rule; the rule is
+    doubled and drift beyond gate_tol raises a tolerance error.  A basis, when
+    given, must cover the degrees.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
     if state.n > 3:
         raise CapabilityError("tensor transform quadrature supported for n <= 3")
-    coarse = _bessel_once(state, s, rule_scale, basis)
-    fine = _bessel_once(state, s, 2.0 * rule_scale, basis)
+    if basis is not None:
+        basis.require(max((max(a) for a in state.coefficients), default=0))
+    coarse = _bessel_once(state, s, rule_scale)
+    fine = _bessel_once(state, s, 2.0 * rule_scale)
     if not (abs(fine - coarse) <= gate_tol * max(1.0, abs(fine))):
         raise ToleranceError(
             f"transform-side norm unstable under rule doubling "
@@ -363,28 +366,89 @@ def bessel_sobolev_norm(
     return math.sqrt(fine)
 
 
-def _bessel_once(state, s, scale, basis):
-    if basis is None:
-        basis = HermiteBasis.build(state.k_max)
-    fhat = fourier_transform_state(state)
-    T = truncation_radius(state.k_max, state.n)
-    per_unit = 2 if state.n < 3 else 1
+def _bessel_once(state, s, scale):
+    M = _sobolev_form(state.n, state.k_max, float(s), float(scale))
+    chat = np.zeros(M.shape[0], dtype=complex)
+    if state.coefficients:
+        pos, phase = _twisted_box(state.n, state.k_max, list(state.coefficients))
+        chat[pos] = phase * np.array(list(state.coefficients.values()))
+    return float(np.vdot(chat, M @ chat).real)
+
+
+def _twisted_box(n: int, k_max: int, indices: list) -> tuple:
+    """Each index's row in the degree box of _sobolev_form, and its
+    transform phase (-i)^|alpha|."""
+    idx = np.array(indices)
+    pos = np.ravel_multi_index(tuple(idx.T), (k_max + 1,) * n)
+    return pos, np.array(_QUARTER_PHASES)[idx.sum(axis=1) % 4]
+
+
+def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) -> tuple:
+    """The flat H^s form on the coefficients, (indices, F) with c^H F c = ||f||^2_{H^s}.
+
+    indices are every alpha with |alpha| <= k_max, level by level in the
+    order of enumerate_multiindices; F is _sobolev_form restricted to them
+    and twisted by the transform phases, conj((-i)^|alpha|) (-i)^|beta|.
+    """
+    indices = [a for k in range(k_max + 1) for a in _level_indices(n, k)]
+    pos, phase = _twisted_box(n, k_max, indices)
+    M = _sobolev_form(n, k_max, float(s), float(rule_scale))[np.ix_(pos, pos)]
+    return indices, phase.conj()[:, None] * M * phase[None, :]
+
+
+# grid values per block of the Sobolev-form contraction: the weight slab and
+# the first axis's mode products stay a few MB
+_SOBOLEV_BLOCK = 1 << 20
+
+
+# bounded: a check keys one form per (family, rule scale)
+@lru_cache(maxsize=16)
+def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
+    """Weighted gram of the degree box on the flat Sobolev rule.
+
+    Rows and columns run over the per-axis degree box (k_max+1)^n in C order;
+    entry (a, b) is sum over the tensor grid of w(xi) (1+|xi|^2)^s Phi_a Phi_b
+    on the panelized Gauss-Legendre rule over [-T, T]^n, T the truncation
+    radius.  One Hermite table on the rule nodes gives the per-axis mode
+    products h_a h_a', and the weight grid is contracted with them axis by
+    axis, in slabs of the first axis.  It depends on the rule, never on the
+    state, so it is built once and returned read-only.
+    """
+    T = truncation_radius(k_max, n)
+    per_unit = 2 if n < 3 else 1
     n_panels = max(4, int(math.ceil(T * per_unit * scale)))
-    m = 10 if state.n < 3 else 8
-    rule = gauss_legendre_panels(-T, T, n_panels, m)
-    vals = evaluate_state_grid(basis, fhat, [rule.nodes] * state.n)
-    dens = np.abs(vals) ** 2
-    # (1 + |xi|^2)^s from broadcast per-axis views, in place on the one full grid
+    rule = gauss_legendre_panels(-T, T, n_panels, 10 if n < 3 else 8)
+    d = k_max + 1
+    N = rule.nodes.size
+    tab = eval_h_all(HermiteBasis.build(k_max), k_max, rule.nodes)
+
+    def products(sl):
+        # (h_a h_a' w) at the nodes of sl, one row per degree pair (a, a')
+        return (tab[:, None, sl] * tab[None, :, sl] * rule.weights[sl]).reshape(d * d, -1)
+
+    inner = products(slice(None)) if n > 1 else None
     xi_sq = rule.nodes ** 2
-    weight = 0
-    for c in range(state.n):
-        weight = weight + xi_sq.reshape((-1,) + (1,) * (state.n - 1 - c))
-    weight += 1.0
-    weight **= s
-    total = np.multiply(dens, weight, out=dens)
-    for _ in range(state.n):
-        total = np.tensordot(total, rule.weights, axes=([0], [0]))
-    return float(total)
+    rows = max(1, _SOBOLEV_BLOCK // max(N ** (n - 1), d * d))
+    acc = 0.0
+    for lo in range(0, N, rows):
+        sl = slice(lo, lo + rows)
+        # (1 + |xi|^2)^s on the slab, from broadcast per-axis views
+        slab = 1.0 + xi_sq[sl].reshape((-1,) + (1,) * (n - 1))
+        for c in range(1, n):
+            slab = slab + xi_sq.reshape((-1,) + (1,) * (n - 1 - c))
+        slab **= s
+        # last grid axis first, so the largest contraction runs on contiguous
+        # data; the degree pairs then run over the axes 0, n-1, ..., 1, which
+        # needs no reordering: one rule on every axis and a radial weight make
+        # the form invariant under permuting the axes
+        for c in range(n - 1, 0, -1):
+            slab = np.tensordot(slab, inner, axes=([c], [1]))
+        acc = acc + np.tensordot(products(sl), slab, axes=([1], [0]))
+    # rows take each axis's a, columns its a'
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    M = acc.reshape((d, d) * n).transpose(order).reshape(d ** n, d ** n)
+    M.flags.writeable = False
+    return M
 
 
 def _even_count(x: float) -> int:

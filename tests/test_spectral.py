@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from hermspec import CapabilityError, HermiteBasis, ToleranceError, eval_h, eval_h_all, spectral
-from hermspec.quadrature import gauss_hermite, gauss_legendre_panels, integrate_cyl_2d
+from hermspec.quadrature import (
+    gauss_hermite,
+    gauss_legendre_panels,
+    integrate_cyl_2d,
+    truncation_radius,
+)
 from hermspec.spectral import (
     KernelQuery,
     SpectralState,
@@ -36,6 +41,7 @@ from hermspec.spectral import (
     radial_eigenvalue,
     radial_eigenvalue_quadrature,
     random_state,
+    sobolev_twisted_form,
     state_from_json,
     state_norm_sq,
     state_to_json,
@@ -484,6 +490,81 @@ def test_bessel_sobolev_plancherel_at_zero():
     assert bessel_sobolev_norm(state, 0.0, basis=BASIS) == pytest.approx(
         math.sqrt(state_norm_sq(state)), abs=1e-9
     )
+
+
+def _bessel_grid_reference(state, s, scale):
+    # the per-state grid route: the twisted state on the full tensor grid of
+    # the same panel rule, |fhat|^2 (1+|xi|^2)^s summed against the weights;
+    # the grid is walked in slabs of the first axis so n = 3 stays small
+    T = truncation_radius(state.k_max, state.n)
+    per_unit = 2 if state.n < 3 else 1
+    n_panels = max(4, int(math.ceil(T * per_unit * scale)))
+    rule = gauss_legendre_panels(-T, T, n_panels, 10 if state.n < 3 else 8)
+    fhat = fourier_transform_state(state)
+    xi_sq = rule.nodes ** 2
+    total = 0.0
+    for lo in range(0, rule.nodes.size, 16):
+        sl = slice(lo, lo + 16)
+        vals = evaluate_state_grid(BASIS, fhat, [rule.nodes[sl]] + [rule.nodes] * (state.n - 1))
+        weight = 1.0 + xi_sq[sl].reshape((-1,) + (1,) * (state.n - 1))
+        for c in range(1, state.n):
+            weight = weight + xi_sq.reshape((-1,) + (1,) * (state.n - 1 - c))
+        dens = np.abs(vals) ** 2 * weight ** s
+        dens = np.tensordot(dens, rule.weights[sl], axes=([0], [0]))
+        for _ in range(state.n - 1):
+            dens = np.tensordot(dens, rule.weights, axes=([0], [0]))
+        total += float(dens)
+    return total
+
+
+@pytest.mark.parametrize("n, k_max", [(1, 20), (2, 8), (3, 3)])
+def test_sobolev_form_matches_the_grid_route(n, k_max):
+    states = [random_state(n, k_max, [61, n]),
+              # sparse, with a k_max above its largest level
+              make_state(n, {(1,) * n: 0.5 - 1j, (0,) * (n - 1) + (2,): 0.25}, k_max)]
+    for state in states:
+        for s in (0.0, 0.5, 1.0, 2.0):
+            for scale in (1.0, 2.0):
+                ref = _bessel_grid_reference(state, s, scale)
+                got = spectral._bessel_once(state, s, scale)
+                assert abs(got - ref) <= 1e-13 * ref, (s, scale)
+
+
+def _ladder_form(n, k_max, indices):
+    # I + sum_j P_j^T P_j: P maps h_k to h_k' = sqrt(k/2) h_(k-1) - sqrt((k+1)/2) h_(k+1)
+    P = np.zeros((k_max + 2, k_max + 1))
+    for k in range(k_max + 1):
+        if k:
+            P[k - 1, k] = math.sqrt(k / 2.0)
+        P[k + 1, k] = -math.sqrt((k + 1) / 2.0)
+    Q = P.T @ P
+    idx = np.array(indices)
+    form = np.eye(len(indices))
+    for j in range(n):
+        others = np.delete(idx, j, axis=1)
+        same = (others[:, None, :] == others[None, :, :]).all(axis=2)
+        form += same * Q[idx[:, j][:, None], idx[:, j][None, :]]
+    return form
+
+
+@pytest.mark.parametrize("n, k_max", [(1, 20), (2, 12)])
+def test_sobolev_twisted_form_is_the_ladder_form_at_s1(n, k_max):
+    # ||f||^2_(H^1) = ||f||^2 + sum_j ||d_j f||^2, exact on the span
+    indices, fine = sobolev_twisted_form(n, k_max, 1.0, 2.0)
+    ladder = _ladder_form(n, k_max, indices)
+    assert indices == [a for k in range(k_max + 1) for a in enumerate_multiindices(n, k)]
+    assert np.max(np.abs(fine - ladder)) <= 1e-13
+    # the coarse rule under-resolves the top degrees, within the doubling gate
+    _, coarse = sobolev_twisted_form(n, k_max, 1.0, 1.0)
+    assert np.max(np.abs(coarse - ladder)) <= 1e-8
+
+
+def test_bessel_sobolev_basis_is_only_checked_for_capacity():
+    state = random_state(2, 5, [41, 4])
+    assert bessel_sobolev_norm(state, 0.5, basis=HermiteBasis.build(5)) == bessel_sobolev_norm(
+        state, 0.5)
+    with pytest.raises(CapabilityError):
+        bessel_sobolev_norm(state, 0.5, basis=HermiteBasis.build(4))
 
 
 def test_parity_decompose():

@@ -420,6 +420,74 @@ def test_sobolev_gate_failure_is_inconclusive(monkeypatch):
     assert not r.passed
 
 
+# sharp flat/oscillator ratios at the defaults: (n = 1 at k_max 20, n = 2 at 12)
+SOBOLEV_SHARP = {
+    0.5: (1.1230640355579662, 1.045312222609577),
+    1.0: (1.2720196495140286, 1.0986762408587905),
+    2.0: (1.728296401009331, 1.2603173911625118),
+}
+
+
+@pytest.mark.parametrize("s", sorted(SOBOLEV_SHARP))
+def test_sobolev_sharp_rows_hold_every_mode_and_trial(s):
+    r = check_hermite_sobolev(ScanConfig(), s)
+    assert r.status == "passed"
+    samples = dict(r.samples)
+    sharp = {1: samples["n=1/sharp"], 2: samples["n=2/sharp"]}
+    for n, expected in zip((1, 2), SOBOLEV_SHARP[s]):
+        assert abs(sharp[n] - expected) <= 1e-12 * expected
+    assert r.parameters["sharp"] == sharp[1] == r.sup_ratio
+    assert 0.0 <= r.parameters["route_drift"] <= ScanConfig().gate_tol
+    rows = [lab for lab, _ in r.samples if "sharp" not in lab]
+    assert len(rows) == 21 + 8
+    for lab in rows:
+        assert samples[lab] <= sharp[int(lab[2])] * (1.0 + 1e-9), lab
+
+
+def test_sobolev_sharp_s1_is_the_square_root_of_the_golden_ratio():
+    # sup (1 + p)/(p + 1/(4p)) over squeezed Gaussians, at 4p^2 - 2p - 1 = 0
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    assert abs(verify._sobolev_sharp(1, 20, 1.0, 2.0) - math.sqrt(golden)) <= 1e-12
+
+
+def test_sobolev_sharp_gates(monkeypatch):
+    real = verify._sobolev_sharp
+    # a rule-dependent sharp value is inconclusive
+    monkeypatch.setattr(verify, "_sobolev_sharp",
+                        lambda n, k, s, scale: real(n, k, s, scale) * (1.0 + 1e-6 * scale))
+    assert check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0).status == "inconclusive"
+    # a row above its family's sharp value fails
+    monkeypatch.setattr(verify, "_sobolev_sharp",
+                        lambda n, k, s, scale: 0.9 * real(n, k, s, scale))
+    assert check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0).status == "failed"
+
+
+def test_sobolev_forms_per_family_and_scale_not_per_state(monkeypatch):
+    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    counts = []
+    for k_max in (6, 20):
+        clear_caches()
+        tables.clear()
+        assert check_hermite_sobolev(ScanConfig(k_max=k_max), 1.0).status == "passed"
+        counts.append((spectral._sobolev_form.cache_info().misses, len(tables)))
+    # two families at two rule scales
+    assert counts == [(4, 4), (4, 4)]
+
+
+def test_sobolev_forms_are_read_only_reused_and_cleared():
+    clear_caches()
+    spectral.bessel_sobolev_norm(random_state(2, 5, [7, 1]), 0.5)
+    spectral.bessel_sobolev_norm(random_state(2, 5, [7, 2]), 0.5)
+    info = spectral._sobolev_form.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    form = spectral._sobolev_form(2, 5, 0.5, 1.0)
+    assert form.shape == (36, 36)
+    with pytest.raises(ValueError):
+        form[0, 0] = 0.0
+    clear_caches()
+    assert spectral._sobolev_form.cache_info().currsize == 0
+
+
 def test_collapse_ground_value():
     r = check_collapse_9d(ScanConfig(k_max=2, trials=2))
     assert r.status == "passed"
