@@ -10,6 +10,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -129,8 +130,8 @@ def build_parser() -> _Parser:
 def _config_from_args(args) -> ScanConfig:
     tolerances = None
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ValueError("--tol must be positive")
+        if not (args.tol > 0 and math.isfinite(args.tol)):
+            raise ValueError("--tol must be finite and positive")
         tolerances = {key: args.tol for key in DEFAULT_TOLERANCES}
     return ScanConfig(
         k_max=args.kmax,
@@ -175,15 +176,18 @@ def run_checks(cfg: ScanConfig, keys, options) -> RunManifest:
 
 
 def _write_outputs(manifest: RunManifest, keys, out_dir: str, fmt: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "wb") as fh:
-        fh.write(emit_table(manifest, "json"))
+    # every file is serialized before any is opened, so a value that cannot
+    # be serialized leaves no empty or partial file behind
+    files = {"manifest.json": emit_table(manifest, "json")}
     for key, report in zip(keys, manifest.reports):
         single = RunManifest(
             version=manifest.version, config=manifest.config, reports=(report,)
         )
-        with open(os.path.join(out_dir, f"{key}.{fmt}"), "wb") as fh:
-            fh.write(emit_table(single, fmt))
+        files[f"{key}.{fmt}"] = emit_table(single, fmt)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, data in files.items():
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
 
 
 def main(argv=None) -> int:

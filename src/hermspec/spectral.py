@@ -535,10 +535,24 @@ def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float, divide: b
     one-axis divide path; a level's functional is then c^H G c.  It depends
     on the level, weight and rule, never on the state, so it is built once
     and returned read-only.
+
+    On an axis where every index has one parity each product Phi_i Phi_j
+    (and x_w^2 on the divide path) is even, and the grid is symmetric under
+    reflecting that axis, so the grid is folded onto x_c >= 0: off-plane
+    points keep double weight, on-plane points (their own mirror images,
+    within rounding of 0) keep theirs.  A fully even 3D level evaluates
+    about an eighth of its grid; an index set with no such axis folds
+    nothing.
     """
     base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
     idx = np.array(indices)
+    x = pts[:, np.flatnonzero((idx % 2 == idx[0] % 2).all(axis=0))]
+    # axis-aligned directions come out at +-6e-17 rather than 0
+    eps = 1e-12 * float(np.abs(pts).max())
+    keep = (x >= -eps).all(axis=1)
+    pts = pts[keep]
+    w = w[keep] * 2.0 ** (x[keep] > eps).sum(axis=1)
     degs = idx.max(axis=0)
     basis = HermiteBasis.build(k)
     G = np.zeros((len(indices), len(indices)))
@@ -854,6 +868,10 @@ def random_state(
     seed_seq is any numpy SeedSequence-compatible value (int or list of ints);
     parity "odd"/"even" restricts the index set along parity_axis.
     """
+    if parity not in (None, "odd", "even"):
+        raise ValueError(f"parity must be None, 'odd' or 'even', not {parity!r}")
+    if not 0 <= parity_axis < n:
+        raise ValueError("axis out of range")
     rng = np.random.default_rng(seed_seq)
     indices = []
     for k in range(k_max + 1):

@@ -144,8 +144,14 @@ class ScanConfig:
             raise ValueError("k_max must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.rule_scale <= 0:
-            raise ValueError("rule_scale must be > 0")
+        if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
+            raise ValueError("rule_scale must be finite and > 0")
+        if not math.isfinite(self.gate_tol):
+            raise ValueError("gate_tol must be finite")
+        for name, table in (("tolerance", self.tolerances), ("bound", self.bounds)):
+            for key, value in (table or {}).items():
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} for {key} must be finite")
 
     def tolerance_for(self, estimate_id: str) -> float:
         if self.tolerances and estimate_id in self.tolerances:
@@ -634,7 +640,8 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     At even k every radial mode has even degree l, with l/2 + 1 fully even
     harmonics, so the fully even part of level k keeps the level's top
     2*pi*level_top(3, k, 2); the restricted level form's top eigenvalue gates
-    it.  Random fully even states must stay below the largest sharp value.
+    it.  Random fully even states must stay below the largest sharp value;
+    every trial's level term comes from one product with that level's form.
     """
     # fully even states live on the even levels only
     # it builds no doubled rule, but keeps that limit to bound its level forms
@@ -656,8 +663,18 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         k: [tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2)]
         for k in range(0, cfg.k_max + 1, 2)
     }
+    indices = [a for level in even.values() for a in level]
+    column = {a: i for i, a in enumerate(indices)}
+    # row t of re and im: trial t's real parts, then its imaginary parts, from
+    # its own stream; the ratios are scale-free, so the rows stay unnormalized
+    re, im = np.stack([
+        np.random.default_rng([cfg.seed, CHECK_INDEX["even_3d"], t]).standard_normal(
+            (2, len(indices)))
+        for t in range(cfg.trials)
+    ], axis=1)
+    terms = []
     for k, level in even.items():
-        # sorted as time_avg_weighted keys its forms, so the trials reuse them
+        # sorted as time_avg_weighted keys its forms, so the ground state shares one
         idx = tuple(sorted(level))
         form = spectral._level_form(3, k, 1.0, (0, 1, 2), float(cfg.rule_scale), False, idx)
         quad = float(np.linalg.eigvalsh(form)[-1])
@@ -666,16 +683,14 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         route_drift = max(route_drift, abs(quad - s_k) / s_k)
         samples.append((f"k={k:02d}", TWO_PI * s_k))
         sharp = max(sharp, TWO_PI * s_k)
+        # every trial's level term c^H G c at once; G is real
+        cols = [column[a] for a in idx]
+        for part in (re[:, cols], im[:, cols]):
+            terms.append(np.einsum("ti,ti->t", part @ form, part))
     ok = ok and sharp <= bound
-    indices = [a for level in even.values() for a in level]
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, CHECK_INDEX["even_3d"], t])
-        re = rng.standard_normal(len(indices))
-        im = rng.standard_normal(len(indices))
-        norm = math.sqrt(float(np.sum(re * re + im * im)))
-        d = make_state(3, {a: complex(x, y) / norm for a, x, y in zip(indices, re, im)}, cfg.k_max)
-        v = time_avg_weighted(d, 1.0, rule_scale=cfg.rule_scale, basis=basis)
-        ratio = v / state_norm_sq(d)
+    norm_sq = np.sum(re * re + im * im, axis=1)
+    for t, row in enumerate(np.array(terms).T):
+        ratio = TWO_PI * math.fsum(row) / norm_sq[t]
         samples.append((f"trial={t:02d}", ratio))
         ok = ok and ratio <= sharp * (1.0 + cfg.gate_tol) and ratio <= bound
     params = {

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: flags, files, exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,11 +13,14 @@ from hermspec.cli import (
     COMMAND_CHECKS,
     EX_CANTCREAT,
     EX_USAGE,
+    _write_outputs,
     main,
 )
 from hermspec.verify import (
     CSV_HEADER,
     EstimateReport,
+    RunManifest,
+    ScanConfig,
     manifest_from_json_bytes,
 )
 
@@ -39,6 +43,29 @@ def test_usage_errors_exit_64(capsys):
     assert main(["norms", "--kmax", "-3"]) == EX_USAGE
     assert main(["norms", "--tol", "-1"]) == EX_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kato", "--rule-scale", "nan"],
+    ["kato", "--rule-scale", "inf"],
+    ["norms", "--tol", "nan"],
+    ["norms", "--tol", "inf"],
+])
+def test_non_finite_values_exit_64_and_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EX_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outputs_are_serialized_before_any_file_is_opened(tmp_path):
+    rep = EstimateReport(
+        "antideriv_norms", {"seed": 42}, (("k=0", math.nan),), math.nan, 1e-8, True, "passed",
+    )
+    manifest = RunManifest(version="0", config=ScanConfig(), reports=(rep,))
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_outputs(manifest, ("antideriv_norms",), str(tmp_path / "run"), "csv")
+    assert not (tmp_path / "run").exists()
 
 
 def test_norms_writes_manifest_and_table(tmp_path, capsys):

@@ -377,6 +377,77 @@ def test_time_avg_levels_match_the_functional_bit_for_bit(state, wd, rule_scale)
         assert TWO_PI * term == time_avg_weighted(project(state, k), 1.0, wd, rule_scale, BASIS)
 
 
+def _unfolded_form(n, k, delta, wd, scale, divide, indices):
+    # the level form on the whole grid, block by block, as built before the
+    # reflection fold
+    base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
+    pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
+    idx = np.array(indices)
+    basis = HermiteBasis.build(k)
+    G = np.zeros((len(indices), len(indices)))
+    for lo in range(0, w.size, spectral._FORM_BLOCK):
+        block = pts[lo : lo + spectral._FORM_BLOCK]
+        B = spectral._mode_matrix(
+            [eval_h_all(basis, int(idx[:, c].max()), block[:, c]) for c in range(n)], idx)
+        if divide:
+            B /= block[:, wd[0]]
+        G += (B * w[lo : lo + spectral._FORM_BLOCK]) @ B.T
+    return G
+
+
+def _even_level(k):
+    return tuple(sorted(tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2)))
+
+
+@pytest.mark.parametrize("args", [
+    # fully even 3D; at scale 1.5 level 0 has n_theta = 3 (directions on
+    # z = 0) and n_phi = 6 (directions at +-6e-17 off x = 0)
+    *[(3, k, 1.0, (0, 1, 2), scale, False, _even_level(k))
+      for scale in (1.0, 1.5, 2.0) for k in (0, 2, 6)],
+    # the odd 1D divide path
+    *[(1, k, 1.0, (0,), scale, True, ((k,),)) for scale in (1.0, 1.5) for k in (1, 9)],
+    # a free axis on a 5-node Gauss-Hermite rule, whose middle node is 0
+    (3, 2, 0.5, (0, 1), 1.0, False, _even_level(2)),
+])
+def test_folded_level_form_matches_the_full_grid(args):
+    spectral._level_form.cache_clear()
+    got = spectral._level_form(*args)
+    spectral._level_form.cache_clear()
+    want = _unfolded_form(*args)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_free_axis_rule_of_the_fold_case_has_a_zero_node():
+    assert gauss_hermite(5).nodes[2] == 0.0
+
+
+def test_mixed_parity_level_form_is_not_folded():
+    # the full level mixes parities on every axis: no fold, bit for bit
+    args = (3, 3, 0.5, (0, 1, 2), 1.5, False, tuple(sorted(enumerate_multiindices(3, 3))))
+    spectral._level_form.cache_clear()
+    got = spectral._level_form(*args)
+    spectral._level_form.cache_clear()
+    assert np.array_equal(got, _unfolded_form(*args))
+
+
+@pytest.mark.parametrize("k", [0, 4, 10])
+def test_fully_even_3d_form_evaluates_an_eighth_of_its_grid(k, monkeypatch):
+    values = []
+    real = spectral.eval_h_all
+
+    def counting(basis, degree, x):
+        values.append(np.size(x))
+        return real(basis, degree, x)
+
+    monkeypatch.setattr(spectral, "eval_h_all", counting)
+    spectral._level_form.cache_clear()
+    spectral._level_form(3, k, 1.0, (0, 1, 2), 1.0, False, _even_level(k))
+    spectral._level_form.cache_clear()
+    full = _level_grid(3, k, 1.0, (0, 1, 2), 1.0, False)[1].size
+    # one table per axis; at scale 1 no direction of an even level is on a plane
+    assert 8 * sum(values) == 3 * full
+
+
 def test_time_avg_odd_single_mode_is_4pi():
     state = make_state(1, {(1,): 1.0})
     got = time_avg_weighted(state, 1.0, (0,), basis=BASIS)
@@ -863,6 +934,14 @@ def test_random_state_determinism_and_parity():
     assert state_norm_sq(a) == pytest.approx(1.0, rel=1e-14)
     odd = random_state(1, 9, [42, 3], parity="odd")
     assert all(alpha[0] % 2 == 1 for alpha in odd.coefficients)
+
+
+def test_random_state_rejects_unknown_parity_and_axis():
+    with pytest.raises(ValueError, match="parity"):
+        random_state(2, 4, [42, 1], parity="Odd")
+    for axis in (2, -1):
+        with pytest.raises(ValueError, match="axis out of range"):
+            random_state(2, 4, [42, 1], parity="even", parity_axis=axis)
 
 
 def test_serialization_round_trip():

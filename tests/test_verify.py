@@ -62,6 +62,18 @@ def test_scan_config_validation():
         ScanConfig(rule_scale=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scan_config_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="rule_scale"):
+        ScanConfig(rule_scale=bad)
+    with pytest.raises(ValueError, match="gate_tol"):
+        ScanConfig(gate_tol=bad)
+    with pytest.raises(ValueError, match="tolerance for odd_identity"):
+        ScanConfig(tolerances={"odd_identity": bad})
+    with pytest.raises(ValueError, match="bound for kato_nd"):
+        ScanConfig(bounds={"kato_nd": bad})
+
+
 def test_scan_config_overrides():
     cfg = ScanConfig(tolerances={"odd_identity": 1e-3}, bounds={"kato_nd": 5.0})
     assert cfg.tolerance_for("odd_identity") == 1e-3
@@ -359,6 +371,45 @@ def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
     assert set(scales) == {1.5}
     assert real.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_even_3d_trials_match_the_per_trial_route(seed):
+    # oracle: each trial as its own state through time_avg_weighted
+    cfg = ScanConfig(seed=seed)
+    r = check_even_3d(cfg)
+    indices = [tuple(2 * c for c in b) for k in range(0, cfg.k_max + 1, 2)
+               for b in spectral.enumerate_multiindices(3, k // 2)]
+    samples = dict(r.samples)
+    expected = {}
+    for t in range(cfg.trials):
+        rng = np.random.default_rng([seed, CHECK_INDEX["even_3d"], t])
+        re = rng.standard_normal(len(indices))
+        im = rng.standard_normal(len(indices))
+        norm = math.sqrt(float(np.sum(re * re + im * im)))
+        d = make_state(3, {a: complex(x, y) / norm for a, x, y in zip(indices, re, im)},
+                       cfg.k_max)
+        expected[f"trial={t:02d}"] = time_avg_weighted(d, 1.0) / state_norm_sq(d)
+    assert [lab for lab, _ in r.samples if lab.startswith("trial=")] == list(expected)
+    for lab, want in expected.items():
+        assert abs(samples[lab] - want) <= 1e-13 * want, lab
+    sharp = r.parameters["sharp"]
+    bound = DEFAULT_BOUNDS["even_3d"]
+    holds = (abs(samples["ground"] - FOUR_PI) <= 1e-9 * FOUR_PI and sharp <= bound
+             and all(v <= sharp * (1.0 + cfg.gate_tol) and v <= bound
+                     for v in expected.values()))
+    assert r.status == ("passed" if holds else "failed")
+
+
+def test_even_3d_form_lookups_do_not_grow_with_trials(monkeypatch):
+    lookups = _count_calls(monkeypatch, spectral._level_form)
+    counts = []
+    for trials in (1, 4, 16):
+        lookups.clear()
+        assert check_even_3d(ScanConfig(k_max=8, trials=trials)).status == "passed"
+        counts.append(len(lookups))
+    # one per even level and one for the ground state
+    assert counts == [6, 6, 6]
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
