@@ -150,12 +150,15 @@ def partial_binomial_sum(k: int, numerator: float) -> float:
 
 
 def partial_binomial_sum_exact(k: int, numerator: Fraction) -> Fraction:
-    term = Fraction(1)
-    total = Fraction(1)
+    """sum_{i<=k} C(a, i) exactly, a = p/q: each step moves the integer sum onto
+    the next denominator q^(i+1) (i+1)! and adds C(a, i+1) there; normalized once."""
+    a, k = Fraction(numerator), max(k, 0)
+    p, q = a.numerator, a.denominator
+    term = total = 1
     for i in range(k):
-        term *= Fraction(numerator - i, i + 1)
-        total += term
-    return total
+        term *= p - i * q
+        total = total * q * (i + 1) + term
+    return Fraction(total, q ** k * math.factorial(k))
 
 
 def norm_sq_even_closed(k: int) -> float:

@@ -139,11 +139,12 @@ def binom_general(a: float, i: int) -> float:
 
 
 def binom_general_exact(a: Fraction, i: int) -> Fraction:
-    """C(a, i) in exact rational arithmetic."""
-    out = Fraction(1)
-    for j in range(1, i + 1):
-        out *= (a - j + 1) / j
-    return out
+    """C(a, i) exactly: prod_(j<i) (p - j q) / (q^i i!) for a = p/q, normalized once."""
+    a, i = Fraction(a), max(i, 0)
+    num = 1
+    for j in range(i):
+        num *= a.numerator - j * a.denominator
+    return Fraction(num, a.denominator ** i * math.factorial(i))
 
 
 def laguerre_exp_integral(params: LaguerreParams) -> float:

@@ -49,48 +49,45 @@ _HERMITE_POLY_NODES = 150
 MAX_HERMITE_NODES = 728
 
 
-def _legendre_poly(n: int, x: np.ndarray) -> np.ndarray:
-    """P_n(x) by the difference form d_k = P_(k+1) - P_k of the recurrence,
-    which keeps full relative accuracy toward x = +-1; the plain recurrence
-    serves |x| < 1e-5, where the difference form cancels."""
-    if n == 0:
-        return np.ones_like(x)
+def _legendre_poly(n: int, x: np.ndarray) -> tuple:
+    """(P_(n-1), P_n)(x), n >= 1, in one pass of the difference form d_k = P_(k+1) - P_k
+    of the recurrence, which keeps full relative accuracy toward x = +-1; the
+    plain recurrence serves |x| < 1e-5, where the difference form cancels."""
     d = x - 1.0
-    p = x.copy()
+    prev, p = np.ones_like(x), x.copy()
     for k in range(1, n):
         d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
-        p = p + d
+        prev, p = p, p + d
     small = np.abs(x) < 1e-5
     if small.any():
         xs = x[small]
-        prev, cur = np.ones_like(xs), xs.copy()
+        lo, cur = np.ones_like(xs), xs.copy()
         for k in range(1, n):
-            prev, cur = cur, ((2 * k + 1) * xs * cur - k * prev) / (k + 1)
-        p[small] = cur
-    return p
+            lo, cur = cur, ((2 * k + 1) * xs * cur - k * lo) / (k + 1)
+        prev[small], p[small] = lo, cur
+    return prev, p
 
 
-def _laguerre_poly(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_n^alpha(x) / C(n+alpha, n) by the difference form of the recurrence."""
-    if n == 0:
-        return np.ones_like(x)
+def _laguerre_poly(n: int, alpha: float, x: np.ndarray) -> tuple:
+    """(L_(n-1)^alpha / C(n-1+alpha, n-1), L_n^alpha / C(n+alpha, n))(x),
+    n >= 1, in one pass of the difference form of the recurrence."""
     d = -x / (alpha + 1)
-    p = d + 1
+    prev, p = np.ones_like(x), d + 1
     for k in range(1, n):
         d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
-        p = p + d
-    return p
+        prev, p = p, p + d
+    return prev, p
 
 
-def _hermite_poly(n: int, x: np.ndarray) -> np.ndarray:
-    """Physicists' H_n(x) as 2^(n/2) He_n(sqrt(2) x), He_n by its recurrence."""
-    if n == 0:
-        return np.ones_like(x)
+def _hermite_poly(n: int, x: np.ndarray) -> tuple:
+    """(H_(n-1), H_n)(x), n >= 1, each H_j = 2^(j/2) He_j(sqrt(2) x), He_j by its recurrence
+    from the top coefficient down; one pass of two rows, the H_(n-1) row starting
+    at (-1, 0), which its first step (coefficient 1) takes to the H_n row's (0, 1)."""
     t = math.sqrt(2) * x
-    prev, cur = np.zeros_like(t), np.ones_like(t)
-    for k in range(n, 1, -1):
+    prev, cur = np.array([[0.0], [-1.0]]), np.array([[1.0], [0.0]])
+    for k in [np.array([[n], [1.0]])] + list(range(n - 1, 0, -1)):
         prev, cur = cur, t * cur - k * prev
-    return (t * cur - prev) * math.pow(2, n / 2.0)
+    return cur[1] * math.pow(2, (n - 1) / 2.0), cur[0] * math.pow(2, n / 2.0)
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -126,12 +123,12 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
 
     family "legendre" is weight 1 on [-1, 1], "hermite" e^(-x^2) on the line
     and "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
-    MAX_LAGUERRE_NODES nodes).  Golub-Welsch: the nodes are the eigenvalues of
-    the Jacobi matrix, polished by one Newton step on the polynomial, and the
-    weights follow from p_(m-1) and p_m' at the nodes, scaled to the weight's
-    total mass.  Hermite rules past 150 nodes work on the normalized Hermite
-    functions instead, where the polynomials would overflow, up to
-    MAX_HERMITE_NODES (CapabilityError past it).
+    MAX_LAGUERRE_NODES nodes).  Golub-Welsch: the nodes are the Jacobi matrix's
+    eigenvalues, polished by one Newton step, for which one recurrence pass gives
+    p_(m-1) and p_m (and so p_m'); a second pass gives p_(m-1) at the polished
+    nodes, and the weights are 1/(p_(m-1) p_m') scaled to the weight's total mass.
+    Hermite rules past 150 nodes work on the normalized Hermite functions, where
+    the polynomials would overflow, up to MAX_HERMITE_NODES (CapabilityError past it).
     """
     if m < 1:
         raise ValueError("node count must be >= 1")
@@ -139,20 +136,20 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
     if family == "legendre":
         mass = 2.0
         x = _golub_welsch(np.zeros(m), k * np.sqrt(1.0 / (4 * k * k - 1)))
-        y = _legendre_poly(m, x)
-        dy = (-m * x * y + m * _legendre_poly(m - 1, x)) / (1 - x ** 2)
+        p, y = _legendre_poly(m, x)
+        dy = (-m * x * y + m * p) / (1 - x ** 2)
         x = x - y / dy
-        w = _christoffel(_legendre_poly(m - 1, x), dy)
+        w = _christoffel(_legendre_poly(m, x)[0], dy)
     elif family == "hermite":
         if m > MAX_HERMITE_NODES:
             raise CapabilityError(f"Gauss-Hermite rules limited to {MAX_HERMITE_NODES} nodes")
         mass = math.sqrt(math.pi)
         x = _golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
         if m <= _HERMITE_POLY_NODES:
-            y = _hermite_poly(m, x)
-            dy = 2.0 * m * _hermite_poly(m - 1, x)
+            p, y = _hermite_poly(m, x)
+            dy = 2.0 * m * p
             x = x - y / dy
-            w = _christoffel(_hermite_poly(m - 1, x), dy)
+            w = _christoffel(_hermite_poly(m, x)[0], dy)
         else:
             # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
             h = eval_h_all(HermiteBasis.build(m), m, x)
@@ -166,10 +163,10 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
         mass = math.gamma(alpha + 1.0)
         x = _golub_welsch(2 * np.arange(m, dtype=float) + alpha + 1, -np.sqrt(k * (k + alpha)))
         # in the scaled polynomials of _laguerre_poly, L_m' = m (L_m - L_(m-1)) / x
-        y = _laguerre_poly(m, alpha, x)
-        dy = (m * y - m * _laguerre_poly(m - 1, alpha, x)) / x
+        p, y = _laguerre_poly(m, alpha, x)
+        dy = (m * y - m * p) / x
         x = x - y / dy
-        w = _christoffel(_laguerre_poly(m - 1, alpha, x), dy)
+        w = _christoffel(_laguerre_poly(m, alpha, x)[0], dy)
     else:
         raise ValueError("family must be legendre, hermite or laguerre")
     if family != "laguerre":

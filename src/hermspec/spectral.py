@@ -401,6 +401,11 @@ def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) 
 _SOBOLEV_BLOCK = 1 << 20
 
 
+def _sobolev_panels(n: int, k_max: int, scale: float) -> int:
+    # panel count of the flat Sobolev rule, floored at 4
+    return max(4, int(math.ceil(truncation_radius(k_max, n) * (2 if n < 3 else 1) * scale)))
+
+
 # bounded: a check keys one form per (family, rule scale)
 @lru_cache(maxsize=16)
 def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
@@ -415,9 +420,7 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     state, so it is built once and returned read-only.
     """
     T = truncation_radius(k_max, n)
-    per_unit = 2 if n < 3 else 1
-    n_panels = max(4, int(math.ceil(T * per_unit * scale)))
-    rule = gauss_legendre_panels(-T, T, n_panels, 10 if n < 3 else 8)
+    rule = gauss_legendre_panels(-T, T, _sobolev_panels(n, k_max, scale), 10 if n < 3 else 8)
     d = k_max + 1
     N = rule.nodes.size
     tab = eval_h_all(HermiteBasis.build(k_max), k_max, rule.nodes)
@@ -816,6 +819,11 @@ def _collapse_triples(indices: tuple) -> tuple:
     return uniq, pos
 
 
+def _collapse_nodes(k_max: int, scale: float) -> int:
+    # node count of collapse_trace_norm's Gauss-Hermite rule, floored at 4
+    return max(4, int(math.ceil((2 * k_max + 6) * scale)))
+
+
 def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
                         basis: HermiteBasis | None = None) -> float:
     """Time average of the squared 9D solution restricted to the triple diagonal.
@@ -833,7 +841,7 @@ def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
         raise CapabilityError("collapse supported for k_max <= 4")
     if basis is None:
         basis = HermiteBasis.build(state.k_max)
-    m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
+    m = _collapse_nodes(state.k_max, rule_scale)
     y = gauss_hermite(m).nodes
     comp = hermite_compensated_weights(m)
     tab = eval_h_all(basis, state.k_max, y / math.sqrt(3.0))

@@ -34,14 +34,13 @@ from .antideriv import (
     norm_sq_odd_expansion,
     norm_sq_odd_recursive,
     norm_sq_quadrature_all,
-    x_odd,
+    odd_series,
 )
 from .errors import CapabilityError, ToleranceError
 from .hermite import (
     HermiteBasis,
     LaguerreParams,
     binom_reflection_residual,
-    eval_h,
     eval_h_all,
     eval_laguerre,
     gamma_duplication_residual,
@@ -75,7 +74,6 @@ from .spectral import (
     random_state,
     sobolev_twisted_form,
     state_norm_sq,
-    time_avg_levels,
     time_avg_weighted,
 )
 
@@ -297,6 +295,19 @@ def _gated_level_top(n, k, weight_power, axes) -> tuple:
     return top.value, quad
 
 
+def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False) -> tuple:
+    """Every trial's real and imaginary coefficient parts, one row per trial from
+    its stream [seed, CHECK_INDEX[name], t], as random_state draws (with unit, scales) them."""
+    re, im = np.stack([
+        np.random.default_rng([cfg.seed, CHECK_INDEX[name], t]).standard_normal((2, size))
+        for t in range(cfg.trials)
+    ], axis=1)
+    if unit:
+        norm = np.sqrt(np.sum(re * re + im * im, axis=1))[:, None]
+        re, im = re / norm, im / norm
+    return re, im
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -311,28 +322,34 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     tol = cfg.tolerance_for("odd_identity")
     per_level_tol = 1e-9
     mode_cap = 2 * cfg.k_max + 1
-    basis = _basis(mode_cap)
+    # in 1D each odd level k holds the single mode (k,)
+    ks = range(1, mode_cap + 1, 2)
+    check_admissible(1, 1.0, odd_in_axis=True)
+    re, im = _trial_parts(cfg, "odd_identity", len(ks), unit=True)
+    sq = np.hypot(re, im) ** 2
+
+    def level_terms(scale):
+        # g |c|^2 per trial and level, g the level's 1x1 form as time_avg_levels keys it
+        g = np.array([spectral._level_form(1, k, 1.0, (0,), float(scale), True, ((k,),))[0, 0]
+                      for k in ks])
+        return re * (g * re) + im * (g * im)
+
+    lv1, lv2 = level_terms(cfg.rule_scale), level_terms(2.0 * cfg.rule_scale)
+    # two rules on the absorbing rule's node floor are one rule, and no gate
+    stable = all(spectral._radial_nodes(k, cfg.rule_scale)
+                 != spectral._radial_nodes(k, 2.0 * cfg.rule_scale) for k in ks)
+    stable = stable and bool(np.all(_drift_ok(lv1, lv2, cfg.gate_tol)))
+    ok = bool(np.all(np.abs(lv1 - 2.0 * sq) <= per_level_tol))
     samples = []
-    ok = True
-    stable = True
     for t in range(cfg.trials):
-        g = random_state(1, mode_cap, [cfg.seed, CHECK_INDEX["odd_identity"], t],
-                         parity="odd")
-        # one pass per rule; in 1D each level holds the single mode (k,)
-        levels1 = time_avg_levels(g, 1.0, rule_scale=cfg.rule_scale, basis=basis)
-        levels2 = time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale, basis=basis)
-        v1 = TWO_PI * math.fsum(levels1.values())
-        v2 = TWO_PI * math.fsum(levels2.values())
+        v1 = TWO_PI * math.fsum(lv1[t])
+        v2 = TWO_PI * math.fsum(lv2[t])
         stable = stable and _drift_ok(v1, v2, cfg.gate_tol)
-        ratio = v1 / state_norm_sq(g)
+        ratio = v1 / math.fsum(sq[t])
         samples.append((f"trial={t:02d}/functional", ratio))
         ok = ok and abs(ratio - FOUR_PI) <= tol * FOUR_PI
-        for (k,), coeff in sorted(g.coefficients.items()):
-            lv1 = levels1[k]
-            stable = stable and _drift_ok(lv1, levels2[k], cfg.gate_tol)
-            target = 2.0 * abs(coeff) ** 2
-            ok = ok and abs(lv1 - target) <= per_level_tol
-            samples.append((f"trial={t:02d}/level k={k:02d}", lv1 / target))
+        samples += [(f"trial={t:02d}/level k={k:02d}", v)
+                    for k, v in zip(ks, lv1[t] / (2.0 * sq[t]))]
     params = {
         "n": 1,
         "delta": 1.0,
@@ -607,20 +624,18 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
             ),
         ]
     )
-    # every mode |alpha| <= k_max on the grid, one row per index, built once
+    # every mode |alpha| <= k_max on the grid, a row per index in random_state's order
     idx = np.array([a for k in range(cfg.k_max + 1) for a in enumerate_multiindices(2, k)])
     B = spectral._mode_matrix([eval_h_all(basis, cfg.k_max, pts[:, c]) for c in range(2)], idx)
-    level_of = idx.sum(axis=1)
     base = TWO_PI * float(np.max(B[0] ** 2))
     samples = [("ground", base)]
     ok = abs(base - 2.0) <= 1e-10 and base <= bound
+    re, im = _trial_parts(cfg, "morawetz_2d", len(idx), unit=True)
+    # sum over k of |P_k f|^2 per point and trial, one product per level k (its rows)
+    levels = [slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(cfg.k_max + 1)]
+    acc = sum(np.hypot(re[:, r] @ B[r], im[:, r] @ B[r]) ** 2 for r in levels)
     for t in range(cfg.trials):
-        f = random_state(2, cfg.k_max, [cfg.seed, CHECK_INDEX["morawetz_2d"], t])
-        # one row of coefficients per level: row k holds P_k f
-        C = np.zeros((cfg.k_max + 1, len(idx)), dtype=complex)
-        C[level_of, np.arange(len(idx))] = [f.coefficients[tuple(a)] for a in idx.tolist()]
-        acc = np.sum(np.hypot(C.real @ B, C.imag @ B) ** 2, axis=0)
-        ratio = TWO_PI * float(np.max(acc)) / state_norm_sq(f)
+        ratio = TWO_PI * float(np.max(acc[t])) / math.fsum(np.hypot(re[t], im[t]) ** 2)
         samples.append((f"trial={t:02d}", ratio))
         ok = ok and ratio <= bound
     params = {
@@ -665,13 +680,8 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     }
     indices = [a for level in even.values() for a in level]
     column = {a: i for i, a in enumerate(indices)}
-    # row t of re and im: trial t's real parts, then its imaginary parts, from
-    # its own stream; the ratios are scale-free, so the rows stay unnormalized
-    re, im = np.stack([
-        np.random.default_rng([cfg.seed, CHECK_INDEX["even_3d"], t]).standard_normal(
-            (2, len(indices)))
-        for t in range(cfg.trials)
-    ], axis=1)
+    # the ratios are scale-free, so the trials stay unnormalized
+    re, im = _trial_parts(cfg, "even_3d", len(indices))
     terms = []
     for k, level in even.items():
         # sorted as time_avg_weighted keys its forms, so the ground state shares one
@@ -736,7 +746,9 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
     for n, k in families.items():
         coarse = _sobolev_sharp(n, k, s, cfg.rule_scale)
         fine = _sobolev_sharp(n, k, s, 2.0 * cfg.rule_scale)
-        stable = stable and _drift_ok(coarse, fine, cfg.gate_tol)
+        # the family's states share these rules; one rule twice (panel floor) is no gate
+        panels = [spectral._sobolev_panels(n, k, r) for r in (cfg.rule_scale, 2.0 * cfg.rule_scale)]
+        stable = stable and _drift_ok(coarse, fine, cfg.gate_tol) and panels[0] != panels[1]
         route_drift = max(route_drift, abs(fine - coarse) / fine)
         samples.append((f"n={n}/sharp", fine))
         sharp[n] = fine
@@ -781,7 +793,9 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     k_cap = min(cfg.k_max, 3)
     samples = []
     ok = True
-    stable = True
+    # one rule twice (node floor) is no gate; if the ground state's differ, all do
+    nodes = [spectral._collapse_nodes(0, r) for r in (cfg.rule_scale, 2.0 * cfg.rule_scale)]
+    stable = nodes[0] != nodes[1]
     phi0 = make_state(9, {(0,) * 9: 1.0})
     v1 = collapse_trace_norm(phi0, rule_scale=cfg.rule_scale)
     v2 = collapse_trace_norm(phi0, rule_scale=2.0 * cfg.rule_scale)
@@ -907,13 +921,15 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
         ok = ok and r1 == 0 and r2 == 0 and r3 == 0
     samples.append(("reflection+merge exact", 0.0))
     # the odd antiderivative spans only lower even modes: orthogonal to the
-    # next even eigenfunction up
-    basis = _basis(2 * min(cfg.k_max, 20) + 1)
+    # next even eigenfunction up; one table gives h_2k and x_odd(k - 1)
+    top = min(cfg.k_max, 20)
     rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
-    nodes, weights = rule.nodes, rule.weights
-    for k in range(1, min(cfg.k_max, 20) + 1):
-        integrand = eval_h(basis, 2 * k, nodes) * x_odd(basis, k - 1, nodes)
-        res = abs(float(np.dot(weights, integrand)))
+    h = eval_h_all(_basis(2 * top + 1), 2 * top, rule.nodes)
+    for k in range(1, top + 1):
+        tail = np.zeros_like(rule.nodes)
+        for degree, coeff in odd_series(k - 1):
+            tail += coeff * h[degree]
+        res = abs(float(np.dot(rule.weights, h[2 * k] * tail)))
         samples.append((f"tail-orthogonality k={k:02d}", res))
         ok = ok and res <= junk_tol
     params = {

@@ -58,6 +58,20 @@ def test_non_finite_values_exit_64_and_write_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, check", [
+    ("identities", "odd_identity"), ("sobolev", "sobolev_s05"), ("collapse", "collapse_9d")])
+def test_coincident_doubling_rules_are_inconclusive(tmp_path, capsys, command, check):
+    # this scale puts each check's configured and doubled rule on the node or
+    # panel floor, so they are one rule and the doubling gate shows nothing
+    out = tmp_path / "run"
+    assert main([command, "--rule-scale", "1e-3", "--out", str(out)]) == 2
+    assert f"{check}: inconclusive" in capsys.readouterr().out
+    manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
+    statuses = {key: r.status for key, r in zip(COMMAND_CHECKS[command], manifest.reports)}
+    assert statuses[check] == "inconclusive"
+    assert "failed" not in statuses.values()
+
+
 def test_outputs_are_serialized_before_any_file_is_opened(tmp_path):
     rep = EstimateReport(
         "antideriv_norms", {"seed": 42}, (("k=0", math.nan),), math.nan, 1e-8, True, "passed",

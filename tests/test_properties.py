@@ -5,6 +5,7 @@ full run across cache state."""
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hermspec.antideriv import partial_binomial_sum_exact  # noqa: E402
 from hermspec.cli import COMMAND_CHECKS, main  # noqa: E402
+from hermspec.hermite import binom_general_exact  # noqa: E402
 from hermspec.quadrature import gauss_rule  # noqa: E402
 from hermspec.spectral import check_admissible  # noqa: E402
 from hermspec.verify import clear_caches  # noqa: E402
@@ -103,6 +106,36 @@ def test_check_admissible_raises_exactly_when_a_condition_fails(dw, delta, odd):
     # an admitted weight |x_w|^(-2 delta) is locally integrable against the
     # modes: 2 delta < dw, or < 3 when every mode vanishes on the one axis
     assert 2.0 * delta < dw + (2 if dw == 1 and odd else 0)
+
+
+def _binom_reference(a: Fraction, i: int) -> Fraction:
+    # C(a, i) one Fraction factor at a time
+    out = Fraction(1)
+    for j in range(1, i + 1):
+        out *= (a - j + 1) / j
+    return out
+
+
+def _partial_sum_reference(k: int, a: Fraction) -> Fraction:
+    term = total = Fraction(1)
+    for i in range(k):
+        term *= Fraction(a - i, i + 1)
+        total += term
+    return total
+
+
+exponents = st.one_of(
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7), Fraction(-5, 3),
+                     Fraction(2)]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+)
+
+
+@PROPERTY
+@given(exponents, st.integers(0, 30))
+def test_exact_binomials_match_the_fraction_by_fraction_reference(a, k):
+    assert binom_general_exact(a, k) == _binom_reference(a, k)
+    assert partial_binomial_sum_exact(k, a) == _partial_sum_reference(k, a)
 
 
 @settings(PROPERTY, max_examples=3)

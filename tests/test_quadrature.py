@@ -21,6 +21,7 @@ from hermspec import (
     sphere_directions,
     truncation_radius,
 )
+from hermspec import quadrature
 from hermspec.errors import CapabilityError
 from hermspec.quadrature import MAX_HERMITE_NODES, hermite_compensated_weights
 from hermspec.spectral import coefficients_from_function
@@ -213,6 +214,99 @@ def test_gauss_rule_matches_scipy(family, alpha):
         if nonzero.any():
             assert _max_rel(x[nonzero], xr[nonzero]) <= 1e-15, (family, alpha, m)
         assert _max_rel(w, wr) <= 1e-13, (family, alpha, m)
+
+
+def _legendre_ref(n, x):
+    if n == 0:
+        return np.ones_like(x)
+    d = x - 1.0
+    p = x.copy()
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p = p + d
+    small = np.abs(x) < 1e-5
+    if small.any():
+        xs = x[small]
+        prev, cur = np.ones_like(xs), xs.copy()
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * xs * cur - k * prev) / (k + 1)
+        p[small] = cur
+    return p
+
+
+def _laguerre_ref(n, alpha, x):
+    if n == 0:
+        return np.ones_like(x)
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+    return p
+
+
+def _hermite_ref(n, x):
+    if n == 0:
+        return np.ones_like(x)
+    t = math.sqrt(2) * x
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    for k in range(n, 1, -1):
+        prev, cur = cur, t * cur - k * prev
+    return (t * cur - prev) * math.pow(2, n / 2.0)
+
+
+def _three_pass_rule(family, m, alpha=0.0):
+    """The polynomial-range Gauss rule with one recurrence pass per value:
+    p_m and p_(m-1) at the Jacobi eigenvalues, then p_(m-1) at the polished
+    nodes."""
+    k = np.arange(1, m, dtype=float)
+    if family == "legendre":
+        mass = 2.0
+        x = quadrature._golub_welsch(np.zeros(m), k * np.sqrt(1.0 / (4 * k * k - 1)))
+        y = _legendre_ref(m, x)
+        dy = (-m * x * y + m * _legendre_ref(m - 1, x)) / (1 - x ** 2)
+        x = x - y / dy
+        w = quadrature._christoffel(_legendre_ref(m - 1, x), dy)
+    elif family == "hermite":
+        mass = math.sqrt(math.pi)
+        x = quadrature._golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
+        y = _hermite_ref(m, x)
+        dy = 2.0 * m * _hermite_ref(m - 1, x)
+        x = x - y / dy
+        w = quadrature._christoffel(_hermite_ref(m - 1, x), dy)
+    else:
+        mass = math.gamma(alpha + 1.0)
+        x = quadrature._golub_welsch(2 * np.arange(m, dtype=float) + alpha + 1,
+                                     -np.sqrt(k * (k + alpha)))
+        y = _laguerre_ref(m, alpha, x)
+        dy = (m * y - m * _laguerre_ref(m - 1, alpha, x)) / x
+        x = x - y / dy
+        w = quadrature._christoffel(_laguerre_ref(m - 1, alpha, x), dy)
+    if family != "laguerre":
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    return x, w * (mass / w.sum())
+
+
+@pytest.mark.parametrize("family, alpha", [("legendre", 0.0), ("hermite", 0.0)]
+                         + [("laguerre", a) for a in LAGUERRE_EXPONENTS])
+def test_gauss_rule_single_pass_is_bit_identical_to_three_passes(monkeypatch, family, alpha):
+    # LAGUERRE_EXPONENTS holds every exponent a `hermspec all` run asks for;
+    # both routes share each Jacobi eigen-solve, which they do not change
+    real = quadrature._golub_welsch
+    solved = {}
+
+    def shared(diag, off):
+        key = (diag.tobytes(), off.tobytes())
+        if key not in solved:
+            solved[key] = real(diag, off)
+        return solved[key].copy()
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", shared)
+    for m in range(1, 151):
+        x, w = _build_rule(family, m, alpha)
+        xr, wr = _three_pass_rule(family, m, alpha)
+        assert np.array_equal(x, xr) and np.array_equal(w, wr), (family, alpha, m)
 
 
 @pytest.mark.parametrize("m", [151, 200, 300])

@@ -10,7 +10,8 @@ import pytest
 from hermspec.errors import CapabilityError, ToleranceError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import HermiteBasis, eval_h
-from hermspec.quadrature import integrate_radial_3d, truncation_radius
+from hermspec.antideriv import x_odd
+from hermspec.quadrature import gauss_legendre_panels, integrate_radial_3d, truncation_radius
 from hermspec.spectral import (
     evaluate_state,
     make_state,
@@ -294,10 +295,11 @@ def _count_calls(monkeypatch, real) -> list:
     return calls
 
 
-@pytest.mark.parametrize("check", [check_morawetz_2d, check_even_3d])
+@pytest.mark.parametrize("check", [check_morawetz_2d, check_even_3d, check_odd_identity])
 def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
     tables = _count_calls(monkeypatch, hermite.eval_h_all)
     levels = _count_calls(monkeypatch, spectral.enumerate_multiindices)
+    states = _count_calls(monkeypatch, spectral.random_state)
     counts = []
     for trials in (2, 5):
         clear_caches()
@@ -306,7 +308,10 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
         check(ScanConfig(k_max=6, trials=trials))
         counts.append((len(tables), len(levels)))
     assert counts[0] == counts[1]
-    assert counts[0][0] > 0 and counts[0][1] > 0
+    # odd_identity's 1D levels hold one mode each and enumerate nothing
+    assert counts[0][0] > 0 and (counts[0][1] > 0) == (check is not check_odd_identity)
+    # every trial is a row of one draw matrix, never a state of its own
+    assert states == []
 
 
 def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
@@ -320,12 +325,44 @@ def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_odd_identity_one_level_pass_per_trial_and_rule(monkeypatch):
-    passes = _count_calls(monkeypatch, spectral.time_avg_levels)
+def test_odd_identity_one_form_lookup_per_level_and_rule(monkeypatch):
+    lookups = _count_calls(monkeypatch, spectral._level_form)
+    states = _count_calls(monkeypatch, spectral.random_state)
     for trials in (2, 5):
-        passes.clear()
+        lookups.clear()
         assert check_odd_identity(ScanConfig(k_max=6, trials=trials)).status == "passed"
-        assert len(passes) == 2 * trials
+        # the odd levels 1, 3, ..., 13, each on the configured and the doubled rule
+        assert len(lookups) == 7 * 2
+    assert states == []
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_odd_identity_trials_match_the_per_trial_route(seed):
+    # oracle: each trial as its own odd state through time_avg_levels
+    cfg = ScanConfig(seed=seed)
+    r = check_odd_identity(cfg)
+    expected = {}
+    ok = stable = True
+    for t in range(cfg.trials):
+        g = random_state(1, 2 * cfg.k_max + 1, [seed, CHECK_INDEX["odd_identity"], t],
+                         parity="odd")
+        levels1 = spectral.time_avg_levels(g, 1.0, rule_scale=cfg.rule_scale)
+        levels2 = spectral.time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale)
+        v1 = TWO_PI * math.fsum(levels1.values())
+        v2 = TWO_PI * math.fsum(levels2.values())
+        stable = stable and abs(v2 - v1) <= cfg.gate_tol * (1.0 + abs(v2))
+        ratio = v1 / state_norm_sq(g)
+        expected[f"trial={t:02d}/functional"] = ratio
+        ok = ok and abs(ratio - FOUR_PI) <= 1e-7 * FOUR_PI
+        for (k,), c in sorted(g.coefficients.items()):
+            lv1, lv2 = levels1[k], levels2[k]
+            stable = stable and abs(lv2 - lv1) <= cfg.gate_tol * (1.0 + abs(lv2))
+            ok = ok and abs(lv1 - 2.0 * abs(c) ** 2) <= 1e-9
+            expected[f"trial={t:02d}/level k={k:02d}"] = lv1 / (2.0 * abs(c) ** 2)
+    assert [lab for lab, _ in r.samples] == list(expected)
+    for lab, got in r.samples:
+        assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), lab
+    assert r.status == ("inconclusive" if not stable else "passed" if ok else "failed")
 
 
 def test_collapse_triples_found_once_per_level():
@@ -560,6 +597,21 @@ def test_appendix_identities_check():
     assert r.status == "passed"
     control = dict(r.samples)["bridge-control k=01"]
     assert control >= 0.3
+
+
+def test_appendix_tail_rows_come_from_one_table(monkeypatch):
+    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    r = check_appendix_identities(ScanConfig())
+    assert r.status == "passed"
+    assert len(tables) == 1
+    monkeypatch.undo()
+    # oracle: each row from its own h_2k table and x_odd(k - 1) table
+    basis = HermiteBasis.build(41)
+    rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
+    rows = dict(r.samples)
+    for k in range(1, 21):
+        integrand = eval_h(basis, 2 * k, rule.nodes) * x_odd(basis, k - 1, rule.nodes)
+        assert rows[f"tail-orthogonality k={k:02d}"] == abs(float(np.dot(rule.weights, integrand)))
 
 
 def test_negative_control_grows():
