@@ -1,6 +1,7 @@
 """Property tests: the Gauss rules (mass, antipodal symmetry, exactness), the
-admissibility rule of the weighted functionals, and byte-determinism of a
-full run across cache state."""
+admissibility rule of the weighted functionals, the exact-rational binomials
+against a Fraction-by-Fraction reference, and byte-determinism of a full run
+across cache state."""
 
 import math
 import os
@@ -124,18 +125,19 @@ def _partial_sum_reference(k: int, a: Fraction) -> Fraction:
     return total
 
 
-exponents = st.one_of(
-    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7), Fraction(-5, 3),
-                     Fraction(2)]),
-    st.fractions(min_value=-10, max_value=10, max_denominator=12),
-)
-
-
 @PROPERTY
-@given(exponents, st.integers(0, 30))
+@given(st.fractions(min_value=-10, max_value=10, max_denominator=12), st.integers(0, 30))
 def test_exact_binomials_match_the_fraction_by_fraction_reference(a, k):
     assert binom_general_exact(a, k) == _binom_reference(a, k)
     assert partial_binomial_sum_exact(k, a) == _partial_sum_reference(k, a)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7),
+                               Fraction(-5, 3), Fraction(2)])
+def test_exact_binomials_match_the_reference_on_every_k(a):
+    for k in range(31):
+        assert binom_general_exact(a, k) == _binom_reference(a, k)
+        assert partial_binomial_sum_exact(k, a) == _partial_sum_reference(k, a)
 
 
 @settings(PROPERTY, max_examples=3)
