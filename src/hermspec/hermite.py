@@ -55,19 +55,23 @@ def eval_h_all(basis: HermiteBasis, k_max: int, t) -> np.ndarray:
     """All normalized Hermite functions h_0..h_k_max at t, shape (k_max+1,) + t.shape.
 
     Three-term recurrence h_{k+1} = t sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1};
-    every value stays O(1), no overflow at any degree.
+    every value stays O(1), no overflow at any degree.  Each step runs in
+    place, in the order of that expression, so no temporary is allocated.
     """
     basis.require(k_max)
     t = np.asarray(t, dtype=float)
     out = np.empty((k_max + 1,) + t.shape)
-    h0 = PI_Q * np.exp(-0.5 * t * t)
-    out[0] = h0
+    # one row per degree, so scalar and n-d t share the loop
+    rows, x = out.reshape(k_max + 1, -1), t.ravel()
+    rows[0] = PI_Q * np.exp(-0.5 * x * x)
     if k_max >= 1:
-        out[1] = SQRT2 * t * h0
+        rows[1] = SQRT2 * x * rows[0]
+    lower = np.empty_like(x)
     for k in range(1, k_max):
-        out[k + 1] = t * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(
-            k / (k + 1.0)
-        ) * out[k - 1]
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=rows[k + 1])
+        rows[k + 1] *= rows[k]
+        np.multiply(math.sqrt(k / (k + 1.0)), rows[k - 1], out=lower)
+        rows[k + 1] -= lower
     return out
 
 

@@ -306,24 +306,23 @@ def projection_kernel(query: KernelQuery, basis: HermiteBasis | None = None) -> 
     return float(B[:, 0] @ B[:, 1])
 
 
-def kernel_diagonal(basis: HermiteBasis, n: int, k: int, points) -> np.ndarray:
-    """Phi_k(x, x) for each row of points (N, n), via a level value matrix."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    tabs = [eval_h_all(basis, k, pts[:, c]) for c in range(n)]
-    B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
-    return (B * B).sum(axis=0)
+def kernel_diagonals(basis: HermiteBasis, n: int, k_max: int, points) -> np.ndarray:
+    """Phi_k(x, x) for every level k <= k_max at each row of points (N, n).
 
-
-def kernel_diagonal_ratio(n: int, k: int, grid, basis: HermiteBasis | None = None) -> float:
-    """max over grid of |Phi_k(x,x)| / k^(n/2 - 1); the ratio the kernel bound controls."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if basis is None:
-        basis = HermiteBasis.build(k)
-    vals = np.abs(kernel_diagonal(basis, n, k, grid))
-    return float(vals.max() / k ** (n / 2.0 - 1.0))
+    Phi_k(x, x) = sum over |alpha| = k of prod_c h_(alpha_c)(x_c)^2 is a Cauchy
+    product over degree (Mehler's formula on the diagonal), so every level
+    comes from one squared Hermite table per axis, convolved axis by axis.
+    Returns shape (k_max + 1, N).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, n)
+    out = eval_h_all(basis, k_max, pts[:, 0]) ** 2
+    for c in range(1, n):
+        sq = eval_h_all(basis, k_max, pts[:, c]) ** 2
+        acc = np.zeros_like(out)
+        for j in range(k_max + 1):
+            acc[j:] += out[j] * sq[: k_max + 1 - j]
+        out = acc
+    return out
 
 
 def hermite_sobolev_norm(state: SpectralState, s: float) -> float:
@@ -347,8 +346,9 @@ def bessel_sobolev_norm(
 
     The transform side is the phase-twisted coefficients (-i)^|alpha| c_alpha
     against the memoized _sobolev_form of the state's rule; the rule is
-    doubled and drift beyond gate_tol raises a tolerance error.  A basis, when
-    given, must cover the degrees.
+    doubled and drift beyond gate_tol raises a tolerance error, as does a
+    doubled rule with the configured rule's panel count (the panel floor),
+    which would be no gate.  A basis, when given, must cover the degrees.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -356,6 +356,11 @@ def bessel_sobolev_norm(
         raise CapabilityError("tensor transform quadrature supported for n <= 3")
     if basis is not None:
         basis.require(max((max(a) for a in state.coefficients), default=0))
+    panels = _sobolev_panels(state.n, state.k_max, rule_scale)
+    if panels == _sobolev_panels(state.n, state.k_max, 2.0 * rule_scale):
+        raise ToleranceError(
+            f"transform-side norm has no doubling gate: both rules have {panels} panels"
+        )
     coarse = _bessel_once(state, s, rule_scale)
     fine = _bessel_once(state, s, 2.0 * rule_scale)
     if not (abs(fine - coarse) <= gate_tol * max(1.0, abs(fine))):
@@ -530,26 +535,31 @@ _FORM_BLOCK = 16384
 # key a new index set
 @lru_cache(maxsize=256)
 def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float, divide: bool,
-                indices: tuple) -> np.ndarray:
-    """Weighted gram of the level-k indices on the level grid.
+                index_sets: tuple) -> tuple:
+    """Weighted grams of index sets of level <= k on the level-k grid, one per set.
 
-    Entry (i, j) is sum_p w_p Phi_i(p) Phi_j(p) over the _level_grid and
-    _tensor_free_axes grid, with each mode divided by x_w first on the
-    one-axis divide path; a level's functional is then c^H G c.  It depends
-    on the level, weight and rule, never on the state, so it is built once
-    and returned read-only.
+    Entry (i, j) of a set's form is sum_p w_p Phi_i(p) Phi_j(p) over the
+    _level_grid and _tensor_free_axes grid of level k, with each mode
+    divided by x_w first on the one-axis divide path; a level's functional
+    is then c^H G c.  The grid's rules are exact on every level up to k, so
+    the sets of a whole scan share it, one Hermite table per axis and block.
+    The forms depend on the grid and the sets, never on the state, so they
+    are built once and returned read-only.
 
-    On an axis where every index has one parity each product Phi_i Phi_j
-    (and x_w^2 on the divide path) is even, and the grid is symmetric under
-    reflecting that axis, so the grid is folded onto x_c >= 0: off-plane
-    points keep double weight, on-plane points (their own mirror images,
-    within rounding of 0) keep theirs.  A fully even 3D level evaluates
-    about an eighth of its grid; an index set with no such axis folds
-    nothing.
+    On an axis where every index of every set has one parity each product
+    Phi_i Phi_j (and x_w^2 on the divide path) is even, and the grid is
+    symmetric under reflecting that axis, so the grid is folded onto
+    x_c >= 0: off-plane points keep double weight, on-plane points (their
+    own mirror images, within rounding of 0) keep theirs.  A fully even 3D
+    level evaluates about an eighth of its grid; sets with no such axis
+    fold nothing.
     """
+    subs = [np.array(indices) for indices in index_sets]
+    idx = np.concatenate(subs)
+    if idx.sum(axis=1).max() > k:
+        raise ValueError(f"an index set reaches past the grid's level {k}")
     base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
-    idx = np.array(indices)
     x = pts[:, np.flatnonzero((idx % 2 == idx[0] % 2).all(axis=0))]
     # axis-aligned directions come out at +-6e-17 rather than 0
     eps = 1e-12 * float(np.abs(pts).max())
@@ -558,15 +568,19 @@ def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float, divide: b
     w = w[keep] * 2.0 ** (x[keep] > eps).sum(axis=1)
     degs = idx.max(axis=0)
     basis = HermiteBasis.build(k)
-    G = np.zeros((len(indices), len(indices)))
+    forms = [np.zeros((len(sub), len(sub))) for sub in subs]
     for lo in range(0, w.size, _FORM_BLOCK):
         block = pts[lo : lo + _FORM_BLOCK]
-        B = _mode_matrix([eval_h_all(basis, int(degs[c]), block[:, c]) for c in range(n)], idx)
-        if divide:
-            B /= block[:, wd[0]]
-        G += (B * w[lo : lo + _FORM_BLOCK]) @ B.T
-    G.flags.writeable = False
-    return G
+        tabs = [eval_h_all(basis, int(degs[c]), block[:, c]) for c in range(n)]
+        # one set's mode matrix at a time, so the largest set bounds the memory
+        for G, sub in zip(forms, subs):
+            B = _mode_matrix(tabs, sub)
+            if divide:
+                B /= block[:, wd[0]]
+            G += (B * w[lo : lo + _FORM_BLOCK]) @ B.T
+    for G in forms:
+        G.flags.writeable = False
+    return tuple(forms)
 
 
 def check_admissible(dw: int, delta: float, odd_in_axis: bool = False) -> None:
@@ -625,8 +639,8 @@ def time_avg_levels(
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
     levels = {}
     for k, items in sorted(by_level.items()):
-        G = _level_form(state.n, k, float(delta), wd, float(rule_scale), divide,
-                        tuple(alpha for alpha, _ in items))
+        (G,) = _level_form(state.n, k, float(delta), wd, float(rule_scale), divide,
+                           (tuple(alpha for alpha, _ in items),))
         c = np.array([coeff for _, coeff in items])
         levels[k] = float(np.vdot(c, G @ c).real)
     return levels
@@ -647,39 +661,6 @@ def time_avg_weighted(
     """
     return TWO_PI * math.fsum(
         time_avg_levels(state, delta, weight_dims, rule_scale, basis).values())
-
-
-def level_gram(
-    n: int,
-    k: int,
-    weight_power: float,
-    rule_scale: float = 1.0,
-    basis: HermiteBasis | None = None,
-    weight_dims=None,
-) -> np.ndarray:
-    """Gram matrix of the level-k eigenfunctions under a power-law weight.
-
-    Entry (alpha, beta) is integral Phi_alpha Phi_beta w(x)^(-1) dx where
-    w = (sum of squares over weight_dims)^(weight_power/2); indices ordered as
-    enumerate_multiindices.  Default weight_dims is all n axes.  The full
-    level mixes parities, so integrability demands weight_power below the
-    weighted-axis count; exact by the absorbing radial rule.
-    """
-    if n not in (2, 3):
-        raise ValueError("gram assembly supports n = 2 or 3")
-    wd = _weight_axes(n, weight_dims)
-    if weight_power < 0:
-        raise ValueError("weight_power must be >= 0")
-    if weight_power >= len(wd):
-        raise ValueError("weight_power must stay below the weighted-axis count")
-    if basis is None:
-        basis = HermiteBasis.build(k)
-    base_pts, base_w = _level_grid(n, k, weight_power / 2.0, wd, rule_scale, False)
-    pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, rule_scale)
-    tabs = [eval_h_all(basis, k, pts[:, c]) for c in range(n)]
-    B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
-    M = (B * w) @ B.T
-    return 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)
@@ -782,7 +763,7 @@ def _radial_level_top(dw: int, k: int, weight_power: float) -> LevelTop:
 
 
 def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop:
-    """Top eigenvalue of level_gram(n, k, weight_power, weight_dims), exactly.
+    """Top eigenvalue of the level-k gram under |x_w|^(-weight_power), exactly.
 
     A radial weight commutes with rotations of the weighted axes, so the level
     gram is diagonal in the Laguerre x spherical-harmonic basis there, and

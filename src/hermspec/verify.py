@@ -65,8 +65,7 @@ from .spectral import (
     enumerate_multiindices,
     evaluate_phi,
     hermite_sobolev_norm,
-    kernel_diagonal,
-    kernel_diagonal_ratio,
+    kernel_diagonals,
     level_top,
     make_state,
     oscillator_energy_sq,
@@ -241,9 +240,9 @@ _BASIS = None
 
 def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the shared basis, the Gauss
-    rules and their compensated Hermite weights, the level forms of
-    time_avg_weighted, the flat Sobolev forms, the collapse triples, the
-    lifted radial mode integrals and the exact level tops."""
+    rules and their compensated Hermite weights, the level forms, the flat
+    Sobolev forms, the collapse triples, the lifted radial mode integrals
+    and the exact level tops."""
     global _BASIS
     _BASIS = None
     gauss_rule.cache_clear()
@@ -329,15 +328,16 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     sq = np.hypot(re, im) ** 2
 
     def level_terms(scale):
-        # g |c|^2 per trial and level, g the level's 1x1 form as time_avg_levels keys it
-        g = np.array([spectral._level_form(1, k, 1.0, (0,), float(scale), True, ((k,),))[0, 0]
-                      for k in ks])
+        # g |c|^2 per trial and level, g each level's 1x1 form, all on the top level's grid
+        forms = spectral._level_form(1, mode_cap, 1.0, (0,), float(scale), True,
+                                     tuple(((k,),) for k in ks))
+        g = np.array([G[0, 0] for G in forms])
         return re * (g * re) + im * (g * im)
 
     lv1, lv2 = level_terms(cfg.rule_scale), level_terms(2.0 * cfg.rule_scale)
     # two rules on the absorbing rule's node floor are one rule, and no gate
-    stable = all(spectral._radial_nodes(k, cfg.rule_scale)
-                 != spectral._radial_nodes(k, 2.0 * cfg.rule_scale) for k in ks)
+    stable = (spectral._radial_nodes(mode_cap, cfg.rule_scale)
+              != spectral._radial_nodes(mode_cap, 2.0 * cfg.rule_scale))
     stable = stable and bool(np.all(_drift_ok(lv1, lv2, cfg.gate_tol)))
     ok = bool(np.all(np.abs(lv1 - 2.0 * sq) <= per_level_tol))
     samples = []
@@ -573,20 +573,19 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
     basis = _basis(cfg.k_max)
     edge = math.sqrt(2.0 * cfg.k_max + n)
     r = np.linspace(0.0, edge + 6.0, 160)
-    pts = np.zeros((r.size, n))
-    pts[:, 0] = r
-    far = np.zeros((1, n))
-    far[0, 0] = edge + 8.0
+    # the ray, then one far point, on the first axis
+    pts = np.zeros((r.size + 1, n))
+    pts[:, 0] = np.append(r, edge + 8.0)
+    diag = np.abs(kernel_diagonals(basis, n, cfg.k_max, pts))
     samples = []
     ok = True
     pairs = []
-    far_max = 0.0
     for k in range(1, cfg.k_max + 1):
-        ratio = kernel_diagonal_ratio(n, k, pts, basis)
+        ratio = float(diag[k, :-1].max() / k ** (n / 2.0 - 1.0))
         pairs.append((k, ratio))
         samples.append((f"k={k:02d}", ratio))
         ok = ok and ratio <= bound
-        far_max = max(far_max, float(abs(kernel_diagonal(basis, n, k, far)[0])))
+    far_max = float(diag[1:, -1].max(initial=0.0))
     slope = trend_slope(pairs)
     ok = ok and slope <= TREND_SLOPE_MAX
     # super-Gaussian tail: the diagonal dies far beyond the classical radius
@@ -656,7 +655,8 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     harmonics, so the fully even part of level k keeps the level's top
     2*pi*level_top(3, k, 2); the restricted level form's top eigenvalue gates
     it.  Random fully even states must stay below the largest sharp value;
-    every trial's level term comes from one product with that level's form.
+    every trial's level term comes from one product with that level's form,
+    and every level's form from one build on the top even level's grid.
     """
     # fully even states live on the even levels only
     # it builds no doubled rule, but keeps that limit to bound its level forms
@@ -675,18 +675,18 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     # the fully even indices of level k are 2 beta, |beta| = k/2, in the
     # descending order of enumerate_multiindices(3, k)
     even = {
-        k: [tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2)]
+        k: tuple(tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2))
         for k in range(0, cfg.k_max + 1, 2)
     }
-    indices = [a for level in even.values() for a in level]
-    column = {a: i for i, a in enumerate(indices)}
-    # the ratios are scale-free, so the trials stay unnormalized
-    re, im = _trial_parts(cfg, "even_3d", len(indices))
+    # every even level's form on the top even level's grid
+    forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), float(cfg.rule_scale), False,
+                                 tuple(even.values()))
+    # the ratios are scale-free, so the trials stay unnormalized; level k's
+    # indices are the columns lo:hi
+    cols = np.cumsum([0] + [len(level) for level in even.values()])
+    re, im = _trial_parts(cfg, "even_3d", int(cols[-1]))
     terms = []
-    for k, level in even.items():
-        # sorted as time_avg_weighted keys its forms, so the ground state shares one
-        idx = tuple(sorted(level))
-        form = spectral._level_form(3, k, 1.0, (0, 1, 2), float(cfg.rule_scale), False, idx)
+    for k, form, lo, hi in zip(even, forms, cols, cols[1:]):
         quad = float(np.linalg.eigvalsh(form)[-1])
         s_k = level_top(3, k, 2.0).value
         stable = stable and _drift_ok(quad, s_k, cfg.gate_tol)
@@ -694,8 +694,7 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         samples.append((f"k={k:02d}", TWO_PI * s_k))
         sharp = max(sharp, TWO_PI * s_k)
         # every trial's level term c^H G c at once; G is real
-        cols = [column[a] for a in idx]
-        for part in (re[:, cols], im[:, cols]):
+        for part in (re[:, lo:hi], im[:, lo:hi]):
             terms.append(np.einsum("ti,ti->t", part @ form, part))
     ok = ok and sharp <= bound
     norm_sq = np.sum(re * re + im * im, axis=1)
@@ -998,7 +997,18 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class _JsonText(str):
+    """Text already rendered as JSON, which _json_text emits as it is."""
+
+
+def _samples_json(samples) -> str:
+    # one string per (label, ratio) row, not a dispatch per value
+    return "[" + ",".join(f"[{json.dumps(lab)},{_fmt_float(r)}]" for lab, r in samples) + "]"
+
+
 def _json_text(obj) -> str:
+    if isinstance(obj, _JsonText):
+        return obj
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -1035,7 +1045,7 @@ def _report_dict(report: EstimateReport) -> dict:
     return {
         "estimate_id": report.estimate_id,
         "parameters": dict(report.parameters),
-        "samples": [[lab, r] for lab, r in report.samples],
+        "samples": _JsonText(_samples_json(report.samples)),
         "sup_ratio": report.sup_ratio,
         "tolerance": report.tolerance,
         "passed": report.passed,

@@ -26,6 +26,7 @@ from hermspec import (
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
 )
+from hermspec.hermite import PI_Q, SQRT2
 from hermspec.quadrature import hermite_compensated_weights
 
 T = np.linspace(-6.0, 6.0, 241)
@@ -36,6 +37,29 @@ def test_ground_state_value():
     got = eval_h(basis, 0, np.array([0.0, 1.0]))
     ref = math.pi ** -0.25 * np.exp(-np.array([0.0, 1.0]) ** 2 / 2.0)
     assert np.allclose(got, ref, rtol=0, atol=1e-15)
+
+
+def _recurrence_by_expression(k_max, t):
+    # each degree as one expression, with its temporaries
+    t = np.asarray(t, dtype=float)
+    out = np.empty((k_max + 1,) + t.shape)
+    out[0] = PI_Q * np.exp(-0.5 * t * t)
+    if k_max >= 1:
+        out[1] = SQRT2 * t * out[0]
+    for k in range(1, k_max):
+        out[k + 1] = t * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    return out
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 40])
+def test_in_place_recurrence_is_bit_identical_to_the_expression(k_max):
+    rng = np.random.default_rng(k_max)
+    basis = HermiteBasis.build(40)
+    for t in (rng.normal(scale=5.0, size=300), rng.normal(scale=3.0, size=(4, 6)),
+              rng.normal(size=(30, 3))[:, 1], 1.7, np.zeros(0)):
+        got = eval_h_all(basis, k_max, t)
+        want = _recurrence_by_expression(k_max, t)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_recurrence_matches_explicit_polynomial():

@@ -28,8 +28,7 @@ from hermspec.spectral import (
     evaluate_state_grid,
     fourier_transform_state,
     hermite_sobolev_norm,
-    kernel_diagonal_ratio,
-    level_gram,
+    kernel_diagonals,
     level_top,
     make_state,
     oscillator_energy_sq,
@@ -48,6 +47,8 @@ from hermspec.spectral import (
     time_avg_levels,
     time_avg_weighted,
 )
+
+from oracles import kernel_diagonal, kernel_diagonal_ratio, level_gram
 
 BASIS = HermiteBasis.build(64)
 TWO_PI = 2.0 * math.pi
@@ -158,6 +159,14 @@ def test_bessel_sobolev_gate_raises_on_nan():
         bessel_sobolev_norm(state, 1.0, basis=BASIS)
 
 
+def test_bessel_sobolev_gate_raises_on_the_panel_floor():
+    # both rules sit on the 4-panel floor: one rule twice is no gate
+    state = random_state(1, 20, [7, 1])
+    assert spectral._sobolev_panels(1, 20, 1e-3) == spectral._sobolev_panels(1, 20, 2e-3) == 4
+    with pytest.raises(ToleranceError, match="no doubling gate"):
+        bessel_sobolev_norm(state, 0.5, rule_scale=1e-3)
+
+
 def test_propagate_phases():
     state = random_state(2, 5, [3, 1])
     assert propagate(state, 0.0).coefficients == state.coefficients
@@ -244,6 +253,19 @@ def test_kernel_diagonal_ratio_bounded_2d():
         assert kernel_diagonal_ratio(2, k, grid, BASIS) <= 1.5, k
     with pytest.raises(ValueError):
         kernel_diagonal_ratio(2, 0, grid, BASIS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_diagonals_match_the_per_level_mode_matrix(n):
+    rng = np.random.default_rng(31 + n)
+    ray = np.zeros((20, n))
+    ray[:, 0] = np.linspace(0.0, 9.0, 20)
+    pts = np.concatenate([rng.normal(scale=2.5, size=(40, n)), ray])
+    got = kernel_diagonals(BASIS, n, 14, pts)
+    assert got.shape == (15, 60)
+    for k in range(15):
+        want = kernel_diagonal(BASIS, n, k, pts)
+        assert np.all(np.abs(got[k] - want) <= 1e-13 * want), k
 
 
 def test_eigenrelation_finite_differences():
@@ -411,7 +433,7 @@ def _even_level(k):
 ])
 def test_folded_level_form_matches_the_full_grid(args):
     spectral._level_form.cache_clear()
-    got = spectral._level_form(*args)
+    (got,) = spectral._level_form(*args[:-1], (args[-1],))
     spectral._level_form.cache_clear()
     want = _unfolded_form(*args)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -425,9 +447,55 @@ def test_mixed_parity_level_form_is_not_folded():
     # the full level mixes parities on every axis: no fold, bit for bit
     args = (3, 3, 0.5, (0, 1, 2), 1.5, False, tuple(sorted(enumerate_multiindices(3, 3))))
     spectral._level_form.cache_clear()
-    got = spectral._level_form(*args)
+    (got,) = spectral._level_form(*args[:-1], (args[-1],))
     spectral._level_form.cache_clear()
     assert np.array_equal(got, _unfolded_form(*args))
+
+
+def _full_level(k):
+    return tuple(sorted(enumerate_multiindices(3, k)))
+
+
+@pytest.mark.parametrize("n, top, delta, wd, divide, sets", [
+    # the odd 1D divide path: every odd level on the top level's grid
+    (1, 13, 1.0, (0,), True, tuple(((k,),) for k in range(1, 14, 2))),
+    # fully even 3D: every even level's fully even indices on the top even grid
+    (3, 8, 1.0, (0, 1, 2), False, tuple(_even_level(k) for k in range(0, 9, 2))),
+    # a fully even set beside mixed-parity full levels, with a free axis
+    (3, 3, 0.5, (0, 1), False, (_even_level(2), _full_level(1), _full_level(3))),
+])
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+def test_shared_grid_forms_match_each_level_own_form(n, top, delta, wd, divide, sets, scale):
+    spectral._level_form.cache_clear()
+    shared = spectral._level_form(n, top, delta, wd, scale, divide, sets)
+    assert len(shared) == len(sets)
+    for indices, got in zip(sets, shared):
+        (want,) = spectral._level_form(n, sum(indices[0]), delta, wd, scale, divide, (indices,))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    spectral._level_form.cache_clear()
+
+
+def test_shared_grid_folds_only_where_every_set_allows(monkeypatch):
+    # level 2's fully even set alone folds all three axes; beside level 1,
+    # which is odd in each axis somewhere, it folds none
+    values = []
+    real = spectral.eval_h_all
+
+    def counting(basis, degree, x):
+        values.append(np.size(x))
+        return real(basis, degree, x)
+
+    monkeypatch.setattr(spectral, "eval_h_all", counting)
+    spectral._level_form.cache_clear()
+    spectral._level_form(3, 3, 1.0, (0, 1, 2), 1.0, False, (_even_level(2), _full_level(1)))
+    spectral._level_form.cache_clear()
+    assert sum(values) == 3 * _level_grid(3, 3, 1.0, (0, 1, 2), 1.0, False)[1].size
+
+
+def test_level_form_refuses_a_set_past_its_grid_level():
+    # per-axis degree 2 fits the level-2 table, but the index is on level 4
+    with pytest.raises(ValueError, match="past the grid's level 2"):
+        spectral._level_form(3, 2, 1.0, (0, 1, 2), 1.0, False, (((2, 2, 0),),))
 
 
 @pytest.mark.parametrize("k", [0, 4, 10])
@@ -441,7 +509,7 @@ def test_fully_even_3d_form_evaluates_an_eighth_of_its_grid(k, monkeypatch):
 
     monkeypatch.setattr(spectral, "eval_h_all", counting)
     spectral._level_form.cache_clear()
-    spectral._level_form(3, k, 1.0, (0, 1, 2), 1.0, False, _even_level(k))
+    spectral._level_form(3, k, 1.0, (0, 1, 2), 1.0, False, (_even_level(k),))
     spectral._level_form.cache_clear()
     full = _level_grid(3, k, 1.0, (0, 1, 2), 1.0, False)[1].size
     # one table per axis; at scale 1 no direction of an even level is on a plane

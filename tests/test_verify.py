@@ -48,6 +48,8 @@ from hermspec.verify import (
     trend_slope,
 )
 
+from oracles import kernel_diagonal, kernel_diagonal_ratio, manifest_json_reference
+
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
@@ -228,6 +230,27 @@ def test_operator_norms_ground_value():
     assert any("two_sided" in lab for lab in labels)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_bound_rows_match_the_per_level_route(n):
+    # oracle: each level's diagonal from its own mode matrix, at the ray and
+    # at the far point
+    cfg = ScanConfig(k_max=10)
+    r = check_kernel_bound(cfg, n)
+    basis = HermiteBasis.build(cfg.k_max)
+    edge = math.sqrt(2.0 * cfg.k_max + n)
+    ray = np.zeros((160, n))
+    ray[:, 0] = np.linspace(0.0, edge + 6.0, 160)
+    far = np.zeros((1, n))
+    far[0, 0] = edge + 8.0
+    samples = dict(r.samples)
+    for k in range(1, cfg.k_max + 1):
+        want = kernel_diagonal_ratio(n, k, ray, basis)
+        assert abs(samples[f"k={k:02d}"] - want) <= 1e-13 * want, k
+    far_max = max(float(abs(kernel_diagonal(basis, n, k, far)[0]))
+                  for k in range(1, cfg.k_max + 1))
+    assert r.parameters["far_diagonal_max"] == pytest.approx(far_max, rel=1e-13)
+
+
 def test_kernel_bound_small():
     with pytest.raises(ValueError):
         check_kernel_bound(SMALL, 4)
@@ -325,14 +348,15 @@ def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_odd_identity_one_form_lookup_per_level_and_rule(monkeypatch):
+def test_odd_identity_one_form_call_per_rule_scale(monkeypatch):
     lookups = _count_calls(monkeypatch, spectral._level_form)
     states = _count_calls(monkeypatch, spectral.random_state)
     for trials in (2, 5):
         lookups.clear()
         assert check_odd_identity(ScanConfig(k_max=6, trials=trials)).status == "passed"
-        # the odd levels 1, 3, ..., 13, each on the configured and the doubled rule
-        assert len(lookups) == 7 * 2
+        # the odd levels 1, 3, ..., 13 in one call on the level-13 grid, at
+        # the configured and at the doubled rule scale
+        assert len(lookups) == 2
     assert states == []
 
 
@@ -394,20 +418,22 @@ def test_even_3d_small():
 
 
 def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
-    # the route gate, the ground sample and the trials share one form per
-    # even level, all at the configured rule scale
+    # the route gate and the trials share one build of every even level's
+    # form on the level-6 grid, and the ground sample has its own; all at
+    # the configured rule scale
     real = spectral._level_form
-    scales = []
+    calls = []
 
     def recording(*args):
-        scales.append(args[4])
+        calls.append(args)
         return real(*args)
 
     clear_caches()
     monkeypatch.setattr(spectral, "_level_form", recording)
     check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
-    assert set(scales) == {1.5}
-    assert real.cache_info().misses == 4
+    assert {args[4] for args in calls} == {1.5}
+    assert sorted((args[1], len(args[6])) for args in calls) == [(0, 1), (6, 4)]
+    assert real.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("seed", [42, 1])
@@ -445,8 +471,8 @@ def test_even_3d_form_lookups_do_not_grow_with_trials(monkeypatch):
         lookups.clear()
         assert check_even_3d(ScanConfig(k_max=8, trials=trials)).status == "passed"
         counts.append(len(lookups))
-    # one per even level and one for the ground state
-    assert counts == [6, 6, 6]
+    # one for every even level at once and one for the ground state
+    assert counts == [2, 2, 2]
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
@@ -668,7 +694,7 @@ def test_memo_caches_are_read_only_reused_and_cleared():
     check_radial_3d_identity(ScanConfig(k_max=2, trials=1))
     check_kato(ScanConfig(k_max=2), 3, 0.5)
     assert all(c.cache_info().currsize > 0 for c in caches)
-    form = S._level_form(1, 1, 1.0, (0,), 1.0, True, ((1,),))
+    (form,) = S._level_form(1, 1, 1.0, (0,), 1.0, True, (((1,),),))
     with pytest.raises(ValueError):
         form[0, 0] = 0.0
     clear_caches()
@@ -772,6 +798,21 @@ def test_csv_quotes_awkward_labels():
     body = emit_table(m, "csv").decode("ascii")
     line = body.split("\r\n")[1]
     assert line.startswith('"k=0,extra ""quoted""",')
+
+
+def test_manifest_rendering_matches_the_generic_renderer_on_a_full_run(tmp_path):
+    from hermspec.cli import main
+
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "manifest.json").read_bytes()
+    m = manifest_from_json_bytes(data)
+    assert manifest_to_json_bytes(m) == manifest_json_reference(m) == data
+
+
+def test_non_finite_samples_refused():
+    rep = EstimateReport("kato_nd", {}, (("k=0", float("inf")),), 1.0, 2.0, True, "passed")
+    with pytest.raises(ValueError):
+        manifest_to_json_bytes(RunManifest("0.0-test", ScanConfig(), (rep,)))
 
 
 def test_non_finite_floats_refused():
