@@ -1,6 +1,6 @@
 """Command-line front end: pick checks, run them in order, write files.
 
-Each subcommand names a fixed set of checks.  The run always writes
+Each command names a fixed set of checks.  The run always writes
 <out>/manifest.json (config snapshot, every report, wall time per check) and
 one table per check in the requested format.  Exit status: 0 all passed,
 1 any failure, 2 inconclusive results only, 64 usage error, 74 unwritable
@@ -96,34 +96,34 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="hermspec",
         description="Scan the oscillator smoothing identities and bounds.",
+        epilog="commands and the checks they run:\n" + "\n".join(
+            f"  {name:<11}{', '.join(keys)}" for name, keys in COMMAND_CHECKS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    sub.required = True
-    for name in COMMAND_CHECKS:
-        p = sub.add_parser(name, help=f"run: {', '.join(COMMAND_CHECKS[name])}")
-        p.add_argument("--n", type=int, default=3,
-                       help="dimension for the per-level scan (default 3)")
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="weight exponent for the per-level scan (default 1)")
-        p.add_argument("--kmax", type=int, default=20,
-                       help="highest level scanned (default 20)")
-        p.add_argument("--trials", type=int, default=16,
-                       help="random states per randomized check (default 16)")
-        p.add_argument("--seed", type=int, default=42,
-                       help="root seed for every random draw (default 42)")
-        p.add_argument("--rule-scale", type=float, default=1.0,
-                       help="quadrature refinement multiplier (default 1)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the equality tolerances (defaults: "
-                       + ", ".join(f"{k}={v:g}"
-                                   for k, v in sorted(DEFAULT_TOLERANCES.items())))
-        p.add_argument("--out", default="hermspec-out",
-                       help="output directory (default ./hermspec-out)")
-        p.add_argument("--format", choices=("json", "csv"), default="csv",
-                       help="per-check table format (default csv)")
-        p.add_argument("--negative-controls", action="store_true",
-                       help="include the divergence demonstration")
+    parser.add_argument("command", choices=COMMAND_CHECKS, help="checks to run (listed below)")
+    parser.add_argument("--n", type=int, default=3,
+                        help="dimension for the per-level scan (default 3)")
+    parser.add_argument("--delta", type=float, default=1.0,
+                        help="weight exponent for the per-level scan (default 1)")
+    parser.add_argument("--kmax", type=int, default=20,
+                        help="highest level scanned (default 20)")
+    parser.add_argument("--trials", type=int, default=16,
+                        help="random states per randomized check (default 16)")
+    parser.add_argument("--seed", type=int, default=42,
+                        help="root seed for every random draw (default 42)")
+    parser.add_argument("--rule-scale", type=float, default=1.0,
+                        help="quadrature refinement multiplier (default 1)")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="override the equality tolerances (defaults: "
+                        + ", ".join(f"{k}={v:g}"
+                                    for k, v in sorted(DEFAULT_TOLERANCES.items())))
+    parser.add_argument("--out", default="hermspec-out",
+                        help="output directory (default ./hermspec-out)")
+    parser.add_argument("--format", choices=("json", "csv"), default="csv",
+                        help="per-check table format (default csv)")
+    parser.add_argument("--negative-controls", action="store_true",
+                        help="include the divergence demonstration")
     return parser
 
 

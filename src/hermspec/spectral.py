@@ -419,24 +419,34 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     Rows and columns run over the per-axis degree box (k_max+1)^n in C order;
     entry (a, b) is sum over the tensor grid of w(xi) (1+|xi|^2)^s Phi_a Phi_b
     on the panelized Gauss-Legendre rule over [-T, T]^n, T the truncation
-    radius.  One Hermite table on the rule nodes gives the per-axis mode
-    products h_a h_a', and the weight grid is contracted with them axis by
-    axis, in slabs of the first axis.  It depends on the rule, never on the
-    state, so it is built once and returned read-only.
+    radius.  h_a(-x) = (-1)^a h_a(x) and w(xi) (1+|xi|^2)^s is even, so an
+    entry is zero unless a and b share each axis's parity, and is otherwise
+    2^n times its sum over the positive orthant: one Hermite table on the
+    positive nodes, at double weight, gives the per-axis products h_a h_a'
+    of the same-parity pairs a <= a', and the weight grid is contracted with
+    them axis by axis, in slabs of the first axis.  It depends on the rule,
+    never on the state, so it is built once and returned read-only.
     """
     T = truncation_radius(k_max, n)
     rule = gauss_legendre_panels(-T, T, _sobolev_panels(n, k_max, scale), 10 if n < 3 else 8)
+    # ascending nodes and an even count per panel, so none at 0: the upper half is positive
+    N = rule.nodes.size // 2
+    assert rule.nodes[N - 1] < 0.0 < rule.nodes[N]
+    xi, w = rule.nodes[N:], 2.0 * rule.weights[N:]
     d = k_max + 1
-    N = rule.nodes.size
-    tab = eval_h_all(HermiteBasis.build(k_max), k_max, rule.nodes)
+    tab = eval_h_all(HermiteBasis.build(k_max), k_max, xi)
+    # one axis's same-parity pairs a <= a'; pair[a, a'] is its row, or one past the end
+    pa, pb = np.nonzero(np.triu((np.arange(d)[:, None] + np.arange(d)) % 2 == 0))
+    pair = np.full((d, d), pa.size)
+    pair[pa, pb] = pair[pb, pa] = np.arange(pa.size)
 
     def products(sl):
-        # (h_a h_a' w) at the nodes of sl, one row per degree pair (a, a')
-        return (tab[:, None, sl] * tab[None, :, sl] * rule.weights[sl]).reshape(d * d, -1)
+        # (h_a h_a' w) at the nodes of sl, one row per pair a <= a'
+        return tab[pa, sl] * tab[pb, sl] * w[sl]
 
     inner = products(slice(None)) if n > 1 else None
-    xi_sq = rule.nodes ** 2
-    rows = max(1, _SOBOLEV_BLOCK // max(N ** (n - 1), d * d))
+    xi_sq = xi ** 2
+    rows = max(1, _SOBOLEV_BLOCK // max(N ** (n - 1), pa.size))
     acc = 0.0
     for lo in range(0, N, rows):
         sl = slice(lo, lo + rows)
@@ -452,9 +462,10 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
         for c in range(n - 1, 0, -1):
             slab = np.tensordot(slab, inner, axes=([c], [1]))
         acc = acc + np.tensordot(products(sl), slab, axes=([1], [0]))
-    # rows take each axis's a, columns its a'
+    # every (a, a') on every axis, mixed parities read a zero pad; rows take a, columns a'
+    M = np.pad(acc, (0, 1))[np.ix_(*[pair.ravel()] * n)]
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    M = acc.reshape((d, d) * n).transpose(order).reshape(d ** n, d ** n)
+    M = M.reshape((d, d) * n).transpose(order).reshape(d ** n, d ** n)
     M.flags.writeable = False
     return M
 

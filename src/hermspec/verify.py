@@ -185,7 +185,7 @@ class EstimateReport:
 def _report(estimate_id, parameters, samples, tolerance, ok, stable) -> EstimateReport:
     samples = tuple((str(lab), float(r)) for lab, r in samples)
     sup = max((r for _, r in samples), default=0.0)
-    if not stable:
+    if not stable or not samples:
         status = "inconclusive"
     else:
         status = "passed" if ok else "failed"

@@ -45,6 +45,28 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+def test_help_lists_every_command_and_its_checks(capsys):
+    assert main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = {}
+    for line in lines[lines.index("commands and the checks they run:") + 1:]:
+        command, checks = line.split(None, 1)
+        listed[command] = checks.split(", ")
+    assert listed == {command: list(keys) for command, keys in COMMAND_CHECKS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--kmax", "0"],
+    # options may come before the command
+    ["--kmax", "0", "kernel"],
+])
+def test_kernel_scan_with_no_level_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    out = capsys.readouterr().out
+    assert "kernel_n2: inconclusive" in out
+    assert "kernel_n3: inconclusive" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["kato", "--rule-scale", "nan"],
     ["kato", "--rule-scale", "inf"],

@@ -663,10 +663,24 @@ def test_sobolev_form_matches_the_grid_route(n, k_max):
               make_state(n, {(1,) * n: 0.5 - 1j, (0,) * (n - 1) + (2,): 0.25}, k_max)]
     for state in states:
         for s in (0.0, 0.5, 1.0, 2.0):
-            for scale in (1.0, 2.0):
+            # 1.03 gives n = 2 an even panel count (30), so no panel straddles 0
+            for scale in (1.0, 1.03, 2.0):
                 ref = _bessel_grid_reference(state, s, scale)
                 got = spectral._bessel_once(state, s, scale)
                 assert abs(got - ref) <= 1e-13 * ref, (s, scale)
+
+
+@pytest.mark.parametrize("n, k_max, scale", [(1, 20, 1.0), (2, 8, 1.03), (2, 12, 2.0), (3, 3, 1.0)])
+def test_sobolev_form_is_symmetric_and_zero_across_parities(n, k_max, scale):
+    # h_a(-x) = (-1)^a h_a(x) and an even weight: an entry whose degrees
+    # differ in parity on some axis integrates an odd function to 0
+    M = spectral._sobolev_form(n, k_max, 0.5, scale)
+    box = np.array(np.unravel_index(np.arange(M.shape[0]), (k_max + 1,) * n)).T
+    mixed = ((box[:, None, :] - box[None, :, :]) % 2 != 0).any(axis=2)
+    assert mixed.any()
+    assert np.all(M[mixed] == 0.0)
+    assert np.all(M[~mixed] != 0.0)
+    assert np.array_equal(M, M.T)
 
 
 def _ladder_form(n, k_max, indices):

@@ -722,6 +722,14 @@ def test_radial_lift_table_matches_3d_integrator(delta):
         assert abs(lift[d] - ref) <= 1e-13 * abs(ref), d
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_bound_with_no_level_is_inconclusive(n):
+    # k_max = 0 scans no level k >= 1: an empty report has tested nothing
+    r = check_kernel_bound(ScanConfig(k_max=0), n)
+    assert r.samples == ()
+    assert r.status == "inconclusive"
+
+
 def test_ratio_scaling_covariance():
     # both sides quadratic in the state: rescaling must not move any ratio
     f = random_state(2, 5, [7, 1])
