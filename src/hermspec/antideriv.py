@@ -14,13 +14,11 @@ quadrature.  The harness holds all three to pairwise agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapabilityError
-from .hermite import HermiteBasis, eval_h_all, half_line_integral_even
+from .hermite import half_line_integral_even, hermite_functions
 from .quadrature import gauss_legendre_panels, gauss_rule
 
 SQRT2 = math.sqrt(2.0)
@@ -28,16 +26,6 @@ SQRT2 = math.sqrt(2.0)
 # cumulative quadrature: Gauss-Legendre nodes per segment, max segment width
 _SEG_NODES = 12
 _SEG_WIDTH = 0.25
-
-
-@dataclass(frozen=True)
-class NormTable:
-    """Squared norms up to a cutoff: I_odd[k] is the odd full norm,
-    V_even[k] the even half norm (full norm / 2)."""
-
-    I_odd: tuple[float, ...]
-    V_even: tuple[float, ...]
-    source: str
 
 
 def odd_series(k: int) -> tuple[tuple[int, float], ...]:
@@ -60,18 +48,17 @@ def odd_series(k: int) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
-def x_odd(basis: HermiteBasis, k: int, x) -> np.ndarray:
+def x_odd(k: int, x) -> np.ndarray:
     """Antiderivative of h_{2k+1}, vanishing at both infinities, via its expansion."""
-    basis.require(2 * k + 1)
     t = np.asarray(x, dtype=float)
-    h = eval_h_all(basis, 2 * k, t)
+    h = hermite_functions(2 * k, t)
     out = np.zeros_like(t)
     for degree, coeff in odd_series(k):
         out += coeff * h[degree]
     return out
 
 
-def _cumulative_half_line(basis: HermiteBasis, degrees: tuple, targets: np.ndarray) -> np.ndarray:
+def _cumulative_half_line(degrees: tuple, targets: np.ndarray) -> np.ndarray:
     """integral_0^t h_d for each degree d and each t in targets (nonnegative,
     ascending), shape (len(degrees), len(targets)), from one Hermite table."""
     x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
@@ -90,23 +77,22 @@ def _cumulative_half_line(basis: HermiteBasis, degrees: tuple, targets: np.ndarr
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
-    rows = eval_h_all(basis, max(degrees), nodes)[list(degrees)]
+    rows = hermite_functions(max(degrees), nodes)[list(degrees)]
     seg = (rows.reshape(len(degrees), -1, _SEG_NODES) * w_ref).sum(axis=2) * half
     cum = np.concatenate((np.zeros((len(degrees), 1)), np.cumsum(seg, axis=1)), axis=1)
     return cum[:, ends]
 
 
-def x_even(basis: HermiteBasis, k: int, x) -> np.ndarray:
+def x_even(k: int, x) -> np.ndarray:
     """Antiderivative of sign(t) h_{2k}(t), an even function vanishing at infinity.
 
     Equals integral_0^|x| h_{2k} minus the half-line integral; computed by
     cumulative panel quadrature on the half line and reflected.
     """
-    basis.require(2 * k)
     t = np.asarray(x, dtype=float)
     flat = np.abs(t).ravel()
     order = np.argsort(flat)
-    sorted_vals = _cumulative_half_line(basis, (2 * k,), flat[order])[0]
+    sorted_vals = _cumulative_half_line((2 * k,), flat[order])[0]
     out = np.empty_like(flat)
     out[order] = sorted_vals
     out -= half_line_integral_even(k)
@@ -189,22 +175,21 @@ def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights
 
 
-def norm_sq_odd_quadrature(basis: HermiteBasis, k: int, refine: int = 1) -> float:
+def norm_sq_odd_quadrature(k: int, refine: int = 1) -> float:
     """Direct quadrature of the squared odd antiderivative over the line."""
     nodes, weights = _norm_rule(k, refine)
-    vals = x_odd(basis, k, nodes)
+    vals = x_odd(k, nodes)
     return 2.0 * float(np.dot(weights, vals * vals))
 
 
-def norm_sq_even_quadrature(basis: HermiteBasis, k: int, refine: int = 1) -> float:
+def norm_sq_even_quadrature(k: int, refine: int = 1) -> float:
     """Direct quadrature of the squared even antiderivative over the line."""
     nodes, weights = _norm_rule(k, refine)
-    vals = x_even(basis, k, nodes)
+    vals = x_even(k, nodes)
     return 2.0 * float(np.dot(weights, vals * vals))
 
 
-def norm_sq_quadrature_all(basis: HermiteBasis, k_max: int,
-                           refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Odd and even squared norms for k = 0..k_max by direct quadrature on the
     one rule _norm_rule(k_max, refine).
 
@@ -213,38 +198,17 @@ def norm_sq_quadrature_all(basis: HermiteBasis, k_max: int,
     half-line pass over every even degree.  The per-k functions
     norm_sq_odd_quadrature and norm_sq_even_quadrature are its reference.
     """
-    basis.require(2 * k_max + 1)
     nodes, weights = _norm_rule(k_max, refine)
     coeffs = np.zeros((k_max + 1, 2 * k_max + 1))
     for k in range(k_max + 1):
         for degree, c in odd_series(k):
             coeffs[k, degree] = c
-    odd = coeffs @ eval_h_all(basis, 2 * k_max, nodes)
+    odd = coeffs @ hermite_functions(2 * k_max, nodes)
     order = np.argsort(nodes)
     even = np.empty_like(odd)
-    even[:, order] = _cumulative_half_line(
-        basis, tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
+    even[:, order] = _cumulative_half_line(tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
     even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
     return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
-
-
-def norm_table(k_max: int, source: str, basis: HermiteBasis | None = None) -> NormTable:
-    """Tabulates odd full norms and even half norms for k = 0..k_max from one source."""
-    if source == "closed_form":
-        odd = tuple(norm_sq_odd_closed(k) for k in range(k_max + 1))
-        even = tuple(0.5 * norm_sq_even_closed(k) for k in range(k_max + 1))
-    elif source == "recursion":
-        odd = tuple(norm_sq_odd_recursive(k) for k in range(k_max + 1))
-        even = tuple(0.5 * norm_sq_even_recursive(k) for k in range(k_max + 1))
-    elif source == "quadrature":
-        if basis is None:
-            basis = HermiteBasis.build(2 * k_max + 1)
-        odd, even = norm_sq_quadrature_all(basis, k_max)
-        odd = tuple(float(v) for v in odd)
-        even = tuple(0.5 * float(v) for v in even)
-    else:
-        raise ValueError("source must be closed_form, recursion, or quadrature")
-    return NormTable(odd, even, source)
 
 
 def x_even_at_zero_sq(k: int) -> float:

@@ -15,50 +15,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapabilityError
-
 SQRT2 = math.sqrt(2.0)
 PI_Q = math.pi ** -0.25  # pi^(-1/4), the h_0 amplitude
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Capacity marker plus log-normalization table for degrees 0..max_degree.
-
-    log_c[k] = log of c_k = (2^k k! sqrt(pi))^(-1/2), the factor tying the
-    unit-norm function h_k to the classical polynomial: h_k = c_k H_k e^(-t^2/2).
-    """
-
-    max_degree: int
-    log_c: np.ndarray
-
-    @classmethod
-    def build(cls, max_degree: int) -> "HermiteBasis":
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        log_c = np.empty(max_degree + 1)
-        log_c[0] = -0.25 * math.log(math.pi)
-        for k in range(max_degree):
-            log_c[k + 1] = log_c[k] - 0.5 * math.log(2.0 * (k + 1))
-        return cls(max_degree=max_degree, log_c=log_c)
-
-    def require(self, degree: int) -> None:
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        if degree > self.max_degree:
-            raise CapabilityError(
-                f"degree {degree} exceeds basis capacity {self.max_degree}"
-            )
-
-
-def eval_h_all(basis: HermiteBasis, k_max: int, t) -> np.ndarray:
+def hermite_functions(k_max: int, t) -> np.ndarray:
     """All normalized Hermite functions h_0..h_k_max at t, shape (k_max+1,) + t.shape.
 
     Three-term recurrence h_{k+1} = t sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1};
     every value stays O(1), no overflow at any degree.  Each step runs in
     place, in the order of that expression, so no temporary is allocated.
     """
-    basis.require(k_max)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     t = np.asarray(t, dtype=float)
     out = np.empty((k_max + 1,) + t.shape)
     # one row per degree, so scalar and n-d t share the loop
@@ -73,11 +42,6 @@ def eval_h_all(basis: HermiteBasis, k_max: int, t) -> np.ndarray:
         np.multiply(math.sqrt(k / (k + 1.0)), rows[k - 1], out=lower)
         rows[k + 1] -= lower
     return out
-
-
-def eval_h(basis: HermiteBasis, k: int, t):
-    """Normalized Hermite function h_k(t)."""
-    return eval_h_all(basis, k, t)[k]
 
 
 def eval_hermite_poly(k: int, t) -> np.ndarray:
@@ -130,16 +94,6 @@ def eval_laguerre(k: int, alpha: float, u) -> np.ndarray:
     for j in range(1, k):
         prev, cur = cur, ((2 * j + 1 + alpha - u) * cur - (j + alpha) * prev) / (j + 1)
     return cur
-
-
-def binom_general(a: float, i: int) -> float:
-    """Generalized binomial coefficient C(a, i), multiplicative (exact for small i)."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    out = 1.0
-    for j in range(1, i + 1):
-        out *= (a - j + 1) / j
-    return out
 
 
 def binom_general_exact(a: Fraction, i: int) -> Fraction:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError
-from .hermite import HermiteBasis, eval_h_all
+from .hermite import hermite_functions
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,7 +111,7 @@ def _christoffel(fm: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def _hermite_sq_sum(x: np.ndarray, m: int) -> np.ndarray:
     """sum_(j<m) h_j(x)^2; at the nodes of the m-point Gauss-Hermite rule its
     reciprocal is w e^(x^2), which stays finite where w underflows."""
-    h = eval_h_all(HermiteBasis.build(m - 1), m - 1, x)
+    h = hermite_functions(m - 1, x)
     return np.einsum("ij,ij->j", h, h)
 
 
@@ -152,7 +152,7 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
             w = _christoffel(_hermite_poly(m, x)[0], dy)
         else:
             # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
-            h = eval_h_all(HermiteBasis.build(m), m, x)
+            h = hermite_functions(m, x)
             x = x - h[m] / (math.sqrt(2.0 * m) * h[m - 1] - x * h[m])
             w = np.exp(-x * x) / _hermite_sq_sum(x, m)
     elif family == "laguerre":

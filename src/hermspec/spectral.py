@@ -19,7 +19,6 @@ transform of a state just a phase twist of its coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ToleranceError
-from .hermite import HermiteBasis, eval_h_all, eval_laguerre
+from .hermite import eval_laguerre, hermite_functions
 from .quadrature import (
     MAX_LAGUERRE_NODES,
     circle_directions,
@@ -45,16 +44,6 @@ TWO_PI = 2.0 * math.pi
 MultiIndex = tuple  # n-tuple of nonnegative ints
 
 _MAX_LEVEL_SIZE = 2_000_000
-
-
-@dataclass(frozen=True)
-class EigenLevel:
-    """One eigenspace: level k in dimension n, eigenvalue 2k + n."""
-
-    n: int
-    k: int
-    eigenvalue: int
-    dimension_count: int
 
 
 @dataclass(frozen=True)
@@ -83,12 +72,6 @@ class KernelQuery:
     k: int
     x: tuple
     y: tuple
-
-
-def eigen_level(n: int, k: int) -> EigenLevel:
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    return EigenLevel(n, k, 2 * k + n, math.comb(k + n - 1, n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +113,7 @@ def oscillator_energy_sq(state: SpectralState) -> float:
     )
 
 
-def evaluate_phi(basis: HermiteBasis, alpha: tuple, points) -> np.ndarray:
+def evaluate_phi(alpha: tuple, points) -> np.ndarray:
     """Product eigenfunction at points of shape (..., n) (or (n,) for one point)."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -141,19 +124,19 @@ def evaluate_phi(basis: HermiteBasis, alpha: tuple, points) -> np.ndarray:
     flat = pts.reshape(-1, len(alpha))
     out = np.ones(flat.shape[0])
     for c, deg in enumerate(alpha):
-        out *= eval_h_all(basis, deg, flat[:, c])[deg]
+        out *= hermite_functions(deg, flat[:, c])[deg]
     out = out.reshape(pts.shape[:-1])
     return float(out[0]) if single else out
 
 
-def evaluate_state(basis: HermiteBasis, state: SpectralState, points) -> np.ndarray:
+def evaluate_state(state: SpectralState, points) -> np.ndarray:
     """Sum of coefficient-weighted eigenfunctions at points (..., n)."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
     flat = pts.reshape(-1, state.n)
-    out = _eval_items(basis, list(state.coefficients.items()), flat)
+    out = _eval_items(list(state.coefficients.items()), flat)
     out = out.reshape(pts.shape[:-1])
     return complex(out[0]) if single else out
 
@@ -171,15 +154,15 @@ def _mode_matrix(tabs: list, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_items(basis: HermiteBasis, items: list, flat: np.ndarray) -> np.ndarray:
+def _eval_items(items: list, flat: np.ndarray) -> np.ndarray:
     if not items:
         return np.zeros(flat.shape[0], dtype=complex)
     idx = np.array([alpha for alpha, _ in items])
-    tabs = [eval_h_all(basis, int(idx[:, c].max()), flat[:, c]) for c in range(flat.shape[1])]
+    tabs = [hermite_functions(int(idx[:, c].max()), flat[:, c]) for c in range(flat.shape[1])]
     return np.array([coeff for _, coeff in items]) @ _mode_matrix(tabs, idx)
 
 
-def evaluate_state_grid(basis: HermiteBasis, state: SpectralState, axes_nodes: list) -> np.ndarray:
+def evaluate_state_grid(state: SpectralState, axes_nodes: list) -> np.ndarray:
     """State values on a tensor grid, returned with shape (len(axis_0), ...).
 
     The coefficients are scattered into a dense tensor over the per-axis
@@ -196,7 +179,7 @@ def evaluate_state_grid(basis: HermiteBasis, state: SpectralState, axes_nodes: l
     out = np.zeros(tuple(degs + 1), dtype=complex)
     out[tuple(idx.T)] = [coeff for _, coeff in items]
     for c in range(state.n):
-        tab = eval_h_all(basis, int(degs[c]), np.asarray(axes_nodes[c], dtype=float))
+        tab = hermite_functions(int(degs[c]), np.asarray(axes_nodes[c], dtype=float))
         out = np.tensordot(out, tab, axes=([0], [0]))
     return out
 
@@ -247,7 +230,6 @@ def coefficients_from_function(
     k_max: int,
     m: int | None = None,
     gate_tol: float = 1e-9,
-    basis: HermiteBasis | None = None,
 ) -> SpectralState:
     """Recover coefficients a_alpha = integral f * Phi_alpha by tensor Gauss-Hermite.
 
@@ -261,8 +243,8 @@ def coefficients_from_function(
         raise CapabilityError("tensor coefficient recovery supported for n <= 3")
     if m is None:
         m = k_max + 6
-    coarse = _coefficients_once(f, n, k_max, m, basis)
-    fine = _coefficients_once(f, n, k_max, 2 * m, basis)
+    coarse = _coefficients_once(f, n, k_max, m)
+    fine = _coefficients_once(f, n, k_max, 2 * m)
     # NaN-safe: np.max propagates a NaN, and the negated comparison trips on it
     drift = np.max(np.abs([coarse.coefficients[a] - fine.coefficients[a]
                            for a in fine.coefficients]))
@@ -273,16 +255,14 @@ def coefficients_from_function(
     return fine
 
 
-def _coefficients_once(f, n, k_max, m, basis):
+def _coefficients_once(f, n, k_max, m):
     # the adjoint of evaluate_state_grid: contract the sampled values with one
     # weighted mode table per axis, then read every index off the dense result
-    if basis is None:
-        basis = HermiteBasis.build(k_max)
     nodes = gauss_hermite(m).nodes
     grids = np.meshgrid(*([nodes] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     out = np.asarray(f(pts), dtype=complex).reshape([m] * n)
-    tab = (eval_h_all(basis, k_max, nodes) * hermite_compensated_weights(m)).T
+    tab = (hermite_functions(k_max, nodes) * hermite_compensated_weights(m)).T
     for _ in range(n):
         out = np.tensordot(out, tab, axes=([0], [0]))
     coeffs = {
@@ -293,20 +273,18 @@ def _coefficients_once(f, n, k_max, m, basis):
     return SpectralState(n, coeffs, k_max)
 
 
-def projection_kernel(query: KernelQuery, basis: HermiteBasis | None = None) -> float:
+def projection_kernel(query: KernelQuery) -> float:
     """Level-k kernel: sum over |alpha| = k of Phi_alpha(x) Phi_alpha(y)."""
-    if basis is None:
-        basis = HermiteBasis.build(query.k)
     x = np.asarray(query.x, dtype=float)
     y = np.asarray(query.y, dtype=float)
     if x.shape != (query.n,) or y.shape != (query.n,):
         raise ValueError("points must be n-vectors")
-    tabs = [eval_h_all(basis, query.k, np.array([x[c], y[c]])) for c in range(query.n)]
+    tabs = [hermite_functions(query.k, np.array([x[c], y[c]])) for c in range(query.n)]
     B = _mode_matrix(tabs, np.array(enumerate_multiindices(query.n, query.k)))
     return float(B[:, 0] @ B[:, 1])
 
 
-def kernel_diagonals(basis: HermiteBasis, n: int, k_max: int, points) -> np.ndarray:
+def kernel_diagonals(n: int, k_max: int, points) -> np.ndarray:
     """Phi_k(x, x) for every level k <= k_max at each row of points (N, n).
 
     Phi_k(x, x) = sum over |alpha| = k of prod_c h_(alpha_c)(x_c)^2 is a Cauchy
@@ -315,9 +293,9 @@ def kernel_diagonals(basis: HermiteBasis, n: int, k_max: int, points) -> np.ndar
     Returns shape (k_max + 1, N).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, n)
-    out = eval_h_all(basis, k_max, pts[:, 0]) ** 2
+    out = hermite_functions(k_max, pts[:, 0]) ** 2
     for c in range(1, n):
-        sq = eval_h_all(basis, k_max, pts[:, c]) ** 2
+        sq = hermite_functions(k_max, pts[:, c]) ** 2
         acc = np.zeros_like(out)
         for j in range(k_max + 1):
             acc[j:] += out[j] * sq[: k_max + 1 - j]
@@ -340,7 +318,6 @@ def bessel_sobolev_norm(
     s: float,
     rule_scale: float = 1.0,
     gate_tol: float = 1e-8,
-    basis: HermiteBasis | None = None,
 ) -> float:
     """Flat-Laplacian Sobolev norm (integral (1+|xi|^2)^s |fhat|^2)^(1/2).
 
@@ -348,14 +325,12 @@ def bessel_sobolev_norm(
     against the memoized _sobolev_form of the state's rule; the rule is
     doubled and drift beyond gate_tol raises a tolerance error, as does a
     doubled rule with the configured rule's panel count (the panel floor),
-    which would be no gate.  A basis, when given, must cover the degrees.
+    which would be no gate.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
     if state.n > 3:
         raise CapabilityError("tensor transform quadrature supported for n <= 3")
-    if basis is not None:
-        basis.require(max((max(a) for a in state.coefficients), default=0))
     panels = _sobolev_panels(state.n, state.k_max, rule_scale)
     if panels == _sobolev_panels(state.n, state.k_max, 2.0 * rule_scale):
         raise ToleranceError(
@@ -434,7 +409,7 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     assert rule.nodes[N - 1] < 0.0 < rule.nodes[N]
     xi, w = rule.nodes[N:], 2.0 * rule.weights[N:]
     d = k_max + 1
-    tab = eval_h_all(HermiteBasis.build(k_max), k_max, xi)
+    tab = hermite_functions(k_max, xi)
     # one axis's same-parity pairs a <= a'; pair[a, a'] is its row, or one past the end
     pa, pb = np.nonzero(np.triu((np.arange(d)[:, None] + np.arange(d)) % 2 == 0))
     pair = np.full((d, d), pa.size)
@@ -578,11 +553,10 @@ def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float, divide: b
     pts = pts[keep]
     w = w[keep] * 2.0 ** (x[keep] > eps).sum(axis=1)
     degs = idx.max(axis=0)
-    basis = HermiteBasis.build(k)
     forms = [np.zeros((len(sub), len(sub))) for sub in subs]
     for lo in range(0, w.size, _FORM_BLOCK):
         block = pts[lo : lo + _FORM_BLOCK]
-        tabs = [eval_h_all(basis, int(degs[c]), block[:, c]) for c in range(n)]
+        tabs = [hermite_functions(int(degs[c]), block[:, c]) for c in range(n)]
         # one set's mode matrix at a time, so the largest set bounds the memory
         for G, sub in zip(forms, subs):
             B = _mode_matrix(tabs, sub)
@@ -630,20 +604,17 @@ def time_avg_levels(
     delta: float,
     weight_dims=None,
     rule_scale: float = 1.0,
-    basis: HermiteBasis | None = None,
 ) -> dict:
     """Each level's weighted integral int |P_k f|^2 / w, keyed by k.
 
     w = (sum of squares over weight_dims)^delta.  Admissibility is
     check_admissible, with the state's parity along a one-axis weight.  Each
     level's integral is c^H G c with G the level form memoized per (level,
-    weight, rule, index set); a basis, when given, must cover the degrees.
+    weight, rule, index set).
     """
     wd = _weight_axes(state.n, weight_dims)
     odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)
     check_admissible(len(wd), delta, odd_in_axis=odd)
-    if basis is not None:
-        basis.require(max((max(a) for a in state.coefficients), default=0))
     divide = len(wd) == 1 and delta >= 0.5
     by_level = {}
     for alpha, coeff in sorted(state.coefficients.items()):
@@ -662,7 +633,6 @@ def time_avg_weighted(
     delta: float,
     weight_dims=None,
     rule_scale: float = 1.0,
-    basis: HermiteBasis | None = None,
 ) -> float:
     """Time average over one period of the weighted squared solution.
 
@@ -671,7 +641,7 @@ def time_avg_weighted(
     and the admissibility rule are those of time_avg_levels.
     """
     return TWO_PI * math.fsum(
-        time_avg_levels(state, delta, weight_dims, rule_scale, basis).values())
+        time_avg_levels(state, delta, weight_dims, rule_scale).values())
 
 
 @dataclass(frozen=True)
@@ -816,8 +786,7 @@ def _collapse_nodes(k_max: int, scale: float) -> int:
     return max(4, int(math.ceil((2 * k_max + 6) * scale)))
 
 
-def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
-                        basis: HermiteBasis | None = None) -> float:
+def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0) -> float:
     """Time average of the squared 9D solution restricted to the triple diagonal.
 
     Groups coefficients by eigenvalue, restricts each group to (x, x, x) with
@@ -831,12 +800,10 @@ def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0,
         raise ValueError("collapse restriction is defined for n = 9")
     if state.k_max > 4:
         raise CapabilityError("collapse supported for k_max <= 4")
-    if basis is None:
-        basis = HermiteBasis.build(state.k_max)
     m = _collapse_nodes(state.k_max, rule_scale)
     y = gauss_hermite(m).nodes
     comp = hermite_compensated_weights(m)
-    tab = eval_h_all(basis, state.k_max, y / math.sqrt(3.0))
+    tab = hermite_functions(state.k_max, y / math.sqrt(3.0))
     by_level = {}
     for alpha, coeff in state.coefficients.items():
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
@@ -889,23 +856,3 @@ def random_state(
     coeffs = {a: complex(r, i) / norm for a, r, i in zip(indices, re, im)}
     return SpectralState(n, coeffs, k_max)
 
-
-def state_to_json(state: SpectralState) -> str:
-    """Serialize as a JSON object with a list of (index, re, im) triples."""
-    triples = [
-        [list(alpha), coeff.real, coeff.imag]
-        for alpha, coeff in sorted(state.coefficients.items())
-    ]
-    return json.dumps(
-        {"n": state.n, "k_max": state.k_max, "coefficients": triples},
-        separators=(",", ":"),
-    )
-
-
-def state_from_json(text: str) -> SpectralState:
-    data = json.loads(text)
-    coeffs = {
-        tuple(int(a) for a in alpha): complex(re, im)
-        for alpha, re, im in data["coefficients"]
-    }
-    return SpectralState(int(data["n"]), coeffs, int(data["k_max"]))

@@ -38,12 +38,11 @@ from .antideriv import (
 )
 from .errors import CapabilityError, ToleranceError
 from .hermite import (
-    HermiteBasis,
     LaguerreParams,
     binom_reflection_residual,
-    eval_h_all,
     eval_laguerre,
     gamma_duplication_residual,
+    hermite_functions,
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
 )
@@ -233,33 +232,22 @@ def trend_slope(pairs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one shared Hermite basis, rebuilt only when a larger degree is asked for
-
-_BASIS = None
+# memos
 
 
 def clear_caches() -> None:
-    """Drop every memo, for honest re-runs: the shared basis, the Gauss
-    rules and their compensated Hermite weights, the level forms, the flat
-    Sobolev forms, the collapse triples, the lifted radial mode integrals
-    and the exact level tops."""
-    global _BASIS
-    _BASIS = None
+    """Drop every memo, for honest re-runs: the Gauss rules and their
+    compensated Hermite weights, the level index tuples, the level forms,
+    the flat Sobolev forms, the collapse triples, the lifted radial mode
+    integrals and the exact level tops."""
     gauss_rule.cache_clear()
+    spectral._level_indices.cache_clear()
     spectral._level_form.cache_clear()
     spectral._sobolev_form.cache_clear()
     spectral._collapse_triples.cache_clear()
     spectral._radial_level_top.cache_clear()
     _radial_mode_integrals.cache_clear()
     hermite_compensated_weights.cache_clear()
-
-
-def _basis(max_degree: int) -> HermiteBasis:
-    global _BASIS
-    b = _BASIS
-    if b is None or b.max_degree < max_degree:
-        b = _BASIS = HermiteBasis.build(max_degree)
-    return b
 
 
 def _require_gate_capacity(k_max: int) -> None:
@@ -375,7 +363,7 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     """
     radial = radial_rule_panels(3, delta, R, n_panels, nodes_pp)
     r = radial.nodes
-    h = eval_h_all(_basis(top), top, r)
+    h = hermite_functions(top, r)
     out = 2.0 * ((h * h / (r * r)) @ radial.weights)
     out.flags.writeable = False
     return out
@@ -501,26 +489,14 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     return _report("kato_nd", params, samples, bound, ok, stable)
 
 
-def operator_norm_singular_kernel(
-    cfg: ScanConfig, n: int, delta: float, k: int, two_sided: bool = False
-) -> float:
-    """Operator norm of the level projection composed with a singular weight.
-
-    The operator acts within the finite level, so the norm is the largest
-    singular value of the level matrix under the weight; two_sided squares
-    the weight (it then multiplies both variables).  The matrix is symmetric
-    positive semidefinite, so the norm is its exact top eigenvalue, which
-    needs no rule: cfg is accepted for the common check signature.
-    """
-    weight_power = 2.0 * delta if two_sided else delta
-    return level_top(n, k, weight_power).value
-
-
 def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> EstimateReport:
     """Boundedness scan of the singular-kernel operator norms over levels.
 
-    Each norm is an exact level top, gated by Gauss-Laguerre quadrature on
-    its maximizing mode.
+    The operator acts within the finite level, so each norm is the largest
+    singular value of the level matrix under the weight |x|^(-delta) (one
+    sided) or its square (two sided): the matrix is symmetric positive
+    semidefinite, so that is its exact level top, gated by Gauss-Laguerre
+    quadrature on its maximizing mode.
     """
     _require_gate_capacity(cfg.k_max)
     bound = cfg.bound_for("operator_norm")
@@ -534,10 +510,9 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     for delta in deltas:
         one_sided = []
         for k in range(cfg.k_max + 1):
-            one = operator_norm_singular_kernel(cfg, n, delta, k)
-            two = operator_norm_singular_kernel(cfg, n, delta, k, two_sided=True)
-            for power, value in ((delta, one), (2.0 * delta, two)):
-                _, quad = _gated_level_top(n, k, power, axes)
+            one, q1 = _gated_level_top(n, k, delta, axes)
+            two, q2 = _gated_level_top(n, k, 2.0 * delta, axes)
+            for value, quad in ((one, q1), (two, q2)):
                 stable = stable and _drift_ok(quad, value, cfg.gate_tol)
                 route_drift = max(route_drift, abs(quad - value) / value)
             one_sided.append((k, one))
@@ -570,13 +545,12 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
     if n not in (2, 3):
         raise ValueError("diagonal kernel scan supports n = 2 or 3")
     bound = cfg.bound_for("kernel_bound")
-    basis = _basis(cfg.k_max)
     edge = math.sqrt(2.0 * cfg.k_max + n)
     r = np.linspace(0.0, edge + 6.0, 160)
     # the ray, then one far point, on the first axis
     pts = np.zeros((r.size + 1, n))
     pts[:, 0] = np.append(r, edge + 8.0)
-    diag = np.abs(kernel_diagonals(basis, n, cfg.k_max, pts))
+    diag = np.abs(kernel_diagonals(n, cfg.k_max, pts))
     samples = []
     ok = True
     pairs = []
@@ -611,7 +585,6 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     no time quadrature; it maximizes over a polar grid and random states.
     """
     bound = cfg.bound_for("morawetz_2d")
-    basis = _basis(cfg.k_max)
     r = np.linspace(0.0, math.sqrt(2.0 * cfg.k_max + 2.0) + 4.0, 48)[1:]
     theta = 0.35 + TWO_PI * np.arange(16) / 16.0
     pts = np.concatenate(
@@ -625,7 +598,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     )
     # every mode |alpha| <= k_max on the grid, a row per index in random_state's order
     idx = np.array([a for k in range(cfg.k_max + 1) for a in enumerate_multiindices(2, k)])
-    B = spectral._mode_matrix([eval_h_all(basis, cfg.k_max, pts[:, c]) for c in range(2)], idx)
+    B = spectral._mode_matrix([hermite_functions(cfg.k_max, pts[:, c]) for c in range(2)], idx)
     base = TWO_PI * float(np.max(B[0] ** 2))
     samples = [("ground", base)]
     ok = abs(base - 2.0) <= 1e-10 and base <= bound
@@ -663,12 +636,11 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     _require_rule_capacity(cfg, "even_3d", lambda k_max: k_max - k_max % 2,
                            "the limit bounds the size of its level forms")
     bound = cfg.bound_for("even_3d")
-    basis = _basis(cfg.k_max)
     samples = []
     stable = True
     route_drift = 0.0
     phi0 = make_state(3, {(0, 0, 0): 1.0})
-    v0 = time_avg_weighted(phi0, 1.0, rule_scale=cfg.rule_scale, basis=basis)
+    v0 = time_avg_weighted(phi0, 1.0, rule_scale=cfg.rule_scale)
     samples.append(("ground", v0))
     ok = abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI and v0 <= bound
     sharp = 0.0
@@ -830,13 +802,12 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
 def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
     """Three-route agreement of the antiderivative norms, with the even bound."""
     tol = cfg.tolerance_for("antideriv_norms")
-    basis = _basis(2 * cfg.k_max + 1)
     samples = []
     ok = True
     stable = True
     # every k on one rule per refinement; refine 2 is the doubling gate
-    odd1, even1 = norm_sq_quadrature_all(basis, cfg.k_max)
-    odd2, even2 = norm_sq_quadrature_all(basis, cfg.k_max, refine=2)
+    odd1, even1 = norm_sq_quadrature_all(cfg.k_max)
+    odd2, even2 = norm_sq_quadrature_all(cfg.k_max, refine=2)
     for k in range(cfg.k_max + 1):
         oc = norm_sq_odd_closed(k)
         orr = norm_sq_odd_recursive(k)
@@ -923,7 +894,7 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     # next even eigenfunction up; one table gives h_2k and x_odd(k - 1)
     top = min(cfg.k_max, 20)
     rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
-    h = eval_h_all(_basis(2 * top + 1), 2 * top, rule.nodes)
+    h = hermite_functions(2 * top, rule.nodes)
     for k in range(1, top + 1):
         tail = np.zeros_like(rule.nodes)
         for degree, coeff in odd_series(k - 1):
@@ -950,7 +921,6 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
     graded panels must keep growing the value; the control passes when two
     panel doublings at least double it.
     """
-    basis = _basis(0)
     R = truncation_radius(0, 2)
     dirs, dwts = circle_directions(8)
     values = []
@@ -959,7 +929,7 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
         rule = radial_rule_panels(2, 1.0, R, n_panels, 12, allow_divergent=True)
         pts = (rule.nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
         w = (rule.weights[:, None] * dwts[None, :]).ravel()
-        vals = evaluate_phi(basis, (0, 0), pts)
+        vals = evaluate_phi((0, 0), pts)
         v = float(np.dot(w, vals * vals))
         values.append(v)
         samples.append((f"panels={n_panels:03d}", v))

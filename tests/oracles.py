@@ -6,7 +6,7 @@ tests hold the two against each other.
 
 import numpy as np
 
-from hermspec import HermiteBasis, eval_h_all
+from hermspec import hermite_functions
 from hermspec.spectral import (
     _level_grid,
     _mode_matrix,
@@ -17,24 +17,22 @@ from hermspec.spectral import (
 from hermspec.verify import _config_dict, _json_text
 
 
-def kernel_diagonal(basis: HermiteBasis, n: int, k: int, points) -> np.ndarray:
+def kernel_diagonal(n: int, k: int, points) -> np.ndarray:
     """Phi_k(x, x) for each row of points (N, n), via a level value matrix:
     the oracle of spectral.kernel_diagonals, one level at a time."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    tabs = [eval_h_all(basis, k, pts[:, c]) for c in range(n)]
+    tabs = [hermite_functions(k, pts[:, c]) for c in range(n)]
     B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
     return (B * B).sum(axis=0)
 
 
-def kernel_diagonal_ratio(n: int, k: int, grid, basis: HermiteBasis | None = None) -> float:
+def kernel_diagonal_ratio(n: int, k: int, grid) -> float:
     """max over grid of |Phi_k(x,x)| / k^(n/2 - 1); the ratio the kernel bound controls."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if basis is None:
-        basis = HermiteBasis.build(k)
-    vals = np.abs(kernel_diagonal(basis, n, k, grid))
+    vals = np.abs(kernel_diagonal(n, k, grid))
     return float(vals.max() / k ** (n / 2.0 - 1.0))
 
 
@@ -43,7 +41,6 @@ def level_gram(
     k: int,
     weight_power: float,
     rule_scale: float = 1.0,
-    basis: HermiteBasis | None = None,
     weight_dims=None,
 ) -> np.ndarray:
     """Gram matrix of the level-k eigenfunctions under a power-law weight:
@@ -62,11 +59,9 @@ def level_gram(
         raise ValueError("weight_power must be >= 0")
     if weight_power >= len(wd):
         raise ValueError("weight_power must stay below the weighted-axis count")
-    if basis is None:
-        basis = HermiteBasis.build(k)
     base_pts, base_w = _level_grid(n, k, weight_power / 2.0, wd, rule_scale, False)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, rule_scale)
-    tabs = [eval_h_all(basis, k, pts[:, c]) for c in range(n)]
+    tabs = [hermite_functions(k, pts[:, c]) for c in range(n)]
     B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
     M = (B * w) @ B.T
     return 0.5 * (M + M.T)

@@ -18,7 +18,6 @@ from hermspec.antideriv import (
     norm_sq_odd_recursive,
 )
 from hermspec.cli import main
-from hermspec.hermite import HermiteBasis
 from hermspec.spectral import project, random_state, time_avg_weighted
 from hermspec.verify import (
     ScanConfig,
@@ -46,14 +45,13 @@ def _verdict(num, ok, text):
 
 
 def test_criterion_01_odd_antideriv_norm_routes():
-    basis = HermiteBasis.build(81)
     worst = 0.0
     for k in range(41):
         routes = [
             norm_sq_odd_closed(k),
             norm_sq_odd_recursive(k),
             norm_sq_odd_expansion(k),
-            norm_sq_odd_quadrature(basis, k),
+            norm_sq_odd_quadrature(k),
         ]
         for a in routes:
             for b in routes:
@@ -64,12 +62,11 @@ def test_criterion_01_odd_antideriv_norm_routes():
 
 
 def test_criterion_02_even_antideriv_norms():
-    basis = HermiteBasis.build(81)
     worst = 0.0
     peak = 0.0
     for k in range(41):
         closed = norm_sq_even_closed(k)
-        quad = norm_sq_even_quadrature(basis, k)
+        quad = norm_sq_even_quadrature(k)
         worst = max(worst, abs(quad - closed))
         peak = max(peak, closed)
     gap40 = abs(norm_sq_even_closed(40) - 2.0)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from hermspec import HermiteBasis, eval_h, eval_h_all, gauss_rule, half_line_integral_even
+from hermspec import gauss_rule, half_line_integral_even, hermite_functions
 from hermspec.antideriv import (
     _SEG_NODES,
     _SEG_WIDTH,
@@ -24,7 +24,6 @@ from hermspec.antideriv import (
     norm_sq_odd_quadrature,
     norm_sq_odd_recursive,
     norm_sq_quadrature_all,
-    norm_table,
     odd_series,
     partial_binomial_sum,
     partial_binomial_sum_exact,
@@ -35,12 +34,11 @@ from hermspec.antideriv import (
 )
 
 SQRT2 = math.sqrt(2.0)
-BASIS = HermiteBasis.build(121)
 
 
 def cumulative_oracle(degree, x, lo=-12.0):
     val, _ = quad(
-        lambda t: float(eval_h(BASIS, degree, np.array([t]))[0]), lo, x, limit=400
+        lambda t: float(hermite_functions(degree, np.array([t]))[degree][0]), lo, x, limit=400
     )
     return val
 
@@ -52,14 +50,14 @@ def test_odd_series_structure():
 
 
 def test_odd_value_at_origin():
-    got = float(x_odd(BASIS, 0, np.array([0.0]))[0])
+    got = float(x_odd(0, np.array([0.0]))[0])
     assert got == pytest.approx(-SQRT2 * math.pi ** -0.25, abs=1e-14)
     assert got == pytest.approx(-1.06225, abs=1e-5)
 
 
 def test_odd_vanishes_at_both_ends_small_k():
     for k in range(0, 3):
-        vals = x_odd(BASIS, k, np.array([-8.0, 8.0]))
+        vals = x_odd(k, np.array([-8.0, 8.0]))
         assert np.max(np.abs(vals)) <= 1e-10, k
 
 
@@ -68,17 +66,17 @@ def test_odd_vanishes_at_degree_aware_radius():
     # window only suffices through k = 2
     for k in (5, 10, 20, 40):
         edge = max(8.0, math.sqrt(2.0 * (2 * k + 1) + 1.0) + 5.0)
-        vals = x_odd(BASIS, k, np.array([-edge, edge]))
+        vals = x_odd(k, np.array([-edge, edge]))
         assert np.max(np.abs(vals)) <= 1e-10, k
 
 
 def test_odd_expansion_against_cumulative_quadrature():
-    assert float(x_odd(BASIS, 3, np.array([0.4]))[0]) == pytest.approx(
+    assert float(x_odd(3, np.array([0.4]))[0]) == pytest.approx(
         cumulative_oracle(7, 0.4, lo=-9.0), abs=1e-9
     )
     for k in (0, 1, 2, 5, 8):
         for x in (-2.3, -0.7, 0.0, 0.4, 1.9, 3.8):
-            got = float(x_odd(BASIS, k, np.array([x]))[0])
+            got = float(x_odd(k, np.array([x]))[0])
             assert got == pytest.approx(cumulative_oracle(2 * k + 1, x), abs=1e-10), (k, x)
 
 
@@ -88,8 +86,8 @@ def test_odd_derivative_recovers_integrand():
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * dt
     x = np.linspace(-4.0, 4.0, 50)
     for k in (0, 2, 7):
-        dX = sum(c * x_odd(BASIS, k, x + o) for c, o in zip(stencil, offsets))
-        ref = eval_h(BASIS, 2 * k + 1, x)
+        dX = sum(c * x_odd(k, x + o) for c, o in zip(stencil, offsets))
+        ref = hermite_functions(2 * k + 1, x)[2 * k + 1]
         assert np.max(np.abs(dX - ref)) < 1e-6, k
 
 
@@ -99,44 +97,44 @@ def test_even_derivative_recovers_signed_integrand():
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * dt
     x = np.concatenate([np.linspace(-4.0, -0.5, 25), np.linspace(0.5, 4.0, 25)])
     for k in (0, 2, 5):
-        dX = sum(c * x_even(BASIS, k, x + o) for c, o in zip(stencil, offsets))
-        ref = np.sign(x) * eval_h(BASIS, 2 * k, x)
+        dX = sum(c * x_even(k, x + o) for c, o in zip(stencil, offsets))
+        ref = np.sign(x) * hermite_functions(2 * k, x)[2 * k]
         assert np.max(np.abs(dX - ref)) < 1e-6, k
 
 
 def test_even_value_at_origin():
-    got = float(x_even(BASIS, 0, np.array([0.0]))[0])
+    got = float(x_even(0, np.array([0.0]))[0])
     assert got == pytest.approx(-(math.pi ** 0.25) / SQRT2, abs=1e-13)
     assert got == pytest.approx(-half_line_integral_even(0), abs=1e-13)
 
 
 def test_even_symmetry():
-    assert float(x_even(BASIS, 2, np.array([-1.1]))[0]) == pytest.approx(
-        float(x_even(BASIS, 2, np.array([1.1]))[0]), abs=1e-14
+    assert float(x_even(2, np.array([-1.1]))[0]) == pytest.approx(
+        float(x_even(2, np.array([1.1]))[0]), abs=1e-14
     )
 
 
 def test_even_vanishes_at_infinity():
     # the k = 0 signed integral over the whole line cancels exactly
-    assert abs(float(x_even(BASIS, 0, np.array([30.0]))[0])) < 1e-14
+    assert abs(float(x_even(0, np.array([30.0]))[0])) < 1e-14
     for k in (1, 4, 10):
         edge = math.sqrt(2.0 * (2 * k + 1.0)) + 10.0
-        assert abs(float(x_even(BASIS, k, np.array([edge]))[0])) < 1e-12, k
+        assert abs(float(x_even(k, np.array([edge]))[0])) < 1e-12, k
 
 
 def test_even_against_erf_closed_form():
     # independent oracle for the cumulative machinery at k = 0
     x = np.linspace(-6.0, 6.0, 49)
-    got = x_even(BASIS, 0, x)
+    got = x_even(0, x)
     ref = (math.pi ** 0.25 / SQRT2) * (erf(np.abs(x) / SQRT2) - 1.0)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_even_against_direct_quadrature():
     for x in (0.3, 1.7, 2.9):
-        got = float(x_even(BASIS, 3, np.array([x]))[0])
+        got = float(x_even(3, np.array([x]))[0])
         ref, _ = quad(
-            lambda t: math.copysign(1.0, t) * float(eval_h(BASIS, 6, np.array([t]))[0]),
+            lambda t: math.copysign(1.0, t) * float(hermite_functions(6, np.array([t]))[6][0]),
             -15.0,
             x,
             limit=400,
@@ -156,7 +154,7 @@ def test_norm_sq_odd_closed_and_recursive():
 
 def test_norm_sq_odd_quadrature_and_expansion():
     for k in (0, 3, 40):
-        assert norm_sq_odd_quadrature(BASIS, k) == pytest.approx(2.0, abs=1e-8), k
+        assert norm_sq_odd_quadrature(k) == pytest.approx(2.0, abs=1e-8), k
         assert norm_sq_odd_expansion(k) == pytest.approx(2.0, abs=1e-13), k
 
 
@@ -186,14 +184,14 @@ def test_norm_sq_even_recursive_matches_closed():
 
 def test_norm_sq_even_quadrature_matches_closed():
     for k in (0, 1, 7, 40):
-        assert norm_sq_even_quadrature(BASIS, k) == pytest.approx(
+        assert norm_sq_even_quadrature(k) == pytest.approx(
             norm_sq_even_closed(k), abs=1e-8
         ), k
 
 
 def test_uniform_norm_bound_up_to_sixty():
-    vals = [norm_sq_odd_quadrature(BASIS, k) for k in range(0, 61)]
-    vals += [norm_sq_even_quadrature(BASIS, k) for k in range(0, 61)]
+    vals = [norm_sq_odd_quadrature(k) for k in range(0, 61)]
+    vals += [norm_sq_even_quadrature(k) for k in range(0, 61)]
     assert max(vals) <= 3.01
 
 
@@ -224,7 +222,7 @@ def test_junk_orthogonality():
     nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
     weights = (half[:, None] * w_ref[None, :]).ravel()
     for k in range(1, 21):
-        integrand = eval_h(BASIS, 2 * k, nodes) * x_odd(BASIS, k - 1, nodes)
+        integrand = hermite_functions(2 * k, nodes)[2 * k] * x_odd(k - 1, nodes)
         assert abs(float(np.dot(weights, integrand))) < 1e-9, k
 
 
@@ -252,24 +250,7 @@ def test_partial_binomial_sum_exact_matches_float():
         )
 
 
-def test_norm_table_sources():
-    closed = norm_table(10, "closed_form")
-    rec = norm_table(10, "recursion")
-    quadr = norm_table(10, "quadrature", basis=BASIS)
-    assert closed.source == "closed_form"
-    assert all(v == 2.0 for v in closed.I_odd)
-    for a, b in zip(closed.V_even, rec.V_even):
-        assert a == pytest.approx(b, abs=1e-12)
-    for a, b in zip(closed.V_even, quadr.V_even):
-        assert a == pytest.approx(b, abs=1e-8)
-    for v in quadr.I_odd:
-        assert v == pytest.approx(2.0, abs=1e-8)
-    assert all(0.0 < 2.0 * v <= 3.0 for v in closed.V_even)
-    with pytest.raises(ValueError):
-        norm_table(5, "magic")
-
-
-def cumulative_half_line_loop(basis, degree, targets):
+def cumulative_half_line_loop(degree, targets):
     """The per-target panel-edge loop that _cumulative_half_line replaced."""
     x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
     edges = [0.0]
@@ -291,7 +272,7 @@ def cumulative_half_line_loop(basis, degree, targets):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
-    vals = eval_h_all(basis, degree, nodes)[degree].reshape(-1, _SEG_NODES)
+    vals = hermite_functions(degree, nodes)[degree].reshape(-1, _SEG_NODES)
     seg = (vals * w_ref[None, :]).sum(axis=1) * half
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     return cum[np.asarray(target_idx, dtype=int)]
@@ -310,28 +291,28 @@ def cumulative_half_line_loop(basis, degree, targets):
 )
 def test_cumulative_half_line_edges_match_the_loop(targets):
     t = np.asarray(targets, dtype=float)
-    got = _cumulative_half_line(BASIS, (0, 6, 13), t)
+    got = _cumulative_half_line((0, 6, 13), t)
     assert got.shape == (3, t.size)
     for row, degree in zip(got, (0, 6, 13)):
-        assert np.array_equal(row, cumulative_half_line_loop(BASIS, degree, t))
+        assert np.array_equal(row, cumulative_half_line_loop(degree, t))
 
 
 def test_cumulative_half_line_matches_the_loop_on_the_norm_rules():
     for k in (0, 7, 20):
         for refine in (1, 2):
             t = np.sort(_norm_rule(k, refine)[0])
-            got = _cumulative_half_line(BASIS, (2 * k,), t)[0]
-            assert np.array_equal(got, cumulative_half_line_loop(BASIS, 2 * k, t))
+            got = _cumulative_half_line((2 * k,), t)[0]
+            assert np.array_equal(got, cumulative_half_line_loop(2 * k, t))
 
 
 @pytest.mark.parametrize("refine", [1, 2])
 @pytest.mark.parametrize("k_max", [0, 1, 20, 40])
 def test_norm_sq_quadrature_all_matches_the_per_k_routes(k_max, refine):
     # one rule for every k against each k's own rule
-    odd, even = norm_sq_quadrature_all(BASIS, k_max, refine)
+    odd, even = norm_sq_quadrature_all(k_max, refine)
     assert odd.shape == even.shape == (k_max + 1,)
     for k in range(k_max + 1):
-        ref = norm_sq_odd_quadrature(BASIS, k, refine)
+        ref = norm_sq_odd_quadrature(k, refine)
         assert abs(odd[k] - ref) <= 1e-14 * ref, k
-        ref = norm_sq_even_quadrature(BASIS, k, refine)
+        ref = norm_sq_even_quadrature(k, refine)
         assert abs(even[k] - ref) <= 1e-14 * ref, k

@@ -9,20 +9,16 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre
 
 from hermspec import (
-    CapabilityError,
-    HermiteBasis,
     LaguerreParams,
-    binom_general,
     binom_general_exact,
     binom_reflection_residual,
-    eval_h,
-    eval_h_all,
     eval_hermite_poly,
     eval_laguerre,
     gamma_duplication_residual,
     gauss_hermite,
     half_line_integral_even,
     half_line_integral_odd,
+    hermite_functions,
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
 )
@@ -33,8 +29,7 @@ T = np.linspace(-6.0, 6.0, 241)
 
 
 def test_ground_state_value():
-    basis = HermiteBasis.build(4)
-    got = eval_h(basis, 0, np.array([0.0, 1.0]))
+    got = hermite_functions(0, np.array([0.0, 1.0]))[0]
     ref = math.pi ** -0.25 * np.exp(-np.array([0.0, 1.0]) ** 2 / 2.0)
     assert np.allclose(got, ref, rtol=0, atol=1e-15)
 
@@ -54,10 +49,9 @@ def _recurrence_by_expression(k_max, t):
 @pytest.mark.parametrize("k_max", [0, 1, 2, 40])
 def test_in_place_recurrence_is_bit_identical_to_the_expression(k_max):
     rng = np.random.default_rng(k_max)
-    basis = HermiteBasis.build(40)
     for t in (rng.normal(scale=5.0, size=300), rng.normal(scale=3.0, size=(4, 6)),
               rng.normal(size=(30, 3))[:, 1], 1.7, np.zeros(0)):
-        got = eval_h_all(basis, k_max, t)
+        got = hermite_functions(k_max, t)
         want = _recurrence_by_expression(k_max, t)
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -65,18 +59,16 @@ def test_in_place_recurrence_is_bit_identical_to_the_expression(k_max):
 def test_recurrence_matches_explicit_polynomial():
     # independent route: exact integer coefficients of the degree-k polynomial,
     # normalized in log space, times the Gaussian
-    basis = HermiteBasis.build(12)
-    h = eval_h_all(basis, 12, T)
+    h = hermite_functions(12, T)
     for k in range(13):
-        log_c = basis.log_c[k]
+        log_c = -0.25 * math.log(math.pi) - 0.5 * (k * math.log(2.0) + math.lgamma(k + 1))
         ref = eval_hermite_poly(k, T) * np.exp(log_c - T * T / 2.0)
         assert np.max(np.abs(h[k] - ref)) < 1e-12, k
 
 
 def test_parity_is_exact_in_floating_point():
-    basis = HermiteBasis.build(40)
-    h_plus = eval_h_all(basis, 40, T)
-    h_minus = eval_h_all(basis, 40, -T)
+    h_plus = hermite_functions(40, T)
+    h_minus = hermite_functions(40, -T)
     for k in range(41):
         assert np.array_equal(h_minus[k], (-1.0) ** k * h_plus[k]), k
 
@@ -84,45 +76,39 @@ def test_parity_is_exact_in_floating_point():
 def test_orthonormality_via_gauss_hermite():
     # the compensated weights w e^(x^2) leave w times a polynomial, so a
     # 41-node rule integrates every pair with k <= 40 exactly
-    basis = HermiteBasis.build(40)
-    h = eval_h_all(basis, 40, gauss_hermite(41).nodes)
+    h = hermite_functions(40, gauss_hermite(41).nodes)
     gram = (h * hermite_compensated_weights(41)) @ h.T
     assert np.max(np.abs(gram - np.eye(41))) < 1e-12
 
 
 def test_lowering_identity_against_finite_differences():
     # (d/dt + t) h_k = sqrt(2k) h_{k-1}, derivative by 5-point central stencil
-    basis = HermiteBasis.build(12)
     t = np.linspace(-4.0, 4.0, 17)
     dt = 1e-3
     stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dt)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * dt
     for k in range(1, 13):
-        dh = sum(c * eval_h(basis, k, t + o) for c, o in zip(stencil, offsets))
-        lhs = dh + t * eval_h(basis, k, t)
-        rhs = math.sqrt(2.0 * k) * eval_h(basis, k - 1, t)
+        dh = sum(c * hermite_functions(k, t + o)[k] for c, o in zip(stencil, offsets))
+        lhs = dh + t * hermite_functions(k, t)[k]
+        rhs = math.sqrt(2.0 * k) * hermite_functions(k - 1, t)[k - 1]
         assert np.max(np.abs(lhs - rhs)) < 1e-8, k
 
 
 def test_raising_identity_against_finite_differences():
-    basis = HermiteBasis.build(12)
     t = np.linspace(-4.0, 4.0, 17)
     dt = 1e-3
     stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dt)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * dt
     for k in range(12):
-        dh = sum(c * eval_h(basis, k, t + o) for c, o in zip(stencil, offsets))
-        lhs = -dh + t * eval_h(basis, k, t)
-        rhs = math.sqrt(2.0 * (k + 1)) * eval_h(basis, k + 1, t)
+        dh = sum(c * hermite_functions(k, t + o)[k] for c, o in zip(stencil, offsets))
+        lhs = -dh + t * hermite_functions(k, t)[k]
+        rhs = math.sqrt(2.0 * (k + 1)) * hermite_functions(k + 1, t)[k + 1]
         assert np.max(np.abs(lhs - rhs)) < 1e-8, k
 
 
-def test_capability_guard():
-    basis = HermiteBasis.build(10)
-    with pytest.raises(CapabilityError):
-        eval_h(basis, 11, T)
-    with pytest.raises(CapabilityError):
-        eval_h_all(basis, 11, T)
+def test_negative_degree_is_rejected():
+    with pytest.raises(ValueError):
+        hermite_functions(-1, T)
 
 
 def test_half_line_even_frozen_values():
@@ -138,16 +124,14 @@ def test_half_line_odd_frozen_value():
 
 @pytest.mark.parametrize("k", range(0, 11))
 def test_half_line_even_against_quadrature(k):
-    basis = HermiteBasis.build(2 * k)
-    val, err = quad(lambda t: float(eval_h(basis, 2 * k, np.array([t]))[0]), 0.0, 30.0, limit=200)
+    val, err = quad(lambda t: float(hermite_functions(2 * k, np.array([t]))[2 * k][0]), 0.0, 30.0, limit=200)
     assert half_line_integral_even(k) == pytest.approx(val, abs=1e-10)
 
 
 @pytest.mark.parametrize("k", range(0, 11))
 def test_half_line_odd_against_quadrature(k):
-    basis = HermiteBasis.build(2 * k + 1)
     val, err = quad(
-        lambda t: float(eval_h(basis, 2 * k + 1, np.array([t]))[0]), 0.0, 30.0, limit=200
+        lambda t: float(hermite_functions(2 * k + 1, np.array([t]))[2 * k + 1][0]), 0.0, 30.0, limit=200
     )
     assert half_line_integral_odd(k) == pytest.approx(val, abs=1e-10)
 
@@ -207,10 +191,3 @@ def test_binomial_reflection_exact_rational():
         for k in range(0, 21):
             assert binom_reflection_residual(alpha, k) == 0
 
-
-def test_generalized_binomial_float_vs_exact():
-    for a in (0.5, -0.5):
-        af = Fraction(a).limit_denominator(2)
-        for k in range(0, 25):
-            exact = float(binom_general_exact(af, k))
-            assert binom_general(a, k) == pytest.approx(exact, rel=1e-13)

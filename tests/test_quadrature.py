@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from hermspec import (
-    HermiteBasis,
     circle_directions,
-    eval_h,
-    eval_h_all,
     gauss_hermite,
     gauss_legendre,
     gauss_legendre_panels,
     gauss_rule,
+    hermite_functions,
     integrate_cyl_2d,
     integrate_radial_3d,
     radial_rule_absorbing,
@@ -73,10 +71,10 @@ def test_radial_3d_gaussian_full_inverse_square():
 
 def test_radial_3d_ground_state_inverse_square():
     # |h_0(x1) h_0(x2) h_0(x3)|^2 / r^2 integrates to exactly 2
-    basis = HermiteBasis.build(0)
 
     def F(x, y, z):
-        return (eval_h(basis, 0, x) * eval_h(basis, 0, y) * eval_h(basis, 0, z)) ** 2
+        return (hermite_functions(0, x)[0] * hermite_functions(0, y)[0]
+                * hermite_functions(0, z)[0]) ** 2
 
     assert integrate_radial_3d(F, 1.0, 12.0) == pytest.approx(2.0, abs=1e-10)
 
@@ -135,10 +133,9 @@ def test_absorbing_rule_polynomial_exactness():
 
 
 def test_absorbing_matches_panels_on_eigenfunction_integrand():
-    basis = HermiteBasis.build(9)
 
     def G(r):
-        return eval_h(basis, 9, r) ** 2
+        return hermite_functions(9, r)[9] ** 2
 
     absorbing = radial_rule_absorbing(3, 1.0, 12)
     panels = radial_rule_panels(3, 1.0, 16.0, 200, 12)
@@ -322,7 +319,7 @@ def test_gauss_hermite_past_polynomial_range(m):
     # exact on h_k h_l with the Gaussian compensated: the Gram matrix of
     # h_0..h_(m-1) under the rule is the identity
     comp = w * np.exp(x * x)
-    h = eval_h_all(HermiteBasis.build(m - 1), m - 1, x)
+    h = hermite_functions(m - 1, x)
     gram = (h * comp) @ h.T
     assert np.max(np.abs(gram - np.eye(m))) <= 1e-12
 
@@ -341,8 +338,7 @@ def test_hermite_compensated_weights_past_underflow():
         assert _max_rel(hermite_compensated_weights(m), w * np.exp(x * x)) <= 1e-12
     # a mode comes back through the 400-node rule, the doubling gate's rule at
     # m = 200 (an 800-node Hermite rule is past MAX_HERMITE_NODES)
-    basis = HermiteBasis.build(9)
-    state = coefficients_from_function(lambda p: eval_h(basis, 7, p[:, 0]), 1, 9, m=200)
+    state = coefficients_from_function(lambda p: hermite_functions(7, p[:, 0])[7], 1, 9, m=200)
     for (k,), c in state.coefficients.items():
         assert abs(c - (1.0 if k == 7 else 0.0)) <= 1e-12, k
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hermspec import CapabilityError, HermiteBasis, ToleranceError, eval_h, eval_h_all, spectral
+from hermspec import CapabilityError, ToleranceError, hermite_functions, spectral
 from hermspec.quadrature import (
     gauss_hermite,
     gauss_legendre_panels,
@@ -21,7 +21,6 @@ from hermspec.spectral import (
     check_admissible,
     coefficients_from_function,
     collapse_trace_norm,
-    eigen_level,
     enumerate_multiindices,
     evaluate_phi,
     evaluate_state,
@@ -41,16 +40,13 @@ from hermspec.spectral import (
     radial_eigenvalue_quadrature,
     random_state,
     sobolev_twisted_form,
-    state_from_json,
     state_norm_sq,
-    state_to_json,
     time_avg_levels,
     time_avg_weighted,
 )
 
 from oracles import kernel_diagonal, kernel_diagonal_ratio, level_gram
 
-BASIS = HermiteBasis.build(64)
 TWO_PI = 2.0 * math.pi
 
 
@@ -63,21 +59,13 @@ def test_enumerate_multiindices():
     assert len(enumerate_multiindices(9, 4)) == 495
 
 
-def test_eigen_level_counts():
-    for n in (1, 2, 3, 9):
-        for k in (0, 1, 4):
-            lvl = eigen_level(n, k)
-            assert lvl.eigenvalue == 2 * k + n
-            assert lvl.dimension_count == len(enumerate_multiindices(n, k))
-
-
 def test_evaluate_phi_values():
-    assert evaluate_phi(BASIS, (0, 0, 0), (0.0, 0.0, 0.0)) == pytest.approx(
+    assert evaluate_phi((0, 0, 0), (0.0, 0.0, 0.0)) == pytest.approx(
         math.pi ** -0.75, abs=1e-14
     )
-    assert evaluate_phi(BASIS, (1, 2, 0), (0.0, 0.7, -0.3)) == 0.0
-    h1_at_1 = float(eval_h(BASIS, 1, np.array([1.0]))[0])
-    assert evaluate_phi(BASIS, (1, 1), (1.0, 1.0)) == pytest.approx(h1_at_1 ** 2, rel=1e-14)
+    assert evaluate_phi((1, 2, 0), (0.0, 0.7, -0.3)) == 0.0
+    h1_at_1 = float(hermite_functions(1, np.array([1.0]))[1][0])
+    assert evaluate_phi((1, 1), (1.0, 1.0)) == pytest.approx(h1_at_1 ** 2, rel=1e-14)
 
 
 def test_state_validation():
@@ -93,9 +81,9 @@ def test_coefficients_round_trip_single_mode():
     target = make_state(3, {(2, 0, 0): 1.0})
 
     def f(pts):
-        return evaluate_state(BASIS, target, pts)
+        return evaluate_state(target, pts)
 
-    got = coefficients_from_function(f, 3, 3, basis=BASIS)
+    got = coefficients_from_function(f, 3, 3)
     assert abs(got.coefficients[(2, 0, 0)] - 1.0) < 1e-12
     others = [abs(c) for a, c in got.coefficients.items() if a != (2, 0, 0)]
     assert max(others) < 1e-12
@@ -106,9 +94,9 @@ def test_coefficients_round_trip_combination():
     target = make_state(1, {(1,): amp, (3,): amp})
 
     def f(pts):
-        return evaluate_state(BASIS, target, pts)
+        return evaluate_state(target, pts)
 
-    got = coefficients_from_function(f, 1, 5, basis=BASIS)
+    got = coefficients_from_function(f, 1, 5)
     assert abs(got.coefficients[(1,)] - amp) < 1e-13
     assert abs(got.coefficients[(3,)] - amp) < 1e-13
 
@@ -118,7 +106,7 @@ def test_coefficients_recover_ground_state_gaussian():
         x = pts[:, 0]
         return math.pi ** -0.25 * np.exp(-x * x / 2.0)
 
-    got = coefficients_from_function(f, 1, 4, basis=BASIS)
+    got = coefficients_from_function(f, 1, 4)
     assert abs(got.coefficients[(0,)] - 1.0) < 1e-12
 
 
@@ -126,37 +114,37 @@ def test_coefficients_gate_trips_on_coarse_rule():
     target = make_state(1, {(6,): 1.0})
 
     def f(pts):
-        return evaluate_state(BASIS, target, pts)
+        return evaluate_state(target, pts)
 
     with pytest.raises(ToleranceError):
-        coefficients_from_function(f, 1, 2, m=3, basis=BASIS)
+        coefficients_from_function(f, 1, 2, m=3)
 
 
 def test_coefficients_gate_raises_on_nan():
     # every comparison with NaN is False, so the gate is written as not (<=)
     with pytest.raises(ToleranceError):
-        coefficients_from_function(lambda p: np.full(p.shape[0], np.nan), 1, 4, basis=BASIS)
+        coefficients_from_function(lambda p: np.full(p.shape[0], np.nan), 1, 4)
 
 
 def test_coefficients_gate_sees_a_nan_behind_finite_drifts(monkeypatch):
     # the builtin max keeps its first finite value past a later NaN
     real = spectral._coefficients_once
 
-    def last_fine_nan(f, n, k_max, m, basis):
-        state = real(f, n, k_max, m, basis)
+    def last_fine_nan(f, n, k_max, m):
+        state = real(f, n, k_max, m)
         if m == 2 * 9:  # the fine rule only
             state.coefficients[(k_max,)] = complex(np.nan)
         return state
 
     monkeypatch.setattr(spectral, "_coefficients_once", last_fine_nan)
     with pytest.raises(ToleranceError):
-        coefficients_from_function(lambda p: eval_h(BASIS, 1, p[:, 0]), 1, 3, m=9, basis=BASIS)
+        coefficients_from_function(lambda p: hermite_functions(1, p[:, 0])[1], 1, 3, m=9)
 
 
 def test_bessel_sobolev_gate_raises_on_nan():
     state = make_state(1, {(0,): 1.0, (1,): complex(np.nan)})
     with pytest.raises(ToleranceError):
-        bessel_sobolev_norm(state, 1.0, basis=BASIS)
+        bessel_sobolev_norm(state, 1.0)
 
 
 def test_bessel_sobolev_gate_raises_on_the_panel_floor():
@@ -200,22 +188,22 @@ def test_project_resolution():
 
 def test_projection_kernel_values():
     q = KernelQuery(2, 0, (0.0, 0.0), (0.0, 0.0))
-    assert projection_kernel(q, BASIS) == pytest.approx(1.0 / math.pi, rel=1e-13)
-    assert projection_kernel(KernelQuery(1, 3, (0.0,), (0.9,)), BASIS) == pytest.approx(
+    assert projection_kernel(q) == pytest.approx(1.0 / math.pi, rel=1e-13)
+    assert projection_kernel(KernelQuery(1, 3, (0.0,), (0.9,))) == pytest.approx(
         0.0, abs=1e-15
     )
     # brute force over the six level-2 indices in n=3
     x = (0.3, -0.4, 1.1)
     brute = sum(
-        evaluate_phi(BASIS, a, x) ** 2 for a in enumerate_multiindices(3, 2)
+        evaluate_phi(a, x) ** 2 for a in enumerate_multiindices(3, 2)
     )
-    assert projection_kernel(KernelQuery(3, 2, x, x), BASIS) == pytest.approx(brute, rel=1e-13)
+    assert projection_kernel(KernelQuery(3, 2, x, x)) == pytest.approx(brute, rel=1e-13)
     # off the diagonal: the level-3 indices in n=3 at two distinct points
     y = (-0.7, 0.2, 0.5)
     brute = sum(
-        evaluate_phi(BASIS, a, x) * evaluate_phi(BASIS, a, y) for a in enumerate_multiindices(3, 3)
+        evaluate_phi(a, x) * evaluate_phi(a, y) for a in enumerate_multiindices(3, 3)
     )
-    assert projection_kernel(KernelQuery(3, 3, x, y), BASIS) == pytest.approx(brute, rel=1e-13)
+    assert projection_kernel(KernelQuery(3, 3, x, y)) == pytest.approx(brute, rel=1e-13)
 
 
 def test_kernel_reproducing_property():
@@ -234,13 +222,13 @@ def test_kernel_reproducing_property():
         for k in (2, 5, 8):
             beta = enumerate_multiindices(n, k)[0]
             kern = np.array(
-                [projection_kernel(KernelQuery(n, k, tuple(x0), tuple(p)), BASIS) for p in pts]
+                [projection_kernel(KernelQuery(n, k, tuple(x0), tuple(p))) for p in pts]
             )
-            phi_vals = evaluate_phi(BASIS, beta, pts)
+            phi_vals = evaluate_phi(beta, pts)
             got = float(np.dot(wts, kern * phi_vals))
-            assert got == pytest.approx(evaluate_phi(BASIS, beta, x0), abs=1e-9)
+            assert got == pytest.approx(evaluate_phi(beta, x0), abs=1e-9)
             off = enumerate_multiindices(n, k - 1)[0]
-            phi_off = evaluate_phi(BASIS, off, pts)
+            phi_off = evaluate_phi(off, pts)
             assert float(np.dot(wts, kern * phi_off)) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -250,9 +238,9 @@ def test_kernel_diagonal_ratio_bounded_2d():
         axis=1,
     )
     for k in (1, 4, 12):
-        assert kernel_diagonal_ratio(2, k, grid, BASIS) <= 1.5, k
+        assert kernel_diagonal_ratio(2, k, grid) <= 1.5, k
     with pytest.raises(ValueError):
-        kernel_diagonal_ratio(2, 0, grid, BASIS)
+        kernel_diagonal_ratio(2, 0, grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -261,10 +249,10 @@ def test_kernel_diagonals_match_the_per_level_mode_matrix(n):
     ray = np.zeros((20, n))
     ray[:, 0] = np.linspace(0.0, 9.0, 20)
     pts = np.concatenate([rng.normal(scale=2.5, size=(40, n)), ray])
-    got = kernel_diagonals(BASIS, n, 14, pts)
+    got = kernel_diagonals(n, 14, pts)
     assert got.shape == (15, 60)
     for k in range(15):
-        want = kernel_diagonal(BASIS, n, k, pts)
+        want = kernel_diagonal(n, k, pts)
         assert np.all(np.abs(got[k] - want) <= 1e-13 * want), k
 
 
@@ -277,13 +265,13 @@ def test_eigenrelation_finite_differences():
     for n, alpha in cases:
         lam = 2 * sum(alpha) + n
         pts = rng.uniform(-1.5, 1.5, size=(30, n))
-        base = evaluate_phi(BASIS, alpha, pts)
+        base = evaluate_phi(alpha, pts)
         lap = np.zeros(30)
         for axis in range(n):
             for c, o in zip(coefs, offsets):
                 shifted = pts.copy()
                 shifted[:, axis] += o
-                lap += c * evaluate_phi(BASIS, alpha, shifted)
+                lap += c * evaluate_phi(alpha, shifted)
         r_sq = np.sum(pts * pts, axis=1)
         resid = -lap + r_sq * base - lam * base
         rel = np.max(np.abs(resid)) / max(1.0, np.max(np.abs(lam * base)))
@@ -296,11 +284,11 @@ def test_fourier_eigenrelation():
     rule = gauss_legendre_panels(-T, T, 64, 12)
     xi = np.linspace(-3.0, 3.0, 20)
     for k in (0, 1, 2, 5, 9, 15):
-        hk = eval_h(BASIS, k, rule.nodes)
+        hk = hermite_functions(k, rule.nodes)[k]
         transform = np.array(
             [np.dot(rule.weights, hk * np.exp(-1j * rule.nodes * x)) for x in xi]
         ) / math.sqrt(TWO_PI)
-        expected = (-1j) ** k * eval_h(BASIS, k, xi)
+        expected = (-1j) ** k * hermite_functions(k, xi)[k]
         assert np.max(np.abs(transform - expected)) < 1e-8, k
 
 
@@ -318,7 +306,7 @@ def test_plancherel_against_grid_quadrature():
     comp = rule.weights * np.exp(rule.nodes ** 2)
     for n, k_max, seed in [(1, 12, 4), (2, 8, 5), (3, 4, 6)]:
         state = random_state(n, k_max, [seed, 77])
-        vals = evaluate_state_grid(BASIS, state, [rule.nodes] * n)
+        vals = evaluate_state_grid(state, [rule.nodes] * n)
         dens = np.abs(vals) ** 2
         for _ in range(n):
             dens = np.tensordot(dens, comp, axes=([0], [0]))
@@ -335,9 +323,9 @@ def test_evaluate_state_grid_matches_pointwise_evaluation():
     ]
     for state in states:
         axes = [np.linspace(-3.0 - c, 2.5 + c, 7 - c) for c in range(state.n)]
-        grid = evaluate_state_grid(BASIS, state, axes)
+        grid = evaluate_state_grid(state, axes)
         mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        flat = evaluate_state(BASIS, state, mesh)
+        flat = evaluate_state(state, mesh)
         assert grid.shape == tuple(len(a) for a in axes)
         assert np.max(np.abs(grid.ravel() - flat)) <= 1e-13
 
@@ -353,7 +341,7 @@ def _time_avg_reference(state, delta, wd):
         vals = np.zeros(w.size, dtype=complex)
         for alpha, coeff in state.coefficients.items():
             if sum(alpha) == k:
-                vals += coeff * evaluate_phi(BASIS, alpha, pts)
+                vals += coeff * evaluate_phi(alpha, pts)
         if divide:
             vals /= pts[:, wd[0]]
         total += float(np.dot(w, np.abs(vals) ** 2))
@@ -370,7 +358,7 @@ def test_time_avg_matches_per_index_reference(state, delta, wd, monkeypatch):
     # small blocks, so every form is accumulated over several of them
     monkeypatch.setattr(spectral, "_FORM_BLOCK", 50)
     spectral._level_form.cache_clear()
-    got = time_avg_weighted(state, delta, wd, basis=BASIS)
+    got = time_avg_weighted(state, delta, wd)
     spectral._level_form.cache_clear()
     assert got == pytest.approx(_time_avg_reference(state, delta, wd), rel=1e-13)
 
@@ -390,13 +378,13 @@ def _fully_even_state(k_max, seed):
 ])
 @pytest.mark.parametrize("rule_scale", [1.0, 2.0])
 def test_time_avg_levels_match_the_functional_bit_for_bit(state, wd, rule_scale):
-    levels = time_avg_levels(state, 1.0, wd, rule_scale, BASIS)
+    levels = time_avg_levels(state, 1.0, wd, rule_scale)
     assert list(levels) == sorted({sum(a) for a in state.coefficients})
     assert TWO_PI * math.fsum(levels.values()) == time_avg_weighted(
-        state, 1.0, wd, rule_scale, BASIS)
+        state, 1.0, wd, rule_scale)
     # each level is the functional of that level's projection alone
     for k, term in levels.items():
-        assert TWO_PI * term == time_avg_weighted(project(state, k), 1.0, wd, rule_scale, BASIS)
+        assert TWO_PI * term == time_avg_weighted(project(state, k), 1.0, wd, rule_scale)
 
 
 def _unfolded_form(n, k, delta, wd, scale, divide, indices):
@@ -405,12 +393,11 @@ def _unfolded_form(n, k, delta, wd, scale, divide, indices):
     base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
     idx = np.array(indices)
-    basis = HermiteBasis.build(k)
     G = np.zeros((len(indices), len(indices)))
     for lo in range(0, w.size, spectral._FORM_BLOCK):
         block = pts[lo : lo + spectral._FORM_BLOCK]
         B = spectral._mode_matrix(
-            [eval_h_all(basis, int(idx[:, c].max()), block[:, c]) for c in range(n)], idx)
+            [hermite_functions(int(idx[:, c].max()), block[:, c]) for c in range(n)], idx)
         if divide:
             B /= block[:, wd[0]]
         G += (B * w[lo : lo + spectral._FORM_BLOCK]) @ B.T
@@ -479,13 +466,13 @@ def test_shared_grid_folds_only_where_every_set_allows(monkeypatch):
     # level 2's fully even set alone folds all three axes; beside level 1,
     # which is odd in each axis somewhere, it folds none
     values = []
-    real = spectral.eval_h_all
+    real = spectral.hermite_functions
 
-    def counting(basis, degree, x):
+    def counting(degree, x):
         values.append(np.size(x))
-        return real(basis, degree, x)
+        return real(degree, x)
 
-    monkeypatch.setattr(spectral, "eval_h_all", counting)
+    monkeypatch.setattr(spectral, "hermite_functions", counting)
     spectral._level_form.cache_clear()
     spectral._level_form(3, 3, 1.0, (0, 1, 2), 1.0, False, (_even_level(2), _full_level(1)))
     spectral._level_form.cache_clear()
@@ -501,13 +488,13 @@ def test_level_form_refuses_a_set_past_its_grid_level():
 @pytest.mark.parametrize("k", [0, 4, 10])
 def test_fully_even_3d_form_evaluates_an_eighth_of_its_grid(k, monkeypatch):
     values = []
-    real = spectral.eval_h_all
+    real = spectral.hermite_functions
 
-    def counting(basis, degree, x):
+    def counting(degree, x):
         values.append(np.size(x))
-        return real(basis, degree, x)
+        return real(degree, x)
 
-    monkeypatch.setattr(spectral, "eval_h_all", counting)
+    monkeypatch.setattr(spectral, "hermite_functions", counting)
     spectral._level_form.cache_clear()
     spectral._level_form(3, k, 1.0, (0, 1, 2), 1.0, False, (_even_level(k),))
     spectral._level_form.cache_clear()
@@ -518,40 +505,40 @@ def test_fully_even_3d_form_evaluates_an_eighth_of_its_grid(k, monkeypatch):
 
 def test_time_avg_odd_single_mode_is_4pi():
     state = make_state(1, {(1,): 1.0})
-    got = time_avg_weighted(state, 1.0, (0,), basis=BASIS)
+    got = time_avg_weighted(state, 1.0, (0,))
     assert got == pytest.approx(4.0 * math.pi, rel=1e-12)
 
 
 def test_time_avg_ground_state_3d_inverse_square():
     state = make_state(3, {(0, 0, 0): 1.0})
-    got = time_avg_weighted(state, 1.0, basis=BASIS)
+    got = time_avg_weighted(state, 1.0)
     assert got == pytest.approx(4.0 * math.pi, rel=1e-10)
 
 
 def test_time_avg_unweighted_is_plancherel():
     for n in (1, 2, 3):
         state = random_state(n, 5, [n, 123])
-        got = time_avg_weighted(state, 0.0, basis=BASIS)
+        got = time_avg_weighted(state, 0.0)
         assert got == pytest.approx(TWO_PI * state_norm_sq(state), rel=1e-12), n
 
 
 def test_time_avg_admissibility_gates():
     with pytest.raises(ValueError):
-        time_avg_weighted(make_state(2, {(0, 0): 1.0}), 1.0, basis=BASIS)
+        time_avg_weighted(make_state(2, {(0, 0): 1.0}), 1.0)
     with pytest.raises(ValueError):
-        time_avg_weighted(make_state(3, {(0, 0, 0): 1.0}), 1.1, basis=BASIS)
+        time_avg_weighted(make_state(3, {(0, 0, 0): 1.0}), 1.1)
     with pytest.raises(ValueError):
         # even mode along a one-axis strong weight
-        time_avg_weighted(make_state(1, {(2,): 1.0}), 1.0, (0,), basis=BASIS)
+        time_avg_weighted(make_state(1, {(2,): 1.0}), 1.0, (0,))
     with pytest.raises(ValueError):
-        time_avg_weighted(make_state(2, {(1, 1): 1.0}), 0.5, (5,), basis=BASIS)
+        time_avg_weighted(make_state(2, {(1, 1): 1.0}), 0.5, (5,))
 
 
 def test_time_avg_odd_levels_sum_coefficientwise():
     # each odd 1D level contributes exactly 2 |a|^2 to the delta = 1 functional
     coeffs = {(1,): 0.5 + 0.25j, (3,): -0.3j, (7,): 0.8}
     state = make_state(1, coeffs)
-    got = time_avg_weighted(state, 1.0, (0,), basis=BASIS)
+    got = time_avg_weighted(state, 1.0, (0,))
     expected = TWO_PI * sum(2.0 * abs(c) ** 2 for c in coeffs.values())
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -559,7 +546,7 @@ def test_time_avg_odd_levels_sum_coefficientwise():
 def test_time_avg_fractional_delta_panel_route():
     # mixed parity with a weak one-axis weight takes the graded-panel fallback
     state = make_state(1, {(0,): 1.0})
-    got = time_avg_weighted(state, 0.3, (0,), basis=BASIS)
+    got = time_avg_weighted(state, 0.3, (0,))
     # integral |h_0|^2 |x|^(-0.6) = pi^(-1/2) Gamma(0.2) 2^(... ) checked by oracle
     from scipy.integrate import quad
 
@@ -574,8 +561,8 @@ def test_time_avg_lifted_two_axis_weight_inside_3d():
     # two weighted axes and one free axis: the free direction rides a
     # compensated Gauss-Hermite rule; value must be rule-stable and bounded
     state = random_state(3, 4, [21, 8])
-    v1 = time_avg_weighted(state, 0.5, (0, 1), rule_scale=1.0, basis=BASIS)
-    v2 = time_avg_weighted(state, 0.5, (0, 1), rule_scale=2.0, basis=BASIS)
+    v1 = time_avg_weighted(state, 0.5, (0, 1), rule_scale=1.0)
+    v2 = time_avg_weighted(state, 0.5, (0, 1), rule_scale=2.0)
     assert v1 == pytest.approx(v2, rel=1e-11)
     assert 0.0 < v1 < 50.0 * state_norm_sq(state)
 
@@ -584,7 +571,7 @@ def test_time_orthogonality_oracle_2d():
     # direct 200-node time quadrature against the level-sum reduction
     state = random_state(2, 4, [31, 5])
     delta = 0.25
-    level_sum = time_avg_weighted(state, delta, basis=BASIS)
+    level_sum = time_avg_weighted(state, delta)
     times = TWO_PI * (np.arange(200) + 0.5) / 200.0
 
     def spatial(t):
@@ -592,7 +579,7 @@ def test_time_orthogonality_oracle_2d():
 
         def F(x, y):
             pts = np.stack([np.ravel(x), np.ravel(y)], axis=1)
-            vals = evaluate_state(BASIS, ut, pts)
+            vals = evaluate_state(ut, pts)
             return (np.abs(vals) ** 2).reshape(np.shape(x))
 
         return integrate_cyl_2d(F, delta, 11.0, n_panels=120, nodes_per_panel=8, n_phi=48)
@@ -615,18 +602,18 @@ def test_hermite_sobolev_values():
 
 def test_bessel_sobolev_ground_state_values():
     h0 = make_state(1, {(0,): 1.0})
-    assert bessel_sobolev_norm(h0, 0.0, basis=BASIS) == pytest.approx(1.0, abs=1e-10)
-    assert bessel_sobolev_norm(h0, 1.0, basis=BASIS) == pytest.approx(
+    assert bessel_sobolev_norm(h0, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert bessel_sobolev_norm(h0, 1.0) == pytest.approx(
         math.sqrt(1.5), abs=1e-10
     )
-    assert bessel_sobolev_norm(h0, 2.0, basis=BASIS) == pytest.approx(
+    assert bessel_sobolev_norm(h0, 2.0) == pytest.approx(
         math.sqrt(2.75), abs=1e-10
     )
 
 
 def test_bessel_sobolev_plancherel_at_zero():
     state = random_state(2, 5, [41, 3])
-    assert bessel_sobolev_norm(state, 0.0, basis=BASIS) == pytest.approx(
+    assert bessel_sobolev_norm(state, 0.0) == pytest.approx(
         math.sqrt(state_norm_sq(state)), abs=1e-9
     )
 
@@ -644,7 +631,7 @@ def _bessel_grid_reference(state, s, scale):
     total = 0.0
     for lo in range(0, rule.nodes.size, 16):
         sl = slice(lo, lo + 16)
-        vals = evaluate_state_grid(BASIS, fhat, [rule.nodes[sl]] + [rule.nodes] * (state.n - 1))
+        vals = evaluate_state_grid(fhat, [rule.nodes[sl]] + [rule.nodes] * (state.n - 1))
         weight = 1.0 + xi_sq[sl].reshape((-1,) + (1,) * (state.n - 1))
         for c in range(1, state.n):
             weight = weight + xi_sq.reshape((-1,) + (1,) * (state.n - 1 - c))
@@ -712,14 +699,6 @@ def test_sobolev_twisted_form_is_the_ladder_form_at_s1(n, k_max):
     assert np.max(np.abs(coarse - ladder)) <= 1e-8
 
 
-def test_bessel_sobolev_basis_is_only_checked_for_capacity():
-    state = random_state(2, 5, [41, 4])
-    assert bessel_sobolev_norm(state, 0.5, basis=HermiteBasis.build(5)) == bessel_sobolev_norm(
-        state, 0.5)
-    with pytest.raises(CapabilityError):
-        bessel_sobolev_norm(state, 0.5, basis=HermiteBasis.build(4))
-
-
 def test_parity_decompose():
     mode = make_state(3, {(1, 0, 0): 1.0})
     odd, even = parity_decompose(mode, 0)
@@ -737,8 +716,8 @@ def test_parity_decompose():
     pts = np.random.default_rng(3).uniform(-2, 2, size=(12, 2))
     flipped = pts.copy()
     flipped[:, 1] *= -1.0
-    direct = 0.5 * (evaluate_state(BASIS, state, pts) - evaluate_state(BASIS, state, flipped))
-    via_split = evaluate_state(BASIS, odd, pts)
+    direct = 0.5 * (evaluate_state(state, pts) - evaluate_state(state, flipped))
+    via_split = evaluate_state(odd, pts)
     assert np.max(np.abs(direct - via_split)) < 1e-12
     with pytest.raises(ValueError):
         parity_decompose(state, 5)
@@ -746,7 +725,7 @@ def test_parity_decompose():
 
 def test_collapse_ground_state_frozen_value():
     state = make_state(9, {(0,) * 9: 1.0})
-    got = collapse_trace_norm(state, basis=BASIS)
+    got = collapse_trace_norm(state)
     assert got == pytest.approx(TWO_PI * 3.0 ** -1.5 * math.pi ** -3.0, rel=1e-12)
     assert got == pytest.approx(0.03899854176701015, abs=1e-10)
     assert oscillator_energy_sq(state) == pytest.approx(81.0, rel=1e-15)
@@ -755,12 +734,12 @@ def test_collapse_ground_state_frozen_value():
 def test_collapse_single_mode_matches_direct_spatial():
     alpha = (1, 0, 0, 1, 0, 0, 0, 0, 0)
     state = make_state(9, {alpha: 1.0})
-    got = collapse_trace_norm(state, basis=BASIS)
+    got = collapse_trace_norm(state)
     # one eigenvalue: the time average is 2*pi times the fixed spatial integral
     rule = gauss_hermite(24)
     comp = rule.weights * np.exp(rule.nodes ** 2)
     x = rule.nodes / math.sqrt(3.0)
-    tab = {d: eval_h(BASIS, d, x) for d in range(2)}
+    tab = {d: hermite_functions(d, x)[d] for d in range(2)}
     f1 = tab[1] * tab[1] * tab[0]
     f2 = tab[0] * tab[0] * tab[0]
     dens = np.multiply.outer(np.multiply.outer(f1 * f1, f2 * f2), f2 * f2)
@@ -777,7 +756,7 @@ def _collapse_per_coefficient(state, rule_scale):
     m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
     rule = gauss_hermite(m)
     comp = rule.weights * np.exp(rule.nodes ** 2)
-    tab = eval_h_all(BASIS, state.k_max, rule.nodes / math.sqrt(3.0))
+    tab = hermite_functions(state.k_max, rule.nodes / math.sqrt(3.0))
     total = 0.0
     for k in range(state.k_max + 1):
         restricted = np.zeros((m, m, m), dtype=complex)
@@ -799,7 +778,7 @@ def test_collapse_cross_terms_match_per_coefficient_reference(rule_scale):
     # restriction mixes many coefficients within each level
     state = random_state(9, 3, [11, 9])
     assert len(state.coefficients) == 220
-    got = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
+    got = collapse_trace_norm(state, rule_scale=rule_scale)
     ref = _collapse_per_coefficient(state, rule_scale)
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -809,7 +788,7 @@ def _collapse_unique_per_call(state, rule_scale):
     m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
     rule = gauss_hermite(m)
     comp = rule.weights * np.exp(rule.nodes ** 2)
-    tab = eval_h_all(BASIS, state.k_max, rule.nodes / math.sqrt(3.0))
+    tab = hermite_functions(state.k_max, rule.nodes / math.sqrt(3.0))
     by_level = {}
     for alpha, coeff in state.coefficients.items():
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
@@ -835,8 +814,8 @@ def test_collapse_memoized_triples_match_the_per_call_route(seed):
     state = random_state(9, 3, [seed, 9])
     for rule_scale in (1.0, 2.0):
         spectral._collapse_triples.cache_clear()
-        cold = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
-        warm = collapse_trace_norm(state, rule_scale=rule_scale, basis=BASIS)
+        cold = collapse_trace_norm(state, rule_scale=rule_scale)
+        warm = collapse_trace_norm(state, rule_scale=rule_scale)
         assert cold == warm == _collapse_unique_per_call(state, rule_scale)
     uniq, pos = spectral._collapse_triples(tuple(enumerate_multiindices(9, 2)))
     with pytest.raises(ValueError):
@@ -847,33 +826,33 @@ def test_collapse_memoized_triples_match_the_per_call_route(seed):
 
 def test_collapse_guards():
     with pytest.raises(ValueError):
-        collapse_trace_norm(make_state(3, {(0, 0, 0): 1.0}), basis=BASIS)
+        collapse_trace_norm(make_state(3, {(0, 0, 0): 1.0}))
     big = make_state(9, {(5, 0, 0, 0, 0, 0, 0, 0, 0): 1.0})
     with pytest.raises(CapabilityError):
-        collapse_trace_norm(big, basis=BASIS)
+        collapse_trace_norm(big)
 
 
 def test_level_gram_orthonormal_at_zero_power():
-    M = level_gram(2, 3, 0.0, basis=BASIS)
+    M = level_gram(2, 3, 0.0)
     assert np.max(np.abs(M - np.eye(4))) < 1e-12
 
 
 def test_level_gram_frozen_ground_state_entries():
-    M2 = level_gram(3, 0, 2.0, basis=BASIS)
+    M2 = level_gram(3, 0, 2.0)
     assert M2.shape == (1, 1)
     assert M2[0, 0] == pytest.approx(2.0, rel=1e-12)
-    M1 = level_gram(3, 0, 1.0, basis=BASIS)
+    M1 = level_gram(3, 0, 1.0)
     assert M1[0, 0] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
     assert M1[0, 0] == pytest.approx(1.1283791670955126, abs=1e-12)
 
 
 def test_level_gram_symmetric_and_rule_stable():
-    M = level_gram(2, 5, 1.0, basis=BASIS)
+    M = level_gram(2, 5, 1.0)
     assert np.max(np.abs(M - M.T)) == 0.0
-    M2 = level_gram(2, 5, 1.0, rule_scale=2.0, basis=BASIS)
+    M2 = level_gram(2, 5, 1.0, rule_scale=2.0)
     assert np.max(np.abs(M - M2)) < 1e-11
     with pytest.raises(ValueError):
-        level_gram(2, 3, 2.0, basis=BASIS)
+        level_gram(2, 3, 2.0)
 
 
 def _radial_spectrum(n, k, weight_power, wd):
@@ -905,7 +884,7 @@ def test_radial_spectrum_matches_level_gram(n, wd, powers):
     for p in powers:
         for k in range(11):
             exact = _radial_spectrum(n, k, p, wd)
-            gram = np.linalg.eigvalsh(level_gram(n, k, p, basis=BASIS, weight_dims=wd))
+            gram = np.linalg.eigvalsh(level_gram(n, k, p, weight_dims=wd))
             assert exact.shape == gram.shape
             assert np.max(np.abs(exact - gram) / gram) <= 1e-12, (p, k)
             top = level_top(n, k, p, wd)
@@ -1025,12 +1004,3 @@ def test_random_state_rejects_unknown_parity_and_axis():
         with pytest.raises(ValueError, match="axis out of range"):
             random_state(2, 4, [42, 1], parity="even", parity_axis=axis)
 
-
-def test_serialization_round_trip():
-    state = random_state(3, 4, [77, 1])
-    text = state_to_json(state)
-    back = state_from_json(text)
-    assert back.n == state.n
-    assert back.k_max == state.k_max
-    assert back.coefficients == state.coefficients
-    assert state_to_json(back) == text

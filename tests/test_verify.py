@@ -9,7 +9,7 @@ import pytest
 
 from hermspec.errors import CapabilityError, ToleranceError
 from hermspec import hermite, spectral, verify
-from hermspec.hermite import HermiteBasis, eval_h
+from hermspec.hermite import hermite_functions
 from hermspec.antideriv import x_odd
 from hermspec.quadrature import gauss_legendre_panels, integrate_radial_3d, truncation_radius
 from hermspec.spectral import (
@@ -236,7 +236,6 @@ def test_kernel_bound_rows_match_the_per_level_route(n):
     # at the far point
     cfg = ScanConfig(k_max=10)
     r = check_kernel_bound(cfg, n)
-    basis = HermiteBasis.build(cfg.k_max)
     edge = math.sqrt(2.0 * cfg.k_max + n)
     ray = np.zeros((160, n))
     ray[:, 0] = np.linspace(0.0, edge + 6.0, 160)
@@ -244,9 +243,9 @@ def test_kernel_bound_rows_match_the_per_level_route(n):
     far[0, 0] = edge + 8.0
     samples = dict(r.samples)
     for k in range(1, cfg.k_max + 1):
-        want = kernel_diagonal_ratio(n, k, ray, basis)
+        want = kernel_diagonal_ratio(n, k, ray)
         assert abs(samples[f"k={k:02d}"] - want) <= 1e-13 * want, k
-    far_max = max(float(abs(kernel_diagonal(basis, n, k, far)[0]))
+    far_max = max(float(abs(kernel_diagonal(n, k, far)[0]))
                   for k in range(1, cfg.k_max + 1))
     assert r.parameters["far_diagonal_max"] == pytest.approx(far_max, rel=1e-13)
 
@@ -273,7 +272,6 @@ def test_morawetz_trials_match_the_per_level_route(seed):
     # oracle: project each trial on every level and evaluate it on its own
     cfg = ScanConfig(k_max=8, trials=3, seed=seed)
     r = check_morawetz_2d(cfg)
-    basis = HermiteBasis.build(cfg.k_max)
     radii = np.linspace(0.0, math.sqrt(2.0 * cfg.k_max + 2.0) + 4.0, 48)[1:]
     theta = 0.35 + TWO_PI * np.arange(16) / 16.0
     pts = np.concatenate(
@@ -287,12 +285,12 @@ def test_morawetz_trials_match_the_per_level_route(seed):
     )
     assert pts.shape[0] == r.parameters["grid_points"]
     ground = make_state(2, {(0, 0): 1.0})
-    expected = {"ground": TWO_PI * float(np.max(np.abs(evaluate_state(basis, ground, pts)) ** 2))}
+    expected = {"ground": TWO_PI * float(np.max(np.abs(evaluate_state(ground, pts)) ** 2))}
     for t in range(cfg.trials):
         f = random_state(2, cfg.k_max, [seed, CHECK_INDEX["morawetz_2d"], t])
         acc = np.zeros(pts.shape[0])
         for k in range(cfg.k_max + 1):
-            acc += np.abs(evaluate_state(basis, project(f, k), pts)) ** 2
+            acc += np.abs(evaluate_state(project(f, k), pts)) ** 2
         expected[f"trial={t:02d}"] = TWO_PI * float(np.max(acc)) / state_norm_sq(f)
     assert [lab for lab, _ in r.samples] == list(expected)
     for lab, got in r.samples:
@@ -320,7 +318,7 @@ def _count_calls(monkeypatch, real) -> list:
 
 @pytest.mark.parametrize("check", [check_morawetz_2d, check_even_3d, check_odd_identity])
 def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
-    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    tables = _count_calls(monkeypatch, hermite.hermite_functions)
     levels = _count_calls(monkeypatch, spectral.enumerate_multiindices)
     states = _count_calls(monkeypatch, spectral.random_state)
     counts = []
@@ -338,7 +336,7 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
 
 
 def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
-    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    tables = _count_calls(monkeypatch, hermite.hermite_functions)
     counts = []
     for k_max in (6, 12):
         clear_caches()
@@ -577,7 +575,7 @@ def test_sobolev_sharp_gates(monkeypatch):
 
 
 def test_sobolev_forms_per_family_and_scale_not_per_state(monkeypatch):
-    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    tables = _count_calls(monkeypatch, hermite.hermite_functions)
     counts = []
     for k_max in (6, 20):
         clear_caches()
@@ -626,17 +624,16 @@ def test_appendix_identities_check():
 
 
 def test_appendix_tail_rows_come_from_one_table(monkeypatch):
-    tables = _count_calls(monkeypatch, hermite.eval_h_all)
+    tables = _count_calls(monkeypatch, hermite.hermite_functions)
     r = check_appendix_identities(ScanConfig())
     assert r.status == "passed"
     assert len(tables) == 1
     monkeypatch.undo()
     # oracle: each row from its own h_2k table and x_odd(k - 1) table
-    basis = HermiteBasis.build(41)
     rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
     rows = dict(r.samples)
     for k in range(1, 21):
-        integrand = eval_h(basis, 2 * k, rule.nodes) * x_odd(basis, k - 1, rule.nodes)
+        integrand = hermite_functions(2 * k, rule.nodes)[2 * k] * x_odd(k - 1, rule.nodes)
         assert rows[f"tail-orthogonality k={k:02d}"] == abs(float(np.dot(rule.weights, integrand)))
 
 
@@ -665,16 +662,20 @@ def test_determinism_across_cache_reset():
     assert manifest_to_json_bytes(m1) == manifest_to_json_bytes(m2)
 
 
-def test_one_basis_rebuilt_only_for_larger_degree():
-    import hermspec.verify as V
-
+def test_clear_caches_empties_every_memo():
+    # every lru_cache bound in any hermspec module, found by walking them
+    cfg = ScanConfig(k_max=4, trials=2)
+    check_even_3d(cfg)
+    check_hermite_sobolev(cfg, 0.5)
+    check_radial_3d_identity(cfg)
+    memos = {id(v): (f"{name}.{attr}", v)
+             for name, module in list(sys.modules.items())
+             if name == "hermspec" or name.startswith("hermspec.")
+             for attr, v in vars(module).items() if hasattr(v, "cache_info")}
+    filled = {label for label, memo in memos.values() if memo.cache_info().currsize}
+    assert "hermspec.spectral._level_indices" in filled
     clear_caches()
-    b = V._basis(5)
-    assert V._basis(3) is b
-    b8 = V._basis(8)
-    assert b8.max_degree == 8
-    assert V._basis(6) is b8
-    clear_caches()
+    assert [label for label, memo in memos.values() if memo.cache_info().currsize] == []
 
 
 def test_memo_caches_are_read_only_reused_and_cleared():
@@ -711,11 +712,10 @@ def test_radial_lift_table_matches_3d_integrator(delta):
     R = truncation_radius(mode_cap, 3)
     n_panels = max(40, int(math.ceil(4.0 * R)))
     lift = V._radial_mode_integrals(mode_cap, delta, R, n_panels, 8)
-    basis = HermiteBasis.build(mode_cap)
     for d in range(1, mode_cap + 1, 2):
         def F(x1, x2, x3, d=d):
             r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-            return eval_h(basis, d, r) ** 2 / (2.0 * math.pi * r * r)
+            return hermite_functions(d, r)[d] ** 2 / (2.0 * math.pi * r * r)
 
         ref = integrate_radial_3d(F, delta, R, n_panels=n_panels, nodes_per_panel=8,
                                   n_theta=4, n_phi=4)
