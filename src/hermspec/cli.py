@@ -216,21 +216,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"hermspec: cannot write output: {exc}\n")
         return EX_CANTCREAT
-    any_failed = False
-    any_inconclusive = False
     for key, report in zip(keys, manifest.reports):
         print(
             f"{key}: {report.status} "
             f"(sup ratio {report.sup_ratio:.6g}, "
             f"{len(report.samples)} samples, {manifest.wall_time_s[key]:.2f}s)"
         )
-        any_failed = any_failed or report.status == "failed"
-        any_inconclusive = any_inconclusive or report.status == "inconclusive"
-    if any_failed:
-        return 1
-    if any_inconclusive:
-        return 2
-    return 0
+    statuses = {report.status for report in manifest.reports}
+    return 1 if "failed" in statuses else 2 if "inconclusive" in statuses else 0
 
 
 if __name__ == "__main__":

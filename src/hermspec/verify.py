@@ -181,26 +181,46 @@ class EstimateReport:
             raise ValueError("passed flag must mirror the status")
 
 
-def _report(estimate_id, parameters, samples, tolerance, ok, stable) -> EstimateReport:
-    samples = tuple((str(lab), float(r)) for lab, r in samples)
-    sup = max((r for _, r in samples), default=0.0)
-    if not stable or not samples:
-        status = "inconclusive"
-    else:
-        status = "passed" if ok else "failed"
-    return EstimateReport(
-        estimate_id=estimate_id,
-        parameters=dict(parameters),
-        samples=samples,
-        sup_ratio=float(sup),
-        tolerance=float(tolerance),
-        passed=status == "passed",
-        status=status,
-    )
+class _Verdict:
+    """One check's verdict by name: require records a predicate and gate a
+    rule-doubling (or two-route) gate.  Each name that does not hold is kept
+    once, in first-failure order; route_drift is the largest
+    |fine - coarse| / |fine| of the scalar gates."""
 
+    def __init__(self, gate_tol: float):
+        self.gate_tol, self.failed, self.unstable, self.route_drift = gate_tol, {}, {}, 0.0
 
-def _drift_ok(coarse: float, fine: float, tol: float) -> bool:
-    return abs(fine - coarse) <= tol * (1.0 + abs(fine))
+    def require(self, name: str, holds) -> None:
+        # a bool or a bool array; a comparison with NaN is False, so it fails
+        if not (holds.all() if isinstance(holds, np.ndarray) else holds):
+            self.failed[name] = None
+
+    def gate(self, name: str, coarse, fine, rules=None) -> None:
+        """Holds when |fine - coarse| <= gate_tol (1 + |fine|) everywhere and,
+        if rules gives the two rules' sizes, they differ: one rule twice is no gate."""
+        drift = abs(fine - coarse)
+        held = drift <= self.gate_tol * (1.0 + abs(fine))
+        if isinstance(held, np.ndarray):
+            held = held.all()
+        elif fine and drift / abs(fine) > self.route_drift:
+            self.route_drift = drift / abs(fine)
+        if not held or (rules is not None and rules[0] == rules[1]):
+            self.unstable[name] = None
+
+    def report(self, estimate_id, parameters, samples, tolerance) -> EstimateReport:
+        """Inconclusive when a gate did not hold or there are no samples, else
+        failed or passed; what did not hold is named under "failed" and "unstable"."""
+        samples = tuple((str(lab), float(r)) for lab, r in samples)
+        if not samples:
+            self.unstable["no_samples"] = None
+        parameters = dict(parameters)
+        for key, names in (("failed", self.failed), ("unstable", self.unstable)):
+            if names:
+                parameters[key] = ",".join(names)
+        status = "inconclusive" if self.unstable else "failed" if self.failed else "passed"
+        sup = float(max((r for _, r in samples), default=0.0))
+        return EstimateReport(estimate_id, parameters, samples, sup, float(tolerance),
+                              status == "passed", status)
 
 
 def trend_slope(pairs) -> float:
@@ -282,6 +302,12 @@ def _gated_level_top(n, k, weight_power, axes) -> tuple:
     return top.value, quad
 
 
+def _ground_top(dw: int, weight_power: float) -> float:
+    """Level 0's top under |x_w|^(-weight_power) on dw weighted axes: the
+    ground state's weighted mean, Gamma(dw/2 - weight_power/2) / Gamma(dw/2)."""
+    return math.gamma((dw - weight_power) / 2.0) / math.gamma(dw / 2.0)
+
+
 def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False) -> tuple:
     """Every trial's real and imaginary coefficient parts, one row per trial from
     its stream [seed, CHECK_INDEX[name], t], as random_state draws (with unit, scales) them."""
@@ -322,20 +348,20 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
         g = np.array([G[0, 0] for G in forms])
         return re * (g * re) + im * (g * im)
 
-    lv1, lv2 = level_terms(cfg.rule_scale), level_terms(2.0 * cfg.rule_scale)
-    # two rules on the absorbing rule's node floor are one rule, and no gate
-    stable = (spectral._radial_nodes(mode_cap, cfg.rule_scale)
-              != spectral._radial_nodes(mode_cap, 2.0 * cfg.rule_scale))
-    stable = stable and bool(np.all(_drift_ok(lv1, lv2, cfg.gate_tol)))
-    ok = bool(np.all(np.abs(lv1 - 2.0 * sq) <= per_level_tol))
+    verdict = _Verdict(cfg.gate_tol)
+    scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
+    lv1, lv2 = level_terms(scales[0]), level_terms(scales[1])
+    # two rules on the absorbing rule's node floor are one rule
+    verdict.gate("levels", lv1, lv2, [spectral._radial_nodes(mode_cap, r) for r in scales])
+    verdict.require("per_level", np.abs(lv1 - 2.0 * sq) <= per_level_tol)
     samples = []
     for t in range(cfg.trials):
         v1 = TWO_PI * math.fsum(lv1[t])
         v2 = TWO_PI * math.fsum(lv2[t])
-        stable = stable and _drift_ok(v1, v2, cfg.gate_tol)
+        verdict.gate("functional", v1, v2)
         ratio = v1 / math.fsum(sq[t])
         samples.append((f"trial={t:02d}/functional", ratio))
-        ok = ok and abs(ratio - FOUR_PI) <= tol * FOUR_PI
+        verdict.require("identity", abs(ratio - FOUR_PI) <= tol * FOUR_PI)
         samples += [(f"trial={t:02d}/level k={k:02d}", v)
                     for k, v in zip(ks, lv1[t] / (2.0 * sq[t]))]
     params = {
@@ -348,7 +374,7 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
         "target": FOUR_PI,
         "per_level_tolerance": per_level_tol,
     }
-    return _report("odd_identity", params, samples, tol, ok, stable)
+    return verdict.report("odd_identity", params, samples, tol)
 
 
 @lru_cache(maxsize=None)
@@ -390,33 +416,6 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
     n_panels = max(40, int(math.ceil(4.0 * R * cfg.rule_scale)))
-    samples = []
-    ok = True
-    stable = True
-    error = None
-    for t in range(cfg.trials):
-        g = random_state(1, mode_cap, [cfg.seed, CHECK_INDEX["radial_3d_identity"], t],
-                         parity="odd")
-        items = sorted(g.coefficients.items())
-        # the coarse rule under-resolves the top degrees past k_max ~ 20
-        norm3 = _lifted_sum(items, 0.0, R, 2 * n_panels, 16)
-        norm1 = state_norm_sq(g)
-        samples.append((f"trial={t:02d}/normsq", norm3 / norm1))
-        if abs(math.sqrt(norm3) - math.sqrt(norm1)) > corr_tol * math.sqrt(norm1):
-            error = (
-                "radial lift normalization failed validation: "
-                f"3D norm {math.sqrt(norm3):.15g} vs line norm "
-                f"{math.sqrt(norm1):.15g} (trial {t}); the identity check "
-                "cannot proceed on a miscalibrated correspondence"
-            )
-            stable = False
-            break
-        v1 = TWO_PI * _lifted_sum(items, 1.0, R, n_panels, 8)
-        v2 = TWO_PI * _lifted_sum(items, 1.0, R, 2 * n_panels, 16)
-        stable = stable and _drift_ok(v1, v2, cfg.gate_tol)
-        ratio = v1 / norm3
-        samples.append((f"trial={t:02d}/functional", ratio))
-        ok = ok and abs(ratio - FOUR_PI) <= tol * FOUR_PI
     params = {
         "n": 3,
         "delta": 1.0,
@@ -429,9 +428,32 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
         "target": FOUR_PI,
         "correspondence_tolerance": corr_tol,
     }
-    if error is not None:
-        params["error"] = error
-    return _report("radial_3d_identity", params, samples, tol, ok, stable)
+    samples = []
+    verdict = _Verdict(cfg.gate_tol)
+    for t in range(cfg.trials):
+        g = random_state(1, mode_cap, [cfg.seed, CHECK_INDEX["radial_3d_identity"], t],
+                         parity="odd")
+        items = sorted(g.coefficients.items())
+        # the coarse rule under-resolves the top degrees past k_max ~ 20
+        norm3 = _lifted_sum(items, 0.0, R, 2 * n_panels, 16)
+        norm1 = state_norm_sq(g)
+        samples.append((f"trial={t:02d}/normsq", norm3 / norm1))
+        if abs(math.sqrt(norm3) - math.sqrt(norm1)) > corr_tol * math.sqrt(norm1):
+            params["error"] = (
+                "radial lift normalization failed validation: "
+                f"3D norm {math.sqrt(norm3):.15g} vs line norm "
+                f"{math.sqrt(norm1):.15g} (trial {t}); the identity check "
+                "cannot proceed on a miscalibrated correspondence"
+            )
+            verdict.unstable["lift_normalization"] = None
+            break
+        v1 = TWO_PI * _lifted_sum(items, 1.0, R, n_panels, 8)
+        v2 = TWO_PI * _lifted_sum(items, 1.0, R, 2 * n_panels, 16)
+        verdict.gate("functional", v1, v2)
+        ratio = v1 / norm3
+        samples.append((f"trial={t:02d}/functional", ratio))
+        verdict.require("identity", abs(ratio - FOUR_PI) <= tol * FOUR_PI)
+    return verdict.report("radial_3d_identity", params, samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +478,16 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     check_admissible(len(axes), delta)
     _require_gate_capacity(cfg.k_max)
     bound = cfg.bound_for("kato_nd")
-    samples = []
-    ok = True
-    stable = True
-    s_values = []
-    route_drift = 0.0
-    for k in range(cfg.k_max + 1):
-        s_k, quad = _gated_level_top(n, k, 2.0 * delta, axes)
-        stable = stable and _drift_ok(quad, s_k, cfg.gate_tol)
-        route_drift = max(route_drift, abs(quad - s_k) / s_k)
-        s_values.append((k, s_k))
-        ratio = TWO_PI * s_k
-        samples.append((f"k={k:02d}", ratio))
-        ok = ok and ratio <= bound
-    slope = trend_slope([(k, TWO_PI * s) for k, s in s_values])
-    ok = ok and slope <= TREND_SLOPE_MAX
-    s0 = s_values[0][1]
-    if n == 3 and delta == 1.0 and len(axes) == 3:
-        # one-dimensional ground level: the constant is exactly 2
-        ok = ok and abs(s0 - 2.0) <= 1e-9
+    verdict = _Verdict(cfg.gate_tol)
+    tops = [_gated_level_top(n, k, 2.0 * delta, axes) for k in range(cfg.k_max + 1)]
+    samples = [(f"k={k:02d}", TWO_PI * s_k) for k, (s_k, _) in enumerate(tops)]
+    for s_k, quad in tops:
+        verdict.gate("level_top", quad, s_k)
+    verdict.require("bound", all(ratio <= bound for _, ratio in samples))
+    slope = trend_slope((k, ratio) for k, (_, ratio) in enumerate(samples))
+    verdict.require("trend", slope <= TREND_SLOPE_MAX)
+    s0 = tops[0][0]
+    verdict.require("ground", abs(s0 - _ground_top(len(axes), 2.0 * delta)) <= 1e-9)
     params = {
         "n": n,
         "delta": delta,
@@ -484,9 +497,9 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
         "bound": bound,
         "trend_slope": slope,
         "s0": s0,
-        "route_drift": route_drift,
+        "route_drift": verdict.route_drift,
     }
-    return _report("kato_nd", params, samples, bound, ok, stable)
+    return verdict.report("kato_nd", params, samples, bound)
 
 
 def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> EstimateReport:
@@ -502,42 +515,37 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     bound = cfg.bound_for("operator_norm")
     axes = tuple(range(n))
     samples = []
-    ok = True
-    stable = True
-    route_drift = 0.0
+    verdict = _Verdict(cfg.gate_tol)
     slopes = {}
-    norm0 = None
+    norm0 = -1.0
     for delta in deltas:
         one_sided = []
         for k in range(cfg.k_max + 1):
             one, q1 = _gated_level_top(n, k, delta, axes)
             two, q2 = _gated_level_top(n, k, 2.0 * delta, axes)
-            for value, quad in ((one, q1), (two, q2)):
-                stable = stable and _drift_ok(quad, value, cfg.gate_tol)
-                route_drift = max(route_drift, abs(quad - value) / value)
+            verdict.gate("level_top", q1, one)
+            verdict.gate("level_top", q2, two)
             one_sided.append((k, one))
             samples.append((f"delta={delta:g}/k={k:02d}/one_sided", one))
             samples.append((f"delta={delta:g}/k={k:02d}/two_sided", two))
-            ok = ok and one <= bound and two <= bound
-            if delta == 1.0 and k == 0:
-                norm0 = one
+            verdict.require("bound", one <= bound and two <= bound)
+        verdict.require("ground", abs(one_sided[0][1] - _ground_top(n, delta)) <= 1e-8)
+        if delta == 1.0:
+            norm0 = one_sided[0][1]
         slopes[delta] = trend_slope(one_sided)
-        ok = ok and slopes[delta] <= TREND_SLOPE_MAX
-    if n == 3 and norm0 is not None:
-        # scalar ground-level reduction: 2 / sqrt(pi)
-        ok = ok and abs(norm0 - 2.0 / math.sqrt(math.pi)) <= 1e-8
+        verdict.require("trend", slopes[delta] <= TREND_SLOPE_MAX)
     params = {
         "n": n,
         "deltas": ",".join(f"{d:g}" for d in deltas),
         "k_max": cfg.k_max,
         "seed": cfg.seed,
         "bound": bound,
-        "norm0_delta1": norm0 if norm0 is not None else -1.0,
-        "route_drift": route_drift,
+        "norm0_delta1": norm0,
+        "route_drift": verdict.route_drift,
     }
     for d, s in slopes.items():
         params[f"trend_slope_delta{d:g}"] = s
-    return _report("operator_norm", params, samples, bound, ok, stable)
+    return verdict.report("operator_norm", params, samples, bound)
 
 
 def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
@@ -551,19 +559,16 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
     pts = np.zeros((r.size + 1, n))
     pts[:, 0] = np.append(r, edge + 8.0)
     diag = np.abs(kernel_diagonals(n, cfg.k_max, pts))
-    samples = []
-    ok = True
-    pairs = []
-    for k in range(1, cfg.k_max + 1):
-        ratio = float(diag[k, :-1].max() / k ** (n / 2.0 - 1.0))
-        pairs.append((k, ratio))
-        samples.append((f"k={k:02d}", ratio))
-        ok = ok and ratio <= bound
+    verdict = _Verdict(cfg.gate_tol)
+    pairs = [(k, float(diag[k, :-1].max() / k ** (n / 2.0 - 1.0)))
+             for k in range(1, cfg.k_max + 1)]
+    samples = [(f"k={k:02d}", ratio) for k, ratio in pairs]
+    verdict.require("bound", all(ratio <= bound for _, ratio in pairs))
     far_max = float(diag[1:, -1].max(initial=0.0))
     slope = trend_slope(pairs)
-    ok = ok and slope <= TREND_SLOPE_MAX
+    verdict.require("trend", slope <= TREND_SLOPE_MAX)
     # super-Gaussian tail: the diagonal dies far beyond the classical radius
-    ok = ok and far_max <= 1e-10
+    verdict.require("far_tail", far_max <= 1e-10)
     params = {
         "n": n,
         "k_max": cfg.k_max,
@@ -574,7 +579,7 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
         "trend_slope": slope,
         "far_diagonal_max": far_max,
     }
-    return _report("kernel_bound", params, samples, bound, ok, True)
+    return verdict.report("kernel_bound", params, samples, bound)
 
 
 def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
@@ -601,7 +606,9 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     B = spectral._mode_matrix([hermite_functions(cfg.k_max, pts[:, c]) for c in range(2)], idx)
     base = TWO_PI * float(np.max(B[0] ** 2))
     samples = [("ground", base)]
-    ok = abs(base - 2.0) <= 1e-10 and base <= bound
+    verdict = _Verdict(cfg.gate_tol)
+    verdict.require("ground", abs(base - 2.0) <= 1e-10)
+    verdict.require("bound", base <= bound)
     re, im = _trial_parts(cfg, "morawetz_2d", len(idx), unit=True)
     # sum over k of |P_k f|^2 per point and trial, one product per level k (its rows)
     levels = [slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(cfg.k_max + 1)]
@@ -609,7 +616,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     for t in range(cfg.trials):
         ratio = TWO_PI * float(np.max(acc[t])) / math.fsum(np.hypot(re[t], im[t]) ** 2)
         samples.append((f"trial={t:02d}", ratio))
-        ok = ok and ratio <= bound
+        verdict.require("bound", ratio <= bound)
     params = {
         "n": 2,
         "k_max": cfg.k_max,
@@ -618,7 +625,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
         "grid_points": int(pts.shape[0]),
         "bound": bound,
     }
-    return _report("morawetz_2d", params, samples, bound, ok, True)
+    return verdict.report("morawetz_2d", params, samples, bound)
 
 
 def check_even_3d(cfg: ScanConfig) -> EstimateReport:
@@ -636,13 +643,12 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     _require_rule_capacity(cfg, "even_3d", lambda k_max: k_max - k_max % 2,
                            "the limit bounds the size of its level forms")
     bound = cfg.bound_for("even_3d")
-    samples = []
-    stable = True
-    route_drift = 0.0
+    verdict = _Verdict(cfg.gate_tol)
     phi0 = make_state(3, {(0, 0, 0): 1.0})
     v0 = time_avg_weighted(phi0, 1.0, rule_scale=cfg.rule_scale)
-    samples.append(("ground", v0))
-    ok = abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI and v0 <= bound
+    samples = [("ground", v0)]
+    verdict.require("ground", abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI)
+    verdict.require("bound", v0 <= bound)
     sharp = 0.0
     # the fully even indices of level k are 2 beta, |beta| = k/2, in the
     # descending order of enumerate_multiindices(3, k)
@@ -661,19 +667,19 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     for k, form, lo, hi in zip(even, forms, cols, cols[1:]):
         quad = float(np.linalg.eigvalsh(form)[-1])
         s_k = level_top(3, k, 2.0).value
-        stable = stable and _drift_ok(quad, s_k, cfg.gate_tol)
-        route_drift = max(route_drift, abs(quad - s_k) / s_k)
+        verdict.gate("level_top", quad, s_k)
         samples.append((f"k={k:02d}", TWO_PI * s_k))
         sharp = max(sharp, TWO_PI * s_k)
         # every trial's level term c^H G c at once; G is real
         for part in (re[:, lo:hi], im[:, lo:hi]):
             terms.append(np.einsum("ti,ti->t", part @ form, part))
-    ok = ok and sharp <= bound
+    verdict.require("bound", sharp <= bound)
     norm_sq = np.sum(re * re + im * im, axis=1)
     for t, row in enumerate(np.array(terms).T):
         ratio = TWO_PI * math.fsum(row) / norm_sq[t]
         samples.append((f"trial={t:02d}", ratio))
-        ok = ok and ratio <= sharp * (1.0 + cfg.gate_tol) and ratio <= bound
+        verdict.require("below_sharp", ratio <= sharp * (1.0 + cfg.gate_tol))
+        verdict.require("bound", ratio <= bound)
     params = {
         "n": 3,
         "delta": 1.0,
@@ -683,9 +689,9 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         "rule_scale": cfg.rule_scale,
         "bound": bound,
         "sharp": sharp,
-        "route_drift": route_drift,
+        "route_drift": verdict.route_drift,
     }
-    return _report("even_3d", params, samples, bound, ok, stable)
+    return verdict.report("even_3d", params, samples, bound)
 
 
 def _sobolev_sharp(n: int, k_max: int, s: float, rule_scale: float) -> float:
@@ -709,8 +715,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         raise ValueError("s must be one of 1/2, 1, 2")
     bound = cfg.bound_for("hermite_sobolev")
     samples = []
-    stable = True
-    route_drift = 0.0
+    verdict = _Verdict(cfg.gate_tol)
     k2 = min(cfg.k_max, 12)
     families = {1: cfg.k_max, 2: k2}
     sharp = {}
@@ -719,11 +724,10 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         fine = _sobolev_sharp(n, k, s, 2.0 * cfg.rule_scale)
         # the family's states share these rules; one rule twice (panel floor) is no gate
         panels = [spectral._sobolev_panels(n, k, r) for r in (cfg.rule_scale, 2.0 * cfg.rule_scale)]
-        stable = stable and _drift_ok(coarse, fine, cfg.gate_tol) and panels[0] != panels[1]
-        route_drift = max(route_drift, abs(fine - coarse) / fine)
+        verdict.gate("sharp", coarse, fine, panels)
         samples.append((f"n={n}/sharp", fine))
         sharp[n] = fine
-    ok = max(sharp.values()) <= bound
+    verdict.require("bound", max(sharp.values()) <= bound)
     # every mode shares the rule of the n = 1 trials
     states = [
         (1, f"n=1/mode k={k:02d}", make_state(1, {(k,): 1.0}, cfg.k_max))
@@ -740,11 +744,13 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         try:
             bess = bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
         except ToleranceError:
-            stable = False
+            # the norm's own doubling gate did not hold
+            verdict.unstable["bessel_norm"] = None
             continue
         ratio = bess / herm
         samples.append((label, ratio))
-        ok = ok and ratio <= sharp[n] * (1.0 + cfg.gate_tol) and ratio <= bound
+        verdict.require("below_sharp", ratio <= sharp[n] * (1.0 + cfg.gate_tol))
+        verdict.require("bound", ratio <= bound)
     params = {
         "s": s,
         "k_max": cfg.k_max,
@@ -753,36 +759,34 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         "rule_scale": cfg.rule_scale,
         "bound": bound,
         "sharp": max(sharp.values()),
-        "route_drift": route_drift,
+        "route_drift": verdict.route_drift,
     }
-    return _report("hermite_sobolev", params, samples, bound, ok, stable)
+    return verdict.report("hermite_sobolev", params, samples, bound)
 
 
 def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     """Triple-diagonal trace functional against the squared oscillator energy."""
     bound = cfg.bound_for("collapse_9d")
     k_cap = min(cfg.k_max, 3)
-    samples = []
-    ok = True
+    verdict = _Verdict(cfg.gate_tol)
     # one rule twice (node floor) is no gate; if the ground state's differ, all do
     nodes = [spectral._collapse_nodes(0, r) for r in (cfg.rule_scale, 2.0 * cfg.rule_scale)]
-    stable = nodes[0] != nodes[1]
     phi0 = make_state(9, {(0,) * 9: 1.0})
     v1 = collapse_trace_norm(phi0, rule_scale=cfg.rule_scale)
     v2 = collapse_trace_norm(phi0, rule_scale=2.0 * cfg.rule_scale)
-    stable = stable and _drift_ok(v1, v2, cfg.gate_tol)
+    verdict.gate("trace_norm", v1, v2, nodes)
     target = TWO_PI * 3.0 ** -1.5 * math.pi ** -3
-    ok = ok and abs(v1 - target) <= 1e-8
-    samples.append(("ground", v1 / oscillator_energy_sq(phi0)))
-    ok = ok and samples[-1][1] <= bound
+    verdict.require("ground", abs(v1 - target) <= 1e-8)
+    samples = [("ground", v1 / oscillator_energy_sq(phi0))]
+    verdict.require("bound", samples[-1][1] <= bound)
     for t in range(min(cfg.trials, 8)):
         f = random_state(9, k_cap, [cfg.seed, CHECK_INDEX["collapse_9d"], t])
         w1 = collapse_trace_norm(f, rule_scale=cfg.rule_scale)
         w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
-        stable = stable and _drift_ok(w1, w2, cfg.gate_tol)
+        verdict.gate("trace_norm", w1, w2)
         ratio = w1 / oscillator_energy_sq(f)
         samples.append((f"trial={t:02d}", ratio))
-        ok = ok and ratio <= bound
+        verdict.require("bound", ratio <= bound)
     params = {
         "n": 9,
         "k_max": k_cap,
@@ -792,7 +796,7 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
         "bound": bound,
         "ground_target": target,
     }
-    return _report("collapse_9d", params, samples, bound, ok, stable)
+    return verdict.report("collapse_9d", params, samples, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +807,7 @@ def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
     """Three-route agreement of the antiderivative norms, with the even bound."""
     tol = cfg.tolerance_for("antideriv_norms")
     samples = []
-    ok = True
-    stable = True
+    verdict = _Verdict(cfg.gate_tol)
     # every k on one rule per refinement; refine 2 is the doubling gate
     odd1, even1 = norm_sq_quadrature_all(cfg.k_max)
     odd2, even2 = norm_sq_quadrature_all(cfg.k_max, refine=2)
@@ -813,22 +816,23 @@ def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
         orr = norm_sq_odd_recursive(k)
         oe = norm_sq_odd_expansion(k)
         oq = float(odd1[k])
-        stable = stable and _drift_ok(oq, float(odd2[k]), cfg.gate_tol)
-        ok = ok and abs(oc - 2.0) == 0.0
-        ok = ok and abs(orr - oc) <= tol and abs(oe - oc) <= tol
-        ok = ok and abs(oq - oc) <= tol and abs(oq - orr) <= tol
+        verdict.gate("odd_quadrature", oq, float(odd2[k]))
+        verdict.require("odd_closed", abs(oc - 2.0) == 0.0)
+        verdict.require("odd_routes", abs(orr - oc) <= tol and abs(oe - oc) <= tol
+                        and abs(oq - oc) <= tol and abs(oq - orr) <= tol)
         samples.append((f"odd k={k:02d}", oq))
         ec = norm_sq_even_closed(k)
         er = norm_sq_even_recursive(k)
         eq = float(even1[k])
-        stable = stable and _drift_ok(eq, float(even2[k]), cfg.gate_tol)
-        ok = ok and abs(er - ec) <= tol and abs(eq - ec) <= tol and abs(eq - er) <= tol
-        ok = ok and ec <= 3.0 + 1e-12
+        verdict.gate("even_quadrature", eq, float(even2[k]))
+        verdict.require("even_routes",
+                        abs(er - ec) <= tol and abs(eq - ec) <= tol and abs(eq - er) <= tol)
+        verdict.require("even_bound", ec <= 3.0 + 1e-12)
         samples.append((f"even k={k:02d}", eq))
-        ok = ok and merge_identity_check(k) <= 1e-12
+        verdict.require("merge", merge_identity_check(k) <= 1e-12)
     if cfg.k_max >= 40:
         # the even family settles toward 2; spot the gap at 40
-        ok = ok and abs(norm_sq_even_closed(40) - 2.0) <= 0.05
+        verdict.require("even_limit", abs(norm_sq_even_closed(40) - 2.0) <= 0.05)
     params = {
         "k_max": cfg.k_max,
         "seed": cfg.seed,
@@ -836,7 +840,7 @@ def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
         "even_bound": 3.0,
         "limit_gap_at_kmax": abs(norm_sq_even_closed(cfg.k_max) - 2.0),
     }
-    return _report("antideriv_norms", params, samples, tol, ok, stable)
+    return verdict.report("antideriv_norms", params, samples, tol)
 
 
 def _laguerre_integral_quadrature(params: LaguerreParams, m: int) -> float:
@@ -856,18 +860,17 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     dup_tol = 1e-12
     junk_tol = 1e-9
     samples = []
-    ok = True
-    stable = True
+    verdict = _Verdict(cfg.gate_tol)
     # a degree-21 polynomial identity is overdetermined by 161 points; the
     # edge stays at 4 to keep the recurrence conditioning below the tolerance
     t_grid = np.linspace(-4.0, 4.0, 161)
     for k in range(11):
         res = verify_laguerre_hermite_relation(k, t_grid)
         samples.append((f"bridge k={k:02d}", res))
-        ok = ok and res <= bridge_tol
+        verdict.require("bridge", res <= bridge_tol)
     control = verify_laguerre_hermite_relation(1, t_grid, drop_factor_two=True)
     samples.append(("bridge-control k=01", control))
-    ok = ok and control >= control_min
+    verdict.require("bridge_control", control >= control_min)
     for k in (0, 1, 2, 4, 6):
         for alpha in (0.5, 1.0, 1.5):
             for beta in (0.7, 1.0, 2.0):
@@ -875,20 +878,20 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
                 closed = laguerre_exp_integral(p)
                 quad = _laguerre_integral_quadrature(p, k + 6)
                 quad2 = _laguerre_integral_quadrature(p, 2 * (k + 6))
-                stable = stable and _drift_ok(quad, quad2, cfg.gate_tol)
+                verdict.gate("laguerre_quadrature", quad, quad2)
                 res = abs(closed - quad) / (1.0 + abs(closed))
                 samples.append((f"laguerre k={k}/a={alpha:g}/b={beta:g}", res))
-                ok = ok and res <= tol
+                verdict.require("laguerre", res <= tol)
     for z in (0.3, 0.5, 1.1, 2.7, 5.5, 9.25):
         res = gamma_duplication_residual(z)
         samples.append((f"duplication z={z:g}", res))
-        ok = ok and res <= dup_tol
+        verdict.require("duplication", res <= dup_tol)
     half = Fraction(1, 2)
     for k in range(min(cfg.k_max, 20) + 1):
         r1 = binom_reflection_residual(half, k)
         r2 = binom_reflection_residual(-half, k)
         r3 = merge_identity_exact(k)
-        ok = ok and r1 == 0 and r2 == 0 and r3 == 0
+        verdict.require("reflection_merge", r1 == 0 and r2 == 0 and r3 == 0)
     samples.append(("reflection+merge exact", 0.0))
     # the odd antiderivative spans only lower even modes: orthogonal to the
     # next even eigenfunction up; one table gives h_2k and x_odd(k - 1)
@@ -901,7 +904,7 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
             tail += coeff * h[degree]
         res = abs(float(np.dot(rule.weights, h[2 * k] * tail)))
         samples.append((f"tail-orthogonality k={k:02d}", res))
-        ok = ok and res <= junk_tol
+        verdict.require("tail_orthogonality", res <= junk_tol)
     params = {
         "bridge_tolerance": bridge_tol,
         "control_min_residual": control_min,
@@ -911,7 +914,7 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
         "seed": cfg.seed,
         "rule_scale": cfg.rule_scale,
     }
-    return _report("appendix_identities", params, samples, tol, ok, stable)
+    return verdict.report("appendix_identities", params, samples, tol)
 
 
 def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
@@ -933,8 +936,9 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
         v = float(np.dot(w, vals * vals))
         values.append(v)
         samples.append((f"panels={n_panels:03d}", v))
-    growing = values[0] > 0 and values[1] > values[0] and values[2] > values[1]
-    ok = growing and values[2] >= 2.0 * values[0]
+    verdict = _Verdict(cfg.gate_tol)
+    verdict.require("growth", values[0] > 0 and values[1] > values[0] and values[2] > values[1])
+    verdict.require("doubling", values[2] >= 2.0 * values[0])
     params = {
         "n": 2,
         "delta": 1.0,
@@ -944,7 +948,7 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
         "required_growth": 2.0,
     }
     # a divergent integral has no doubling gate: growth itself is the verdict
-    return _report("negative_control", params, samples, 2.0, ok, True)
+    return verdict.report("negative_control", params, samples, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,15 +1016,8 @@ def _config_dict(cfg: ScanConfig) -> dict:
 
 
 def _report_dict(report: EstimateReport) -> dict:
-    return {
-        "estimate_id": report.estimate_id,
-        "parameters": dict(report.parameters),
-        "samples": _JsonText(_samples_json(report.samples)),
-        "sup_ratio": report.sup_ratio,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "status": report.status,
-    }
+    # every field as it is (the keys are sorted when rendered), the samples pre-rendered
+    return {**vars(report), "samples": _JsonText(_samples_json(report.samples))}
 
 
 def manifest_to_json_bytes(manifest: RunManifest) -> bytes:

@@ -94,6 +94,36 @@ def test_coincident_doubling_rules_are_inconclusive(tmp_path, capsys, command, c
     assert "failed" not in statuses.values()
 
 
+def test_reports_name_why_they_did_not_pass_and_round_trip(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["identities", "--rule-scale", "1e-3", "--out", str(out)]) == 2
+    capsys.readouterr()
+    data = _read(out / "manifest.json")
+    manifest = manifest_from_json_bytes(data)
+    odd, radial, appendix = manifest.reports
+    # both rules sit on the node floor, and the per-level terms are off too
+    assert odd.parameters["unstable"] == "levels"
+    assert odd.parameters["failed"] == "per_level,identity"
+    assert radial.parameters["unstable"] == "functional"
+    assert appendix.status == "passed"
+    assert "failed" not in appendix.parameters and "unstable" not in appendix.parameters
+    assert verify.manifest_to_json_bytes(manifest) == data
+
+
+def test_exit_code_comes_from_the_worst_status(tmp_path, capsys, monkeypatch):
+    def fixed(status):
+        rep = EstimateReport("antideriv_norms", {}, (("k=0", 2.0),), 2.0, 1e-8,
+                             status == "passed", status)
+        return lambda cfg, opt: rep
+
+    for key, status in zip(COMMAND_CHECKS["identities"], ("inconclusive", "failed", "passed")):
+        monkeypatch.setitem(CHECK_REGISTRY, key, fixed(status))
+    assert main(["identities", "--out", str(tmp_path / "run")]) == 1
+    monkeypatch.setitem(CHECK_REGISTRY, "radial_3d_identity", fixed("passed"))
+    assert main(["identities", "--out", str(tmp_path / "run")]) == 2
+    capsys.readouterr()
+
+
 def test_outputs_are_serialized_before_any_file_is_opened(tmp_path):
     rep = EstimateReport(
         "antideriv_norms", {"seed": 42}, (("k=0", math.nan),), math.nan, 1e-8, True, "passed",

@@ -113,6 +113,70 @@ def test_estimate_id_registry_is_fixed():
     assert len(set(ESTIMATE_IDS)) == 12
 
 
+def test_verdict_recorder_names_what_did_not_hold():
+    v = verify._Verdict(1e-9)
+    v.require("holds", True)
+    v.require("nan", math.nan <= 1.0)
+    v.require("array", np.array([1.0, math.nan]) <= 2.0)
+    v.require("nan", False)
+    v.gate("agrees", 1.0, 1.0 + 1e-12, rules=(40, 80))
+    v.gate("nan_drift", 1.0, math.nan)
+    v.gate("one_rule", 1.0, 1.0, rules=(4, 4))
+    v.gate("nan_drift", 2.0, 1.0)
+    assert list(v.failed) == ["nan", "array"]
+    assert list(v.unstable) == ["nan_drift", "one_rule"]
+    # the largest |fine - coarse| / |fine|; a NaN drift does not raise it
+    assert v.route_drift == 1.0
+    r = v.report("kato_nd", {"n": 3}, [("k=00", 2.0)], 20.0)
+    assert r.status == "inconclusive"
+    assert r.parameters == {"n": 3, "failed": "nan,array", "unstable": "nan_drift,one_rule"}
+
+    failing = verify._Verdict(1e-9)
+    failing.require("bound", 3.0 <= 2.0)
+    assert failing.report("kato_nd", {}, [("k=00", 3.0)], 2.0).parameters == {"failed": "bound"}
+    # a passing report gains no key; a report without samples is inconclusive
+    assert verify._Verdict(1e-9).report("kato_nd", {}, [("k=00", 1.0)], 2.0).parameters == {}
+    empty = verify._Verdict(1e-9).report("kato_nd", {}, [], 2.0)
+    assert (empty.status, empty.parameters) == ("inconclusive", {"unstable": "no_samples"})
+
+
+def test_no_check_assigns_its_verdict_by_hand():
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(verify))
+    checks = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith("check_") or node.name == "negative_control_divergence")]
+    assert len(checks) == 12
+    for check in checks:
+        stored = {node.id for node in ast.walk(check)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        assert not stored & {"ok", "stable"}, check.name
+
+
+def test_failed_and_unstable_reports_name_their_predicates_and_gates():
+    r = check_kato(ScanConfig(bounds={"kato_nd": 1.0}), 3, 1.0)
+    assert r.status == "failed"
+    assert r.parameters["failed"] == "bound"
+    assert "unstable" not in r.parameters
+    # single modes past k ~ 36 fail bessel_sobolev_norm's own doubling gate
+    r = check_hermite_sobolev(ScanConfig(k_max=44), 0.5)
+    assert r.status == "inconclusive"
+    assert r.parameters["unstable"] == "bessel_norm"
+    assert "failed" not in r.parameters
+
+
+@pytest.mark.parametrize("n, delta, axes", [
+    (3, 1.0, None), (2, 0.9, None), (2, 0.25, (0,)), (4, 0.5, (1, 3)), (5, 1.0, (0, 2, 4)),
+])
+def test_kato_ground_level_is_the_closed_form(n, delta, axes):
+    r = check_kato(ScanConfig(k_max=2), n, delta, axes)
+    dw = n if axes is None else len(axes)
+    closed = math.gamma(dw / 2.0 - delta) / math.gamma(dw / 2.0)
+    assert abs(r.parameters["s0"] - closed) <= 1e-13 * closed
+    assert "ground" not in r.parameters.get("failed", "")
+
+
 # ---------------------------------------------------------------------------
 # the individual checks at desk scale
 
