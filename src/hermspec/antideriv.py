@@ -48,16 +48,6 @@ def odd_series(k: int) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
-def x_odd(k: int, x) -> np.ndarray:
-    """Antiderivative of h_{2k+1}, vanishing at both infinities, via its expansion."""
-    t = np.asarray(x, dtype=float)
-    h = hermite_functions(2 * k, t)
-    out = np.zeros_like(t)
-    for degree, coeff in odd_series(k):
-        out += coeff * h[degree]
-    return out
-
-
 def _cumulative_half_line(degrees: tuple, targets: np.ndarray) -> np.ndarray:
     """integral_0^t h_d for each degree d and each t in targets (nonnegative,
     ascending), shape (len(degrees), len(targets)), from one Hermite table."""
@@ -81,22 +71,6 @@ def _cumulative_half_line(degrees: tuple, targets: np.ndarray) -> np.ndarray:
     seg = (rows.reshape(len(degrees), -1, _SEG_NODES) * w_ref).sum(axis=2) * half
     cum = np.concatenate((np.zeros((len(degrees), 1)), np.cumsum(seg, axis=1)), axis=1)
     return cum[:, ends]
-
-
-def x_even(k: int, x) -> np.ndarray:
-    """Antiderivative of sign(t) h_{2k}(t), an even function vanishing at infinity.
-
-    Equals integral_0^|x| h_{2k} minus the half-line integral; computed by
-    cumulative panel quadrature on the half line and reflected.
-    """
-    t = np.asarray(x, dtype=float)
-    flat = np.abs(t).ravel()
-    order = np.argsort(flat)
-    sorted_vals = _cumulative_half_line((2 * k,), flat[order])[0]
-    out = np.empty_like(flat)
-    out[order] = sorted_vals
-    out -= half_line_integral_even(k)
-    return out.reshape(t.shape)
 
 
 def norm_sq_odd_closed(k: int) -> float:
@@ -175,28 +149,14 @@ def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights
 
 
-def norm_sq_odd_quadrature(k: int, refine: int = 1) -> float:
-    """Direct quadrature of the squared odd antiderivative over the line."""
-    nodes, weights = _norm_rule(k, refine)
-    vals = x_odd(k, nodes)
-    return 2.0 * float(np.dot(weights, vals * vals))
-
-
-def norm_sq_even_quadrature(k: int, refine: int = 1) -> float:
-    """Direct quadrature of the squared even antiderivative over the line."""
-    nodes, weights = _norm_rule(k, refine)
-    vals = x_even(k, nodes)
-    return 2.0 * float(np.dot(weights, vals * vals))
-
-
 def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Odd and even squared norms for k = 0..k_max by direct quadrature on the
     one rule _norm_rule(k_max, refine).
 
     The odd antiderivatives are one odd_series coefficient matrix times one
     Hermite table on the rule nodes; the even ones are one cumulative
-    half-line pass over every even degree.  The per-k functions
-    norm_sq_odd_quadrature and norm_sq_even_quadrature are its reference.
+    half-line pass over every even degree.  The per-k routes in the tests'
+    oracles are its reference.
     """
     nodes, weights = _norm_rule(k_max, refine)
     coeffs = np.zeros((k_max + 1, 2 * k_max + 1))
@@ -209,20 +169,6 @@ def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.
     even[:, order] = _cumulative_half_line(tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
     even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
     return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
-
-
-def x_even_at_zero_sq(k: int) -> float:
-    """Squared value at the origin: one quarter of the squared full-line integral."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return 0.25 * (2.0 * half_line_integral_even(k)) ** 2
-
-
-def x_even_at_zero_normalized(k: int) -> float:
-    """x_even_at_zero_sq(k) * sqrt(2k), the quantity that stays bounded in k."""
-    if k < 1:
-        raise ValueError("k must be >= 1 for the normalized bound")
-    return x_even_at_zero_sq(k) * math.sqrt(2.0 * k)
 
 
 def merge_identity_check(k: int) -> float:

@@ -321,11 +321,11 @@ def bessel_sobolev_norm(
 ) -> float:
     """Flat-Laplacian Sobolev norm (integral (1+|xi|^2)^s |fhat|^2)^(1/2).
 
-    The transform side is the phase-twisted coefficients (-i)^|alpha| c_alpha
-    against the memoized _sobolev_form of the state's rule; the rule is
-    doubled and drift beyond gate_tol raises a tolerance error, as does a
-    doubled rule with the configured rule's panel count (the panel floor),
-    which would be no gate.
+    The one-row case of _sobolev_gated: the state's coefficients are one row
+    over sobolev_twisted_form's indices, read against the twisted form at
+    the configured and at the doubled rule.  Drift beyond gate_tol raises a
+    tolerance error, as does a doubled rule with the configured rule's panel
+    count (the panel floor), which would be no gate.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -336,31 +336,29 @@ def bessel_sobolev_norm(
         raise ToleranceError(
             f"transform-side norm has no doubling gate: both rules have {panels} panels"
         )
-    coarse = _bessel_once(state, s, rule_scale)
-    fine = _bessel_once(state, s, 2.0 * rule_scale)
-    if not (abs(fine - coarse) <= gate_tol * max(1.0, abs(fine))):
+    pos = {a: i for i, a in enumerate(_indices_upto(state.n, state.k_max))}
+    c = np.zeros((1, len(pos)), dtype=complex)
+    for alpha, coeff in state.coefficients.items():
+        c[0, pos[alpha]] = coeff
+    coarse, fine, held = _sobolev_gated(state.n, state.k_max, s, c.real, c.imag,
+                                        rule_scale, gate_tol)
+    if not held[0]:
         raise ToleranceError(
             f"transform-side norm unstable under rule doubling "
-            f"({coarse:.12g} vs {fine:.12g})"
+            f"({coarse[0]:.12g} vs {fine[0]:.12g})"
         )
-    return math.sqrt(fine)
+    return math.sqrt(fine[0])
 
 
-def _bessel_once(state, s, scale):
-    M = _sobolev_form(state.n, state.k_max, float(s), float(scale))
-    chat = np.zeros(M.shape[0], dtype=complex)
-    if state.coefficients:
-        pos, phase = _twisted_box(state.n, state.k_max, list(state.coefficients))
-        chat[pos] = phase * np.array(list(state.coefficients.values()))
-    return float(np.vdot(chat, M @ chat).real)
+def _indices_upto(n: int, k_max: int) -> list:
+    # every alpha with |alpha| <= k_max, level by level, as random_state lists them
+    return [a for k in range(k_max + 1) for a in _level_indices(n, k)]
 
 
-def _twisted_box(n: int, k_max: int, indices: list) -> tuple:
-    """Each index's row in the degree box of _sobolev_form, and its
-    transform phase (-i)^|alpha|."""
-    idx = np.array(indices)
-    pos = np.ravel_multi_index(tuple(idx.T), (k_max + 1,) * n)
-    return pos, np.array(_QUARTER_PHASES)[idx.sum(axis=1) % 4]
+def _quadratic_rows(G: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """c^H G c for each row c = re + i im, G real symmetric: the sum of the
+    two real quadratic forms, the cross terms cancelling."""
+    return np.einsum("ti,ti->t", re @ G, re) + np.einsum("ti,ti->t", im @ G, im)
 
 
 def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) -> tuple:
@@ -370,10 +368,37 @@ def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) 
     order of enumerate_multiindices; F is _sobolev_form restricted to them
     and twisted by the transform phases, conj((-i)^|alpha|) (-i)^|beta|.
     """
-    indices = [a for k in range(k_max + 1) for a in _level_indices(n, k)]
-    pos, phase = _twisted_box(n, k_max, indices)
+    indices = _indices_upto(n, k_max)
+    idx = np.array(indices)
+    pos = np.ravel_multi_index(tuple(idx.T), (k_max + 1,) * n)
+    phase = np.array(_QUARTER_PHASES)[idx.sum(axis=1) % 4]
     M = _sobolev_form(n, k_max, float(s), float(rule_scale))[np.ix_(pos, pos)]
     return indices, phase.conj()[:, None] * M * phase[None, :]
+
+
+def _sobolev_rows(n: int, k_max: int, s: float, scale: float, re, im) -> np.ndarray:
+    """Squared flat H^s norm of each coefficient row on one rule.
+
+    An entry of _sobolev_form is zero unless its two indices share every
+    axis's parity, and then |alpha| - |beta| is even, so the twisted form is
+    real (its phases are +-1) and symmetric.
+    """
+    return _quadratic_rows(sobolev_twisted_form(n, k_max, s, scale)[1].real, re, im)
+
+
+def _sobolev_gated(n: int, k_max: int, s: float, re, im, rule_scale: float = 1.0,
+                   gate_tol: float = 1e-8) -> tuple:
+    """(coarse, fine, held) for coefficient rows re + i im over the indices
+    |alpha| <= k_max: each row's squared flat norm on the configured and the
+    doubled rule, and whether |fine - coarse| <= gate_tol max(1, |fine|).
+    No row holds when both rules have the same panel count (the panel floor).
+    """
+    scales = (rule_scale, 2.0 * rule_scale)
+    coarse, fine = (_sobolev_rows(n, k_max, s, r, re, im) for r in scales)
+    held = np.abs(fine - coarse) <= gate_tol * np.maximum(1.0, np.abs(fine))
+    if _sobolev_panels(n, k_max, scales[0]) == _sobolev_panels(n, k_max, scales[1]):
+        held[:] = False
+    return coarse, fine, held
 
 
 # grid values per block of the Sobolev-form contraction: the weight slab and
@@ -382,8 +407,11 @@ _SOBOLEV_BLOCK = 1 << 20
 
 
 def _sobolev_panels(n: int, k_max: int, scale: float) -> int:
-    # panel count of the flat Sobolev rule, floored at 4
-    return max(4, int(math.ceil(truncation_radius(k_max, n) * (2 if n < 3 else 1) * scale)))
+    # panel count of the flat Sobolev rule, floored at 4: per unit length
+    # sqrt(2 k_max + n) / pi, about the top mode's oscillations there, and at
+    # least 2 (1 at n = 3)
+    per_unit = max(2.0 if n < 3 else 1.0, math.sqrt(2 * k_max + n) / math.pi)
+    return max(4, int(math.ceil(truncation_radius(k_max, n) * per_unit * scale)))
 
 
 # bounded: a check keys one form per (family, rule scale)
@@ -782,45 +810,47 @@ def _collapse_triples(indices: tuple) -> tuple:
 
 
 def _collapse_nodes(k_max: int, scale: float) -> int:
-    # node count of collapse_trace_norm's Gauss-Hermite rule, floored at 4
+    # node count of the collapse rule's Gauss-Hermite rule, floored at 4
     return max(4, int(math.ceil((2 * k_max + 6) * scale)))
 
 
-def collapse_trace_norm(state: SpectralState, rule_scale: float = 1.0) -> float:
-    """Time average of the squared 9D solution restricted to the triple diagonal.
+def _gathered_product(mats: list, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """prod_c mats[c][rows[i, c], cols[j, c]] at every (i, j): the Hadamard
+    product of one gathered factor per axis, shape (len(rows), len(cols))."""
+    out = mats[0][np.ix_(rows[:, 0], cols[:, 0])]
+    for c in range(1, len(mats)):
+        out *= mats[c][np.ix_(rows[:, c], cols[:, c])]
+    return out
 
-    Groups coefficients by eigenvalue, restricts each group to (x, x, x) with
-    x in R^3, and integrates by a sqrt(3)-rescaled compensated Gauss-Hermite
-    tensor rule matching the e^(-3|x|^2) density of the restriction.  Axis j
-    of R^3 carries the 9D axes j, j+3 and j+6, so a mode restricts to a
-    product of three 1D tables, one per triple (a_j, a_(j+3), a_(j+6)); each
-    level is a dense tensor over its triples, contracted axis by axis.
+
+# bounded: a check keys one set of forms per rule scale
+@lru_cache(maxsize=16)
+def _collapse_forms(k_cap: int, scale: float) -> tuple:
+    """The 9D triple-diagonal forms E_0..E_k_cap on the collapse rule of k_cap.
+
+    The squared restriction of level k's part of a 9D state to (x, x, x),
+    x in R^3, integrated over R^3, is c^H E_k c, c the level's coefficients
+    in the order of enumerate_multiindices(9, k).  Axis j of R^3 carries the
+    9D axes j, j+3 and j+6, so a mode restricts to prod_j T[p_j, x_j], T the
+    table of triple products h_a h_b h_d of _collapse_triples; on the
+    sqrt(3)-rescaled compensated Gauss-Hermite rule, which matches the
+    e^(-3|x|^2) density of the restriction,
+        E_k[alpha, beta] = 3^(-3/2) prod_j G[p_j(alpha), p_j(beta)],
+    with G = T diag(w e^(y^2)) T^T the gram of the triples.  The rule is exact
+    on every level up to k_cap; the forms depend on it alone, never on the
+    state, so they are built once and returned read-only.
     """
-    if state.n != 9:
-        raise ValueError("collapse restriction is defined for n = 9")
-    if state.k_max > 4:
-        raise CapabilityError("collapse supported for k_max <= 4")
-    m = _collapse_nodes(state.k_max, rule_scale)
-    y = gauss_hermite(m).nodes
+    m = _collapse_nodes(k_cap, scale)
+    tab = hermite_functions(k_cap, gauss_hermite(m).nodes / math.sqrt(3.0))
     comp = hermite_compensated_weights(m)
-    tab = hermite_functions(state.k_max, y / math.sqrt(3.0))
-    by_level = {}
-    for alpha, coeff in state.coefficients.items():
-        by_level.setdefault(sum(alpha), []).append((alpha, coeff))
-    total = 0.0
-    scale3 = 3.0 ** -1.5
-    for k, items in sorted(by_level.items()):
-        uniq, pos = _collapse_triples(tuple(alpha for alpha, _ in items))
-        restricted = np.zeros((len(uniq),) * 3, dtype=complex)
-        restricted[pos[:, 0], pos[:, 1], pos[:, 2]] = [coeff for _, coeff in items]
-        F = _mode_matrix([tab, tab, tab], uniq)
-        for _ in range(3):
-            restricted = np.tensordot(restricted, F, axes=([0], [0]))
-        val = np.abs(restricted) ** 2
-        for _ in range(3):
-            val = np.tensordot(val, comp, axes=([0], [0]))
-        total += scale3 * float(val)
-    return TWO_PI * total
+    forms = []
+    for k in range(k_cap + 1):
+        uniq, pos = _collapse_triples(_level_indices(9, k))
+        T = _mode_matrix([tab, tab, tab], uniq)
+        E = 3.0 ** -1.5 * _gathered_product([(T * comp) @ T.T] * 3, pos, pos)
+        E.flags.writeable = False
+        forms.append(E)
+    return tuple(forms)
 
 
 def random_state(

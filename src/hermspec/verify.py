@@ -36,7 +36,7 @@ from .antideriv import (
     norm_sq_quadrature_all,
     odd_series,
 )
-from .errors import CapabilityError, ToleranceError
+from .errors import CapabilityError
 from .hermite import (
     LaguerreParams,
     binom_reflection_residual,
@@ -58,20 +58,14 @@ from .quadrature import (
 )
 from . import spectral
 from .spectral import (
-    bessel_sobolev_norm,
     check_admissible,
-    collapse_trace_norm,
     enumerate_multiindices,
     evaluate_phi,
-    hermite_sobolev_norm,
     kernel_diagonals,
     level_top,
     make_state,
-    oscillator_energy_sq,
     radial_eigenvalue_quadrature,
-    random_state,
     sobolev_twisted_form,
-    state_norm_sq,
     time_avg_weighted,
 )
 
@@ -258,13 +252,14 @@ def trend_slope(pairs) -> float:
 def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the Gauss rules and their
     compensated Hermite weights, the level index tuples, the level forms,
-    the flat Sobolev forms, the collapse triples, the lifted radial mode
-    integrals and the exact level tops."""
+    the flat Sobolev forms, the collapse triples and forms, the lifted radial
+    mode integrals and the exact level tops."""
     gauss_rule.cache_clear()
     spectral._level_indices.cache_clear()
     spectral._level_form.cache_clear()
     spectral._sobolev_form.cache_clear()
     spectral._collapse_triples.cache_clear()
+    spectral._collapse_forms.cache_clear()
     spectral._radial_level_top.cache_clear()
     _radial_mode_integrals.cache_clear()
     hermite_compensated_weights.cache_clear()
@@ -308,12 +303,15 @@ def _ground_top(dw: int, weight_power: float) -> float:
     return math.gamma((dw - weight_power) / 2.0) / math.gamma(dw / 2.0)
 
 
-def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False) -> tuple:
-    """Every trial's real and imaginary coefficient parts, one row per trial from
-    its stream [seed, CHECK_INDEX[name], t], as random_state draws (with unit, scales) them."""
+def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False,
+                 prefix: tuple = (), trials: int | None = None) -> tuple:
+    """Every trial's real and imaginary coefficient parts, one row per trial
+    t < trials (default cfg.trials) from its stream [seed, CHECK_INDEX[name],
+    *prefix, t], as random_state draws (with unit, scales) them."""
+    stream = [cfg.seed, CHECK_INDEX[name], *prefix]
     re, im = np.stack([
-        np.random.default_rng([cfg.seed, CHECK_INDEX[name], t]).standard_normal((2, size))
-        for t in range(cfg.trials)
+        np.random.default_rng(stream + [t]).standard_normal((2, size))
+        for t in range(cfg.trials if trials is None else trials)
     ], axis=1)
     if unit:
         norm = np.sqrt(np.sum(re * re + im * im, axis=1))[:, None]
@@ -395,12 +393,6 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     return out
 
 
-def _lifted_sum(items, delta, R, n_panels, nodes_pp) -> float:
-    top = max(a[0] for a, _ in items)
-    lift = _radial_mode_integrals(top, delta, R, n_panels, nodes_pp)
-    return math.fsum(abs(c) ** 2 * lift[a[0]] for a, c in items)
-
-
 def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     """Same inverse-square identity through the 3D radial lift.
 
@@ -428,15 +420,22 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
         "target": FOUR_PI,
         "correspondence_tolerance": corr_tol,
     }
+    # every trial's |a_d|^2 over the odd degrees d, one row per trial
+    re, im = _trial_parts(cfg, "radial_3d_identity", cfg.k_max + 1, unit=True)
+    sq = np.hypot(re, im) ** 2
+    # each odd degree's lifted integral: the norm on the doubled rule (the
+    # coarse rule under-resolves the top degrees past k_max ~ 20), then the
+    # functional on the configured and the doubled rule
+    norm_lift, lift1, lift2 = (
+        _radial_mode_integrals(mode_cap, delta, R, panels, nodes_pp)[1::2]
+        for delta, panels, nodes_pp in
+        ((0.0, 2 * n_panels, 16), (1.0, n_panels, 8), (1.0, 2 * n_panels, 16))
+    )
     samples = []
     verdict = _Verdict(cfg.gate_tol)
     for t in range(cfg.trials):
-        g = random_state(1, mode_cap, [cfg.seed, CHECK_INDEX["radial_3d_identity"], t],
-                         parity="odd")
-        items = sorted(g.coefficients.items())
-        # the coarse rule under-resolves the top degrees past k_max ~ 20
-        norm3 = _lifted_sum(items, 0.0, R, 2 * n_panels, 16)
-        norm1 = state_norm_sq(g)
+        norm3 = math.fsum(sq[t] * norm_lift)
+        norm1 = math.fsum(sq[t])
         samples.append((f"trial={t:02d}/normsq", norm3 / norm1))
         if abs(math.sqrt(norm3) - math.sqrt(norm1)) > corr_tol * math.sqrt(norm1):
             params["error"] = (
@@ -447,8 +446,8 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
             )
             verdict.unstable["lift_normalization"] = None
             break
-        v1 = TWO_PI * _lifted_sum(items, 1.0, R, n_panels, 8)
-        v2 = TWO_PI * _lifted_sum(items, 1.0, R, 2 * n_panels, 16)
+        v1 = TWO_PI * math.fsum(sq[t] * lift1)
+        v2 = TWO_PI * math.fsum(sq[t] * lift2)
         verdict.gate("functional", v1, v2)
         ratio = v1 / norm3
         samples.append((f"trial={t:02d}/functional", ratio))
@@ -708,8 +707,11 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
 
     Each family (n = 1 up to k_max, n = 2 up to min(k_max, 12)) reports its
     sharp ratio, the top of the form pencil on the doubled rule, gated
-    against the configured rule.  Its modes and random states, evaluated on
-    the same forms, must stay below it.
+    against the configured rule.  Its modes (n = 1) and four random states
+    are rows of one draw matrix, read against the same twisted forms at both
+    rules (spectral._sobolev_gated); each row keeps the flat norm's own
+    doubling gate, a row whose gate trips is skipped, and every other row
+    must stay below its family's sharp value.
     """
     if s not in (0.5, 1.0, 2.0):
         raise ValueError("s must be one of 1/2, 1, 2")
@@ -728,29 +730,29 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         samples.append((f"n={n}/sharp", fine))
         sharp[n] = fine
     verdict.require("bound", max(sharp.values()) <= bound)
-    # every mode shares the rule of the n = 1 trials
-    states = [
-        (1, f"n=1/mode k={k:02d}", make_state(1, {(k,): 1.0}, cfg.k_max))
-        for k in range(cfg.k_max + 1)
-    ]
     for n, k in families.items():
-        for t in range(4):
-            states.append(
-                (n, f"n={n}/trial={t:02d}",
-                 random_state(n, k, [cfg.seed, CHECK_INDEX["hermite_sobolev"], n, t]))
-            )
-    for n, label, state in states:
-        herm = hermite_sobolev_norm(state, s)
-        try:
-            bess = bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
-        except ToleranceError:
-            # the norm's own doubling gate did not hold
-            verdict.unstable["bessel_norm"] = None
-            continue
-        ratio = bess / herm
-        samples.append((label, ratio))
-        verdict.require("below_sharp", ratio <= sharp[n] * (1.0 + cfg.gate_tol))
-        verdict.require("bound", ratio <= bound)
+        # the rows run over |alpha| <= k, level by level, as random_state draws them
+        sizes = [len(enumerate_multiindices(n, j)) for j in range(k + 1)]
+        degree = np.repeat(np.arange(k + 1), sizes)
+        re, im = _trial_parts(cfg, "hermite_sobolev", degree.size, unit=True, prefix=(n,),
+                              trials=4)
+        labels = [f"n={n}/trial={t:02d}" for t in range(4)]
+        if n == 1:
+            # every mode shares the rule of the n = 1 trials
+            re = np.vstack([np.eye(degree.size), re])
+            im = np.vstack([np.zeros((degree.size, degree.size)), im])
+            labels = [f"n=1/mode k={j:02d}" for j in range(k + 1)] + labels
+        _, bess_sq, held = spectral._sobolev_gated(n, k, s, re, im, cfg.rule_scale)
+        herm_sq = (re * re + im * im) @ (2.0 * degree + n) ** s
+        for label, b_sq, h_sq, gated in zip(labels, bess_sq, herm_sq, held):
+            if not gated:
+                # the flat norm's own doubling gate did not hold
+                verdict.unstable["bessel_norm"] = None
+                continue
+            ratio = math.sqrt(b_sq) / math.sqrt(h_sq)
+            samples.append((label, ratio))
+            verdict.require("below_sharp", ratio <= sharp[n] * (1.0 + cfg.gate_tol))
+            verdict.require("bound", ratio <= bound)
     params = {
         "s": s,
         "k_max": cfg.k_max,
@@ -765,32 +767,44 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
 
 
 def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
-    """Triple-diagonal trace functional against the squared oscillator energy."""
+    """Triple-diagonal trace functional against the squared oscillator energy.
+
+    The functional is 2 pi times the sum over levels of c^H E_k c, E_k the
+    level's memoized collapse form (spectral._collapse_forms), and the
+    energy is sum (2|alpha| + 9)^2 |c_alpha|^2.  The ground state and the
+    trials are rows of one draw matrix, read against the forms at the
+    configured and at the doubled rule scale.
+    """
     bound = cfg.bound_for("collapse_9d")
     k_cap = min(cfg.k_max, 3)
+    trials = min(cfg.trials, 8)
     verdict = _Verdict(cfg.gate_tol)
-    # one rule twice (node floor) is no gate; if the ground state's differ, all do
-    nodes = [spectral._collapse_nodes(0, r) for r in (cfg.rule_scale, 2.0 * cfg.rule_scale)]
-    phi0 = make_state(9, {(0,) * 9: 1.0})
-    v1 = collapse_trace_norm(phi0, rule_scale=cfg.rule_scale)
-    v2 = collapse_trace_norm(phi0, rule_scale=2.0 * cfg.rule_scale)
-    verdict.gate("trace_norm", v1, v2, nodes)
+    # level k's indices are the columns cols[k]:cols[k + 1], as random_state draws them
+    sizes = [len(enumerate_multiindices(9, k)) for k in range(k_cap + 1)]
+    cols = np.cumsum([0] + sizes)
+    re, im = _trial_parts(cfg, "collapse_9d", int(cols[-1]), unit=True, trials=trials)
+    # the ground state, the unit coefficient of (0,...,0), is row 0
+    re, im = np.vstack([np.eye(1, cols[-1]), re]), np.vstack([np.zeros((1, cols[-1])), im])
+
+    def functional(scale):
+        forms = spectral._collapse_forms(k_cap, float(scale))
+        return TWO_PI * sum(spectral._quadratic_rows(E, re[:, lo:hi], im[:, lo:hi])
+                            for E, lo, hi in zip(forms, cols, cols[1:]))
+
+    scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
+    w1, w2 = functional(scales[0]), functional(scales[1])
+    # one rule twice (node floor) is no gate
+    verdict.gate("trace_norm", w1, w2, [spectral._collapse_nodes(k_cap, r) for r in scales])
     target = TWO_PI * 3.0 ** -1.5 * math.pi ** -3
-    verdict.require("ground", abs(v1 - target) <= 1e-8)
-    samples = [("ground", v1 / oscillator_energy_sq(phi0))]
-    verdict.require("bound", samples[-1][1] <= bound)
-    for t in range(min(cfg.trials, 8)):
-        f = random_state(9, k_cap, [cfg.seed, CHECK_INDEX["collapse_9d"], t])
-        w1 = collapse_trace_norm(f, rule_scale=cfg.rule_scale)
-        w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
-        verdict.gate("trace_norm", w1, w2)
-        ratio = w1 / oscillator_energy_sq(f)
-        samples.append((f"trial={t:02d}", ratio))
-        verdict.require("bound", ratio <= bound)
+    verdict.require("ground", abs(w1[0] - target) <= 1e-8)
+    energy_sq = (re * re + im * im) @ (2.0 * np.repeat(np.arange(k_cap + 1), sizes) + 9.0) ** 2
+    ratios = w1 / energy_sq
+    verdict.require("bound", ratios <= bound)
+    samples = [("ground", ratios[0])] + [(f"trial={t:02d}", r) for t, r in enumerate(ratios[1:])]
     params = {
         "n": 9,
         "k_max": k_cap,
-        "trials": min(cfg.trials, 8),
+        "trials": trials,
         "seed": cfg.seed,
         "rule_scale": cfg.rule_scale,
         "bound": bound,

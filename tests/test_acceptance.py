@@ -11,10 +11,8 @@ import numpy as np
 
 from hermspec.antideriv import (
     norm_sq_even_closed,
-    norm_sq_even_quadrature,
     norm_sq_odd_closed,
     norm_sq_odd_expansion,
-    norm_sq_odd_quadrature,
     norm_sq_odd_recursive,
 )
 from hermspec.cli import main
@@ -34,6 +32,8 @@ from hermspec.verify import (
     clear_caches,
     negative_control_divergence,
 )
+
+from oracles import norm_sq_even_quadrature, norm_sq_odd_quadrature
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi

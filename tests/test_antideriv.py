@@ -17,16 +17,19 @@ from hermspec.antideriv import (
     merge_identity_check,
     merge_identity_exact,
     norm_sq_even_closed,
-    norm_sq_even_quadrature,
     norm_sq_even_recursive,
     norm_sq_odd_closed,
     norm_sq_odd_expansion,
-    norm_sq_odd_quadrature,
     norm_sq_odd_recursive,
     norm_sq_quadrature_all,
     odd_series,
     partial_binomial_sum,
     partial_binomial_sum_exact,
+)
+
+from oracles import (
+    norm_sq_even_quadrature,
+    norm_sq_odd_quadrature,
     x_even,
     x_even_at_zero_normalized,
     x_even_at_zero_sq,

@@ -20,7 +20,6 @@ from hermspec.spectral import (
     bessel_sobolev_norm,
     check_admissible,
     coefficients_from_function,
-    collapse_trace_norm,
     enumerate_multiindices,
     evaluate_phi,
     evaluate_state,
@@ -45,7 +44,7 @@ from hermspec.spectral import (
     time_avg_weighted,
 )
 
-from oracles import kernel_diagonal, kernel_diagonal_ratio, level_gram
+from oracles import collapse_trace_norm, kernel_diagonal, kernel_diagonal_ratio, level_gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -623,8 +622,7 @@ def _bessel_grid_reference(state, s, scale):
     # the same panel rule, |fhat|^2 (1+|xi|^2)^s summed against the weights;
     # the grid is walked in slabs of the first axis so n = 3 stays small
     T = truncation_radius(state.k_max, state.n)
-    per_unit = 2 if state.n < 3 else 1
-    n_panels = max(4, int(math.ceil(T * per_unit * scale)))
+    n_panels = spectral._sobolev_panels(state.n, state.k_max, scale)
     rule = gauss_legendre_panels(-T, T, n_panels, 10 if state.n < 3 else 8)
     fhat = fourier_transform_state(state)
     xi_sq = rule.nodes ** 2
@@ -649,11 +647,14 @@ def test_sobolev_form_matches_the_grid_route(n, k_max):
               # sparse, with a k_max above its largest level
               make_state(n, {(1,) * n: 0.5 - 1j, (0,) * (n - 1) + (2,): 0.25}, k_max)]
     for state in states:
+        # the state as one coefficient row over the twisted form's indices
+        indices, _ = sobolev_twisted_form(n, k_max, 0.0)
+        row = np.array([[state.coefficients.get(a, 0.0) for a in indices]], dtype=complex)
         for s in (0.0, 0.5, 1.0, 2.0):
             # 1.03 gives n = 2 an even panel count (30), so no panel straddles 0
             for scale in (1.0, 1.03, 2.0):
                 ref = _bessel_grid_reference(state, s, scale)
-                got = spectral._bessel_once(state, s, scale)
+                (got,) = spectral._sobolev_rows(n, k_max, s, scale, row.real, row.imag)
                 assert abs(got - ref) <= 1e-13 * ref, (s, scale)
 
 

@@ -10,7 +10,6 @@ import pytest
 from hermspec.errors import CapabilityError, ToleranceError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import hermite_functions
-from hermspec.antideriv import x_odd
 from hermspec.quadrature import gauss_legendre_panels, integrate_radial_3d, truncation_radius
 from hermspec.spectral import (
     evaluate_state,
@@ -48,7 +47,13 @@ from hermspec.verify import (
     trend_slope,
 )
 
-from oracles import kernel_diagonal, kernel_diagonal_ratio, manifest_json_reference
+from oracles import (
+    collapse_trace_norm,
+    kernel_diagonal,
+    kernel_diagonal_ratio,
+    manifest_json_reference,
+    x_odd,
+)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -154,12 +159,24 @@ def test_no_check_assigns_its_verdict_by_hand():
         assert not stored & {"ok", "stable"}, check.name
 
 
-def test_failed_and_unstable_reports_name_their_predicates_and_gates():
+def _perturbed_fine_sobolev_rows(monkeypatch):
+    # every flat norm read on the doubled rule (scale 2) moves by 1e-6
+    real = spectral._sobolev_rows
+
+    def perturbed(n, k_max, s, scale, re, im):
+        rows = real(n, k_max, s, scale, re, im)
+        return rows * (1.0 + 1e-6) if scale == 2.0 else rows
+
+    monkeypatch.setattr(spectral, "_sobolev_rows", perturbed)
+
+
+def test_failed_and_unstable_reports_name_their_predicates_and_gates(monkeypatch):
     r = check_kato(ScanConfig(bounds={"kato_nd": 1.0}), 3, 1.0)
     assert r.status == "failed"
     assert r.parameters["failed"] == "bound"
     assert "unstable" not in r.parameters
-    # single modes past k ~ 36 fail bessel_sobolev_norm's own doubling gate
+    # a perturbed fine form fails the flat norm's own doubling gate on every row
+    _perturbed_fine_sobolev_rows(monkeypatch)
     r = check_hermite_sobolev(ScanConfig(k_max=44), 0.5)
     assert r.status == "inconclusive"
     assert r.parameters["unstable"] == "bessel_norm"
@@ -380,7 +397,11 @@ def _count_calls(monkeypatch, real) -> list:
     return calls
 
 
-@pytest.mark.parametrize("check", [check_morawetz_2d, check_even_3d, check_odd_identity])
+@pytest.mark.parametrize("check", [
+    check_morawetz_2d, check_even_3d, check_odd_identity, check_collapse_9d,
+    check_radial_3d_identity,
+    pytest.param(lambda cfg: check_hermite_sobolev(cfg, 0.5), id="check_hermite_sobolev"),
+])
 def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
     tables = _count_calls(monkeypatch, hermite.hermite_functions)
     levels = _count_calls(monkeypatch, spectral.enumerate_multiindices)
@@ -393,8 +414,10 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
         check(ScanConfig(k_max=6, trials=trials))
         counts.append((len(tables), len(levels)))
     assert counts[0] == counts[1]
-    # odd_identity's 1D levels hold one mode each and enumerate nothing
-    assert counts[0][0] > 0 and (counts[0][1] > 0) == (check is not check_odd_identity)
+    # the 1D levels of odd_identity and radial_3d_identity hold one mode each
+    # and enumerate nothing
+    one_mode_levels = check in (check_odd_identity, check_radial_3d_identity)
+    assert counts[0][0] > 0 and (counts[0][1] > 0) == (not one_mode_levels)
     # every trial is a row of one draw matrix, never a state of its own
     assert states == []
 
@@ -462,6 +485,102 @@ def test_collapse_triples_found_once_per_level():
     assert misses == [4, 4]
     clear_caches()
     assert spectral._collapse_triples.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_radial_trials_match_the_per_trial_route(seed):
+    # oracle: each trial as its own odd state, its lifted sums over its own items
+    cfg = ScanConfig(seed=seed)
+    r = check_radial_3d_identity(cfg)
+    mode_cap = 2 * cfg.k_max + 1
+    R = truncation_radius(mode_cap, 3)
+    n_panels = max(40, int(math.ceil(4.0 * R * cfg.rule_scale)))
+
+    def lifted(g, delta, panels, nodes_pp):
+        items = sorted(g.coefficients.items())
+        lift = verify._radial_mode_integrals(max(a[0] for a, _ in items), delta, R, panels,
+                                             nodes_pp)
+        return math.fsum(abs(c) ** 2 * lift[a[0]] for a, c in items)
+
+    expected = {}
+    ok = stable = True
+    for t in range(cfg.trials):
+        g = random_state(1, mode_cap, [seed, CHECK_INDEX["radial_3d_identity"], t],
+                         parity="odd")
+        norm3 = lifted(g, 0.0, 2 * n_panels, 16)
+        norm1 = state_norm_sq(g)
+        expected[f"trial={t:02d}/normsq"] = norm3 / norm1
+        if abs(math.sqrt(norm3) - math.sqrt(norm1)) > 1e-10 * math.sqrt(norm1):
+            stable = False
+            break
+        v1 = TWO_PI * lifted(g, 1.0, n_panels, 8)
+        v2 = TWO_PI * lifted(g, 1.0, 2 * n_panels, 16)
+        stable = stable and abs(v2 - v1) <= cfg.gate_tol * (1.0 + abs(v2))
+        expected[f"trial={t:02d}/functional"] = v1 / norm3
+        ok = ok and abs(v1 / norm3 - FOUR_PI) <= 1e-6 * FOUR_PI
+    assert [lab for lab, _ in r.samples] == list(expected)
+    for lab, got in r.samples:
+        assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), lab
+    assert r.status == ("inconclusive" if not stable else "passed" if ok else "failed")
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_sobolev_rows_match_the_per_state_route(seed):
+    # oracle: each mode and trial as its own state through bessel_sobolev_norm
+    # and hermite_sobolev_norm; the sharp rows are the check's own
+    cfg = ScanConfig(seed=seed)
+    families = {1: cfg.k_max, 2: min(cfg.k_max, 12)}
+    states = [(f"n=1/mode k={k:02d}", make_state(1, {(k,): 1.0}, cfg.k_max))
+              for k in range(cfg.k_max + 1)]
+    states += [(f"n={n}/trial={t:02d}",
+                random_state(n, k, [seed, CHECK_INDEX["hermite_sobolev"], n, t]))
+               for n, k in families.items() for t in range(4)]
+    for s in (0.5, 1.0):
+        r = check_hermite_sobolev(cfg, s)
+        # the sharp rows and their gate are the check's own
+        expected = {lab: v for lab, v in r.samples if lab.endswith("sharp")}
+        sharp = {n: expected[f"n={n}/sharp"] for n in families}
+        stable = "sharp" not in r.parameters.get("unstable", "")
+        ok = max(sharp.values()) <= DEFAULT_BOUNDS["hermite_sobolev"]
+        for label, state in states:
+            try:
+                bess = spectral.bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
+            except ToleranceError:
+                stable = False
+                continue
+            expected[label] = bess / spectral.hermite_sobolev_norm(state, s)
+            ok = ok and expected[label] <= sharp[state.n] * (1.0 + cfg.gate_tol)
+            ok = ok and expected[label] <= DEFAULT_BOUNDS["hermite_sobolev"]
+        assert [lab for lab, _ in r.samples] == list(expected)
+        for lab, got in r.samples:
+            assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), (s, lab)
+        assert r.status == ("inconclusive" if not stable else "passed" if ok else "failed")
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_collapse_trials_match_the_per_trial_route(seed):
+    # oracle: the ground state and each trial as its own 9D state through the
+    # per-state collapse_trace_norm on both rules
+    cfg = ScanConfig(seed=seed)
+    r = check_collapse_9d(cfg)
+    k_cap = min(cfg.k_max, 3)
+    states = [("ground", make_state(9, {(0,) * 9: 1.0}))]
+    states += [(f"trial={t:02d}", random_state(9, k_cap, [seed, CHECK_INDEX["collapse_9d"], t]))
+               for t in range(min(cfg.trials, 8))]
+    expected = {}
+    ok = stable = True
+    for label, f in states:
+        w1 = collapse_trace_norm(f, rule_scale=cfg.rule_scale)
+        w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
+        stable = stable and abs(w2 - w1) <= cfg.gate_tol * (1.0 + abs(w2))
+        expected[label] = w1 / spectral.oscillator_energy_sq(f)
+        ok = ok and expected[label] <= DEFAULT_BOUNDS["collapse_9d"]
+        if label == "ground":
+            ok = ok and abs(w1 - r.parameters["ground_target"]) <= 1e-8
+    assert [lab for lab, _ in r.samples] == list(expected)
+    for lab, got in r.samples:
+        assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), lab
+    assert r.status == ("inconclusive" if not stable else "passed" if ok else "failed")
 
 
 def test_even_3d_small():
@@ -585,12 +704,7 @@ def test_sobolev_small_and_bad_order():
 
 
 def test_sobolev_gate_failure_is_inconclusive(monkeypatch):
-    import hermspec.verify as V
-
-    def broken(*args, **kwargs):
-        raise ToleranceError("forced")
-
-    monkeypatch.setattr(V, "bessel_sobolev_norm", broken)
+    _perturbed_fine_sobolev_rows(monkeypatch)
     r = check_hermite_sobolev(ScanConfig(k_max=2, trials=1), 1.0)
     assert r.status == "inconclusive"
     assert not r.passed
