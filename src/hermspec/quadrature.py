@@ -115,7 +115,7 @@ def _hermite_sq_sum(x: np.ndarray, m: int) -> np.ndarray:
     return np.einsum("ij,ij->j", h, h)
 
 
-# bounded: `hermspec all` uses about 120 distinct rules, but a long-lived
+# bounded: `hermspec all` uses about 25 distinct rules, but a long-lived
 # caller may ask for arbitrary exponents
 @lru_cache(maxsize=512)
 def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ToleranceError
-from .hermite import eval_laguerre, hermite_functions
+from .hermite import hermite_functions
 from .quadrature import (
     MAX_LAGUERRE_NODES,
     circle_directions,
@@ -685,19 +685,6 @@ class LevelTop:
     l: int
 
 
-def _radial_mode_exponents(dw: int, j: int, l: int, weight_power: float) -> tuple:
-    if dw < 1 or j < 0 or l < 0 or (dw == 1 and l > 1):
-        raise ValueError(f"no radial mode (j={j}, l={l}) in {dw} dimensions")
-    a = l + dw / 2.0 - 1.0
-    mu = weight_power / 2.0
-    if weight_power < 0 or a - mu <= -1.0:
-        raise ValueError(
-            f"weight power {weight_power:g} is not integrable against the mode "
-            f"(j={j}, l={l}) in {dw} dimensions"
-        )
-    return a, mu
-
-
 def poch(a: float, m: float) -> float:
     """Pochhammer ratio (a)_m = Gamma(a+m)/Gamma(a) for a > 0 and m >= 0.
 
@@ -726,49 +713,64 @@ def poch(a: float, m: float) -> float:
     return r * math.exp(math.lgamma(a + m) - math.lgamma(a))
 
 
-def radial_eigenvalue(dw: int, j: int, l: int, weight_power: float) -> float:
-    """Eigenvalue of the |x|^(-weight_power) level gram on the radial mode (j, l).
+@dataclass(frozen=True, eq=False)
+class LevelSpectrum:
+    """A weighted level gram's radial eigenvalues up to level k_max by two routes,
+    read-only: [k, l] is the mode (j, l), 2j + l = k, and -inf where there is none."""
 
-    With mu = weight_power/2, a = l + dw/2 - 1 and s = r^2 it is the Laguerre ratio
-    int s^(a-mu) e^-s L_j^(a)(s)^2 ds / int s^a e^-s L_j^(a)(s)^2 ds, which the
-    expansion of L_j^(a) over the L_i^(a-mu) turns into a sum of positive terms
-        T_i = C(mu+j-i-1, j-i)^2 Gamma(a-mu+i+1)/i! * j!/Gamma(j+a+1),  i = 0..j.
-    T_j = 1/poch(a-mu+j+1, mu) and each lower term is the next one times a
-    rational factor, so nothing overflows and no large log-gamma cancels.
+    exact: np.ndarray
+    quad: np.ndarray
+
+
+# bounded: a run keys one table per (weighted axes, k_max, weight power)
+@lru_cache(maxsize=64)
+def level_spectrum(dw: int, k_max: int, weight_power: float) -> LevelSpectrum:
+    """The |x|^(-weight_power) level grams' eigenvalues on dw weighted axes, levels <= k_max.
+
+    With mu = weight_power/2, a = l + dw/2 - 1 and s = r^2, mode (j, l) has the
+    Laguerre ratio int s^(a-mu) e^-s L_j^(a)(s)^2 ds / int s^a e^-s L_j^(a)(s)^2 ds.
+    The exact half expands L_j^(a) over the L_i^(a-mu), a sum of positive terms
+        T_i = C(mu+j-i-1, j-i)^2 Gamma(a-mu+i+1)/i! * j!/Gamma(j+a+1),  i = 0..j;
+    T_j = 1/poch(a-mu+j+1, mu), each lower term the next one times a rational
+    factor.  Per j, every l is one row of factors, reverse-cumprodded and fsummed.
+    The quadrature half writes s^(a-mu) = s^c s^l: one (k_max//2 + 1)-node rule
+    for s^c e^-s is exact on every s^l L_j^(a)(s)^2, of degree 2j + l <= k_max,
+    and the orthonormal recurrence runs on sqrt(w s^l) times the polynomials,
+    so nothing overflows up to the node cap (CapabilityError past it).
     """
-    a, mu = _radial_mode_exponents(dw, j, l, weight_power)
+    mu = weight_power / 2.0
+    c = dw / 2.0 - 1.0 - mu
+    if dw < 1 or k_max < 0 or not (weight_power >= 0 and c > -1.0):
+        raise ValueError(f"no level spectrum for dw={dw}, k_max={k_max}, "
+                         f"weight power {weight_power:g} (not integrable at level 0)")
+    nodes = k_max // 2 + 1
+    if nodes > MAX_LAGUERRE_NODES:
+        raise CapabilityError(f"level scans are gated up to k_max = {2 * MAX_LAGUERRE_NODES - 1}")
+    ls = np.arange(min(k_max, 1) + 1 if dw == 1 else k_max + 1)
+    a = (ls + (dw / 2.0 - 1.0))[:, None]
     b = a - mu
-    i = np.arange(j, dtype=float)
-    m = j - i
-    factors = ((mu + m - 1.0) / m) ** 2 * (i + 1.0) / (b + i + 1.0)
-    ratios = np.append(np.cumprod(factors[::-1])[::-1], 1.0)
-    return math.fsum(ratios / poch(b + j + 1.0, mu))
-
-
-def radial_eigenvalue_quadrature(dw: int, j: int, l: int, weight_power: float) -> float:
-    """The same eigenvalue by (j+1)-node generalized Gauss-Laguerre in s = r^2.
-
-    The rule for s^(a-mu) e^-s is exact on the degree-2j integrand L_j^(a)^2;
-    the denominator is its closed form Gamma(j+a+1)/j!.  An independent route
-    to radial_eigenvalue, which the level scans use as their gate.
-    """
-    a, mu = _radial_mode_exponents(dw, j, l, weight_power)
-    if j + 1 > MAX_LAGUERRE_NODES:
-        raise CapabilityError(
-            f"Gauss-Laguerre route limited to {MAX_LAGUERRE_NODES} nodes (j={j})"
-        )
-    s, w = gauss_rule("laguerre", j + 1, a - mu)
-    vals = eval_laguerre(j, a, s)
-    return math.fsum(w * vals * vals) * math.exp(math.lgamma(j + 1) - math.lgamma(j + a + 1))
-
-
-@lru_cache(maxsize=None)
-def _radial_level_top(dw: int, k: int, weight_power: float) -> LevelTop:
-    # level k in dw dimensions holds the modes with 2j + l = k; in 1D only l = k mod 2
-    ls = (k % 2,) if dw == 1 else range(k % 2, k + 1, 2)
-    modes = [((k - l) // 2, l) for l in ls]
-    return max((LevelTop(radial_eigenvalue(dw, j, l, weight_power), j, l) for j, l in modes),
-               key=lambda t: t.value)
+    exact = np.full((k_max + 1, k_max + 1), -np.inf)
+    quad = exact.copy()
+    s, w = gauss_rule("laguerre", nodes, c)
+    # g holds sqrt(w s^l) times the orthonormal L_j^(a)(s), one row per l;
+    # at j = 0 that is sqrt(w s^l / Gamma(a + 1)), a product down the rows
+    g = np.cumprod(np.vstack([np.sqrt(w / math.gamma(dw / 2.0)), np.sqrt(s / a[1:])]), axis=0)
+    g_prev = np.zeros_like(g)
+    for j in range(nodes):
+        # the rows l <= k_max - 2j are the modes (j, l)
+        live = min(ls.size, k_max - 2 * j + 1)
+        l, a, b, g, g_prev = ls[:live], a[:live], b[:live], g[:live], g_prev[:live]
+        i = np.arange(j, dtype=float)
+        m = j - i
+        factors = ((mu + m - 1.0) / m) ** 2 * (i + 1.0) / (b + i + 1.0)
+        terms = np.hstack([np.cumprod(factors[:, ::-1], axis=1)[:, ::-1], np.ones((live, 1))])
+        terms /= np.array([[poch(x, mu)] for x in (b[:, 0] + j + 1.0).tolist()])
+        exact[2 * j + l, l] = [math.fsum(row) for row in terms.tolist()]
+        quad[2 * j + l, l] = np.einsum("ln,ln->l", g, g)
+        g, g_prev = ((2 * j + 1 + a - s) * g - np.sqrt(j * (j + a)) * g_prev) / np.sqrt(
+            (j + 1) * (j + 1 + a)), g
+    exact.flags.writeable = quad.flags.writeable = False
+    return LevelSpectrum(exact, quad)
 
 
 def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop:
@@ -776,19 +778,21 @@ def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop
 
     A radial weight commutes with rotations of the weighted axes, so the level
     gram is diagonal in the Laguerre x spherical-harmonic basis there, and
-    each eigenvalue is a radial_eigenvalue.  With free axes, level k splits
-    into (weighted level k_w) x (free level k - k_w) and the top is the largest
-    weighted top over k_w <= k.  The gram is symmetric positive semidefinite,
-    so this is also its largest singular value.
+    its eigenvalues are level_spectrum's exact half.  With free axes, level k
+    splits into (weighted level k_w) x (free level k - k_w) and the top is the
+    largest weighted top over k_w <= k.  The gram is symmetric positive
+    semidefinite, so this is also its largest singular value.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     wd = _weight_axes(n, weight_dims)
     dw = len(wd)
     check_admissible(dw, weight_power / 2.0)
-    levels = (k,) if dw == n else range(k + 1)
-    return max((_radial_level_top(dw, kw, float(weight_power)) for kw in levels),
-               key=lambda t: t.value)
+    exact = level_spectrum(dw, k, float(weight_power)).exact
+    # the first maximum, over k_w and then l ascending
+    kw = k if dw == n else int(np.argmax(exact.max(axis=1)))
+    l = int(np.argmax(exact[kw]))
+    return LevelTop(float(exact[kw, l]), (kw - l) // 2, l)
 
 
 # bounded like _level_form: a run keys one index set per level

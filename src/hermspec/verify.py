@@ -62,9 +62,7 @@ from .spectral import (
     enumerate_multiindices,
     evaluate_phi,
     kernel_diagonals,
-    level_top,
     make_state,
-    radial_eigenvalue_quadrature,
     sobolev_twisted_form,
     time_avg_weighted,
 )
@@ -253,24 +251,16 @@ def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the Gauss rules and their
     compensated Hermite weights, the level index tuples, the level forms,
     the flat Sobolev forms, the collapse triples and forms, the lifted radial
-    mode integrals and the exact level tops."""
+    mode integrals and the level-spectrum tables."""
     gauss_rule.cache_clear()
     spectral._level_indices.cache_clear()
     spectral._level_form.cache_clear()
     spectral._sobolev_form.cache_clear()
     spectral._collapse_triples.cache_clear()
     spectral._collapse_forms.cache_clear()
-    spectral._radial_level_top.cache_clear()
+    spectral.level_spectrum.cache_clear()
     _radial_mode_integrals.cache_clear()
     hermite_compensated_weights.cache_clear()
-
-
-def _require_gate_capacity(k_max: int) -> None:
-    # the gate re-evaluates modes with j <= k/2 on j + 1 Gauss-Laguerre nodes
-    if k_max // 2 + 1 > MAX_LAGUERRE_NODES:
-        raise CapabilityError(
-            f"level scans are gated up to k_max = {2 * MAX_LAGUERRE_NODES - 1}"
-        )
 
 
 def _require_rule_capacity(cfg: ScanConfig, name: str, top_level, reason=None) -> None:
@@ -290,11 +280,15 @@ def _require_rule_capacity(cfg: ScanConfig, name: str, top_level, reason=None) -
     )
 
 
-def _gated_level_top(n, k, weight_power, axes) -> tuple:
-    """Exact level top and the quadrature route's value on its maximizing mode."""
-    top = level_top(n, k, weight_power, axes)
-    quad = radial_eigenvalue_quadrature(len(axes), top.j, top.l, weight_power)
-    return top.value, quad
+def _level_tops(n, k_max, weight_power, axes) -> tuple:
+    """Every level k <= k_max's exact and quadrature tops under |x_w|^(-weight_power),
+    each its own route's maximum over the level's modes in one level_spectrum
+    table; with free axes, the largest weighted top over k_w <= k."""
+    table = spectral.level_spectrum(len(axes), k_max, float(weight_power))
+    exact, quad = table.exact.max(axis=1), table.quad.max(axis=1)
+    if len(axes) < n:
+        exact, quad = np.maximum.accumulate(exact), np.maximum.accumulate(quad)
+    return exact.tolist(), quad.tolist()
 
 
 def _ground_top(dw: int, weight_power: float) -> float:
@@ -381,14 +375,16 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     one per degree d <= top, from one Hermite table on the radial rule.
 
     The integrand is radial, so its angular integral is exactly 4 pi and each
-    integral is 2 sum_i w_i h_d(r_i)^2 / r_i^2 on the graded radial rule; a
-    trial's level is its entry times |a|^2.  integrate_radial_3d is the
-    reference for this route.
+    integral is 2 sum_i w_i r_i^(-2 delta) h_d(r_i)^2 on n_panels uniform
+    Gauss-Legendre panels over [0, R].  At odd d, h_d(r)^2 / r^2 is smooth at
+    0, so the rule needs no grading; the even entries are never read.  A
+    trial's level is its entry times |a|^2.  integrate_radial_3d's spherical
+    sum on the same rule is the tests' reference for this route.
     """
-    radial = radial_rule_panels(3, delta, R, n_panels, nodes_pp)
-    r = radial.nodes
+    rule = gauss_legendre_panels(0.0, R, n_panels, nodes_pp)
+    r = rule.nodes
     h = hermite_functions(top, r)
-    out = 2.0 * ((h * h / (r * r)) @ radial.weights)
+    out = 2.0 * ((h * h) @ (rule.weights * r ** (-2.0 * delta)))
     out.flags.writeable = False
     return out
 
@@ -407,7 +403,8 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     corr_tol = 1e-10
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
-    n_panels = max(40, int(math.ceil(4.0 * R * cfg.rule_scale)))
+    # panels about one oscillation of the top mode's square wide, at least 4
+    n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
     params = {
         "n": 3,
         "delta": 1.0,
@@ -464,9 +461,9 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
 
     For each level k the supremum of the functional over unit states is the
     top eigenvalue s_k of the level gram under the squared weight, read off
-    exactly in the radial basis (level_top); the reported ratio is 2*pi*s_k.
-    Gauss-Laguerre quadrature on the maximizing mode is the second route
-    that gates each s_k.  Passes on a bounded, trend-free sequence.
+    exactly in the radial basis (level_spectrum); the reported ratio is
+    2*pi*s_k.  The top of the same level by one Gauss-Laguerre rule is the
+    second route that gates each s_k.  Passes on a bounded, trend-free sequence.
     """
     if axes is None:
         axes = tuple(range(n))
@@ -475,17 +472,16 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     if not axes or any(c < 0 or c >= n for c in axes):
         raise ValueError("axes must be a nonempty subset of the coordinates")
     check_admissible(len(axes), delta)
-    _require_gate_capacity(cfg.k_max)
     bound = cfg.bound_for("kato_nd")
     verdict = _Verdict(cfg.gate_tol)
-    tops = [_gated_level_top(n, k, 2.0 * delta, axes) for k in range(cfg.k_max + 1)]
-    samples = [(f"k={k:02d}", TWO_PI * s_k) for k, (s_k, _) in enumerate(tops)]
-    for s_k, quad in tops:
+    tops, quads = _level_tops(n, cfg.k_max, 2.0 * delta, axes)
+    samples = [(f"k={k:02d}", TWO_PI * s_k) for k, s_k in enumerate(tops)]
+    for s_k, quad in zip(tops, quads):
         verdict.gate("level_top", quad, s_k)
     verdict.require("bound", all(ratio <= bound for _, ratio in samples))
     slope = trend_slope((k, ratio) for k, (_, ratio) in enumerate(samples))
     verdict.require("trend", slope <= TREND_SLOPE_MAX)
-    s0 = tops[0][0]
+    s0 = tops[0]
     verdict.require("ground", abs(s0 - _ground_top(len(axes), 2.0 * delta)) <= 1e-9)
     params = {
         "n": n,
@@ -507,10 +503,9 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     The operator acts within the finite level, so each norm is the largest
     singular value of the level matrix under the weight |x|^(-delta) (one
     sided) or its square (two sided): the matrix is symmetric positive
-    semidefinite, so that is its exact level top, gated by Gauss-Laguerre
-    quadrature on its maximizing mode.
+    semidefinite, so that is its exact level top, gated by the level's top
+    on one Gauss-Laguerre rule.
     """
-    _require_gate_capacity(cfg.k_max)
     bound = cfg.bound_for("operator_norm")
     axes = tuple(range(n))
     samples = []
@@ -519,9 +514,9 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     norm0 = -1.0
     for delta in deltas:
         one_sided = []
-        for k in range(cfg.k_max + 1):
-            one, q1 = _gated_level_top(n, k, delta, axes)
-            two, q2 = _gated_level_top(n, k, 2.0 * delta, axes)
+        tops = zip(*_level_tops(n, cfg.k_max, delta, axes),
+                   *_level_tops(n, cfg.k_max, 2.0 * delta, axes))
+        for k, (one, q1, two, q2) in enumerate(tops):
             verdict.gate("level_top", q1, one)
             verdict.gate("level_top", q2, two)
             one_sided.append((k, one))
@@ -632,10 +627,10 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
 
     At even k every radial mode has even degree l, with l/2 + 1 fully even
     harmonics, so the fully even part of level k keeps the level's top
-    2*pi*level_top(3, k, 2); the restricted level form's top eigenvalue gates
-    it.  Random fully even states must stay below the largest sharp value;
-    every trial's level term comes from one product with that level's form,
-    and every level's form from one build on the top even level's grid.
+    2*pi*level_top(3, k, 2), gated by the restricted level form's top eigenvalue
+    and level_spectrum's quadrature top.  Random fully even states must stay
+    below the largest sharp value; each trial's level term is one product with
+    that level's form, and every form comes from one build on one grid.
     """
     # fully even states live on the even levels only
     # it builds no doubled rule, but keeps that limit to bound its level forms
@@ -662,11 +657,12 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     # indices are the columns lo:hi
     cols = np.cumsum([0] + [len(level) for level in even.values()])
     re, im = _trial_parts(cfg, "even_3d", int(cols[-1]))
+    tops, quads = _level_tops(3, cfg.k_max, 2.0, (0, 1, 2))
     terms = []
     for k, form, lo, hi in zip(even, forms, cols, cols[1:]):
-        quad = float(np.linalg.eigvalsh(form)[-1])
-        s_k = level_top(3, k, 2.0).value
-        verdict.gate("level_top", quad, s_k)
+        s_k = tops[k]
+        for quad in (float(np.linalg.eigvalsh(form)[-1]), quads[k]):
+            verdict.gate("level_top", quad, s_k)
         samples.append((f"k={k:02d}", TWO_PI * s_k))
         sharp = max(sharp, TWO_PI * s_k)
         # every trial's level term c^H G c at once; G is real

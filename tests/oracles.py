@@ -11,8 +11,13 @@ import numpy as np
 from hermspec import hermite_functions
 from hermspec.antideriv import _cumulative_half_line, _norm_rule, odd_series
 from hermspec.errors import CapabilityError
-from hermspec.hermite import half_line_integral_even
-from hermspec.quadrature import gauss_hermite, hermite_compensated_weights
+from hermspec.hermite import eval_laguerre, half_line_integral_even
+from hermspec.quadrature import (
+    MAX_LAGUERRE_NODES,
+    gauss_hermite,
+    gauss_rule,
+    hermite_compensated_weights,
+)
 from hermspec.spectral import (
     _collapse_nodes,
     _collapse_triples,
@@ -21,6 +26,7 @@ from hermspec.spectral import (
     _tensor_free_axes,
     _weight_axes,
     enumerate_multiindices,
+    poch,
 )
 from hermspec.verify import _config_dict, _json_text
 
@@ -75,6 +81,56 @@ def level_gram(
     B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
     M = (B * w) @ B.T
     return 0.5 * (M + M.T)
+
+
+def _radial_mode_exponents(dw: int, j: int, l: int, weight_power: float) -> tuple:
+    if dw < 1 or j < 0 or l < 0 or (dw == 1 and l > 1):
+        raise ValueError(f"no radial mode (j={j}, l={l}) in {dw} dimensions")
+    a = l + dw / 2.0 - 1.0
+    mu = weight_power / 2.0
+    if weight_power < 0 or a - mu <= -1.0:
+        raise ValueError(
+            f"weight power {weight_power:g} is not integrable against the mode "
+            f"(j={j}, l={l}) in {dw} dimensions"
+        )
+    return a, mu
+
+
+def radial_eigenvalue(dw: int, j: int, l: int, weight_power: float) -> float:
+    """Eigenvalue of the |x|^(-weight_power) level gram on the radial mode (j, l),
+    one mode at a time: the oracle of spectral.level_spectrum's exact half.
+
+    With mu = weight_power/2, a = l + dw/2 - 1 and s = r^2 it is the Laguerre ratio
+    int s^(a-mu) e^-s L_j^(a)(s)^2 ds / int s^a e^-s L_j^(a)(s)^2 ds, which the
+    expansion of L_j^(a) over the L_i^(a-mu) turns into a sum of positive terms
+        T_i = C(mu+j-i-1, j-i)^2 Gamma(a-mu+i+1)/i! * j!/Gamma(j+a+1),  i = 0..j.
+    T_j = 1/poch(a-mu+j+1, mu) and each lower term is the next one times a
+    rational factor.
+    """
+    a, mu = _radial_mode_exponents(dw, j, l, weight_power)
+    b = a - mu
+    i = np.arange(j, dtype=float)
+    m = j - i
+    factors = ((mu + m - 1.0) / m) ** 2 * (i + 1.0) / (b + i + 1.0)
+    ratios = np.append(np.cumprod(factors[::-1])[::-1], 1.0)
+    return math.fsum(ratios / poch(b + j + 1.0, mu))
+
+
+def radial_eigenvalue_quadrature(dw: int, j: int, l: int, weight_power: float) -> float:
+    """The same eigenvalue by (j+1)-node generalized Gauss-Laguerre in s = r^2,
+    one rule per mode: the oracle of spectral.level_spectrum's quadrature half.
+
+    The rule for s^(a-mu) e^-s is exact on the degree-2j integrand L_j^(a)^2;
+    the denominator is its closed form Gamma(j+a+1)/j!.
+    """
+    a, mu = _radial_mode_exponents(dw, j, l, weight_power)
+    if j + 1 > MAX_LAGUERRE_NODES:
+        raise CapabilityError(
+            f"Gauss-Laguerre route limited to {MAX_LAGUERRE_NODES} nodes (j={j})"
+        )
+    s, w = gauss_rule("laguerre", j + 1, a - mu)
+    vals = eval_laguerre(j, a, s)
+    return math.fsum(w * vals * vals) * math.exp(math.lgamma(j + 1) - math.lgamma(j + a + 1))
 
 
 def x_odd(k: int, x) -> np.ndarray:

@@ -27,6 +27,7 @@ from hermspec.spectral import (
     fourier_transform_state,
     hermite_sobolev_norm,
     kernel_diagonals,
+    level_spectrum,
     level_top,
     make_state,
     oscillator_energy_sq,
@@ -35,8 +36,6 @@ from hermspec.spectral import (
     project,
     projection_kernel,
     propagate,
-    radial_eigenvalue,
-    radial_eigenvalue_quadrature,
     random_state,
     sobolev_twisted_form,
     state_norm_sq,
@@ -44,7 +43,14 @@ from hermspec.spectral import (
     time_avg_weighted,
 )
 
-from oracles import collapse_trace_norm, kernel_diagonal, kernel_diagonal_ratio, level_gram
+from oracles import (
+    collapse_trace_norm,
+    kernel_diagonal,
+    kernel_diagonal_ratio,
+    level_gram,
+    radial_eigenvalue,
+    radial_eigenvalue_quadrature,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -891,6 +897,46 @@ def test_radial_spectrum_matches_level_gram(n, wd, powers):
             top = level_top(n, k, p, wd)
             assert top.value == exact[-1]
             assert radial_eigenvalue(len(wd), top.j, top.l, p) == top.value
+
+
+# the (weighted axes, weight power) pairs of the level-gram test above and of
+# `hermspec all` (kato_nd, operator_norm_n3 and even_3d)
+SPECTRUM_PAIRS = [(1, 0.5), (2, 0.5), (2, 1.0), (2, 1.5), (3, 0.5), (3, 1.0), (3, 2.0)]
+
+
+@pytest.mark.parametrize("dw, p", SPECTRUM_PAIRS)
+def test_level_spectrum_exact_half_is_the_per_mode_series_bit_for_bit(dw, p):
+    table = level_spectrum(dw, 60, p)
+    modes = [((k - l) // 2, l) for k in range(61) for l in range(k % 2, k + 1, 2)
+             if dw > 1 or l <= 1]
+    for j, l in modes:
+        assert table.exact[2 * j + l, l] == radial_eigenvalue(dw, j, l, p), (j, l)
+    # every other entry is no mode, in both halves
+    assert np.isfinite(table.exact).sum() == len(modes)
+    assert np.array_equal(np.isfinite(table.quad), np.isfinite(table.exact))
+
+
+@pytest.mark.parametrize("k_max", [200, 299])
+def test_level_spectrum_quadrature_half_matches_the_exact_half(k_max):
+    for dw, p in SPECTRUM_PAIRS:
+        table = level_spectrum(dw, k_max, p)
+        modes = np.isfinite(table.exact)
+        rel = np.abs(table.quad[modes] / table.exact[modes] - 1.0)
+        assert rel.max() <= 1e-12, (dw, p)
+
+
+def test_level_spectrum_limits_and_read_only():
+    table = level_spectrum(3, 4, 2.0)
+    for half in (table.exact, table.quad):
+        with pytest.raises(ValueError):
+            half[0, 0] = 0.0
+    # the quadrature half's rule has k_max // 2 + 1 <= 150 nodes
+    with pytest.raises(CapabilityError):
+        level_spectrum(3, 300, 2.0)
+    with pytest.raises(ValueError):
+        level_spectrum(2, 4, 2.0)
+    with pytest.raises(ValueError):
+        level_spectrum(1, 4, 1.0)
 
 
 def test_radial_eigenvalue_matches_mpmath_laguerre_integral():

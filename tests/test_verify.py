@@ -10,7 +10,13 @@ import pytest
 from hermspec.errors import CapabilityError, ToleranceError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import hermite_functions
-from hermspec.quadrature import gauss_legendre_panels, integrate_radial_3d, truncation_radius
+from hermspec.quadrature import (
+    QuadratureRule,
+    _radial_angular_sum,
+    gauss_legendre_panels,
+    sphere_directions,
+    truncation_radius,
+)
 from hermspec.spectral import (
     evaluate_state,
     make_state,
@@ -240,7 +246,7 @@ def test_radial_lift_norm_holds_on_the_doubled_rule_up_to_the_cap():
     for k_max in (20, 26, 71):
         mode_cap = 2 * k_max + 1
         R = truncation_radius(mode_cap, 3)
-        n_panels = max(40, int(math.ceil(4.0 * R)))
+        n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
         lift = V._radial_mode_integrals(mode_cap, 0.0, R, 2 * n_panels, 16)
         assert np.max(np.abs(lift[1::2] - 1.0)) <= 1e-14, k_max
 
@@ -291,15 +297,35 @@ def test_kato_large_k_exact_route():
 
 
 def test_level_scans_route_disagreement_is_inconclusive(monkeypatch):
-    import hermspec.verify as V
-
-    exact = V.radial_eigenvalue_quadrature
-    monkeypatch.setattr(V, "radial_eigenvalue_quadrature",
-                        lambda *args: exact(*args) * (1.0 + 1e-6))
+    exact = spectral.level_spectrum
+    monkeypatch.setattr(spectral, "level_spectrum", lambda *args: spectral.LevelSpectrum(
+        exact(*args).exact, exact(*args).quad * (1.0 + 1e-6)))
     cfg = ScanConfig(k_max=3)
     for r in (check_kato(cfg, 3, 1.0), check_operator_norms(cfg, 3)):
         assert r.status == "inconclusive"
         assert r.parameters["route_drift"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_level_gate_sees_a_wrong_mode_below_the_top(monkeypatch):
+    # one mode below level 6's top reads above it in the quadrature half only;
+    # a gate on the exact maximizer's quadrature value alone cannot see that
+    real = spectral.level_spectrum
+    k = 6
+
+    def mutated(dw, k_max, weight_power):
+        table = real(dw, k_max, weight_power)
+        top_l = int(np.argmax(table.exact[k]))
+        low_l = next(l for l in range(k % 2, k + 1, 2) if l != top_l)
+        quad = table.quad.copy()
+        quad[k, low_l] = table.exact[k, top_l] * (1.0 + 1e-6)
+        assert quad[k, top_l] == table.quad[k, top_l]
+        return spectral.LevelSpectrum(table.exact, quad)
+
+    monkeypatch.setattr(spectral, "level_spectrum", mutated)
+    cfg = ScanConfig(k_max=8, trials=1)
+    for r in (check_kato(cfg, 3, 1.0), check_operator_norms(cfg, 3), check_even_3d(cfg)):
+        assert r.status == "inconclusive", r.estimate_id
+        assert r.parameters["unstable"] == "level_top"
 
 
 def test_operator_norms_ground_value():
@@ -494,7 +520,7 @@ def test_radial_trials_match_the_per_trial_route(seed):
     r = check_radial_3d_identity(cfg)
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
-    n_panels = max(40, int(math.ceil(4.0 * R * cfg.rule_scale)))
+    n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
 
     def lifted(g, delta, panels, nodes_pp):
         items = sorted(g.coefficients.items())
@@ -657,13 +683,13 @@ def test_even_3d_form_lookups_do_not_grow_with_trials(monkeypatch):
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
-    real = verify.level_top
+    real = verify._level_tops
 
-    def shifted(n, k, weight_power, weight_dims=None):
-        top = real(n, k, weight_power, weight_dims)
-        return type(top)(top.value * (1.0 + 1e-6), top.j, top.l)
+    def shifted(n, k_max, weight_power, axes):
+        tops, quads = real(n, k_max, weight_power, axes)
+        return [top * (1.0 + 1e-6) for top in tops], quads
 
-    monkeypatch.setattr(verify, "level_top", shifted)
+    monkeypatch.setattr(verify, "_level_tops", shifted)
     r = check_even_3d(ScanConfig(k_max=4, trials=1))
     assert r.status == "inconclusive"
     assert r.parameters["route_drift"] > 1e-7
@@ -860,7 +886,7 @@ def test_memo_caches_are_read_only_reused_and_cleared():
     import hermspec.spectral as S
     import hermspec.verify as V
 
-    caches = (S._level_form, S._radial_level_top, V._radial_mode_integrals)
+    caches = (S._level_form, S.level_spectrum, V._radial_mode_integrals)
     clear_caches()
     f = random_state(3, 4, [5, 1])
     g = random_state(3, 4, [5, 2])
@@ -888,15 +914,18 @@ def test_radial_lift_table_matches_3d_integrator(delta):
 
     mode_cap = 41
     R = truncation_radius(mode_cap, 3)
-    n_panels = max(40, int(math.ceil(4.0 * R)))
+    n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
     lift = V._radial_mode_integrals(mode_cap, delta, R, n_panels, 8)
+    # integrate_radial_3d's spherical sum, on the lift's uniform radial rule
+    rule = gauss_legendre_panels(0.0, R, n_panels, 8)
+    radial = QuadratureRule(rule.nodes, rule.weights * rule.nodes ** (2.0 - 2.0 * delta))
+    dirs, dw = sphere_directions(4, 4)
     for d in range(1, mode_cap + 1, 2):
         def F(x1, x2, x3, d=d):
             r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
             return hermite_functions(d, r)[d] ** 2 / (2.0 * math.pi * r * r)
 
-        ref = integrate_radial_3d(F, delta, R, n_panels=n_panels, nodes_per_panel=8,
-                                  n_theta=4, n_phi=4)
+        ref = _radial_angular_sum(radial, dirs, dw, F)
         assert abs(lift[d] - ref) <= 1e-13 * abs(ref), d
 
 
