@@ -672,19 +672,6 @@ def time_avg_weighted(
         time_avg_levels(state, delta, weight_dims, rule_scale).values())
 
 
-@dataclass(frozen=True)
-class LevelTop:
-    """Top eigenvalue of a weighted level gram and a radial mode attaining it.
-
-    The mode is r^l L_j^(a)(r^2) e^(-r^2/2) times a degree-l spherical
-    harmonic on the weighted axes (a = l + dw/2 - 1), at level 2j + l there.
-    """
-
-    value: float
-    j: int
-    l: int
-
-
 def poch(a: float, m: float) -> float:
     """Pochhammer ratio (a)_m = Gamma(a+m)/Gamma(a) for a > 0 and m >= 0.
 
@@ -773,26 +760,26 @@ def level_spectrum(dw: int, k_max: int, weight_power: float) -> LevelSpectrum:
     return LevelSpectrum(exact, quad)
 
 
-def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop:
-    """Top eigenvalue of the level-k gram under |x_w|^(-weight_power), exactly.
+def level_tops(n: int, k_max: int, weight_power: float, weight_dims=None) -> tuple:
+    """Top eigenvalue of every level k <= k_max's gram under |x_w|^(-weight_power),
+    by both of level_spectrum's routes: (exact tops, quadrature tops), each its
+    own route's maximum over the level's modes.
 
     A radial weight commutes with rotations of the weighted axes, so the level
-    gram is diagonal in the Laguerre x spherical-harmonic basis there, and
-    its eigenvalues are level_spectrum's exact half.  With free axes, level k
-    splits into (weighted level k_w) x (free level k - k_w) and the top is the
-    largest weighted top over k_w <= k.  The gram is symmetric positive
-    semidefinite, so this is also its largest singular value.
+    gram is diagonal in the Laguerre x spherical-harmonic basis there.  With
+    free axes, level k splits into (weighted level k_w) x (free level k - k_w)
+    and the top is the largest weighted top over k_w <= k.  The gram is
+    symmetric positive semidefinite, so this is also its largest singular value.
     """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    wd = _weight_axes(n, weight_dims)
-    dw = len(wd)
+    if n < 1 or k_max < 0:
+        raise ValueError("need n >= 1 and k_max >= 0")
+    dw = len(_weight_axes(n, weight_dims))
     check_admissible(dw, weight_power / 2.0)
-    exact = level_spectrum(dw, k, float(weight_power)).exact
-    # the first maximum, over k_w and then l ascending
-    kw = k if dw == n else int(np.argmax(exact.max(axis=1)))
-    l = int(np.argmax(exact[kw]))
-    return LevelTop(float(exact[kw, l]), (kw - l) // 2, l)
+    table = level_spectrum(dw, k_max, float(weight_power))
+    exact, quad = table.exact.max(axis=1), table.quad.max(axis=1)
+    if dw < n:
+        exact, quad = np.maximum.accumulate(exact), np.maximum.accumulate(quad)
+    return exact.tolist(), quad.tolist()
 
 
 # bounded like _level_form: a run keys one index set per level

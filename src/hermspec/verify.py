@@ -62,6 +62,7 @@ from .spectral import (
     enumerate_multiindices,
     evaluate_phi,
     kernel_diagonals,
+    level_tops,
     make_state,
     sobolev_twisted_form,
     time_avg_weighted,
@@ -280,17 +281,6 @@ def _require_rule_capacity(cfg: ScanConfig, name: str, top_level, reason=None) -
     )
 
 
-def _level_tops(n, k_max, weight_power, axes) -> tuple:
-    """Every level k <= k_max's exact and quadrature tops under |x_w|^(-weight_power),
-    each its own route's maximum over the level's modes in one level_spectrum
-    table; with free axes, the largest weighted top over k_w <= k."""
-    table = spectral.level_spectrum(len(axes), k_max, float(weight_power))
-    exact, quad = table.exact.max(axis=1), table.quad.max(axis=1)
-    if len(axes) < n:
-        exact, quad = np.maximum.accumulate(exact), np.maximum.accumulate(quad)
-    return exact.tolist(), quad.tolist()
-
-
 def _ground_top(dw: int, weight_power: float) -> float:
     """Level 0's top under |x_w|^(-weight_power) on dw weighted axes: the
     ground state's weighted mean, Gamma(dw/2 - weight_power/2) / Gamma(dw/2)."""
@@ -378,8 +368,8 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     integral is 2 sum_i w_i r_i^(-2 delta) h_d(r_i)^2 on n_panels uniform
     Gauss-Legendre panels over [0, R].  At odd d, h_d(r)^2 / r^2 is smooth at
     0, so the rule needs no grading; the even entries are never read.  A
-    trial's level is its entry times |a|^2.  integrate_radial_3d's spherical
-    sum on the same rule is the tests' reference for this route.
+    trial's level is its entry times |a|^2.  integrate_radial_3d, on its own
+    graded rule, is the tests' reference for this route.
     """
     rule = gauss_legendre_panels(0.0, R, n_panels, nodes_pp)
     r = rule.nodes
@@ -403,8 +393,9 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     corr_tol = 1e-10
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
-    # panels about one oscillation of the top mode's square wide, at least 4
-    n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
+    # panels about one oscillation of the top mode's square wide; at least 20,
+    # so a shrunken rule reads as an unstable functional, not a failed identity
+    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
     params = {
         "n": 3,
         "delta": 1.0,
@@ -420,9 +411,8 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     # every trial's |a_d|^2 over the odd degrees d, one row per trial
     re, im = _trial_parts(cfg, "radial_3d_identity", cfg.k_max + 1, unit=True)
     sq = np.hypot(re, im) ** 2
-    # each odd degree's lifted integral: the norm on the doubled rule (the
-    # coarse rule under-resolves the top degrees past k_max ~ 20), then the
-    # functional on the configured and the doubled rule
+    # each odd degree's lifted integral: the norm on the doubled rule, then
+    # the functional on the configured and the doubled rule
     norm_lift, lift1, lift2 = (
         _radial_mode_integrals(mode_cap, delta, R, panels, nodes_pp)[1::2]
         for delta, panels, nodes_pp in
@@ -474,7 +464,7 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     check_admissible(len(axes), delta)
     bound = cfg.bound_for("kato_nd")
     verdict = _Verdict(cfg.gate_tol)
-    tops, quads = _level_tops(n, cfg.k_max, 2.0 * delta, axes)
+    tops, quads = level_tops(n, cfg.k_max, 2.0 * delta, axes)
     samples = [(f"k={k:02d}", TWO_PI * s_k) for k, s_k in enumerate(tops)]
     for s_k, quad in zip(tops, quads):
         verdict.gate("level_top", quad, s_k)
@@ -514,8 +504,8 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     norm0 = -1.0
     for delta in deltas:
         one_sided = []
-        tops = zip(*_level_tops(n, cfg.k_max, delta, axes),
-                   *_level_tops(n, cfg.k_max, 2.0 * delta, axes))
+        tops = zip(*level_tops(n, cfg.k_max, delta, axes),
+                   *level_tops(n, cfg.k_max, 2.0 * delta, axes))
         for k, (one, q1, two, q2) in enumerate(tops):
             verdict.gate("level_top", q1, one)
             verdict.gate("level_top", q2, two)
@@ -626,9 +616,9 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     """Inverse-square functional on fully even 3D states against its sharp value.
 
     At even k every radial mode has even degree l, with l/2 + 1 fully even
-    harmonics, so the fully even part of level k keeps the level's top
-    2*pi*level_top(3, k, 2), gated by the restricted level form's top eigenvalue
-    and level_spectrum's quadrature top.  Random fully even states must stay
+    harmonics, so the fully even part of level k keeps the level's sharp value
+    2*pi s_k, s_k its exact top in level_tops(3, k_max, 2), gated by the
+    restricted level form's top eigenvalue and by the quadrature top.  Random fully even states must stay
     below the largest sharp value; each trial's level term is one product with
     that level's form, and every form comes from one build on one grid.
     """
@@ -657,7 +647,7 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     # indices are the columns lo:hi
     cols = np.cumsum([0] + [len(level) for level in even.values()])
     re, im = _trial_parts(cfg, "even_3d", int(cols[-1]))
-    tops, quads = _level_tops(3, cfg.k_max, 2.0, (0, 1, 2))
+    tops, quads = level_tops(3, cfg.k_max, 2.0, (0, 1, 2))
     terms = []
     for k, form, lo, hi in zip(even, forms, cols, cols[1:]):
         s_k = tops[k]

@@ -5,6 +5,7 @@ tests hold the two against each other.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from hermspec.spectral import (
     _mode_matrix,
     _tensor_free_axes,
     _weight_axes,
+    check_admissible,
     enumerate_multiindices,
     poch,
 )
@@ -60,7 +62,7 @@ def level_gram(
     weight_dims=None,
 ) -> np.ndarray:
     """Gram matrix of the level-k eigenfunctions under a power-law weight:
-    the oracle of spectral.level_top for the whole level spectrum.
+    the oracle of spectral.level_tops for the whole level spectrum.
 
     Entry (alpha, beta) is integral Phi_alpha Phi_beta w(x)^(-1) dx where
     w = (sum of squares over weight_dims)^(weight_power/2); indices ordered as
@@ -131,6 +133,39 @@ def radial_eigenvalue_quadrature(dw: int, j: int, l: int, weight_power: float) -
     s, w = gauss_rule("laguerre", j + 1, a - mu)
     vals = eval_laguerre(j, a, s)
     return math.fsum(w * vals * vals) * math.exp(math.lgamma(j + 1) - math.lgamma(j + a + 1))
+
+
+@dataclass(frozen=True)
+class LevelTop:
+    """Top eigenvalue of a weighted level gram and a radial mode attaining it.
+
+    The mode is r^l L_j^(a)(r^2) e^(-r^2/2) times a degree-l spherical
+    harmonic on the weighted axes (a = l + dw/2 - 1), at level 2j + l there.
+    """
+
+    value: float
+    j: int
+    l: int
+
+
+def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop:
+    """Top eigenvalue of the level-k gram under |x_w|^(-weight_power), one
+    radial_eigenvalue per mode with no node cap: the per-level oracle of
+    spectral.level_tops' exact tops.
+
+    With free axes, level k splits into (weighted level k_w) x (free level
+    k - k_w) and the top is the largest weighted top over k_w <= k; the first
+    maximum, over k_w and then l ascending, names the mode.
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    dw = len(_weight_axes(n, weight_dims))
+    check_admissible(dw, weight_power / 2.0)
+    # a dw-dimensional level k_w holds the modes 2j + l = k_w; in 1D only l = k_w mod 2
+    modes = [((kw - l) // 2, l) for kw in ((k,) if dw == n else range(k + 1))
+             for l in ((kw % 2,) if dw == 1 else range(kw % 2, kw + 1, 2))]
+    return max((LevelTop(radial_eigenvalue(dw, j, l, weight_power), j, l) for j, l in modes),
+               key=lambda t: t.value)
 
 
 def x_odd(k: int, x) -> np.ndarray:

@@ -28,7 +28,7 @@ from hermspec.spectral import (
     hermite_sobolev_norm,
     kernel_diagonals,
     level_spectrum,
-    level_top,
+    level_tops,
     make_state,
     oscillator_energy_sq,
     parity_decompose,
@@ -48,6 +48,7 @@ from oracles import (
     kernel_diagonal,
     kernel_diagonal_ratio,
     level_gram,
+    level_top,
     radial_eigenvalue,
     radial_eigenvalue_quadrature,
 )
@@ -889,6 +890,7 @@ def _radial_spectrum(n, k, weight_power, wd):
 )
 def test_radial_spectrum_matches_level_gram(n, wd, powers):
     for p in powers:
+        tops, quads = level_tops(n, 10, p, wd)
         for k in range(11):
             exact = _radial_spectrum(n, k, p, wd)
             gram = np.linalg.eigvalsh(level_gram(n, k, p, weight_dims=wd))
@@ -897,6 +899,8 @@ def test_radial_spectrum_matches_level_gram(n, wd, powers):
             top = level_top(n, k, p, wd)
             assert top.value == exact[-1]
             assert radial_eigenvalue(len(wd), top.j, top.l, p) == top.value
+            assert tops[k] == top.value
+            assert abs(quads[k] - top.value) <= 1e-14 * top.value, (p, k)
 
 
 # the (weighted axes, weight power) pairs of the level-gram test above and of
@@ -1006,9 +1010,9 @@ def test_poch_integer_shifts_are_exact_products():
 
 def test_radial_eigenvalue_ground_values_and_limits():
     # the constants the Kato and operator-norm scans pin at level 0
-    assert level_top(3, 0, 2.0).value == pytest.approx(2.0, rel=1e-15)
-    assert level_top(3, 0, 1.0).value == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
-    assert level_top(2, 7, 0.0).value == 1.0
+    assert level_tops(3, 0, 2.0)[0][0] == pytest.approx(2.0, rel=1e-15)
+    assert level_tops(3, 0, 1.0)[0][0] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
+    assert level_tops(2, 7, 0.0)[0][7] == 1.0
     with pytest.raises(ValueError):
         radial_eigenvalue(1, 0, 2, 0.5)
     with pytest.raises(ValueError):
@@ -1016,9 +1020,13 @@ def test_radial_eigenvalue_ground_values_and_limits():
     with pytest.raises(CapabilityError):
         radial_eigenvalue_quadrature(3, 150, 0, 2.0)
     with pytest.raises(ValueError):
-        level_top(2, 3, 2.0)
+        level_tops(2, 3, 2.0)
     with pytest.raises(ValueError):
-        level_top(2, 3, 1.0, (0,))
+        level_tops(2, 3, 1.0, (0,))
+    # the per-level oracle keeps the exact series' range past the node cap
+    assert level_top(3, 400, 2.0).value == pytest.approx(2.0, rel=1e-14)
+    with pytest.raises(CapabilityError):
+        level_tops(3, 300, 2.0)
 
 
 def test_admissibility_rule_names_each_case():

@@ -10,13 +10,7 @@ import pytest
 from hermspec.errors import CapabilityError, ToleranceError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import hermite_functions
-from hermspec.quadrature import (
-    QuadratureRule,
-    _radial_angular_sum,
-    gauss_legendre_panels,
-    sphere_directions,
-    truncation_radius,
-)
+from hermspec.quadrature import gauss_legendre_panels, integrate_radial_3d, truncation_radius
 from hermspec.spectral import (
     evaluate_state,
     make_state,
@@ -246,7 +240,7 @@ def test_radial_lift_norm_holds_on_the_doubled_rule_up_to_the_cap():
     for k_max in (20, 26, 71):
         mode_cap = 2 * k_max + 1
         R = truncation_radius(mode_cap, 3)
-        n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
+        n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
         lift = V._radial_mode_integrals(mode_cap, 0.0, R, 2 * n_panels, 16)
         assert np.max(np.abs(lift[1::2] - 1.0)) <= 1e-14, k_max
 
@@ -520,7 +514,7 @@ def test_radial_trials_match_the_per_trial_route(seed):
     r = check_radial_3d_identity(cfg)
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
-    n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
+    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
 
     def lifted(g, delta, panels, nodes_pp):
         items = sorted(g.coefficients.items())
@@ -683,13 +677,15 @@ def test_even_3d_form_lookups_do_not_grow_with_trials(monkeypatch):
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
-    real = verify._level_tops
+    real = verify.level_tops
 
-    def shifted(n, k_max, weight_power, axes):
-        tops, quads = real(n, k_max, weight_power, axes)
-        return [top * (1.0 + 1e-6) for top in tops], quads
+    # both of the table's routes shift together, so only the level form's
+    # eigvalsh gate can see it
+    def shifted(n, k_max, weight_power, weight_dims=None):
+        tops, quads = real(n, k_max, weight_power, weight_dims)
+        return [top * (1.0 + 1e-6) for top in tops], [q * (1.0 + 1e-6) for q in quads]
 
-    monkeypatch.setattr(verify, "_level_tops", shifted)
+    monkeypatch.setattr(verify, "level_tops", shifted)
     r = check_even_3d(ScanConfig(k_max=4, trials=1))
     assert r.status == "inconclusive"
     assert r.parameters["route_drift"] > 1e-7
@@ -909,23 +905,21 @@ def test_memo_caches_are_read_only_reused_and_cleared():
 @pytest.mark.parametrize("delta", [0.0, 1.0])
 def test_radial_lift_table_matches_3d_integrator(delta):
     # each entry of the one-table lift against the full 3D integral of its
-    # single lifted mode, on the same radial rule
+    # single lifted mode on integrate_radial_3d's graded rule, both on the
+    # doubled rule, where each is converged
     import hermspec.verify as V
 
     mode_cap = 41
     R = truncation_radius(mode_cap, 3)
-    n_panels = max(4, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
-    lift = V._radial_mode_integrals(mode_cap, delta, R, n_panels, 8)
-    # integrate_radial_3d's spherical sum, on the lift's uniform radial rule
-    rule = gauss_legendre_panels(0.0, R, n_panels, 8)
-    radial = QuadratureRule(rule.nodes, rule.weights * rule.nodes ** (2.0 - 2.0 * delta))
-    dirs, dw = sphere_directions(4, 4)
+    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
+    lift = V._radial_mode_integrals(mode_cap, delta, R, 2 * n_panels, 16)
     for d in range(1, mode_cap + 1, 2):
         def F(x1, x2, x3, d=d):
             r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
             return hermite_functions(d, r)[d] ** 2 / (2.0 * math.pi * r * r)
 
-        ref = _radial_angular_sum(radial, dirs, dw, F)
+        ref = integrate_radial_3d(F, delta, R, n_panels=2 * n_panels, nodes_per_panel=16,
+                                  n_theta=4, n_phi=4)
         assert abs(lift[d] - ref) <= 1e-13 * abs(ref), d
 
 
