@@ -1,18 +1,13 @@
-"""Deterministic quadrature: Gauss rules, graded radial panels, singular-weight absorption.
+"""Deterministic quadrature: Gauss rules, graded radial panels, spherical products.
 
-Two radial schemes back the same contract:
-
-* graded Gauss-Legendre panels (geometric refinement toward r = 0, uniform
-  panels out to the truncation radius) for generic integrands and for the
-  divergence demonstrations;
-* an absorbing rule, generalized Gauss-Laguerre in s = r^2, whose weights fold
-  in both the Jacobian power r^(d-1-2*delta) and the Gaussian envelope.  It is
-  exact for integrands of the form (polynomial in x) * exp(-r^2), which is
-  precisely the shape of every spectral level integrand, and it is unavailable
-  exactly where the underlying integral diverges (exponent <= -1).
-
-Every Gauss rule comes from one memoized routine, gauss_rule, so a run builds
-each (family, node count, exponent) once.
+* Gauss-Legendre, -Hermite, generalized -Laguerre and -Jacobi rules, each
+  from one memoized routine, gauss_rule, so a run builds each (family, node
+  count, exponents) once.  The Jacobi rules are the tau rules of the weighted
+  level forms (spectral._level_form), where the weight's singularity sits in
+  the rule's exponents.
+* Graded Gauss-Legendre panels (geometric refinement toward r = 0, uniform
+  panels out to the truncation radius) for generic radial integrands and for
+  the divergence demonstrations, which refuse a non-integrable exponent.
 
 Sums are accumulated with numpy pairwise dots inside chunks and math.fsum
 across chunks, so values are partition-invariant well below 1e-13.
@@ -79,6 +74,20 @@ def _laguerre_poly(n: int, alpha: float, x: np.ndarray) -> tuple:
     return prev, p
 
 
+def _jacobi_poly(n: int, alpha: float, beta: float, x: np.ndarray) -> tuple:
+    """(P_(n-1)^(alpha,beta) / C(n-1+alpha, n-1), P_n^(alpha,beta) / C(n+alpha, n))(x),
+    n >= 1, in one pass of the difference form of the recurrence in x - 1."""
+    xm1 = x - 1
+    d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
+    prev, p = np.ones_like(x), d + 1
+    for k in range(1, n):
+        c = 2 * k + alpha + beta
+        d = (c * (c + 1) * (c + 2) * xm1 * p + 2 * k * (k + beta) * (c + 2) * d) / (
+            2 * (k + alpha + 1) * (k + alpha + beta + 1) * c)
+        prev, p = p, p + d
+    return prev, p
+
+
 def _hermite_poly(n: int, x: np.ndarray) -> tuple:
     """(H_(n-1), H_n)(x), n >= 1, each H_j = 2^(j/2) He_j(sqrt(2) x), He_j by its recurrence
     from the top coefficient down; one pass of two rows, the H_(n-1) row starting
@@ -118,15 +127,18 @@ def _hermite_sq_sum(x: np.ndarray, m: int) -> np.ndarray:
 # bounded: `hermspec all` uses about 25 distinct rules, but a long-lived
 # caller may ask for arbitrary exponents
 @lru_cache(maxsize=512)
-def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def gauss_rule(family: str, m: int, alpha: float = 0.0,
+               beta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the m-point Gauss rule, memoized, read-only.
 
-    family "legendre" is weight 1 on [-1, 1], "hermite" e^(-x^2) on the line
-    and "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
-    MAX_LAGUERRE_NODES nodes).  Golub-Welsch: the nodes are the Jacobi matrix's
+    family "legendre" is weight 1 on [-1, 1], "hermite" e^(-x^2) on the line,
+    "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
+    MAX_LAGUERRE_NODES nodes) and "jacobi" (1-x)^alpha (1+x)^beta on [-1, 1]
+    (alpha, beta > -1).  Golub-Welsch: the nodes are the Jacobi matrix's
     eigenvalues, polished by one Newton step, for which one recurrence pass gives
     p_(m-1) and p_m (and so p_m'); a second pass gives p_(m-1) at the polished
-    nodes, and the weights are 1/(p_(m-1) p_m') scaled to the weight's total mass.
+    nodes, and the weights are 1/(p_(m-1) p_m') (Jacobi: 1/((1-x^2) p_m'^2),
+    from the second pass) scaled to the weight's total mass.
     Hermite rules past 150 nodes work on the normalized Hermite functions, where
     the polynomials would overflow, up to MAX_HERMITE_NODES (CapabilityError past it).
     """
@@ -167,9 +179,36 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.
         dy = (m * y - m * p) / x
         x = x - y / dy
         w = _christoffel(_laguerre_poly(m, alpha, x)[0], dy)
+    elif family == "jacobi":
+        if alpha <= -1.0 or beta <= -1.0:
+            raise ValueError("Jacobi exponents must be > -1")
+        s = alpha + beta
+        mass = 2.0 ** (s + 1) * math.exp(
+            math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(s + 2))
+        # the monic recurrence, with t = 2k + s; off the diagonal the factor
+        # (k + s)/(t - 1) is 1 at k = 1
+        t = 2 * np.arange(m, dtype=float) + s
+        diag = np.append((beta - alpha) / (s + 2), (beta - alpha) * s / (t[1:] * (t[1:] + 2)))
+        t = t[1:]
+        off = 2 / t * np.sqrt(k * (k + alpha) * (k + beta) / (t + 1)
+                              * np.divide(k + s, t - 1, out=np.ones(m - 1), where=k > 1))
+
+        def slope(x):
+            # (2m+s)(1-x^2) P_m' = m((a-b) - (2m+s) x) P_m + 2m(m+b) P_(m-1)
+            p, y = _jacobi_poly(m, alpha, beta, x)
+            return y, (m * ((alpha - beta) - (2 * m + s) * x) * y + 2 * m * (m + beta) * p) / (
+                (2 * m + s) * (1 - x * x))
+
+        x = _golub_welsch(diag, off)
+        y, dy = slope(x)
+        x = x - y / dy
+        # 1/((1 - x^2) P_m'^2) at the polished nodes: near +-1 it moves far
+        # less with a node's rounding than 1/(P_(m-1) P_m') does
+        dy = slope(x)[1]
+        w = _christoffel((1 - x * x) * dy, dy)
     else:
-        raise ValueError("family must be legendre, hermite or laguerre")
-    if family != "laguerre":
+        raise ValueError("family must be legendre, hermite, laguerre or jacobi")
+    if family in ("legendre", "hermite"):
         # symmetric weight: make the rule exactly antipodal
         w = (w + w[::-1]) / 2
         x = (x - x[::-1]) / 2
@@ -282,32 +321,6 @@ def radial_rule_panels(
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel() * nodes ** exponent
-    return QuadratureRule(nodes, weights)
-
-
-def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
-    """Absorbing rule for integral_0^inf G(r) r^(dim-1-2*delta) dr, Gaussian-decaying G.
-
-    Substituting s = r^2 gives (1/2) integral q(s) s^alpha e^(-s) ds with
-    alpha = (dim - 2*delta - 2)/2 and q(s) = G(sqrt(s)) e^(+s); generalized
-    Gauss-Laguerre handles s^alpha e^(-s) exactly, so the rule is exact whenever
-    G is (even polynomial of r-degree <= 2(2m-1)) * e^(-r^2).  Requires
-    alpha > -1, the same admissibility window as the integral itself.
-    """
-    exponent = dim - 1 - 2.0 * delta
-    alpha = (exponent - 1.0) / 2.0
-    if alpha <= -1.0:
-        raise ValueError(
-            f"weight exponent {exponent:g} is not integrable at r=0 "
-            f"(dim={dim}, delta={delta:g})"
-        )
-    if m > MAX_LAGUERRE_NODES:
-        raise ValueError(
-            f"absorbing rule limited to {MAX_LAGUERRE_NODES} nodes (e^s weight overflow)"
-        )
-    s, lam = gauss_rule("laguerre", m, alpha)
-    nodes = np.sqrt(s)
-    weights = 0.5 * lam * np.exp(s)
     return QuadratureRule(nodes, weights)
 
 

@@ -6,10 +6,11 @@ just rotates coefficient phases, so every time-averaged weighted functional
 reduces to a level-by-level spatial integral; this module never integrates in
 time (a direct time quadrature exists only as a test oracle).
 
-Level integrals carry singular radial weights on a subset of the axes.  They
-are computed on a product grid: absorbing radial rule (exact for polynomial
-levels), antipodally symmetric directions (so odd-in-r cross terms cancel
-exactly), and compensated Gauss-Hermite on the remaining axes.
+Level integrals carry singular radial weights on a subset of the axes.  The
+Gamma identity |y|^(-2 delta) = Gamma(delta)^-1 integral s^(delta-1) e^(-s|y|^2) ds
+splits such a weight over the axes, so a weighted level form is one
+Gauss-Jacobi sum, in tau = 1/(1+s), of per-axis 1D matrices, each exact on a
+compensated Gauss-Hermite rule; the sum is exact on polynomial levels.
 
 The Fourier convention throughout is the unitary angular-frequency transform
 (2*pi)^(-1/2) integral f(x) e^(-i x xi) dx, under which the 1D mode of degree
@@ -29,13 +30,10 @@ from .errors import CapabilityError, ToleranceError
 from .hermite import hermite_functions
 from .quadrature import (
     MAX_LAGUERRE_NODES,
-    circle_directions,
     gauss_hermite,
     gauss_legendre_panels,
     gauss_rule,
     hermite_compensated_weights,
-    radial_rule_absorbing,
-    sphere_directions,
     truncation_radius,
 )
 
@@ -473,124 +471,81 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     return M
 
 
-def _even_count(x: float) -> int:
-    m = int(math.ceil(x))
-    return m + (m % 2)
+def _tau_nodes(k: int, scale: float) -> int:
+    # node count of the level-k tau rule at a rule scale, floored at 2; from
+    # k // 2 + 1 nodes it is exact on every level up to k
+    return max(2, int(math.ceil((k // 2 + 2) * scale)))
 
 
-def _radial_nodes(k: int, scale: float) -> int:
-    # absorbing-rule node count of the level-k grid at a rule scale
-    return max(3, int(math.ceil((k / 2.0 + 3.0) * scale)))
+# entries per block of tau nodes in the form accumulation: a block's Hermite
+# tables, tau matrices and gathered products stay near 8 MB each
+_TAU_BLOCK = 1 << 20
 
 
-def _max_rule_level(scale: float) -> int:
-    """Highest level whose grid at this rule scale stays within the absorbing
-    rule's node cap, or -1 when even level 0 does not."""
-    k = max(-1, int(2.0 * (MAX_LAGUERRE_NODES / scale - 3.0)) + 2)
-    while k >= 0 and _radial_nodes(k, scale) > MAX_LAGUERRE_NODES:
-        k -= 1
-    return k
-
-
-def _level_grid(n: int, k: int, delta: float, wd: tuple, scale: float, divide: bool):
-    """Product grid and weights for one level integral with weight on axes wd.
-
-    Every route uses the absorbing radial rule, which is exact on polynomial
-    levels: the antipodally symmetric direction set cancels odd-in-r parts, so
-    only integer powers of r^2 reach the Laguerre nodes.  A one-axis weight
-    with delta >= 1/2 divides the state by the coordinate first, shifting the
-    weight exponent by +2 (hence the delta - 1 below).
-    """
-    dw = len(wd)
-    m_r = _radial_nodes(k, scale)
-    if dw == 1:
-        radial = radial_rule_absorbing(1, delta - 1.0 if divide else delta, m_r)
-        dirs = np.array([[1.0], [-1.0]])
-        dwts = np.array([1.0, 1.0])
-    elif dw == 2:
-        radial = radial_rule_absorbing(2, delta, m_r)
-        dirs, dwts = circle_directions(_even_count((2 * k + 4) * scale))
-    elif dw == 3:
-        radial = radial_rule_absorbing(3, delta, m_r)
-        dirs, dwts = sphere_directions(
-            max(2, int(math.ceil((k + 2) * scale))), _even_count((2 * k + 4) * scale)
-        )
-    else:
-        raise ValueError("weighted-axis count must be 1, 2, or 3")
-    r = radial.nodes
-    base_pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dw)
-    base_w = (radial.weights[:, None] * dwts[None, :]).ravel()
-    return base_pts, base_w
-
-
-def _tensor_free_axes(base_pts, base_w, n, wd, k, scale):
-    """Extend the weighted-axes grid over the free axes with compensated Gauss-Hermite."""
-    free = [c for c in range(n) if c not in wd]
-    pts = np.zeros((base_pts.shape[0], n))
-    for j, c in enumerate(wd):
-        pts[:, c] = base_pts[:, j]
-    w = base_w
-    for c in free:
-        m_h = max(4, int(math.ceil((k + 3) * scale)))
-        nodes = gauss_hermite(m_h).nodes
-        n_old = pts.shape[0]
-        pts = np.repeat(pts, m_h, axis=0)
-        pts[:, c] = np.tile(nodes, n_old)
-        w = np.repeat(w, m_h) * np.tile(hermite_compensated_weights(m_h), n_old)
-    return pts, w
-
-
-# grid points per block of the level-form accumulation: a block's mode matrix
-# and tables stay a few MB while the full matrix never exists
-_FORM_BLOCK = 16384
+def _tau_matrices(degs: np.ndarray, tau: np.ndarray, odd: bool) -> np.ndarray:
+    """M[q, i, j] = tau_q^(-1/2) integral h_a h_b e^(-s_q x^2) dx, a = degs[i],
+    b = degs[j], s_q = 1/tau_q - 1 (divided by tau_q when odd): in
+    y = x / sqrt(tau_q) a polynomial of degree a + b times e^(-y^2), exact on
+    the (max(degs) + 1)-node Gauss-Hermite rule at sqrt(tau_q) y."""
+    m = int(degs[-1]) + 1
+    y = gauss_hermite(m).nodes
+    w = hermite_compensated_weights(m) * np.exp(-np.outer(1.0 - tau, y * y))
+    if odd:
+        w /= tau[:, None]
+    # (len(tau), len(degs), m): every degree at every tau's nodes
+    T = hermite_functions(m - 1, np.outer(np.sqrt(tau), y))[degs].transpose(1, 0, 2)
+    return (T * w[:, None, :]) @ T.transpose(0, 2, 1)
 
 
 # bounded: a run reuses a few dozen forms, but arbitrary sparse states each
 # key a new index set
 @lru_cache(maxsize=256)
-def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float, divide: bool,
+def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
                 index_sets: tuple) -> tuple:
-    """Weighted grams of index sets of level <= k on the level-k grid, one per set.
+    """Weighted grams of index sets of level <= k, one per set, on the level-k rules.
 
-    Entry (i, j) of a set's form is sum_p w_p Phi_i(p) Phi_j(p) over the
-    _level_grid and _tensor_free_axes grid of level k, with each mode
-    divided by x_w first on the one-axis divide path; a level's functional
-    is then c^H G c.  The grid's rules are exact on every level up to k, so
-    the sets of a whole scan share it, one Hermite table per axis and block.
-    The forms depend on the grid and the sets, never on the state, so they
-    are built once and returned read-only.
-
-    On an axis where every index of every set has one parity each product
-    Phi_i Phi_j (and x_w^2 on the divide path) is even, and the grid is
-    symmetric under reflecting that axis, so the grid is folded onto
-    x_c >= 0: off-plane points keep double weight, on-plane points (their
-    own mirror images, within rounding of 0) keep theirs.  A fully even 3D
-    level evaluates about an eighth of its grid; sets with no such axis
-    fold nothing.
+    Entry (alpha, beta) of a set's form is integral Phi_alpha Phi_beta |x_w|^(-2 delta),
+    and a level's functional is c^H G c.  By the Gamma identity for the weight
+    and tau = 1/(1+s),
+        G[alpha, beta] = Gamma(delta)^-1 sum_q W_q prod_(c in wd) M_q[alpha_c, beta_c]
+                         prod_(c not in wd) [alpha_c = beta_c],
+    M the _tau_matrices of axis c: polynomials in tau of degree (a + b)/2, with
+    a factor tau that is divided out on the p weighted axes where every index
+    is odd.  So the tau rule is Gauss-Jacobi for (1 - tau)^(delta-1)
+    tau^(dw/2 - delta - 1 + p), exact on every level up to k, and the sets of a
+    scan share it; its exponents stay > -1 wherever check_admissible allows the
+    weight, and delta = 0 is the identity.  The forms never depend on the
+    state, so they are built once and returned read-only.
     """
     subs = [np.array(indices) for indices in index_sets]
     idx = np.concatenate(subs)
     if idx.sum(axis=1).max() > k:
-        raise ValueError(f"an index set reaches past the grid's level {k}")
-    base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
-    pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
-    x = pts[:, np.flatnonzero((idx % 2 == idx[0] % 2).all(axis=0))]
-    # axis-aligned directions come out at +-6e-17 rather than 0
-    eps = 1e-12 * float(np.abs(pts).max())
-    keep = (x >= -eps).all(axis=1)
-    pts = pts[keep]
-    w = w[keep] * 2.0 ** (x[keep] > eps).sum(axis=1)
-    degs = idx.max(axis=0)
-    forms = [np.zeros((len(sub), len(sub))) for sub in subs]
-    for lo in range(0, w.size, _FORM_BLOCK):
-        block = pts[lo : lo + _FORM_BLOCK]
-        tabs = [hermite_functions(int(degs[c]), block[:, c]) for c in range(n)]
-        # one set's mode matrix at a time, so the largest set bounds the memory
-        for G, sub in zip(forms, subs):
-            B = _mode_matrix(tabs, sub)
-            if divide:
-                B /= block[:, wd[0]]
-            G += (B * w[lo : lo + _FORM_BLOCK]) @ B.T
+        raise ValueError(f"an index set reaches past its rules' level {k}")
+    if delta == 0.0:
+        forms = [np.eye(len(sub)) for sub in subs]
+    else:
+        wd = list(wd)
+        odd = (idx[:, wd] % 2 == 1).all(axis=0)
+        a, b = delta - 1.0, len(wd) / 2.0 - delta - 1.0 + int(odd.sum())
+        x, w = gauss_rule("jacobi", _tau_nodes(k, scale), a, b)
+        tau = (1.0 + x) / 2.0
+        w = w * (2.0 ** -(a + b + 1.0) / math.gamma(delta))
+        # each weighted axis's degrees, and each set's rows as positions among them
+        degs = [np.flatnonzero(np.bincount(idx[:, c])) for c in wd]
+        pos = np.stack([np.searchsorted(d, idx[:, c]) for d, c in zip(degs, wd)], axis=1)
+        rows = np.split(pos, np.cumsum([len(sub) for sub in subs])[:-1])
+        forms = [np.zeros((len(sub), len(sub))) for sub in subs]
+        per_node = max(max(len(sub) for sub in subs), int(idx.max()) + 1) ** 2
+        step = max(1, _TAU_BLOCK // per_node)
+        for lo in range(0, tau.size, step):
+            mats = [_tau_matrices(d, tau[lo : lo + step], o) for d, o in zip(degs, odd)]
+            for G, r in zip(forms, rows):
+                part = _gathered_product(mats, r, r)
+                G += (w[lo : lo + step] @ part.reshape(len(part), -1)).reshape(G.shape)
+        free = [c for c in range(n) if c not in wd]
+        if free:
+            for G, sub in zip(forms, subs):
+                G *= (sub[:, None, free] == sub[None, :, free]).all(axis=-1)
     for G in forms:
         G.flags.writeable = False
     return tuple(forms)
@@ -643,13 +598,12 @@ def time_avg_levels(
     wd = _weight_axes(state.n, weight_dims)
     odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)
     check_admissible(len(wd), delta, odd_in_axis=odd)
-    divide = len(wd) == 1 and delta >= 0.5
     by_level = {}
     for alpha, coeff in sorted(state.coefficients.items()):
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
     levels = {}
     for k, items in sorted(by_level.items()):
-        (G,) = _level_form(state.n, k, float(delta), wd, float(rule_scale), divide,
+        (G,) = _level_form(state.n, k, float(delta), wd, float(rule_scale),
                            (tuple(alpha for alpha, _ in items),))
         c = np.array([coeff for _, coeff in items])
         levels[k] = float(np.vdot(c, G @ c).real)
@@ -806,11 +760,15 @@ def _collapse_nodes(k_max: int, scale: float) -> int:
 
 
 def _gathered_product(mats: list, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """prod_c mats[c][rows[i, c], cols[j, c]] at every (i, j): the Hadamard
-    product of one gathered factor per axis, shape (len(rows), len(cols))."""
-    out = mats[0][np.ix_(rows[:, 0], cols[:, 0])]
-    for c in range(1, len(mats)):
-        out *= mats[c][np.ix_(rows[:, c], cols[:, c])]
+    """prod_c mats[c][..., rows[i, c], cols[j, c]] at every (i, j): the Hadamard
+    product of one gathered factor per axis, shape (..., len(rows), len(cols));
+    a leading stack of matrices (one per tau node) stays in front.  Each factor
+    is one flat take from its matrices, at rows[i, c] * d + cols[j, c]."""
+    out = None
+    for c, mat in enumerate(mats):
+        flat = rows[:, c, None] * mat.shape[-1] + cols[:, c]
+        part = np.take(mat.reshape(mat.shape[:-2] + (-1,)), flat, axis=-1)
+        out = part if out is None else np.multiply(out, part, out=out)
     return out
 
 

@@ -47,7 +47,7 @@ from .hermite import (
     verify_laguerre_hermite_relation,
 )
 from .quadrature import (
-    MAX_LAGUERRE_NODES,
+    MAX_HERMITE_NODES,
     TWO_PI,
     circle_directions,
     gauss_legendre_panels,
@@ -87,6 +87,10 @@ ESTIMATE_IDS = (
 
 # stable per-check stream index for seed sequences [seed, index, ...]
 CHECK_INDEX = {name: i for i, name in enumerate(ESTIMATE_IDS)}
+
+# even_3d's forms hold sum over even k <= k_max of C(k/2 + 2, 2)^2 entries:
+# 6.5e6 (52 MB) at this k_max, built in 4-6 s on 2 CPUs
+_EVEN_3D_K_MAX = 80
 
 # growth-trend threshold: least-squares slope of log(ratio) vs log(k)
 TREND_SLOPE_MAX = 0.05
@@ -249,10 +253,11 @@ def trend_slope(pairs) -> float:
 
 
 def clear_caches() -> None:
-    """Drop every memo, for honest re-runs: the Gauss rules and their
-    compensated Hermite weights, the level index tuples, the level forms,
-    the flat Sobolev forms, the collapse triples and forms, the lifted radial
-    mode integrals and the level-spectrum tables."""
+    """Drop every memo, for honest re-runs: the Gauss rules (the level forms'
+    Gauss-Jacobi tau rules among them) and their compensated Hermite weights,
+    the level index tuples, the level forms, the flat Sobolev forms, the
+    collapse triples and forms, the lifted radial mode integrals and the
+    level-spectrum tables."""
     gauss_rule.cache_clear()
     spectral._level_indices.cache_clear()
     spectral._level_form.cache_clear()
@@ -264,21 +269,12 @@ def clear_caches() -> None:
     hermite_compensated_weights.cache_clear()
 
 
-def _require_rule_capacity(cfg: ScanConfig, name: str, top_level, reason=None) -> None:
-    """Raise before any work when the doubled rule of the highest level the
-    scan reaches, top_level(k_max), needs more absorbing-rule nodes than the cap."""
-    max_level = spectral._max_rule_level(2.0 * cfg.rule_scale)
-    if top_level(cfg.k_max) <= max_level:
-        return
-    # top_level(k) >= k - 1, so no k_max past max_level + 1 fits
-    limit = max_level + 1
-    while limit >= 0 and top_level(limit) > max_level:
-        limit -= 1
-    supported = f"up to k_max = {limit}" if limit >= 0 else "for no k_max"
-    reason = reason or f"its doubled rule is limited to {MAX_LAGUERRE_NODES} absorbing-rule nodes"
-    raise CapabilityError(
-        f"{name} is supported {supported} at rule_scale {cfg.rule_scale:g}: {reason}"
-    )
+def _require_k_max(cfg: ScanConfig, name: str, limit: int, reason: str) -> None:
+    """Raise before any work when cfg.k_max is past a scan's supported limit."""
+    if cfg.k_max > limit:
+        raise CapabilityError(
+            f"{name} is supported up to k_max = {limit} at rule_scale {cfg.rule_scale:g}: {reason}"
+        )
 
 
 def _ground_top(dw: int, weight_power: float) -> float:
@@ -313,7 +309,9 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     The full functional over a period must equal 4*pi times the squared norm,
     and each level must contribute 2*pi times twice its squared coefficient.
     """
-    _require_rule_capacity(cfg, "odd_identity", lambda k_max: 2 * k_max + 1)
+    # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
+    _require_k_max(cfg, "odd_identity", (MAX_HERMITE_NODES - 2) // 2,
+                   f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes")
     tol = cfg.tolerance_for("odd_identity")
     per_level_tol = 1e-9
     mode_cap = 2 * cfg.k_max + 1
@@ -324,8 +322,8 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     sq = np.hypot(re, im) ** 2
 
     def level_terms(scale):
-        # g |c|^2 per trial and level, g each level's 1x1 form, all on the top level's grid
-        forms = spectral._level_form(1, mode_cap, 1.0, (0,), float(scale), True,
+        # g |c|^2 per trial and level, g each level's 1x1 form, all on the top level's rules
+        forms = spectral._level_form(1, mode_cap, 1.0, (0,), float(scale),
                                      tuple(((k,),) for k in ks))
         g = np.array([G[0, 0] for G in forms])
         return re * (g * re) + im * (g * im)
@@ -333,8 +331,8 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     verdict = _Verdict(cfg.gate_tol)
     scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
     lv1, lv2 = level_terms(scales[0]), level_terms(scales[1])
-    # two rules on the absorbing rule's node floor are one rule
-    verdict.gate("levels", lv1, lv2, [spectral._radial_nodes(mode_cap, r) for r in scales])
+    # two tau rules on the node floor are one rule
+    verdict.gate("levels", lv1, lv2, [spectral._tau_nodes(mode_cap, r) for r in scales])
     verdict.require("per_level", np.abs(lv1 - 2.0 * sq) <= per_level_tol)
     samples = []
     for t in range(cfg.trials):
@@ -620,12 +618,10 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     2*pi s_k, s_k its exact top in level_tops(3, k_max, 2), gated by the
     restricted level form's top eigenvalue and by the quadrature top.  Random fully even states must stay
     below the largest sharp value; each trial's level term is one product with
-    that level's form, and every form comes from one build on one grid.
+    that level's form, and every form comes from one build on the top even
+    level's rules.
     """
-    # fully even states live on the even levels only
-    # it builds no doubled rule, but keeps that limit to bound its level forms
-    _require_rule_capacity(cfg, "even_3d", lambda k_max: k_max - k_max % 2,
-                           "the limit bounds the size of its level forms")
+    _require_k_max(cfg, "even_3d", _EVEN_3D_K_MAX, "the limit bounds the size of its level forms")
     bound = cfg.bound_for("even_3d")
     verdict = _Verdict(cfg.gate_tol)
     phi0 = make_state(3, {(0, 0, 0): 1.0})
@@ -640,8 +636,8 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         k: tuple(tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2))
         for k in range(0, cfg.k_max + 1, 2)
     }
-    # every even level's form on the top even level's grid
-    forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), float(cfg.rule_scale), False,
+    # every even level's form on the top even level's rules
+    forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), float(cfg.rule_scale),
                                  tuple(even.values()))
     # the ratios are scale-free, so the trials stay unnormalized; level k's
     # indices are the columns lo:hi

@@ -15,16 +15,17 @@ from hermspec.errors import CapabilityError
 from hermspec.hermite import eval_laguerre, half_line_integral_even
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
+    QuadratureRule,
+    circle_directions,
     gauss_hermite,
     gauss_rule,
     hermite_compensated_weights,
+    sphere_directions,
 )
 from hermspec.spectral import (
     _collapse_nodes,
     _collapse_triples,
-    _level_grid,
     _mode_matrix,
-    _tensor_free_axes,
     _weight_axes,
     check_admissible,
     enumerate_multiindices,
@@ -54,6 +55,105 @@ def kernel_diagonal_ratio(n: int, k: int, grid) -> float:
     return float(vals.max() / k ** (n / 2.0 - 1.0))
 
 
+def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
+    """Absorbing rule for integral_0^inf G(r) r^(dim-1-2*delta) dr, Gaussian-decaying G.
+
+    Substituting s = r^2 gives (1/2) integral q(s) s^alpha e^(-s) ds with
+    alpha = (dim - 2*delta - 2)/2 and q(s) = G(sqrt(s)) e^(+s); generalized
+    Gauss-Laguerre handles s^alpha e^(-s) exactly, so the rule is exact whenever
+    G is (even polynomial of r-degree <= 2(2m-1)) * e^(-r^2).  Requires
+    alpha > -1, the same admissibility window as the integral itself.
+    """
+    exponent = dim - 1 - 2.0 * delta
+    alpha = (exponent - 1.0) / 2.0
+    if alpha <= -1.0:
+        raise ValueError(
+            f"weight exponent {exponent:g} is not integrable at r=0 "
+            f"(dim={dim}, delta={delta:g})"
+        )
+    if m > MAX_LAGUERRE_NODES:
+        raise ValueError(
+            f"absorbing rule limited to {MAX_LAGUERRE_NODES} nodes (e^s weight overflow)"
+        )
+    s, lam = gauss_rule("laguerre", m, alpha)
+    nodes = np.sqrt(s)
+    weights = 0.5 * lam * np.exp(s)
+    return QuadratureRule(nodes, weights)
+
+
+def _even_count(x: float) -> int:
+    m = int(math.ceil(x))
+    return m + (m % 2)
+
+
+def _radial_nodes(k: int, scale: float) -> int:
+    # absorbing-rule node count of the level-k grid at a rule scale
+    return max(3, int(math.ceil((k / 2.0 + 3.0) * scale)))
+
+
+def _level_grid(n: int, k: int, delta: float, wd: tuple, scale: float, divide: bool):
+    """Product grid and weights for one level integral with weight on axes wd.
+
+    Every route uses the absorbing radial rule, which is exact on polynomial
+    levels: the antipodally symmetric direction set cancels odd-in-r parts, so
+    only integer powers of r^2 reach the Laguerre nodes.  A one-axis weight
+    with delta >= 1/2 divides the state by the coordinate first, shifting the
+    weight exponent by +2 (hence the delta - 1 below).
+    """
+    dw = len(wd)
+    m_r = _radial_nodes(k, scale)
+    if dw == 1:
+        radial = radial_rule_absorbing(1, delta - 1.0 if divide else delta, m_r)
+        dirs = np.array([[1.0], [-1.0]])
+        dwts = np.array([1.0, 1.0])
+    elif dw == 2:
+        radial = radial_rule_absorbing(2, delta, m_r)
+        dirs, dwts = circle_directions(_even_count((2 * k + 4) * scale))
+    elif dw == 3:
+        radial = radial_rule_absorbing(3, delta, m_r)
+        dirs, dwts = sphere_directions(
+            max(2, int(math.ceil((k + 2) * scale))), _even_count((2 * k + 4) * scale)
+        )
+    else:
+        raise ValueError("weighted-axis count must be 1, 2, or 3")
+    r = radial.nodes
+    base_pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dw)
+    base_w = (radial.weights[:, None] * dwts[None, :]).ravel()
+    return base_pts, base_w
+
+
+def _tensor_free_axes(base_pts, base_w, n, wd, k, scale):
+    """Extend the weighted-axes grid over the free axes with compensated Gauss-Hermite."""
+    free = [c for c in range(n) if c not in wd]
+    pts = np.zeros((base_pts.shape[0], n))
+    for j, c in enumerate(wd):
+        pts[:, c] = base_pts[:, j]
+    w = base_w
+    for c in free:
+        m_h = max(4, int(math.ceil((k + 3) * scale)))
+        nodes = gauss_hermite(m_h).nodes
+        n_old = pts.shape[0]
+        pts = np.repeat(pts, m_h, axis=0)
+        pts[:, c] = np.tile(nodes, n_old)
+        w = np.repeat(w, m_h) * np.tile(hermite_compensated_weights(m_h), n_old)
+    return pts, w
+
+
+def grid_level_form(n, k, delta, wd, scale, divide, indices) -> np.ndarray:
+    """The weighted gram of one index set of level <= k on the product grid of
+    level k: the absorbing radial rule, sphere or circle directions and
+    compensated Gauss-Hermite free axes, each mode divided by x_w first on the
+    one-axis divide path (delta >= 1/2 on odd modes).  The oracle of
+    spectral._level_form."""
+    base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
+    pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
+    idx = np.array(indices)
+    B = _mode_matrix([hermite_functions(int(idx[:, c].max()), pts[:, c]) for c in range(n)], idx)
+    if divide:
+        B /= pts[:, wd[0]]
+    return (B * w) @ B.T
+
+
 def level_gram(
     n: int,
     k: int,
@@ -77,11 +177,8 @@ def level_gram(
         raise ValueError("weight_power must be >= 0")
     if weight_power >= len(wd):
         raise ValueError("weight_power must stay below the weighted-axis count")
-    base_pts, base_w = _level_grid(n, k, weight_power / 2.0, wd, rule_scale, False)
-    pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, rule_scale)
-    tabs = [hermite_functions(k, pts[:, c]) for c in range(n)]
-    B = _mode_matrix(tabs, np.array(enumerate_multiindices(n, k)))
-    M = (B * w) @ B.T
+    M = grid_level_form(n, k, weight_power / 2.0, wd, rule_scale, False,
+                        enumerate_multiindices(n, k))
     return 0.5 * (M + M.T)
 
 

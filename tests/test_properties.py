@@ -30,17 +30,26 @@ MAX_NODES = 40
 
 
 @st.composite
-def rules(draw, families=("legendre", "hermite", "laguerre")):
+def rules(draw, families=("legendre", "hermite", "laguerre", "jacobi")):
     family = draw(st.sampled_from(families))
     m = draw(st.integers(1, MAX_NODES))
-    alpha = draw(st.floats(-0.95, 8.0)) if family == "laguerre" else 0.0
-    return family, m, alpha
+    exponents = {"laguerre": 1, "jacobi": 2}.get(family, 0)
+    return family, m, tuple(draw(st.floats(-0.95, 8.0)) for _ in range(exponents))
 
 
-def _moment(family: str, alpha: float, d: int) -> float:
+def _moment(family: str, exponents: tuple, d: int) -> float:
     """Exact integral of x^d against the family's weight."""
     if family == "laguerre":
-        return math.exp(math.lgamma(d + alpha + 1.0))
+        return math.exp(math.lgamma(d + exponents[0] + 1.0))
+    if family == "jacobi":
+        # (a+b+j+2) m_(j+1) = (b-a) m_j + j m_(j-1), from integrating
+        # x^j d/dx[(1-x)^(a+1) (1+x)^(b+1)] by parts
+        a, b = exponents
+        lo, mom = 0.0, math.exp((a + b + 1) * math.log(2.0) + math.lgamma(a + 1)
+                                + math.lgamma(b + 1) - math.lgamma(a + b + 2))
+        for j in range(d):
+            lo, mom = mom, ((b - a) * mom + j * lo) / (a + b + j + 2)
+        return mom
     if d % 2:
         return 0.0
     if family == "legendre":
@@ -51,18 +60,18 @@ def _moment(family: str, alpha: float, d: int) -> float:
 @PROPERTY
 @given(rules())
 def test_gauss_rule_mass(rule):
-    family, m, alpha = rule
-    x, w = gauss_rule(family, m, alpha)
+    family, m, exponents = rule
+    x, w = gauss_rule(family, m, *exponents)
     assert x.shape == w.shape == (m,)
     assert np.all(w > 0) and np.all(np.diff(x) > 0)
-    assert math.isclose(math.fsum(w), _moment(family, alpha, 0), rel_tol=1e-14)
+    assert math.isclose(math.fsum(w), _moment(family, exponents, 0), rel_tol=1e-14)
 
 
 @PROPERTY
 @given(rules(families=("legendre", "hermite")))
 def test_gauss_rule_antipodal(rule):
-    family, m, alpha = rule
-    x, w = gauss_rule(family, m, alpha)
+    family, m, exponents = rule
+    x, w = gauss_rule(family, m, *exponents)
     assert np.array_equal(x, -x[::-1])
     assert np.array_equal(w, w[::-1])
 
@@ -70,13 +79,13 @@ def test_gauss_rule_antipodal(rule):
 @PROPERTY
 @given(rules(), st.data())
 def test_gauss_rule_exact_on_monomials(rule, data):
-    family, m, alpha = rule
+    family, m, exponents = rule
     d = data.draw(st.integers(0, 2 * m - 1), label="degree")
-    x, w = gauss_rule(family, m, alpha)
+    x, w = gauss_rule(family, m, *exponents)
     got = math.fsum(w * x ** d)
     # relative to the integral of |x|^d, so odd degrees have a scale too
     scale = max(math.fsum(w * np.abs(x) ** d), 1e-300)
-    assert abs(got - _moment(family, alpha, d)) <= 1e-12 * scale
+    assert abs(got - _moment(family, exponents, d)) <= 1e-12 * scale
 
 
 def _violates(dw: int, delta: float, odd: bool) -> bool:

@@ -14,7 +14,6 @@ from hermspec import (
     hermite_functions,
     integrate_cyl_2d,
     integrate_radial_3d,
-    radial_rule_absorbing,
     radial_rule_panels,
     sphere_directions,
     truncation_radius,
@@ -23,6 +22,8 @@ from hermspec import quadrature
 from hermspec.errors import CapabilityError
 from hermspec.quadrature import MAX_HERMITE_NODES, hermite_compensated_weights
 from hermspec.spectral import coefficients_from_function
+
+from oracles import radial_rule_absorbing
 
 
 def test_gauss_legendre_one_node():
@@ -193,10 +194,36 @@ def _max_rel(a, b):
     return float(np.max(np.abs(a - b) / np.abs(b)))
 
 
+# (alpha, beta) of the Jacobi rules: the tau rules of the 3D and the odd 1D
+# inverse-square forms, two-axis and 3D weights at delta = 1/2, the 1D weight
+# at delta = 0.3, and two off the program's path
+JACOBI_EXPONENTS = ((0.0, 0.5), (0.0, -0.5), (-0.5, -0.5), (-0.5, 0.0), (-0.7, -0.8),
+                    (0.5, -0.5), (1.0, 1.5))
+
+# scipy's Jacobi rules polish every node by the difference form from x = 1,
+# so they hold a node only to about 2e-16 absolute (far from 1e-15 relative
+# near 0), and their weights at the nodes nearest -1 drift: 3e-10 at 150
+# nodes against 50-digit references, where these rules are within 4e-12.
+# So the Jacobi nodes are held to 1e-15 on the scale of [-1, 1], and the
+# weights to 1e-13 while scipy's keep that accuracy
+JACOBI_SCIPY_WEIGHT_NODES = 11
+
+
 @pytest.mark.parametrize("family, alpha", [("legendre", 0.0), ("hermite", 0.0)]
-                         + [("laguerre", a) for a in LAGUERRE_EXPONENTS])
+                         + [("laguerre", a) for a in LAGUERRE_EXPONENTS]
+                         + [pytest.param("jacobi", ab, id=f"jacobi-{ab[0]}-{ab[1]}")
+                            for ab in JACOBI_EXPONENTS])
 def test_gauss_rule_matches_scipy(family, alpha):
     special = pytest.importorskip("scipy.special")
+    if family == "jacobi":
+        for m in range(1, 151):
+            x, w = _build_rule(family, m, *alpha)
+            xr, wr = special.roots_jacobi(m, *alpha)
+            assert np.all(np.diff(x) > 0)
+            assert np.max(np.abs(x - xr)) <= 1e-15, (alpha, m)
+            if m <= JACOBI_SCIPY_WEIGHT_NODES:
+                assert _max_rel(w, wr) <= 1e-13, (alpha, m)
+        return
     ref = {
         "legendre": special.roots_legendre,
         "hermite": special.roots_hermite,
@@ -409,8 +436,11 @@ def test_gauss_rule_guards():
     with pytest.raises(ValueError):
         gauss_rule("legendre", 0)
     with pytest.raises(ValueError):
-        gauss_rule("jacobi", 4)
+        gauss_rule("chebyshev", 4)
     with pytest.raises(ValueError):
         gauss_rule("laguerre", 4, -1.0)
+    for exponents in ((-1.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(ValueError):
+            gauss_rule("jacobi", 4, *exponents)
     with pytest.raises(ValueError):
         gauss_rule("laguerre", 151)

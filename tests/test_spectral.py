@@ -15,8 +15,6 @@ from hermspec.quadrature import (
 from hermspec.spectral import (
     KernelQuery,
     SpectralState,
-    _level_grid,
-    _tensor_free_axes,
     bessel_sobolev_norm,
     check_admissible,
     coefficients_from_function,
@@ -44,7 +42,10 @@ from hermspec.spectral import (
 )
 
 from oracles import (
+    _level_grid,
+    _tensor_free_axes,
     collapse_trace_norm,
+    grid_level_form,
     kernel_diagonal,
     kernel_diagonal_ratio,
     level_gram,
@@ -337,8 +338,8 @@ def test_evaluate_state_grid_matches_pointwise_evaluation():
 
 
 def _time_avg_reference(state, delta, wd):
-    # evaluate_phi per index, summed in a loop on the same level grid: shares
-    # neither the mode-matrix kernel nor the memoized level forms
+    # evaluate_phi per index, summed in a loop on the oracle's level grid:
+    # shares neither the separable route nor the memoized level forms
     divide = len(wd) == 1 and delta >= 0.5
     total = 0.0
     for k in sorted({sum(a) for a in state.coefficients}):
@@ -355,14 +356,12 @@ def _time_avg_reference(state, delta, wd):
 
 
 @pytest.mark.parametrize("state, delta, wd", [
-    (random_state(1, 9, [12, 1], parity="odd"), 1.0, (0,)),  # the divide path
+    (random_state(1, 9, [12, 1], parity="odd"), 1.0, (0,)),  # odd in the weighted axis
     (random_state(2, 6, [12, 2]), 0.5, (0, 1)),
     (random_state(3, 5, [12, 3]), 1.0, (0, 1, 2)),
     (random_state(3, 4, [12, 4]), 0.5, (0, 1)),  # one free axis
 ])
-def test_time_avg_matches_per_index_reference(state, delta, wd, monkeypatch):
-    # small blocks, so every form is accumulated over several of them
-    monkeypatch.setattr(spectral, "_FORM_BLOCK", 50)
+def test_time_avg_matches_per_index_reference(state, delta, wd):
     spectral._level_form.cache_clear()
     got = time_avg_weighted(state, delta, wd)
     spectral._level_form.cache_clear()
@@ -379,7 +378,7 @@ def _fully_even_state(k_max, seed):
 
 
 @pytest.mark.parametrize("state, wd", [
-    (random_state(1, 11, [13, 1], parity="odd"), (0,)),  # the divide path
+    (random_state(1, 11, [13, 1], parity="odd"), (0,)),  # odd in the weighted axis
     (_fully_even_state(6, [13, 3]), None),
 ])
 @pytest.mark.parametrize("rule_scale", [1.0, 2.0])
@@ -393,56 +392,27 @@ def test_time_avg_levels_match_the_functional_bit_for_bit(state, wd, rule_scale)
         assert TWO_PI * term == time_avg_weighted(project(state, k), 1.0, wd, rule_scale)
 
 
-def _unfolded_form(n, k, delta, wd, scale, divide, indices):
-    # the level form on the whole grid, block by block, as built before the
-    # reflection fold
-    base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
-    pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
-    idx = np.array(indices)
-    G = np.zeros((len(indices), len(indices)))
-    for lo in range(0, w.size, spectral._FORM_BLOCK):
-        block = pts[lo : lo + spectral._FORM_BLOCK]
-        B = spectral._mode_matrix(
-            [hermite_functions(int(idx[:, c].max()), block[:, c]) for c in range(n)], idx)
-        if divide:
-            B /= block[:, wd[0]]
-        G += (B * w[lo : lo + spectral._FORM_BLOCK]) @ B.T
-    return G
-
-
 def _even_level(k):
     return tuple(sorted(tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2)))
 
 
 @pytest.mark.parametrize("args", [
-    # fully even 3D; at scale 1.5 level 0 has n_theta = 3 (directions on
-    # z = 0) and n_phi = 6 (directions at +-6e-17 off x = 0)
+    # fully even 3D at three rule scales
     *[(3, k, 1.0, (0, 1, 2), scale, False, _even_level(k))
       for scale in (1.0, 1.5, 2.0) for k in (0, 2, 6)],
-    # the odd 1D divide path
+    # the odd 1D forms, which the grid oracle divides by x_w
     *[(1, k, 1.0, (0,), scale, True, ((k,),)) for scale in (1.0, 1.5) for k in (1, 9)],
-    # a free axis on a 5-node Gauss-Hermite rule, whose middle node is 0
+    # two weighted axes and a free axis
     (3, 2, 0.5, (0, 1), 1.0, False, _even_level(2)),
 ])
 def test_folded_level_form_matches_the_full_grid(args):
+    # the separable forms against the product-grid oracle; the last two
+    # arguments are the oracle's divide flag and the index set
     spectral._level_form.cache_clear()
-    (got,) = spectral._level_form(*args[:-1], (args[-1],))
+    (got,) = spectral._level_form(*args[:5], (args[-1],))
     spectral._level_form.cache_clear()
-    want = _unfolded_form(*args)
+    want = grid_level_form(*args)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_free_axis_rule_of_the_fold_case_has_a_zero_node():
-    assert gauss_hermite(5).nodes[2] == 0.0
-
-
-def test_mixed_parity_level_form_is_not_folded():
-    # the full level mixes parities on every axis: no fold, bit for bit
-    args = (3, 3, 0.5, (0, 1, 2), 1.5, False, tuple(sorted(enumerate_multiindices(3, 3))))
-    spectral._level_form.cache_clear()
-    (got,) = spectral._level_form(*args[:-1], (args[-1],))
-    spectral._level_form.cache_clear()
-    assert np.array_equal(got, _unfolded_form(*args))
 
 
 def _full_level(k):
@@ -450,63 +420,29 @@ def _full_level(k):
 
 
 @pytest.mark.parametrize("n, top, delta, wd, divide, sets", [
-    # the odd 1D divide path: every odd level on the top level's grid
+    # the odd 1D forms: every odd level on the top level's rules
     (1, 13, 1.0, (0,), True, tuple(((k,),) for k in range(1, 14, 2))),
-    # fully even 3D: every even level's fully even indices on the top even grid
+    # fully even 3D: every even level's fully even indices on the top even level's rules
     (3, 8, 1.0, (0, 1, 2), False, tuple(_even_level(k) for k in range(0, 9, 2))),
     # a fully even set beside mixed-parity full levels, with a free axis
     (3, 3, 0.5, (0, 1), False, (_even_level(2), _full_level(1), _full_level(3))),
 ])
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_shared_grid_forms_match_each_level_own_form(n, top, delta, wd, divide, sets, scale):
+    # each shared form against the grid oracle on its own level's grid
     spectral._level_form.cache_clear()
-    shared = spectral._level_form(n, top, delta, wd, scale, divide, sets)
+    shared = spectral._level_form(n, top, delta, wd, scale, sets)
     assert len(shared) == len(sets)
     for indices, got in zip(sets, shared):
-        (want,) = spectral._level_form(n, sum(indices[0]), delta, wd, scale, divide, (indices,))
+        want = grid_level_form(n, sum(indices[0]), delta, wd, scale, divide, indices)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     spectral._level_form.cache_clear()
 
 
-def test_shared_grid_folds_only_where_every_set_allows(monkeypatch):
-    # level 2's fully even set alone folds all three axes; beside level 1,
-    # which is odd in each axis somewhere, it folds none
-    values = []
-    real = spectral.hermite_functions
-
-    def counting(degree, x):
-        values.append(np.size(x))
-        return real(degree, x)
-
-    monkeypatch.setattr(spectral, "hermite_functions", counting)
-    spectral._level_form.cache_clear()
-    spectral._level_form(3, 3, 1.0, (0, 1, 2), 1.0, False, (_even_level(2), _full_level(1)))
-    spectral._level_form.cache_clear()
-    assert sum(values) == 3 * _level_grid(3, 3, 1.0, (0, 1, 2), 1.0, False)[1].size
-
-
 def test_level_form_refuses_a_set_past_its_grid_level():
-    # per-axis degree 2 fits the level-2 table, but the index is on level 4
-    with pytest.raises(ValueError, match="past the grid's level 2"):
-        spectral._level_form(3, 2, 1.0, (0, 1, 2), 1.0, False, (((2, 2, 0),),))
-
-
-@pytest.mark.parametrize("k", [0, 4, 10])
-def test_fully_even_3d_form_evaluates_an_eighth_of_its_grid(k, monkeypatch):
-    values = []
-    real = spectral.hermite_functions
-
-    def counting(degree, x):
-        values.append(np.size(x))
-        return real(degree, x)
-
-    monkeypatch.setattr(spectral, "hermite_functions", counting)
-    spectral._level_form.cache_clear()
-    spectral._level_form(3, k, 1.0, (0, 1, 2), 1.0, False, (_even_level(k),))
-    spectral._level_form.cache_clear()
-    full = _level_grid(3, k, 1.0, (0, 1, 2), 1.0, False)[1].size
-    # one table per axis; at scale 1 no direction of an even level is on a plane
-    assert 8 * sum(values) == 3 * full
+    # per-axis degree 2 fits the level-2 rules, but the index is on level 4
+    with pytest.raises(ValueError, match="past its rules' level 2"):
+        spectral._level_form(3, 2, 1.0, (0, 1, 2), 1.0, (((2, 2, 0),),))
 
 
 def test_time_avg_odd_single_mode_is_4pi():
@@ -550,7 +486,7 @@ def test_time_avg_odd_levels_sum_coefficientwise():
 
 
 def test_time_avg_fractional_delta_panel_route():
-    # mixed parity with a weak one-axis weight takes the graded-panel fallback
+    # mixed parity with a weak one-axis weight: a Jacobi exponent of -0.8 in tau
     state = make_state(1, {(0,): 1.0})
     got = time_avg_weighted(state, 0.3, (0,))
     # integral |h_0|^2 |x|^(-0.6) = pi^(-1/2) Gamma(0.2) 2^(... ) checked by oracle

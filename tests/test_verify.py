@@ -214,12 +214,12 @@ def test_odd_identity_small():
 
 
 def test_odd_identity_node_cap_is_checked_up_front():
-    # the doubled rule of the top level 2 k_max + 1 needs ceil((k/2 + 3) * 2) nodes
-    assert check_odd_identity(ScanConfig(k_max=71, trials=1)).status == "passed"
-    with pytest.raises(CapabilityError, match="up to k_max = 71"):
-        check_odd_identity(ScanConfig(k_max=72, trials=1))
-    with pytest.raises(CapabilityError, match="for no k_max"):
-        check_odd_identity(ScanConfig(k_max=0, trials=1, rule_scale=40.0))
+    # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule, at most 728
+    assert check_odd_identity(ScanConfig(k_max=150, trials=1)).status == "passed"
+    with pytest.raises(CapabilityError, match="up to k_max = 363"):
+        check_odd_identity(ScanConfig(k_max=364, trials=1))
+    with pytest.raises(CapabilityError, match="up to k_max = 363"):
+        check_odd_identity(ScanConfig(k_max=364, trials=1, rule_scale=40.0))
 
 
 def test_radial_3d_small():
@@ -459,7 +459,7 @@ def test_odd_identity_one_form_call_per_rule_scale(monkeypatch):
     for trials in (2, 5):
         lookups.clear()
         assert check_odd_identity(ScanConfig(k_max=6, trials=trials)).status == "passed"
-        # the odd levels 1, 3, ..., 13 in one call on the level-13 grid, at
+        # the odd levels 1, 3, ..., 13 in one call on the level-13 rules, at
         # the configured and at the doubled rule scale
         assert len(lookups) == 2
     assert states == []
@@ -620,7 +620,7 @@ def test_even_3d_small():
 
 def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     # the route gate and the trials share one build of every even level's
-    # form on the level-6 grid, and the ground sample has its own; all at
+    # form on the level-6 rules, and the ground sample has its own; all at
     # the configured rule scale
     real = spectral._level_form
     calls = []
@@ -633,7 +633,7 @@ def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     monkeypatch.setattr(spectral, "_level_form", recording)
     check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
     assert {args[4] for args in calls} == {1.5}
-    assert sorted((args[1], len(args[6])) for args in calls) == [(0, 1), (6, 4)]
+    assert sorted((args[1], len(args[5])) for args in calls) == [(0, 1), (6, 4)]
     assert real.cache_info().misses == 2
 
 
@@ -692,9 +692,11 @@ def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
 
 
 def test_even_3d_node_cap_is_checked_up_front():
-    # fully even states reach level 144 at k_max = 145, and 146 at k_max = 146
-    with pytest.raises(CapabilityError, match="up to k_max = 145"):
-        check_even_3d(ScanConfig(k_max=146, trials=1))
+    # the limit bounds the size of its forms; it does not move with the rule scale
+    with pytest.raises(CapabilityError, match="up to k_max = 80"):
+        check_even_3d(ScanConfig(k_max=81, trials=1))
+    with pytest.raises(CapabilityError, match="up to k_max = 80"):
+        check_even_3d(ScanConfig(k_max=81, trials=1, rule_scale=0.5))
 
 
 def test_even_3d_limit_names_the_level_form_size(monkeypatch):
@@ -705,15 +707,15 @@ def test_even_3d_limit_names_the_level_form_size(monkeypatch):
     monkeypatch.setattr(spectral, "_level_form", no_work)
     monkeypatch.setattr(verify, "time_avg_weighted", no_work)
     with pytest.raises(CapabilityError) as info:
-        check_even_3d(ScanConfig(k_max=146, trials=1))
+        check_even_3d(ScanConfig(k_max=81, trials=1))
     message = str(info.value)
     assert message == (
-        "even_3d is supported up to k_max = 145 at rule_scale 1: "
+        "even_3d is supported up to k_max = 80 at rule_scale 1: "
         "the limit bounds the size of its level forms"
     )
     assert "doubled rule" not in message
-    with pytest.raises(CapabilityError, match="its doubled rule is limited to 150"):
-        check_odd_identity(ScanConfig(k_max=72, trials=1))
+    with pytest.raises(CapabilityError, match="its top mode is limited to 728 nodes"):
+        check_odd_identity(ScanConfig(k_max=364, trials=1))
 
 
 def test_sobolev_small_and_bad_order():
@@ -895,7 +897,7 @@ def test_memo_caches_are_read_only_reused_and_cleared():
     check_radial_3d_identity(ScanConfig(k_max=2, trials=1))
     check_kato(ScanConfig(k_max=2), 3, 0.5)
     assert all(c.cache_info().currsize > 0 for c in caches)
-    (form,) = S._level_form(1, 1, 1.0, (0,), 1.0, True, (((1,),),))
+    (form,) = S._level_form(1, 1, 1.0, (0,), 1.0, (((1,),),))
     with pytest.raises(ValueError):
         form[0, 0] = 0.0
     clear_caches()
