@@ -163,27 +163,6 @@ def half_line_integral_even(k: int) -> float:
     return math.exp(lg)
 
 
-def half_line_integral_odd(k: int) -> float:
-    """integral_0^inf h_{2k+1}(t) dt in closed form.
-
-    Prefactor 2^(k+1) k! / sqrt(2 (2k+1)! sqrt(pi)) times the alternating sum
-    sum_{i<=k} C(i-1/2, i) (-1)^i (= sum_{i<=k} C(-1/2, i) by reflection).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lg = (
-        (k + 1) * math.log(2.0)
-        + math.lgamma(k + 1)
-        - 0.5 * (math.log(2.0) + math.lgamma(2 * k + 2) + 0.5 * math.log(math.pi))
-    )
-    pref = math.exp(lg)
-    total, term = 1.0, 1.0
-    for i in range(1, k + 1):
-        term *= (i - 0.5) / i  # C(i-1/2, i) / C(i-3/2, i-1)
-        total += term * (-1) ** i
-    return pref * total
-
-
 def verify_laguerre_hermite_relation(
     k: int, t_samples, drop_factor_two: bool = False
 ) -> float:

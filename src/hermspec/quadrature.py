@@ -1,4 +1,4 @@
-"""Deterministic quadrature: Gauss rules, graded radial panels, spherical products.
+"""Deterministic quadrature: Gauss rules, graded radial panels, circle directions.
 
 * Gauss-Legendre, -Hermite, generalized -Laguerre and -Jacobi rules, each
   from one memoized routine, gauss_rule, so a run builds each (family, node
@@ -8,9 +8,8 @@
 * Graded Gauss-Legendre panels (geometric refinement toward r = 0, uniform
   panels out to the truncation radius) for generic radial integrands and for
   the divergence demonstrations, which refuse a non-integrable exponent.
-
-Sums are accumulated with numpy pairwise dots inside chunks and math.fsum
-across chunks, so values are partition-invariant well below 1e-13.
+* Uniform panels, for the radial lift and the flat Sobolev forms, and the
+  midpoint directions on the circle of the divergence demonstration.
 """
 
 from __future__ import annotations
@@ -240,23 +239,10 @@ def hermite_compensated_weights(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights.
-
-    nodes has shape (N,) for line/radial rules and (N, d) for product grids.
-    """
+    """Nodes and positive weights of a rule on the line or the half line."""
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Contract sampled integrand values against the weights."""
-        return float(np.dot(self.weights, values))
-
-
-def gauss_legendre(m: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 2m-1."""
-    x, w = gauss_rule("legendre", m)
-    return QuadratureRule(x, w)
 
 
 def gauss_hermite(m: int) -> QuadratureRule:
@@ -335,81 +321,6 @@ def circle_directions(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
     dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     return dirs, np.full(n_phi, TWO_PI / n_phi)
-
-
-def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule on S^2: Gauss-Legendre in cos(theta) x midpoint in phi.
-
-    Directions (n_theta*n_phi, 3); weights sum to 4*pi; antipodally symmetric
-    for even n_phi (the Gauss-Legendre node set is already symmetric in u).
-    """
-    if n_phi < 2 or n_phi % 2:
-        raise ValueError("n_phi must be even and >= 2")
-    u, wu = gauss_rule("legendre", n_theta)
-    phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
-    su = np.sqrt(1.0 - u * u)
-    dirs = np.empty((n_theta, n_phi, 3))
-    dirs[:, :, 0] = su[:, None] * np.cos(phi)[None, :]
-    dirs[:, :, 1] = su[:, None] * np.sin(phi)[None, :]
-    dirs[:, :, 2] = u[:, None] * np.ones_like(phi)[None, :]
-    w = (wu[:, None] * np.full(n_phi, TWO_PI / n_phi)[None, :]).ravel()
-    return dirs.reshape(-1, 3), w
-
-
-def _radial_angular_sum(radial: QuadratureRule, dirs, dw, F, chunk=262144) -> float:
-    r = radial.nodes
-    parts = []
-    n_dir = dirs.shape[0]
-    block = max(1, chunk // n_dir)
-    for lo in range(0, r.size, block):
-        rr = r[lo : lo + block]
-        pts = rr[:, None, None] * dirs[None, :, :]
-        vals = F(*(pts[..., c] for c in range(dirs.shape[1])))
-        ang = np.dot(np.asarray(vals, dtype=float), dw)
-        parts.append(float(np.dot(radial.weights[lo : lo + block], ang)))
-    return math.fsum(parts)
-
-
-def integrate_radial_3d(
-    F,
-    delta: float,
-    R: float,
-    n_panels: int = 400,
-    nodes_per_panel: int = 16,
-    n_theta: int = 64,
-    n_phi: int = 64,
-) -> float:
-    """integral over R^3 of F(x)/|x|^(2*delta) dx by spherical coordinates.
-
-    F is a vectorized callable F(x1, x2, x3).  The factor r^(2-2*delta) is
-    absorbed into the graded radial rule (bounded for all delta <= 1); the
-    angular part is sphere_directions (n_phi even).
-    """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1] for the 3D weight")
-    radial = radial_rule_panels(3, delta, R, n_panels, nodes_per_panel)
-    dirs, dw = sphere_directions(n_theta, n_phi)
-    return _radial_angular_sum(radial, dirs, dw, F)
-
-
-def integrate_cyl_2d(
-    F,
-    delta: float,
-    R: float,
-    n_panels: int = 400,
-    nodes_per_panel: int = 16,
-    n_phi: int = 64,
-) -> float:
-    """integral over R^2 of F(x)/(x1^2+x2^2)^delta dx by polar coordinates.
-
-    delta must lie in [0, 1): at delta = 1 the integral diverges for any F
-    with F(0) != 0, and the rule refuses to pretend otherwise.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1) for the 2D weight")
-    radial = radial_rule_panels(2, delta, R, n_panels, nodes_per_panel)
-    dirs, dw = circle_directions(n_phi)
-    return _radial_angular_sum(radial, dirs, dw, F)
 
 
 def truncation_radius(k_max: int, n: int) -> float:

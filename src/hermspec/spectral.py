@@ -3,8 +3,9 @@
 Eigenspaces are indexed by multi-indices; the eigenfunction attached to alpha
 is the product of 1D modes and has eigenvalue 2|alpha| + n.  The propagator
 just rotates coefficient phases, so every time-averaged weighted functional
-reduces to a level-by-level spatial integral; this module never integrates in
-time (a direct time quadrature exists only as a test oracle).
+reduces to a level-by-level spatial integral, c^H G c against a memoized form
+G (level, Sobolev and collapse forms, level-spectrum tables); this module
+never integrates in time, and the per-state routes are test oracles.
 
 Level integrals carry singular radial weights on a subset of the axes.  The
 Gamma identity |y|^(-2 delta) = Gamma(delta)^-1 integral s^(delta-1) e^(-s|y|^2) ds
@@ -14,8 +15,8 @@ compensated Gauss-Hermite rule; the sum is exact on polynomial levels.
 
 The Fourier convention throughout is the unitary angular-frequency transform
 (2*pi)^(-1/2) integral f(x) e^(-i x xi) dx, under which the 1D mode of degree
-k maps to (-i)^k times itself; this is the convention that makes the
-transform of a state just a phase twist of its coefficients.
+k maps to (-i)^k times itself, so the transform twists coefficient alpha by
+(-i)^|alpha|: the phases of sobolev_twisted_form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, ToleranceError
+from .errors import CapabilityError
 from .hermite import hermite_functions
 from .quadrature import (
     MAX_LAGUERRE_NODES,
@@ -38,8 +39,6 @@ from .quadrature import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-MultiIndex = tuple  # n-tuple of nonnegative ints
 
 _MAX_LEVEL_SIZE = 2_000_000
 
@@ -60,16 +59,6 @@ class SpectralState:
                 raise ValueError(f"index {alpha} has negative entries")
             if sum(alpha) > self.k_max:
                 raise ValueError(f"index {alpha} exceeds k_max={self.k_max}")
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """Arguments of the level-k projection kernel at a pair of points."""
-
-    n: int
-    k: int
-    x: tuple
-    y: tuple
 
 
 @lru_cache(maxsize=None)
@@ -100,17 +89,6 @@ def make_state(n: int, coefficients: dict, k_max: int | None = None) -> Spectral
     return SpectralState(n, coeffs, k_max)
 
 
-def state_norm_sq(state: SpectralState) -> float:
-    return math.fsum(abs(c) ** 2 for c in state.coefficients.values())
-
-
-def oscillator_energy_sq(state: SpectralState) -> float:
-    """Squared norm after applying the oscillator: sum (2|alpha|+n)^2 |a|^2."""
-    return math.fsum(
-        (2 * sum(a) + state.n) ** 2 * abs(c) ** 2 for a, c in state.coefficients.items()
-    )
-
-
 def evaluate_phi(alpha: tuple, points) -> np.ndarray:
     """Product eigenfunction at points of shape (..., n) (or (n,) for one point)."""
     pts = np.asarray(points, dtype=float)
@@ -127,18 +105,6 @@ def evaluate_phi(alpha: tuple, points) -> np.ndarray:
     return float(out[0]) if single else out
 
 
-def evaluate_state(state: SpectralState, points) -> np.ndarray:
-    """Sum of coefficient-weighted eigenfunctions at points (..., n)."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    flat = pts.reshape(-1, state.n)
-    out = _eval_items(list(state.coefficients.items()), flat)
-    out = out.reshape(pts.shape[:-1])
-    return complex(out[0]) if single else out
-
-
 def _mode_matrix(tabs: list, idx: np.ndarray) -> np.ndarray:
     """Product eigenfunction values, one row per multi-index row of idx.
 
@@ -150,136 +116,6 @@ def _mode_matrix(tabs: list, idx: np.ndarray) -> np.ndarray:
     for c in range(1, len(tabs)):
         out *= tabs[c][idx[:, c]]
     return out
-
-
-def _eval_items(items: list, flat: np.ndarray) -> np.ndarray:
-    if not items:
-        return np.zeros(flat.shape[0], dtype=complex)
-    idx = np.array([alpha for alpha, _ in items])
-    tabs = [hermite_functions(int(idx[:, c].max()), flat[:, c]) for c in range(flat.shape[1])]
-    return np.array([coeff for _, coeff in items]) @ _mode_matrix(tabs, idx)
-
-
-def evaluate_state_grid(state: SpectralState, axes_nodes: list) -> np.ndarray:
-    """State values on a tensor grid, returned with shape (len(axis_0), ...).
-
-    The coefficients are scattered into a dense tensor over the per-axis
-    degrees, which is contracted with each axis's 1D mode table in turn, so
-    no product over the full grid is formed per coefficient.
-    """
-    if len(axes_nodes) != state.n:
-        raise ValueError("need one node array per axis")
-    items = list(state.coefficients.items())
-    if not items:
-        return np.zeros(tuple(len(a) for a in axes_nodes), dtype=complex)
-    idx = np.array([alpha for alpha, _ in items])
-    degs = idx.max(axis=0)
-    out = np.zeros(tuple(degs + 1), dtype=complex)
-    out[tuple(idx.T)] = [coeff for _, coeff in items]
-    for c in range(state.n):
-        tab = hermite_functions(int(degs[c]), np.asarray(axes_nodes[c], dtype=float))
-        out = np.tensordot(out, tab, axes=([0], [0]))
-    return out
-
-
-def propagate(state: SpectralState, t: float) -> SpectralState:
-    """Rotate each coefficient by its eigenvalue phase: a -> e^(-i(2|alpha|+n)t) a."""
-    coeffs = {
-        alpha: coeff * complex(math.cos((2 * sum(alpha) + state.n) * t),
-                               -math.sin((2 * sum(alpha) + state.n) * t))
-        for alpha, coeff in state.coefficients.items()
-    }
-    return SpectralState(state.n, coeffs, state.k_max)
-
-
-def project(state: SpectralState, k: int) -> SpectralState:
-    """Keep only the level-k coefficients."""
-    coeffs = {a: c for a, c in state.coefficients.items() if sum(a) == k}
-    return SpectralState(state.n, coeffs, state.k_max)
-
-
-def parity_decompose(state: SpectralState, axis: int) -> tuple:
-    """Split along one axis into (odd part, even part) by the index parity there."""
-    if not 0 <= axis < state.n:
-        raise ValueError("axis out of range")
-    odd = {a: c for a, c in state.coefficients.items() if a[axis] % 2 == 1}
-    even = {a: c for a, c in state.coefficients.items() if a[axis] % 2 == 0}
-    return (
-        SpectralState(state.n, odd, state.k_max),
-        SpectralState(state.n, even, state.k_max),
-    )
-
-
-_QUARTER_PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
-
-
-def fourier_transform_state(state: SpectralState) -> SpectralState:
-    """Unitary angular-frequency transform: coefficient a twists by (-i)^|alpha|."""
-    coeffs = {
-        alpha: coeff * _QUARTER_PHASES[sum(alpha) % 4]
-        for alpha, coeff in state.coefficients.items()
-    }
-    return SpectralState(state.n, coeffs, state.k_max)
-
-
-def coefficients_from_function(
-    f,
-    n: int,
-    k_max: int,
-    m: int | None = None,
-    gate_tol: float = 1e-9,
-) -> SpectralState:
-    """Recover coefficients a_alpha = integral f * Phi_alpha by tensor Gauss-Hermite.
-
-    f maps an (N, n) array of points to (N,) values.  The rule's e^(-|x|^2)
-    weight is compensated, so when f is itself a finite eigenbasis combination
-    the product f * Phi_alpha * e^(+|x|^2) is polynomial and the round-trip is
-    exact up to rule degree.  The rule is doubled and the two coefficient sets
-    compared; disagreement beyond gate_tol raises a tolerance error.
-    """
-    if n > 3:
-        raise CapabilityError("tensor coefficient recovery supported for n <= 3")
-    if m is None:
-        m = k_max + 6
-    coarse = _coefficients_once(f, n, k_max, m)
-    fine = _coefficients_once(f, n, k_max, 2 * m)
-    # NaN-safe: np.max propagates a NaN, and the negated comparison trips on it
-    drift = np.max(np.abs([coarse.coefficients[a] - fine.coefficients[a]
-                           for a in fine.coefficients]))
-    if not (drift <= gate_tol):
-        raise ToleranceError(
-            f"coefficient recovery unstable under rule doubling (drift {drift:.3e})"
-        )
-    return fine
-
-
-def _coefficients_once(f, n, k_max, m):
-    # the adjoint of evaluate_state_grid: contract the sampled values with one
-    # weighted mode table per axis, then read every index off the dense result
-    nodes = gauss_hermite(m).nodes
-    grids = np.meshgrid(*([nodes] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    out = np.asarray(f(pts), dtype=complex).reshape([m] * n)
-    tab = (hermite_functions(k_max, nodes) * hermite_compensated_weights(m)).T
-    for _ in range(n):
-        out = np.tensordot(out, tab, axes=([0], [0]))
-    coeffs = {
-        alpha: complex(out[alpha])
-        for k in range(k_max + 1)
-        for alpha in _level_indices(n, k)
-    }
-    return SpectralState(n, coeffs, k_max)
-
-
-def projection_kernel(query: KernelQuery) -> float:
-    """Level-k kernel: sum over |alpha| = k of Phi_alpha(x) Phi_alpha(y)."""
-    x = np.asarray(query.x, dtype=float)
-    y = np.asarray(query.y, dtype=float)
-    if x.shape != (query.n,) or y.shape != (query.n,):
-        raise ValueError("points must be n-vectors")
-    tabs = [hermite_functions(query.k, np.array([x[c], y[c]])) for c in range(query.n)]
-    B = _mode_matrix(tabs, np.array(enumerate_multiindices(query.n, query.k)))
-    return float(B[:, 0] @ B[:, 1])
 
 
 def kernel_diagonals(n: int, k_max: int, points) -> np.ndarray:
@@ -301,53 +137,6 @@ def kernel_diagonals(n: int, k_max: int, points) -> np.ndarray:
     return out
 
 
-def hermite_sobolev_norm(state: SpectralState, s: float) -> float:
-    """Spectral Sobolev norm: (sum (2|alpha|+n)^s |a|^2)^(1/2)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    total = math.fsum(
-        (2 * sum(a) + state.n) ** s * abs(c) ** 2 for a, c in state.coefficients.items()
-    )
-    return math.sqrt(total)
-
-
-def bessel_sobolev_norm(
-    state: SpectralState,
-    s: float,
-    rule_scale: float = 1.0,
-    gate_tol: float = 1e-8,
-) -> float:
-    """Flat-Laplacian Sobolev norm (integral (1+|xi|^2)^s |fhat|^2)^(1/2).
-
-    The one-row case of _sobolev_gated: the state's coefficients are one row
-    over sobolev_twisted_form's indices, read against the twisted form at
-    the configured and at the doubled rule.  Drift beyond gate_tol raises a
-    tolerance error, as does a doubled rule with the configured rule's panel
-    count (the panel floor), which would be no gate.
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if state.n > 3:
-        raise CapabilityError("tensor transform quadrature supported for n <= 3")
-    panels = _sobolev_panels(state.n, state.k_max, rule_scale)
-    if panels == _sobolev_panels(state.n, state.k_max, 2.0 * rule_scale):
-        raise ToleranceError(
-            f"transform-side norm has no doubling gate: both rules have {panels} panels"
-        )
-    pos = {a: i for i, a in enumerate(_indices_upto(state.n, state.k_max))}
-    c = np.zeros((1, len(pos)), dtype=complex)
-    for alpha, coeff in state.coefficients.items():
-        c[0, pos[alpha]] = coeff
-    coarse, fine, held = _sobolev_gated(state.n, state.k_max, s, c.real, c.imag,
-                                        rule_scale, gate_tol)
-    if not held[0]:
-        raise ToleranceError(
-            f"transform-side norm unstable under rule doubling "
-            f"({coarse[0]:.12g} vs {fine[0]:.12g})"
-        )
-    return math.sqrt(fine[0])
-
-
 def _indices_upto(n: int, k_max: int) -> list:
     # every alpha with |alpha| <= k_max, level by level, as random_state lists them
     return [a for k in range(k_max + 1) for a in _level_indices(n, k)]
@@ -357,6 +146,9 @@ def _quadratic_rows(G: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray
     """c^H G c for each row c = re + i im, G real symmetric: the sum of the
     two real quadratic forms, the cross terms cancelling."""
     return np.einsum("ti,ti->t", re @ G, re) + np.einsum("ti,ti->t", im @ G, im)
+
+
+_QUARTER_PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) -> tuple:

@@ -137,6 +137,8 @@ class ScanConfig:
             raise ValueError("k_max must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
             raise ValueError("rule_scale must be finite and > 0")
         if not math.isfinite(self.gate_tol):
@@ -273,7 +275,7 @@ def _require_k_max(cfg: ScanConfig, name: str, limit: int, reason: str) -> None:
     """Raise before any work when cfg.k_max is past a scan's supported limit."""
     if cfg.k_max > limit:
         raise CapabilityError(
-            f"{name} is supported up to k_max = {limit} at rule_scale {cfg.rule_scale:g}: {reason}"
+            f"{name} is supported up to k_max = {limit}: {reason}"
         )
 
 
@@ -366,8 +368,9 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     integral is 2 sum_i w_i r_i^(-2 delta) h_d(r_i)^2 on n_panels uniform
     Gauss-Legendre panels over [0, R].  At odd d, h_d(r)^2 / r^2 is smooth at
     0, so the rule needs no grading; the even entries are never read.  A
-    trial's level is its entry times |a|^2.  integrate_radial_3d, on its own
-    graded rule, is the tests' reference for this route.
+    trial's level is its entry times |a|^2.  The full 3D integral of each
+    lifted mode, on a graded spherical product rule, is the tests' reference
+    for this route.
     """
     rule = gauss_legendre_panels(0.0, R, n_panels, nodes_pp)
     r = rule.nodes

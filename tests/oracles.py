@@ -11,7 +11,7 @@ import numpy as np
 
 from hermspec import hermite_functions
 from hermspec.antideriv import _cumulative_half_line, _norm_rule, odd_series
-from hermspec.errors import CapabilityError
+from hermspec.errors import CapabilityError, ToleranceError
 from hermspec.hermite import eval_laguerre, half_line_integral_even
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
@@ -20,12 +20,17 @@ from hermspec.quadrature import (
     gauss_hermite,
     gauss_rule,
     hermite_compensated_weights,
-    sphere_directions,
+    radial_rule_panels,
 )
 from hermspec.spectral import (
+    _QUARTER_PHASES,
+    SpectralState,
     _collapse_nodes,
     _collapse_triples,
+    _indices_upto,
     _mode_matrix,
+    _sobolev_gated,
+    _sobolev_panels,
     _weight_axes,
     check_admissible,
     enumerate_multiindices,
@@ -380,3 +385,214 @@ def manifest_json_reference(manifest) -> bytes:
         "wall_time_s": dict(manifest.wall_time_s),
     }
     return (_json_text(obj) + "\n").encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# the per-state routes: a SpectralState's values, phases, projections and
+# norms one state at a time, where the checks read coefficient rows against
+# memoized forms
+
+
+def state_norm_sq(state: SpectralState) -> float:
+    return math.fsum(abs(c) ** 2 for c in state.coefficients.values())
+
+
+def oscillator_energy_sq(state: SpectralState) -> float:
+    """Squared norm after applying the oscillator: sum (2|alpha|+n)^2 |a|^2."""
+    return math.fsum(
+        (2 * sum(a) + state.n) ** 2 * abs(c) ** 2 for a, c in state.coefficients.items()
+    )
+
+
+def evaluate_state(state: SpectralState, points) -> np.ndarray:
+    """Sum of coefficient-weighted eigenfunctions at points (..., n)."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    flat = pts.reshape(-1, state.n)
+    out = _eval_items(list(state.coefficients.items()), flat)
+    out = out.reshape(pts.shape[:-1])
+    return complex(out[0]) if single else out
+
+
+def _eval_items(items: list, flat: np.ndarray) -> np.ndarray:
+    if not items:
+        return np.zeros(flat.shape[0], dtype=complex)
+    idx = np.array([alpha for alpha, _ in items])
+    tabs = [hermite_functions(int(idx[:, c].max()), flat[:, c]) for c in range(flat.shape[1])]
+    return np.array([coeff for _, coeff in items]) @ _mode_matrix(tabs, idx)
+
+
+def evaluate_state_grid(state: SpectralState, axes_nodes: list) -> np.ndarray:
+    """State values on a tensor grid, returned with shape (len(axis_0), ...).
+
+    The coefficients are scattered into a dense tensor over the per-axis
+    degrees, which is contracted with each axis's 1D mode table in turn, so
+    no product over the full grid is formed per coefficient.
+    """
+    if len(axes_nodes) != state.n:
+        raise ValueError("need one node array per axis")
+    items = list(state.coefficients.items())
+    if not items:
+        return np.zeros(tuple(len(a) for a in axes_nodes), dtype=complex)
+    idx = np.array([alpha for alpha, _ in items])
+    degs = idx.max(axis=0)
+    out = np.zeros(tuple(degs + 1), dtype=complex)
+    out[tuple(idx.T)] = [coeff for _, coeff in items]
+    for c in range(state.n):
+        tab = hermite_functions(int(degs[c]), np.asarray(axes_nodes[c], dtype=float))
+        out = np.tensordot(out, tab, axes=([0], [0]))
+    return out
+
+
+def propagate(state: SpectralState, t: float) -> SpectralState:
+    """Rotate each coefficient by its eigenvalue phase: a -> e^(-i(2|alpha|+n)t) a."""
+    coeffs = {
+        alpha: coeff * complex(math.cos((2 * sum(alpha) + state.n) * t),
+                               -math.sin((2 * sum(alpha) + state.n) * t))
+        for alpha, coeff in state.coefficients.items()
+    }
+    return SpectralState(state.n, coeffs, state.k_max)
+
+
+def project(state: SpectralState, k: int) -> SpectralState:
+    """Keep only the level-k coefficients."""
+    coeffs = {a: c for a, c in state.coefficients.items() if sum(a) == k}
+    return SpectralState(state.n, coeffs, state.k_max)
+
+
+def fourier_transform_state(state: SpectralState) -> SpectralState:
+    """Unitary angular-frequency transform: coefficient a twists by (-i)^|alpha|."""
+    coeffs = {
+        alpha: coeff * _QUARTER_PHASES[sum(alpha) % 4]
+        for alpha, coeff in state.coefficients.items()
+    }
+    return SpectralState(state.n, coeffs, state.k_max)
+
+
+def hermite_sobolev_norm(state: SpectralState, s: float) -> float:
+    """Spectral Sobolev norm: (sum (2|alpha|+n)^s |a|^2)^(1/2)."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    total = math.fsum(
+        (2 * sum(a) + state.n) ** s * abs(c) ** 2 for a, c in state.coefficients.items()
+    )
+    return math.sqrt(total)
+
+
+def bessel_sobolev_norm(
+    state: SpectralState,
+    s: float,
+    rule_scale: float = 1.0,
+    gate_tol: float = 1e-8,
+) -> float:
+    """Flat-Laplacian Sobolev norm (integral (1+|xi|^2)^s |fhat|^2)^(1/2).
+
+    The one-row case of _sobolev_gated: the state's coefficients are one row
+    over sobolev_twisted_form's indices, read against the twisted form at
+    the configured and at the doubled rule.  Drift beyond gate_tol raises a
+    tolerance error, as does a doubled rule with the configured rule's panel
+    count (the panel floor), which would be no gate.
+    """
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if state.n > 3:
+        raise CapabilityError("tensor transform quadrature supported for n <= 3")
+    panels = _sobolev_panels(state.n, state.k_max, rule_scale)
+    if panels == _sobolev_panels(state.n, state.k_max, 2.0 * rule_scale):
+        raise ToleranceError(
+            f"transform-side norm has no doubling gate: both rules have {panels} panels"
+        )
+    pos = {a: i for i, a in enumerate(_indices_upto(state.n, state.k_max))}
+    c = np.zeros((1, len(pos)), dtype=complex)
+    for alpha, coeff in state.coefficients.items():
+        c[0, pos[alpha]] = coeff
+    coarse, fine, held = _sobolev_gated(state.n, state.k_max, s, c.real, c.imag,
+                                        rule_scale, gate_tol)
+    if not held[0]:
+        raise ToleranceError(
+            f"transform-side norm unstable under rule doubling "
+            f"({coarse[0]:.12g} vs {fine[0]:.12g})"
+        )
+    return math.sqrt(fine[0])
+
+
+# ---------------------------------------------------------------------------
+# spherical and polar integrators: the radial-lift reference, the time
+# quadrature's spatial integral and the directions of grid_level_form
+
+
+def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule on S^2: Gauss-Legendre in cos(theta) x midpoint in phi.
+
+    Directions (n_theta*n_phi, 3); weights sum to 4*pi; antipodally symmetric
+    for even n_phi (the Gauss-Legendre node set is already symmetric in u).
+    """
+    if n_phi < 2 or n_phi % 2:
+        raise ValueError("n_phi must be even and >= 2")
+    u, wu = gauss_rule("legendre", n_theta)
+    phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
+    su = np.sqrt(1.0 - u * u)
+    dirs = np.empty((n_theta, n_phi, 3))
+    dirs[:, :, 0] = su[:, None] * np.cos(phi)[None, :]
+    dirs[:, :, 1] = su[:, None] * np.sin(phi)[None, :]
+    dirs[:, :, 2] = u[:, None] * np.ones_like(phi)[None, :]
+    w = (wu[:, None] * np.full(n_phi, TWO_PI / n_phi)[None, :]).ravel()
+    return dirs.reshape(-1, 3), w
+
+
+def _radial_angular_sum(radial: QuadratureRule, dirs, dw, F, chunk=262144) -> float:
+    r = radial.nodes
+    parts = []
+    n_dir = dirs.shape[0]
+    block = max(1, chunk // n_dir)
+    for lo in range(0, r.size, block):
+        rr = r[lo : lo + block]
+        pts = rr[:, None, None] * dirs[None, :, :]
+        vals = F(*(pts[..., c] for c in range(dirs.shape[1])))
+        ang = np.dot(np.asarray(vals, dtype=float), dw)
+        parts.append(float(np.dot(radial.weights[lo : lo + block], ang)))
+    return math.fsum(parts)
+
+
+def integrate_radial_3d(
+    F,
+    delta: float,
+    R: float,
+    n_panels: int = 400,
+    nodes_per_panel: int = 16,
+    n_theta: int = 64,
+    n_phi: int = 64,
+) -> float:
+    """integral over R^3 of F(x)/|x|^(2*delta) dx by spherical coordinates.
+
+    F is a vectorized callable F(x1, x2, x3).  The factor r^(2-2*delta) is
+    absorbed into the graded radial rule (bounded for all delta <= 1); the
+    angular part is sphere_directions (n_phi even).
+    """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must lie in [0, 1] for the 3D weight")
+    radial = radial_rule_panels(3, delta, R, n_panels, nodes_per_panel)
+    dirs, dw = sphere_directions(n_theta, n_phi)
+    return _radial_angular_sum(radial, dirs, dw, F)
+
+
+def integrate_cyl_2d(
+    F,
+    delta: float,
+    R: float,
+    n_panels: int = 400,
+    nodes_per_panel: int = 16,
+    n_phi: int = 64,
+) -> float:
+    """integral over R^2 of F(x)/(x1^2+x2^2)^delta dx by polar coordinates.
+
+    delta must lie in [0, 1): at delta = 1 the integral diverges for any F
+    with F(0) != 0, and the rule refuses to pretend otherwise.
+    """
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1) for the 2D weight")
+    radial = radial_rule_panels(2, delta, R, n_panels, nodes_per_panel)
+    dirs, dw = circle_directions(n_phi)
+    return _radial_angular_sum(radial, dirs, dw, F)

@@ -80,6 +80,20 @@ def test_non_finite_values_exit_64_and_write_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["all", "kato"])
+def test_negative_seed_exits_64_before_any_check(tmp_path, capsys, monkeypatch, command):
+    # a seed no seed sequence takes is refused up front, not midway through the run
+    def ran(cfg, opt):
+        raise AssertionError("a check ran")
+
+    for key in CHECK_REGISTRY:
+        monkeypatch.setitem(CHECK_REGISTRY, key, ran)
+    out = tmp_path / "run"
+    assert main([command, "--seed", "-1", "--out", str(out)]) == EX_USAGE
+    assert "hermspec: error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, check", [
     ("identities", "odd_identity"), ("sobolev", "sobolev_s05"), ("collapse", "collapse_9d")])
 def test_coincident_doubling_rules_are_inconclusive(tmp_path, capsys, command, check):

@@ -8,28 +8,28 @@ import pytest
 from hermspec import (
     circle_directions,
     gauss_hermite,
-    gauss_legendre,
     gauss_legendre_panels,
     gauss_rule,
     hermite_functions,
-    integrate_cyl_2d,
-    integrate_radial_3d,
     radial_rule_panels,
-    sphere_directions,
     truncation_radius,
 )
 from hermspec import quadrature
 from hermspec.errors import CapabilityError
 from hermspec.quadrature import MAX_HERMITE_NODES, hermite_compensated_weights
-from hermspec.spectral import coefficients_from_function
 
-from oracles import radial_rule_absorbing
+from oracles import (
+    integrate_cyl_2d,
+    integrate_radial_3d,
+    radial_rule_absorbing,
+    sphere_directions,
+)
 
 
 def test_gauss_legendre_one_node():
-    rule = gauss_legendre(1)
-    assert rule.nodes == pytest.approx([0.0], abs=1e-15)
-    assert rule.weights == pytest.approx([2.0], abs=1e-15)
+    x, w = gauss_rule("legendre", 1)
+    assert x == pytest.approx([0.0], abs=1e-15)
+    assert w == pytest.approx([2.0], abs=1e-15)
 
 
 def test_gauss_hermite_small_rules():
@@ -44,14 +44,13 @@ def test_gauss_hermite_small_rules():
 
 
 def test_gauss_legendre_polynomial_exactness():
-    rule = gauss_legendre(6)
-    vals = rule.nodes ** 10
-    assert rule.integrate(vals) == pytest.approx(2.0 / 11.0, rel=1e-14)
+    x, w = gauss_rule("legendre", 6)
+    assert np.dot(w, x ** 10) == pytest.approx(2.0 / 11.0, rel=1e-14)
 
 
 def test_panels_integrate_smooth_function():
     rule = gauss_legendre_panels(0.0, 2.0, 8, 10)
-    assert rule.integrate(np.exp(rule.nodes)) == pytest.approx(math.e ** 2 - 1.0, rel=1e-13)
+    assert np.dot(rule.weights, np.exp(rule.nodes)) == pytest.approx(math.e ** 2 - 1.0, rel=1e-13)
 
 
 def test_panel_rule_shape_and_domain():
@@ -129,7 +128,7 @@ def test_divergent_rule_requires_explicit_flag():
 def test_absorbing_rule_polynomial_exactness():
     # integral_0^inf r^4 e^(-r^2) r^(2-2) dr = 3 sqrt(pi) / 8 with a 4-node rule
     rule = radial_rule_absorbing(3, 1.0, 4)
-    got = rule.integrate(rule.nodes ** 4 * np.exp(-rule.nodes ** 2))
+    got = np.dot(rule.weights, rule.nodes ** 4 * np.exp(-rule.nodes ** 2))
     assert got == pytest.approx(3.0 * math.sqrt(math.pi) / 8.0, rel=1e-14)
 
 
@@ -140,8 +139,8 @@ def test_absorbing_matches_panels_on_eigenfunction_integrand():
 
     absorbing = radial_rule_absorbing(3, 1.0, 12)
     panels = radial_rule_panels(3, 1.0, 16.0, 200, 12)
-    a = absorbing.integrate(G(absorbing.nodes))
-    b = panels.integrate(G(panels.nodes))
+    a = np.dot(absorbing.weights, G(absorbing.nodes))
+    b = np.dot(panels.weights, G(panels.nodes))
     assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -363,10 +362,12 @@ def test_hermite_compensated_weights_past_underflow():
     for m in (151, 300):
         x, w = gauss_rule("hermite", m)
         assert _max_rel(hermite_compensated_weights(m), w * np.exp(x * x)) <= 1e-12
-    # a mode comes back through the 400-node rule, the doubling gate's rule at
-    # m = 200 (an 800-node Hermite rule is past MAX_HERMITE_NODES)
-    state = coefficients_from_function(lambda p: hermite_functions(7, p[:, 0])[7], 1, 9, m=200)
-    for (k,), c in state.coefficients.items():
+    # the modes are orthonormal on the 400-node compensated rule: a mode's
+    # coefficients come back through it
+    x = gauss_rule("hermite", 400)[0]
+    h = hermite_functions(9, x)
+    coeffs = (h * hermite_compensated_weights(400)) @ h[7]
+    for k, c in enumerate(coeffs):
         assert abs(c - (1.0 if k == 7 else 0.0)) <= 1e-12, k
 
 
@@ -426,7 +427,7 @@ def test_gauss_rule_memo_is_read_only_shared_and_cleared():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # the rule objects built on top share the memoized arrays
-    assert gauss_legendre(7).nodes is gauss_rule("legendre", 7)[0]
+    assert gauss_hermite(7).nodes is gauss_rule("hermite", 7)[0]
     clear_caches()
     assert gauss_rule.cache_info().currsize == 0
     assert gauss_rule("laguerre", 9, 0.5)[0] is not x

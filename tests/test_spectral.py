@@ -9,34 +9,20 @@ from hermspec import CapabilityError, ToleranceError, hermite_functions, spectra
 from hermspec.quadrature import (
     gauss_hermite,
     gauss_legendre_panels,
-    integrate_cyl_2d,
     truncation_radius,
 )
 from hermspec.spectral import (
-    KernelQuery,
     SpectralState,
-    bessel_sobolev_norm,
     check_admissible,
-    coefficients_from_function,
     enumerate_multiindices,
     evaluate_phi,
-    evaluate_state,
-    evaluate_state_grid,
-    fourier_transform_state,
-    hermite_sobolev_norm,
     kernel_diagonals,
     level_spectrum,
     level_tops,
     make_state,
-    oscillator_energy_sq,
-    parity_decompose,
     poch,
-    project,
-    projection_kernel,
-    propagate,
     random_state,
     sobolev_twisted_form,
-    state_norm_sq,
     time_avg_levels,
     time_avg_weighted,
 )
@@ -44,14 +30,24 @@ from hermspec.spectral import (
 from oracles import (
     _level_grid,
     _tensor_free_axes,
+    bessel_sobolev_norm,
     collapse_trace_norm,
+    evaluate_state,
+    evaluate_state_grid,
+    fourier_transform_state,
     grid_level_form,
+    hermite_sobolev_norm,
+    integrate_cyl_2d,
     kernel_diagonal,
     kernel_diagonal_ratio,
     level_gram,
     level_top,
+    oscillator_energy_sq,
+    project,
+    propagate,
     radial_eigenvalue,
     radial_eigenvalue_quadrature,
+    state_norm_sq,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -84,82 +80,23 @@ def test_state_validation():
         SpectralState(2, {(3, 3): 1.0}, 4)
 
 
-def test_coefficients_round_trip_single_mode():
-    target = make_state(3, {(2, 0, 0): 1.0})
-
-    def f(pts):
-        return evaluate_state(target, pts)
-
-    got = coefficients_from_function(f, 3, 3)
-    assert abs(got.coefficients[(2, 0, 0)] - 1.0) < 1e-12
-    others = [abs(c) for a, c in got.coefficients.items() if a != (2, 0, 0)]
-    assert max(others) < 1e-12
-
-
-def test_coefficients_round_trip_combination():
-    amp = 1.0 / math.sqrt(2.0)
-    target = make_state(1, {(1,): amp, (3,): amp})
-
-    def f(pts):
-        return evaluate_state(target, pts)
-
-    got = coefficients_from_function(f, 1, 5)
-    assert abs(got.coefficients[(1,)] - amp) < 1e-13
-    assert abs(got.coefficients[(3,)] - amp) < 1e-13
-
-
-def test_coefficients_recover_ground_state_gaussian():
-    def f(pts):
-        x = pts[:, 0]
-        return math.pi ** -0.25 * np.exp(-x * x / 2.0)
-
-    got = coefficients_from_function(f, 1, 4)
-    assert abs(got.coefficients[(0,)] - 1.0) < 1e-12
-
-
-def test_coefficients_gate_trips_on_coarse_rule():
-    target = make_state(1, {(6,): 1.0})
-
-    def f(pts):
-        return evaluate_state(target, pts)
-
-    with pytest.raises(ToleranceError):
-        coefficients_from_function(f, 1, 2, m=3)
-
-
-def test_coefficients_gate_raises_on_nan():
-    # every comparison with NaN is False, so the gate is written as not (<=)
-    with pytest.raises(ToleranceError):
-        coefficients_from_function(lambda p: np.full(p.shape[0], np.nan), 1, 4)
-
-
-def test_coefficients_gate_sees_a_nan_behind_finite_drifts(monkeypatch):
-    # the builtin max keeps its first finite value past a later NaN
-    real = spectral._coefficients_once
-
-    def last_fine_nan(f, n, k_max, m):
-        state = real(f, n, k_max, m)
-        if m == 2 * 9:  # the fine rule only
-            state.coefficients[(k_max,)] = complex(np.nan)
-        return state
-
-    monkeypatch.setattr(spectral, "_coefficients_once", last_fine_nan)
-    with pytest.raises(ToleranceError):
-        coefficients_from_function(lambda p: hermite_functions(1, p[:, 0])[1], 1, 3, m=9)
-
-
 def test_bessel_sobolev_gate_raises_on_nan():
-    state = make_state(1, {(0,): 1.0, (1,): complex(np.nan)})
+    # a NaN row does not hold the doubling gate, and the per-state norm raises on it
+    re = np.array([[1.0, np.nan], [1.0, 0.0]])
+    _, _, held = spectral._sobolev_gated(1, 1, 1.0, re, np.zeros_like(re))
+    assert held.tolist() == [False, True]
     with pytest.raises(ToleranceError):
-        bessel_sobolev_norm(state, 1.0)
+        bessel_sobolev_norm(make_state(1, {(0,): 1.0, (1,): complex(np.nan)}), 1.0)
 
 
 def test_bessel_sobolev_gate_raises_on_the_panel_floor():
-    # both rules sit on the 4-panel floor: one rule twice is no gate
-    state = random_state(1, 20, [7, 1])
+    # both rules sit on the 4-panel floor: one rule twice is no gate, for any row
+    re, im = np.random.default_rng([7, 1]).standard_normal((2, 3, 21))
     assert spectral._sobolev_panels(1, 20, 1e-3) == spectral._sobolev_panels(1, 20, 2e-3) == 4
+    _, _, held = spectral._sobolev_gated(1, 20, 0.5, re, im, rule_scale=1e-3)
+    assert not held.any()
     with pytest.raises(ToleranceError, match="no doubling gate"):
-        bessel_sobolev_norm(state, 0.5, rule_scale=1e-3)
+        bessel_sobolev_norm(random_state(1, 20, [7, 1]), 0.5, rule_scale=1e-3)
 
 
 def test_propagate_phases():
@@ -191,52 +128,6 @@ def test_project_resolution():
     for k in range(7):
         recon.update(project(state, k).coefficients)
     assert recon == state.coefficients
-
-
-def test_projection_kernel_values():
-    q = KernelQuery(2, 0, (0.0, 0.0), (0.0, 0.0))
-    assert projection_kernel(q) == pytest.approx(1.0 / math.pi, rel=1e-13)
-    assert projection_kernel(KernelQuery(1, 3, (0.0,), (0.9,))) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    # brute force over the six level-2 indices in n=3
-    x = (0.3, -0.4, 1.1)
-    brute = sum(
-        evaluate_phi(a, x) ** 2 for a in enumerate_multiindices(3, 2)
-    )
-    assert projection_kernel(KernelQuery(3, 2, x, x)) == pytest.approx(brute, rel=1e-13)
-    # off the diagonal: the level-3 indices in n=3 at two distinct points
-    y = (-0.7, 0.2, 0.5)
-    brute = sum(
-        evaluate_phi(a, x) * evaluate_phi(a, y) for a in enumerate_multiindices(3, 3)
-    )
-    assert projection_kernel(KernelQuery(3, 3, x, y)) == pytest.approx(brute, rel=1e-13)
-
-
-def test_kernel_reproducing_property():
-    # integral Phi_k(x, y) Phi_beta(y) dy reproduces Phi_beta exactly on-level
-    rule = gauss_hermite(24)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
-    for n in (1, 2):
-        if n == 1:
-            pts = rule.nodes[:, None]
-            wts = comp
-        else:
-            X, Y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-            wts = np.multiply.outer(comp, comp).ravel()
-        x0 = np.array([0.45, -0.8][:n])
-        for k in (2, 5, 8):
-            beta = enumerate_multiindices(n, k)[0]
-            kern = np.array(
-                [projection_kernel(KernelQuery(n, k, tuple(x0), tuple(p))) for p in pts]
-            )
-            phi_vals = evaluate_phi(beta, pts)
-            got = float(np.dot(wts, kern * phi_vals))
-            assert got == pytest.approx(evaluate_phi(beta, x0), abs=1e-9)
-            off = enumerate_multiindices(n, k - 1)[0]
-            phi_off = evaluate_phi(off, pts)
-            assert float(np.dot(wts, kern * phi_off)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_kernel_diagonal_ratio_bounded_2d():
@@ -641,30 +532,6 @@ def test_sobolev_twisted_form_is_the_ladder_form_at_s1(n, k_max):
     # the coarse rule under-resolves the top degrees, within the doubling gate
     _, coarse = sobolev_twisted_form(n, k_max, 1.0, 1.0)
     assert np.max(np.abs(coarse - ladder)) <= 1e-8
-
-
-def test_parity_decompose():
-    mode = make_state(3, {(1, 0, 0): 1.0})
-    odd, even = parity_decompose(mode, 0)
-    assert odd.coefficients == mode.coefficients
-    assert even.coefficients == {}
-    ground = make_state(3, {(0, 0, 0): 1.0})
-    odd, even = parity_decompose(ground, 2)
-    assert even.coefficients == ground.coefficients
-    state = random_state(2, 6, [51, 2])
-    odd, even = parity_decompose(state, 1)
-    assert state_norm_sq(odd) + state_norm_sq(even) == pytest.approx(
-        state_norm_sq(state), rel=1e-14
-    )
-    # pointwise: the odd part is the antisymmetrization in that coordinate
-    pts = np.random.default_rng(3).uniform(-2, 2, size=(12, 2))
-    flipped = pts.copy()
-    flipped[:, 1] *= -1.0
-    direct = 0.5 * (evaluate_state(state, pts) - evaluate_state(state, flipped))
-    via_split = evaluate_state(odd, pts)
-    assert np.max(np.abs(direct - via_split)) < 1e-12
-    with pytest.raises(ValueError):
-        parity_decompose(state, 5)
 
 
 def test_collapse_ground_state_frozen_value():

@@ -10,15 +10,8 @@ import pytest
 from hermspec.errors import CapabilityError, ToleranceError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import hermite_functions
-from hermspec.quadrature import gauss_legendre_panels, integrate_radial_3d, truncation_radius
-from hermspec.spectral import (
-    evaluate_state,
-    make_state,
-    project,
-    random_state,
-    state_norm_sq,
-    time_avg_weighted,
-)
+from hermspec.quadrature import gauss_legendre_panels, truncation_radius
+from hermspec.spectral import make_state, random_state, time_avg_weighted
 from hermspec.verify import (
     CHECK_INDEX,
     CSV_HEADER,
@@ -48,10 +41,17 @@ from hermspec.verify import (
 )
 
 from oracles import (
+    bessel_sobolev_norm,
     collapse_trace_norm,
+    evaluate_state,
+    hermite_sobolev_norm,
+    integrate_radial_3d,
     kernel_diagonal,
     kernel_diagonal_ratio,
     manifest_json_reference,
+    oscillator_energy_sq,
+    project,
+    state_norm_sq,
     x_odd,
 )
 
@@ -66,6 +66,8 @@ def test_scan_config_validation():
         ScanConfig(k_max=-1)
     with pytest.raises(ValueError):
         ScanConfig(trials=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ScanConfig(seed=-1)
     with pytest.raises(ValueError):
         ScanConfig(rule_scale=0.0)
 
@@ -564,11 +566,11 @@ def test_sobolev_rows_match_the_per_state_route(seed):
         ok = max(sharp.values()) <= DEFAULT_BOUNDS["hermite_sobolev"]
         for label, state in states:
             try:
-                bess = spectral.bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
+                bess = bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
             except ToleranceError:
                 stable = False
                 continue
-            expected[label] = bess / spectral.hermite_sobolev_norm(state, s)
+            expected[label] = bess / hermite_sobolev_norm(state, s)
             ok = ok and expected[label] <= sharp[state.n] * (1.0 + cfg.gate_tol)
             ok = ok and expected[label] <= DEFAULT_BOUNDS["hermite_sobolev"]
         assert [lab for lab, _ in r.samples] == list(expected)
@@ -593,7 +595,7 @@ def test_collapse_trials_match_the_per_trial_route(seed):
         w1 = collapse_trace_norm(f, rule_scale=cfg.rule_scale)
         w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
         stable = stable and abs(w2 - w1) <= cfg.gate_tol * (1.0 + abs(w2))
-        expected[label] = w1 / spectral.oscillator_energy_sq(f)
+        expected[label] = w1 / oscillator_energy_sq(f)
         ok = ok and expected[label] <= DEFAULT_BOUNDS["collapse_9d"]
         if label == "ground":
             ok = ok and abs(w1 - r.parameters["ground_target"]) <= 1e-8
@@ -710,7 +712,7 @@ def test_even_3d_limit_names_the_level_form_size(monkeypatch):
         check_even_3d(ScanConfig(k_max=81, trials=1))
     message = str(info.value)
     assert message == (
-        "even_3d is supported up to k_max = 80 at rule_scale 1: "
+        "even_3d is supported up to k_max = 80: "
         "the limit bounds the size of its level forms"
     )
     assert "doubled rule" not in message
@@ -790,8 +792,8 @@ def test_sobolev_forms_per_family_and_scale_not_per_state(monkeypatch):
 
 def test_sobolev_forms_are_read_only_reused_and_cleared():
     clear_caches()
-    spectral.bessel_sobolev_norm(random_state(2, 5, [7, 1]), 0.5)
-    spectral.bessel_sobolev_norm(random_state(2, 5, [7, 2]), 0.5)
+    bessel_sobolev_norm(random_state(2, 5, [7, 1]), 0.5)
+    bessel_sobolev_norm(random_state(2, 5, [7, 2]), 0.5)
     info = spectral._sobolev_form.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
     form = spectral._sobolev_form(2, 5, 0.5, 1.0)
