@@ -16,11 +16,11 @@ import sys
 import time
 
 from . import __version__
-from .errors import ToleranceError
 from .verify import (
     DEFAULT_TOLERANCES,
     RunManifest,
     ScanConfig,
+    _require_k_max,
     check_antideriv_norms,
     check_appendix_identities,
     check_even_3d,
@@ -163,7 +163,9 @@ def _select_checks(args) -> tuple:
 
 
 def run_checks(cfg: ScanConfig, keys, options) -> RunManifest:
-    """Execute the named checks one after another, timing each."""
+    """Check every key's k_max limit, then run the checks in order, timing each."""
+    for key in keys:
+        _require_k_max(cfg, key)
     wall: dict = {}
     reports = []
     for key in keys:
@@ -208,9 +210,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"hermspec: error: {exc}\n")
         return EX_USAGE
-    except ToleranceError as exc:
-        sys.stderr.write(f"hermspec: numerical abort: {exc}\n")
-        return 1
     try:
         _write_outputs(manifest, keys, args.out, args.format)
     except OSError as exc:

@@ -3,7 +3,3 @@
 
 class CapabilityError(ValueError):
     """A request exceeds what the constructed object can deliver (e.g. degree > max_degree)."""
-
-
-class ToleranceError(ArithmeticError):
-    """A computed quantity failed its internal accuracy gate (rule doubling moved the value)."""

@@ -34,10 +34,6 @@ MAX_GRADED_LEVELS = 160
 # and the e^s scale of the integrands they serve nears float64 overflow beyond
 MAX_LAGUERRE_NODES = 150
 
-# past this many nodes the classical Hermite polynomials overflow float64, and
-# gauss_rule takes the Newton step on the normalized Hermite functions instead
-_HERMITE_POLY_NODES = 150
-
 # Gauss-Hermite rules stop here: past it, h_0 = pi^(-1/4) e^(-x^2/2) at the outer
 # node is subnormal (from 766 nodes it underflows to 0, and the nodes are NaN)
 MAX_HERMITE_NODES = 728
@@ -87,17 +83,6 @@ def _jacobi_poly(n: int, alpha: float, beta: float, x: np.ndarray) -> tuple:
     return prev, p
 
 
-def _hermite_poly(n: int, x: np.ndarray) -> tuple:
-    """(H_(n-1), H_n)(x), n >= 1, each H_j = 2^(j/2) He_j(sqrt(2) x), He_j by its recurrence
-    from the top coefficient down; one pass of two rows, the H_(n-1) row starting
-    at (-1, 0), which its first step (coefficient 1) takes to the H_n row's (0, 1)."""
-    t = math.sqrt(2) * x
-    prev, cur = np.array([[0.0], [-1.0]]), np.array([[1.0], [0.0]])
-    for k in [np.array([[n], [1.0]])] + list(range(n - 1, 0, -1)):
-        prev, cur = cur, t * cur - k * prev
-    return cur[1] * math.pow(2, (n - 1) / 2.0), cur[0] * math.pow(2, n / 2.0)
-
-
 def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal Jacobi matrix, ascending."""
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -138,8 +123,9 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
     p_(m-1) and p_m (and so p_m'); a second pass gives p_(m-1) at the polished
     nodes, and the weights are 1/(p_(m-1) p_m') (Jacobi: 1/((1-x^2) p_m'^2),
     from the second pass) scaled to the weight's total mass.
-    Hermite rules past 150 nodes work on the normalized Hermite functions, where
-    the polynomials would overflow, up to MAX_HERMITE_NODES (CapabilityError past it).
+    Hermite rules use the normalized Hermite functions h_j, which never overflow,
+    and weights e^(-x^2) / sum_(j<m) h_j^2, up to MAX_HERMITE_NODES nodes
+    (CapabilityError past it).
     """
     if m < 1:
         raise ValueError("node count must be >= 1")
@@ -156,16 +142,10 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
             raise CapabilityError(f"Gauss-Hermite rules limited to {MAX_HERMITE_NODES} nodes")
         mass = math.sqrt(math.pi)
         x = _golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
-        if m <= _HERMITE_POLY_NODES:
-            p, y = _hermite_poly(m, x)
-            dy = 2.0 * m * p
-            x = x - y / dy
-            w = _christoffel(_hermite_poly(m, x)[0], dy)
-        else:
-            # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
-            h = hermite_functions(m, x)
-            x = x - h[m] / (math.sqrt(2.0 * m) * h[m - 1] - x * h[m])
-            w = np.exp(-x * x) / _hermite_sq_sum(x, m)
+        # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
+        h = hermite_functions(m, x)
+        x = x - h[m] / (math.sqrt(2.0 * m) * h[m - 1] - x * h[m])
+        w = np.exp(-x * x) / _hermite_sq_sum(x, m)
     elif family == "laguerre":
         if alpha <= -1.0:
             raise ValueError("Laguerre exponent must be > -1")
@@ -221,18 +201,15 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
 def hermite_compensated_weights(m: int) -> np.ndarray:
     """Weights w e^(x^2) of the m-point Gauss-Hermite rule, memoized, read-only.
 
-    They integrate f against dx rather than e^(-x^2) dx.  Up to 150 nodes they
-    are the rule's weights times e^(x^2); past that the outer weights underflow
-    (0 * inf), so they are the Christoffel values 1/sum h_j^2 (exactly
-    antipodal, as the nodes and the parity of h_j are), scaled to the rule's
-    mass as gauss_rule scales its weights.
+    They integrate f against dx rather than e^(-x^2) dx.  They are the
+    Christoffel values 1/sum h_j^2 (exactly antipodal, as the nodes and the
+    parity of h_j are), scaled to the rule's mass as gauss_rule scales its
+    weights, which stay finite where the rule's outer weights underflow and
+    w e^(x^2) would be 0 * inf.
     """
-    x, w = gauss_rule("hermite", m)
-    if m <= _HERMITE_POLY_NODES:
-        comp = w * np.exp(x * x)
-    else:
-        comp = 1.0 / _hermite_sq_sum(x, m)
-        comp *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), comp)
+    x = gauss_rule("hermite", m)[0]
+    comp = 1.0 / _hermite_sq_sum(x, m)
+    comp *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), comp)
     comp.flags.writeable = False
     return comp
 

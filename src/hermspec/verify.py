@@ -48,6 +48,7 @@ from .hermite import (
 )
 from .quadrature import (
     MAX_HERMITE_NODES,
+    MAX_LAGUERRE_NODES,
     TWO_PI,
     circle_directions,
     gauss_legendre_panels,
@@ -60,12 +61,9 @@ from . import spectral
 from .spectral import (
     check_admissible,
     enumerate_multiindices,
-    evaluate_phi,
     kernel_diagonals,
     level_tops,
-    make_state,
     sobolev_twisted_form,
-    time_avg_weighted,
 )
 
 FOUR_PI = 2.0 * TWO_PI
@@ -88,9 +86,22 @@ ESTIMATE_IDS = (
 # stable per-check stream index for seed sequences [seed, index, ...]
 CHECK_INDEX = {name: i for i, name in enumerate(ESTIMATE_IDS)}
 
-# even_3d's forms hold sum over even k <= k_max of C(k/2 + 2, 2)^2 entries:
-# 6.5e6 (52 MB) at this k_max, built in 4-6 s on 2 CPUs
-_EVEN_3D_K_MAX = 80
+# the largest k_max of each check key that has one, and why.  odd_identity and
+# even_3d read their rows before any work, the level scans' rows are
+# level_spectrum's own cap, and the command line reads the rows of every
+# selected check before the first check runs
+_LEVEL_SCAN_LIMIT = (2 * MAX_LAGUERRE_NODES - 1,
+                     f"its Gauss-Laguerre rules are limited to {MAX_LAGUERRE_NODES} nodes")
+K_MAX_LIMITS = {
+    # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
+    "odd_identity": ((MAX_HERMITE_NODES - 2) // 2,
+                     f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes"),
+    "kato_nd": _LEVEL_SCAN_LIMIT,
+    "operator_norm_n3": _LEVEL_SCAN_LIMIT,
+    # the forms hold sum over even k <= k_max of C(k/2 + 2, 2)^2 entries:
+    # 6.5e6 (52 MB) at this k_max, built in 4-6 s on 2 CPUs
+    "even_3d": (80, "the limit bounds the size of its level forms"),
+}
 
 # growth-trend threshold: least-squares slope of log(ratio) vs log(k)
 TREND_SLOPE_MAX = 0.05
@@ -271,12 +282,11 @@ def clear_caches() -> None:
     hermite_compensated_weights.cache_clear()
 
 
-def _require_k_max(cfg: ScanConfig, name: str, limit: int, reason: str) -> None:
-    """Raise before any work when cfg.k_max is past a scan's supported limit."""
+def _require_k_max(cfg: ScanConfig, key: str) -> None:
+    """Raise before any work when cfg.k_max is past the K_MAX_LIMITS row of key."""
+    limit, reason = K_MAX_LIMITS.get(key, (math.inf, ""))
     if cfg.k_max > limit:
-        raise CapabilityError(
-            f"{name} is supported up to k_max = {limit}: {reason}"
-        )
+        raise CapabilityError(f"{key} is supported up to k_max = {limit}: {reason}")
 
 
 def _ground_top(dw: int, weight_power: float) -> float:
@@ -311,9 +321,7 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     The full functional over a period must equal 4*pi times the squared norm,
     and each level must contribute 2*pi times twice its squared coefficient.
     """
-    # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
-    _require_k_max(cfg, "odd_identity", (MAX_HERMITE_NODES - 2) // 2,
-                   f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes")
+    _require_k_max(cfg, "odd_identity")
     tol = cfg.tolerance_for("odd_identity")
     per_level_tol = 1e-9
     mode_cap = 2 * cfg.k_max + 1
@@ -456,16 +464,10 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     2*pi*s_k.  The top of the same level by one Gauss-Laguerre rule is the
     second route that gates each s_k.  Passes on a bounded, trend-free sequence.
     """
-    if axes is None:
-        axes = tuple(range(n))
-    else:
-        axes = tuple(sorted(set(int(c) for c in axes)))
-    if not axes or any(c < 0 or c >= n for c in axes):
-        raise ValueError("axes must be a nonempty subset of the coordinates")
-    check_admissible(len(axes), delta)
+    axes = spectral._weight_axes(n, axes)
+    tops, quads = level_tops(n, cfg.k_max, 2.0 * delta, axes)
     bound = cfg.bound_for("kato_nd")
     verdict = _Verdict(cfg.gate_tol)
-    tops, quads = level_tops(n, cfg.k_max, 2.0 * delta, axes)
     samples = [(f"k={k:02d}", TWO_PI * s_k) for k, s_k in enumerate(tops)]
     for s_k, quad in zip(tops, quads):
         verdict.gate("level_top", quad, s_k)
@@ -624,14 +626,9 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     that level's form, and every form comes from one build on the top even
     level's rules.
     """
-    _require_k_max(cfg, "even_3d", _EVEN_3D_K_MAX, "the limit bounds the size of its level forms")
+    _require_k_max(cfg, "even_3d")
     bound = cfg.bound_for("even_3d")
     verdict = _Verdict(cfg.gate_tol)
-    phi0 = make_state(3, {(0, 0, 0): 1.0})
-    v0 = time_avg_weighted(phi0, 1.0, rule_scale=cfg.rule_scale)
-    samples = [("ground", v0)]
-    verdict.require("ground", abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI)
-    verdict.require("bound", v0 <= bound)
     sharp = 0.0
     # the fully even indices of level k are 2 beta, |beta| = k/2, in the
     # descending order of enumerate_multiindices(3, k)
@@ -642,6 +639,11 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     # every even level's form on the top even level's rules
     forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), float(cfg.rule_scale),
                                  tuple(even.values()))
+    # the ground state's term: level 0's form is its one entry
+    v0 = TWO_PI * forms[0][0, 0]
+    samples = [("ground", v0)]
+    verdict.require("ground", abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI)
+    verdict.require("bound", v0 <= bound)
     # the ratios are scale-free, so the trials stay unnormalized; level k's
     # indices are the columns lo:hi
     cols = np.cumsum([0] + [len(level) for level in even.values()])
@@ -931,7 +933,7 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
         rule = radial_rule_panels(2, 1.0, R, n_panels, 12, allow_divergent=True)
         pts = (rule.nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
         w = (rule.weights[:, None] * dwts[None, :]).ravel()
-        vals = evaluate_phi((0, 0), pts)
+        vals = hermite_functions(0, pts[:, 0])[0] * hermite_functions(0, pts[:, 1])[0]
         v = float(np.dot(w, vals * vals))
         values.append(v)
         samples.append((f"panels={n_panels:03d}", v))

@@ -11,7 +11,7 @@ import numpy as np
 
 from hermspec import hermite_functions
 from hermspec.antideriv import _cumulative_half_line, _norm_rule, odd_series
-from hermspec.errors import CapabilityError, ToleranceError
+from hermspec.errors import CapabilityError
 from hermspec.hermite import eval_laguerre, half_line_integral_even
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
@@ -28,6 +28,7 @@ from hermspec.spectral import (
     _collapse_nodes,
     _collapse_triples,
     _indices_upto,
+    _level_form,
     _mode_matrix,
     _sobolev_gated,
     _sobolev_panels,
@@ -39,6 +40,10 @@ from hermspec.spectral import (
 from hermspec.verify import _config_dict, _json_text
 
 TWO_PI = 2.0 * math.pi
+
+
+class ToleranceError(ArithmeticError):
+    """A computed quantity failed its internal accuracy gate (rule doubling moved the value)."""
 
 
 def kernel_diagonal(n: int, k: int, points) -> np.ndarray:
@@ -391,6 +396,74 @@ def manifest_json_reference(manifest) -> bytes:
 # the per-state routes: a SpectralState's values, phases, projections and
 # norms one state at a time, where the checks read coefficient rows against
 # memoized forms
+
+
+def make_state(n: int, coefficients: dict, k_max: int | None = None) -> SpectralState:
+    """Normalizing constructor: infers k_max and copies the coefficient map."""
+    coeffs = {tuple(a): complex(c) for a, c in coefficients.items()}
+    if k_max is None:
+        k_max = max((sum(a) for a in coeffs), default=0)
+    return SpectralState(n, coeffs, k_max)
+
+
+def evaluate_phi(alpha: tuple, points) -> np.ndarray:
+    """Product eigenfunction at points of shape (..., n) (or (n,) for one point)."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    if pts.shape[-1] != len(alpha):
+        raise ValueError("point dimension does not match index length")
+    flat = pts.reshape(-1, len(alpha))
+    out = np.ones(flat.shape[0])
+    for c, deg in enumerate(alpha):
+        out *= hermite_functions(deg, flat[:, c])[deg]
+    out = out.reshape(pts.shape[:-1])
+    return float(out[0]) if single else out
+
+
+def time_avg_levels(
+    state: SpectralState,
+    delta: float,
+    weight_dims=None,
+    rule_scale: float = 1.0,
+) -> dict:
+    """Each level's weighted integral int |P_k f|^2 / w, keyed by k.
+
+    w = (sum of squares over weight_dims)^delta.  Admissibility is
+    check_admissible, with the state's parity along a one-axis weight.  Each
+    level's integral is c^H G c with G the level form memoized per (level,
+    weight, rule, index set).
+    """
+    wd = _weight_axes(state.n, weight_dims)
+    odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)
+    check_admissible(len(wd), delta, odd_in_axis=odd)
+    by_level = {}
+    for alpha, coeff in sorted(state.coefficients.items()):
+        by_level.setdefault(sum(alpha), []).append((alpha, coeff))
+    levels = {}
+    for k, items in sorted(by_level.items()):
+        (G,) = _level_form(state.n, k, float(delta), wd, float(rule_scale),
+                           (tuple(alpha for alpha, _ in items),))
+        c = np.array([coeff for _, coeff in items])
+        levels[k] = float(np.vdot(c, G @ c).real)
+    return levels
+
+
+def time_avg_weighted(
+    state: SpectralState,
+    delta: float,
+    weight_dims=None,
+    rule_scale: float = 1.0,
+) -> float:
+    """Time average over one period of the weighted squared solution.
+
+    Equals 2*pi times the sum over levels of integral |P_k f|^2 / w, by phase
+    orthogonality of distinct eigenvalues over a full period; the level terms
+    and the admissibility rule are those of time_avg_levels.
+    """
+    return TWO_PI * math.fsum(
+        time_avg_levels(state, delta, weight_dims, rule_scale).values())
 
 
 def state_norm_sq(state: SpectralState) -> float:

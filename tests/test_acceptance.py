@@ -16,7 +16,7 @@ from hermspec.antideriv import (
     norm_sq_odd_recursive,
 )
 from hermspec.cli import main
-from hermspec.spectral import random_state, time_avg_weighted
+from hermspec.spectral import random_state
 from hermspec.verify import (
     ScanConfig,
     check_appendix_identities,
@@ -33,7 +33,12 @@ from hermspec.verify import (
     negative_control_divergence,
 )
 
-from oracles import norm_sq_even_quadrature, norm_sq_odd_quadrature, project
+from oracles import (
+    norm_sq_even_quadrature,
+    norm_sq_odd_quadrature,
+    project,
+    time_avg_weighted,
+)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi

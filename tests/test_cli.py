@@ -94,6 +94,25 @@ def test_negative_seed_exits_64_before_any_check(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kmax, message", [
+    ("81", "even_3d is supported up to k_max = 80"),
+    ("300", "kato_nd is supported up to k_max = 299"),
+])
+def test_all_refuses_a_kmax_past_a_check_limit_before_any_check(
+        tmp_path, capsys, monkeypatch, kmax, message):
+    # every selected check's k_max limit is read first; the message is the
+    # first refusing check's in command order
+    def ran(cfg, opt):
+        raise AssertionError("a check ran")
+
+    for key in CHECK_REGISTRY:
+        monkeypatch.setitem(CHECK_REGISTRY, key, ran)
+    out = tmp_path / "run"
+    assert main(["all", "--kmax", kmax, "--out", str(out)]) == EX_USAGE
+    assert f"hermspec: error: {message}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, check", [
     ("identities", "odd_identity"), ("sobolev", "sobolev_s05"), ("collapse", "collapse_9d")])
 def test_coincident_doubling_rules_are_inconclusive(tmp_path, capsys, command, check):

@@ -9,14 +9,17 @@ from hermspec import antideriv, cli, errors, hermite, quadrature, spectral, veri
 
 MODULES = (antideriv, cli, errors, hermite, quadrature, spectral, verify)
 
-# the per-state algebra, the spherical and polar integrators and the unused
-# closed forms: deleted, or moved to the tests' oracles
+# the per-state algebra, the spherical and polar integrators, the unused
+# closed forms, the polynomial Gauss-Hermite route and the abort error no
+# check raises: deleted, or moved to the tests' oracles
 RETIRED = (
-    "KernelQuery", "bessel_sobolev_norm", "coefficients_from_function", "evaluate_state",
-    "evaluate_state_grid", "fourier_transform_state", "gauss_legendre",
-    "half_line_integral_odd", "hermite_sobolev_norm", "integrate_cyl_2d",
-    "integrate_radial_3d", "oscillator_energy_sq", "parity_decompose", "project",
-    "projection_kernel", "propagate", "sphere_directions", "state_norm_sq",
+    "KernelQuery", "ToleranceError", "_hermite_poly", "bessel_sobolev_norm",
+    "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
+    "fourier_transform_state", "gauss_legendre", "half_line_integral_odd",
+    "hermite_sobolev_norm", "integrate_cyl_2d", "integrate_radial_3d", "make_state",
+    "oscillator_energy_sq", "parity_decompose", "project", "projection_kernel",
+    "propagate", "sphere_directions", "state_norm_sq", "time_avg_levels",
+    "time_avg_weighted",
 )
 
 # the functions no run of `hermspec all` enters, each with why it stays
@@ -26,8 +29,8 @@ NOT_RUN = {
     "verify._report_from_dict": "contract: manifest_from_json_bytes's report half",
     "verify.clear_caches": "contract: drops every memo, for honest re-runs",
     "cli._Parser.error": "argparse's usage-error hook, entered only on bad usage",
-    "quadrature._hermite_sq_sum": "serves the Hermite rules past 150 nodes",
     "spectral.random_state": "library API: any check's trial state from its stream",
+    "spectral.SpectralState.__post_init__": "validates random_state's states, its one caller",
 }
 
 

@@ -208,6 +208,25 @@ JACOBI_EXPONENTS = ((0.0, 0.5), (0.0, -0.5), (-0.5, -0.5), (-0.5, 0.0), (-0.7, -
 JACOBI_SCIPY_WEIGHT_NODES = 11
 
 
+def _hermite_weights_ref(m, x):
+    """The m-point Gauss-Hermite weights 2^(m-1) m! sqrt(pi) / (m H_(m-1))^2, in
+    long double from the classical recurrence, at the nodes x after one
+    long-double Newton step on H_m (H_m' = 2m H_(m-1))."""
+
+    def pair(t):
+        # (H_(m-1), H_m)(t) by H_j = 2t H_(j-1) - 2(j-1) H_(j-2)
+        prev, cur = np.zeros_like(t), np.ones_like(t)
+        for j in range(1, m + 1):
+            prev, cur = cur, 2 * t * cur - 2 * (j - 1) * prev
+        return prev, cur
+
+    t = np.asarray(x, dtype=np.longdouble)
+    p, y = pair(t)
+    p = pair(t - y / (2 * m * p))[0]
+    scale = np.longdouble(2) ** (m - 1) * np.longdouble(math.factorial(m))
+    return scale * np.sqrt(np.longdouble(math.pi)) / (m * p) ** 2
+
+
 @pytest.mark.parametrize("family, alpha", [("legendre", 0.0), ("hermite", 0.0)]
                          + [("laguerre", a) for a in LAGUERRE_EXPONENTS]
                          + [pytest.param("jacobi", ab, id=f"jacobi-{ab[0]}-{ab[1]}")
@@ -236,6 +255,10 @@ def test_gauss_rule_matches_scipy(family, alpha):
         assert np.array_equal(x[~nonzero], xr[~nonzero])
         if nonzero.any():
             assert _max_rel(x[nonzero], xr[nonzero]) <= 1e-15, (family, alpha, m)
+        if family == "hermite":
+            # scipy's weights are off by up to 2.9e-12 at 150 nodes against this
+            # long-double reference, where these rules are within 5e-14
+            wr = _hermite_weights_ref(m, x)
         assert _max_rel(w, wr) <= 1e-13, (family, alpha, m)
 
 
@@ -268,16 +291,6 @@ def _laguerre_ref(n, alpha, x):
     return p
 
 
-def _hermite_ref(n, x):
-    if n == 0:
-        return np.ones_like(x)
-    t = math.sqrt(2) * x
-    prev, cur = np.zeros_like(t), np.ones_like(t)
-    for k in range(n, 1, -1):
-        prev, cur = cur, t * cur - k * prev
-    return (t * cur - prev) * math.pow(2, n / 2.0)
-
-
 def _three_pass_rule(family, m, alpha=0.0):
     """The polynomial-range Gauss rule with one recurrence pass per value:
     p_m and p_(m-1) at the Jacobi eigenvalues, then p_(m-1) at the polished
@@ -290,13 +303,8 @@ def _three_pass_rule(family, m, alpha=0.0):
         dy = (-m * x * y + m * _legendre_ref(m - 1, x)) / (1 - x ** 2)
         x = x - y / dy
         w = quadrature._christoffel(_legendre_ref(m - 1, x), dy)
-    elif family == "hermite":
-        mass = math.sqrt(math.pi)
-        x = quadrature._golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
-        y = _hermite_ref(m, x)
-        dy = 2.0 * m * _hermite_ref(m - 1, x)
-        x = x - y / dy
-        w = quadrature._christoffel(_hermite_ref(m - 1, x), dy)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
     else:
         mass = math.gamma(alpha + 1.0)
         x = quadrature._golub_welsch(2 * np.arange(m, dtype=float) + alpha + 1,
@@ -305,13 +313,10 @@ def _three_pass_rule(family, m, alpha=0.0):
         dy = (m * y - m * _laguerre_ref(m - 1, alpha, x)) / x
         x = x - y / dy
         w = quadrature._christoffel(_laguerre_ref(m - 1, alpha, x), dy)
-    if family != "laguerre":
-        w = (w + w[::-1]) / 2
-        x = (x - x[::-1]) / 2
     return x, w * (mass / w.sum())
 
 
-@pytest.mark.parametrize("family, alpha", [("legendre", 0.0), ("hermite", 0.0)]
+@pytest.mark.parametrize("family, alpha", [("legendre", 0.0)]
                          + [("laguerre", a) for a in LAGUERRE_EXPONENTS])
 def test_gauss_rule_single_pass_is_bit_identical_to_three_passes(monkeypatch, family, alpha):
     # LAGUERRE_EXPONENTS holds every exponent a `hermspec all` run asks for;
@@ -402,10 +407,13 @@ def test_gauss_hermite_past_its_node_limit_raises():
 def test_hermite_compensated_weights_memo():
     from hermspec.verify import clear_caches
 
-    # up to 150 nodes: the rule's weights times e^(x^2), byte for byte
-    for m in (1, 24, 150):
-        x, w = gauss_rule("hermite", m)
-        assert np.array_equal(hermite_compensated_weights(m), w * np.exp(x * x))
+    # at every node count: the Christoffel values 1/sum h_j^2 at the rule's
+    # nodes, scaled to its mass, byte for byte
+    for m in (1, 24, 150, 151, 400):
+        x = gauss_rule("hermite", m)[0]
+        comp = 1.0 / quadrature._hermite_sq_sum(x, m)
+        comp *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), comp)
+        assert np.array_equal(hermite_compensated_weights(m), comp)
     comp = hermite_compensated_weights(24)
     assert hermite_compensated_weights(24) is comp
     with pytest.raises(ValueError):

@@ -5,33 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from hermspec import CapabilityError, ToleranceError, hermite_functions, spectral
+from hermspec import CapabilityError, hermite_functions, spectral
 from hermspec.quadrature import (
     gauss_hermite,
     gauss_legendre_panels,
+    hermite_compensated_weights,
     truncation_radius,
 )
 from hermspec.spectral import (
     SpectralState,
     check_admissible,
     enumerate_multiindices,
-    evaluate_phi,
     kernel_diagonals,
     level_spectrum,
     level_tops,
-    make_state,
     poch,
     random_state,
     sobolev_twisted_form,
-    time_avg_levels,
-    time_avg_weighted,
 )
 
 from oracles import (
+    ToleranceError,
     _level_grid,
     _tensor_free_axes,
     bessel_sobolev_norm,
     collapse_trace_norm,
+    evaluate_phi,
     evaluate_state,
     evaluate_state_grid,
     fourier_transform_state,
@@ -42,12 +41,15 @@ from oracles import (
     kernel_diagonal_ratio,
     level_gram,
     level_top,
+    make_state,
     oscillator_energy_sq,
     project,
     propagate,
     radial_eigenvalue,
     radial_eigenvalue_quadrature,
     state_norm_sq,
+    time_avg_levels,
+    time_avg_weighted,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -597,9 +599,8 @@ def test_collapse_cross_terms_match_per_coefficient_reference(rule_scale):
 def _collapse_unique_per_call(state, rule_scale):
     # the route that finds every level's triples with np.unique on each call
     m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
-    rule = gauss_hermite(m)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
-    tab = hermite_functions(state.k_max, rule.nodes / math.sqrt(3.0))
+    comp = hermite_compensated_weights(m)
+    tab = hermite_functions(state.k_max, gauss_hermite(m).nodes / math.sqrt(3.0))
     by_level = {}
     for alpha, coeff in state.coefficients.items():
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))

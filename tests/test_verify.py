@@ -7,11 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from hermspec.errors import CapabilityError, ToleranceError
+from hermspec.errors import CapabilityError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import hermite_functions
 from hermspec.quadrature import gauss_legendre_panels, truncation_radius
-from hermspec.spectral import make_state, random_state, time_avg_weighted
+from hermspec.spectral import random_state
 from hermspec.verify import (
     CHECK_INDEX,
     CSV_HEADER,
@@ -47,11 +47,15 @@ from oracles import (
     hermite_sobolev_norm,
     integrate_radial_3d,
     kernel_diagonal,
+    ToleranceError,
     kernel_diagonal_ratio,
+    make_state,
     manifest_json_reference,
     oscillator_energy_sq,
     project,
     state_norm_sq,
+    time_avg_levels,
+    time_avg_weighted,
     x_odd,
 )
 
@@ -477,8 +481,8 @@ def test_odd_identity_trials_match_the_per_trial_route(seed):
     for t in range(cfg.trials):
         g = random_state(1, 2 * cfg.k_max + 1, [seed, CHECK_INDEX["odd_identity"], t],
                          parity="odd")
-        levels1 = spectral.time_avg_levels(g, 1.0, rule_scale=cfg.rule_scale)
-        levels2 = spectral.time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale)
+        levels1 = time_avg_levels(g, 1.0, rule_scale=cfg.rule_scale)
+        levels2 = time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale)
         v1 = TWO_PI * math.fsum(levels1.values())
         v2 = TWO_PI * math.fsum(levels2.values())
         stable = stable and abs(v2 - v1) <= cfg.gate_tol * (1.0 + abs(v2))
@@ -621,9 +625,9 @@ def test_even_3d_small():
 
 
 def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
-    # the route gate and the trials share one build of every even level's
-    # form on the level-6 rules, and the ground sample has its own; all at
-    # the configured rule scale
+    # the ground sample, the route gate and the trials share one build of
+    # every even level's form on the level-6 rules, at the configured rule
+    # scale
     real = spectral._level_form
     calls = []
 
@@ -635,8 +639,8 @@ def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     monkeypatch.setattr(spectral, "_level_form", recording)
     check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
     assert {args[4] for args in calls} == {1.5}
-    assert sorted((args[1], len(args[5])) for args in calls) == [(0, 1), (6, 4)]
-    assert real.cache_info().misses == 2
+    assert sorted((args[1], len(args[5])) for args in calls) == [(6, 4)]
+    assert real.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("seed", [42, 1])
@@ -674,8 +678,8 @@ def test_even_3d_form_lookups_do_not_grow_with_trials(monkeypatch):
         lookups.clear()
         assert check_even_3d(ScanConfig(k_max=8, trials=trials)).status == "passed"
         counts.append(len(lookups))
-    # one for every even level at once and one for the ground state
-    assert counts == [2, 2, 2]
+    # one for every even level at once, the ground state's among them
+    assert counts == [1, 1, 1]
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
@@ -707,7 +711,6 @@ def test_even_3d_limit_names_the_level_form_size(monkeypatch):
         raise AssertionError("the scan ran")
 
     monkeypatch.setattr(spectral, "_level_form", no_work)
-    monkeypatch.setattr(verify, "time_avg_weighted", no_work)
     with pytest.raises(CapabilityError) as info:
         check_even_3d(ScanConfig(k_max=81, trials=1))
     message = str(info.value)
