@@ -3,8 +3,9 @@
 The odd-degree antiderivative telescopes into a finite combination of
 even-degree eigenfunctions, so it evaluates in closed form and vanishes at
 both infinities.  The even-degree case uses the signed integrand, whose
-antiderivative is an even function computed by panelized cumulative
-Gauss-Legendre on the half line and reflected.
+antiderivative is an even function; on the half line the ladder relation
+h_n' = sqrt(n/2) h_(n-1) - sqrt((n+1)/2) h_(n+1) telescopes it into odd modes
+plus one erf term, and it is reflected.
 
 Squared norms come three independent ways: a closed form (2 on odd degrees; a
 partial binomial sum on even degrees), a one-step recursion, and direct
@@ -15,98 +16,86 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .hermite import half_line_integral_even, hermite_functions
-from .quadrature import gauss_legendre_panels, gauss_rule
+from .quadrature import gauss_legendre_panels
 
 SQRT2 = math.sqrt(2.0)
 
-# cumulative quadrature: Gauss-Legendre nodes per segment, max segment width
-_SEG_NODES = 12
-_SEG_WIDTH = 0.25
 
-
-def odd_series(k: int) -> tuple[tuple[int, float], ...]:
-    """Exact expansion of the antiderivative of h_{2k+1} over even-degree modes,
-    as (degree, coefficient) pairs.
+def odd_coefficients(k_max: int) -> np.ndarray:
+    """Exact expansions of the antiderivatives of h_1, h_3, ..., h_(2 k_max + 1)
+    over even-degree modes: row k holds, by degree, the coefficients of the
+    antiderivative of h_(2k+1); shape (k_max + 1, 2 k_max + 1).
 
     Unrolls the one-step reduction: each step trades the degree-(2m+1)
     integrand for a degree-2m term with coefficient -sqrt(2/(2m+1)) plus a
     sqrt(2m/(2m+1))-scaled copy of the next problem down, bottoming out at the
-    pure Gaussian with total coefficient -sqrt(2) * prefix product.
+    pure Gaussian with total coefficient -sqrt(2) * prefix product.  Step i
+    writes the degree-2(k - i) entry of every row k >= i and multiplies that
+    row's prefix by its factor.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    pairs = []
-    prefix = 1.0
-    for i in range(k):
-        pairs.append((2 * k - 2 * i, -math.sqrt(2.0 / (2 * k + 1 - 2 * i)) * prefix))
-        prefix *= math.sqrt((2 * k - 2 * i) / (2 * k + 1 - 2 * i))
-    pairs.append((0, -SQRT2 * prefix))
-    return tuple(pairs)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    m = np.arange(k_max + 1)
+    lead = -np.sqrt(2.0 / (2 * m + 1))
+    factor = np.sqrt(2 * m / (2 * m + 1))
+    prefix = np.ones(k_max + 1)
+    out = np.zeros((k_max + 1, 2 * k_max + 1))
+    for i in range(k_max + 1):
+        down = m[: k_max + 1 - i]
+        out[m[i:], 2 * down] = lead[down] * prefix[i:]
+        prefix[i:] *= factor[down]
+    return out
 
 
-def _cumulative_half_line(degrees: tuple, targets: np.ndarray) -> np.ndarray:
-    """integral_0^t h_d for each degree d and each t in targets (nonnegative,
-    ascending), shape (len(degrees), len(targets)), from one Hermite table."""
-    x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
-    targets = np.asarray(targets, dtype=float)
-    # each target t past the last edge prev adds n_sub equal panels up to t
-    prev = np.maximum.accumulate(np.concatenate(([0.0], targets)))[:-1]
-    gap = targets - prev
-    n_sub = np.where(gap > 0.0, np.ceil(gap / _SEG_WIDTH), 0.0).astype(int)
-    if not n_sub.any():
-        return np.zeros((len(degrees), len(targets)))
-    ends = np.cumsum(n_sub)
-    owner = np.repeat(np.arange(len(targets)), n_sub)
-    j = np.arange(1, ends[-1] + 1) - (ends - n_sub)[owner]
-    edges = np.concatenate(([0.0], prev[owner] + gap[owner] * j / n_sub[owner]))
-    edges[ends[n_sub > 0]] = targets[n_sub > 0]
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
-    rows = hermite_functions(max(degrees), nodes)[list(degrees)]
-    seg = (rows.reshape(len(degrees), -1, _SEG_NODES) * w_ref).sum(axis=2) * half
-    cum = np.concatenate((np.zeros((len(degrees), 1)), np.cumsum(seg, axis=1)), axis=1)
-    return cum[:, ends]
+class NormRoutes(NamedTuple):
+    """Every k <= k_max's squared norms by the closed forms, the recursions
+    and the odd expansion, with the float residual of the merge identity.
+    The odd closed form is the constant 2."""
+
+    odd_recursive: np.ndarray
+    odd_expansion: np.ndarray
+    even_closed: np.ndarray
+    even_recursive: np.ndarray
+    merge: np.ndarray
 
 
-def norm_sq_odd_closed(k: int) -> float:
-    """Squared norm of the odd antiderivative; identically 2."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return 2.0
+def norm_sq_routes_all(k_max: int) -> NormRoutes:
+    """The non-quadrature routes for k = 0..k_max from one running pass.
 
-
-def norm_sq_odd_recursive(k: int) -> float:
-    """Iterates I_{2k+1} = 2/(2k+1) + (2k/(2k+1)) I_{2k-1} up from I_1 = 2."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    val = 2.0
-    for j in range(1, k + 1):
-        val = 2.0 / (2 * j + 1) + (2 * j / (2 * j + 1)) * val
-    return val
-
-
-def norm_sq_odd_expansion(k: int) -> float:
-    """Sum of squared expansion coefficients (orthonormality makes this the norm)."""
-    return math.fsum(c * c for _, c in odd_series(k))
-
-
-def partial_binomial_sum(k: int, numerator: float) -> float:
-    """sum_{i=0}^k C(numerator, i) for numerator +1/2 or -1/2, terms built multiplicatively."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if numerator not in (0.5, -0.5):
-        raise ValueError("numerator must be +1/2 or -1/2")
-    term = 1.0
-    total = 1.0
-    for i in range(k):
-        term *= (numerator - i) / (i + 1)
-        total += term
-    return total
+    S_i(+-1/2) = sum_{j<=i} C(+-1/2, j) runs with its last term built
+    multiplicatively; the even closed form is 2(-1 + sqrt(2) S_k(1/2)), the
+    even recursion V_(j+1) = -1/(2j+2) + sqrt(2)/(j+1) S_j(-1/2)
+    + (2j+1)/(2j+2) V_j from V_0 = sqrt(2) - 1 gives 2 V_k, the odd one
+    I_(2j+1) = 2/(2j+1) + (2j/(2j+1)) I_(2j-1) from I_1 = 2, and the merge
+    residual is |S_k(-1/2)/(k+1) + (2k+1)/(2k+2) S_k(1/2) - S_(k+1)(1/2)|.
+    The odd expansion sums each row of squared odd_coefficients.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    odd_rec, even_closed, even_rec, merge = (np.empty(k_max + 1) for _ in range(4))
+    plus = minus = term_plus = term_minus = 1.0
+    odd, even = 2.0, SQRT2 - 1.0
+    for i in range(k_max + 1):
+        odd_rec[i], even_rec[i] = odd, 2.0 * even
+        even_closed[i] = 2.0 * (-1.0 + SQRT2 * plus)
+        term_plus *= (0.5 - i) / (i + 1)
+        term_minus *= (-0.5 - i) / (i + 1)
+        merge[i] = abs(minus / (i + 1) + ((2 * i + 1) / (2 * i + 2)) * plus
+                       - (plus + term_plus))
+        even = (-1.0 / (2 * i + 2) + (SQRT2 / (i + 1)) * minus
+                + ((2 * i + 1) / (2 * i + 2)) * even)
+        j = i + 1
+        odd = 2.0 / (2 * j + 1) + (2 * j / (2 * j + 1)) * odd
+        plus += term_plus
+        minus += term_minus
+    sq = odd_coefficients(k_max) ** 2
+    expansion = np.array([math.fsum(row) for row in sq.tolist()])
+    return NormRoutes(odd_rec, expansion, even_closed, even_rec, merge)
 
 
 def partial_binomial_sum_exact(k: int, numerator: Fraction) -> Fraction:
@@ -121,27 +110,6 @@ def partial_binomial_sum_exact(k: int, numerator: Fraction) -> Fraction:
     return Fraction(total, q ** k * math.factorial(k))
 
 
-def norm_sq_even_closed(k: int) -> float:
-    """2(-1 + sqrt(2) * sum_{i<=k} C(1/2, i)); at most 3, tending to 2."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return 2.0 * (-1.0 + SQRT2 * partial_binomial_sum(k, 0.5))
-
-
-def norm_sq_even_recursive(k: int) -> float:
-    """Iterates the even half-norm recursion from V_0 = sqrt(2) - 1; returns 2 V_{2k}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    v = SQRT2 - 1.0
-    for j in range(k):
-        v = (
-            -1.0 / (2 * j + 2)
-            + (SQRT2 / (j + 1)) * partial_binomial_sum(j, -0.5)
-            + ((2 * j + 1) / (2 * j + 2)) * v
-        )
-    return 2.0 * v
-
-
 def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     T = math.sqrt(2.0 * (2 * k_max + 1)) + 10.0
     n_panels = int(math.ceil(2.0 * T)) * max(1, int(refine))
@@ -151,37 +119,32 @@ def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Odd and even squared norms for k = 0..k_max by direct quadrature on the
-    one rule _norm_rule(k_max, refine).
+    one rule _norm_rule(k_max, refine), from one Hermite table on its nodes.
 
-    The odd antiderivatives are one odd_series coefficient matrix times one
-    Hermite table on the rule nodes; the even ones are one cumulative
-    half-line pass over every even degree.  The per-k routes in the tests'
-    oracles are its reference.
+    The odd antiderivatives are the odd_coefficients matrix times the
+    table.  The even ones are E_k(t) = integral_0^t h_2k minus its half-line
+    integral, with E_0 = pi^(1/4)/sqrt(2) erf(t/sqrt(2)) and the ladder
+    h_(2k-1)' = sqrt((2k-1)/2) h_(2k-2) - sqrt(k) h_2k integrated from 0,
+    E_k = (sqrt((2k-1)/2) E_(k-1) - h_(2k-1)) / sqrt(k), since h_(2k-1)(0) = 0.
+    The per-k routes in the tests' oracles are its reference.
     """
     nodes, weights = _norm_rule(k_max, refine)
-    coeffs = np.zeros((k_max + 1, 2 * k_max + 1))
-    for k in range(k_max + 1):
-        for degree, c in odd_series(k):
-            coeffs[k, degree] = c
-    odd = coeffs @ hermite_functions(2 * k_max, nodes)
-    order = np.argsort(nodes)
+    table = hermite_functions(2 * k_max, nodes)
+    odd = odd_coefficients(k_max) @ table
     even = np.empty_like(odd)
-    even[:, order] = _cumulative_half_line(tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
+    even[0] = [math.erf(t) for t in (nodes / SQRT2).tolist()]
+    even[0] *= math.pi ** 0.25 / SQRT2
+    for k in range(1, k_max + 1):
+        np.multiply(even[k - 1], math.sqrt((2 * k - 1) / 2.0), out=even[k])
+        even[k] -= table[2 * k - 1]
+        even[k] /= math.sqrt(k)
     even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
     return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
 
 
-def merge_identity_check(k: int) -> float:
-    """Residual of the partial-sum merge identity in floating point."""
-    lhs = partial_binomial_sum(k, -0.5) / (k + 1) + (
-        (2 * k + 1) / (2 * k + 2)
-    ) * partial_binomial_sum(k, 0.5)
-    rhs = partial_binomial_sum(k + 1, 0.5)
-    return abs(lhs - rhs)
-
-
 def merge_identity_exact(k: int) -> Fraction:
-    """Same residual in exact rational arithmetic; zero when the identity holds."""
+    """Residual of the partial-sum merge identity in exact rational arithmetic;
+    zero when the identity holds."""
     half = Fraction(1, 2)
     lhs = partial_binomial_sum_exact(k, -half) / (k + 1) + Fraction(
         2 * k + 1, 2 * k + 2

@@ -10,6 +10,7 @@ degree a few hundred.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,10 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 PI_Q = math.pi ** -0.25  # pi^(-1/4), the h_0 amplitude
+
+# past this radius (about 37.6) the recurrence's start value h_0 = PI_Q e^(-t^2/2)
+# leaves the normal float range, and every row built from it loses precision
+UNDERFLOW_RADIUS = math.sqrt(2.0 * math.log(PI_Q / sys.float_info.min))
 
 
 def hermite_functions(k_max: int, t) -> np.ndarray:

@@ -122,32 +122,28 @@ def _quadratic_rows(G: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray
     return np.einsum("ti,ti->t", re @ G, re) + np.einsum("ti,ti->t", im @ G, im)
 
 
-_QUARTER_PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
-
-
 def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) -> tuple:
     """The flat H^s form on the coefficients, (indices, F) with c^H F c = ||f||^2_{H^s}.
 
     indices are every alpha with |alpha| <= k_max, level by level in the
     order of enumerate_multiindices; F is _sobolev_form restricted to them
-    and twisted by the transform phases, conj((-i)^|alpha|) (-i)^|beta|.
+    and twisted by the transform phases, conj((-i)^|alpha|) (-i)^|beta|.  An
+    entry of _sobolev_form is zero unless its two indices share every axis's
+    parity, and then |alpha| - |beta| is even, so the phases multiply to
+    sigma_alpha sigma_beta with sigma_alpha = (-1)^floor(|alpha|/2): F is
+    real and symmetric, and is returned as such.
     """
     indices = _indices_upto(n, k_max)
     idx = np.array(indices)
     pos = np.ravel_multi_index(tuple(idx.T), (k_max + 1,) * n)
-    phase = np.array(_QUARTER_PHASES)[idx.sum(axis=1) % 4]
+    sign = 1.0 - 2.0 * (idx.sum(axis=1) // 2 % 2)
     M = _sobolev_form(n, k_max, float(s), float(rule_scale))[np.ix_(pos, pos)]
-    return indices, phase.conj()[:, None] * M * phase[None, :]
+    return indices, sign[:, None] * M * sign[None, :]
 
 
 def _sobolev_rows(n: int, k_max: int, s: float, scale: float, re, im) -> np.ndarray:
-    """Squared flat H^s norm of each coefficient row on one rule.
-
-    An entry of _sobolev_form is zero unless its two indices share every
-    axis's parity, and then |alpha| - |beta| is even, so the twisted form is
-    real (its phases are +-1) and symmetric.
-    """
-    return _quadratic_rows(sobolev_twisted_form(n, k_max, s, scale)[1].real, re, im)
+    """Squared flat H^s norm of each coefficient row on one rule."""
+    return _quadratic_rows(sobolev_twisted_form(n, k_max, s, scale)[1], re, im)
 
 
 def _sobolev_gated(n: int, k_max: int, s: float, re, im, rule_scale: float = 1.0,

@@ -26,18 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from .antideriv import (
-    merge_identity_check,
     merge_identity_exact,
-    norm_sq_even_closed,
-    norm_sq_even_recursive,
-    norm_sq_odd_closed,
-    norm_sq_odd_expansion,
-    norm_sq_odd_recursive,
     norm_sq_quadrature_all,
-    odd_series,
+    norm_sq_routes_all,
+    odd_coefficients,
 )
 from .errors import CapabilityError
 from .hermite import (
+    UNDERFLOW_RADIUS,
     LaguerreParams,
     binom_reflection_residual,
     eval_laguerre,
@@ -86,13 +82,18 @@ ESTIMATE_IDS = (
 # stable per-check stream index for seed sequences [seed, index, ...]
 CHECK_INDEX = {name: i for i, name in enumerate(ESTIMATE_IDS)}
 
-# the largest k_max of each check key that has one, and why.  odd_identity and
-# even_3d read their rows before any work, the level scans' rows are
-# level_spectrum's own cap, and the command line reads the rows of every
-# selected check before the first check runs
+# the largest k_max of each check key that has one, and why.  antideriv_norms,
+# odd_identity and even_3d read their rows before any work, the level scans'
+# rows are level_spectrum's own cap, and the command line reads the rows of
+# every selected check before the first check runs
 _LEVEL_SCAN_LIMIT = (2 * MAX_LAGUERRE_NODES - 1,
                      f"its Gauss-Laguerre rules are limited to {MAX_LAGUERRE_NODES} nodes")
 K_MAX_LIMITS = {
+    # the top integrand h_(2 k_max + 1) turns at sqrt(4 k_max + 3)
+    "antideriv_norms": (int((UNDERFLOW_RADIUS ** 2 - 3.0) // 4),
+                        "the turning point of its top integrand must stay inside "
+                        f"r = {UNDERFLOW_RADIUS:.1f}, past which the Hermite recurrence's "
+                        "start value underflows"),
     # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
     "odd_identity": ((MAX_HERMITE_NODES - 2) // 2,
                      f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes"),
@@ -683,10 +684,20 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
 def _sobolev_sharp(n: int, k_max: int, s: float, rule_scale: float) -> float:
     """sup over |alpha| <= k_max of the flat/oscillator H^s ratio on one rule:
     sqrt of the top eigenvalue of D^(-1/2) F D^(-1/2), F the twisted Sobolev
-    form and D = diag((2|alpha| + n)^s)."""
+    form and D = diag((2|alpha| + n)^s).  F vanishes between indices whose
+    per-axis parities differ, so the top is the largest over the 2^n parity
+    blocks, each solved on its own."""
     indices, F = sobolev_twisted_form(n, k_max, s, rule_scale)
-    d = (2.0 * np.array([sum(a) for a in indices]) + n) ** (-0.5 * s)
-    return math.sqrt(float(np.linalg.eigvalsh(d[:, None] * F * d[None, :])[-1]))
+    idx = np.array(indices)
+    d = (2.0 * idx.sum(axis=1) + n) ** (-0.5 * s)
+    pencil = d[:, None] * F * d[None, :]
+    parity = (idx % 2) @ (1 << np.arange(n))
+    top = 0.0
+    for p in range(1 << n):
+        block = np.flatnonzero(parity == p)
+        if block.size:
+            top = max(top, float(np.linalg.eigvalsh(pencil[np.ix_(block, block)])[-1]))
+    return math.sqrt(top)
 
 
 def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
@@ -806,40 +817,41 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
 
 def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
     """Three-route agreement of the antiderivative norms, with the even bound."""
+    _require_k_max(cfg, "antideriv_norms")
     tol = cfg.tolerance_for("antideriv_norms")
     samples = []
     verdict = _Verdict(cfg.gate_tol)
     # every k on one rule per refinement; refine 2 is the doubling gate
     odd1, even1 = norm_sq_quadrature_all(cfg.k_max)
     odd2, even2 = norm_sq_quadrature_all(cfg.k_max, refine=2)
+    routes = norm_sq_routes_all(cfg.k_max)
     for k in range(cfg.k_max + 1):
-        oc = norm_sq_odd_closed(k)
-        orr = norm_sq_odd_recursive(k)
-        oe = norm_sq_odd_expansion(k)
+        # the odd closed form is 2 at every k
+        orr = float(routes.odd_recursive[k])
+        oe = float(routes.odd_expansion[k])
         oq = float(odd1[k])
         verdict.gate("odd_quadrature", oq, float(odd2[k]))
-        verdict.require("odd_closed", abs(oc - 2.0) == 0.0)
-        verdict.require("odd_routes", abs(orr - oc) <= tol and abs(oe - oc) <= tol
-                        and abs(oq - oc) <= tol and abs(oq - orr) <= tol)
+        verdict.require("odd_routes", abs(orr - 2.0) <= tol and abs(oe - 2.0) <= tol
+                        and abs(oq - 2.0) <= tol and abs(oq - orr) <= tol)
         samples.append((f"odd k={k:02d}", oq))
-        ec = norm_sq_even_closed(k)
-        er = norm_sq_even_recursive(k)
+        ec = float(routes.even_closed[k])
+        er = float(routes.even_recursive[k])
         eq = float(even1[k])
         verdict.gate("even_quadrature", eq, float(even2[k]))
         verdict.require("even_routes",
                         abs(er - ec) <= tol and abs(eq - ec) <= tol and abs(eq - er) <= tol)
         verdict.require("even_bound", ec <= 3.0 + 1e-12)
         samples.append((f"even k={k:02d}", eq))
-        verdict.require("merge", merge_identity_check(k) <= 1e-12)
+        verdict.require("merge", routes.merge[k] <= 1e-12)
     if cfg.k_max >= 40:
         # the even family settles toward 2; spot the gap at 40
-        verdict.require("even_limit", abs(norm_sq_even_closed(40) - 2.0) <= 0.05)
+        verdict.require("even_limit", abs(routes.even_closed[40] - 2.0) <= 0.05)
     params = {
         "k_max": cfg.k_max,
         "seed": cfg.seed,
         "rule_scale": cfg.rule_scale,
         "even_bound": 3.0,
-        "limit_gap_at_kmax": abs(norm_sq_even_closed(cfg.k_max) - 2.0),
+        "limit_gap_at_kmax": abs(float(routes.even_closed[cfg.k_max]) - 2.0),
     }
     return verdict.report("antideriv_norms", params, samples, tol)
 
@@ -899,10 +911,11 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     top = min(cfg.k_max, 20)
     rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
     h = hermite_functions(2 * top, rule.nodes)
+    coeffs = odd_coefficients(max(top - 1, 0))
     for k in range(1, top + 1):
         tail = np.zeros_like(rule.nodes)
-        for degree, coeff in odd_series(k - 1):
-            tail += coeff * h[degree]
+        for degree in range(2 * k - 2, -1, -2):
+            tail += coeffs[k - 1, degree] * h[degree]
         res = abs(float(np.dot(rule.weights, h[2 * k] * tail)))
         samples.append((f"tail-orthogonality k={k:02d}", res))
         verdict.require("tail_orthogonality", res <= junk_tol)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermspec import hermite_functions
-from hermspec.antideriv import _cumulative_half_line, _norm_rule, odd_series
+from hermspec.antideriv import _norm_rule, odd_coefficients
 from hermspec.errors import CapabilityError
 from hermspec.hermite import eval_laguerre, half_line_integral_even
 from hermspec.quadrature import (
@@ -23,7 +23,6 @@ from hermspec.quadrature import (
     radial_rule_panels,
 )
 from hermspec.spectral import (
-    _QUARTER_PHASES,
     SpectralState,
     _collapse_nodes,
     _collapse_triples,
@@ -40,6 +39,9 @@ from hermspec.spectral import (
 from hermspec.verify import _config_dict, _json_text
 
 TWO_PI = 2.0 * math.pi
+
+# (-i)^k for k mod 4: the transform's phase on a mode of total degree k
+_QUARTER_PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 class ToleranceError(ArithmeticError):
@@ -275,13 +277,137 @@ def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop
                key=lambda t: t.value)
 
 
+# ---------------------------------------------------------------------------
+# the per-k antiderivative norms and the cumulative half-line quadrature that
+# antideriv's one-pass routes and Hermite ladder replaced
+
+SQRT2 = math.sqrt(2.0)
+
+# cumulative quadrature: Gauss-Legendre nodes per segment, max segment width
+_SEG_NODES = 12
+_SEG_WIDTH = 0.25
+
+
+def _cumulative_half_line(degrees: tuple, targets: np.ndarray) -> np.ndarray:
+    """integral_0^t h_d for each degree d and each t in targets (nonnegative,
+    ascending), shape (len(degrees), len(targets)), from one Hermite table."""
+    x_ref, w_ref = gauss_rule("legendre", _SEG_NODES)
+    targets = np.asarray(targets, dtype=float)
+    # each target t past the last edge prev adds n_sub equal panels up to t
+    prev = np.maximum.accumulate(np.concatenate(([0.0], targets)))[:-1]
+    gap = targets - prev
+    n_sub = np.where(gap > 0.0, np.ceil(gap / _SEG_WIDTH), 0.0).astype(int)
+    if not n_sub.any():
+        return np.zeros((len(degrees), len(targets)))
+    ends = np.cumsum(n_sub)
+    owner = np.repeat(np.arange(len(targets)), n_sub)
+    j = np.arange(1, ends[-1] + 1) - (ends - n_sub)[owner]
+    edges = np.concatenate(([0.0], prev[owner] + gap[owner] * j / n_sub[owner]))
+    edges[ends[n_sub > 0]] = targets[n_sub > 0]
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x_ref[None, :]).ravel()
+    rows = hermite_functions(max(degrees), nodes)[list(degrees)]
+    seg = (rows.reshape(len(degrees), -1, _SEG_NODES) * w_ref).sum(axis=2) * half
+    cum = np.concatenate((np.zeros((len(degrees), 1)), np.cumsum(seg, axis=1)), axis=1)
+    return cum[:, ends]
+
+
+def odd_series(k: int) -> tuple[tuple[int, float], ...]:
+    """Exact expansion of the antiderivative of h_{2k+1} over even-degree modes,
+    as (degree, coefficient) pairs: the per-k oracle of antideriv.odd_coefficients.
+
+    Unrolls the one-step reduction: each step trades the degree-(2m+1)
+    integrand for a degree-2m term with coefficient -sqrt(2/(2m+1)) plus a
+    sqrt(2m/(2m+1))-scaled copy of the next problem down, bottoming out at the
+    pure Gaussian with total coefficient -sqrt(2) * prefix product.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    pairs = []
+    prefix = 1.0
+    for i in range(k):
+        pairs.append((2 * k - 2 * i, -math.sqrt(2.0 / (2 * k + 1 - 2 * i)) * prefix))
+        prefix *= math.sqrt((2 * k - 2 * i) / (2 * k + 1 - 2 * i))
+    pairs.append((0, -SQRT2 * prefix))
+    return tuple(pairs)
+
+
+def norm_sq_odd_closed(k: int) -> float:
+    """Squared norm of the odd antiderivative; identically 2."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return 2.0
+
+
+def norm_sq_odd_recursive(k: int) -> float:
+    """Iterates I_{2k+1} = 2/(2k+1) + (2k/(2k+1)) I_{2k-1} up from I_1 = 2."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    val = 2.0
+    for j in range(1, k + 1):
+        val = 2.0 / (2 * j + 1) + (2 * j / (2 * j + 1)) * val
+    return val
+
+
+def norm_sq_odd_expansion(k: int) -> float:
+    """Sum of squared expansion coefficients (orthonormality makes this the norm)."""
+    return math.fsum(c * c for _, c in odd_series(k))
+
+
+def partial_binomial_sum(k: int, numerator: float) -> float:
+    """sum_{i=0}^k C(numerator, i) for numerator +1/2 or -1/2, terms built multiplicatively."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if numerator not in (0.5, -0.5):
+        raise ValueError("numerator must be +1/2 or -1/2")
+    term = 1.0
+    total = 1.0
+    for i in range(k):
+        term *= (numerator - i) / (i + 1)
+        total += term
+    return total
+
+
+def norm_sq_even_closed(k: int) -> float:
+    """2(-1 + sqrt(2) * sum_{i<=k} C(1/2, i)); at most 3, tending to 2."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return 2.0 * (-1.0 + SQRT2 * partial_binomial_sum(k, 0.5))
+
+
+def norm_sq_even_recursive(k: int) -> float:
+    """Iterates the even half-norm recursion from V_0 = sqrt(2) - 1; returns 2 V_{2k}."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    v = SQRT2 - 1.0
+    for j in range(k):
+        v = (
+            -1.0 / (2 * j + 2)
+            + (SQRT2 / (j + 1)) * partial_binomial_sum(j, -0.5)
+            + ((2 * j + 1) / (2 * j + 2)) * v
+        )
+    return 2.0 * v
+
+
+def merge_identity_check(k: int) -> float:
+    """Residual of the partial-sum merge identity in floating point."""
+    lhs = partial_binomial_sum(k, -0.5) / (k + 1) + (
+        (2 * k + 1) / (2 * k + 2)
+    ) * partial_binomial_sum(k, 0.5)
+    rhs = partial_binomial_sum(k + 1, 0.5)
+    return abs(lhs - rhs)
+
+
 def x_odd(k: int, x) -> np.ndarray:
-    """Antiderivative of h_{2k+1}, vanishing at both infinities, via its expansion."""
+    """Antiderivative of h_{2k+1}, vanishing at both infinities, via its
+    expansion: row k of antideriv.odd_coefficients, summed from the top degree."""
     t = np.asarray(x, dtype=float)
     h = hermite_functions(2 * k, t)
+    coeffs = odd_coefficients(k)[k]
     out = np.zeros_like(t)
-    for degree, coeff in odd_series(k):
-        out += coeff * h[degree]
+    for degree in range(2 * k, -1, -2):
+        out += coeffs[degree] * h[degree]
     return out
 
 

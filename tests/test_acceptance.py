@@ -9,12 +9,7 @@ import time
 
 import numpy as np
 
-from hermspec.antideriv import (
-    norm_sq_even_closed,
-    norm_sq_odd_closed,
-    norm_sq_odd_expansion,
-    norm_sq_odd_recursive,
-)
+from hermspec.antideriv import norm_sq_quadrature_all, norm_sq_routes_all
 from hermspec.cli import main
 from hermspec.spectral import random_state
 from hermspec.verify import (
@@ -34,8 +29,12 @@ from hermspec.verify import (
 )
 
 from oracles import (
+    norm_sq_even_closed,
     norm_sq_even_quadrature,
+    norm_sq_odd_closed,
+    norm_sq_odd_expansion,
     norm_sq_odd_quadrature,
+    norm_sq_odd_recursive,
     project,
     time_avg_weighted,
 )
@@ -50,9 +49,17 @@ def _verdict(num, ok, text):
 
 
 def test_criterion_01_odd_antideriv_norm_routes():
+    # the shipped one-pass routes and one-rule quadrature, with the per-k
+    # oracles beside them
+    shipped = norm_sq_routes_all(40)
+    quad, _ = norm_sq_quadrature_all(40)
     worst = 0.0
     for k in range(41):
         routes = [
+            2.0,
+            shipped.odd_recursive[k],
+            shipped.odd_expansion[k],
+            quad[k],
             norm_sq_odd_closed(k),
             norm_sq_odd_recursive(k),
             norm_sq_odd_expansion(k),
@@ -61,20 +68,21 @@ def test_criterion_01_odd_antideriv_norm_routes():
         for a in routes:
             for b in routes:
                 worst = max(worst, abs(a - b))
-        worst = max(worst, abs(routes[0] - 2.0))
     _verdict(1, worst <= 1e-8,
              f"odd norms all equal 2 for k <= 40, route spread {worst:.3g}")
 
 
 def test_criterion_02_even_antideriv_norms():
+    closed = norm_sq_routes_all(40).even_closed
+    _, quad = norm_sq_quadrature_all(40)
     worst = 0.0
-    peak = 0.0
     for k in range(41):
-        closed = norm_sq_even_closed(k)
-        quad = norm_sq_even_quadrature(k)
-        worst = max(worst, abs(quad - closed))
-        peak = max(peak, closed)
-    gap40 = abs(norm_sq_even_closed(40) - 2.0)
+        ref_closed = norm_sq_even_closed(k)
+        ref_quad = norm_sq_even_quadrature(k)
+        worst = max(worst, abs(quad[k] - closed[k]), abs(closed[k] - ref_closed),
+                    abs(quad[k] - ref_quad))
+    peak = float(np.max(closed))
+    gap40 = abs(float(closed[40]) - 2.0)
     ok = worst <= 1e-8 and peak <= 3.0 and gap40 <= 0.05
     _verdict(2, ok,
              f"even norms: quad vs closed {worst:.3g}, max {peak:.6f}, "

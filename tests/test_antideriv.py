@@ -10,26 +10,28 @@ from scipy.special import erf
 
 from hermspec import gauss_rule, half_line_integral_even, hermite_functions
 from hermspec.antideriv import (
-    _SEG_NODES,
-    _SEG_WIDTH,
-    _cumulative_half_line,
     _norm_rule,
-    merge_identity_check,
     merge_identity_exact,
-    norm_sq_even_closed,
-    norm_sq_even_recursive,
-    norm_sq_odd_closed,
-    norm_sq_odd_expansion,
-    norm_sq_odd_recursive,
     norm_sq_quadrature_all,
-    odd_series,
-    partial_binomial_sum,
+    norm_sq_routes_all,
+    odd_coefficients,
     partial_binomial_sum_exact,
 )
 
 from oracles import (
+    _SEG_NODES,
+    _SEG_WIDTH,
+    _cumulative_half_line,
+    merge_identity_check,
+    norm_sq_even_closed,
     norm_sq_even_quadrature,
+    norm_sq_even_recursive,
+    norm_sq_odd_closed,
+    norm_sq_odd_expansion,
     norm_sq_odd_quadrature,
+    norm_sq_odd_recursive,
+    odd_series,
+    partial_binomial_sum,
     x_even,
     x_even_at_zero_normalized,
     x_even_at_zero_sq,
@@ -50,6 +52,12 @@ def test_odd_series_structure():
     s = odd_series(2)
     assert [d for d, _ in s] == [4, 2, 0]
     assert s[0][1] == pytest.approx(-math.sqrt(2.0 / 5.0), rel=1e-15)
+    # the shipped matrix holds the same pairs in row 2, zeros at odd degrees
+    row = odd_coefficients(2)[2]
+    assert [d for d in range(5) if row[d]] == [0, 2, 4]
+    assert [row[d] for d, _ in s] == [c for _, c in s]
+    with pytest.raises(ValueError):
+        odd_coefficients(-1)
 
 
 def test_odd_value_at_origin():
@@ -319,3 +327,76 @@ def test_norm_sq_quadrature_all_matches_the_per_k_routes(k_max, refine):
         assert abs(odd[k] - ref) <= 1e-14 * ref, k
         ref = norm_sq_even_quadrature(k, refine)
         assert abs(even[k] - ref) <= 1e-14 * ref, k
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 7, 60])
+def test_one_pass_routes_are_the_per_k_routes_bit_for_bit(k_max):
+    # the same float operations in the same order as each k's own function
+    routes = norm_sq_routes_all(k_max)
+    pairs = ((routes.odd_recursive, norm_sq_odd_recursive),
+             (routes.odd_expansion, norm_sq_odd_expansion),
+             (routes.even_closed, norm_sq_even_closed),
+             (routes.even_recursive, norm_sq_even_recursive),
+             (routes.merge, merge_identity_check))
+    for got, per_k in pairs:
+        assert got.shape == (k_max + 1,)
+        assert got.tolist() == [per_k(k) for k in range(k_max + 1)], per_k.__name__
+    coeffs = odd_coefficients(k_max)
+    for k in range(k_max + 1):
+        row = np.zeros(2 * k_max + 1)
+        for degree, c in odd_series(k):
+            row[degree] = c
+        assert np.array_equal(coeffs[k], row), k
+
+
+def _cumulative_quadrature_all(k_max, refine):
+    # the even rows as the cumulative half-line route computed them, and the
+    # odd rows from the per-k odd_series coefficients
+    nodes, weights = _norm_rule(k_max, refine)
+    coeffs = np.zeros((k_max + 1, 2 * k_max + 1))
+    for k in range(k_max + 1):
+        for degree, c in odd_series(k):
+            coeffs[k, degree] = c
+    odd = coeffs @ hermite_functions(2 * k_max, nodes)
+    order = np.argsort(nodes)
+    even = np.empty_like(odd)
+    even[:, order] = _cumulative_half_line(tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
+    even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
+    return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("k_max", [20, 60, 200])
+def test_ladder_even_rows_match_the_cumulative_route(k_max, refine):
+    odd, even = norm_sq_quadrature_all(k_max, refine)
+    odd_ref, even_ref = _cumulative_quadrature_all(k_max, refine)
+    assert np.array_equal(odd, odd_ref)
+    # the cumulative route's own error on these rules, against a 40-digit
+    # evaluation of the same sums, is 1.2e-14 at k_max = 60 and 4.0e-14
+    # (refine 1) and 7.2e-14 (refine 2) at 200; the ladder's is below 5e-15
+    tol = 2e-14 if k_max <= 60 else 1e-13
+    assert np.max(np.abs(even - even_ref)) <= tol
+
+
+def test_ladder_even_rows_against_a_40_digit_evaluation():
+    # the same rule sums, with E_k(t) = integral_0^t h_2k from the ladder in
+    # 40-digit arithmetic and the same float half-line integrals subtracted
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    k_max = 20
+    nodes, weights = _norm_rule(k_max)
+    t = [mp.mpf(float(x)) for x in nodes]
+    h = [[mp.pi ** mp.mpf(-0.25) * mp.exp(-x * x / 2) for x in t]]
+    h.append([mp.sqrt(2) * x * a for x, a in zip(t, h[0])])
+    for n in range(1, 2 * k_max - 1):
+        h.append([x * mp.sqrt(mp.mpf(2) / (n + 1)) * a - mp.sqrt(mp.mpf(n) / (n + 1)) * b
+                  for x, a, b in zip(t, h[n], h[n - 1])])
+    E = [mp.pi ** mp.mpf(0.25) / mp.sqrt(2) * mp.erf(x / mp.sqrt(2)) for x in t]
+    _, even = norm_sq_quadrature_all(k_max)
+    for k in range(k_max + 1):
+        if k:
+            E = [(mp.sqrt(mp.mpf(2 * k - 1) / 2) * e - a) / mp.sqrt(k)
+                 for e, a in zip(E, h[2 * k - 1])]
+        c = mp.mpf(half_line_integral_even(k))
+        ref = 2 * mp.fsum(mp.mpf(float(w)) * (e - c) ** 2 for w, e in zip(weights, E))
+        assert abs(even[k] - float(ref)) <= 5e-15, k

@@ -113,6 +113,25 @@ def test_all_refuses_a_kmax_past_a_check_limit_before_any_check(
     assert not out.exists()
 
 
+def test_norms_refuses_a_kmax_past_the_underflow_limit_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    # at 354 the top integrand's turning point passes the Hermite recurrence's
+    # underflow radius; the run is refused up front, not reported as failed
+    limit = verify.K_MAX_LIMITS["antideriv_norms"][0]
+    assert limit == 353
+
+    def ran(cfg, opt):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(CHECK_REGISTRY, "antideriv_norms", ran)
+    out = tmp_path / "run"
+    assert main(["norms", "--kmax", str(limit + 1), "--out", str(out)]) == EX_USAGE
+    err = capsys.readouterr().err
+    assert "hermspec: error: antideriv_norms is supported up to k_max = 353: " in err
+    assert "underflows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, check", [
     ("identities", "odd_identity"), ("sobolev", "sobolev_s05"), ("collapse", "collapse_9d")])
 def test_coincident_doubling_rules_are_inconclusive(tmp_path, capsys, command, check):

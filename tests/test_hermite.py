@@ -119,7 +119,7 @@ def test_half_line_even_frozen_values():
 
 def _half_line_odd(k):
     # integral_0^inf h_(2k+1) is minus the odd antiderivative's value at 0,
-    # which antideriv.odd_series gives as a finite expansion
+    # which antideriv.odd_coefficients gives as a finite expansion
     return -float(x_odd(k, 0.0))
 
 

@@ -10,14 +10,19 @@ from hermspec import antideriv, cli, errors, hermite, quadrature, spectral, veri
 MODULES = (antideriv, cli, errors, hermite, quadrature, spectral, verify)
 
 # the per-state algebra, the spherical and polar integrators, the unused
-# closed forms, the polynomial Gauss-Hermite route and the abort error no
-# check raises: deleted, or moved to the tests' oracles
+# closed forms, the polynomial Gauss-Hermite route, the abort error no check
+# raises, the per-k antiderivative norms and the cumulative half-line route:
+# deleted, or moved to the tests' oracles
 RETIRED = (
-    "KernelQuery", "ToleranceError", "_hermite_poly", "bessel_sobolev_norm",
+    "KernelQuery", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES", "_SEG_WIDTH",
+    "_cumulative_half_line", "_hermite_poly", "bessel_sobolev_norm",
     "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
     "fourier_transform_state", "gauss_legendre", "half_line_integral_odd",
     "hermite_sobolev_norm", "integrate_cyl_2d", "integrate_radial_3d", "make_state",
-    "oscillator_energy_sq", "parity_decompose", "project", "projection_kernel",
+    "merge_identity_check", "norm_sq_even_closed", "norm_sq_even_recursive",
+    "norm_sq_odd_closed", "norm_sq_odd_expansion", "norm_sq_odd_recursive",
+    "oscillator_energy_sq", "parity_decompose", "partial_binomial_sum", "project",
+    "projection_kernel",
     "propagate", "sphere_directions", "state_norm_sq", "time_avg_levels",
     "time_avg_weighted",
 )

@@ -25,6 +25,7 @@ from hermspec.spectral import (
 )
 
 from oracles import (
+    _QUARTER_PHASES,
     ToleranceError,
     _level_grid,
     _tensor_free_axes,
@@ -505,6 +506,21 @@ def test_sobolev_form_is_symmetric_and_zero_across_parities(n, k_max, scale):
     assert np.all(M[mixed] == 0.0)
     assert np.all(M[~mixed] != 0.0)
     assert np.array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("n, k_max", [(1, 20), (2, 12), (3, 4)])
+def test_sobolev_twisted_form_is_the_real_part_of_the_phase_twist(n, k_max):
+    # conj((-i)^|alpha|) (-i)^|beta| is +-1 wherever the form is nonzero, so
+    # the signed real form is the complex twist, entry for entry
+    indices, F = sobolev_twisted_form(n, k_max, 0.5, 2.0)
+    idx = np.array(indices)
+    pos = np.ravel_multi_index(tuple(idx.T), (k_max + 1,) * n)
+    M = spectral._sobolev_form(n, k_max, 0.5, 2.0)[np.ix_(pos, pos)]
+    phase = np.array(_QUARTER_PHASES)[idx.sum(axis=1) % 4]
+    twisted = phase.conj()[:, None] * M * phase[None, :]
+    assert F.dtype == np.float64
+    assert np.all(twisted.imag == 0.0)
+    assert np.array_equal(F, twisted.real)
 
 
 def _ladder_form(n, k_max, indices):

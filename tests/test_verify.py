@@ -723,6 +723,17 @@ def test_even_3d_limit_names_the_level_form_size(monkeypatch):
         check_odd_identity(ScanConfig(k_max=364, trials=1))
 
 
+def test_antideriv_norms_refuses_a_kmax_past_its_limit_before_any_work(monkeypatch):
+    # in process as on the command line: no quadrature runs past the limit
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(verify, "norm_sq_quadrature_all", no_work)
+    with pytest.raises(CapabilityError, match="up to k_max = 353: ") as info:
+        check_antideriv_norms(ScanConfig(k_max=354))
+    assert "underflows" in str(info.value)
+
+
 def test_sobolev_small_and_bad_order():
     with pytest.raises(ValueError):
         check_hermite_sobolev(SMALL, 0.75)
@@ -761,6 +772,16 @@ def test_sobolev_sharp_rows_hold_every_mode_and_trial(s):
     assert len(rows) == 21 + 8
     for lab in rows:
         assert samples[lab] <= sharp[int(lab[2])] * (1.0 + 1e-9), lab
+
+
+@pytest.mark.parametrize("n, k_max, s", [(1, 20, 0.5), (2, 12, 1.0), (3, 4, 2.0)])
+def test_sobolev_sharp_parity_blocks_give_the_whole_pencil_top(n, k_max, s):
+    # the form vanishes across per-axis parities, so the largest block top is
+    # the top of the whole pencil
+    indices, F = spectral.sobolev_twisted_form(n, k_max, s, 2.0)
+    d = (2.0 * np.array([sum(a) for a in indices]) + n) ** (-0.5 * s)
+    whole = math.sqrt(np.linalg.eigvalsh(d[:, None] * F * d[None, :])[-1])
+    assert abs(verify._sobolev_sharp(n, k_max, s, 2.0) - whole) <= 1e-14 * whole
 
 
 def test_sobolev_sharp_s1_is_the_square_root_of_the_golden_ratio():
