@@ -5,7 +5,7 @@ even-degree eigenfunctions, so it evaluates in closed form and vanishes at
 both infinities.  The even-degree case uses the signed integrand, whose
 antiderivative is an even function; on the half line the ladder relation
 h_n' = sqrt(n/2) h_(n-1) - sqrt((n+1)/2) h_(n+1) telescopes it into odd modes
-plus one erf term, and it is reflected.
+plus one erfc term, and it is reflected.
 
 Squared norms come three independent ways: a closed form (2 on odd degrees; a
 partial binomial sum on even degrees), a one-step recursion, and direct
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import half_line_integral_even, hermite_functions
+from .hermite import hermite_functions
 from .quadrature import gauss_legendre_panels
 
 SQRT2 = math.sqrt(2.0)
@@ -122,23 +122,23 @@ def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.
     one rule _norm_rule(k_max, refine), from one Hermite table on its nodes.
 
     The odd antiderivatives are the odd_coefficients matrix times the
-    table.  The even ones are E_k(t) = integral_0^t h_2k minus its half-line
-    integral, with E_0 = pi^(1/4)/sqrt(2) erf(t/sqrt(2)) and the ladder
-    h_(2k-1)' = sqrt((2k-1)/2) h_(2k-2) - sqrt(k) h_2k integrated from 0,
-    E_k = (sqrt((2k-1)/2) E_(k-1) - h_(2k-1)) / sqrt(k), since h_(2k-1)(0) = 0.
-    The per-k routes in the tests' oracles are its reference.
+    table.  The even ones are F_k(t) = -integral_t^inf h_2k: the ladder
+    h_(2k-1)' = sqrt((2k-1)/2) h_(2k-2) - sqrt(k) h_2k integrated from t to
+    inf, where h_(2k-1) vanishes, gives
+    F_k = (sqrt((2k-1)/2) F_(k-1) - h_(2k-1)) / sqrt(k) from
+    F_0 = -pi^(1/4)/sqrt(2) erfc(t/sqrt(2)), with no half-line integral to
+    subtract.  The per-k routes in the tests' oracles are its reference.
     """
     nodes, weights = _norm_rule(k_max, refine)
     table = hermite_functions(2 * k_max, nodes)
     odd = odd_coefficients(k_max) @ table
     even = np.empty_like(odd)
-    even[0] = [math.erf(t) for t in (nodes / SQRT2).tolist()]
-    even[0] *= math.pi ** 0.25 / SQRT2
+    even[0] = [math.erfc(t) for t in (nodes / SQRT2).tolist()]
+    even[0] *= -math.pi ** 0.25 / SQRT2
     for k in range(1, k_max + 1):
         np.multiply(even[k - 1], math.sqrt((2 * k - 1) / 2.0), out=even[k])
         even[k] -= table[2 * k - 1]
         even[k] /= math.sqrt(k)
-    even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
     return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
 
 

@@ -63,21 +63,7 @@ COMMAND_CHECKS = {
     "even3d": ("even_3d",),
     "sobolev": ("sobolev_s05", "sobolev_s10"),
     "collapse": ("collapse_9d",),
-    "all": (
-        "antideriv_norms",
-        "odd_identity",
-        "radial_3d_identity",
-        "appendix_identities",
-        "kato_nd",
-        "kernel_n2",
-        "kernel_n3",
-        "operator_norm_n3",
-        "morawetz_2d",
-        "even_3d",
-        "sobolev_s05",
-        "sobolev_s10",
-        "collapse_9d",
-    ),
+    "all": tuple(key for key in CHECK_REGISTRY if key != "negative_control"),
 }
 
 EX_USAGE = 64

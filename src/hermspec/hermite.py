@@ -149,25 +149,6 @@ def binom_reflection_residual(alpha: Fraction, k: int) -> Fraction:
     return abs(lhs - rhs)
 
 
-def half_line_integral_even(k: int) -> float:
-    """integral_0^inf h_{2k}(t) dt in closed form.
-
-    Equals 2^k Gamma(k+1/2) / (sqrt(2) sqrt((2k)! sqrt(pi))); via the duplication
-    formula this is 2^(1/2-k) pi^(1/4) Gamma(2k)/(Gamma(k) sqrt((2k)!)), whose
-    k = 0 reading is the limit Gamma(2k)/Gamma(k) -> 1/2. The Gamma(k+1/2) form
-    needs no special case.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lg = (
-        k * math.log(2.0)
-        + math.lgamma(k + 0.5)
-        - 0.5 * math.log(2.0)
-        - 0.5 * (math.lgamma(2 * k + 1) + 0.5 * math.log(math.pi))
-    )
-    return math.exp(lg)
-
-
 def verify_laguerre_hermite_relation(
     k: int, t_samples, drop_factor_two: bool = False
 ) -> float:

@@ -3,8 +3,8 @@
 Eigenspaces are indexed by multi-indices; the eigenfunction attached to alpha
 is the product of 1D modes and has eigenvalue 2|alpha| + n.  The propagator
 just rotates coefficient phases, so every time-averaged weighted functional
-reduces to a level-by-level spatial integral, c^H G c against a memoized form
-G (level, Sobolev and collapse forms, level-spectrum tables); this module
+reduces to a level-by-level spatial integral, c^H G c against a form G
+(level, Sobolev and collapse forms, level-spectrum tables); this module
 never integrates in time, and the per-state routes are test oracles.
 
 Level integrals carry singular radial weights on a subset of the axes.  The
@@ -259,9 +259,6 @@ def _tau_matrices(degs: np.ndarray, tau: np.ndarray, odd: bool) -> np.ndarray:
     return (T * w[:, None, :]) @ T.transpose(0, 2, 1)
 
 
-# bounded: a run reuses a few dozen forms, but arbitrary sparse states each
-# key a new index set
-@lru_cache(maxsize=256)
 def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
                 index_sets: tuple) -> tuple:
     """Weighted grams of index sets of level <= k, one per set, on the level-k rules.
@@ -276,8 +273,7 @@ def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
     is odd.  So the tau rule is Gauss-Jacobi for (1 - tau)^(delta-1)
     tau^(dw/2 - delta - 1 + p), exact on every level up to k, and the sets of a
     scan share it; its exponents stay > -1 wherever check_admissible allows the
-    weight, and delta = 0 is the identity.  The forms never depend on the
-    state, so they are built once and returned read-only.
+    weight, and delta = 0 is the identity.
     """
     subs = [np.array(indices) for indices in index_sets]
     idx = np.concatenate(subs)
@@ -301,15 +297,13 @@ def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
         step = max(1, _TAU_BLOCK // per_node)
         for lo in range(0, tau.size, step):
             mats = [_tau_matrices(d, tau[lo : lo + step], o) for d, o in zip(degs, odd)]
+            wq = w[lo : lo + step]
             for G, r in zip(forms, rows):
-                part = _gathered_product(mats, r, r)
-                G += (w[lo : lo + step] @ part.reshape(len(part), -1)).reshape(G.shape)
+                G += (wq @ _gathered_product(mats, r, r).reshape(wq.size, -1)).reshape(G.shape)
         free = [c for c in range(n) if c not in wd]
         if free:
             for G, sub in zip(forms, subs):
                 G *= (sub[:, None, free] == sub[None, :, free]).all(axis=-1)
-    for G in forms:
-        G.flags.writeable = False
     return tuple(forms)
 
 
@@ -454,7 +448,7 @@ def level_tops(n: int, k_max: int, weight_power: float, weight_dims=None) -> tup
     return exact.tolist(), quad.tolist()
 
 
-# bounded like _level_form: a run keys one index set per level
+# bounded: a run keys one index set per level
 @lru_cache(maxsize=256)
 def _collapse_triples(indices: tuple) -> tuple:
     """The distinct triples (a_j, a_(j+3), a_(j+6)) of a level's 9D indices,
@@ -481,17 +475,19 @@ def _gathered_product(mats: list, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     """prod_c mats[c][..., rows[i, c], cols[j, c]] at every (i, j): the Hadamard
     product of one gathered factor per axis, shape (..., len(rows), len(cols));
     a leading stack of matrices (one per tau node) stays in front.  Each factor
-    is one flat take from its matrices, at rows[i, c] * d + cols[j, c]."""
-    out = None
-    for c, mat in enumerate(mats):
-        flat = rows[:, c, None] * mat.shape[-1] + cols[:, c]
-        part = np.take(mat.reshape(mat.shape[:-2] + (-1,)), flat, axis=-1)
-        out = part if out is None else np.multiply(out, part, out=out)
+    is one flat take from its matrices, at rows[i, c] * d + cols[j, c],
+    multiplied into the product as soon as it is taken."""
+    def factor(c):
+        mat = mats[c]
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        return np.take(flat, rows[:, c, None] * mat.shape[-1] + cols[:, c], axis=-1)
+
+    out = factor(0)
+    for c in range(1, len(mats)):
+        out *= factor(c)
     return out
 
 
-# bounded: a check keys one set of forms per rule scale
-@lru_cache(maxsize=16)
 def _collapse_forms(k_cap: int, scale: float) -> tuple:
     """The 9D triple-diagonal forms E_0..E_k_cap on the collapse rule of k_cap.
 
@@ -504,8 +500,7 @@ def _collapse_forms(k_cap: int, scale: float) -> tuple:
     e^(-3|x|^2) density of the restriction,
         E_k[alpha, beta] = 3^(-3/2) prod_j G[p_j(alpha), p_j(beta)],
     with G = T diag(w e^(y^2)) T^T the gram of the triples.  The rule is exact
-    on every level up to k_cap; the forms depend on it alone, never on the
-    state, so they are built once and returned read-only.
+    on every level up to k_cap.
     """
     m = _collapse_nodes(k_cap, scale)
     tab = hermite_functions(k_cap, gauss_hermite(m).nodes / math.sqrt(3.0))
@@ -514,9 +509,7 @@ def _collapse_forms(k_cap: int, scale: float) -> tuple:
     for k in range(k_cap + 1):
         uniq, pos = _collapse_triples(_level_indices(9, k))
         T = _mode_matrix([tab, tab, tab], uniq)
-        E = 3.0 ** -1.5 * _gathered_product([(T * comp) @ T.T] * 3, pos, pos)
-        E.flags.writeable = False
-        forms.append(E)
+        forms.append(3.0 ** -1.5 * _gathered_product([(T * comp) @ T.T] * 3, pos, pos))
     return tuple(forms)
 
 

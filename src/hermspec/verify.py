@@ -3,7 +3,7 @@
 Every check draws its randomness from a seed sequence rooted at the config
 seed, computes the relevant ratios, and folds the result into an
 EstimateReport.  Equality checks compare against exact targets two-sided;
-inequality checks test a configured bound plus a log-log growth trend, since
+inequality checks test a fixed bound plus a log-log growth trend, since
 the underlying constants are existential.  A report may only read "passed"
 when every constituent integral survived a rule-doubling gate; otherwise the
 status is "inconclusive", never a silent pass.
@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from .quadrature import (
 )
 from . import spectral
 from .spectral import (
-    check_admissible,
     enumerate_multiindices,
     kernel_diagonals,
     level_tops,
@@ -107,6 +105,10 @@ K_MAX_LIMITS = {
 # growth-trend threshold: least-squares slope of log(ratio) vs log(k)
 TREND_SLOPE_MAX = 0.05
 
+# rule-doubling gates: |fine - coarse| <= GATE_TOL (1 + |fine|); also the
+# relative slack of the below-sharp predicates
+GATE_TOL = 1e-9
+
 # equality checks: two-sided tolerance on the stated target
 DEFAULT_TOLERANCES = {
     "odd_identity": 1e-7,
@@ -140,9 +142,7 @@ class ScanConfig:
     trials: int = 16
     seed: int = 42
     rule_scale: float = 1.0
-    gate_tol: float = 1e-9
     tolerances: dict | None = None
-    bounds: dict | None = None
 
     def __post_init__(self):
         if self.k_max < 0:
@@ -153,22 +153,14 @@ class ScanConfig:
             raise ValueError("seed must be >= 0")
         if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
             raise ValueError("rule_scale must be finite and > 0")
-        if not math.isfinite(self.gate_tol):
-            raise ValueError("gate_tol must be finite")
-        for name, table in (("tolerance", self.tolerances), ("bound", self.bounds)):
-            for key, value in (table or {}).items():
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} for {key} must be finite")
+        for key, value in (self.tolerances or {}).items():
+            if not math.isfinite(value):
+                raise ValueError(f"tolerance for {key} must be finite")
 
     def tolerance_for(self, estimate_id: str) -> float:
         if self.tolerances and estimate_id in self.tolerances:
             return float(self.tolerances[estimate_id])
         return DEFAULT_TOLERANCES[estimate_id]
-
-    def bound_for(self, estimate_id: str) -> float:
-        if self.bounds and estimate_id in self.bounds:
-            return float(self.bounds[estimate_id])
-        return DEFAULT_BOUNDS[estimate_id]
 
 
 @dataclass(frozen=True)
@@ -198,8 +190,8 @@ class _Verdict:
     once, in first-failure order; route_drift is the largest
     |fine - coarse| / |fine| of the scalar gates."""
 
-    def __init__(self, gate_tol: float):
-        self.gate_tol, self.failed, self.unstable, self.route_drift = gate_tol, {}, {}, 0.0
+    def __init__(self):
+        self.failed, self.unstable, self.route_drift = {}, {}, 0.0
 
     def require(self, name: str, holds) -> None:
         # a bool or a bool array; a comparison with NaN is False, so it fails
@@ -207,10 +199,10 @@ class _Verdict:
             self.failed[name] = None
 
     def gate(self, name: str, coarse, fine, rules=None) -> None:
-        """Holds when |fine - coarse| <= gate_tol (1 + |fine|) everywhere and,
+        """Holds when |fine - coarse| <= GATE_TOL (1 + |fine|) everywhere and,
         if rules gives the two rules' sizes, they differ: one rule twice is no gate."""
         drift = abs(fine - coarse)
-        held = drift <= self.gate_tol * (1.0 + abs(fine))
+        held = drift <= GATE_TOL * (1.0 + abs(fine))
         if isinstance(held, np.ndarray):
             held = held.all()
         elif fine and drift / abs(fine) > self.route_drift:
@@ -269,18 +261,14 @@ def trend_slope(pairs) -> float:
 def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the Gauss rules (the level forms'
     Gauss-Jacobi tau rules among them) and their compensated Hermite weights,
-    the level index tuples, the level forms, the flat Sobolev forms, the
-    collapse triples and forms, the lifted radial mode integrals and the
-    level-spectrum tables."""
+    the level index tuples, the flat Sobolev forms, the collapse triples and
+    the level-spectrum tables."""
     gauss_rule.cache_clear()
+    hermite_compensated_weights.cache_clear()
     spectral._level_indices.cache_clear()
-    spectral._level_form.cache_clear()
     spectral._sobolev_form.cache_clear()
     spectral._collapse_triples.cache_clear()
-    spectral._collapse_forms.cache_clear()
     spectral.level_spectrum.cache_clear()
-    _radial_mode_integrals.cache_clear()
-    hermite_compensated_weights.cache_clear()
 
 
 def _require_k_max(cfg: ScanConfig, key: str) -> None:
@@ -328,7 +316,6 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     mode_cap = 2 * cfg.k_max + 1
     # in 1D each odd level k holds the single mode (k,)
     ks = range(1, mode_cap + 1, 2)
-    check_admissible(1, 1.0, odd_in_axis=True)
     re, im = _trial_parts(cfg, "odd_identity", len(ks), unit=True)
     sq = np.hypot(re, im) ** 2
 
@@ -339,7 +326,7 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
         g = np.array([G[0, 0] for G in forms])
         return re * (g * re) + im * (g * im)
 
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
     lv1, lv2 = level_terms(scales[0]), level_terms(scales[1])
     # two tau rules on the node floor are one rule
@@ -368,7 +355,6 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     return verdict.report("odd_identity", params, samples, tol)
 
 
-@lru_cache(maxsize=None)
 def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     """Weighted 3D integrals of the lifted unit modes h_d(|x|)^2 / (2 pi |x|^2),
     one per degree d <= top, from one Hermite table on the radial rule.
@@ -384,9 +370,7 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     rule = gauss_legendre_panels(0.0, R, n_panels, nodes_pp)
     r = rule.nodes
     h = hermite_functions(top, r)
-    out = 2.0 * ((h * h) @ (rule.weights * r ** (-2.0 * delta)))
-    out.flags.writeable = False
-    return out
+    return 2.0 * ((h * h) @ (rule.weights * r ** (-2.0 * delta)))
 
 
 def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
@@ -429,7 +413,7 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
         ((0.0, 2 * n_panels, 16), (1.0, n_panels, 8), (1.0, 2 * n_panels, 16))
     )
     samples = []
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     for t in range(cfg.trials):
         norm3 = math.fsum(sq[t] * norm_lift)
         norm1 = math.fsum(sq[t])
@@ -467,8 +451,8 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     """
     axes = spectral._weight_axes(n, axes)
     tops, quads = level_tops(n, cfg.k_max, 2.0 * delta, axes)
-    bound = cfg.bound_for("kato_nd")
-    verdict = _Verdict(cfg.gate_tol)
+    bound = DEFAULT_BOUNDS["kato_nd"]
+    verdict = _Verdict()
     samples = [(f"k={k:02d}", TWO_PI * s_k) for k, s_k in enumerate(tops)]
     for s_k, quad in zip(tops, quads):
         verdict.gate("level_top", quad, s_k)
@@ -500,10 +484,10 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     semidefinite, so that is its exact level top, gated by the level's top
     on one Gauss-Laguerre rule.
     """
-    bound = cfg.bound_for("operator_norm")
+    bound = DEFAULT_BOUNDS["operator_norm"]
     axes = tuple(range(n))
     samples = []
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     slopes = {}
     norm0 = -1.0
     for delta in deltas:
@@ -540,14 +524,14 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
     """Diagonal level-kernel growth against the dimensional power law."""
     if n not in (2, 3):
         raise ValueError("diagonal kernel scan supports n = 2 or 3")
-    bound = cfg.bound_for("kernel_bound")
+    bound = DEFAULT_BOUNDS["kernel_bound"]
     edge = math.sqrt(2.0 * cfg.k_max + n)
     r = np.linspace(0.0, edge + 6.0, 160)
     # the ray, then one far point, on the first axis
     pts = np.zeros((r.size + 1, n))
     pts[:, 0] = np.append(r, edge + 8.0)
     diag = np.abs(kernel_diagonals(n, cfg.k_max, pts))
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     pairs = [(k, float(diag[k, :-1].max() / k ** (n / 2.0 - 1.0)))
              for k in range(1, cfg.k_max + 1)]
     samples = [(f"k={k:02d}", ratio) for k, ratio in pairs]
@@ -577,7 +561,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     squared level projections there (phase orthogonality), so the scan needs
     no time quadrature; it maximizes over a polar grid and random states.
     """
-    bound = cfg.bound_for("morawetz_2d")
+    bound = DEFAULT_BOUNDS["morawetz_2d"]
     r = np.linspace(0.0, math.sqrt(2.0 * cfg.k_max + 2.0) + 4.0, 48)[1:]
     theta = 0.35 + TWO_PI * np.arange(16) / 16.0
     pts = np.concatenate(
@@ -594,7 +578,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     B = spectral._mode_matrix([hermite_functions(cfg.k_max, pts[:, c]) for c in range(2)], idx)
     base = TWO_PI * float(np.max(B[0] ** 2))
     samples = [("ground", base)]
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     verdict.require("ground", abs(base - 2.0) <= 1e-10)
     verdict.require("bound", base <= bound)
     re, im = _trial_parts(cfg, "morawetz_2d", len(idx), unit=True)
@@ -628,8 +612,8 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     level's rules.
     """
     _require_k_max(cfg, "even_3d")
-    bound = cfg.bound_for("even_3d")
-    verdict = _Verdict(cfg.gate_tol)
+    bound = DEFAULT_BOUNDS["even_3d"]
+    verdict = _Verdict()
     sharp = 0.0
     # the fully even indices of level k are 2 beta, |beta| = k/2, in the
     # descending order of enumerate_multiindices(3, k)
@@ -665,7 +649,7 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     for t, row in enumerate(np.array(terms).T):
         ratio = TWO_PI * math.fsum(row) / norm_sq[t]
         samples.append((f"trial={t:02d}", ratio))
-        verdict.require("below_sharp", ratio <= sharp * (1.0 + cfg.gate_tol))
+        verdict.require("below_sharp", ratio <= sharp * (1.0 + GATE_TOL))
         verdict.require("bound", ratio <= bound)
     params = {
         "n": 3,
@@ -713,9 +697,9 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
     """
     if s not in (0.5, 1.0, 2.0):
         raise ValueError("s must be one of 1/2, 1, 2")
-    bound = cfg.bound_for("hermite_sobolev")
+    bound = DEFAULT_BOUNDS["hermite_sobolev"]
     samples = []
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     k2 = min(cfg.k_max, 12)
     families = {1: cfg.k_max, 2: k2}
     sharp = {}
@@ -749,7 +733,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
                 continue
             ratio = math.sqrt(b_sq) / math.sqrt(h_sq)
             samples.append((label, ratio))
-            verdict.require("below_sharp", ratio <= sharp[n] * (1.0 + cfg.gate_tol))
+            verdict.require("below_sharp", ratio <= sharp[n] * (1.0 + GATE_TOL))
             verdict.require("bound", ratio <= bound)
     params = {
         "s": s,
@@ -768,15 +752,15 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     """Triple-diagonal trace functional against the squared oscillator energy.
 
     The functional is 2 pi times the sum over levels of c^H E_k c, E_k the
-    level's memoized collapse form (spectral._collapse_forms), and the
-    energy is sum (2|alpha| + 9)^2 |c_alpha|^2.  The ground state and the
-    trials are rows of one draw matrix, read against the forms at the
-    configured and at the doubled rule scale.
+    level's collapse form (spectral._collapse_forms), and the energy is
+    sum (2|alpha| + 9)^2 |c_alpha|^2.  The ground state and the trials are
+    rows of one draw matrix, read against the forms at the configured and at
+    the doubled rule scale.
     """
-    bound = cfg.bound_for("collapse_9d")
+    bound = DEFAULT_BOUNDS["collapse_9d"]
     k_cap = min(cfg.k_max, 3)
     trials = min(cfg.trials, 8)
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     # level k's indices are the columns cols[k]:cols[k + 1], as random_state draws them
     sizes = [len(enumerate_multiindices(9, k)) for k in range(k_cap + 1)]
     cols = np.cumsum([0] + sizes)
@@ -820,7 +804,7 @@ def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
     _require_k_max(cfg, "antideriv_norms")
     tol = cfg.tolerance_for("antideriv_norms")
     samples = []
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     # every k on one rule per refinement; refine 2 is the doubling gate
     odd1, even1 = norm_sq_quadrature_all(cfg.k_max)
     odd2, even2 = norm_sq_quadrature_all(cfg.k_max, refine=2)
@@ -873,7 +857,7 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     dup_tol = 1e-12
     junk_tol = 1e-9
     samples = []
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     # a degree-21 polynomial identity is overdetermined by 161 points; the
     # edge stays at 4 to keep the recurrence conditioning below the tolerance
     t_grid = np.linspace(-4.0, 4.0, 161)
@@ -950,7 +934,7 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
         v = float(np.dot(w, vals * vals))
         values.append(v)
         samples.append((f"panels={n_panels:03d}", v))
-    verdict = _Verdict(cfg.gate_tol)
+    verdict = _Verdict()
     verdict.require("growth", values[0] > 0 and values[1] > values[0] and values[2] > values[1])
     verdict.require("doubling", values[2] >= 2.0 * values[0])
     params = {
@@ -1023,9 +1007,7 @@ def _config_dict(cfg: ScanConfig) -> dict:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "rule_scale": cfg.rule_scale,
-        "gate_tol": cfg.gate_tol,
         "tolerances": dict(cfg.tolerances) if cfg.tolerances else None,
-        "bounds": dict(cfg.bounds) if cfg.bounds else None,
     }
 
 
@@ -1050,12 +1032,8 @@ def _config_from_dict(d: dict) -> ScanConfig:
         trials=int(d["trials"]),
         seed=int(d["seed"]),
         rule_scale=float(d["rule_scale"]),
-        gate_tol=float(d["gate_tol"]),
         tolerances={k: float(v) for k, v in d["tolerances"].items()}
         if d.get("tolerances")
-        else None,
-        bounds={k: float(v) for k, v in d["bounds"].items()}
-        if d.get("bounds")
         else None,
     )
 

@@ -6,13 +6,14 @@ tests hold the two against each other.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from hermspec import hermite_functions
 from hermspec.antideriv import _norm_rule, odd_coefficients
 from hermspec.errors import CapabilityError
-from hermspec.hermite import eval_laguerre, half_line_integral_even
+from hermspec.hermite import eval_laguerre
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
     QuadratureRule,
@@ -399,6 +400,40 @@ def merge_identity_check(k: int) -> float:
     return abs(lhs - rhs)
 
 
+def half_line_integral_even(k: int) -> float:
+    """integral_0^inf h_{2k}(t) dt in closed form.
+
+    Equals 2^k Gamma(k+1/2) / (sqrt(2) sqrt((2k)! sqrt(pi))); via the duplication
+    formula this is 2^(1/2-k) pi^(1/4) Gamma(2k)/(Gamma(k) sqrt((2k)!)), whose
+    k = 0 reading is the limit Gamma(2k)/Gamma(k) -> 1/2. The Gamma(k+1/2) form
+    needs no special case.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    lg = (
+        k * math.log(2.0)
+        + math.lgamma(k + 0.5)
+        - 0.5 * math.log(2.0)
+        - 0.5 * (math.lgamma(2 * k + 1) + 0.5 * math.log(math.pi))
+    )
+    return math.exp(lg)
+
+
+def half_line_integral_even_binomial(k: int) -> float:
+    """integral_0^inf h_{2k}(t) dt as pi^(1/4)/sqrt(2) sqrt(C(2k, k) / 4^k).
+
+    The closed form of half_line_integral_even, with Gamma(k+1/2) written as
+    (2k)! sqrt(pi) / (4^k k!): the central binomial ratio is rounded once from
+    its exact rational, so the value stays within a few ulps at every k, where
+    the log-gamma evaluation drifts to 1e-13.  It is also the t -> inf limit of
+    the even ladder, E_k(inf) = sqrt((2k-1)/(2k)) E_(k-1)(inf).
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    ratio = Fraction(math.comb(2 * k, k), 4 ** k)
+    return math.pi ** 0.25 / math.sqrt(2.0) * math.sqrt(ratio)
+
+
 def x_odd(k: int, x) -> np.ndarray:
     """Antiderivative of h_{2k+1}, vanishing at both infinities, via its
     expansion: row k of antideriv.odd_coefficients, summed from the top degree."""
@@ -415,7 +450,8 @@ def x_even(k: int, x) -> np.ndarray:
     """Antiderivative of sign(t) h_{2k}(t), an even function vanishing at infinity.
 
     Equals integral_0^|x| h_{2k} minus the half-line integral; computed by
-    cumulative panel quadrature on the half line and reflected.
+    cumulative panel quadrature on the half line and reflected, with the
+    half-line integral from its binomial closed form.
     """
     t = np.asarray(x, dtype=float)
     flat = np.abs(t).ravel()
@@ -423,7 +459,7 @@ def x_even(k: int, x) -> np.ndarray:
     sorted_vals = _cumulative_half_line((2 * k,), flat[order])[0]
     out = np.empty_like(flat)
     out[order] = sorted_vals
-    out -= half_line_integral_even(k)
+    out -= half_line_integral_even_binomial(k)
     return out.reshape(t.shape)
 
 
@@ -521,7 +557,7 @@ def manifest_json_reference(manifest) -> bytes:
 # ---------------------------------------------------------------------------
 # the per-state routes: a SpectralState's values, phases, projections and
 # norms one state at a time, where the checks read coefficient rows against
-# memoized forms
+# the forms
 
 
 def make_state(n: int, coefficients: dict, k_max: int | None = None) -> SpectralState:
@@ -558,8 +594,8 @@ def time_avg_levels(
 
     w = (sum of squares over weight_dims)^delta.  Admissibility is
     check_admissible, with the state's parity along a one-axis weight.  Each
-    level's integral is c^H G c with G the level form memoized per (level,
-    weight, rule, index set).
+    level's integral is c^H G c with G the level's form on its own rules
+    (spectral._level_form).
     """
     wd = _weight_axes(state.n, weight_dims)
     odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)

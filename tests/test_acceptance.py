@@ -13,6 +13,7 @@ from hermspec.antideriv import norm_sq_quadrature_all, norm_sq_routes_all
 from hermspec.cli import main
 from hermspec.spectral import random_state
 from hermspec.verify import (
+    GATE_TOL,
     ScanConfig,
     check_appendix_identities,
     check_even_3d,
@@ -161,7 +162,7 @@ def test_criterion_09_even_3d_and_cover():
     ok = (
         r.status == "passed"
         and abs(r.parameters["sharp"] - 4.0 * math.pi) <= 1e-14 * 4.0 * math.pi
-        and r.parameters["route_drift"] <= ScanConfig().gate_tol
+        and r.parameters["route_drift"] <= GATE_TOL
     )
     _verdict(9, ok,
              f"fully-even 3D sharp {r.parameters['sharp']:.4f} (4 pi), "

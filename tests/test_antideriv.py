@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from hermspec import gauss_rule, half_line_integral_even, hermite_functions
+from hermspec import gauss_rule, hermite_functions
 from hermspec.antideriv import (
     _norm_rule,
     merge_identity_exact,
@@ -22,6 +22,8 @@ from oracles import (
     _SEG_NODES,
     _SEG_WIDTH,
     _cumulative_half_line,
+    half_line_integral_even,
+    half_line_integral_even_binomial,
     merge_identity_check,
     norm_sq_even_closed,
     norm_sq_even_quadrature,
@@ -350,8 +352,9 @@ def test_one_pass_routes_are_the_per_k_routes_bit_for_bit(k_max):
 
 
 def _cumulative_quadrature_all(k_max, refine):
-    # the even rows as the cumulative half-line route computed them, and the
-    # odd rows from the per-k odd_series coefficients
+    # the even rows by the cumulative half-line route, less the binomial
+    # half-line integrals, and the odd rows from the per-k odd_series
+    # coefficients
     nodes, weights = _norm_rule(k_max, refine)
     coeffs = np.zeros((k_max + 1, 2 * k_max + 1))
     for k in range(k_max + 1):
@@ -361,7 +364,7 @@ def _cumulative_quadrature_all(k_max, refine):
     order = np.argsort(nodes)
     even = np.empty_like(odd)
     even[:, order] = _cumulative_half_line(tuple(range(0, 2 * k_max + 1, 2)), nodes[order])
-    even -= np.array([half_line_integral_even(k) for k in range(k_max + 1)])[:, None]
+    even -= np.array([half_line_integral_even_binomial(k) for k in range(k_max + 1)])[:, None]
     return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
 
 
@@ -373,14 +376,15 @@ def test_ladder_even_rows_match_the_cumulative_route(k_max, refine):
     assert np.array_equal(odd, odd_ref)
     # the cumulative route's own error on these rules, against a 40-digit
     # evaluation of the same sums, is 1.2e-14 at k_max = 60 and 4.0e-14
-    # (refine 1) and 7.2e-14 (refine 2) at 200; the ladder's is below 5e-15
+    # (refine 1) and 7.2e-14 (refine 2) at 200; the ladder's, against the
+    # exact norms, is below 3.2e-15 at 60 and 1.3e-14 at 200
     tol = 2e-14 if k_max <= 60 else 1e-13
     assert np.max(np.abs(even - even_ref)) <= tol
 
 
 def test_ladder_even_rows_against_a_40_digit_evaluation():
-    # the same rule sums, with E_k(t) = integral_0^t h_2k from the ladder in
-    # 40-digit arithmetic and the same float half-line integrals subtracted
+    # the same rule sums, with F_k(t) = -integral_t^inf h_2k from the ladder
+    # in 40-digit arithmetic, started at -pi^(1/4)/sqrt(2) erfc(t/sqrt(2))
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 40
     k_max = 20
@@ -391,12 +395,22 @@ def test_ladder_even_rows_against_a_40_digit_evaluation():
     for n in range(1, 2 * k_max - 1):
         h.append([x * mp.sqrt(mp.mpf(2) / (n + 1)) * a - mp.sqrt(mp.mpf(n) / (n + 1)) * b
                   for x, a, b in zip(t, h[n], h[n - 1])])
-    E = [mp.pi ** mp.mpf(0.25) / mp.sqrt(2) * mp.erf(x / mp.sqrt(2)) for x in t]
+    F = [-mp.pi ** mp.mpf(0.25) / mp.sqrt(2) * mp.erfc(x / mp.sqrt(2)) for x in t]
     _, even = norm_sq_quadrature_all(k_max)
     for k in range(k_max + 1):
         if k:
-            E = [(mp.sqrt(mp.mpf(2 * k - 1) / 2) * e - a) / mp.sqrt(k)
-                 for e, a in zip(E, h[2 * k - 1])]
-        c = mp.mpf(half_line_integral_even(k))
-        ref = 2 * mp.fsum(mp.mpf(float(w)) * (e - c) ** 2 for w, e in zip(weights, E))
+            F = [(mp.sqrt(mp.mpf(2 * k - 1) / 2) * f - a) / mp.sqrt(k)
+                 for f, a in zip(F, h[2 * k - 1])]
+        ref = 2 * mp.fsum(mp.mpf(float(w)) * f ** 2 for w, f in zip(weights, F))
         assert abs(even[k] - float(ref)) <= 5e-15, k
+
+
+def test_binomial_half_line_integrals_against_40_digits():
+    # the limits E_k(inf) that the ladder's erfc start subtracts implicitly:
+    # the binomial closed form within a few ulps, the log-gamma one within 3e-13
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    for k in (0, 1, 2, 5, 13, 20, 60, 100, 200, 353):
+        ref = mp.pi ** mp.mpf(0.25) / mp.sqrt(2) * mp.sqrt(mp.mpf(math.comb(2 * k, k)) / 4 ** k)
+        assert abs(half_line_integral_even_binomial(k) - ref) <= 1e-15 * ref, k
+        assert abs(half_line_integral_even(k) - ref) <= 3e-13 * ref, k

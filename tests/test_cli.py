@@ -36,6 +36,25 @@ def test_every_command_maps_to_registered_checks():
             assert key in CHECK_REGISTRY
 
 
+def test_all_runs_every_check_but_the_negative_control_in_order():
+    # derived from the registry; the order fixes the CSVs' and the manifest's
+    assert COMMAND_CHECKS["all"] == (
+        "antideriv_norms",
+        "odd_identity",
+        "radial_3d_identity",
+        "appendix_identities",
+        "kato_nd",
+        "kernel_n2",
+        "kernel_n3",
+        "operator_norm_n3",
+        "morawetz_2d",
+        "even_3d",
+        "sobolev_s05",
+        "sobolev_s10",
+        "collapse_9d",
+    )
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["no-such-command"]) == EX_USAGE
     assert main(["norms", "--bogus"]) == EX_USAGE

@@ -16,7 +16,6 @@ from hermspec import (
     eval_laguerre,
     gamma_duplication_residual,
     gauss_hermite,
-    half_line_integral_even,
     hermite_functions,
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
@@ -24,7 +23,7 @@ from hermspec import (
 from hermspec.hermite import PI_Q, SQRT2
 from hermspec.quadrature import hermite_compensated_weights
 
-from oracles import x_odd
+from oracles import half_line_integral_even, x_odd
 
 T = np.linspace(-6.0, 6.0, 241)
 

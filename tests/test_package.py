@@ -11,13 +11,14 @@ MODULES = (antideriv, cli, errors, hermite, quadrature, spectral, verify)
 
 # the per-state algebra, the spherical and polar integrators, the unused
 # closed forms, the polynomial Gauss-Hermite route, the abort error no check
-# raises, the per-k antiderivative norms and the cumulative half-line route:
-# deleted, or moved to the tests' oracles
+# raises, the per-k antiderivative norms, the cumulative half-line route and
+# the even half-line integral: deleted, or moved to the tests' oracles
 RETIRED = (
     "KernelQuery", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES", "_SEG_WIDTH",
     "_cumulative_half_line", "_hermite_poly", "bessel_sobolev_norm",
     "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
-    "fourier_transform_state", "gauss_legendre", "half_line_integral_odd",
+    "fourier_transform_state", "gauss_legendre", "half_line_integral_even",
+    "half_line_integral_odd",
     "hermite_sobolev_norm", "integrate_cyl_2d", "integrate_radial_3d", "make_state",
     "merge_identity_check", "norm_sq_even_closed", "norm_sq_even_recursive",
     "norm_sq_odd_closed", "norm_sq_odd_expansion", "norm_sq_odd_recursive",
@@ -98,6 +99,19 @@ def test_every_function_in_src_runs(tmp_path):
     # the allow-list names only what really does not run
     assert sorted(entered & set(NOT_RUN)) == []
     assert set(NOT_RUN) <= set(defined.values())
+
+
+def test_every_memo_in_src_is_reused(tmp_path):
+    # a memo that no run reads back only holds its values alive
+    memos = {f"{module.__name__}.{attr}": v for module in MODULES
+             for attr, v in vars(module).items()
+             if hasattr(v, "cache_info") and v.__module__ == module.__name__}
+    assert "hermspec.quadrature.gauss_rule" in memos
+    verify.clear_caches()
+    rc = cli.main(["all", "--negative-controls", "--kmax", "4", "--trials", "2",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert sorted(name for name, memo in memos.items() if memo.cache_info().hits == 0) == []
 
 
 def _parameters(obj) -> tuple:

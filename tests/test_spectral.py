@@ -256,9 +256,7 @@ def _time_avg_reference(state, delta, wd):
     (random_state(3, 4, [12, 4]), 0.5, (0, 1)),  # one free axis
 ])
 def test_time_avg_matches_per_index_reference(state, delta, wd):
-    spectral._level_form.cache_clear()
     got = time_avg_weighted(state, delta, wd)
-    spectral._level_form.cache_clear()
     assert got == pytest.approx(_time_avg_reference(state, delta, wd), rel=1e-13)
 
 
@@ -302,9 +300,7 @@ def _even_level(k):
 def test_folded_level_form_matches_the_full_grid(args):
     # the separable forms against the product-grid oracle; the last two
     # arguments are the oracle's divide flag and the index set
-    spectral._level_form.cache_clear()
     (got,) = spectral._level_form(*args[:5], (args[-1],))
-    spectral._level_form.cache_clear()
     want = grid_level_form(*args)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -324,13 +320,11 @@ def _full_level(k):
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_shared_grid_forms_match_each_level_own_form(n, top, delta, wd, divide, sets, scale):
     # each shared form against the grid oracle on its own level's grid
-    spectral._level_form.cache_clear()
     shared = spectral._level_form(n, top, delta, wd, scale, sets)
     assert len(shared) == len(sets)
     for indices, got in zip(sets, shared):
         want = grid_level_form(n, sum(indices[0]), delta, wd, scale, divide, indices)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    spectral._level_form.cache_clear()
 
 
 def test_level_form_refuses_a_set_past_its_grid_level():

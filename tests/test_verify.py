@@ -80,20 +80,14 @@ def test_scan_config_validation():
 def test_scan_config_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="rule_scale"):
         ScanConfig(rule_scale=bad)
-    with pytest.raises(ValueError, match="gate_tol"):
-        ScanConfig(gate_tol=bad)
     with pytest.raises(ValueError, match="tolerance for odd_identity"):
         ScanConfig(tolerances={"odd_identity": bad})
-    with pytest.raises(ValueError, match="bound for kato_nd"):
-        ScanConfig(bounds={"kato_nd": bad})
 
 
 def test_scan_config_overrides():
-    cfg = ScanConfig(tolerances={"odd_identity": 1e-3}, bounds={"kato_nd": 5.0})
+    cfg = ScanConfig(tolerances={"odd_identity": 1e-3})
     assert cfg.tolerance_for("odd_identity") == 1e-3
     assert cfg.tolerance_for("antideriv_norms") == DEFAULT_TOLERANCES["antideriv_norms"]
-    assert cfg.bound_for("kato_nd") == 5.0
-    assert cfg.bound_for("even_3d") == DEFAULT_BOUNDS["even_3d"]
 
 
 def test_report_invariants():
@@ -125,7 +119,7 @@ def test_estimate_id_registry_is_fixed():
 
 
 def test_verdict_recorder_names_what_did_not_hold():
-    v = verify._Verdict(1e-9)
+    v = verify._Verdict()
     v.require("holds", True)
     v.require("nan", math.nan <= 1.0)
     v.require("array", np.array([1.0, math.nan]) <= 2.0)
@@ -142,12 +136,12 @@ def test_verdict_recorder_names_what_did_not_hold():
     assert r.status == "inconclusive"
     assert r.parameters == {"n": 3, "failed": "nan,array", "unstable": "nan_drift,one_rule"}
 
-    failing = verify._Verdict(1e-9)
+    failing = verify._Verdict()
     failing.require("bound", 3.0 <= 2.0)
     assert failing.report("kato_nd", {}, [("k=00", 3.0)], 2.0).parameters == {"failed": "bound"}
     # a passing report gains no key; a report without samples is inconclusive
-    assert verify._Verdict(1e-9).report("kato_nd", {}, [("k=00", 1.0)], 2.0).parameters == {}
-    empty = verify._Verdict(1e-9).report("kato_nd", {}, [], 2.0)
+    assert verify._Verdict().report("kato_nd", {}, [("k=00", 1.0)], 2.0).parameters == {}
+    empty = verify._Verdict().report("kato_nd", {}, [], 2.0)
     assert (empty.status, empty.parameters) == ("inconclusive", {"unstable": "no_samples"})
 
 
@@ -177,7 +171,8 @@ def _perturbed_fine_sobolev_rows(monkeypatch):
 
 
 def test_failed_and_unstable_reports_name_their_predicates_and_gates(monkeypatch):
-    r = check_kato(ScanConfig(bounds={"kato_nd": 1.0}), 3, 1.0)
+    monkeypatch.setitem(DEFAULT_BOUNDS, "kato_nd", 1.0)
+    r = check_kato(ScanConfig(), 3, 1.0)
     assert r.status == "failed"
     assert r.parameters["failed"] == "bound"
     assert "unstable" not in r.parameters
@@ -485,13 +480,13 @@ def test_odd_identity_trials_match_the_per_trial_route(seed):
         levels2 = time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale)
         v1 = TWO_PI * math.fsum(levels1.values())
         v2 = TWO_PI * math.fsum(levels2.values())
-        stable = stable and abs(v2 - v1) <= cfg.gate_tol * (1.0 + abs(v2))
+        stable = stable and abs(v2 - v1) <= verify.GATE_TOL * (1.0 + abs(v2))
         ratio = v1 / state_norm_sq(g)
         expected[f"trial={t:02d}/functional"] = ratio
         ok = ok and abs(ratio - FOUR_PI) <= 1e-7 * FOUR_PI
         for (k,), c in sorted(g.coefficients.items()):
             lv1, lv2 = levels1[k], levels2[k]
-            stable = stable and abs(lv2 - lv1) <= cfg.gate_tol * (1.0 + abs(lv2))
+            stable = stable and abs(lv2 - lv1) <= verify.GATE_TOL * (1.0 + abs(lv2))
             ok = ok and abs(lv1 - 2.0 * abs(c) ** 2) <= 1e-9
             expected[f"trial={t:02d}/level k={k:02d}"] = lv1 / (2.0 * abs(c) ** 2)
     assert [lab for lab, _ in r.samples] == list(expected)
@@ -541,7 +536,7 @@ def test_radial_trials_match_the_per_trial_route(seed):
             break
         v1 = TWO_PI * lifted(g, 1.0, n_panels, 8)
         v2 = TWO_PI * lifted(g, 1.0, 2 * n_panels, 16)
-        stable = stable and abs(v2 - v1) <= cfg.gate_tol * (1.0 + abs(v2))
+        stable = stable and abs(v2 - v1) <= verify.GATE_TOL * (1.0 + abs(v2))
         expected[f"trial={t:02d}/functional"] = v1 / norm3
         ok = ok and abs(v1 / norm3 - FOUR_PI) <= 1e-6 * FOUR_PI
     assert [lab for lab, _ in r.samples] == list(expected)
@@ -575,7 +570,7 @@ def test_sobolev_rows_match_the_per_state_route(seed):
                 stable = False
                 continue
             expected[label] = bess / hermite_sobolev_norm(state, s)
-            ok = ok and expected[label] <= sharp[state.n] * (1.0 + cfg.gate_tol)
+            ok = ok and expected[label] <= sharp[state.n] * (1.0 + verify.GATE_TOL)
             ok = ok and expected[label] <= DEFAULT_BOUNDS["hermite_sobolev"]
         assert [lab for lab, _ in r.samples] == list(expected)
         for lab, got in r.samples:
@@ -598,7 +593,7 @@ def test_collapse_trials_match_the_per_trial_route(seed):
     for label, f in states:
         w1 = collapse_trace_norm(f, rule_scale=cfg.rule_scale)
         w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
-        stable = stable and abs(w2 - w1) <= cfg.gate_tol * (1.0 + abs(w2))
+        stable = stable and abs(w2 - w1) <= verify.GATE_TOL * (1.0 + abs(w2))
         expected[label] = w1 / oscillator_energy_sq(f)
         ok = ok and expected[label] <= DEFAULT_BOUNDS["collapse_9d"]
         if label == "ground":
@@ -619,7 +614,7 @@ def test_even_3d_small():
     for k in (0, 2, 4):
         assert abs(samples[f"k={k:02d}"] - FOUR_PI) <= 1e-14 * FOUR_PI
     assert abs(r.parameters["sharp"] - FOUR_PI) <= 1e-14 * FOUR_PI
-    assert 0.0 <= r.parameters["route_drift"] <= ScanConfig().gate_tol
+    assert 0.0 <= r.parameters["route_drift"] <= verify.GATE_TOL
     for t in range(2):
         assert samples[f"trial={t:02d}"] <= r.parameters["sharp"] * (1.0 + 1e-9)
 
@@ -640,7 +635,6 @@ def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
     assert {args[4] for args in calls} == {1.5}
     assert sorted((args[1], len(args[5])) for args in calls) == [(6, 4)]
-    assert real.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("seed", [42, 1])
@@ -666,7 +660,7 @@ def test_even_3d_trials_match_the_per_trial_route(seed):
     sharp = r.parameters["sharp"]
     bound = DEFAULT_BOUNDS["even_3d"]
     holds = (abs(samples["ground"] - FOUR_PI) <= 1e-9 * FOUR_PI and sharp <= bound
-             and all(v <= sharp * (1.0 + cfg.gate_tol) and v <= bound
+             and all(v <= sharp * (1.0 + verify.GATE_TOL) and v <= bound
                      for v in expected.values()))
     assert r.status == ("passed" if holds else "failed")
 
@@ -767,7 +761,7 @@ def test_sobolev_sharp_rows_hold_every_mode_and_trial(s):
     for n, expected in zip((1, 2), SOBOLEV_SHARP[s]):
         assert abs(sharp[n] - expected) <= 1e-12 * expected
     assert r.parameters["sharp"] == sharp[1] == r.sup_ratio
-    assert 0.0 <= r.parameters["route_drift"] <= ScanConfig().gate_tol
+    assert 0.0 <= r.parameters["route_drift"] <= verify.GATE_TOL
     rows = [lab for lab, _ in r.samples if "sharp" not in lab]
     assert len(rows) == 21 + 8
     for lab in rows:
@@ -908,26 +902,20 @@ def test_clear_caches_empties_every_memo():
 
 def test_memo_caches_are_read_only_reused_and_cleared():
     import hermspec.spectral as S
-    import hermspec.verify as V
 
-    caches = (S._level_form, S.level_spectrum, V._radial_mode_integrals)
     clear_caches()
-    f = random_state(3, 4, [5, 1])
-    g = random_state(3, 4, [5, 2])
-    time_avg_weighted(f, 0.5)
-    built = S._level_form.cache_info().currsize
-    time_avg_weighted(g, 0.5)
-    # g has f's index set on every level: no new form is built
-    assert S._level_form.cache_info().currsize == built
-    assert S._level_form.cache_info().hits >= built
-    check_radial_3d_identity(ScanConfig(k_max=2, trials=1))
     check_kato(ScanConfig(k_max=2), 3, 0.5)
-    assert all(c.cache_info().currsize > 0 for c in caches)
-    (form,) = S._level_form(1, 1, 1.0, (0,), 1.0, (((1,),),))
+    built = S.level_spectrum.cache_info().currsize
+    assert built > 0
+    # the same scan reads its table back: no new table is built
+    check_kato(ScanConfig(k_max=2), 3, 0.5)
+    assert S.level_spectrum.cache_info().currsize == built
+    assert S.level_spectrum.cache_info().hits >= built
+    table = S.level_spectrum(3, 2, 1.0)
     with pytest.raises(ValueError):
-        form[0, 0] = 0.0
+        table.exact[0, 0] = 0.0
     clear_caches()
-    assert all(c.cache_info().currsize == 0 for c in caches)
+    assert S.level_spectrum.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0])
