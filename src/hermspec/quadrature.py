@@ -1,4 +1,4 @@
-"""Deterministic quadrature: Gauss rules, graded radial panels, circle directions.
+"""Deterministic quadrature: Gauss rules, graded and uniform panels.
 
 * Gauss-Legendre, -Hermite, generalized -Laguerre and -Jacobi rules, each
   from one memoized routine, gauss_rule, so a run builds each (family, node
@@ -8,8 +8,7 @@
 * Graded Gauss-Legendre panels (geometric refinement toward r = 0, uniform
   panels out to the truncation radius) for generic radial integrands and for
   the divergence demonstrations, which refuse a non-integrable exponent.
-* Uniform panels, for the radial lift and the flat Sobolev forms, and the
-  midpoint directions on the circle of the divergence demonstration.
+* Uniform panels, for the radial lift and the flat Sobolev forms.
 """
 
 from __future__ import annotations
@@ -285,19 +284,6 @@ def radial_rule_panels(
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel() * nodes ** exponent
     return QuadratureRule(nodes, weights)
-
-
-def circle_directions(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint rule on the unit circle: directions (n_phi, 2), weights sum 2*pi.
-
-    Even n_phi keeps the node set antipodally symmetric, which cancels the
-    odd-in-r part of level integrands exactly.
-    """
-    if n_phi < 2 or n_phi % 2:
-        raise ValueError("n_phi must be even and >= 2")
-    phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
-    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    return dirs, np.full(n_phi, TWO_PI / n_phi)
 
 
 def truncation_radius(k_max: int, n: int) -> float:

@@ -141,26 +141,6 @@ def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) 
     return indices, sign[:, None] * M * sign[None, :]
 
 
-def _sobolev_rows(n: int, k_max: int, s: float, scale: float, re, im) -> np.ndarray:
-    """Squared flat H^s norm of each coefficient row on one rule."""
-    return _quadratic_rows(sobolev_twisted_form(n, k_max, s, scale)[1], re, im)
-
-
-def _sobolev_gated(n: int, k_max: int, s: float, re, im, rule_scale: float = 1.0,
-                   gate_tol: float = 1e-8) -> tuple:
-    """(coarse, fine, held) for coefficient rows re + i im over the indices
-    |alpha| <= k_max: each row's squared flat norm on the configured and the
-    doubled rule, and whether |fine - coarse| <= gate_tol max(1, |fine|).
-    No row holds when both rules have the same panel count (the panel floor).
-    """
-    scales = (rule_scale, 2.0 * rule_scale)
-    coarse, fine = (_sobolev_rows(n, k_max, s, r, re, im) for r in scales)
-    held = np.abs(fine - coarse) <= gate_tol * np.maximum(1.0, np.abs(fine))
-    if _sobolev_panels(n, k_max, scales[0]) == _sobolev_panels(n, k_max, scales[1]):
-        held[:] = False
-    return coarse, fine, held
-
-
 # grid values per block of the Sobolev-form contraction: the weight slab and
 # the first axis's mode products stay a few MB
 _SOBOLEV_BLOCK = 1 << 20
@@ -174,8 +154,6 @@ def _sobolev_panels(n: int, k_max: int, scale: float) -> int:
     return max(4, int(math.ceil(truncation_radius(k_max, n) * per_unit * scale)))
 
 
-# bounded: a check keys one form per (family, rule scale)
-@lru_cache(maxsize=16)
 def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     """Weighted gram of the degree box on the flat Sobolev rule.
 
@@ -187,8 +165,7 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     2^n times its sum over the positive orthant: one Hermite table on the
     positive nodes, at double weight, gives the per-axis products h_a h_a'
     of the same-parity pairs a <= a', and the weight grid is contracted with
-    them axis by axis, in slabs of the first axis.  It depends on the rule,
-    never on the state, so it is built once and returned read-only.
+    them axis by axis, in slabs of the first axis.
     """
     T = truncation_radius(k_max, n)
     rule = gauss_legendre_panels(-T, T, _sobolev_panels(n, k_max, scale), 10 if n < 3 else 8)
@@ -228,9 +205,7 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     # every (a, a') on every axis, mixed parities read a zero pad; rows take a, columns a'
     M = np.pad(acc, (0, 1))[np.ix_(*[pair.ravel()] * n)]
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    M = M.reshape((d, d) * n).transpose(order).reshape(d ** n, d ** n)
-    M.flags.writeable = False
-    return M
+    return M.reshape((d, d) * n).transpose(order).reshape(d ** n, d ** n)
 
 
 def _tau_nodes(k: int, scale: float) -> int:
@@ -448,22 +423,14 @@ def level_tops(n: int, k_max: int, weight_power: float, weight_dims=None) -> tup
     return exact.tolist(), quad.tolist()
 
 
-# bounded: a run keys one index set per level
-@lru_cache(maxsize=256)
 def _collapse_triples(indices: tuple) -> tuple:
     """The distinct triples (a_j, a_(j+3), a_(j+6)) of a level's 9D indices,
     and for each index the rows of its three triples, shape (len(indices), 3).
-
-    They depend only on the index set, never on the state or the rule, so
-    they are found once and returned read-only.
     """
     # triples[i, j] is (a_j, a_(j+3), a_(j+6)) of the i-th index
     triples = np.array(indices).reshape(-1, 3, 3).transpose(0, 2, 1)
     uniq, pos = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
-    pos = pos.reshape(-1, 3)
-    uniq.flags.writeable = False
-    pos.flags.writeable = False
-    return uniq, pos
+    return uniq, pos.reshape(-1, 3)
 
 
 def _collapse_nodes(k_max: int, scale: float) -> int:
@@ -488,8 +455,9 @@ def _gathered_product(mats: list, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     return out
 
 
-def _collapse_forms(k_cap: int, scale: float) -> tuple:
-    """The 9D triple-diagonal forms E_0..E_k_cap on the collapse rule of k_cap.
+def _collapse_forms(k_cap: int, scales) -> tuple:
+    """The 9D triple-diagonal forms E_0..E_k_cap on the collapse rule of k_cap,
+    one tuple of them per rule scale in scales.
 
     The squared restriction of level k's part of a 9D state to (x, x, x),
     x in R^3, integrated over R^3, is c^H E_k c, c the level's coefficients
@@ -500,17 +468,21 @@ def _collapse_forms(k_cap: int, scale: float) -> tuple:
     e^(-3|x|^2) density of the restriction,
         E_k[alpha, beta] = 3^(-3/2) prod_j G[p_j(alpha), p_j(beta)],
     with G = T diag(w e^(y^2)) T^T the gram of the triples.  The rule is exact
-    on every level up to k_cap.
+    on every level up to k_cap.  Each level's triples are found once and
+    read by every scale's form.
     """
-    m = _collapse_nodes(k_cap, scale)
-    tab = hermite_functions(k_cap, gauss_hermite(m).nodes / math.sqrt(3.0))
-    comp = hermite_compensated_weights(m)
-    forms = []
+    rules = []
+    for scale in scales:
+        m = _collapse_nodes(k_cap, scale)
+        rules.append((hermite_functions(k_cap, gauss_hermite(m).nodes / math.sqrt(3.0)),
+                      hermite_compensated_weights(m)))
+    forms = [[] for _ in rules]
     for k in range(k_cap + 1):
         uniq, pos = _collapse_triples(_level_indices(9, k))
-        T = _mode_matrix([tab, tab, tab], uniq)
-        forms.append(3.0 ** -1.5 * _gathered_product([(T * comp) @ T.T] * 3, pos, pos))
-    return tuple(forms)
+        for out, (tab, comp) in zip(forms, rules):
+            T = _mode_matrix([tab, tab, tab], uniq)
+            out.append(3.0 ** -1.5 * _gathered_product([(T * comp) @ T.T] * 3, pos, pos))
+    return tuple(tuple(out) for out in forms)
 
 
 def random_state(

@@ -45,7 +45,6 @@ from .quadrature import (
     MAX_HERMITE_NODES,
     MAX_LAGUERRE_NODES,
     TWO_PI,
-    circle_directions,
     gauss_legendre_panels,
     gauss_rule,
     hermite_compensated_weights,
@@ -153,6 +152,9 @@ class ScanConfig:
             raise ValueError("seed must be >= 0")
         if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
             raise ValueError("rule_scale must be finite and > 0")
+        unknown = sorted(set(self.tolerances or {}) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"no check has a tolerance named {', '.join(unknown)}")
         for key, value in (self.tolerances or {}).items():
             if not math.isfinite(value):
                 raise ValueError(f"tolerance for {key} must be finite")
@@ -198,17 +200,24 @@ class _Verdict:
         if not (holds.all() if isinstance(holds, np.ndarray) else holds):
             self.failed[name] = None
 
-    def gate(self, name: str, coarse, fine, rules=None) -> None:
-        """Holds when |fine - coarse| <= GATE_TOL (1 + |fine|) everywhere and,
-        if rules gives the two rules' sizes, they differ: one rule twice is no gate."""
+    def gate(self, name: str, coarse, fine, rules=None):
+        """Holds where |fine - coarse| <= GATE_TOL (1 + |fine|) and, if rules
+        gives the two rules' sizes, they differ: one rule twice is no gate.
+        Returns where it held, a bool or (for arrays) a bool array; the name
+        is kept unless it held everywhere."""
         drift = abs(fine - coarse)
         held = drift <= GATE_TOL * (1.0 + abs(fine))
+        one_rule = rules is not None and rules[0] == rules[1]
         if isinstance(held, np.ndarray):
-            held = held.all()
-        elif fine and drift / abs(fine) > self.route_drift:
-            self.route_drift = drift / abs(fine)
-        if not held or (rules is not None and rules[0] == rules[1]):
+            held &= not one_rule
+            everywhere = held.all()
+        else:
+            if fine and drift / abs(fine) > self.route_drift:
+                self.route_drift = drift / abs(fine)
+            held = everywhere = bool(held) and not one_rule
+        if not everywhere:
             self.unstable[name] = None
+        return held
 
     def report(self, estimate_id, parameters, samples, tolerance) -> EstimateReport:
         """Inconclusive when a gate did not hold or there are no samples, else
@@ -261,13 +270,10 @@ def trend_slope(pairs) -> float:
 def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the Gauss rules (the level forms'
     Gauss-Jacobi tau rules among them) and their compensated Hermite weights,
-    the level index tuples, the flat Sobolev forms, the collapse triples and
-    the level-spectrum tables."""
+    the level index tuples and the level-spectrum tables."""
     gauss_rule.cache_clear()
     hermite_compensated_weights.cache_clear()
     spectral._level_indices.cache_clear()
-    spectral._sobolev_form.cache_clear()
-    spectral._collapse_triples.cache_clear()
     spectral.level_spectrum.cache_clear()
 
 
@@ -665,13 +671,12 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     return verdict.report("even_3d", params, samples, bound)
 
 
-def _sobolev_sharp(n: int, k_max: int, s: float, rule_scale: float) -> float:
-    """sup over |alpha| <= k_max of the flat/oscillator H^s ratio on one rule:
-    sqrt of the top eigenvalue of D^(-1/2) F D^(-1/2), F the twisted Sobolev
-    form and D = diag((2|alpha| + n)^s).  F vanishes between indices whose
-    per-axis parities differ, so the top is the largest over the 2^n parity
-    blocks, each solved on its own."""
-    indices, F = sobolev_twisted_form(n, k_max, s, rule_scale)
+def _sobolev_sharp(n: int, indices: list, F: np.ndarray, s: float) -> float:
+    """sup over the indices of the flat/oscillator H^s ratio on one rule:
+    sqrt of the top eigenvalue of D^(-1/2) F D^(-1/2), (indices, F) a twisted
+    Sobolev form and D = diag((2|alpha| + n)^s).  F vanishes between indices
+    whose per-axis parities differ, so the top is the largest over the 2^n
+    parity blocks, each solved on its own."""
     idx = np.array(indices)
     d = (2.0 * idx.sum(axis=1) + n) ** (-0.5 * s)
     pencil = d[:, None] * F * d[None, :]
@@ -691,9 +696,9 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
     sharp ratio, the top of the form pencil on the doubled rule, gated
     against the configured rule.  Its modes (n = 1) and four random states
     are rows of one draw matrix, read against the same twisted forms at both
-    rules (spectral._sobolev_gated); each row keeps the flat norm's own
-    doubling gate, a row whose gate trips is skipped, and every other row
-    must stay below its family's sharp value.
+    rules; each row keeps the flat norm's own doubling gate, a row whose gate
+    trips is skipped, and every other row must stay below its family's sharp
+    value.
     """
     if s not in (0.5, 1.0, 2.0):
         raise ValueError("s must be one of 1/2, 1, 2")
@@ -702,13 +707,15 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
     verdict = _Verdict()
     k2 = min(cfg.k_max, 12)
     families = {1: cfg.k_max, 2: k2}
+    scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
+    # each family's twisted form on each rule, read by its sharp value and its rows
+    forms = {n: [sobolev_twisted_form(n, k, s, r) for r in scales] for n, k in families.items()}
+    # one rule twice (the panel floor) is no gate
+    panels = {n: [spectral._sobolev_panels(n, k, r) for r in scales] for n, k in families.items()}
     sharp = {}
-    for n, k in families.items():
-        coarse = _sobolev_sharp(n, k, s, cfg.rule_scale)
-        fine = _sobolev_sharp(n, k, s, 2.0 * cfg.rule_scale)
-        # the family's states share these rules; one rule twice (panel floor) is no gate
-        panels = [spectral._sobolev_panels(n, k, r) for r in (cfg.rule_scale, 2.0 * cfg.rule_scale)]
-        verdict.gate("sharp", coarse, fine, panels)
+    for n in families:
+        coarse, fine = (_sobolev_sharp(n, indices, F, s) for indices, F in forms[n])
+        verdict.gate("sharp", coarse, fine, panels[n])
         samples.append((f"n={n}/sharp", fine))
         sharp[n] = fine
     verdict.require("bound", max(sharp.values()) <= bound)
@@ -724,12 +731,11 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
             re = np.vstack([np.eye(degree.size), re])
             im = np.vstack([np.zeros((degree.size, degree.size)), im])
             labels = [f"n=1/mode k={j:02d}" for j in range(k + 1)] + labels
-        _, bess_sq, held = spectral._sobolev_gated(n, k, s, re, im, cfg.rule_scale)
+        coarse, bess_sq = (spectral._quadratic_rows(F, re, im) for _, F in forms[n])
+        held = verdict.gate("bessel_norm", coarse, bess_sq, panels[n])
         herm_sq = (re * re + im * im) @ (2.0 * degree + n) ** s
         for label, b_sq, h_sq, gated in zip(labels, bess_sq, herm_sq, held):
             if not gated:
-                # the flat norm's own doubling gate did not hold
-                verdict.unstable["bessel_norm"] = None
                 continue
             ratio = math.sqrt(b_sq) / math.sqrt(h_sq)
             samples.append((label, ratio))
@@ -768,13 +774,10 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     # the ground state, the unit coefficient of (0,...,0), is row 0
     re, im = np.vstack([np.eye(1, cols[-1]), re]), np.vstack([np.zeros((1, cols[-1])), im])
 
-    def functional(scale):
-        forms = spectral._collapse_forms(k_cap, float(scale))
-        return TWO_PI * sum(spectral._quadratic_rows(E, re[:, lo:hi], im[:, lo:hi])
-                            for E, lo, hi in zip(forms, cols, cols[1:]))
-
     scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
-    w1, w2 = functional(scales[0]), functional(scales[1])
+    w1, w2 = (TWO_PI * sum(spectral._quadratic_rows(E, re[:, lo:hi], im[:, lo:hi])
+                           for E, lo, hi in zip(forms, cols, cols[1:]))
+              for forms in spectral._collapse_forms(k_cap, scales))
     # one rule twice (node floor) is no gate
     verdict.gate("trace_norm", w1, w2, [spectral._collapse_nodes(k_cap, r) for r in scales])
     target = TWO_PI * 3.0 ** -1.5 * math.pi ** -3
@@ -923,15 +926,13 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
     panel doublings at least double it.
     """
     R = truncation_radius(0, 2)
-    dirs, dwts = circle_directions(8)
     values = []
     samples = []
     for n_panels in (40, 80, 160):
         rule = radial_rule_panels(2, 1.0, R, n_panels, 12, allow_divergent=True)
-        pts = (rule.nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        w = (rule.weights[:, None] * dwts[None, :]).ravel()
-        vals = hermite_functions(0, pts[:, 0])[0] * hermite_functions(0, pts[:, 1])[0]
-        v = float(np.dot(w, vals * vals))
+        # |Phi_0(x)|^2 = e^(-|x|^2) / pi is radial: its angular integral is 2 e^(-r^2)
+        r = rule.nodes
+        v = 2.0 * float(np.dot(rule.weights, np.exp(-r * r)))
         values.append(v)
         samples.append((f"panels={n_panels:03d}", v))
     verdict = _Verdict()

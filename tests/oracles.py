@@ -17,7 +17,6 @@ from hermspec.hermite import eval_laguerre
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
     QuadratureRule,
-    circle_directions,
     gauss_hermite,
     gauss_rule,
     hermite_compensated_weights,
@@ -30,12 +29,13 @@ from hermspec.spectral import (
     _indices_upto,
     _level_form,
     _mode_matrix,
-    _sobolev_gated,
+    _quadratic_rows,
     _sobolev_panels,
     _weight_axes,
     check_admissible,
     enumerate_multiindices,
     poch,
+    sobolev_twisted_form,
 )
 from hermspec.verify import _config_dict, _json_text
 
@@ -724,11 +724,12 @@ def bessel_sobolev_norm(
 ) -> float:
     """Flat-Laplacian Sobolev norm (integral (1+|xi|^2)^s |fhat|^2)^(1/2).
 
-    The one-row case of _sobolev_gated: the state's coefficients are one row
-    over sobolev_twisted_form's indices, read against the twisted form at
-    the configured and at the doubled rule.  Drift beyond gate_tol raises a
-    tolerance error, as does a doubled rule with the configured rule's panel
-    count (the panel floor), which would be no gate.
+    The one-row case of check_hermite_sobolev's rows: the state's
+    coefficients are one row over sobolev_twisted_form's indices, read
+    against the twisted form at the configured and at the doubled rule.
+    Drift beyond gate_tol max(1, |fine|) raises a tolerance error, as does a
+    doubled rule with the configured rule's panel count (the panel floor),
+    which would be no gate.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -743,19 +744,33 @@ def bessel_sobolev_norm(
     c = np.zeros((1, len(pos)), dtype=complex)
     for alpha, coeff in state.coefficients.items():
         c[0, pos[alpha]] = coeff
-    coarse, fine, held = _sobolev_gated(state.n, state.k_max, s, c.real, c.imag,
-                                        rule_scale, gate_tol)
-    if not held[0]:
+    (coarse,), (fine,) = (
+        _quadratic_rows(sobolev_twisted_form(state.n, state.k_max, s, r)[1], c.real, c.imag)
+        for r in (rule_scale, 2.0 * rule_scale))
+    if not abs(fine - coarse) <= gate_tol * max(1.0, abs(fine)):
         raise ToleranceError(
             f"transform-side norm unstable under rule doubling "
-            f"({coarse[0]:.12g} vs {fine[0]:.12g})"
+            f"({coarse:.12g} vs {fine:.12g})"
         )
-    return math.sqrt(fine[0])
+    return math.sqrt(fine)
 
 
 # ---------------------------------------------------------------------------
 # spherical and polar integrators: the radial-lift reference, the time
 # quadrature's spatial integral and the directions of grid_level_form
+
+
+def circle_directions(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint rule on the unit circle: directions (n_phi, 2), weights sum 2*pi.
+
+    Even n_phi keeps the node set antipodally symmetric, which cancels the
+    odd-in-r part of level integrands exactly.
+    """
+    if n_phi < 2 or n_phi % 2:
+        raise ValueError("n_phi must be even and >= 2")
+    phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    return dirs, np.full(n_phi, TWO_PI / n_phi)
 
 
 def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:

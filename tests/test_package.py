@@ -9,13 +9,14 @@ from hermspec import antideriv, cli, errors, hermite, quadrature, spectral, veri
 
 MODULES = (antideriv, cli, errors, hermite, quadrature, spectral, verify)
 
-# the per-state algebra, the spherical and polar integrators, the unused
-# closed forms, the polynomial Gauss-Hermite route, the abort error no check
-# raises, the per-k antiderivative norms, the cumulative half-line route and
-# the even half-line integral: deleted, or moved to the tests' oracles
+# the per-state algebra, the spherical and polar integrators and the circle
+# directions, the unused closed forms, the polynomial Gauss-Hermite route, the
+# abort error no check raises, the per-k antiderivative norms, the cumulative
+# half-line route and the even half-line integral: deleted, or moved to the
+# tests' oracles
 RETIRED = (
     "KernelQuery", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES", "_SEG_WIDTH",
-    "_cumulative_half_line", "_hermite_poly", "bessel_sobolev_norm",
+    "_cumulative_half_line", "_hermite_poly", "bessel_sobolev_norm", "circle_directions",
     "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
     "fourier_transform_state", "gauss_legendre", "half_line_integral_even",
     "half_line_integral_odd",

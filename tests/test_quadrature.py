@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hermspec import (
-    circle_directions,
     gauss_hermite,
     gauss_legendre_panels,
     gauss_rule,
@@ -19,6 +18,7 @@ from hermspec.errors import CapabilityError
 from hermspec.quadrature import MAX_HERMITE_NODES, hermite_compensated_weights
 
 from oracles import (
+    circle_directions,
     integrate_cyl_2d,
     integrate_radial_3d,
     radial_rule_absorbing,

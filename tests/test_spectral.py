@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hermspec import CapabilityError, hermite_functions, spectral
+from hermspec import CapabilityError, hermite_functions, spectral, verify
 from hermspec.quadrature import (
     gauss_hermite,
     gauss_legendre_panels,
@@ -23,6 +23,7 @@ from hermspec.spectral import (
     random_state,
     sobolev_twisted_form,
 )
+from hermspec.verify import ScanConfig, check_hermite_sobolev
 
 from oracles import (
     _QUARTER_PHASES,
@@ -83,21 +84,41 @@ def test_state_validation():
         SpectralState(2, {(3, 3): 1.0}, 4)
 
 
-def test_bessel_sobolev_gate_raises_on_nan():
-    # a NaN row does not hold the doubling gate, and the per-state norm raises on it
-    re = np.array([[1.0, np.nan], [1.0, 0.0]])
-    _, _, held = spectral._sobolev_gated(1, 1, 1.0, re, np.zeros_like(re))
-    assert held.tolist() == [False, True]
+def _sobolev_rows(report) -> list:
+    # the labels of a Sobolev report's mode and trial rows
+    return [lab for lab, _ in report.samples if "sharp" not in lab]
+
+
+def test_bessel_sobolev_gate_raises_on_nan(monkeypatch):
+    # a NaN row does not hold the doubling gate: the check skips it and
+    # reports every other row, and the per-state norm raises on it
+    real = verify._trial_parts
+
+    def nan_in_trial_one(*args, **kwargs):
+        re, im = real(*args, **kwargs)
+        re[1, 0] = np.nan
+        return re, im
+
+    monkeypatch.setattr(verify, "_trial_parts", nan_in_trial_one)
+    r = check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0)
+    assert r.status == "inconclusive"
+    assert r.parameters["unstable"] == "bessel_norm"
+    modes = [f"n=1/mode k={k:02d}" for k in range(5)]
+    trials = [f"n={n}/trial={t:02d}" for n in (1, 2) for t in (0, 2, 3)]
+    assert _sobolev_rows(r) == modes + trials
+    assert all(math.isfinite(v) for _, v in r.samples)
     with pytest.raises(ToleranceError):
         bessel_sobolev_norm(make_state(1, {(0,): 1.0, (1,): complex(np.nan)}), 1.0)
 
 
 def test_bessel_sobolev_gate_raises_on_the_panel_floor():
     # both rules sit on the 4-panel floor: one rule twice is no gate, for any row
-    re, im = np.random.default_rng([7, 1]).standard_normal((2, 3, 21))
     assert spectral._sobolev_panels(1, 20, 1e-3) == spectral._sobolev_panels(1, 20, 2e-3) == 4
-    _, _, held = spectral._sobolev_gated(1, 20, 0.5, re, im, rule_scale=1e-3)
-    assert not held.any()
+    assert spectral._sobolev_panels(2, 12, 1e-3) == spectral._sobolev_panels(2, 12, 2e-3) == 4
+    r = check_hermite_sobolev(ScanConfig(rule_scale=1e-3), 0.5)
+    assert r.status == "inconclusive"
+    assert r.parameters["unstable"] == "sharp,bessel_norm"
+    assert _sobolev_rows(r) == []
     with pytest.raises(ToleranceError, match="no doubling gate"):
         bessel_sobolev_norm(random_state(1, 20, [7, 1]), 0.5, rule_scale=1e-3)
 
@@ -485,7 +506,8 @@ def test_sobolev_form_matches_the_grid_route(n, k_max):
             # 1.03 gives n = 2 an even panel count (30), so no panel straddles 0
             for scale in (1.0, 1.03, 2.0):
                 ref = _bessel_grid_reference(state, s, scale)
-                (got,) = spectral._sobolev_rows(n, k_max, s, scale, row.real, row.imag)
+                F = sobolev_twisted_form(n, k_max, s, scale)[1]
+                (got,) = spectral._quadratic_rows(F, row.real, row.imag)
                 assert abs(got - ref) <= 1e-13 * ref, (s, scale)
 
 
@@ -635,15 +657,9 @@ def _collapse_unique_per_call(state, rule_scale):
 def test_collapse_memoized_triples_match_the_per_call_route(seed):
     state = random_state(9, 3, [seed, 9])
     for rule_scale in (1.0, 2.0):
-        spectral._collapse_triples.cache_clear()
-        cold = collapse_trace_norm(state, rule_scale=rule_scale)
-        warm = collapse_trace_norm(state, rule_scale=rule_scale)
-        assert cold == warm == _collapse_unique_per_call(state, rule_scale)
-    uniq, pos = spectral._collapse_triples(tuple(enumerate_multiindices(9, 2)))
-    with pytest.raises(ValueError):
-        uniq[0, 0] = 1
-    with pytest.raises(ValueError):
-        pos[0, 0] = 1
+        first = collapse_trace_norm(state, rule_scale=rule_scale)
+        again = collapse_trace_norm(state, rule_scale=rule_scale)
+        assert first == again == _collapse_unique_per_call(state, rule_scale)
 
 
 def test_collapse_guards():

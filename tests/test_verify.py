@@ -74,6 +74,9 @@ def test_scan_config_validation():
         ScanConfig(seed=-1)
     with pytest.raises(ValueError):
         ScanConfig(rule_scale=0.0)
+    # a tolerance key that names no check is refused, not ignored
+    with pytest.raises(ValueError, match="odd_identiy"):
+        ScanConfig(k_max=2, trials=1, tolerances={"odd_identiy": 1e-30})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -145,6 +148,21 @@ def test_verdict_recorder_names_what_did_not_hold():
     assert (empty.status, empty.parameters) == ("inconclusive", {"unstable": "no_samples"})
 
 
+def test_gate_returns_where_it_held():
+    v = verify._Verdict()
+    # an array gate holds entry by entry; a NaN entry does not hold
+    held = v.gate("rows", np.array([1.0, 1.0, 2.0]), np.array([1.0, math.nan, 2.0 + 1e-6]))
+    assert held.tolist() == [True, False, False]
+    # one rule twice holds nowhere, however close the values
+    assert v.gate("floor", np.ones(3), np.ones(3), rules=(4, 4)).tolist() == [False] * 3
+    assert v.gate("everywhere", np.ones(2), np.ones(2), rules=(4, 8)).tolist() == [True] * 2
+    # a scalar gate returns a bool, also for numpy scalars
+    assert v.gate("scalar", np.float64(1.0), np.float64(1.0)) is True
+    assert v.gate("scalar_floor", 1.0, 1.0, rules=(4, 4)) is False
+    assert v.gate("scalar_nan", 1.0, math.nan) is False
+    assert list(v.unstable) == ["rows", "floor", "scalar_floor", "scalar_nan"]
+
+
 def test_no_check_assigns_its_verdict_by_hand():
     import ast
     import inspect
@@ -157,17 +175,35 @@ def test_no_check_assigns_its_verdict_by_hand():
         stored = {node.id for node in ast.walk(check)
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
         assert not stored & {"ok", "stable"}, check.name
+    # one gate rule: outside the recorder, the only use of a verdict's names is
+    # the lift validation's write, whose 1e-10 tolerance is tighter than
+    # GATE_TOL and which ends the trial loop
+    names = ("failed", "unstable")
+    used, written = [], []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == "_Verdict":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                used.append((top.name, node.attr))
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr in names):
+                written.append((top.name, node.value.attr, ast.literal_eval(node.slice),
+                                type(node.ctx).__name__))
+    assert used == [("check_radial_3d_identity", "unstable")]
+    assert written == [("check_radial_3d_identity", "unstable", "lift_normalization", "Store")]
 
 
 def _perturbed_fine_sobolev_rows(monkeypatch):
-    # every flat norm read on the doubled rule (scale 2) moves by 1e-6
-    real = spectral._sobolev_rows
+    # the twisted form on the doubled rule (scale 2) moves by 1e-6, so every
+    # flat norm read on it, and the sharp value read on it, moves too
+    real = verify.sobolev_twisted_form
 
-    def perturbed(n, k_max, s, scale, re, im):
-        rows = real(n, k_max, s, scale, re, im)
-        return rows * (1.0 + 1e-6) if scale == 2.0 else rows
+    def perturbed(n, k_max, s, scale):
+        indices, F = real(n, k_max, s, scale)
+        return indices, F * (1.0 + 1e-6) if scale == 2.0 else F
 
-    monkeypatch.setattr(spectral, "_sobolev_rows", perturbed)
+    monkeypatch.setattr(verify, "sobolev_twisted_form", perturbed)
 
 
 def test_failed_and_unstable_reports_name_their_predicates_and_gates(monkeypatch):
@@ -176,12 +212,14 @@ def test_failed_and_unstable_reports_name_their_predicates_and_gates(monkeypatch
     assert r.status == "failed"
     assert r.parameters["failed"] == "bound"
     assert "unstable" not in r.parameters
-    # a perturbed fine form fails the flat norm's own doubling gate on every row
+    # a perturbed fine form fails the sharp gate, and the flat norm's own
+    # doubling gate on every row, so no row is reported
     _perturbed_fine_sobolev_rows(monkeypatch)
     r = check_hermite_sobolev(ScanConfig(k_max=44), 0.5)
     assert r.status == "inconclusive"
-    assert r.parameters["unstable"] == "bessel_norm"
+    assert r.parameters["unstable"] == "sharp,bessel_norm"
     assert "failed" not in r.parameters
+    assert [lab for lab, _ in r.samples] == ["n=1/sharp", "n=2/sharp"]
 
 
 @pytest.mark.parametrize("n, delta, axes", [
@@ -495,17 +533,16 @@ def test_odd_identity_trials_match_the_per_trial_route(seed):
     assert r.status == ("inconclusive" if not stable else "passed" if ok else "failed")
 
 
-def test_collapse_triples_found_once_per_level():
-    misses = []
+def test_collapse_triples_found_once_per_level(monkeypatch):
+    found = _count_calls(monkeypatch, spectral._collapse_triples)
+    counts = []
     for trials in (2, 5):
-        clear_caches()
+        found.clear()
         r = check_collapse_9d(ScanConfig(k_max=3, trials=trials))
         assert r.status == "passed"
-        misses.append(spectral._collapse_triples.cache_info().misses)
-    # levels 0..3; the ground state shares level 0's index set
-    assert misses == [4, 4]
-    clear_caches()
-    assert spectral._collapse_triples.cache_info().currsize == 0
+        counts.append(len(found))
+    # levels 0..3, shared by both rule scales; the ground state shares level 0's index set
+    assert counts == [4, 4]
 
 
 @pytest.mark.parametrize("seed", [42, 1])
@@ -775,51 +812,47 @@ def test_sobolev_sharp_parity_blocks_give_the_whole_pencil_top(n, k_max, s):
     indices, F = spectral.sobolev_twisted_form(n, k_max, s, 2.0)
     d = (2.0 * np.array([sum(a) for a in indices]) + n) ** (-0.5 * s)
     whole = math.sqrt(np.linalg.eigvalsh(d[:, None] * F * d[None, :])[-1])
-    assert abs(verify._sobolev_sharp(n, k_max, s, 2.0) - whole) <= 1e-14 * whole
+    assert abs(verify._sobolev_sharp(n, indices, F, s) - whole) <= 1e-14 * whole
 
 
 def test_sobolev_sharp_s1_is_the_square_root_of_the_golden_ratio():
     # sup (1 + p)/(p + 1/(4p)) over squeezed Gaussians, at 4p^2 - 2p - 1 = 0
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    assert abs(verify._sobolev_sharp(1, 20, 1.0, 2.0) - math.sqrt(golden)) <= 1e-12
+    indices, F = spectral.sobolev_twisted_form(1, 20, 1.0, 2.0)
+    assert abs(verify._sobolev_sharp(1, indices, F, 1.0) - math.sqrt(golden)) <= 1e-12
 
 
 def test_sobolev_sharp_gates(monkeypatch):
     real = verify._sobolev_sharp
-    # a rule-dependent sharp value is inconclusive
-    monkeypatch.setattr(verify, "_sobolev_sharp",
-                        lambda n, k, s, scale: real(n, k, s, scale) * (1.0 + 1e-6 * scale))
-    assert check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0).status == "inconclusive"
+    # a rule-dependent sharp value is inconclusive: each family reads its
+    # configured rule's form first, and the doubled rule's second
+    reads = []
+
+    def rule_dependent(n, indices, F, s):
+        reads.append(n)
+        return real(n, indices, F, s) * (1.0 + 1e-6 * (len(reads) % 2 == 0))
+
+    monkeypatch.setattr(verify, "_sobolev_sharp", rule_dependent)
+    r = check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0)
+    assert reads == [1, 1, 2, 2]
+    assert (r.status, r.parameters["unstable"]) == ("inconclusive", "sharp")
     # a row above its family's sharp value fails
     monkeypatch.setattr(verify, "_sobolev_sharp",
-                        lambda n, k, s, scale: 0.9 * real(n, k, s, scale))
+                        lambda n, indices, F, s: 0.9 * real(n, indices, F, s))
     assert check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0).status == "failed"
 
 
 def test_sobolev_forms_per_family_and_scale_not_per_state(monkeypatch):
     tables = _count_calls(monkeypatch, hermite.hermite_functions)
+    forms = _count_calls(monkeypatch, spectral._sobolev_form)
     counts = []
     for k_max in (6, 20):
-        clear_caches()
         tables.clear()
+        forms.clear()
         assert check_hermite_sobolev(ScanConfig(k_max=k_max), 1.0).status == "passed"
-        counts.append((spectral._sobolev_form.cache_info().misses, len(tables)))
-    # two families at two rule scales
+        counts.append((len(forms), len(tables)))
+    # two families at two rule scales, each form read by its sharp value and its rows
     assert counts == [(4, 4), (4, 4)]
-
-
-def test_sobolev_forms_are_read_only_reused_and_cleared():
-    clear_caches()
-    bessel_sobolev_norm(random_state(2, 5, [7, 1]), 0.5)
-    bessel_sobolev_norm(random_state(2, 5, [7, 2]), 0.5)
-    info = spectral._sobolev_form.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-    form = spectral._sobolev_form(2, 5, 0.5, 1.0)
-    assert form.shape == (36, 36)
-    with pytest.raises(ValueError):
-        form[0, 0] = 0.0
-    clear_caches()
-    assert spectral._sobolev_form.cache_info().currsize == 0
 
 
 def test_collapse_ground_value():
