@@ -141,9 +141,11 @@ def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) 
     return indices, sign[:, None] * M * sign[None, :]
 
 
-# grid values per block of the Sobolev-form contraction: the weight slab and
-# the first axis's mode products stay a few MB
-_SOBOLEV_BLOCK = 1 << 20
+# grid values per block of the Sobolev-form contraction (32 KB of weights).
+# At this size every slab's two GEMMs stay below OpenBLAS's multithreading
+# threshold. At 1 << 14 they cross it again, and on 2 CPUs a Sobolev check
+# at the defaults then took 68-84 ms in some processes against 7-13 ms here
+_SOBOLEV_BLOCK = 1 << 12
 
 
 def _sobolev_panels(n: int, k_max: int, scale: float) -> int:
@@ -181,8 +183,9 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     pair[pa, pb] = pair[pb, pa] = np.arange(pa.size)
 
     def products(sl):
-        # (h_a h_a' w) at the nodes of sl, one row per pair a <= a'
-        return tab[pa, sl] * tab[pb, sl] * w[sl]
+        # (h_a h_a' w) at the nodes of sl, one row per pair a <= a'; np.take
+        # on the slab's columns costs a small slab half what tab[pa, sl] does
+        return np.take(tab[:, sl], pa, axis=0) * np.take(tab[:, sl], pb, axis=0) * w[sl]
 
     inner = products(slice(None)) if n > 1 else None
     xi_sq = xi ** 2

@@ -579,18 +579,22 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
             ),
         ]
     )
-    # every mode |alpha| <= k_max on the grid, a row per index in random_state's order
-    idx = np.array([a for k in range(cfg.k_max + 1) for a in enumerate_multiindices(2, k)])
-    B = spectral._mode_matrix([hermite_functions(cfg.k_max, pts[:, c]) for c in range(2)], idx)
-    base = TWO_PI * float(np.max(B[0] ** 2))
+    h0, h1 = (hermite_functions(cfg.k_max, pts[:, c]) for c in range(2))
+    base = TWO_PI * float(np.max((h0[0] * h1[0]) ** 2))
     samples = [("ground", base)]
     verdict = _Verdict()
     verdict.require("ground", abs(base - 2.0) <= 1e-10)
     verdict.require("bound", base <= bound)
-    re, im = _trial_parts(cfg, "morawetz_2d", len(idx), unit=True)
-    # sum over k of |P_k f|^2 per point and trial, one product per level k (its rows)
-    levels = [slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(cfg.k_max + 1)]
-    acc = sum(np.hypot(re[:, r] @ B[r], im[:, r] @ B[r]) ** 2 for r in levels)
+    re, im = _trial_parts(cfg, "morawetz_2d", (cfg.k_max + 1) * (cfg.k_max + 2) // 2, unit=True)
+    # sum over k of |P_k f|^2 per point and trial, one product per level k.
+    # Level k's modes in random_state's order, alpha = (k - j, j) for j = 0..k,
+    # are the rows of h0[k::-1] * h1[:k+1], so each level's block comes from
+    # the two 1D tables and no whole-grid mode matrix is built
+    acc = 0.0
+    for k in range(cfg.k_max + 1):
+        r = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
+        block = h0[k::-1] * h1[: k + 1]
+        acc = acc + np.hypot(re[:, r] @ block, im[:, r] @ block) ** 2
     for t in range(cfg.trials):
         ratio = TWO_PI * float(np.max(acc[t])) / math.fsum(np.hypot(re[t], im[t]) ** 2)
         samples.append((f"trial={t:02d}", ratio))

@@ -525,6 +525,16 @@ def test_sobolev_form_is_symmetric_and_zero_across_parities(n, k_max, scale):
 
 
 @pytest.mark.parametrize("n, k_max", [(1, 20), (2, 12), (3, 4)])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_sobolev_form_slabs_match_one_slab(monkeypatch, n, k_max, scale):
+    # the slabbed contraction only regroups the sums over the first grid axis
+    M = spectral._sobolev_form(n, k_max, 0.5, scale)
+    monkeypatch.setattr(spectral, "_SOBOLEV_BLOCK", 1 << 30)
+    whole = spectral._sobolev_form(n, k_max, 0.5, scale)
+    assert np.abs(M - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("n, k_max", [(1, 20), (2, 12), (3, 4)])
 def test_sobolev_twisted_form_is_the_real_part_of_the_phase_twist(n, k_max):
     # conj((-i)^|alpha|) (-i)^|beta| is +-1 wherever the form is nonzero, so
     # the signed real form is the complex twist, entry for entry

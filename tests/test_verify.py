@@ -3,6 +3,7 @@ serialization round-trips, and each scan at desk scale."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,14 +408,11 @@ def test_morawetz_ground_state_value():
     assert abs(ground - 2.0) <= 1e-10
 
 
-@pytest.mark.parametrize("seed", [42, 1])
-def test_morawetz_trials_match_the_per_level_route(seed):
-    # oracle: project each trial on every level and evaluate it on its own
-    cfg = ScanConfig(k_max=8, trials=3, seed=seed)
-    r = check_morawetz_2d(cfg)
-    radii = np.linspace(0.0, math.sqrt(2.0 * cfg.k_max + 2.0) + 4.0, 48)[1:]
+def _morawetz_grid(k_max: int) -> np.ndarray:
+    # the check's polar grid: the origin, then 47 radii on 16 rays
+    radii = np.linspace(0.0, math.sqrt(2.0 * k_max + 2.0) + 4.0, 48)[1:]
     theta = 0.35 + TWO_PI * np.arange(16) / 16.0
-    pts = np.concatenate(
+    return np.concatenate(
         [
             np.zeros((1, 2)),
             np.stack(
@@ -423,6 +421,14 @@ def test_morawetz_trials_match_the_per_level_route(seed):
             ),
         ]
     )
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_morawetz_trials_match_the_per_level_route(seed):
+    # oracle: project each trial on every level and evaluate it on its own
+    cfg = ScanConfig(k_max=8, trials=3, seed=seed)
+    r = check_morawetz_2d(cfg)
+    pts = _morawetz_grid(cfg.k_max)
     assert pts.shape[0] == r.parameters["grid_points"]
     ground = make_state(2, {(0, 0): 1.0})
     expected = {"ground": TWO_PI * float(np.max(np.abs(evaluate_state(ground, pts)) ** 2))}
@@ -438,6 +444,53 @@ def test_morawetz_trials_match_the_per_level_route(seed):
     bound = DEFAULT_BOUNDS["morawetz_2d"]
     holds = abs(expected["ground"] - 2.0) <= 1e-10 and max(expected.values()) <= bound
     assert r.status == ("passed" if holds else "failed")
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 6, 20, 60])
+def test_morawetz_level_rows_are_the_mode_matrix_rows(k_max):
+    # reference: the whole mode matrix over every |alpha| <= k_max, in
+    # random_state's order, read one level's rows at a time
+    cfg = ScanConfig(k_max=k_max, trials=3)
+    pts = _morawetz_grid(k_max)
+    h0, h1 = (hermite_functions(k_max, pts[:, c]) for c in range(2))
+    idx = np.array([a for k in range(k_max + 1) for a in spectral.enumerate_multiindices(2, k)])
+    B = spectral._mode_matrix([h0, h1], idx)
+    re, im = verify._trial_parts(cfg, "morawetz_2d", len(idx), unit=True)
+    acc = 0.0
+    for k in range(k_max + 1):
+        rows = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
+        # a level's block from the two 1D tables is its rows of B, bit for bit
+        assert np.array_equal(h0[k::-1] * h1[: k + 1], B[rows])
+        acc = acc + np.hypot(re[:, rows] @ B[rows], im[:, rows] @ B[rows]) ** 2
+    expected = [("ground", TWO_PI * float(np.max(B[0] ** 2)))] + [
+        (f"trial={t:02d}", TWO_PI * float(np.max(acc[t])) / math.fsum(np.hypot(re[t], im[t]) ** 2))
+        for t in range(cfg.trials)
+    ]
+    assert list(check_morawetz_2d(cfg).samples) == expected
+
+
+def _traced_peak_mb(run) -> float:
+    """Peak traced allocation (MB) while run() executes, from cold caches."""
+    clear_caches()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run, budget_mb", [
+    # one level's block at a time, never the (1891, 753) mode matrix, which
+    # took about 24 MB traced at k_max = 60
+    pytest.param(lambda: check_morawetz_2d(ScanConfig(k_max=60, trials=4)), 4.0,
+                 id="morawetz_2d"),
+    # 4,096-value slabs, never the whole weight grid (about 12 MB)
+    pytest.param(lambda: check_hermite_sobolev(ScanConfig(k_max=60), 0.5), 2.0,
+                 id="sobolev_s05"),
+])
+def test_scan_peak_memory(run, budget_mb):
+    assert _traced_peak_mb(run) < budget_mb
 
 
 def _count_calls(monkeypatch, real) -> list:
@@ -473,10 +526,12 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
         check(ScanConfig(k_max=6, trials=trials))
         counts.append((len(tables), len(levels)))
     assert counts[0] == counts[1]
-    # the 1D levels of odd_identity and radial_3d_identity hold one mode each
-    # and enumerate nothing
-    one_mode_levels = check in (check_odd_identity, check_radial_3d_identity)
-    assert counts[0][0] > 0 and (counts[0][1] > 0) == (not one_mode_levels)
+    # the 1D levels of odd_identity and radial_3d_identity hold one mode each,
+    # and morawetz_2d builds each level's rows from its two 1D tables: these
+    # enumerate nothing
+    enumerates_nothing = check in (check_morawetz_2d, check_odd_identity,
+                                   check_radial_3d_identity)
+    assert counts[0][0] > 0 and (counts[0][1] > 0) == (not enumerates_nothing)
     # every trial is a row of one draw matrix, never a state of its own
     assert states == []
 
