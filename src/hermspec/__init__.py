@@ -43,9 +43,7 @@ from .spectral import (
     sobolev_twisted_form,
 )
 from .verify import (
-    DEFAULT_BOUNDS,
-    DEFAULT_TOLERANCES,
-    ESTIMATE_IDS,
+    CHECKS,
     EstimateReport,
     RunManifest,
     ScanConfig,
@@ -70,10 +68,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CHECKS",
     "CapabilityError",
-    "DEFAULT_BOUNDS",
-    "DEFAULT_TOLERANCES",
-    "ESTIMATE_IDS",
     "EstimateReport",
     "LaguerreParams",
     "QuadratureRule",

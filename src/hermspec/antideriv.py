@@ -15,7 +15,6 @@ quadrature.  The harness holds all three to pairwise agreement.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +100,8 @@ def norm_sq_routes_all(k_max: int) -> NormRoutes:
 def partial_binomial_sum_exact(k: int, numerator: Fraction) -> Fraction:
     """sum_{i<=k} C(a, i) exactly, a = p/q: each step moves the integer sum onto
     the next denominator q^(i+1) (i+1)! and adds C(a, i+1) there; normalized once."""
+    from fractions import Fraction
+
     a, k = Fraction(numerator), max(k, 0)
     p, q = a.numerator, a.denominator
     term = total = 1
@@ -145,6 +146,8 @@ def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.
 def merge_identity_exact(k: int) -> Fraction:
     """Residual of the partial-sum merge identity in exact rational arithmetic;
     zero when the identity holds."""
+    from fractions import Fraction
+
     half = Fraction(1, 2)
     lhs = partial_binomial_sum_exact(k, -half) / (k + 1) + Fraction(
         2 * k + 1, 2 * k + 2

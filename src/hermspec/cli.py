@@ -16,55 +16,20 @@ import sys
 import time
 
 from . import __version__
-from .verify import (
-    DEFAULT_TOLERANCES,
-    RunManifest,
-    ScanConfig,
-    _require_k_max,
-    check_antideriv_norms,
-    check_appendix_identities,
-    check_even_3d,
-    check_hermite_sobolev,
-    check_kato,
-    check_kernel_bound,
-    check_morawetz_2d,
-    check_odd_identity,
-    check_operator_norms,
-    check_collapse_9d,
-    check_radial_3d_identity,
-    emit_table,
-    negative_control_divergence,
-)
+from .render import RunManifest, emit_table
+from .verify import CHECKS, ScanConfig, _require_k_max
 
-# registry: key -> callable(cfg, options) -> EstimateReport
-CHECK_REGISTRY = {
-    "antideriv_norms": lambda cfg, opt: check_antideriv_norms(cfg),
-    "odd_identity": lambda cfg, opt: check_odd_identity(cfg),
-    "radial_3d_identity": lambda cfg, opt: check_radial_3d_identity(cfg),
-    "appendix_identities": lambda cfg, opt: check_appendix_identities(cfg),
-    "kato_nd": lambda cfg, opt: check_kato(cfg, opt["n"], opt["delta"]),
-    "kernel_n2": lambda cfg, opt: check_kernel_bound(cfg, 2),
-    "kernel_n3": lambda cfg, opt: check_kernel_bound(cfg, 3),
-    "operator_norm_n3": lambda cfg, opt: check_operator_norms(cfg, 3),
-    "morawetz_2d": lambda cfg, opt: check_morawetz_2d(cfg),
-    "even_3d": lambda cfg, opt: check_even_3d(cfg),
-    "sobolev_s05": lambda cfg, opt: check_hermite_sobolev(cfg, 0.5),
-    "sobolev_s10": lambda cfg, opt: check_hermite_sobolev(cfg, 1.0),
-    "collapse_9d": lambda cfg, opt: check_collapse_9d(cfg),
-    "negative_control": lambda cfg, opt: negative_control_divergence(cfg),
-}
+# dispatch goes through this registry, key -> callable(cfg, options) -> EstimateReport
+CHECK_REGISTRY = {key: row.run for key, row in CHECKS.items()}
 
+# each command's checks in table order, the commands in order of first appearance
 COMMAND_CHECKS = {
-    "norms": ("antideriv_norms",),
-    "identities": ("odd_identity", "radial_3d_identity", "appendix_identities"),
-    "kato": ("kato_nd",),
-    "kernel": ("kernel_n2", "kernel_n3", "operator_norm_n3"),
-    "morawetz": ("morawetz_2d",),
-    "even3d": ("even_3d",),
-    "sobolev": ("sobolev_s05", "sobolev_s10"),
-    "collapse": ("collapse_9d",),
-    "all": tuple(key for key in CHECK_REGISTRY if key != "negative_control"),
+    command: tuple(key for key, row in CHECKS.items() if row.command == command)
+    for command in dict.fromkeys(row.command for row in CHECKS.values() if row.command)
 }
+COMMAND_CHECKS["all"] = tuple(key for key, row in CHECKS.items() if row.command)
+
+_TOLERANCES = {key: row.tolerance for key, row in CHECKS.items() if row.tolerance is not None}
 
 EX_USAGE = 64
 EX_CANTCREAT = 74
@@ -102,8 +67,7 @@ def build_parser() -> _Parser:
                         help="quadrature refinement multiplier (default 1)")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the equality tolerances (defaults: "
-                        + ", ".join(f"{k}={v:g}"
-                                    for k, v in sorted(DEFAULT_TOLERANCES.items())))
+                        + ", ".join(f"{k}={v:g}" for k, v in sorted(_TOLERANCES.items())))
     parser.add_argument("--out", default="hermspec-out",
                         help="output directory (default ./hermspec-out)")
     parser.add_argument("--format", choices=("json", "csv"), default="csv",
@@ -118,7 +82,7 @@ def _config_from_args(args) -> ScanConfig:
     if args.tol is not None:
         if not (args.tol > 0 and math.isfinite(args.tol)):
             raise ValueError("--tol must be finite and positive")
-        tolerances = {key: args.tol for key in DEFAULT_TOLERANCES}
+        tolerances = dict.fromkeys(_TOLERANCES, args.tol)
     return ScanConfig(
         k_max=args.kmax,
         trials=args.trials,
@@ -129,23 +93,19 @@ def _config_from_args(args) -> ScanConfig:
 
 
 def _select_checks(args) -> tuple:
-    keys = list(COMMAND_CHECKS[args.command])
-    if args.command == "kato":
-        admissible = not (args.n == 2 and args.delta >= 1.0)
-        if not admissible:
-            # the 2D endpoint diverges; only the demonstration of that fact runs
-            if not args.negative_controls:
-                raise ValueError(
-                    "n=2 with delta>=1 is inadmissible (the weighted integral "
-                    "diverges); pass --negative-controls to run the "
-                    "divergence demonstration instead"
-                )
-            keys = ["negative_control"]
-        elif args.negative_controls:
-            keys.append("negative_control")
-    elif args.negative_controls and args.command == "all":
-        keys.append("negative_control")
-    return tuple(keys)
+    keys = COMMAND_CHECKS[args.command]
+    if args.negative_controls and args.command not in ("kato", "all"):
+        raise ValueError("--negative-controls applies only to the kato and all commands")
+    if args.command == "kato" and args.n == 2 and args.delta >= 1.0:
+        # the 2D endpoint diverges; only the demonstration of that fact runs
+        if not args.negative_controls:
+            raise ValueError(
+                "n=2 with delta>=1 is inadmissible (the weighted integral "
+                "diverges); pass --negative-controls to run the "
+                "divergence demonstration instead"
+            )
+        keys = ()
+    return keys + ("negative_control",) * args.negative_controls
 
 
 def run_checks(cfg: ScanConfig, keys, options) -> RunManifest:

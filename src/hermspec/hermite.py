@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -103,6 +102,9 @@ def eval_laguerre(k: int, alpha: float, u) -> np.ndarray:
 
 def binom_general_exact(a: Fraction, i: int) -> Fraction:
     """C(a, i) exactly: prod_(j<i) (p - j q) / (q^i i!) for a = p/q, normalized once."""
+    # imported here: fractions loads decimal, which only the exact identities need
+    from fractions import Fraction
+
     a, i = Fraction(a), max(i, 0)
     num = 1
     for j in range(i):
@@ -144,6 +146,8 @@ def gamma_duplication_residual(z: float) -> float:
 
 def binom_reflection_residual(alpha: Fraction, k: int) -> Fraction:
     """Exact residual of C(alpha, k) = C(k - alpha - 1, k) (-1)^k in rationals."""
+    from fractions import Fraction
+
     lhs = binom_general_exact(Fraction(alpha), k)
     rhs = binom_general_exact(Fraction(k) - Fraction(alpha) - 1, k) * (-1) ** k
     return abs(lhs - rhs)

@@ -8,19 +8,17 @@ the underlying constants are existential.  A report may only read "passed"
 when every constituent integral survived a rule-doubling gate; otherwise the
 status is "inconclusive", never a silent pass.
 
-The bound constants below are empirical: they were calibrated from the scans
+The bounds in CHECKS are empirical: they were calibrated from the scans
 themselves at the default configuration and carry generous headroom.  They
 are thresholds for regression detection, not claimed sharp constants.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +49,9 @@ from .quadrature import (
     radial_rule_panels,
     truncation_radius,
 )
+# the writing half of the manifest, re-exported: callers such as
+# perfbench/child.py read a run's serialization from verify
+from .render import CSV_HEADER, RunManifest, emit_table, manifest_to_json_bytes  # noqa: F401
 from . import spectral
 from .spectral import (
     enumerate_multiindices,
@@ -61,76 +62,12 @@ from .spectral import (
 
 FOUR_PI = 2.0 * TWO_PI
 
-ESTIMATE_IDS = (
-    "odd_identity",
-    "radial_3d_identity",
-    "kato_nd",
-    "kernel_bound",
-    "operator_norm",
-    "morawetz_2d",
-    "even_3d",
-    "hermite_sobolev",
-    "collapse_9d",
-    "antideriv_norms",
-    "appendix_identities",
-    "negative_control",
-)
-
-# stable per-check stream index for seed sequences [seed, index, ...]
-CHECK_INDEX = {name: i for i, name in enumerate(ESTIMATE_IDS)}
-
-# the largest k_max of each check key that has one, and why.  antideriv_norms,
-# odd_identity and even_3d read their rows before any work, the level scans'
-# rows are level_spectrum's own cap, and the command line reads the rows of
-# every selected check before the first check runs
-_LEVEL_SCAN_LIMIT = (2 * MAX_LAGUERRE_NODES - 1,
-                     f"its Gauss-Laguerre rules are limited to {MAX_LAGUERRE_NODES} nodes")
-K_MAX_LIMITS = {
-    # the top integrand h_(2 k_max + 1) turns at sqrt(4 k_max + 3)
-    "antideriv_norms": (int((UNDERFLOW_RADIUS ** 2 - 3.0) // 4),
-                        "the turning point of its top integrand must stay inside "
-                        f"r = {UNDERFLOW_RADIUS:.1f}, past which the Hermite recurrence's "
-                        "start value underflows"),
-    # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
-    "odd_identity": ((MAX_HERMITE_NODES - 2) // 2,
-                     f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes"),
-    "kato_nd": _LEVEL_SCAN_LIMIT,
-    "operator_norm_n3": _LEVEL_SCAN_LIMIT,
-    # the forms hold sum over even k <= k_max of C(k/2 + 2, 2)^2 entries:
-    # 6.5e6 (52 MB) at this k_max, built in 4-6 s on 2 CPUs
-    "even_3d": (80, "the limit bounds the size of its level forms"),
-}
-
 # growth-trend threshold: least-squares slope of log(ratio) vs log(k)
 TREND_SLOPE_MAX = 0.05
 
 # rule-doubling gates: |fine - coarse| <= GATE_TOL (1 + |fine|); also the
 # relative slack of the below-sharp predicates
 GATE_TOL = 1e-9
-
-# equality checks: two-sided tolerance on the stated target
-DEFAULT_TOLERANCES = {
-    "odd_identity": 1e-7,
-    "radial_3d_identity": 1e-6,
-    "antideriv_norms": 1e-8,
-    "appendix_identities": 1e-9,
-}
-
-# inequality checks: one-sided bound on the sup ratio.  Scan records at the
-# default configuration: kato 4*pi, operator 2.0, kernel 0.32 (n=2) and 0.19
-# (n=3), morawetz 2.0, even-3d 4*pi (the sharp value at every even level),
-# sobolev 1.1231 (s=1/2) and 1.2720 (s=1; the sharp values of the n = 1
-# family, whose limit at s=1 is sqrt of the golden ratio), collapse 4.81e-4.
-# Bounds sit 27% (even-3d) to 4x (collapse) above the record.
-DEFAULT_BOUNDS = {
-    "kato_nd": 20.0,
-    "operator_norm": 3.0,
-    "kernel_bound": 0.5,
-    "morawetz_2d": 4.0,
-    "even_3d": 16.0,
-    "hermite_sobolev": 2.0,
-    "collapse_9d": 0.002,
-}
 
 
 @dataclass(frozen=True)
@@ -152,24 +89,25 @@ class ScanConfig:
             raise ValueError("seed must be >= 0")
         if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
             raise ValueError("rule_scale must be finite and > 0")
-        unknown = sorted(set(self.tolerances or {}) - set(DEFAULT_TOLERANCES))
+        unknown = sorted(k for k in self.tolerances or {}
+                         if k not in CHECKS or CHECKS[k].tolerance is None)
         if unknown:
             raise ValueError(f"no check has a tolerance named {', '.join(unknown)}")
         for key, value in (self.tolerances or {}).items():
             if not math.isfinite(value):
                 raise ValueError(f"tolerance for {key} must be finite")
 
-    def tolerance_for(self, estimate_id: str) -> float:
-        if self.tolerances and estimate_id in self.tolerances:
-            return float(self.tolerances[estimate_id])
-        return DEFAULT_TOLERANCES[estimate_id]
+    def tolerance_for(self, key: str) -> float:
+        if self.tolerances and key in self.tolerances:
+            return float(self.tolerances[key])
+        return CHECKS[key].tolerance
 
 
 @dataclass(frozen=True)
 class EstimateReport:
     """Outcome of one check: labeled ratios, their sup, and the verdict."""
 
-    estimate_id: str
+    check: str
     parameters: dict
     samples: tuple
     sup_ratio: float
@@ -178,8 +116,8 @@ class EstimateReport:
     status: str
 
     def __post_init__(self):
-        if self.estimate_id not in ESTIMATE_IDS:
-            raise ValueError(f"unknown estimate id {self.estimate_id!r}")
+        if self.check not in CHECKS:
+            raise ValueError(f"unknown check {self.check!r}")
         if self.status not in ("passed", "failed", "inconclusive"):
             raise ValueError(f"unknown status {self.status!r}")
         if self.passed != (self.status == "passed"):
@@ -219,7 +157,7 @@ class _Verdict:
             self.unstable[name] = None
         return held
 
-    def report(self, estimate_id, parameters, samples, tolerance) -> EstimateReport:
+    def report(self, check, parameters, samples, tolerance) -> EstimateReport:
         """Inconclusive when a gate did not hold or there are no samples, else
         failed or passed; what did not hold is named under "failed" and "unstable"."""
         samples = tuple((str(lab), float(r)) for lab, r in samples)
@@ -231,7 +169,7 @@ class _Verdict:
                 parameters[key] = ",".join(names)
         status = "inconclusive" if self.unstable else "failed" if self.failed else "passed"
         sup = float(max((r for _, r in samples), default=0.0))
-        return EstimateReport(estimate_id, parameters, samples, sup, float(tolerance),
+        return EstimateReport(check, parameters, samples, sup, float(tolerance),
                               status == "passed", status)
 
 
@@ -278,10 +216,19 @@ def clear_caches() -> None:
 
 
 def _require_k_max(cfg: ScanConfig, key: str) -> None:
-    """Raise before any work when cfg.k_max is past the K_MAX_LIMITS row of key."""
-    limit, reason = K_MAX_LIMITS.get(key, (math.inf, ""))
-    if cfg.k_max > limit:
-        raise CapabilityError(f"{key} is supported up to k_max = {limit}: {reason}")
+    """Raise before any work when cfg.k_max is past the k_max limit of key's row."""
+    row = CHECKS[key]
+    if row.k_max_limit is not None and cfg.k_max > row.k_max_limit:
+        raise CapabilityError(
+            f"{key} is supported up to k_max = {row.k_max_limit}: {row.k_max_reason}")
+
+
+def _row_key(key: str, refusal: str) -> str:
+    """key when CHECKS has a row for it; a library argument that names no
+    row is refused before any work."""
+    if key not in CHECKS:
+        raise ValueError(refusal)
+    return key
 
 
 def _ground_top(dw: int, weight_power: float) -> float:
@@ -293,9 +240,9 @@ def _ground_top(dw: int, weight_power: float) -> float:
 def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False,
                  prefix: tuple = (), trials: int | None = None) -> tuple:
     """Every trial's real and imaginary coefficient parts, one row per trial
-    t < trials (default cfg.trials) from its stream [seed, CHECK_INDEX[name],
+    t < trials (default cfg.trials) from its stream [seed, CHECKS[name].stream,
     *prefix, t], as random_state draws (with unit, scales) them."""
-    stream = [cfg.seed, CHECK_INDEX[name], *prefix]
+    stream = [cfg.seed, CHECKS[name].stream, *prefix]
     re, im = np.stack([
         np.random.default_rng(stream + [t]).standard_normal((2, size))
         for t in range(cfg.trials if trials is None else trials)
@@ -457,7 +404,7 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     """
     axes = spectral._weight_axes(n, axes)
     tops, quads = level_tops(n, cfg.k_max, 2.0 * delta, axes)
-    bound = DEFAULT_BOUNDS["kato_nd"]
+    bound = CHECKS["kato_nd"].bound
     verdict = _Verdict()
     samples = [(f"k={k:02d}", TWO_PI * s_k) for k, s_k in enumerate(tops)]
     for s_k, quad in zip(tops, quads):
@@ -490,7 +437,8 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     semidefinite, so that is its exact level top, gated by the level's top
     on one Gauss-Laguerre rule.
     """
-    bound = DEFAULT_BOUNDS["operator_norm"]
+    key = _row_key(f"operator_norm_n{n}", "operator norm scan supports n = 3")
+    bound = CHECKS[key].bound
     axes = tuple(range(n))
     samples = []
     verdict = _Verdict()
@@ -523,14 +471,13 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     }
     for d, s in slopes.items():
         params[f"trend_slope_delta{d:g}"] = s
-    return verdict.report("operator_norm", params, samples, bound)
+    return verdict.report(key, params, samples, bound)
 
 
 def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
     """Diagonal level-kernel growth against the dimensional power law."""
-    if n not in (2, 3):
-        raise ValueError("diagonal kernel scan supports n = 2 or 3")
-    bound = DEFAULT_BOUNDS["kernel_bound"]
+    key = _row_key(f"kernel_n{n}", "diagonal kernel scan supports n = 2 or 3")
+    bound = CHECKS[key].bound
     edge = math.sqrt(2.0 * cfg.k_max + n)
     r = np.linspace(0.0, edge + 6.0, 160)
     # the ray, then one far point, on the first axis
@@ -557,7 +504,7 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
         "trend_slope": slope,
         "far_diagonal_max": far_max,
     }
-    return verdict.report("kernel_bound", params, samples, bound)
+    return verdict.report(key, params, samples, bound)
 
 
 def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
@@ -567,7 +514,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     squared level projections there (phase orthogonality), so the scan needs
     no time quadrature; it maximizes over a polar grid and random states.
     """
-    bound = DEFAULT_BOUNDS["morawetz_2d"]
+    bound = CHECKS["morawetz_2d"].bound
     r = np.linspace(0.0, math.sqrt(2.0 * cfg.k_max + 2.0) + 4.0, 48)[1:]
     theta = 0.35 + TWO_PI * np.arange(16) / 16.0
     pts = np.concatenate(
@@ -622,7 +569,7 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     level's rules.
     """
     _require_k_max(cfg, "even_3d")
-    bound = DEFAULT_BOUNDS["even_3d"]
+    bound = CHECKS["even_3d"].bound
     verdict = _Verdict()
     sharp = 0.0
     # the fully even indices of level k are 2 beta, |beta| = k/2, in the
@@ -704,9 +651,8 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
     trips is skipped, and every other row must stay below its family's sharp
     value.
     """
-    if s not in (0.5, 1.0, 2.0):
-        raise ValueError("s must be one of 1/2, 1, 2")
-    bound = DEFAULT_BOUNDS["hermite_sobolev"]
+    key = _row_key({0.5: "sobolev_s05", 1.0: "sobolev_s10"}.get(s, ""), "s must be 1/2 or 1")
+    bound = CHECKS[key].bound
     samples = []
     verdict = _Verdict()
     k2 = min(cfg.k_max, 12)
@@ -727,7 +673,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         # the rows run over |alpha| <= k, level by level, as random_state draws them
         sizes = [len(enumerate_multiindices(n, j)) for j in range(k + 1)]
         degree = np.repeat(np.arange(k + 1), sizes)
-        re, im = _trial_parts(cfg, "hermite_sobolev", degree.size, unit=True, prefix=(n,),
+        re, im = _trial_parts(cfg, key, degree.size, unit=True, prefix=(n,),
                               trials=4)
         labels = [f"n={n}/trial={t:02d}" for t in range(4)]
         if n == 1:
@@ -755,7 +701,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         "sharp": max(sharp.values()),
         "route_drift": verdict.route_drift,
     }
-    return verdict.report("hermite_sobolev", params, samples, bound)
+    return verdict.report(key, params, samples, bound)
 
 
 def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
@@ -767,7 +713,7 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     rows of one draw matrix, read against the forms at the configured and at
     the doubled rule scale.
     """
-    bound = DEFAULT_BOUNDS["collapse_9d"]
+    bound = CHECKS["collapse_9d"].bound
     k_cap = min(cfg.k_max, 3)
     trials = min(cfg.trials, 8)
     verdict = _Verdict()
@@ -890,6 +836,8 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
         res = gamma_duplication_residual(z)
         samples.append((f"duplication z={z:g}", res))
         verdict.require("duplication", res <= dup_tol)
+    from fractions import Fraction
+
     half = Fraction(1, 2)
     for k in range(min(cfg.k_max, 20) + 1):
         r1 = binom_reflection_residual(half, k)
@@ -955,80 +903,83 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the check table
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """Everything one run produced: config snapshot, reports, wall times."""
+class Check:
+    """One check: run(cfg, options) returns its report, command is the command
+    that runs it (None: only --negative-controls does), stream is the index in
+    its seed sequences [seed, stream, ...], and k_max_limit is its largest
+    k_max, for k_max_reason.  An equality check has a two-sided tolerance on
+    its target, which ScanConfig.tolerances may override; an inequality check
+    has a one-sided bound on its sup ratio."""
 
-    version: str
-    config: ScanConfig
-    reports: tuple
-    wall_time_s: dict = field(default_factory=dict)
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    return format(x, ".17g")
-
-
-class _JsonText(str):
-    """Text already rendered as JSON, which _json_text emits as it is."""
+    run: Callable
+    command: str | None
+    stream: int
+    k_max_limit: int | None = None
+    k_max_reason: str = ""
+    tolerance: float | None = None
+    bound: float | None = None
 
 
-def _samples_json(samples) -> str:
-    # one string per (label, ratio) row, not a dispatch per value
-    return "[" + ",".join(f"[{json.dumps(lab)},{_fmt_float(r)}]" for lab, r in samples) + "]"
+# the level scans' rows are level_spectrum's own cap
+_LEVEL_SCAN_LIMIT = dict(
+    k_max_limit=2 * MAX_LAGUERRE_NODES - 1,
+    k_max_reason=f"its Gauss-Laguerre rules are limited to {MAX_LAGUERRE_NODES} nodes")
+
+# Every check by its key, in the order `all` runs them.  The streams fix
+# every trial row: the kernel and Sobolev pairs share one each.  The
+# k_max_limit rows are read before any work: antideriv_norms, odd_identity
+# and even_3d read their own, and the command line reads those of every
+# selected check before the first check runs.  The bounds sit 27% (even-3d)
+# to 4x (collapse) above the scan records at the default configuration:
+# kato 4*pi, kernel 0.32 (n=2) and 0.19 (n=3), operator 2.0, morawetz 2.0,
+# even-3d 4*pi (the sharp value at every even level), sobolev 1.1231 (s=1/2)
+# and 1.2720 (s=1; the sharp values of the n = 1 family, whose limit at s=1
+# is sqrt of the golden ratio), collapse 4.81e-4.
+CHECKS = {
+    "antideriv_norms": Check(
+        lambda cfg, opt: check_antideriv_norms(cfg), "norms", 9,
+        # the top integrand h_(2 k_max + 1) turns at sqrt(4 k_max + 3)
+        k_max_limit=int((UNDERFLOW_RADIUS ** 2 - 3.0) // 4),
+        k_max_reason="the turning point of its top integrand must stay inside "
+        f"r = {UNDERFLOW_RADIUS:.1f}, past which the Hermite recurrence's start value "
+        "underflows",
+        tolerance=1e-8),
+    "odd_identity": Check(
+        lambda cfg, opt: check_odd_identity(cfg), "identities", 0,
+        # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
+        k_max_limit=(MAX_HERMITE_NODES - 2) // 2,
+        k_max_reason=f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes",
+        tolerance=1e-7),
+    "radial_3d_identity": Check(
+        lambda cfg, opt: check_radial_3d_identity(cfg), "identities", 1, tolerance=1e-6),
+    "appendix_identities": Check(
+        lambda cfg, opt: check_appendix_identities(cfg), "identities", 10, tolerance=1e-9),
+    "kato_nd": Check(lambda cfg, opt: check_kato(cfg, opt["n"], opt["delta"]), "kato", 2,
+                     **_LEVEL_SCAN_LIMIT, bound=20.0),
+    "kernel_n2": Check(lambda cfg, opt: check_kernel_bound(cfg, 2), "kernel", 3, bound=0.5),
+    "kernel_n3": Check(lambda cfg, opt: check_kernel_bound(cfg, 3), "kernel", 3, bound=0.5),
+    "operator_norm_n3": Check(lambda cfg, opt: check_operator_norms(cfg, 3), "kernel", 4,
+                              **_LEVEL_SCAN_LIMIT, bound=3.0),
+    "morawetz_2d": Check(lambda cfg, opt: check_morawetz_2d(cfg), "morawetz", 5, bound=4.0),
+    # the forms hold sum over even k <= k_max of C(k/2 + 2, 2)^2 entries:
+    # 6.5e6 (52 MB) at this k_max, built in 4-6 s on 2 CPUs
+    "even_3d": Check(lambda cfg, opt: check_even_3d(cfg), "even3d", 6, k_max_limit=80,
+                     k_max_reason="the limit bounds the size of its level forms", bound=16.0),
+    "sobolev_s05": Check(lambda cfg, opt: check_hermite_sobolev(cfg, 0.5), "sobolev", 7,
+                         bound=2.0),
+    "sobolev_s10": Check(lambda cfg, opt: check_hermite_sobolev(cfg, 1.0), "sobolev", 7,
+                         bound=2.0),
+    "collapse_9d": Check(lambda cfg, opt: check_collapse_9d(cfg), "collapse", 8, bound=0.002),
+    "negative_control": Check(lambda cfg, opt: negative_control_divergence(cfg), None, 11),
+}
 
 
-def _json_text(obj) -> str:
-    if isinstance(obj, _JsonText):
-        return obj
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(
-            json.dumps(str(k)) + ":" + _json_text(v) for k, v in sorted(obj.items())
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_text(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _config_dict(cfg: ScanConfig) -> dict:
-    return {
-        "k_max": cfg.k_max,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
-        "tolerances": dict(cfg.tolerances) if cfg.tolerances else None,
-    }
-
-
-def _report_dict(report: EstimateReport) -> dict:
-    # every field as it is (the keys are sorted when rendered), the samples pre-rendered
-    return {**vars(report), "samples": _JsonText(_samples_json(report.samples))}
-
-
-def manifest_to_json_bytes(manifest: RunManifest) -> bytes:
-    obj = {
-        "version": manifest.version,
-        "config": _config_dict(manifest.config),
-        "reports": [_report_dict(r) for r in manifest.reports],
-        "wall_time_s": dict(manifest.wall_time_s),
-    }
-    return (_json_text(obj) + "\n").encode("ascii")
+# ---------------------------------------------------------------------------
+# reading a manifest back (render.py writes it)
 
 
 def _config_from_dict(d: dict) -> ScanConfig:
@@ -1044,17 +995,14 @@ def _config_from_dict(d: dict) -> ScanConfig:
 
 
 def _report_from_dict(d: dict) -> EstimateReport:
-    params = {
-        k: (float(v) if isinstance(v, float) else v) for k, v in d["parameters"].items()
-    }
     return EstimateReport(
-        estimate_id=d["estimate_id"],
-        parameters=params,
-        samples=tuple((str(lab), float(r)) for lab, r in d["samples"]),
+        check=d["check"],
+        parameters=d["parameters"],
+        samples=tuple((lab, float(r)) for lab, r in d["samples"]),
         sup_ratio=float(d["sup_ratio"]),
         tolerance=float(d["tolerance"]),
-        passed=bool(d["passed"]),
-        status=str(d["status"]),
+        passed=d["passed"],
+        status=d["status"],
     )
 
 
@@ -1066,23 +1014,3 @@ def manifest_from_json_bytes(data: bytes) -> RunManifest:
         reports=tuple(_report_from_dict(r) for r in obj["reports"]),
         wall_time_s={k: float(v) for k, v in obj.get("wall_time_s", {}).items()},
     )
-
-
-CSV_HEADER = "label,ratio,tolerance,passed"
-
-
-def emit_table(manifest: RunManifest, fmt: str) -> bytes:
-    """Deterministic byte rendering: full JSON object, or RFC-4180 CSV rows."""
-    if fmt == "json":
-        return manifest_to_json_bytes(manifest)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for report in manifest.reports:
-            flag = "true" if report.passed else "false"
-            tol = _fmt_float(report.tolerance)
-            for label, ratio in report.samples:
-                writer.writerow([label, _fmt_float(ratio), tol, flag])
-        return buf.getvalue().encode("ascii")
-    raise ValueError("format must be json or csv")

@@ -37,7 +37,7 @@ from hermspec.spectral import (
     poch,
     sobolev_twisted_form,
 )
-from hermspec.verify import _config_dict, _json_text
+from hermspec.render import _config_dict, _json_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -539,7 +539,7 @@ def manifest_json_reference(manifest) -> bytes:
         "config": _config_dict(manifest.config),
         "reports": [
             {
-                "estimate_id": r.estimate_id,
+                "check": r.check,
                 "parameters": dict(r.parameters),
                 "samples": [[lab, x] for lab, x in r.samples],
                 "sup_ratio": r.sup_ratio,

@@ -55,13 +55,34 @@ def test_all_runs_every_check_but_the_negative_control_in_order():
     )
 
 
+def test_every_report_carries_the_key_its_files_are_written_under(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["all", "--negative-controls", "--kmax", "2", "--trials", "1", "--out", str(out)]
+    # the identity holds whatever the verdicts: at two levels the kernel
+    # scans read their one step up as a growth trend and fail
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    data = _read(out / "manifest.json")
+    manifest = manifest_from_json_bytes(data)
+    keys = [r.check for r in manifest.reports]
+    assert keys == list(COMMAND_CHECKS["all"]) + ["negative_control"]
+    assert set(manifest.wall_time_s) == set(keys)
+    for report in manifest.reports:
+        # each table is its own report's rendering
+        single = RunManifest(version=manifest.version, config=manifest.config, reports=(report,))
+        assert _read(out / f"{report.check}.csv") == verify.emit_table(single, "csv")
+    assert verify.manifest_to_json_bytes(manifest) == data
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["no-such-command"]) == EX_USAGE
     assert main(["norms", "--bogus"]) == EX_USAGE
     assert main([]) == EX_USAGE
     assert main(["norms", "--kmax", "-3"]) == EX_USAGE
     assert main(["norms", "--tol", "-1"]) == EX_USAGE
-    capsys.readouterr()
+    # the flag does nothing outside kato and all, so it is refused there
+    assert main(["norms", "--negative-controls", "--kmax", "2"]) == EX_USAGE
+    assert "only to the kato and all commands" in capsys.readouterr().err
 
 
 def test_help_lists_every_command_and_its_checks(capsys):
@@ -136,7 +157,7 @@ def test_norms_refuses_a_kmax_past_the_underflow_limit_before_any_check(
         tmp_path, capsys, monkeypatch):
     # at 354 the top integrand's turning point passes the Hermite recurrence's
     # underflow radius; the run is refused up front, not reported as failed
-    limit = verify.K_MAX_LIMITS["antideriv_norms"][0]
+    limit = verify.CHECKS["antideriv_norms"].k_max_limit
     assert limit == 353
 
     def ran(cfg, opt):
@@ -211,7 +232,7 @@ def test_norms_writes_manifest_and_table(tmp_path, capsys):
     capsys.readouterr()
     manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
     assert manifest.config.k_max == 6
-    assert [r.estimate_id for r in manifest.reports] == ["antideriv_norms"]
+    assert [r.check for r in manifest.reports] == ["antideriv_norms"]
     assert "antideriv_norms" in manifest.wall_time_s
     body = _read(out / "antideriv_norms.csv").decode("ascii")
     lines = body.split("\r\n")
@@ -229,7 +250,7 @@ def test_json_format_round_trips(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     single = manifest_from_json_bytes(_read(out / "kato_nd.json"))
-    assert [r.estimate_id for r in single.reports] == ["kato_nd"]
+    assert [r.check for r in single.reports] == ["kato_nd"]
     assert single.reports[0].status == "passed"
 
 
@@ -240,7 +261,7 @@ def test_kato_2d_endpoint_needs_control_flag(tmp_path, capsys):
     assert main(args + ["--negative-controls"]) == 0
     capsys.readouterr()
     manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
-    assert [r.estimate_id for r in manifest.reports] == ["negative_control"]
+    assert [r.check for r in manifest.reports] == ["negative_control"]
     assert manifest.reports[0].parameters["negative_control"] is True
     assert os.path.exists(out / "negative_control.csv")
 
@@ -298,7 +319,7 @@ def test_numerical_failure_is_recorded_not_aborted(tmp_path, capsys, monkeypatch
     assert main(args) == 2
     capsys.readouterr()
     manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
-    statuses = {r.estimate_id: r.status for r in manifest.reports}
+    statuses = {r.check: r.status for r in manifest.reports}
     assert statuses == {"odd_identity": "passed", "radial_3d_identity": "inconclusive",
                         "appendix_identities": "passed"}
     radial = manifest.reports[1]

@@ -5,9 +5,9 @@ import inspect
 import sys
 
 import hermspec
-from hermspec import antideriv, cli, errors, hermite, quadrature, spectral, verify
+from hermspec import antideriv, cli, errors, hermite, quadrature, render, spectral, verify
 
-MODULES = (antideriv, cli, errors, hermite, quadrature, spectral, verify)
+MODULES = (antideriv, cli, errors, hermite, quadrature, render, spectral, verify)
 
 # the per-state algebra, the spherical and polar integrators and the circle
 # directions, the unused closed forms, the polynomial Gauss-Hermite route, the

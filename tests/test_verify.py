@@ -1,6 +1,7 @@
 """Checks of the estimate harness itself: verdict logic, determinism,
 serialization round-trips, and each scan at desk scale."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -14,11 +15,8 @@ from hermspec.hermite import hermite_functions
 from hermspec.quadrature import gauss_legendre_panels, truncation_radius
 from hermspec.spectral import random_state
 from hermspec.verify import (
-    CHECK_INDEX,
+    CHECKS,
     CSV_HEADER,
-    DEFAULT_BOUNDS,
-    DEFAULT_TOLERANCES,
-    ESTIMATE_IDS,
     EstimateReport,
     RunManifest,
     ScanConfig,
@@ -91,7 +89,7 @@ def test_scan_config_rejects_non_finite_values(bad):
 def test_scan_config_overrides():
     cfg = ScanConfig(tolerances={"odd_identity": 1e-3})
     assert cfg.tolerance_for("odd_identity") == 1e-3
-    assert cfg.tolerance_for("antideriv_norms") == DEFAULT_TOLERANCES["antideriv_norms"]
+    assert cfg.tolerance_for("antideriv_norms") == CHECKS["antideriv_norms"].tolerance
 
 
 def test_report_invariants():
@@ -117,9 +115,25 @@ def test_trend_slope_behaviour():
     assert trend_slope([]) == 0.0
 
 
-def test_estimate_id_registry_is_fixed():
-    assert len(ESTIMATE_IDS) == 12
-    assert len(set(ESTIMATE_IDS)) == 12
+def test_check_streams_are_pinned():
+    # every trial row is drawn from [seed, stream, ...]: a moved stream moves
+    # the rows, so each stream stays where the tables were written from
+    assert {key: row.stream for key, row in CHECKS.items()} == {
+        "odd_identity": 0,
+        "radial_3d_identity": 1,
+        "kato_nd": 2,
+        "kernel_n2": 3,
+        "kernel_n3": 3,
+        "operator_norm_n3": 4,
+        "morawetz_2d": 5,
+        "even_3d": 6,
+        "sobolev_s05": 7,
+        "sobolev_s10": 7,
+        "collapse_9d": 8,
+        "antideriv_norms": 9,
+        "appendix_identities": 10,
+        "negative_control": 11,
+    }
 
 
 def test_verdict_recorder_names_what_did_not_hold():
@@ -208,7 +222,7 @@ def _perturbed_fine_sobolev_rows(monkeypatch):
 
 
 def test_failed_and_unstable_reports_name_their_predicates_and_gates(monkeypatch):
-    monkeypatch.setitem(DEFAULT_BOUNDS, "kato_nd", 1.0)
+    monkeypatch.setitem(CHECKS, "kato_nd", dataclasses.replace(CHECKS["kato_nd"], bound=1.0))
     r = check_kato(ScanConfig(), 3, 1.0)
     assert r.status == "failed"
     assert r.parameters["failed"] == "bound"
@@ -241,7 +255,7 @@ def test_kato_ground_level_is_the_closed_form(n, delta, axes):
 def test_odd_identity_small():
     r = check_odd_identity(SMALL)
     assert r.status == "passed"
-    assert r.estimate_id == "odd_identity"
+    assert r.check == "odd_identity"
     assert r.parameters["seed"] == SMALL.seed
     funcs = [v for lab, v in r.samples if lab.endswith("functional")]
     assert len(funcs) == SMALL.trials
@@ -358,7 +372,7 @@ def test_level_gate_sees_a_wrong_mode_below_the_top(monkeypatch):
     monkeypatch.setattr(spectral, "level_spectrum", mutated)
     cfg = ScanConfig(k_max=8, trials=1)
     for r in (check_kato(cfg, 3, 1.0), check_operator_norms(cfg, 3), check_even_3d(cfg)):
-        assert r.status == "inconclusive", r.estimate_id
+        assert r.status == "inconclusive", r.check
         assert r.parameters["unstable"] == "level_top"
 
 
@@ -394,10 +408,14 @@ def test_kernel_bound_rows_match_the_per_level_route(n):
 def test_kernel_bound_small():
     with pytest.raises(ValueError):
         check_kernel_bound(SMALL, 4)
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="n = 3"):
+            check_operator_norms(SMALL, n)
     r = check_kernel_bound(ScanConfig(k_max=10), 2)
     assert r.status == "passed"
+    assert r.check == "kernel_n2"
     assert r.parameters["far_diagonal_max"] <= 1e-10
-    assert r.sup_ratio <= DEFAULT_BOUNDS["kernel_bound"]
+    assert r.sup_ratio <= CHECKS["kernel_n2"].bound
 
 
 def test_morawetz_ground_state_value():
@@ -433,7 +451,7 @@ def test_morawetz_trials_match_the_per_level_route(seed):
     ground = make_state(2, {(0, 0): 1.0})
     expected = {"ground": TWO_PI * float(np.max(np.abs(evaluate_state(ground, pts)) ** 2))}
     for t in range(cfg.trials):
-        f = random_state(2, cfg.k_max, [seed, CHECK_INDEX["morawetz_2d"], t])
+        f = random_state(2, cfg.k_max, [seed, CHECKS["morawetz_2d"].stream, t])
         acc = np.zeros(pts.shape[0])
         for k in range(cfg.k_max + 1):
             acc += np.abs(evaluate_state(project(f, k), pts)) ** 2
@@ -441,7 +459,7 @@ def test_morawetz_trials_match_the_per_level_route(seed):
     assert [lab for lab, _ in r.samples] == list(expected)
     for lab, got in r.samples:
         assert abs(got - expected[lab]) <= 1e-13 * expected[lab], lab
-    bound = DEFAULT_BOUNDS["morawetz_2d"]
+    bound = CHECKS["morawetz_2d"].bound
     holds = abs(expected["ground"] - 2.0) <= 1e-10 and max(expected.values()) <= bound
     assert r.status == ("passed" if holds else "failed")
 
@@ -567,7 +585,7 @@ def test_odd_identity_trials_match_the_per_trial_route(seed):
     expected = {}
     ok = stable = True
     for t in range(cfg.trials):
-        g = random_state(1, 2 * cfg.k_max + 1, [seed, CHECK_INDEX["odd_identity"], t],
+        g = random_state(1, 2 * cfg.k_max + 1, [seed, CHECKS["odd_identity"].stream, t],
                          parity="odd")
         levels1 = time_avg_levels(g, 1.0, rule_scale=cfg.rule_scale)
         levels2 = time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale)
@@ -618,7 +636,7 @@ def test_radial_trials_match_the_per_trial_route(seed):
     expected = {}
     ok = stable = True
     for t in range(cfg.trials):
-        g = random_state(1, mode_cap, [seed, CHECK_INDEX["radial_3d_identity"], t],
+        g = random_state(1, mode_cap, [seed, CHECKS["radial_3d_identity"].stream, t],
                          parity="odd")
         norm3 = lifted(g, 0.0, 2 * n_panels, 16)
         norm1 = state_norm_sq(g)
@@ -640,13 +658,14 @@ def test_radial_trials_match_the_per_trial_route(seed):
 @pytest.mark.parametrize("seed", [42, 1])
 def test_sobolev_rows_match_the_per_state_route(seed):
     # oracle: each mode and trial as its own state through bessel_sobolev_norm
-    # and hermite_sobolev_norm; the sharp rows are the check's own
+    # and hermite_sobolev_norm; the sharp rows are the check's own.  Both
+    # orders draw their trials from the one stream they share
     cfg = ScanConfig(seed=seed)
     families = {1: cfg.k_max, 2: min(cfg.k_max, 12)}
     states = [(f"n=1/mode k={k:02d}", make_state(1, {(k,): 1.0}, cfg.k_max))
               for k in range(cfg.k_max + 1)]
     states += [(f"n={n}/trial={t:02d}",
-                random_state(n, k, [seed, CHECK_INDEX["hermite_sobolev"], n, t]))
+                random_state(n, k, [seed, CHECKS["sobolev_s05"].stream, n, t]))
                for n, k in families.items() for t in range(4)]
     for s in (0.5, 1.0):
         r = check_hermite_sobolev(cfg, s)
@@ -654,7 +673,8 @@ def test_sobolev_rows_match_the_per_state_route(seed):
         expected = {lab: v for lab, v in r.samples if lab.endswith("sharp")}
         sharp = {n: expected[f"n={n}/sharp"] for n in families}
         stable = "sharp" not in r.parameters.get("unstable", "")
-        ok = max(sharp.values()) <= DEFAULT_BOUNDS["hermite_sobolev"]
+        bound = CHECKS[r.check].bound
+        ok = max(sharp.values()) <= bound
         for label, state in states:
             try:
                 bess = bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
@@ -663,7 +683,7 @@ def test_sobolev_rows_match_the_per_state_route(seed):
                 continue
             expected[label] = bess / hermite_sobolev_norm(state, s)
             ok = ok and expected[label] <= sharp[state.n] * (1.0 + verify.GATE_TOL)
-            ok = ok and expected[label] <= DEFAULT_BOUNDS["hermite_sobolev"]
+            ok = ok and expected[label] <= bound
         assert [lab for lab, _ in r.samples] == list(expected)
         for lab, got in r.samples:
             assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), (s, lab)
@@ -678,7 +698,7 @@ def test_collapse_trials_match_the_per_trial_route(seed):
     r = check_collapse_9d(cfg)
     k_cap = min(cfg.k_max, 3)
     states = [("ground", make_state(9, {(0,) * 9: 1.0}))]
-    states += [(f"trial={t:02d}", random_state(9, k_cap, [seed, CHECK_INDEX["collapse_9d"], t]))
+    states += [(f"trial={t:02d}", random_state(9, k_cap, [seed, CHECKS["collapse_9d"].stream, t]))
                for t in range(min(cfg.trials, 8))]
     expected = {}
     ok = stable = True
@@ -687,7 +707,7 @@ def test_collapse_trials_match_the_per_trial_route(seed):
         w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
         stable = stable and abs(w2 - w1) <= verify.GATE_TOL * (1.0 + abs(w2))
         expected[label] = w1 / oscillator_energy_sq(f)
-        ok = ok and expected[label] <= DEFAULT_BOUNDS["collapse_9d"]
+        ok = ok and expected[label] <= CHECKS["collapse_9d"].bound
         if label == "ground":
             ok = ok and abs(w1 - r.parameters["ground_target"]) <= 1e-8
     assert [lab for lab, _ in r.samples] == list(expected)
@@ -739,7 +759,7 @@ def test_even_3d_trials_match_the_per_trial_route(seed):
     samples = dict(r.samples)
     expected = {}
     for t in range(cfg.trials):
-        rng = np.random.default_rng([seed, CHECK_INDEX["even_3d"], t])
+        rng = np.random.default_rng([seed, CHECKS["even_3d"].stream, t])
         re = rng.standard_normal(len(indices))
         im = rng.standard_normal(len(indices))
         norm = math.sqrt(float(np.sum(re * re + im * im)))
@@ -750,7 +770,7 @@ def test_even_3d_trials_match_the_per_trial_route(seed):
     for lab, want in expected.items():
         assert abs(samples[lab] - want) <= 1e-13 * want, lab
     sharp = r.parameters["sharp"]
-    bound = DEFAULT_BOUNDS["even_3d"]
+    bound = CHECKS["even_3d"].bound
     holds = (abs(samples["ground"] - FOUR_PI) <= 1e-9 * FOUR_PI and sharp <= bound
              and all(v <= sharp * (1.0 + verify.GATE_TOL) and v <= bound
                      for v in expected.values()))
@@ -821,12 +841,14 @@ def test_antideriv_norms_refuses_a_kmax_past_its_limit_before_any_work(monkeypat
 
 
 def test_sobolev_small_and_bad_order():
-    with pytest.raises(ValueError):
-        check_hermite_sobolev(SMALL, 0.75)
+    for s in (0.75, 2.0):
+        with pytest.raises(ValueError):
+            check_hermite_sobolev(SMALL, s)
     r = check_hermite_sobolev(ScanConfig(k_max=6, trials=2), 1.0)
     assert r.status == "passed"
+    assert r.check == "sobolev_s10"
     for _, v in r.samples:
-        assert v <= DEFAULT_BOUNDS["hermite_sobolev"]
+        assert v <= CHECKS["sobolev_s10"].bound
 
 
 def test_sobolev_gate_failure_is_inconclusive(monkeypatch):
@@ -840,7 +862,6 @@ def test_sobolev_gate_failure_is_inconclusive(monkeypatch):
 SOBOLEV_SHARP = {
     0.5: (1.1230640355579662, 1.045312222609577),
     1.0: (1.2720196495140286, 1.0986762408587905),
-    2.0: (1.728296401009331, 1.2603173911625118),
 }
 
 
