@@ -26,20 +26,17 @@ from .hermite import (
 )
 from .quadrature import (
     QuadratureRule,
-    gauss_hermite,
     gauss_legendre_panels,
     gauss_rule,
     radial_rule_panels,
     truncation_radius,
 )
 from .spectral import (
-    SpectralState,
     check_admissible,
     enumerate_multiindices,
     kernel_diagonals,
     level_spectrum,
     level_tops,
-    random_state,
     sobolev_twisted_form,
 )
 from .verify import (
@@ -75,7 +72,6 @@ __all__ = [
     "QuadratureRule",
     "RunManifest",
     "ScanConfig",
-    "SpectralState",
     "binom_general_exact",
     "binom_reflection_residual",
     "check_admissible",
@@ -96,7 +92,6 @@ __all__ = [
     "eval_hermite_poly",
     "eval_laguerre",
     "gamma_duplication_residual",
-    "gauss_hermite",
     "gauss_legendre_panels",
     "gauss_rule",
     "hermite_functions",
@@ -112,7 +107,6 @@ __all__ = [
     "norm_sq_routes_all",
     "partial_binomial_sum_exact",
     "radial_rule_panels",
-    "random_state",
     "sobolev_twisted_form",
     "truncation_radius",
     "verify_laguerre_hermite_relation",

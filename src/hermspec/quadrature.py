@@ -4,7 +4,8 @@
   from one memoized routine, gauss_rule, so a run builds each (family, node
   count, exponents) once.  The Jacobi rules are the tau rules of the weighted
   level forms (spectral._level_form), where the weight's singularity sits in
-  the rule's exponents.
+  the rule's exponents.  The Hermite rules come with compensated weights
+  w e^(x^2), which integrate against dx and stay finite where w underflows.
 * Graded Gauss-Legendre panels (geometric refinement toward r = 0, uniform
   panels out to the truncation radius) for generic radial integrands and for
   the divergence demonstrations, which refuse a non-integrable exponent.
@@ -100,13 +101,6 @@ def _christoffel(fm: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return 1.0 / (fm * dy)
 
 
-def _hermite_sq_sum(x: np.ndarray, m: int) -> np.ndarray:
-    """sum_(j<m) h_j(x)^2; at the nodes of the m-point Gauss-Hermite rule its
-    reciprocal is w e^(x^2), which stays finite where w underflows."""
-    h = hermite_functions(m - 1, x)
-    return np.einsum("ij,ij->j", h, h)
-
-
 # bounded: `hermspec all` uses about 25 distinct rules, but a long-lived
 # caller may ask for arbitrary exponents
 @lru_cache(maxsize=512)
@@ -123,8 +117,12 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
     nodes, and the weights are 1/(p_(m-1) p_m') (Jacobi: 1/((1-x^2) p_m'^2),
     from the second pass) scaled to the weight's total mass.
     Hermite rules use the normalized Hermite functions h_j, which never overflow,
-    and weights e^(-x^2) / sum_(j<m) h_j^2, up to MAX_HERMITE_NODES nodes
-    (CapabilityError past it).
+    up to MAX_HERMITE_NODES nodes (CapabilityError past it), and their weights
+    are compensated: c = w e^(x^2) = 1 / sum_(j<m) h_j^2, scaled so that
+    sum e^(-x^2) c = sqrt(pi).  They integrate against dx, not e^(-x^2) dx
+    (sum c f(x) is integral f dx for f a polynomial of degree < 2m times
+    e^(-x^2)), and stay finite where w underflows; a caller that wants w
+    multiplies them by e^(-x^2).
     """
     if m < 1:
         raise ValueError("node count must be >= 1")
@@ -136,15 +134,21 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
         dy = (-m * x * y + m * p) / (1 - x ** 2)
         x = x - y / dy
         w = _christoffel(_legendre_poly(m, x)[0], dy)
+        # symmetric weight: make the rule exactly antipodal
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
     elif family == "hermite":
         if m > MAX_HERMITE_NODES:
             raise CapabilityError(f"Gauss-Hermite rules limited to {MAX_HERMITE_NODES} nodes")
         mass = math.sqrt(math.pi)
         x = _golub_welsch(np.zeros(m), np.sqrt(k / 2.0))
-        # h_m' = sqrt(2m) h_(m-1) - x h_m, and w e^(x^2) = 1 / sum_(j<m) h_j^2
+        # h_m' = sqrt(2m) h_(m-1) - x h_m; the polished nodes are made exactly
+        # antipodal, and w e^(x^2) = 1 / sum_(j<m) h_j^2 at them
         h = hermite_functions(m, x)
         x = x - h[m] / (math.sqrt(2.0 * m) * h[m - 1] - x * h[m])
-        w = np.exp(-x * x) / _hermite_sq_sum(x, m)
+        x = (x - x[::-1]) / 2
+        h = hermite_functions(m - 1, x)
+        w = 1.0 / np.einsum("ij,ij->j", h, h)
     elif family == "laguerre":
         if alpha <= -1.0:
             raise ValueError("Laguerre exponent must be > -1")
@@ -186,31 +190,11 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
         w = _christoffel((1 - x * x) * dy, dy)
     else:
         raise ValueError("family must be legendre, hermite, laguerre or jacobi")
-    if family in ("legendre", "hermite"):
-        # symmetric weight: make the rule exactly antipodal
-        w = (w + w[::-1]) / 2
-        x = (x - x[::-1]) / 2
-    w = w * (mass / w.sum())
+    # the compensated Hermite weights carry their mass against e^(-x^2)
+    w = w * (mass / (np.dot(np.exp(-x * x), w) if family == "hermite" else w.sum()))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-@lru_cache(maxsize=128)
-def hermite_compensated_weights(m: int) -> np.ndarray:
-    """Weights w e^(x^2) of the m-point Gauss-Hermite rule, memoized, read-only.
-
-    They integrate f against dx rather than e^(-x^2) dx.  They are the
-    Christoffel values 1/sum h_j^2 (exactly antipodal, as the nodes and the
-    parity of h_j are), scaled to the rule's mass as gauss_rule scales its
-    weights, which stay finite where the rule's outer weights underflow and
-    w e^(x^2) would be 0 * inf.
-    """
-    x = gauss_rule("hermite", m)[0]
-    comp = 1.0 / _hermite_sq_sum(x, m)
-    comp *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), comp)
-    comp.flags.writeable = False
-    return comp
 
 
 @dataclass(frozen=True)
@@ -221,23 +205,20 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def gauss_hermite(m: int) -> QuadratureRule:
-    """Gauss-Hermite rule for weight e^(-x^2) on the line."""
-    x, w = gauss_rule("hermite", m)
-    return QuadratureRule(x, w)
+def _panels(edges: np.ndarray, m: int) -> tuple:
+    """Nodes and weights of the m-point Gauss-Legendre rule mapped onto every
+    panel between consecutive edges."""
+    x, w = gauss_rule("legendre", m)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def gauss_legendre_panels(a: float, b: float, n_panels: int, m: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule: n_panels uniform panels of m nodes on [a, b]."""
     if n_panels < 1:
         raise ValueError("panel count must be >= 1")
-    x, w = gauss_rule("legendre", m)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(*_panels(np.linspace(a, b, n_panels + 1), m))
 
 
 def _graded_edges(R: float, n_panels: int) -> np.ndarray:
@@ -277,13 +258,8 @@ def radial_rule_panels(
         )
     if R <= 0:
         raise ValueError("R must be > 0")
-    x, w = gauss_rule("legendre", m)
-    edges = _graded_edges(R, n_panels)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel() * nodes ** exponent
-    return QuadratureRule(nodes, weights)
+    nodes, weights = _panels(_graded_edges(R, n_panels), m)
+    return QuadratureRule(nodes, weights * nodes ** exponent)
 
 
 def truncation_radius(k_max: int, n: int) -> float:

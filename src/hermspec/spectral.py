@@ -29,34 +29,9 @@ import numpy as np
 
 from .errors import CapabilityError
 from .hermite import hermite_functions
-from .quadrature import (
-    MAX_LAGUERRE_NODES,
-    gauss_hermite,
-    gauss_legendre_panels,
-    gauss_rule,
-    hermite_compensated_weights,
-    truncation_radius,
-)
+from .quadrature import MAX_LAGUERRE_NODES, gauss_legendre_panels, gauss_rule, truncation_radius
 
 _MAX_LEVEL_SIZE = 2_000_000
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """A finite eigenbasis combination: sparse coefficients up to level k_max."""
-
-    n: int
-    coefficients: dict
-    k_max: int
-
-    def __post_init__(self):
-        for alpha in self.coefficients:
-            if len(alpha) != self.n:
-                raise ValueError(f"index {alpha} has wrong length for n={self.n}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"index {alpha} has negative entries")
-            if sum(alpha) > self.k_max:
-                raise ValueError(f"index {alpha} exceeds k_max={self.k_max}")
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +87,7 @@ def kernel_diagonals(n: int, k_max: int, points) -> np.ndarray:
 
 
 def _indices_upto(n: int, k_max: int) -> list:
-    # every alpha with |alpha| <= k_max, level by level, as random_state lists them
+    # every alpha with |alpha| <= k_max, level by level, as enumerate_multiindices lists them
     return [a for k in range(k_max + 1) for a in _level_indices(n, k)]
 
 
@@ -228,8 +203,8 @@ def _tau_matrices(degs: np.ndarray, tau: np.ndarray, odd: bool) -> np.ndarray:
     y = x / sqrt(tau_q) a polynomial of degree a + b times e^(-y^2), exact on
     the (max(degs) + 1)-node Gauss-Hermite rule at sqrt(tau_q) y."""
     m = int(degs[-1]) + 1
-    y = gauss_hermite(m).nodes
-    w = hermite_compensated_weights(m) * np.exp(-np.outer(1.0 - tau, y * y))
+    y, comp = gauss_rule("hermite", m)
+    w = comp * np.exp(-np.outer(1.0 - tau, y * y))
     if odd:
         w /= tau[:, None]
     # (len(tau), len(degs), m): every degree at every tau's nodes
@@ -476,9 +451,8 @@ def _collapse_forms(k_cap: int, scales) -> tuple:
     """
     rules = []
     for scale in scales:
-        m = _collapse_nodes(k_cap, scale)
-        rules.append((hermite_functions(k_cap, gauss_hermite(m).nodes / math.sqrt(3.0)),
-                      hermite_compensated_weights(m)))
+        y, comp = gauss_rule("hermite", _collapse_nodes(k_cap, scale))
+        rules.append((hermite_functions(k_cap, y / math.sqrt(3.0)), comp))
     forms = [[] for _ in rules]
     for k in range(k_cap + 1):
         uniq, pos = _collapse_triples(_level_indices(9, k))
@@ -486,38 +460,3 @@ def _collapse_forms(k_cap: int, scales) -> tuple:
             T = _mode_matrix([tab, tab, tab], uniq)
             out.append(3.0 ** -1.5 * _gathered_product([(T * comp) @ T.T] * 3, pos, pos))
     return tuple(tuple(out) for out in forms)
-
-
-def random_state(
-    n: int,
-    k_max: int,
-    seed_seq,
-    parity: str | None = None,
-    parity_axis: int = 0,
-) -> SpectralState:
-    """Unit-norm state with complex-Gaussian coefficients on all admissible indices.
-
-    seed_seq is any numpy SeedSequence-compatible value (int or list of ints);
-    parity "odd"/"even" restricts the index set along parity_axis.
-    """
-    if parity not in (None, "odd", "even"):
-        raise ValueError(f"parity must be None, 'odd' or 'even', not {parity!r}")
-    if not 0 <= parity_axis < n:
-        raise ValueError("axis out of range")
-    rng = np.random.default_rng(seed_seq)
-    indices = []
-    for k in range(k_max + 1):
-        for alpha in _level_indices(n, k):
-            if parity == "odd" and alpha[parity_axis] % 2 == 0:
-                continue
-            if parity == "even" and alpha[parity_axis] % 2 == 1:
-                continue
-            indices.append(alpha)
-    if not indices:
-        raise ValueError("no admissible indices for the requested parity")
-    re = rng.standard_normal(len(indices))
-    im = rng.standard_normal(len(indices))
-    norm = math.sqrt(float(np.sum(re * re + im * im)))
-    coeffs = {a: complex(r, i) / norm for a, r, i in zip(indices, re, im)}
-    return SpectralState(n, coeffs, k_max)
-

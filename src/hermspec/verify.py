@@ -45,7 +45,6 @@ from .quadrature import (
     TWO_PI,
     gauss_legendre_panels,
     gauss_rule,
-    hermite_compensated_weights,
     radial_rule_panels,
     truncation_radius,
 )
@@ -207,10 +206,9 @@ def trend_slope(pairs) -> float:
 
 def clear_caches() -> None:
     """Drop every memo, for honest re-runs: the Gauss rules (the level forms'
-    Gauss-Jacobi tau rules among them) and their compensated Hermite weights,
-    the level index tuples and the level-spectrum tables."""
+    Gauss-Jacobi tau rules and the compensated Gauss-Hermite rules among
+    them), the level index tuples and the level-spectrum tables."""
     gauss_rule.cache_clear()
-    hermite_compensated_weights.cache_clear()
     spectral._level_indices.cache_clear()
     spectral.level_spectrum.cache_clear()
 
@@ -241,7 +239,7 @@ def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False,
                  prefix: tuple = (), trials: int | None = None) -> tuple:
     """Every trial's real and imaginary coefficient parts, one row per trial
     t < trials (default cfg.trials) from its stream [seed, CHECKS[name].stream,
-    *prefix, t], as random_state draws (with unit, scales) them."""
+    *prefix, t]; with unit, each row is scaled to unit norm."""
     stream = [cfg.seed, CHECKS[name].stream, *prefix]
     re, im = np.stack([
         np.random.default_rng(stream + [t]).standard_normal((2, size))
@@ -534,7 +532,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
     verdict.require("bound", base <= bound)
     re, im = _trial_parts(cfg, "morawetz_2d", (cfg.k_max + 1) * (cfg.k_max + 2) // 2, unit=True)
     # sum over k of |P_k f|^2 per point and trial, one product per level k.
-    # Level k's modes in random_state's order, alpha = (k - j, j) for j = 0..k,
+    # Level k's modes in enumerate_multiindices' order, alpha = (k - j, j), j = 0..k,
     # are the rows of h0[k::-1] * h1[:k+1], so each level's block comes from
     # the two 1D tables and no whole-grid mode matrix is built
     acc = 0.0
@@ -670,7 +668,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         sharp[n] = fine
     verdict.require("bound", max(sharp.values()) <= bound)
     for n, k in families.items():
-        # the rows run over |alpha| <= k, level by level, as random_state draws them
+        # the rows run over |alpha| <= k, level by level, as enumerate_multiindices lists them
         sizes = [len(enumerate_multiindices(n, j)) for j in range(k + 1)]
         degree = np.repeat(np.arange(k + 1), sizes)
         re, im = _trial_parts(cfg, key, degree.size, unit=True, prefix=(n,),
@@ -717,7 +715,7 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     k_cap = min(cfg.k_max, 3)
     trials = min(cfg.trials, 8)
     verdict = _Verdict()
-    # level k's indices are the columns cols[k]:cols[k + 1], as random_state draws them
+    # level k's indices, in enumerate_multiindices' order, are the columns cols[k]:cols[k + 1]
     sizes = [len(enumerate_multiindices(9, k)) for k in range(k_cap + 1)]
     cols = np.cumsum([0] + sizes)
     re, im = _trial_parts(cfg, "collapse_9d", int(cols[-1]), unit=True, trials=trials)

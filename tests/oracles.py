@@ -17,16 +17,14 @@ from hermspec.hermite import eval_laguerre
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
     QuadratureRule,
-    gauss_hermite,
     gauss_rule,
-    hermite_compensated_weights,
     radial_rule_panels,
 )
 from hermspec.spectral import (
-    SpectralState,
     _collapse_nodes,
     _collapse_triples,
     _indices_upto,
+    _level_indices,
     _level_form,
     _mode_matrix,
     _quadratic_rows,
@@ -144,11 +142,11 @@ def _tensor_free_axes(base_pts, base_w, n, wd, k, scale):
     w = base_w
     for c in free:
         m_h = max(4, int(math.ceil((k + 3) * scale)))
-        nodes = gauss_hermite(m_h).nodes
+        nodes, comp = gauss_rule("hermite", m_h)
         n_old = pts.shape[0]
         pts = np.repeat(pts, m_h, axis=0)
         pts[:, c] = np.tile(nodes, n_old)
-        w = np.repeat(w, m_h) * np.tile(hermite_compensated_weights(m_h), n_old)
+        w = np.repeat(w, m_h) * np.tile(comp, n_old)
     return pts, w
 
 
@@ -508,9 +506,7 @@ def collapse_trace_norm(state, rule_scale: float = 1.0) -> float:
         raise ValueError("collapse restriction is defined for n = 9")
     if state.k_max > 4:
         raise CapabilityError("collapse supported for k_max <= 4")
-    m = _collapse_nodes(state.k_max, rule_scale)
-    y = gauss_hermite(m).nodes
-    comp = hermite_compensated_weights(m)
+    y, comp = gauss_rule("hermite", _collapse_nodes(state.k_max, rule_scale))
     tab = hermite_functions(state.k_max, y / math.sqrt(3.0))
     by_level = {}
     for alpha, coeff in state.coefficients.items():
@@ -558,6 +554,59 @@ def manifest_json_reference(manifest) -> bytes:
 # the per-state routes: a SpectralState's values, phases, projections and
 # norms one state at a time, where the checks read coefficient rows against
 # the forms
+
+
+@dataclass(frozen=True)
+class SpectralState:
+    """A finite eigenbasis combination: sparse coefficients up to level k_max."""
+
+    n: int
+    coefficients: dict
+    k_max: int
+
+    def __post_init__(self):
+        for alpha in self.coefficients:
+            if len(alpha) != self.n:
+                raise ValueError(f"index {alpha} has wrong length for n={self.n}")
+            if any(a < 0 for a in alpha):
+                raise ValueError(f"index {alpha} has negative entries")
+            if sum(alpha) > self.k_max:
+                raise ValueError(f"index {alpha} exceeds k_max={self.k_max}")
+
+
+def random_state(
+    n: int,
+    k_max: int,
+    seed_seq,
+    parity: str | None = None,
+    parity_axis: int = 0,
+) -> SpectralState:
+    """Unit-norm state with complex-Gaussian coefficients on all admissible indices:
+    the reference for verify._trial_parts's draws, one state at a time.
+
+    seed_seq is any numpy SeedSequence-compatible value (int or list of ints);
+    parity "odd"/"even" restricts the index set along parity_axis.
+    """
+    if parity not in (None, "odd", "even"):
+        raise ValueError(f"parity must be None, 'odd' or 'even', not {parity!r}")
+    if not 0 <= parity_axis < n:
+        raise ValueError("axis out of range")
+    rng = np.random.default_rng(seed_seq)
+    indices = []
+    for k in range(k_max + 1):
+        for alpha in _level_indices(n, k):
+            if parity == "odd" and alpha[parity_axis] % 2 == 0:
+                continue
+            if parity == "even" and alpha[parity_axis] % 2 == 1:
+                continue
+            indices.append(alpha)
+    if not indices:
+        raise ValueError("no admissible indices for the requested parity")
+    re = rng.standard_normal(len(indices))
+    im = rng.standard_normal(len(indices))
+    norm = math.sqrt(float(np.sum(re * re + im * im)))
+    coeffs = {a: complex(r, i) / norm for a, r, i in zip(indices, re, im)}
+    return SpectralState(n, coeffs, k_max)
 
 
 def make_state(n: int, coefficients: dict, k_max: int | None = None) -> SpectralState:

@@ -11,7 +11,6 @@ import numpy as np
 
 from hermspec.antideriv import norm_sq_quadrature_all, norm_sq_routes_all
 from hermspec.cli import main
-from hermspec.spectral import random_state
 from hermspec.verify import (
     GATE_TOL,
     ScanConfig,
@@ -37,6 +36,7 @@ from oracles import (
     norm_sq_odd_quadrature,
     norm_sq_odd_recursive,
     project,
+    random_state,
     time_avg_weighted,
 )
 

@@ -15,13 +15,12 @@ from hermspec import (
     eval_hermite_poly,
     eval_laguerre,
     gamma_duplication_residual,
-    gauss_hermite,
+    gauss_rule,
     hermite_functions,
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
 )
 from hermspec.hermite import PI_Q, SQRT2
-from hermspec.quadrature import hermite_compensated_weights
 
 from oracles import half_line_integral_even, x_odd
 
@@ -76,8 +75,9 @@ def test_parity_is_exact_in_floating_point():
 def test_orthonormality_via_gauss_hermite():
     # the compensated weights w e^(x^2) leave w times a polynomial, so a
     # 41-node rule integrates every pair with k <= 40 exactly
-    h = hermite_functions(40, gauss_hermite(41).nodes)
-    gram = (h * hermite_compensated_weights(41)) @ h.T
+    x, comp = gauss_rule("hermite", 41)
+    h = hermite_functions(40, x)
+    gram = (h * comp) @ h.T
     assert np.max(np.abs(gram - np.eye(41))) < 1e-12
 
 

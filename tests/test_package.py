@@ -9,23 +9,25 @@ from hermspec import antideriv, cli, errors, hermite, quadrature, render, spectr
 
 MODULES = (antideriv, cli, errors, hermite, quadrature, render, spectral, verify)
 
-# the per-state algebra, the spherical and polar integrators and the circle
-# directions, the unused closed forms, the polynomial Gauss-Hermite route, the
-# abort error no check raises, the per-k antiderivative norms, the cumulative
-# half-line route and the even half-line integral: deleted, or moved to the
-# tests' oracles
+# the per-state algebra and the random states, the spherical and polar
+# integrators and the circle directions, the unused closed forms, the
+# polynomial Gauss-Hermite route, the abort error no check raises, the per-k
+# antiderivative norms, the cumulative half-line route, the even half-line
+# integral, and the Gauss-Hermite wrapper and second weight memo that
+# gauss_rule("hermite", m) replaces: deleted, or moved to the tests' oracles
 RETIRED = (
-    "KernelQuery", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES", "_SEG_WIDTH",
-    "_cumulative_half_line", "_hermite_poly", "bessel_sobolev_norm", "circle_directions",
+    "KernelQuery", "SpectralState", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES",
+    "_SEG_WIDTH", "_cumulative_half_line", "_hermite_poly", "_hermite_sq_sum",
+    "bessel_sobolev_norm", "circle_directions",
     "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
-    "fourier_transform_state", "gauss_legendre", "half_line_integral_even",
-    "half_line_integral_odd",
+    "fourier_transform_state", "gauss_hermite", "gauss_legendre", "half_line_integral_even",
+    "half_line_integral_odd", "hermite_compensated_weights",
     "hermite_sobolev_norm", "integrate_cyl_2d", "integrate_radial_3d", "make_state",
     "merge_identity_check", "norm_sq_even_closed", "norm_sq_even_recursive",
     "norm_sq_odd_closed", "norm_sq_odd_expansion", "norm_sq_odd_recursive",
     "oscillator_energy_sq", "parity_decompose", "partial_binomial_sum", "project",
     "projection_kernel",
-    "propagate", "sphere_directions", "state_norm_sq", "time_avg_levels",
+    "propagate", "random_state", "sphere_directions", "state_norm_sq", "time_avg_levels",
     "time_avg_weighted",
 )
 
@@ -36,8 +38,6 @@ NOT_RUN = {
     "verify._report_from_dict": "contract: manifest_from_json_bytes's report half",
     "verify.clear_caches": "contract: drops every memo, for honest re-runs",
     "cli._Parser.error": "argparse's usage-error hook, entered only on bad usage",
-    "spectral.random_state": "library API: any check's trial state from its stream",
-    "spectral.SpectralState.__post_init__": "validates random_state's states, its one caller",
 }
 
 
@@ -107,7 +107,10 @@ def test_every_memo_in_src_is_reused(tmp_path):
     memos = {f"{module.__name__}.{attr}": v for module in MODULES
              for attr, v in vars(module).items()
              if hasattr(v, "cache_info") and v.__module__ == module.__name__}
-    assert "hermspec.quadrature.gauss_rule" in memos
+    # one memo per Gauss rule (the compensated Hermite weights among them),
+    # per level's index tuple and per level-spectrum table
+    assert sorted(memos) == ["hermspec.quadrature.gauss_rule", "hermspec.spectral._level_indices",
+                             "hermspec.spectral.level_spectrum"]
     verify.clear_caches()
     rc = cli.main(["all", "--negative-controls", "--kmax", "4", "--trials", "2",
                    "--out", str(tmp_path)])

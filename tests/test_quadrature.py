@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hermspec import (
-    gauss_hermite,
     gauss_legendre_panels,
     gauss_rule,
     hermite_functions,
@@ -15,7 +14,7 @@ from hermspec import (
 )
 from hermspec import quadrature
 from hermspec.errors import CapabilityError
-from hermspec.quadrature import MAX_HERMITE_NODES, hermite_compensated_weights
+from hermspec.quadrature import MAX_HERMITE_NODES
 
 from oracles import (
     circle_directions,
@@ -33,14 +32,14 @@ def test_gauss_legendre_one_node():
 
 
 def test_gauss_hermite_small_rules():
-    rule = gauss_hermite(1)
-    assert rule.nodes == pytest.approx([0.0], abs=1e-15)
-    assert rule.weights == pytest.approx([math.sqrt(math.pi)], abs=1e-14)
-    rule2 = gauss_hermite(2)
-    assert sorted(rule2.nodes) == pytest.approx(
-        [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], abs=1e-14
-    )
-    assert rule2.weights == pytest.approx([math.sqrt(math.pi) / 2.0] * 2, abs=1e-14)
+    # the weights are compensated, w e^(x^2): w = sqrt(pi) at x = 0, and
+    # w = sqrt(pi) / 2 at x = +-1/sqrt(2)
+    x, comp = gauss_rule("hermite", 1)
+    assert x == pytest.approx([0.0], abs=1e-15)
+    assert comp == pytest.approx([math.sqrt(math.pi)], abs=1e-14)
+    x, comp = gauss_rule("hermite", 2)
+    assert x == pytest.approx([-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], abs=1e-14)
+    assert comp == pytest.approx([math.sqrt(math.pi) / 2.0 * math.exp(0.5)] * 2, abs=1e-14)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -249,6 +248,9 @@ def test_gauss_rule_matches_scipy(family, alpha):
     }[family]
     for m in range(1, 151):
         x, w = _build_rule(family, m, alpha)
+        if family == "hermite":
+            # the rule's weights are compensated: w e^(x^2)
+            w = w * np.exp(-x * x)
         xr, wr = ref(m)
         assert np.all(np.diff(x) > 0)
         nonzero = xr != 0
@@ -340,7 +342,8 @@ def test_gauss_rule_single_pass_is_bit_identical_to_three_passes(monkeypatch, fa
 @pytest.mark.parametrize("m", [151, 200, 300])
 def test_gauss_hermite_past_polynomial_range(m):
     special = pytest.importorskip("scipy.special")
-    x, w = _build_rule("hermite", m)
+    x, comp = _build_rule("hermite", m)
+    w = comp * np.exp(-x * x)
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)
     assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
     xr, wr = special.roots_hermite(m)
@@ -349,42 +352,41 @@ def test_gauss_hermite_past_polynomial_range(m):
     assert _max_rel(w, wr) <= 1e-12
     # exact on h_k h_l with the Gaussian compensated: the Gram matrix of
     # h_0..h_(m-1) under the rule is the identity
-    comp = w * np.exp(x * x)
     h = hermite_functions(m - 1, x)
     gram = (h * comp) @ h.T
     assert np.max(np.abs(gram - np.eye(m))) <= 1e-12
 
 
 def test_hermite_compensated_weights_past_underflow():
-    # at 400 nodes the outer weights underflow to 0, where w e^(x^2) is 0 * inf
-    x, w = gauss_rule("hermite", 400)
-    assert w.min() == 0.0
-    comp = hermite_compensated_weights(400)
+    # at 400 nodes the outer weights w = c e^(-x^2) underflow to 0, where the
+    # compensated weights c = w e^(x^2) stay finite
+    x, comp = gauss_rule("hermite", 400)
+    assert (comp * np.exp(-x * x)).min() == 0.0
     assert np.all(np.isfinite(comp)) and np.all(comp > 0)
     assert np.array_equal(comp, comp[::-1])
     assert abs(np.dot(np.exp(-x * x), comp) - math.sqrt(math.pi)) <= 1e-13
-    # where w e^(x^2) is finite, the Christoffel values agree with it
-    for m in (151, 300):
-        x, w = gauss_rule("hermite", m)
-        assert _max_rel(hermite_compensated_weights(m), w * np.exp(x * x)) <= 1e-12
     # the modes are orthonormal on the 400-node compensated rule: a mode's
     # coefficients come back through it
-    x = gauss_rule("hermite", 400)[0]
     h = hermite_functions(9, x)
-    coeffs = (h * hermite_compensated_weights(400)) @ h[7]
+    coeffs = (h * comp) @ h[7]
     for k, c in enumerate(coeffs):
         assert abs(c - (1.0 if k == 7 else 0.0)) <= 1e-12, k
+    # where w stays finite, the compensated weights agree with scipy's w e^(x^2)
+    special = pytest.importorskip("scipy.special")
+    for m in (151, 300):
+        x, comp = gauss_rule("hermite", m)
+        assert _max_rel(comp, special.roots_hermite(m)[1] * np.exp(x * x)) <= 1e-12
 
 
 def test_gauss_hermite_at_its_node_limit():
     m = MAX_HERMITE_NODES
-    x, w = _build_rule("hermite", m)
+    x, comp = _build_rule("hermite", m)
+    w = comp * np.exp(-x * x)
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
     assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
     # the recurrence's starting value h_0 stays a normal float at every node
     assert np.exp(-0.5 * x[-1] ** 2) >= np.finfo(float).tiny
     assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
-    comp = hermite_compensated_weights(m)
     assert np.all(np.isfinite(comp)) and np.all(comp > 0)
     assert abs(np.dot(np.exp(-x * x), comp) - math.sqrt(math.pi)) <= 1e-13
     # one node more and h_0 turns subnormal at the outer node (the largest
@@ -397,29 +399,54 @@ def test_gauss_hermite_at_its_node_limit():
 def test_gauss_hermite_past_its_node_limit_raises():
     with pytest.raises(CapabilityError, match=f"limited to {MAX_HERMITE_NODES} nodes"):
         gauss_rule("hermite", MAX_HERMITE_NODES + 1)
-    with pytest.raises(CapabilityError):
-        hermite_compensated_weights(MAX_HERMITE_NODES + 1)
     # the rule that used to come back with NaN nodes
     with pytest.raises(CapabilityError):
-        gauss_hermite(800)
+        gauss_rule("hermite", 800)
 
 
 def test_hermite_compensated_weights_memo():
     from hermspec.verify import clear_caches
 
     # at every node count: the Christoffel values 1/sum h_j^2 at the rule's
-    # nodes, scaled to its mass, byte for byte
+    # exactly antipodal nodes, scaled to its mass, byte for byte
     for m in (1, 24, 150, 151, 400):
-        x = gauss_rule("hermite", m)[0]
-        comp = 1.0 / quadrature._hermite_sq_sum(x, m)
-        comp *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), comp)
-        assert np.array_equal(hermite_compensated_weights(m), comp)
-    comp = hermite_compensated_weights(24)
-    assert hermite_compensated_weights(24) is comp
-    with pytest.raises(ValueError):
-        comp[0] = 0.0
+        x, comp = gauss_rule("hermite", m)
+        assert np.array_equal(x, -x[::-1])
+        h = hermite_functions(m - 1, x)
+        ref = 1.0 / np.einsum("ij,ij->j", h, h)
+        ref *= math.sqrt(math.pi) / np.dot(np.exp(-x * x), ref)
+        assert np.array_equal(comp, ref)
+    # read-only, shared by every caller, and dropped by clear_caches
+    x, comp = gauss_rule("hermite", 24)
+    again = gauss_rule("hermite", 24)
+    assert again[0] is x and again[1] is comp
+    for arr in (x, comp):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
     clear_caches()
-    assert hermite_compensated_weights.cache_info().currsize == 0
+    assert gauss_rule.cache_info().currsize == 0
+    assert gauss_rule("hermite", 24)[1] is not comp
+
+
+def test_one_hermite_rule_builds_two_hermite_tables(monkeypatch):
+    # the Newton polish and the Christoffel sum: a level form that reads the
+    # rule's nodes and compensated weights builds them from one memo entry
+    from hermspec import spectral
+    from hermspec.verify import clear_caches
+
+    real = quadrature.hermite_functions
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "hermite_functions", counting)
+    clear_caches()
+    spectral._tau_matrices(np.arange(5), np.array([0.25, 0.75]), False)
+    assert len(calls) == 2
+    spectral._tau_matrices(np.arange(5), np.array([0.5]), True)
+    assert len(calls) == 2
 
 
 def test_gauss_rule_memo_is_read_only_shared_and_cleared():
@@ -434,8 +461,6 @@ def test_gauss_rule_memo_is_read_only_shared_and_cleared():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the rule objects built on top share the memoized arrays
-    assert gauss_hermite(7).nodes is gauss_rule("hermite", 7)[0]
     clear_caches()
     assert gauss_rule.cache_info().currsize == 0
     assert gauss_rule("laguerre", 9, 0.5)[0] is not x

@@ -6,27 +6,21 @@ import numpy as np
 import pytest
 
 from hermspec import CapabilityError, hermite_functions, spectral, verify
-from hermspec.quadrature import (
-    gauss_hermite,
-    gauss_legendre_panels,
-    hermite_compensated_weights,
-    truncation_radius,
-)
+from hermspec.quadrature import gauss_legendre_panels, gauss_rule, truncation_radius
 from hermspec.spectral import (
-    SpectralState,
     check_admissible,
     enumerate_multiindices,
     kernel_diagonals,
     level_spectrum,
     level_tops,
     poch,
-    random_state,
     sobolev_twisted_form,
 )
 from hermspec.verify import ScanConfig, check_hermite_sobolev
 
 from oracles import (
     _QUARTER_PHASES,
+    SpectralState,
     ToleranceError,
     _level_grid,
     _tensor_free_axes,
@@ -49,6 +43,7 @@ from oracles import (
     propagate,
     radial_eigenvalue,
     radial_eigenvalue_quadrature,
+    random_state,
     state_norm_sq,
     time_avg_levels,
     time_avg_weighted,
@@ -224,11 +219,10 @@ def test_fourier_transform_state_phases():
 
 
 def test_plancherel_against_grid_quadrature():
-    rule = gauss_hermite(40)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
+    nodes, comp = gauss_rule("hermite", 40)
     for n, k_max, seed in [(1, 12, 4), (2, 8, 5), (3, 4, 6)]:
         state = random_state(n, k_max, [seed, 77])
-        vals = evaluate_state_grid(state, [rule.nodes] * n)
+        vals = evaluate_state_grid(state, [nodes] * n)
         dens = np.abs(vals) ** 2
         for _ in range(n):
             dens = np.tensordot(dens, comp, axes=([0], [0]))
@@ -591,9 +585,8 @@ def test_collapse_single_mode_matches_direct_spatial():
     state = make_state(9, {alpha: 1.0})
     got = collapse_trace_norm(state)
     # one eigenvalue: the time average is 2*pi times the fixed spatial integral
-    rule = gauss_hermite(24)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
-    x = rule.nodes / math.sqrt(3.0)
+    nodes, comp = gauss_rule("hermite", 24)
+    x = nodes / math.sqrt(3.0)
     tab = {d: hermite_functions(d, x)[d] for d in range(2)}
     f1 = tab[1] * tab[1] * tab[0]
     f2 = tab[0] * tab[0] * tab[0]
@@ -609,9 +602,8 @@ def _collapse_per_coefficient(state, rule_scale):
     # reference: one outer product of the three restricted factors per
     # coefficient, axis j of R^3 carrying the 9D axes j, j+3 and j+6
     m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
-    rule = gauss_hermite(m)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
-    tab = hermite_functions(state.k_max, rule.nodes / math.sqrt(3.0))
+    nodes, comp = gauss_rule("hermite", m)
+    tab = hermite_functions(state.k_max, nodes / math.sqrt(3.0))
     total = 0.0
     for k in range(state.k_max + 1):
         restricted = np.zeros((m, m, m), dtype=complex)
@@ -641,8 +633,8 @@ def test_collapse_cross_terms_match_per_coefficient_reference(rule_scale):
 def _collapse_unique_per_call(state, rule_scale):
     # the route that finds every level's triples with np.unique on each call
     m = max(4, int(math.ceil((2 * state.k_max + 6) * rule_scale)))
-    comp = hermite_compensated_weights(m)
-    tab = hermite_functions(state.k_max, gauss_hermite(m).nodes / math.sqrt(3.0))
+    nodes, comp = gauss_rule("hermite", m)
+    tab = hermite_functions(state.k_max, nodes / math.sqrt(3.0))
     by_level = {}
     for alpha, coeff in state.coefficients.items():
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))

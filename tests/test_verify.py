@@ -13,7 +13,6 @@ from hermspec.errors import CapabilityError
 from hermspec import hermite, spectral, verify
 from hermspec.hermite import hermite_functions
 from hermspec.quadrature import gauss_legendre_panels, truncation_radius
-from hermspec.spectral import random_state
 from hermspec.verify import (
     CHECKS,
     CSV_HEADER,
@@ -52,6 +51,7 @@ from oracles import (
     manifest_json_reference,
     oscillator_energy_sq,
     project,
+    random_state,
     state_norm_sq,
     time_avg_levels,
     time_avg_weighted,
@@ -535,7 +535,6 @@ def _count_calls(monkeypatch, real) -> list:
 def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
     tables = _count_calls(monkeypatch, hermite.hermite_functions)
     levels = _count_calls(monkeypatch, spectral.enumerate_multiindices)
-    states = _count_calls(monkeypatch, spectral.random_state)
     counts = []
     for trials in (2, 5):
         clear_caches()
@@ -550,8 +549,6 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
     enumerates_nothing = check in (check_morawetz_2d, check_odd_identity,
                                    check_radial_3d_identity)
     assert counts[0][0] > 0 and (counts[0][1] > 0) == (not enumerates_nothing)
-    # every trial is a row of one draw matrix, never a state of its own
-    assert states == []
 
 
 def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
@@ -567,14 +564,12 @@ def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
 
 def test_odd_identity_one_form_call_per_rule_scale(monkeypatch):
     lookups = _count_calls(monkeypatch, spectral._level_form)
-    states = _count_calls(monkeypatch, spectral.random_state)
     for trials in (2, 5):
         lookups.clear()
         assert check_odd_identity(ScanConfig(k_max=6, trials=trials)).status == "passed"
         # the odd levels 1, 3, ..., 13 in one call on the level-13 rules, at
         # the configured and at the doubled rule scale
         assert len(lookups) == 2
-    assert states == []
 
 
 @pytest.mark.parametrize("seed", [42, 1])
