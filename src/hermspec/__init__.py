@@ -7,16 +7,15 @@ harness that scans every identity and smoothing bound the library claims.
 """
 
 from .antideriv import (
-    merge_identity_exact,
+    merge_identity_holds,
     norm_sq_quadrature_all,
     norm_sq_routes_all,
-    partial_binomial_sum_exact,
+    partial_binomial_numerators,
 )
 from .errors import CapabilityError
 from .hermite import (
     LaguerreParams,
-    binom_general_exact,
-    binom_reflection_residual,
+    binom_reflection_holds,
     eval_hermite_poly,
     eval_laguerre,
     gamma_duplication_residual,
@@ -37,6 +36,7 @@ from .spectral import (
     kernel_diagonals,
     level_spectrum,
     level_tops,
+    sobolev_ladder_form,
     sobolev_twisted_form,
 )
 from .verify import (
@@ -72,8 +72,7 @@ __all__ = [
     "QuadratureRule",
     "RunManifest",
     "ScanConfig",
-    "binom_general_exact",
-    "binom_reflection_residual",
+    "binom_reflection_holds",
     "check_admissible",
     "check_antideriv_norms",
     "check_appendix_identities",
@@ -101,12 +100,13 @@ __all__ = [
     "level_tops",
     "manifest_from_json_bytes",
     "manifest_to_json_bytes",
-    "merge_identity_exact",
+    "merge_identity_holds",
     "negative_control_divergence",
     "norm_sq_quadrature_all",
     "norm_sq_routes_all",
-    "partial_binomial_sum_exact",
+    "partial_binomial_numerators",
     "radial_rule_panels",
+    "sobolev_ladder_form",
     "sobolev_twisted_form",
     "truncation_radius",
     "verify_laguerre_hermite_relation",

@@ -97,18 +97,17 @@ def norm_sq_routes_all(k_max: int) -> NormRoutes:
     return NormRoutes(odd_rec, expansion, even_closed, even_rec, merge)
 
 
-def partial_binomial_sum_exact(k: int, numerator: Fraction) -> Fraction:
-    """sum_{i<=k} C(a, i) exactly, a = p/q: each step moves the integer sum onto
-    the next denominator q^(i+1) (i+1)! and adds C(a, i+1) there; normalized once."""
-    from fractions import Fraction
-
-    a, k = Fraction(numerator), max(k, 0)
-    p, q = a.numerator, a.denominator
+def partial_binomial_numerators(k_max: int, p: int, q: int) -> list:
+    """T_0..T_k_max, with sum_(i<=k) C(p/q, i) = T_k / (q^k k!) exactly: each step
+    moves the integer sum onto the next denominator and adds the next term,
+    T_(i+1) = (i+1) q T_i + prod_(j<=i) (p - j q)."""
     term = total = 1
-    for i in range(k):
+    out = [total]
+    for i in range(k_max):
         term *= p - i * q
         total = total * q * (i + 1) + term
-    return Fraction(total, q ** k * math.factorial(k))
+        out.append(total)
+    return out
 
 
 def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +142,11 @@ def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.
     return 2.0 * ((odd * odd) @ weights), 2.0 * ((even * even) @ weights)
 
 
-def merge_identity_exact(k: int) -> Fraction:
-    """Residual of the partial-sum merge identity in exact rational arithmetic;
-    zero when the identity holds."""
-    from fractions import Fraction
-
-    half = Fraction(1, 2)
-    lhs = partial_binomial_sum_exact(k, -half) / (k + 1) + Fraction(
-        2 * k + 1, 2 * k + 2
-    ) * partial_binomial_sum_exact(k, half)
-    rhs = partial_binomial_sum_exact(k + 1, half)
-    return lhs - rhs
+def merge_identity_holds(k_max: int) -> list:
+    """Whether S_k(-1/2)/(k+1) + (2k+1)/(2k+2) S_k(1/2) = S_(k+1)(1/2), each S_k(a)
+    the partial sum sum_(i<=k) C(a, i), at every k <= k_max, in integers: over
+    the common denominator 2^(k+1) (k+1)! it reads
+    2 T_k(-1/2) + (2k+1) T_k(1/2) = T_(k+1)(1/2), with T the numerators of
+    partial_binomial_numerators."""
+    minus, plus = (partial_binomial_numerators(k_max + 1, p, 2) for p in (-1, 1))
+    return [2 * minus[k] + (2 * k + 1) * plus[k] == plus[k + 1] for k in range(k_max + 1)]

@@ -87,7 +87,8 @@ class LaguerreParams:
 
 
 def eval_laguerre(k: int, alpha: float, u) -> np.ndarray:
-    """Generalized Laguerre polynomial L_k^alpha(u) by the standard recurrence."""
+    """Generalized Laguerre polynomial L_k^alpha(u) by the standard recurrence;
+    alpha may be an array broadcasting against u, one recurrence for them all."""
     if k < 0:
         raise ValueError("k must be >= 0")
     u = np.asarray(u, dtype=float)
@@ -98,18 +99,6 @@ def eval_laguerre(k: int, alpha: float, u) -> np.ndarray:
     for j in range(1, k):
         prev, cur = cur, ((2 * j + 1 + alpha - u) * cur - (j + alpha) * prev) / (j + 1)
     return cur
-
-
-def binom_general_exact(a: Fraction, i: int) -> Fraction:
-    """C(a, i) exactly: prod_(j<i) (p - j q) / (q^i i!) for a = p/q, normalized once."""
-    # imported here: fractions loads decimal, which only the exact identities need
-    from fractions import Fraction
-
-    a, i = Fraction(a), max(i, 0)
-    num = 1
-    for j in range(i):
-        num *= a.numerator - j * a.denominator
-    return Fraction(num, a.denominator ** i * math.factorial(i))
 
 
 def laguerre_exp_integral(params: LaguerreParams) -> float:
@@ -144,13 +133,12 @@ def gamma_duplication_residual(z: float) -> float:
     return abs(math.expm1(lhs - rhs))
 
 
-def binom_reflection_residual(alpha: Fraction, k: int) -> Fraction:
-    """Exact residual of C(alpha, k) = C(k - alpha - 1, k) (-1)^k in rationals."""
-    from fractions import Fraction
-
-    lhs = binom_general_exact(Fraction(alpha), k)
-    rhs = binom_general_exact(Fraction(k) - Fraction(alpha) - 1, k) * (-1) ** k
-    return abs(lhs - rhs)
+def binom_reflection_holds(p: int, q: int, k: int) -> bool:
+    """Whether C(a, k) = (-1)^k C(k - a - 1, k) at a = p/q, in integers: k - a - 1
+    is ((k - 1) q - p)/q, so both sides lie over q^k k!, and the identity holds
+    iff their numerators, each a product prod_(j<k) (top - j q), agree."""
+    lhs, rhs = (math.prod(top - j * q for j in range(k)) for top in (p, (k - 1) * q - p))
+    return lhs == (-1) ** k * rhs
 
 
 def verify_laguerre_hermite_relation(

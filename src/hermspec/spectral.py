@@ -108,12 +108,37 @@ def sobolev_twisted_form(n: int, k_max: int, s: float, rule_scale: float = 1.0) 
     sigma_alpha sigma_beta with sigma_alpha = (-1)^floor(|alpha|/2): F is
     real and symmetric, and is returned as such.
     """
+    return _twisted(n, k_max, _sobolev_form(n, k_max, float(s), float(rule_scale)))
+
+
+def sobolev_ladder_form(n: int, k_max: int) -> tuple:
+    """sobolev_twisted_form at s = 1, exactly and with no rule.
+
+    On the transform side (1 + |xi|^2) multiplies by 1 + sum_c X_c^2 on the
+    degree box, X the Jacobi matrix of xi h_a = sqrt(a/2) h_(a-1) +
+    sqrt((a+1)/2) h_(a+1): X^2 holds (2a + 1)/2 at (a, a) and
+    sqrt((a+1)(a+2))/2 at (a, a+2) and (a+2, a), and is exact on the box
+    because X maps degree k_max on to k_max + 1 and back.  Twisted, it is
+    I + sum_c P_c^T P_c, P the ladder of the derivative: the H^1 norm
+    ||f||^2 + ||grad f||^2.
+    """
+    d = k_max + 1
+    a = np.arange(k_max - 1)
+    X2 = np.diag(np.arange(d) + 0.5)
+    X2[a, a + 2] = X2[a + 2, a] = 0.5 * np.sqrt((a + 1.0) * (a + 2.0))
+    M = np.eye(d ** n)
+    for c in range(n):
+        M += np.kron(np.kron(np.eye(d ** c), X2), np.eye(d ** (n - 1 - c)))
+    return _twisted(n, k_max, M)
+
+
+def _twisted(n: int, k_max: int, M: np.ndarray) -> tuple:
+    # a box form restricted to |alpha| <= k_max and twisted by the phases
     indices = _indices_upto(n, k_max)
     idx = np.array(indices)
     pos = np.ravel_multi_index(tuple(idx.T), (k_max + 1,) * n)
     sign = 1.0 - 2.0 * (idx.sum(axis=1) // 2 % 2)
-    M = _sobolev_form(n, k_max, float(s), float(rule_scale))[np.ix_(pos, pos)]
-    return indices, sign[:, None] * M * sign[None, :]
+    return indices, sign[:, None] * M[np.ix_(pos, pos)] * sign[None, :]
 
 
 # grid values per block of the Sobolev-form contraction (32 KB of weights).

@@ -398,6 +398,49 @@ def merge_identity_check(k: int) -> float:
     return abs(lhs - rhs)
 
 
+# the exact-rational binomial identities: the reference for the integer
+# predicates hermite.binom_reflection_holds and antideriv.merge_identity_holds
+
+
+def binom_general_exact(a: Fraction, i: int) -> Fraction:
+    """C(a, i) exactly: prod_(j<i) (p - j q) / (q^i i!) for a = p/q, normalized once."""
+    a, i = Fraction(a), max(i, 0)
+    num = 1
+    for j in range(i):
+        num *= a.numerator - j * a.denominator
+    return Fraction(num, a.denominator ** i * math.factorial(i))
+
+
+def binom_reflection_residual(alpha: Fraction, k: int) -> Fraction:
+    """Exact residual of C(alpha, k) = C(k - alpha - 1, k) (-1)^k in rationals."""
+    lhs = binom_general_exact(Fraction(alpha), k)
+    rhs = binom_general_exact(Fraction(k) - Fraction(alpha) - 1, k) * (-1) ** k
+    return abs(lhs - rhs)
+
+
+def partial_binomial_sum_exact(k: int, numerator: Fraction) -> Fraction:
+    """sum_{i<=k} C(a, i) exactly, a = p/q: each step moves the integer sum onto
+    the next denominator q^(i+1) (i+1)! and adds C(a, i+1) there; normalized once."""
+    a, k = Fraction(numerator), max(k, 0)
+    p, q = a.numerator, a.denominator
+    term = total = 1
+    for i in range(k):
+        term *= p - i * q
+        total = total * q * (i + 1) + term
+    return Fraction(total, q ** k * math.factorial(k))
+
+
+def merge_identity_exact(k: int) -> Fraction:
+    """Residual of the partial-sum merge identity in exact rational arithmetic;
+    zero when the identity holds."""
+    half = Fraction(1, 2)
+    lhs = partial_binomial_sum_exact(k, -half) / (k + 1) + Fraction(
+        2 * k + 1, 2 * k + 2
+    ) * partial_binomial_sum_exact(k, half)
+    rhs = partial_binomial_sum_exact(k + 1, half)
+    return lhs - rhs
+
+
 def half_line_integral_even(k: int) -> float:
     """integral_0^inf h_{2k}(t) dt in closed form.
 

@@ -11,11 +11,11 @@ from scipy.special import erf
 from hermspec import gauss_rule, hermite_functions
 from hermspec.antideriv import (
     _norm_rule,
-    merge_identity_exact,
+    merge_identity_holds,
     norm_sq_quadrature_all,
     norm_sq_routes_all,
     odd_coefficients,
-    partial_binomial_sum_exact,
+    partial_binomial_numerators,
 )
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     half_line_integral_even,
     half_line_integral_even_binomial,
     merge_identity_check,
+    merge_identity_exact,
     norm_sq_even_closed,
     norm_sq_even_quadrature,
     norm_sq_even_recursive,
@@ -34,6 +35,7 @@ from oracles import (
     norm_sq_odd_recursive,
     odd_series,
     partial_binomial_sum,
+    partial_binomial_sum_exact,
     x_even,
     x_even_at_zero_normalized,
     x_even_at_zero_sq,
@@ -253,6 +255,23 @@ def test_merge_identity():
     assert max(merge_identity_check(k) for k in range(0, 101)) <= 1e-13
     for k in range(0, 21):
         assert merge_identity_exact(k) == Fraction(0), k
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7), Fraction(-5, 3)])
+def test_partial_binomial_numerators_are_the_fraction_sums(a):
+    # T_k over q^k k! is the exact partial sum, at every k <= 40
+    p, q = a.numerator, a.denominator
+    numerators = partial_binomial_numerators(40, p, q)
+    assert len(numerators) == 41
+    for k, t in enumerate(numerators):
+        assert isinstance(t, int)
+        assert Fraction(t, q ** k * math.factorial(k)) == partial_binomial_sum_exact(k, a), k
+
+
+def test_merge_identity_holds_in_integers():
+    # the integer predicate reads what the rational residual reads, k <= 40
+    assert merge_identity_holds(40) == [merge_identity_exact(k) == 0 for k in range(41)]
+    assert all(merge_identity_holds(40)) and merge_identity_holds(0) == [True]
 
 
 def test_partial_binomial_sum_exact_matches_float():

@@ -10,8 +10,7 @@ from scipy.special import eval_genlaguerre
 
 from hermspec import (
     LaguerreParams,
-    binom_general_exact,
-    binom_reflection_residual,
+    binom_reflection_holds,
     eval_hermite_poly,
     eval_laguerre,
     gamma_duplication_residual,
@@ -22,7 +21,7 @@ from hermspec import (
 )
 from hermspec.hermite import PI_Q, SQRT2
 
-from oracles import half_line_integral_even, x_odd
+from oracles import binom_reflection_residual, half_line_integral_even, x_odd
 
 T = np.linspace(-6.0, 6.0, 241)
 
@@ -196,4 +195,12 @@ def test_binomial_reflection_exact_rational():
     for alpha in (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4)):
         for k in range(0, 21):
             assert binom_reflection_residual(alpha, k) == 0
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-5, 3)])
+def test_binomial_reflection_in_integers_matches_the_fraction_residual(a):
+    p, q = a.numerator, a.denominator
+    for k in range(41):
+        assert binom_reflection_holds(p, q, k) == (binom_reflection_residual(a, k) == 0), k
+        assert binom_reflection_holds(p, q, k)
 

@@ -2,7 +2,11 @@
 function in it is one that a run enters."""
 
 import inspect
+import os
+import subprocess
 import sys
+
+import pytest
 
 import hermspec
 from hermspec import antideriv, cli, errors, hermite, quadrature, render, spectral, verify
@@ -13,19 +17,23 @@ MODULES = (antideriv, cli, errors, hermite, quadrature, render, spectral, verify
 # integrators and the circle directions, the unused closed forms, the
 # polynomial Gauss-Hermite route, the abort error no check raises, the per-k
 # antiderivative norms, the cumulative half-line route, the even half-line
-# integral, and the Gauss-Hermite wrapper and second weight memo that
-# gauss_rule("hermite", m) replaces: deleted, or moved to the tests' oracles
+# integral, the Gauss-Hermite wrapper and second weight memo that
+# gauss_rule("hermite", m) replaces, and the Fraction-valued binomial
+# identities that the integer predicates replace: deleted, or moved to the
+# tests' oracles
 RETIRED = (
     "KernelQuery", "SpectralState", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES",
     "_SEG_WIDTH", "_cumulative_half_line", "_hermite_poly", "_hermite_sq_sum",
-    "bessel_sobolev_norm", "circle_directions",
+    "bessel_sobolev_norm", "binom_general_exact", "binom_reflection_residual",
+    "circle_directions",
     "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
     "fourier_transform_state", "gauss_hermite", "gauss_legendre", "half_line_integral_even",
     "half_line_integral_odd", "hermite_compensated_weights",
     "hermite_sobolev_norm", "integrate_cyl_2d", "integrate_radial_3d", "make_state",
-    "merge_identity_check", "norm_sq_even_closed", "norm_sq_even_recursive",
-    "norm_sq_odd_closed", "norm_sq_odd_expansion", "norm_sq_odd_recursive",
-    "oscillator_energy_sq", "parity_decompose", "partial_binomial_sum", "project",
+    "merge_identity_check", "merge_identity_exact", "norm_sq_even_closed",
+    "norm_sq_even_recursive", "norm_sq_odd_closed", "norm_sq_odd_expansion",
+    "norm_sq_odd_recursive", "oscillator_energy_sq", "parity_decompose",
+    "partial_binomial_sum", "partial_binomial_sum_exact", "project",
     "projection_kernel",
     "propagate", "random_state", "sphere_directions", "state_norm_sq", "time_avg_levels",
     "time_avg_weighted",
@@ -116,6 +124,20 @@ def test_every_memo_in_src_is_reused(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert sorted(name for name, memo in memos.items() if memo.cache_info().hits == 0) == []
+
+
+@pytest.mark.parametrize("command", ["identities", "sobolev", "all"])
+def test_runs_load_no_exact_rational_modules(tmp_path, command):
+    # the exact identities run in integers, so no command imports fractions,
+    # nor decimal, which fractions loads (about 2.7 ms and 0.3 MB resident)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermspec.__file__)))
+    code = ("import sys; from hermspec.cli import main; "
+            f"rc = main([{command!r}, '--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def _parameters(obj) -> tuple:

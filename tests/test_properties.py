@@ -1,6 +1,6 @@
 """Property tests: the Gauss rules (mass, antipodal symmetry, exactness), the
 admissibility rule of the weighted functionals, the exact-rational binomials
-against a Fraction-by-Fraction reference, and byte-determinism of a full run
+and the integer numerators against a Fraction-by-Fraction reference, and byte-determinism of a full run
 across cache state."""
 
 import math
@@ -14,12 +14,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hermspec.antideriv import partial_binomial_sum_exact  # noqa: E402
+from hermspec.antideriv import partial_binomial_numerators  # noqa: E402
 from hermspec.cli import COMMAND_CHECKS, main  # noqa: E402
-from hermspec.hermite import binom_general_exact  # noqa: E402
+from hermspec.hermite import binom_reflection_holds  # noqa: E402
 from hermspec.quadrature import gauss_rule  # noqa: E402
 from hermspec.spectral import check_admissible  # noqa: E402
 from hermspec.verify import clear_caches  # noqa: E402
+
+from oracles import binom_general_exact, partial_binomial_sum_exact  # noqa: E402
 
 # deterministic across runs, and nothing written to disk
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -146,6 +148,11 @@ def _partial_sum_reference(k: int, a: Fraction) -> Fraction:
 def test_exact_binomials_match_the_fraction_by_fraction_reference(a, k):
     assert binom_general_exact(a, k) == _binom_reference(a, k)
     assert partial_binomial_sum_exact(k, a) == _partial_sum_reference(k, a)
+    # the integer routes src runs: the numerators over q^k k!, and the reflection
+    p, q = a.numerator, a.denominator
+    total = partial_binomial_numerators(k, p, q)[k]
+    assert Fraction(total, q ** k * math.factorial(k)) == _partial_sum_reference(k, a)
+    assert binom_reflection_holds(p, q, k)
 
 
 @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7),

@@ -14,6 +14,7 @@ from hermspec.spectral import (
     level_spectrum,
     level_tops,
     poch,
+    sobolev_ladder_form,
     sobolev_twisted_form,
 )
 from hermspec.verify import ScanConfig, check_hermite_sobolev
@@ -85,8 +86,9 @@ def _sobolev_rows(report) -> list:
 
 
 def test_bessel_sobolev_gate_raises_on_nan(monkeypatch):
-    # a NaN row does not hold the doubling gate: the check skips it and
-    # reports every other row, and the per-state norm raises on it
+    # a NaN row does not hold the doubling gate of the s = 1/2 quadrature:
+    # the check skips it and reports every other row, and the per-state norm
+    # raises on it
     real = verify._trial_parts
 
     def nan_in_trial_one(*args, **kwargs):
@@ -95,7 +97,7 @@ def test_bessel_sobolev_gate_raises_on_nan(monkeypatch):
         return re, im
 
     monkeypatch.setattr(verify, "_trial_parts", nan_in_trial_one)
-    r = check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0)
+    r = check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 0.5)
     assert r.status == "inconclusive"
     assert r.parameters["unstable"] == "bessel_norm"
     modes = [f"n=1/mode k={k:02d}" for k in range(5)]
@@ -562,14 +564,19 @@ def _ladder_form(n, k_max, indices):
 
 @pytest.mark.parametrize("n, k_max", [(1, 20), (2, 12)])
 def test_sobolev_twisted_form_is_the_ladder_form_at_s1(n, k_max):
-    # ||f||^2_(H^1) = ||f||^2 + sum_j ||d_j f||^2, exact on the span
-    indices, fine = sobolev_twisted_form(n, k_max, 1.0, 2.0)
-    ladder = _ladder_form(n, k_max, indices)
+    # the exact form against its quadrature oracle, _sobolev_form at s = 1
+    # restricted and twisted: ||f||^2_(H^1) = ||f||^2 + sum_j ||d_j f||^2
+    indices, exact = sobolev_ladder_form(n, k_max)
     assert indices == [a for k in range(k_max + 1) for a in enumerate_multiindices(n, k)]
-    assert np.max(np.abs(fine - ladder)) <= 1e-13
+    assert np.array_equal(exact, exact.T)
+    # built in index space from the derivative ladder, with no twist
+    assert np.max(np.abs(exact - _ladder_form(n, k_max, indices))) <= 1e-14
+    fine_indices, fine = sobolev_twisted_form(n, k_max, 1.0, 2.0)
+    assert fine_indices == indices
+    assert np.max(np.abs(exact - fine)) <= 1e-13
     # the coarse rule under-resolves the top degrees, within the doubling gate
     _, coarse = sobolev_twisted_form(n, k_max, 1.0, 1.0)
-    assert np.max(np.abs(coarse - ladder)) <= 1e-8
+    assert np.max(np.abs(exact - coarse)) <= 1e-8
 
 
 def test_collapse_ground_state_frozen_value():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hermspec.errors import CapabilityError
-from hermspec import hermite, spectral, verify
+from hermspec import antideriv, hermite, spectral, verify
 from hermspec.hermite import hermite_functions
 from hermspec.quadrature import gauss_legendre_panels, truncation_radius
 from hermspec.verify import (
@@ -847,16 +847,66 @@ def test_sobolev_small_and_bad_order():
 
 
 def test_sobolev_gate_failure_is_inconclusive(monkeypatch):
+    # s = 1/2, the one order with a quadrature form and so a doubling gate
     _perturbed_fine_sobolev_rows(monkeypatch)
-    r = check_hermite_sobolev(ScanConfig(k_max=2, trials=1), 1.0)
+    r = check_hermite_sobolev(ScanConfig(k_max=2, trials=1), 0.5)
     assert r.status == "inconclusive"
     assert not r.passed
+
+
+@pytest.mark.parametrize("rule_scale", [1e-3, 0.25, 0.5, 0.75, 2.0])
+def test_sobolev_s1_reads_no_rule(monkeypatch, rule_scale):
+    # the exact ladder form has no rule to under-resolve: every rule scale
+    # gives the default's rows, and the quadrature route is never entered
+    default = check_hermite_sobolev(ScanConfig(), 1.0)
+    _perturbed_fine_sobolev_rows(monkeypatch)
+    forms = _count_calls(monkeypatch, spectral._sobolev_form)
+    r = check_hermite_sobolev(ScanConfig(rule_scale=rule_scale), 1.0)
+    assert (r.status, r.samples) == ("passed", default.samples)
+    assert len(r.samples) == 2 + 21 + 8 and forms == []
+    assert "route_drift" not in r.parameters
+
+
+def test_sobolev_limit_fails_on_a_raised_exact_form(monkeypatch):
+    # the n = 1 sharp sits 3e-14 below sqrt(phi) at the defaults, so a form
+    # raised by 1e-6 puts it past the closed-form supremum; its rows follow it
+    real = verify.sobolev_ladder_form
+
+    def raised(n, k_max):
+        indices, F = real(n, k_max)
+        return indices, F * (1.0 + 1e-6)
+
+    monkeypatch.setattr(verify, "sobolev_ladder_form", raised)
+    r = check_hermite_sobolev(ScanConfig(), 1.0)
+    assert (r.status, r.parameters["failed"]) == ("failed", "limit")
+    assert "unstable" not in r.parameters
+    assert r.parameters["limit_gap"]["n=1"] < 0.0 < r.parameters["limit_gap"]["n=2"]
+
+
+def test_sobolev_heinz_fails_on_a_raised_half_order_sharp(monkeypatch):
+    # the s = 1/2 sharps sit 0.3-0.4% below lambda_n^(-1/4); raised by 1% on
+    # both rules they pass their gate and fail the Loewner-Heinz bound
+    real = verify._sobolev_sharp
+    monkeypatch.setattr(verify, "_sobolev_sharp",
+                        lambda n, indices, F, s: 1.01 * real(n, indices, F, s))
+    r = check_hermite_sobolev(ScanConfig(), 0.5)
+    assert (r.status, r.parameters["failed"]) == ("failed", "heinz")
+    assert "unstable" not in r.parameters
+    assert all(gap < 0.0 for gap in r.parameters["heinz_gap"].values())
 
 
 # sharp flat/oscillator ratios at the defaults: (n = 1 at k_max 20, n = 2 at 12)
 SOBOLEV_SHARP = {
     0.5: (1.1230640355579662, 1.045312222609577),
     1.0: (1.2720196495140286, 1.0986762408587905),
+}
+
+
+# lambda_n^(-s/2), lambda_n = n (sqrt(n^2 + 4) - n) / 2: the s = 1 supremum
+# (sqrt of the golden ratio at n = 1) and its Loewner-Heinz square root
+SOBOLEV_CLOSED = {
+    0.5: ("heinz", 1.1278384855616823, 1.0481813361569694),
+    1.0: ("limit", 1.272019649514069, 1.0986841134678098),
 }
 
 
@@ -869,7 +919,19 @@ def test_sobolev_sharp_rows_hold_every_mode_and_trial(s):
     for n, expected in zip((1, 2), SOBOLEV_SHARP[s]):
         assert abs(sharp[n] - expected) <= 1e-12 * expected
     assert r.parameters["sharp"] == sharp[1] == r.sup_ratio
-    assert 0.0 <= r.parameters["route_drift"] <= verify.GATE_TOL
+    # the closed-form bound of each family and its gap, below it
+    name, *closed = SOBOLEV_CLOSED[s]
+    assert r.parameters[name] == pytest.approx({"n=1": closed[0], "n=2": closed[1]},
+                                               rel=1e-15)
+    for n in (1, 2):
+        gap = r.parameters[f"{name}_gap"][f"n={n}"]
+        assert gap == r.parameters[name][f"n={n}"] - sharp[n] and gap > 0.0
+    # s = 1 has no rule, so no gates and no route drift
+    if s == 1.0:
+        assert "route_drift" not in r.parameters and "heinz" not in r.parameters
+    else:
+        assert 0.0 <= r.parameters["route_drift"] <= verify.GATE_TOL
+        assert "limit" not in r.parameters
     rows = [lab for lab, _ in r.samples if "sharp" not in lab]
     assert len(rows) == 21 + 8
     for lab in rows:
@@ -889,7 +951,7 @@ def test_sobolev_sharp_parity_blocks_give_the_whole_pencil_top(n, k_max, s):
 def test_sobolev_sharp_s1_is_the_square_root_of_the_golden_ratio():
     # sup (1 + p)/(p + 1/(4p)) over squeezed Gaussians, at 4p^2 - 2p - 1 = 0
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    indices, F = spectral.sobolev_twisted_form(1, 20, 1.0, 2.0)
+    indices, F = spectral.sobolev_ladder_form(1, 20)
     assert abs(verify._sobolev_sharp(1, indices, F, 1.0) - math.sqrt(golden)) <= 1e-12
 
 
@@ -904,7 +966,7 @@ def test_sobolev_sharp_gates(monkeypatch):
         return real(n, indices, F, s) * (1.0 + 1e-6 * (len(reads) % 2 == 0))
 
     monkeypatch.setattr(verify, "_sobolev_sharp", rule_dependent)
-    r = check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 1.0)
+    r = check_hermite_sobolev(ScanConfig(k_max=4, trials=1), 0.5)
     assert reads == [1, 1, 2, 2]
     assert (r.status, r.parameters["unstable"]) == ("inconclusive", "sharp")
     # a row above its family's sharp value fails
@@ -916,14 +978,18 @@ def test_sobolev_sharp_gates(monkeypatch):
 def test_sobolev_forms_per_family_and_scale_not_per_state(monkeypatch):
     tables = _count_calls(monkeypatch, hermite.hermite_functions)
     forms = _count_calls(monkeypatch, spectral._sobolev_form)
+    exact = _count_calls(monkeypatch, spectral.sobolev_ladder_form)
     counts = []
-    for k_max in (6, 20):
-        tables.clear()
-        forms.clear()
-        assert check_hermite_sobolev(ScanConfig(k_max=k_max), 1.0).status == "passed"
-        counts.append((len(forms), len(tables)))
-    # two families at two rule scales, each form read by its sharp value and its rows
-    assert counts == [(4, 4), (4, 4)]
+    for s in (0.5, 1.0):
+        for k_max in (6, 20):
+            tables.clear()
+            forms.clear()
+            exact.clear()
+            assert check_hermite_sobolev(ScanConfig(k_max=k_max), s).status == "passed"
+            counts.append((len(forms), len(tables), len(exact)))
+    # two families, each form read by its sharp value and its rows: at s = 1/2
+    # on two rule scales, at s = 1 one exact form each, with no Hermite table
+    assert counts == [(4, 4, 0), (4, 4, 0), (0, 0, 2), (0, 0, 2)]
 
 
 def test_collapse_ground_value():
@@ -947,6 +1013,42 @@ def test_appendix_identities_check():
     assert r.status == "passed"
     control = dict(r.samples)["bridge-control k=01"]
     assert control >= 0.3
+
+
+def test_appendix_laguerre_rows_match_the_per_pair_route():
+    # one recurrence over the nine (alpha, beta) pairs and one dot per pair
+    # give every row the float of the per-pair evaluation, bit for bit
+    rows = dict(check_appendix_identities(ScanConfig()).samples)
+    checked = 0
+    for k in (0, 1, 2, 4, 6):
+        for alpha in (0.5, 1.0, 1.5):
+            for beta in (0.7, 1.0, 2.0):
+                nodes, weights = verify.gauss_rule("laguerre", k + 6)
+                vals = hermite.eval_laguerre(k, alpha, nodes / beta)
+                quad = float(np.dot(weights, vals)) / beta
+                closed = hermite.laguerre_exp_integral(hermite.LaguerreParams(k, alpha, beta))
+                res = abs(closed - quad) / (1.0 + abs(closed))
+                assert rows[f"laguerre k={k}/a={alpha:g}/b={beta:g}"] == res
+                checked += 1
+    assert checked == 45
+
+
+def test_appendix_reflection_merge_fails_on_a_broken_identity(monkeypatch):
+    # the merge identity with (2k + 3) for (2k + 1), on the same integer
+    # numerators, reads False at every k <= 40, and the check reads failed
+    def broken_merge(k_max):
+        minus, plus = (antideriv.partial_binomial_numerators(k_max + 1, p, 2) for p in (-1, 1))
+        return [2 * minus[k] + (2 * k + 3) * plus[k] == plus[k + 1] for k in range(k_max + 1)]
+
+    assert not any(broken_merge(40))
+    monkeypatch.setattr(verify, "merge_identity_holds", broken_merge)
+    r = check_appendix_identities(ScanConfig())
+    assert (r.status, r.parameters["failed"]) == ("failed", "reflection_merge")
+    monkeypatch.undo()
+    # a reflection that fails at one k alone fails the same predicate
+    monkeypatch.setattr(verify, "binom_reflection_holds", lambda p, q, k: k != 7)
+    r = check_appendix_identities(ScanConfig())
+    assert (r.status, r.parameters["failed"]) == ("failed", "reflection_merge")
 
 
 def test_appendix_tail_rows_come_from_one_table(monkeypatch):
