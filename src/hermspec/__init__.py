@@ -14,7 +14,6 @@ from .antideriv import (
 )
 from .errors import CapabilityError
 from .hermite import (
-    LaguerreParams,
     binom_reflection_holds,
     eval_hermite_poly,
     eval_laguerre,
@@ -24,7 +23,6 @@ from .hermite import (
     verify_laguerre_hermite_relation,
 )
 from .quadrature import (
-    QuadratureRule,
     gauss_legendre_panels,
     gauss_rule,
     radial_rule_panels,
@@ -62,14 +60,12 @@ from .verify import (
     negative_control_divergence,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CHECKS",
     "CapabilityError",
     "EstimateReport",
-    "LaguerreParams",
-    "QuadratureRule",
     "RunManifest",
     "ScanConfig",
     "binom_reflection_holds",

@@ -113,8 +113,7 @@ def partial_binomial_numerators(k_max: int, p: int, q: int) -> list:
 def _norm_rule(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     T = math.sqrt(2.0 * (2 * k_max + 1)) + 10.0
     n_panels = int(math.ceil(2.0 * T)) * max(1, int(refine))
-    rule = gauss_legendre_panels(0.0, T, n_panels, 16)
-    return rule.nodes, rule.weights
+    return gauss_legendre_panels(0.0, T, n_panels, 16)
 
 
 def norm_sq_quadrature_all(k_max: int, refine: int = 1) -> tuple[np.ndarray, np.ndarray]:

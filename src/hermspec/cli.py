@@ -10,7 +10,6 @@ output directory.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -28,8 +27,6 @@ COMMAND_CHECKS = {
     for command in dict.fromkeys(row.command for row in CHECKS.values() if row.command)
 }
 COMMAND_CHECKS["all"] = tuple(key for key, row in CHECKS.items() if row.command)
-
-_TOLERANCES = {key: row.tolerance for key, row in CHECKS.items() if row.tolerance is not None}
 
 EX_USAGE = 64
 EX_CANTCREAT = 74
@@ -66,8 +63,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--rule-scale", type=float, default=1.0,
                         help="quadrature refinement multiplier (default 1)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the equality tolerances (defaults: "
-                        + ", ".join(f"{k}={v:g}" for k, v in sorted(_TOLERANCES.items())))
+                        help="override every equality tolerance (defaults: " + ", ".join(
+                            f"{key}={row.tolerance:g}" for key, row in sorted(CHECKS.items())
+                            if row.tolerance is not None) + ")")
     parser.add_argument("--out", default="hermspec-out",
                         help="output directory (default ./hermspec-out)")
     parser.add_argument("--format", choices=("json", "csv"), default="csv",
@@ -78,18 +76,8 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> ScanConfig:
-    tolerances = None
-    if args.tol is not None:
-        if not (args.tol > 0 and math.isfinite(args.tol)):
-            raise ValueError("--tol must be finite and positive")
-        tolerances = dict.fromkeys(_TOLERANCES, args.tol)
-    return ScanConfig(
-        k_max=args.kmax,
-        trials=args.trials,
-        seed=args.seed,
-        rule_scale=args.rule_scale,
-        tolerances=tolerances,
-    )
+    return ScanConfig(k_max=args.kmax, trials=args.trials, seed=args.seed,
+                      rule_scale=args.rule_scale, tol=args.tol)
 
 
 def _select_checks(args) -> tuple:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,23 +68,6 @@ def eval_hermite_poly(k: int, t) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LaguerreParams:
-    """Degree k, type exponent alpha (> -1), and decay rate beta (> 0)."""
-
-    degree: int
-    type_exponent: float
-    decay_rate: float = 1.0
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if self.type_exponent <= -1.0:
-            raise ValueError("type exponent must be > -1")
-        if self.decay_rate <= 0.0:
-            raise ValueError("decay rate must be > 0")
-
-
 def eval_laguerre(k: int, alpha: float, u) -> np.ndarray:
     """Generalized Laguerre polynomial L_k^alpha(u) by the standard recurrence;
     alpha may be an array broadcasting against u, one recurrence for them all."""
@@ -101,15 +83,21 @@ def eval_laguerre(k: int, alpha: float, u) -> np.ndarray:
     return cur
 
 
-def laguerre_exp_integral(params: LaguerreParams) -> float:
-    """Closed form for the Laguerre exponential integral.
+def laguerre_exp_integral(k: int, alpha: float, beta: float) -> float:
+    """Closed form for the Laguerre exponential integral, degree k >= 0, type
+    exponent alpha > -1 and decay rate beta > 0.
 
     integral_0^inf L_k^alpha(u) e^(-beta u) du
         = sum_{i=0}^k C(alpha+i-1, i) (beta-1)^(k-i) / beta^(k-i+1).
     The i-th coefficient obeys term_i = term_{i-1} (alpha+i-1)/i, so the sum is
     a short stable product chain. At beta = 1 only i = k survives.
     """
-    k, alpha, beta = params.degree, params.type_exponent, params.decay_rate
+    if k < 0:
+        raise ValueError("degree must be >= 0")
+    if alpha <= -1.0:
+        raise ValueError("type exponent must be > -1")
+    if beta <= 0.0:
+        raise ValueError("decay rate must be > 0")
     term = 1.0  # C(alpha-1, 0)
     total = 0.0
     for i in range(k + 1):

@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -197,14 +196,6 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
     return x, w
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights of a rule on the line or the half line."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 def _panels(edges: np.ndarray, m: int) -> tuple:
     """Nodes and weights of the m-point Gauss-Legendre rule mapped onto every
     panel between consecutive edges."""
@@ -214,11 +205,12 @@ def _panels(edges: np.ndarray, m: int) -> tuple:
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def gauss_legendre_panels(a: float, b: float, n_panels: int, m: int) -> QuadratureRule:
-    """Composite Gauss-Legendre rule: n_panels uniform panels of m nodes on [a, b]."""
+def gauss_legendre_panels(a: float, b: float, n_panels: int, m: int) -> tuple:
+    """Nodes and weights of the composite Gauss-Legendre rule: n_panels uniform
+    panels of m nodes on [a, b]."""
     if n_panels < 1:
         raise ValueError("panel count must be >= 1")
-    return QuadratureRule(*_panels(np.linspace(a, b, n_panels + 1), m))
+    return _panels(np.linspace(a, b, n_panels + 1), m)
 
 
 def _graded_edges(R: float, n_panels: int) -> np.ndarray:
@@ -243,8 +235,9 @@ def radial_rule_panels(
     n_panels: int,
     m: int,
     allow_divergent: bool = False,
-) -> QuadratureRule:
-    """Graded-panel rule for integral_0^R G(r) r^(dim-1-2*delta) dr.
+) -> tuple:
+    """Nodes and weights of the graded-panel rule for
+    integral_0^R G(r) r^(dim-1-2*delta) dr.
 
     The weight power is folded into the quadrature weights; nodes never touch
     r = 0.  Exponents <= -1 are divergent and refused unless allow_divergent
@@ -259,7 +252,7 @@ def radial_rule_panels(
     if R <= 0:
         raise ValueError("R must be > 0")
     nodes, weights = _panels(_graded_edges(R, n_panels), m)
-    return QuadratureRule(nodes, weights * nodes ** exponent)
+    return nodes, weights * nodes ** exponent
 
 
 def truncation_radius(k_max: int, n: int) -> float:

@@ -1,8 +1,11 @@
 """Deterministic bytes of a run: manifest.json and the per-check tables.
 
-Floats print with 17 significant digits and JSON keys are sorted, so the same
-run gives the same bytes.  verify.manifest_from_json_bytes reads a manifest
-back, and the two round-trip byte for byte.
+manifest.json is the standard library's JSON encoding of the run record, with
+sorted keys and no spaces; each dataclass is written as its fields, so the
+manifest's keys are the field names, and every float as Python's shortest
+round-trip repr.  The CSV tables print floats with 17 significant digits.  A
+non-finite value raises ValueError in both.  verify.manifest_from_json_bytes
+reads a manifest back, and the two round-trip byte for byte.
 """
 
 from __future__ import annotations
@@ -30,61 +33,10 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-class _JsonText(str):
-    """Text already rendered as JSON, which _json_text emits as it is."""
-
-
-def _samples_json(samples) -> str:
-    # one string per (label, ratio) row, not a dispatch per value
-    return "[" + ",".join(f"[{json.dumps(lab)},{_fmt_float(r)}]" for lab, r in samples) + "]"
-
-
-def _json_text(obj) -> str:
-    if isinstance(obj, _JsonText):
-        return obj
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(
-            json.dumps(str(k)) + ":" + _json_text(v) for k, v in sorted(obj.items())
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_text(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _config_dict(cfg) -> dict:
-    return {
-        "k_max": cfg.k_max,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
-        "tolerances": dict(cfg.tolerances) if cfg.tolerances else None,
-    }
-
-
-def _report_dict(report) -> dict:
-    # every field as it is (the keys are sorted when rendered), the samples pre-rendered
-    return {**vars(report), "samples": _JsonText(_samples_json(report.samples))}
-
-
 def manifest_to_json_bytes(manifest: RunManifest) -> bytes:
-    obj = {
-        "version": manifest.version,
-        "config": _config_dict(manifest.config),
-        "reports": [_report_dict(r) for r in manifest.reports],
-        "wall_time_s": dict(manifest.wall_time_s),
-    }
-    return (_json_text(obj) + "\n").encode("ascii")
+    text = json.dumps(manifest, default=vars, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return (text + "\n").encode("ascii")
 
 
 CSV_HEADER = "label,ratio,tolerance,passed"

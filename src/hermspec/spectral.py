@@ -170,11 +170,12 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     them axis by axis, in slabs of the first axis.
     """
     T = truncation_radius(k_max, n)
-    rule = gauss_legendre_panels(-T, T, _sobolev_panels(n, k_max, scale), 10 if n < 3 else 8)
+    nodes, weights = gauss_legendre_panels(-T, T, _sobolev_panels(n, k_max, scale),
+                                           10 if n < 3 else 8)
     # ascending nodes and an even count per panel, so none at 0: the upper half is positive
-    N = rule.nodes.size // 2
-    assert rule.nodes[N - 1] < 0.0 < rule.nodes[N]
-    xi, w = rule.nodes[N:], 2.0 * rule.weights[N:]
+    N = nodes.size // 2
+    assert nodes[N - 1] < 0.0 < nodes[N]
+    xi, w = nodes[N:], 2.0 * weights[N:]
     d = k_max + 1
     tab = hermite_functions(k_max, xi)
     # one axis's same-parity pairs a <= a'; pair[a, a'] is its row, or one past the end

@@ -31,7 +31,6 @@ from .antideriv import (
 from .errors import CapabilityError
 from .hermite import (
     UNDERFLOW_RADIUS,
-    LaguerreParams,
     binom_reflection_holds,
     eval_laguerre,
     gamma_duplication_residual,
@@ -78,7 +77,7 @@ class ScanConfig:
     trials: int = 16
     seed: int = 42
     rule_scale: float = 1.0
-    tolerances: dict | None = None
+    tol: float | None = None
 
     def __post_init__(self):
         if self.k_max < 0:
@@ -89,18 +88,12 @@ class ScanConfig:
             raise ValueError("seed must be >= 0")
         if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
             raise ValueError("rule_scale must be finite and > 0")
-        unknown = sorted(k for k in self.tolerances or {}
-                         if k not in CHECKS or CHECKS[k].tolerance is None)
-        if unknown:
-            raise ValueError(f"no check has a tolerance named {', '.join(unknown)}")
-        for key, value in (self.tolerances or {}).items():
-            if not math.isfinite(value):
-                raise ValueError(f"tolerance for {key} must be finite")
+        if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be finite and > 0")
 
     def tolerance_for(self, key: str) -> float:
-        if self.tolerances and key in self.tolerances:
-            return float(self.tolerances[key])
-        return CHECKS[key].tolerance
+        """tol, the one override of every equality tolerance, else key's own."""
+        return CHECKS[key].tolerance if self.tol is None else self.tol
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,6 @@ class EstimateReport:
     samples: tuple
     sup_ratio: float
     tolerance: float
-    passed: bool
     status: str
 
     def __post_init__(self):
@@ -120,8 +112,10 @@ class EstimateReport:
             raise ValueError(f"unknown check {self.check!r}")
         if self.status not in ("passed", "failed", "inconclusive"):
             raise ValueError(f"unknown status {self.status!r}")
-        if self.passed != (self.status == "passed"):
-            raise ValueError("passed flag must mirror the status")
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "passed"
 
 
 class _Verdict:
@@ -169,15 +163,15 @@ class _Verdict:
                 parameters[key] = ",".join(names)
         status = "inconclusive" if self.unstable else "failed" if self.failed else "passed"
         sup = float(max((r for _, r in samples), default=0.0))
-        return EstimateReport(check, parameters, samples, sup, float(tolerance),
-                              status == "passed", status)
+        return EstimateReport(check, parameters, samples, sup, float(tolerance), status)
 
 
 def trend_slope(pairs) -> float:
     """Least-squares slope of log(sup ratio) against log(k).
 
     The fit runs on the running supremum, restricted to the upper half of the
-    scanned range.  Both guards matter: several per-level sequences oscillate
+    scanned range and past its first level (level 0 or, for the kernel
+    scans, level 1).  Both guards matter: several per-level sequences oscillate
     with parity while staying bounded (a raw fit reads the alternation as
     growth), and others step up once and then sit on an exact plateau (a
     full-range fit reads the single low start as growth).  A genuine power
@@ -185,8 +179,7 @@ def trend_slope(pairs) -> float:
     sensitivity to slow growth.
     """
     pairs = sorted(pairs)
-    k_top = max((k for k, _ in pairs), default=0)
-    k_lo = max(1, k_top // 2)
+    k_lo = max(pairs[0][0] + 1, pairs[-1][0] // 2) if pairs else 0
     sup = 0.0
     xs = []
     ys = []
@@ -298,9 +291,6 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
         "n": 1,
         "delta": 1.0,
         "mode_cap": mode_cap,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
         "target": FOUR_PI,
         "per_level_tolerance": per_level_tol,
     }
@@ -319,10 +309,9 @@ def _radial_mode_integrals(top, delta, R, n_panels, nodes_pp) -> np.ndarray:
     lifted mode, on a graded spherical product rule, is the tests' reference
     for this route.
     """
-    rule = gauss_legendre_panels(0.0, R, n_panels, nodes_pp)
-    r = rule.nodes
+    r, w = gauss_legendre_panels(0.0, R, n_panels, nodes_pp)
     h = hermite_functions(top, r)
-    return 2.0 * ((h * h) @ (rule.weights * r ** (-2.0 * delta)))
+    return 2.0 * ((h * h) @ (w * r ** (-2.0 * delta)))
 
 
 def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
@@ -346,9 +335,6 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
         "n": 3,
         "delta": 1.0,
         "mode_cap": mode_cap,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
         "radial_panels": n_panels,
         "truncation": R,
         "target": FOUR_PI,
@@ -417,9 +403,6 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
         "n": n,
         "delta": delta,
         "axes": ",".join(str(c) for c in axes),
-        "k_max": cfg.k_max,
-        "seed": cfg.seed,
-        "bound": bound,
         "trend_slope": slope,
         "s0": s0,
         "route_drift": verdict.route_drift,
@@ -462,9 +445,6 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     params = {
         "n": n,
         "deltas": ",".join(f"{d:g}" for d in deltas),
-        "k_max": cfg.k_max,
-        "seed": cfg.seed,
-        "bound": bound,
         "norm0_delta1": norm0,
         "route_drift": verdict.route_drift,
     }
@@ -495,11 +475,8 @@ def check_kernel_bound(cfg: ScanConfig, n: int) -> EstimateReport:
     verdict.require("far_tail", far_max <= 1e-10)
     params = {
         "n": n,
-        "k_max": cfg.k_max,
-        "seed": cfg.seed,
         "grid_points": int(r.size),
         "grid_edge": float(edge + 6.0),
-        "bound": bound,
         "trend_slope": slope,
         "far_diagonal_max": far_max,
     }
@@ -545,14 +522,7 @@ def check_morawetz_2d(cfg: ScanConfig) -> EstimateReport:
         ratio = TWO_PI * float(np.max(acc[t])) / math.fsum(np.hypot(re[t], im[t]) ** 2)
         samples.append((f"trial={t:02d}", ratio))
         verdict.require("bound", ratio <= bound)
-    params = {
-        "n": 2,
-        "k_max": cfg.k_max,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "grid_points": int(pts.shape[0]),
-        "bound": bound,
-    }
+    params = {"n": 2, "grid_points": int(pts.shape[0])}
     return verdict.report("morawetz_2d", params, samples, bound)
 
 
@@ -610,11 +580,6 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     params = {
         "n": 3,
         "delta": 1.0,
-        "k_max": cfg.k_max,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
-        "bound": bound,
         "sharp": sharp,
         "route_drift": verdict.route_drift,
     }
@@ -706,11 +671,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
             verdict.require("bound", ratio <= bound)
     params = {
         "s": s,
-        "k_max": cfg.k_max,
         "k_max_2d": k2,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
-        "bound": bound,
         "sharp": max(sharp.values()),
         closed_key: {f"n={n}": closed[n] for n in families},
         closed_key + "_gap": {f"n={n}": closed[n] - sharp[n] for n in families},
@@ -752,15 +713,12 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     ratios = w1 / energy_sq
     verdict.require("bound", ratios <= bound)
     samples = [("ground", ratios[0])] + [(f"trial={t:02d}", r) for t, r in enumerate(ratios[1:])]
-    params = {
-        "n": 9,
-        "k_max": k_cap,
-        "trials": trials,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
-        "bound": bound,
-        "ground_target": target,
-    }
+    params = {"n": 9, "ground_target": target}
+    # the capped level and trial count, where the cap bites
+    if k_cap != cfg.k_max:
+        params["k_max"] = k_cap
+    if trials != cfg.trials:
+        params["trials"] = trials
     return verdict.report("collapse_9d", params, samples, bound)
 
 
@@ -800,9 +758,6 @@ def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
         # the even family settles toward 2; spot the gap at 40
         verdict.require("even_limit", abs(routes.even_closed[40] - 2.0) <= 0.05)
     params = {
-        "k_max": cfg.k_max,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
         "even_bound": 3.0,
         "limit_gap_at_kmax": abs(float(routes.even_closed[cfg.k_max]) - 2.0),
     }
@@ -842,7 +797,7 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
             vals = eval_laguerre(k, alphas[:, None], nodes / betas[:, None])
             quads.append([np.dot(weights, row) / beta for row, beta in zip(vals, betas)])
         for alpha, beta, quad, quad2 in zip(alphas.tolist(), betas.tolist(), *quads):
-            closed = laguerre_exp_integral(LaguerreParams(k, alpha, beta))
+            closed = laguerre_exp_integral(k, alpha, beta)
             verdict.gate("laguerre_quadrature", quad, quad2)
             res = abs(closed - quad) / (1.0 + abs(closed))
             samples.append((f"laguerre k={k}/a={alpha:g}/b={beta:g}", res))
@@ -857,14 +812,14 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     samples.append(("reflection+merge exact", 0.0))
     # the odd antiderivative spans only lower even modes: orthogonal to the
     # next even eigenfunction up; one table gives h_2k and x_odd(k - 1)
-    rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
-    h = hermite_functions(2 * top, rule.nodes)
+    x, w = gauss_legendre_panels(-20.0, 20.0, 160, 16)
+    h = hermite_functions(2 * top, x)
     coeffs = odd_coefficients(max(top - 1, 0))
     for k in range(1, top + 1):
-        tail = np.zeros_like(rule.nodes)
+        tail = np.zeros_like(x)
         for degree in range(2 * k - 2, -1, -2):
             tail += coeffs[k - 1, degree] * h[degree]
-        res = abs(float(np.dot(rule.weights, h[2 * k] * tail)))
+        res = abs(float(np.dot(w, h[2 * k] * tail)))
         samples.append((f"tail-orthogonality k={k:02d}", res))
         verdict.require("tail_orthogonality", res <= junk_tol)
     params = {
@@ -873,8 +828,6 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
         "duplication_tolerance": dup_tol,
         "orthogonality_tolerance": junk_tol,
         "exact_k_max": top,
-        "seed": cfg.seed,
-        "rule_scale": cfg.rule_scale,
     }
     return verdict.report("appendix_identities", params, samples, tol)
 
@@ -884,31 +837,29 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
 
     The weighted integral is log-divergent at the origin, so deepening the
     graded panels must keep growing the value; the control passes when two
-    panel doublings at least double it.
+    panel doublings at least double it, and that factor is its tolerance.
     """
+    required = 2.0
     R = truncation_radius(0, 2)
     values = []
     samples = []
     for n_panels in (40, 80, 160):
-        rule = radial_rule_panels(2, 1.0, R, n_panels, 12, allow_divergent=True)
+        r, w = radial_rule_panels(2, 1.0, R, n_panels, 12, allow_divergent=True)
         # |Phi_0(x)|^2 = e^(-|x|^2) / pi is radial: its angular integral is 2 e^(-r^2)
-        r = rule.nodes
-        v = 2.0 * float(np.dot(rule.weights, np.exp(-r * r)))
+        v = 2.0 * float(np.dot(w, np.exp(-r * r)))
         values.append(v)
         samples.append((f"panels={n_panels:03d}", v))
     verdict = _Verdict()
     verdict.require("growth", values[0] > 0 and values[1] > values[0] and values[2] > values[1])
-    verdict.require("doubling", values[2] >= 2.0 * values[0])
+    verdict.require("doubling", values[2] >= required * values[0])
     params = {
         "n": 2,
         "delta": 1.0,
-        "seed": cfg.seed,
         "negative_control": True,
         "growth_factor": values[2] / values[0] if values[0] else 0.0,
-        "required_growth": 2.0,
     }
     # a divergent integral has no doubling gate: growth itself is the verdict
-    return verdict.report("negative_control", params, samples, 2.0)
+    return verdict.report("negative_control", params, samples, required)
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +872,7 @@ class Check:
     that runs it (None: only --negative-controls does), stream is the index in
     its seed sequences [seed, stream, ...], and k_max_limit is its largest
     k_max, for k_max_reason.  An equality check has a two-sided tolerance on
-    its target, which ScanConfig.tolerances may override; an inequality check
+    its target, which ScanConfig.tol overrides; an inequality check
     has a one-sided bound on its sup ratio."""
 
     run: Callable
@@ -993,35 +944,9 @@ CHECKS = {
 # reading a manifest back (render.py writes it)
 
 
-def _config_from_dict(d: dict) -> ScanConfig:
-    return ScanConfig(
-        k_max=int(d["k_max"]),
-        trials=int(d["trials"]),
-        seed=int(d["seed"]),
-        rule_scale=float(d["rule_scale"]),
-        tolerances={k: float(v) for k, v in d["tolerances"].items()}
-        if d.get("tolerances")
-        else None,
-    )
-
-
-def _report_from_dict(d: dict) -> EstimateReport:
-    return EstimateReport(
-        check=d["check"],
-        parameters=d["parameters"],
-        samples=tuple((lab, float(r)) for lab, r in d["samples"]),
-        sup_ratio=float(d["sup_ratio"]),
-        tolerance=float(d["tolerance"]),
-        passed=d["passed"],
-        status=d["status"],
-    )
-
-
 def manifest_from_json_bytes(data: bytes) -> RunManifest:
+    """The run record that manifest_to_json_bytes wrote, every field as written."""
     obj = json.loads(data.decode("ascii"))
-    return RunManifest(
-        version=str(obj["version"]),
-        config=_config_from_dict(obj["config"]),
-        reports=tuple(_report_from_dict(r) for r in obj["reports"]),
-        wall_time_s={k: float(v) for k, v in obj.get("wall_time_s", {}).items()},
-    )
+    reports = tuple(EstimateReport(**{**r, "samples": tuple(map(tuple, r["samples"]))})
+                    for r in obj["reports"])
+    return RunManifest(**{**obj, "config": ScanConfig(**obj["config"]), "reports": reports})

@@ -16,7 +16,6 @@ from hermspec.errors import CapabilityError
 from hermspec.hermite import eval_laguerre
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
-    QuadratureRule,
     gauss_rule,
     radial_rule_panels,
 )
@@ -35,7 +34,6 @@ from hermspec.spectral import (
     poch,
     sobolev_twisted_form,
 )
-from hermspec.render import _config_dict, _json_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,8 +64,8 @@ def kernel_diagonal_ratio(n: int, k: int, grid) -> float:
     return float(vals.max() / k ** (n / 2.0 - 1.0))
 
 
-def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
-    """Absorbing rule for integral_0^inf G(r) r^(dim-1-2*delta) dr, Gaussian-decaying G.
+def radial_rule_absorbing(dim: int, delta: float, m: int) -> tuple:
+    """Nodes and weights of the absorbing rule for integral_0^inf G(r) r^(dim-1-2*delta) dr, Gaussian-decaying G.
 
     Substituting s = r^2 gives (1/2) integral q(s) s^alpha e^(-s) ds with
     alpha = (dim - 2*delta - 2)/2 and q(s) = G(sqrt(s)) e^(+s); generalized
@@ -87,9 +85,7 @@ def radial_rule_absorbing(dim: int, delta: float, m: int) -> QuadratureRule:
             f"absorbing rule limited to {MAX_LAGUERRE_NODES} nodes (e^s weight overflow)"
         )
     s, lam = gauss_rule("laguerre", m, alpha)
-    nodes = np.sqrt(s)
-    weights = 0.5 * lam * np.exp(s)
-    return QuadratureRule(nodes, weights)
+    return np.sqrt(s), 0.5 * lam * np.exp(s)
 
 
 def _even_count(x: float) -> int:
@@ -127,9 +123,9 @@ def _level_grid(n: int, k: int, delta: float, wd: tuple, scale: float, divide: b
         )
     else:
         raise ValueError("weighted-axis count must be 1, 2, or 3")
-    r = radial.nodes
+    r, w = radial
     base_pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dw)
-    base_w = (radial.weights[:, None] * dwts[None, :]).ravel()
+    base_w = (w[:, None] * dwts[None, :]).ravel()
     return base_pts, base_w
 
 
@@ -570,29 +566,6 @@ def collapse_trace_norm(state, rule_scale: float = 1.0) -> float:
     return TWO_PI * total
 
 
-def manifest_json_reference(manifest) -> bytes:
-    """manifest.json through the generic renderer alone, one _json_text
-    dispatch per value: the oracle of verify.manifest_to_json_bytes."""
-    obj = {
-        "version": manifest.version,
-        "config": _config_dict(manifest.config),
-        "reports": [
-            {
-                "check": r.check,
-                "parameters": dict(r.parameters),
-                "samples": [[lab, x] for lab, x in r.samples],
-                "sup_ratio": r.sup_ratio,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "status": r.status,
-            }
-            for r in manifest.reports
-        ],
-        "wall_time_s": dict(manifest.wall_time_s),
-    }
-    return (_json_text(obj) + "\n").encode("ascii")
-
-
 # ---------------------------------------------------------------------------
 # the per-state routes: a SpectralState's values, phases, projections and
 # norms one state at a time, where the checks read coefficient rows against
@@ -884,8 +857,8 @@ def sphere_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]
     return dirs.reshape(-1, 3), w
 
 
-def _radial_angular_sum(radial: QuadratureRule, dirs, dw, F, chunk=262144) -> float:
-    r = radial.nodes
+def _radial_angular_sum(radial: tuple, dirs, dw, F, chunk=262144) -> float:
+    r, w = radial
     parts = []
     n_dir = dirs.shape[0]
     block = max(1, chunk // n_dir)
@@ -894,7 +867,7 @@ def _radial_angular_sum(radial: QuadratureRule, dirs, dw, F, chunk=262144) -> fl
         pts = rr[:, None, None] * dirs[None, :, :]
         vals = F(*(pts[..., c] for c in range(dirs.shape[1])))
         ang = np.dot(np.asarray(vals, dtype=float), dw)
-        parts.append(float(np.dot(radial.weights[lo : lo + block], ang)))
+        parts.append(float(np.dot(w[lo : lo + block], ang)))
     return math.fsum(parts)
 
 

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre
 
 from hermspec import (
-    LaguerreParams,
     binom_reflection_holds,
     eval_hermite_poly,
     eval_laguerre,
@@ -153,8 +152,7 @@ def test_laguerre_recurrence_against_scipy():
 
 def test_laguerre_exp_integral_against_quadrature():
     for k, alpha, beta in [(0, 0.5, 1.5), (2, 0.5, 2.0), (3, -0.25, 1.0), (5, 1.0, 3.0)]:
-        params = LaguerreParams(degree=k, type_exponent=alpha, decay_rate=beta)
-        closed = laguerre_exp_integral(params)
+        closed = laguerre_exp_integral(k, alpha, beta)
         val, err = quad(
             lambda u: float(eval_laguerre(k, alpha, np.array([u]))[0]) * math.exp(-beta * u),
             0.0,
@@ -165,12 +163,12 @@ def test_laguerre_exp_integral_against_quadrature():
 
 
 def test_laguerre_params_validation():
-    with pytest.raises(ValueError):
-        LaguerreParams(degree=-1, type_exponent=0.5, decay_rate=1.0)
-    with pytest.raises(ValueError):
-        LaguerreParams(degree=2, type_exponent=-1.5, decay_rate=1.0)
-    with pytest.raises(ValueError):
-        LaguerreParams(degree=2, type_exponent=0.5, decay_rate=0.0)
+    with pytest.raises(ValueError, match="degree"):
+        laguerre_exp_integral(-1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="type exponent"):
+        laguerre_exp_integral(2, -1.5, 1.0)
+    with pytest.raises(ValueError, match="decay rate"):
+        laguerre_exp_integral(2, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("k", range(0, 11))

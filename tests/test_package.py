@@ -18,12 +18,16 @@ MODULES = (antideriv, cli, errors, hermite, quadrature, render, spectral, verify
 # polynomial Gauss-Hermite route, the abort error no check raises, the per-k
 # antiderivative norms, the cumulative half-line route, the even half-line
 # integral, the Gauss-Hermite wrapper and second weight memo that
-# gauss_rule("hermite", m) replaces, and the Fraction-valued binomial
-# identities that the integer predicates replace: deleted, or moved to the
-# tests' oracles
+# gauss_rule("hermite", m) replaces, the Fraction-valued binomial
+# identities that the integer predicates replace, the rule and Laguerre
+# parameter records that plain tuples and arguments replace, and the
+# hand-rolled JSON writer that the standard encoder replaces: deleted, or
+# moved to the tests' oracles
 RETIRED = (
-    "KernelQuery", "SpectralState", "ToleranceError", "_QUARTER_PHASES", "_SEG_NODES",
-    "_SEG_WIDTH", "_cumulative_half_line", "_hermite_poly", "_hermite_sq_sum",
+    "KernelQuery", "LaguerreParams", "QuadratureRule", "SpectralState", "ToleranceError",
+    "_JsonText", "_QUARTER_PHASES", "_SEG_NODES",
+    "_SEG_WIDTH", "_config_dict", "_cumulative_half_line", "_hermite_poly", "_hermite_sq_sum",
+    "_json_text", "_report_dict", "_samples_json",
     "bessel_sobolev_norm", "binom_general_exact", "binom_reflection_residual",
     "circle_directions",
     "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
@@ -42,8 +46,6 @@ RETIRED = (
 # the functions no run of `hermspec all` enters, each with why it stays
 NOT_RUN = {
     "verify.manifest_from_json_bytes": "contract: reads a manifest back (benchmark gate)",
-    "verify._config_from_dict": "contract: manifest_from_json_bytes's config half",
-    "verify._report_from_dict": "contract: manifest_from_json_bytes's report half",
     "verify.clear_caches": "contract: drops every memo, for honest re-runs",
     "cli._Parser.error": "argparse's usage-error hook, entered only on bad usage",
 }
@@ -62,7 +64,6 @@ def test_no_export_takes_a_basis_argument():
     for name in ("HermiteBasis", "eval_h", "eval_h_all") + RETIRED:
         assert name not in hermspec.__all__ and not hasattr(hermspec, name)
         assert not any(hasattr(module, name) for module in MODULES), name
-    assert not hasattr(quadrature.QuadratureRule, "integrate")
     takes_basis = [name for name in hermspec.__all__
                    if "basis" in _parameters(getattr(hermspec, name))]
     assert takes_basis == []

@@ -200,12 +200,12 @@ def test_eigenrelation_finite_differences():
 def test_fourier_eigenrelation():
     # unitary angular-frequency transform sends the degree-k mode to (-i)^k itself
     T = 16.0
-    rule = gauss_legendre_panels(-T, T, 64, 12)
+    nodes, weights = gauss_legendre_panels(-T, T, 64, 12)
     xi = np.linspace(-3.0, 3.0, 20)
     for k in (0, 1, 2, 5, 9, 15):
-        hk = hermite_functions(k, rule.nodes)[k]
+        hk = hermite_functions(k, nodes)[k]
         transform = np.array(
-            [np.dot(rule.weights, hk * np.exp(-1j * rule.nodes * x)) for x in xi]
+            [np.dot(weights, hk * np.exp(-1j * nodes * x)) for x in xi]
         ) / math.sqrt(TWO_PI)
         expected = (-1j) ** k * hermite_functions(k, xi)[k]
         assert np.max(np.abs(transform - expected)) < 1e-8, k
@@ -471,20 +471,20 @@ def _bessel_grid_reference(state, s, scale):
     # the grid is walked in slabs of the first axis so n = 3 stays small
     T = truncation_radius(state.k_max, state.n)
     n_panels = spectral._sobolev_panels(state.n, state.k_max, scale)
-    rule = gauss_legendre_panels(-T, T, n_panels, 10 if state.n < 3 else 8)
+    nodes, weights = gauss_legendre_panels(-T, T, n_panels, 10 if state.n < 3 else 8)
     fhat = fourier_transform_state(state)
-    xi_sq = rule.nodes ** 2
+    xi_sq = nodes ** 2
     total = 0.0
-    for lo in range(0, rule.nodes.size, 16):
+    for lo in range(0, nodes.size, 16):
         sl = slice(lo, lo + 16)
-        vals = evaluate_state_grid(fhat, [rule.nodes[sl]] + [rule.nodes] * (state.n - 1))
+        vals = evaluate_state_grid(fhat, [nodes[sl]] + [nodes] * (state.n - 1))
         weight = 1.0 + xi_sq[sl].reshape((-1,) + (1,) * (state.n - 1))
         for c in range(1, state.n):
             weight = weight + xi_sq.reshape((-1,) + (1,) * (state.n - 1 - c))
         dens = np.abs(vals) ** 2 * weight ** s
-        dens = np.tensordot(dens, rule.weights[sl], axes=([0], [0]))
+        dens = np.tensordot(dens, weights[sl], axes=([0], [0]))
         for _ in range(state.n - 1):
-            dens = np.tensordot(dens, rule.weights, axes=([0], [0]))
+            dens = np.tensordot(dens, weights, axes=([0], [0]))
         total += float(dens)
     return total
 

@@ -2,6 +2,7 @@
 serialization round-trips, and each scan at desk scale."""
 
 import dataclasses
+import json
 import math
 import sys
 import tracemalloc
@@ -48,7 +49,6 @@ from oracles import (
     ToleranceError,
     kernel_diagonal_ratio,
     make_state,
-    manifest_json_reference,
     oscillator_energy_sq,
     project,
     random_state,
@@ -73,35 +73,39 @@ def test_scan_config_validation():
         ScanConfig(seed=-1)
     with pytest.raises(ValueError):
         ScanConfig(rule_scale=0.0)
-    # a tolerance key that names no check is refused, not ignored
-    with pytest.raises(ValueError, match="odd_identiy"):
-        ScanConfig(k_max=2, trials=1, tolerances={"odd_identiy": 1e-30})
+    # the tolerance override is one positive number
+    for bad in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            ScanConfig(tol=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scan_config_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="rule_scale"):
         ScanConfig(rule_scale=bad)
-    with pytest.raises(ValueError, match="tolerance for odd_identity"):
-        ScanConfig(tolerances={"odd_identity": bad})
+    with pytest.raises(ValueError, match="tol must be finite"):
+        ScanConfig(tol=bad)
 
 
 def test_scan_config_overrides():
-    cfg = ScanConfig(tolerances={"odd_identity": 1e-3})
-    assert cfg.tolerance_for("odd_identity") == 1e-3
-    assert cfg.tolerance_for("antideriv_norms") == CHECKS["antideriv_norms"].tolerance
+    equality = [key for key, row in CHECKS.items() if row.tolerance is not None]
+    cfg = ScanConfig(tol=1e-3)
+    assert [cfg.tolerance_for(key) for key in equality] == [1e-3] * len(equality)
+    assert [ScanConfig().tolerance_for(key) for key in equality] == [
+        CHECKS[key].tolerance for key in equality]
 
 
 def test_report_invariants():
     with pytest.raises(ValueError):
-        EstimateReport("no_such_check", {}, (), 0.0, 1.0, True, "passed")
+        EstimateReport("no_such_check", {}, (), 0.0, 1.0, "passed")
     with pytest.raises(ValueError):
-        EstimateReport("kato_nd", {}, (), 0.0, 1.0, True, "amazing")
-    with pytest.raises(ValueError):
-        # flag contradicts status
-        EstimateReport("kato_nd", {}, (), 0.0, 1.0, True, "failed")
-    r = EstimateReport("kato_nd", {}, (("k=0", 2.0),), 2.0, 4.0, True, "passed")
+        EstimateReport("kato_nd", {}, (), 0.0, 1.0, "amazing")
+    r = EstimateReport("kato_nd", {}, (("k=0", 2.0),), 2.0, 4.0, "passed")
     assert r.sup_ratio == 2.0
+    # the verdict is stored once: passed reads the status and cannot be set
+    assert r.passed and not EstimateReport("kato_nd", {}, (), 0.0, 1.0, "failed").passed
+    with pytest.raises(AttributeError):
+        r.passed = False
 
 
 def test_trend_slope_behaviour():
@@ -113,6 +117,13 @@ def test_trend_slope_behaviour():
     assert abs(trend_slope(alt)) < 1e-12
     assert trend_slope([(1, 1.0)]) == 0.0
     assert trend_slope([]) == 0.0
+    # the fit drops the first scanned level, here 1, at any length: the one
+    # step up is no trend at two and three levels, while k^0.2 growth still is
+    for k_top in (2, 3):
+        assert abs(trend_slope(flat[:k_top])) < 1e-12
+    for k_top in (3, 20):
+        grow = [(k, 0.1 * k**0.2) for k in range(1, k_top + 1)]
+        assert trend_slope(grow) == pytest.approx(0.2, rel=1e-9)
 
 
 def test_check_streams_are_pinned():
@@ -256,7 +267,6 @@ def test_odd_identity_small():
     r = check_odd_identity(SMALL)
     assert r.status == "passed"
     assert r.check == "odd_identity"
-    assert r.parameters["seed"] == SMALL.seed
     funcs = [v for lab, v in r.samples if lab.endswith("functional")]
     assert len(funcs) == SMALL.trials
     for v in funcs:
@@ -1026,7 +1036,7 @@ def test_appendix_laguerre_rows_match_the_per_pair_route():
                 nodes, weights = verify.gauss_rule("laguerre", k + 6)
                 vals = hermite.eval_laguerre(k, alpha, nodes / beta)
                 quad = float(np.dot(weights, vals)) / beta
-                closed = hermite.laguerre_exp_integral(hermite.LaguerreParams(k, alpha, beta))
+                closed = hermite.laguerre_exp_integral(k, alpha, beta)
                 res = abs(closed - quad) / (1.0 + abs(closed))
                 assert rows[f"laguerre k={k}/a={alpha:g}/b={beta:g}"] == res
                 checked += 1
@@ -1058,11 +1068,11 @@ def test_appendix_tail_rows_come_from_one_table(monkeypatch):
     assert len(tables) == 1
     monkeypatch.undo()
     # oracle: each row from its own h_2k table and x_odd(k - 1) table
-    rule = gauss_legendre_panels(-20.0, 20.0, 160, 16)
+    x, w = gauss_legendre_panels(-20.0, 20.0, 160, 16)
     rows = dict(r.samples)
     for k in range(1, 21):
-        integrand = hermite_functions(2 * k, rule.nodes)[2 * k] * x_odd(k - 1, rule.nodes)
-        assert rows[f"tail-orthogonality k={k:02d}"] == abs(float(np.dot(rule.weights, integrand)))
+        integrand = hermite_functions(2 * k, x)[2 * k] * x_odd(k - 1, x)
+        assert rows[f"tail-orthogonality k={k:02d}"] == abs(float(np.dot(w, integrand)))
 
 
 def test_negative_control_grows():
@@ -1162,17 +1172,6 @@ def test_ratio_scaling_covariance():
     assert abs(r_f - r_g) <= 1e-13 * max(1.0, abs(r_f))
 
 
-def test_reports_carry_config_seed():
-    cfg = ScanConfig(k_max=3, trials=2, seed=99)
-    for rep in (
-        check_kernel_bound(cfg, 2),
-        check_morawetz_2d(cfg),
-        check_antideriv_norms(cfg),
-        negative_control_divergence(cfg),
-    ):
-        assert rep.parameters["seed"] == 99
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -1199,8 +1198,6 @@ def test_manifest_empty_reports():
     data = manifest_to_json_bytes(m)
     m2 = manifest_from_json_bytes(data)
     assert m2.reports == ()
-    import json
-
     assert json.loads(data)["reports"] == []
 
 
@@ -1223,12 +1220,59 @@ def test_csv_shape_and_precision():
 
 def test_csv_quotes_awkward_labels():
     rep = EstimateReport(
-        "kato_nd", {}, (('k=0,extra "quoted"', 1.0),), 1.0, 2.0, True, "passed"
+        "kato_nd", {}, (('k=0,extra "quoted"', 1.0),), 1.0, 2.0, "passed"
     )
     m = RunManifest("0.0-test", ScanConfig(), (rep,))
     body = emit_table(m, "csv").decode("ascii")
     line = body.split("\r\n")[1]
     assert line.startswith('"k=0,extra ""quoted""",')
+
+
+def test_manifest_stores_each_fact_once(tmp_path):
+    # the standard encoder's canonical bytes; the run's settings live in
+    # config alone, each bound in its report's tolerance, the override in tol
+    from hermspec.cli import main
+
+    argv = ["all", "--negative-controls", "--kmax", "4", "--trials", "2", "--tol", "1e-3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    data = (tmp_path / "manifest.json").read_bytes()
+    obj = json.loads(data)
+    assert data == (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    assert manifest_to_json_bytes(manifest_from_json_bytes(data)) == data
+    assert obj["config"] == {"k_max": 4, "trials": 2, "seed": 42, "rule_scale": 1.0, "tol": 1e-3}
+    reports = {r["check"]: r for r in obj["reports"]}
+    assert len(reports) == len(CHECKS)
+    for key, r in reports.items():
+        assert "passed" not in r, key
+        assert not {"seed", "rule_scale", "trials", "bound"} & set(r["parameters"]), key
+        # an equality check reads the override, an inequality check its bound,
+        # and the divergence demonstration its required growth, 2
+        row = CHECKS[key]
+        expected = 1e-3 if row.tolerance is not None else row.bound or 2.0
+        assert r["tolerance"] == expected, key
+    # collapse_9d caps k_max at 3: the one report that records a k_max
+    assert {key: r["parameters"]["k_max"] for key, r in reports.items()
+            if "k_max" in r["parameters"]} == {"collapse_9d": 3}
+
+
+def test_reports_carry_config_seed():
+    # the seed is stored once, in the manifest's config, and the config read
+    # back reproduces every seeded report exactly
+    cfg = ScanConfig(k_max=3, trials=2, seed=99)
+    checks = (
+        lambda c: check_kernel_bound(c, 2),
+        check_morawetz_2d,
+        check_antideriv_norms,
+        negative_control_divergence,
+    )
+    reports = tuple(check(cfg) for check in checks)
+    data = manifest_to_json_bytes(RunManifest("0.0-test", cfg, reports))
+    m = manifest_from_json_bytes(data)
+    assert m.config.seed == 99
+    for check, rep in zip(checks, reports):
+        assert "seed" not in rep.parameters
+        clear_caches()
+        assert check(m.config) == rep
 
 
 def test_manifest_rendering_matches_the_generic_renderer_on_a_full_run(tmp_path):
@@ -1237,17 +1281,18 @@ def test_manifest_rendering_matches_the_generic_renderer_on_a_full_run(tmp_path)
     assert main(["all", "--out", str(tmp_path)]) == 0
     data = (tmp_path / "manifest.json").read_bytes()
     m = manifest_from_json_bytes(data)
-    assert manifest_to_json_bytes(m) == manifest_json_reference(m) == data
+    generic = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")) + "\n"
+    assert manifest_to_json_bytes(m) == generic.encode() == data
 
 
 def test_non_finite_samples_refused():
-    rep = EstimateReport("kato_nd", {}, (("k=0", float("inf")),), 1.0, 2.0, True, "passed")
+    rep = EstimateReport("kato_nd", {}, (("k=0", float("inf")),), 1.0, 2.0, "passed")
     with pytest.raises(ValueError):
         manifest_to_json_bytes(RunManifest("0.0-test", ScanConfig(), (rep,)))
 
 
 def test_non_finite_floats_refused():
-    rep = EstimateReport("kato_nd", {}, (("k=0", 1.0),), 1.0, 2.0, True, "passed")
+    rep = EstimateReport("kato_nd", {}, (("k=0", 1.0),), 1.0, 2.0, "passed")
     m = RunManifest("0.0-test", ScanConfig(), (rep,), {"kato_nd": float("nan")})
     with pytest.raises(ValueError):
         manifest_to_json_bytes(m)
