@@ -60,12 +60,6 @@ def build_parser() -> _Parser:
                         help="random states per randomized check (default 16)")
     parser.add_argument("--seed", type=int, default=42,
                         help="root seed for every random draw (default 42)")
-    parser.add_argument("--rule-scale", type=float, default=1.0,
-                        help="quadrature refinement multiplier (default 1)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override every equality tolerance (defaults: " + ", ".join(
-                            f"{key}={row.tolerance:g}" for key, row in sorted(CHECKS.items())
-                            if row.tolerance is not None) + ")")
     parser.add_argument("--out", default="hermspec-out",
                         help="output directory (default ./hermspec-out)")
     parser.add_argument("--format", choices=("json", "csv"), default="csv",
@@ -73,11 +67,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--negative-controls", action="store_true",
                         help="include the divergence demonstration")
     return parser
-
-
-def _config_from_args(args) -> ScanConfig:
-    return ScanConfig(k_max=args.kmax, trials=args.trials, seed=args.seed,
-                      rule_scale=args.rule_scale, tol=args.tol)
 
 
 def _select_checks(args) -> tuple:
@@ -133,7 +122,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
+        cfg = ScanConfig(k_max=args.kmax, trials=args.trials, seed=args.seed)
         keys = _select_checks(args)
     except ValueError as exc:
         sys.stderr.write(f"hermspec: error: {exc}\n")

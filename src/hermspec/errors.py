@@ -2,4 +2,6 @@
 
 
 class CapabilityError(ValueError):
-    """A request exceeds what the constructed object can deliver (e.g. degree > max_degree)."""
+    """A request past one of the package's declared limits, such as a Gauss
+    rule's node cap or a check's k_max limit; a ValueError, so callers that
+    catch that catch this too."""

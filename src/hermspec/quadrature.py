@@ -109,12 +109,13 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
 
     family "legendre" is weight 1 on [-1, 1], "hermite" e^(-x^2) on the line,
     "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
-    MAX_LAGUERRE_NODES nodes) and "jacobi" (1-x)^alpha (1+x)^beta on [-1, 1]
-    (alpha, beta > -1).  Golub-Welsch: the nodes are the Jacobi matrix's
-    eigenvalues, polished by one Newton step, for which one recurrence pass gives
-    p_(m-1) and p_m (and so p_m'); a second pass gives p_(m-1) at the polished
-    nodes, and the weights are 1/(p_(m-1) p_m') (Jacobi: 1/((1-x^2) p_m'^2),
-    from the second pass) scaled to the weight's total mass.
+    MAX_LAGUERRE_NODES nodes, CapabilityError past it) and "jacobi"
+    (1-x)^alpha (1+x)^beta on [-1, 1] (alpha, beta > -1).  Golub-Welsch: the
+    nodes are the Jacobi matrix's eigenvalues, polished by one Newton step,
+    for which one recurrence pass gives p_(m-1) and p_m (and so p_m'); a
+    second pass gives p_(m-1) at the polished nodes, and the weights are
+    1/(p_(m-1) p_m') (Jacobi: 1/((1-x^2) p_m'^2), from the second pass)
+    scaled to the weight's total mass.
     Hermite rules use the normalized Hermite functions h_j, which never overflow,
     up to MAX_HERMITE_NODES nodes (CapabilityError past it), and their weights
     are compensated: c = w e^(x^2) = 1 / sum_(j<m) h_j^2, scaled so that
@@ -152,7 +153,7 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
         if alpha <= -1.0:
             raise ValueError("Laguerre exponent must be > -1")
         if m > MAX_LAGUERRE_NODES:
-            raise ValueError(f"Laguerre rules limited to {MAX_LAGUERRE_NODES} nodes")
+            raise CapabilityError(f"Gauss-Laguerre rules limited to {MAX_LAGUERRE_NODES} nodes")
         mass = math.gamma(alpha + 1.0)
         x = _golub_welsch(2 * np.arange(m, dtype=float) + alpha + 1, -np.sqrt(k * (k + alpha)))
         # in the scaled polynomials of _laguerre_poly, L_m' = m (L_m - L_(m-1)) / x

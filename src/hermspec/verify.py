@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,29 +72,19 @@ GATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan parameters; the seed fixes every pseudo-random draw."""
+    """Scan parameters, all integers; the seed fixes every pseudo-random draw."""
 
     k_max: int = 20
     trials: int = 16
     seed: int = 42
-    rule_scale: float = 1.0
-    tol: float | None = None
 
     def __post_init__(self):
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (self.rule_scale > 0 and math.isfinite(self.rule_scale)):
-            raise ValueError("rule_scale must be finite and > 0")
-        if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be finite and > 0")
-
-    def tolerance_for(self, key: str) -> float:
-        """tol, the one override of every equality tolerance, else key's own."""
-        return CHECKS[key].tolerance if self.tol is None else self.tol
+        for name, least in (("k_max", 0), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,7 @@ class _Verdict:
     """One check's verdict by name: require records a predicate and gate a
     rule-doubling (or two-route) gate.  Each name that does not hold is kept
     once, in first-failure order; route_drift is the largest
-    |fine - coarse| / |fine| of the scalar gates."""
+    |fine - coarse| / |fine| of every gate, where fine != 0."""
 
     def __init__(self):
         self.failed, self.unstable, self.route_drift = {}, {}, 0.0
@@ -132,24 +123,17 @@ class _Verdict:
         if not (holds.all() if isinstance(holds, np.ndarray) else holds):
             self.failed[name] = None
 
-    def gate(self, name: str, coarse, fine, rules=None):
-        """Holds where |fine - coarse| <= GATE_TOL (1 + |fine|) and, if rules
-        gives the two rules' sizes, they differ: one rule twice is no gate.
-        Returns where it held, a bool or (for arrays) a bool array; the name
-        is kept unless it held everywhere."""
-        drift = abs(fine - coarse)
-        held = drift <= GATE_TOL * (1.0 + abs(fine))
-        one_rule = rules is not None and rules[0] == rules[1]
-        if isinstance(held, np.ndarray):
-            held &= not one_rule
-            everywhere = held.all()
-        else:
-            if fine and drift / abs(fine) > self.route_drift:
-                self.route_drift = drift / abs(fine)
-            held = everywhere = bool(held) and not one_rule
-        if not everywhere:
+    def gate(self, name: str, coarse, fine):
+        """Holds where |fine - coarse| <= GATE_TOL (1 + |fine|).  Returns where
+        it held, a bool or (for arrays) a bool array; the name is kept unless
+        it held everywhere.  A NaN neither holds nor raises route_drift."""
+        drift, size = np.abs(np.subtract(fine, coarse)), np.abs(fine)
+        held = drift <= GATE_TOL * (1.0 + size)
+        rel = drift / np.where(size > 0, size, np.inf)
+        self.route_drift = float(np.fmax.reduce(rel, axis=None, initial=self.route_drift))
+        if not held.all():
             self.unstable[name] = None
-        return held
+        return held if held.ndim else bool(held)
 
     def report(self, check, parameters, samples, tolerance) -> EstimateReport:
         """Inconclusive when a gate did not hold or there are no samples, else
@@ -256,7 +240,7 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     and each level must contribute 2*pi times twice its squared coefficient.
     """
     _require_k_max(cfg, "odd_identity")
-    tol = cfg.tolerance_for("odd_identity")
+    tol = CHECKS["odd_identity"].tolerance
     per_level_tol = 1e-9
     mode_cap = 2 * cfg.k_max + 1
     # in 1D each odd level k holds the single mode (k,)
@@ -266,23 +250,21 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
 
     def level_terms(scale):
         # g |c|^2 per trial and level, g each level's 1x1 form, all on the top level's rules
-        forms = spectral._level_form(1, mode_cap, 1.0, (0,), float(scale),
+        forms = spectral._level_form(1, mode_cap, 1.0, (0,), scale,
                                      tuple(((k,),) for k in ks))
         g = np.array([G[0, 0] for G in forms])
         return re * (g * re) + im * (g * im)
 
     verdict = _Verdict()
-    scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
-    lv1, lv2 = level_terms(scales[0]), level_terms(scales[1])
-    # two tau rules on the node floor are one rule
-    verdict.gate("levels", lv1, lv2, [spectral._tau_nodes(mode_cap, r) for r in scales])
+    lv1, lv2 = level_terms(1.0), level_terms(2.0)
+    verdict.gate("levels", lv1, lv2)
     verdict.require("per_level", np.abs(lv1 - 2.0 * sq) <= per_level_tol)
+    # every trial's functional on each rule
+    v1, v2 = (TWO_PI * np.array([math.fsum(row) for row in lv]) for lv in (lv1, lv2))
+    verdict.gate("functional", v1, v2)
     samples = []
     for t in range(cfg.trials):
-        v1 = TWO_PI * math.fsum(lv1[t])
-        v2 = TWO_PI * math.fsum(lv2[t])
-        verdict.gate("functional", v1, v2)
-        ratio = v1 / math.fsum(sq[t])
+        ratio = v1[t] / math.fsum(sq[t])
         samples.append((f"trial={t:02d}/functional", ratio))
         verdict.require("identity", abs(ratio - FOUR_PI) <= tol * FOUR_PI)
         samples += [(f"trial={t:02d}/level k={k:02d}", v)
@@ -324,13 +306,14 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
     validation ends the scan as inconclusive, with the failure in the
     parameters under "error".
     """
-    tol = cfg.tolerance_for("radial_3d_identity")
+    _require_k_max(cfg, "radial_3d_identity")
+    tol = CHECKS["radial_3d_identity"].tolerance
     corr_tol = 1e-10
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
-    # panels about one oscillation of the top mode's square wide; at least 20,
-    # so a shrunken rule reads as an unstable functional, not a failed identity
-    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
+    # panels about one oscillation of the top mode's square wide; the floor
+    # of 20 only binds at small k_max
+    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
     params = {
         "n": 3,
         "delta": 1.0,
@@ -392,8 +375,7 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
     bound = CHECKS["kato_nd"].bound
     verdict = _Verdict()
     samples = [(f"k={k:02d}", TWO_PI * s_k) for k, s_k in enumerate(tops)]
-    for s_k, quad in zip(tops, quads):
-        verdict.gate("level_top", quad, s_k)
+    verdict.gate("level_top", quads, tops)
     verdict.require("bound", all(ratio <= bound for _, ratio in samples))
     slope = trend_slope((k, ratio) for k, (_, ratio) in enumerate(samples))
     verdict.require("trend", slope <= TREND_SLOPE_MAX)
@@ -427,20 +409,17 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
     slopes = {}
     norm0 = -1.0
     for delta in deltas:
-        one_sided = []
-        tops = zip(*level_tops(n, cfg.k_max, delta, axes),
-                   *level_tops(n, cfg.k_max, 2.0 * delta, axes))
-        for k, (one, q1, two, q2) in enumerate(tops):
-            verdict.gate("level_top", q1, one)
-            verdict.gate("level_top", q2, two)
-            one_sided.append((k, one))
+        (ones, q1), (twos, q2) = (level_tops(n, cfg.k_max, p, axes) for p in (delta, 2 * delta))
+        verdict.gate("level_top", q1, ones)
+        verdict.gate("level_top", q2, twos)
+        for k, (one, two) in enumerate(zip(ones, twos)):
             samples.append((f"delta={delta:g}/k={k:02d}/one_sided", one))
             samples.append((f"delta={delta:g}/k={k:02d}/two_sided", two))
             verdict.require("bound", one <= bound and two <= bound)
-        verdict.require("ground", abs(one_sided[0][1] - _ground_top(n, delta)) <= 1e-8)
+        verdict.require("ground", abs(ones[0] - _ground_top(n, delta)) <= 1e-8)
         if delta == 1.0:
-            norm0 = one_sided[0][1]
-        slopes[delta] = trend_slope(one_sided)
+            norm0 = ones[0]
+        slopes[delta] = trend_slope(enumerate(ones))
         verdict.require("trend", slopes[delta] <= TREND_SLOPE_MAX)
     params = {
         "n": n,
@@ -548,8 +527,7 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         for k in range(0, cfg.k_max + 1, 2)
     }
     # every even level's form on the top even level's rules
-    forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), float(cfg.rule_scale),
-                                 tuple(even.values()))
+    forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), 1.0, tuple(even.values()))
     # the ground state's term: level 0's form is its one entry
     v0 = TWO_PI * forms[0][0, 0]
     samples = [("ground", v0)]
@@ -560,11 +538,13 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     cols = np.cumsum([0] + [len(level) for level in even.values()])
     re, im = _trial_parts(cfg, "even_3d", int(cols[-1]))
     tops, quads = level_tops(3, cfg.k_max, 2.0, (0, 1, 2))
+    # each even level's exact top, gated by its form's top and its quadrature top
+    even_tops = [tops[k] for k in even]
+    verdict.gate("level_top", [np.linalg.eigvalsh(form)[-1] for form in forms], even_tops)
+    verdict.gate("level_top", [quads[k] for k in even], even_tops)
     terms = []
     for k, form, lo, hi in zip(even, forms, cols, cols[1:]):
         s_k = tops[k]
-        for quad in (float(np.linalg.eigvalsh(form)[-1]), quads[k]):
-            verdict.gate("level_top", quad, s_k)
         samples.append((f"k={k:02d}", TWO_PI * s_k))
         sharp = max(sharp, TWO_PI * s_k)
         # every trial's level term c^H G c at once; G is real
@@ -628,17 +608,15 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
     k2 = min(cfg.k_max, 12)
     families = {1: cfg.k_max, 2: k2}
     # the quadrature's two rules; at s = 1 the one exact form has none
-    scales = () if s == 1.0 else (cfg.rule_scale, 2.0 * cfg.rule_scale)
+    scales = () if s == 1.0 else (1.0, 2.0)
     # each family's forms, read by its sharp value and its rows
     forms = {n: [sobolev_twisted_form(n, k, s, r) for r in scales] or [sobolev_ladder_form(n, k)]
              for n, k in families.items()}
-    # one rule twice (the panel floor) is no gate
-    panels = {n: [spectral._sobolev_panels(n, k, r) for r in scales] for n, k in families.items()}
     sharp = {}
     for n in families:
         *coarse, sharp[n] = (_sobolev_sharp(n, indices, F, s) for indices, F in forms[n])
         if coarse:
-            verdict.gate("sharp", coarse[0], sharp[n], panels[n])
+            verdict.gate("sharp", coarse[0], sharp[n])
         samples.append((f"n={n}/sharp", sharp[n]))
     # lambda_n^(-s/2), lambda_n = n (sqrt(n^2 + 4) - n) / 2: the supremum at
     # s = 1, and its square root by Loewner-Heinz at s = 1/2
@@ -659,8 +637,7 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
             im = np.vstack([np.zeros((degree.size, degree.size)), im])
             labels = [f"n=1/mode k={j:02d}" for j in range(k + 1)] + labels
         *coarse, bess_sq = (spectral._quadratic_rows(F, re, im) for _, F in forms[n])
-        held = (verdict.gate("bessel_norm", coarse[0], bess_sq, panels[n]) if coarse
-                else [True] * len(labels))
+        held = verdict.gate("bessel_norm", coarse[0], bess_sq) if coarse else [True] * len(labels)
         herm_sq = (re * re + im * im) @ (2.0 * degree + n) ** s
         for label, b_sq, h_sq, gated in zip(labels, bess_sq, herm_sq, held):
             if not gated:
@@ -688,7 +665,7 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     level's collapse form (spectral._collapse_forms), and the energy is
     sum (2|alpha| + 9)^2 |c_alpha|^2.  The ground state and the trials are
     rows of one draw matrix, read against the forms at the configured and at
-    the doubled rule scale.
+    the doubled rule.
     """
     bound = CHECKS["collapse_9d"].bound
     k_cap = min(cfg.k_max, 3)
@@ -701,12 +678,10 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
     # the ground state, the unit coefficient of (0,...,0), is row 0
     re, im = np.vstack([np.eye(1, cols[-1]), re]), np.vstack([np.zeros((1, cols[-1])), im])
 
-    scales = (cfg.rule_scale, 2.0 * cfg.rule_scale)
     w1, w2 = (TWO_PI * sum(spectral._quadratic_rows(E, re[:, lo:hi], im[:, lo:hi])
                            for E, lo, hi in zip(forms, cols, cols[1:]))
-              for forms in spectral._collapse_forms(k_cap, scales))
-    # one rule twice (node floor) is no gate
-    verdict.gate("trace_norm", w1, w2, [spectral._collapse_nodes(k_cap, r) for r in scales])
+              for forms in spectral._collapse_forms(k_cap, (1.0, 2.0)))
+    verdict.gate("trace_norm", w1, w2)
     target = TWO_PI * 3.0 ** -1.5 * math.pi ** -3
     verdict.require("ground", abs(w1[0] - target) <= 1e-8)
     energy_sq = (re * re + im * im) @ (2.0 * np.repeat(np.arange(k_cap + 1), sizes) + 9.0) ** 2
@@ -729,26 +704,26 @@ def check_collapse_9d(cfg: ScanConfig) -> EstimateReport:
 def check_antideriv_norms(cfg: ScanConfig) -> EstimateReport:
     """Three-route agreement of the antiderivative norms, with the even bound."""
     _require_k_max(cfg, "antideriv_norms")
-    tol = cfg.tolerance_for("antideriv_norms")
+    tol = CHECKS["antideriv_norms"].tolerance
     samples = []
     verdict = _Verdict()
     # every k on one rule per refinement; refine 2 is the doubling gate
     odd1, even1 = norm_sq_quadrature_all(cfg.k_max)
     odd2, even2 = norm_sq_quadrature_all(cfg.k_max, refine=2)
     routes = norm_sq_routes_all(cfg.k_max)
+    verdict.gate("odd_quadrature", odd1, odd2)
+    verdict.gate("even_quadrature", even1, even2)
     for k in range(cfg.k_max + 1):
         # the odd closed form is 2 at every k
         orr = float(routes.odd_recursive[k])
         oe = float(routes.odd_expansion[k])
         oq = float(odd1[k])
-        verdict.gate("odd_quadrature", oq, float(odd2[k]))
         verdict.require("odd_routes", abs(orr - 2.0) <= tol and abs(oe - 2.0) <= tol
                         and abs(oq - 2.0) <= tol and abs(oq - orr) <= tol)
         samples.append((f"odd k={k:02d}", oq))
         ec = float(routes.even_closed[k])
         er = float(routes.even_recursive[k])
         eq = float(even1[k])
-        verdict.gate("even_quadrature", eq, float(even2[k]))
         verdict.require("even_routes",
                         abs(er - ec) <= tol and abs(eq - ec) <= tol and abs(eq - er) <= tol)
         verdict.require("even_bound", ec <= 3.0 + 1e-12)
@@ -768,7 +743,7 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
     """Bundled support identities: the polynomial bridge (with its deliberate
     broken-prefactor control), the exponential integral, duplication,
     reflection, merge, and orthogonality of the antiderivative tail."""
-    tol = cfg.tolerance_for("appendix_identities")
+    tol = CHECKS["appendix_identities"].tolerance
     bridge_tol = 1e-10
     control_min = 0.3
     dup_tol = 1e-12
@@ -796,9 +771,9 @@ def check_appendix_identities(cfg: ScanConfig) -> EstimateReport:
             nodes, weights = gauss_rule("laguerre", m)
             vals = eval_laguerre(k, alphas[:, None], nodes / betas[:, None])
             quads.append([np.dot(weights, row) / beta for row, beta in zip(vals, betas)])
-        for alpha, beta, quad, quad2 in zip(alphas.tolist(), betas.tolist(), *quads):
+        verdict.gate("laguerre_quadrature", *quads)
+        for alpha, beta, quad in zip(alphas.tolist(), betas.tolist(), quads[0]):
             closed = laguerre_exp_integral(k, alpha, beta)
-            verdict.gate("laguerre_quadrature", quad, quad2)
             res = abs(closed - quad) / (1.0 + abs(closed))
             samples.append((f"laguerre k={k}/a={alpha:g}/b={beta:g}", res))
             verdict.require("laguerre", res <= tol)
@@ -872,8 +847,9 @@ class Check:
     that runs it (None: only --negative-controls does), stream is the index in
     its seed sequences [seed, stream, ...], and k_max_limit is its largest
     k_max, for k_max_reason.  An equality check has a two-sided tolerance on
-    its target, which ScanConfig.tol overrides; an inequality check
-    has a one-sided bound on its sup ratio."""
+    its target; an inequality check has a one-sided bound on its sup ratio.
+    A gated check builds its configured rule at scale 1 and its doubled rule
+    at scale 2."""
 
     run: Callable
     command: str | None
@@ -891,12 +867,12 @@ _LEVEL_SCAN_LIMIT = dict(
 
 # Every check by its key, in the order `all` runs them.  The streams fix
 # every trial row: the kernel and Sobolev pairs share one each.  The
-# k_max_limit rows are read before any work: antideriv_norms, odd_identity
-# and even_3d read their own, and the command line reads those of every
-# selected check before the first check runs.  The bounds sit 27% (even-3d)
-# to 4x (collapse) above the scan records at the default configuration:
-# kato 4*pi, kernel 0.32 (n=2) and 0.19 (n=3), operator 2.0, morawetz 2.0,
-# even-3d 4*pi (the sharp value at every even level), sobolev 1.1231 (s=1/2)
+# k_max_limit rows are read before any work: antideriv_norms, odd_identity,
+# radial_3d_identity and even_3d read their own, and the command line reads
+# those of every selected check before the first check runs.  The bounds sit
+# 27% (even-3d) to 4x (collapse) above the scan records at the default
+# configuration: kato 4*pi, kernel 0.32 (n=2) and 0.19 (n=3), operator 2.0,
+# morawetz 2.0, even-3d 4*pi (the sharp value at every even level), sobolev 1.1231 (s=1/2)
 # and 1.2720 (s=1; the sharp values of the n = 1 family), collapse 4.81e-4.
 # Besides its bound, each Sobolev sharp value is held below its closed form:
 # the limit predicate reads the s = 1 supremum (sqrt of the golden ratio at
@@ -916,8 +892,14 @@ CHECKS = {
         k_max_limit=(MAX_HERMITE_NODES - 2) // 2,
         k_max_reason=f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes",
         tolerance=1e-7),
+    # the top mode's lifted norm on the doubled rule is off by 5.5e-13 at this
+    # k_max, 1/180 of the 1e-10 validation tolerance, and 4x more per step up
     "radial_3d_identity": Check(
-        lambda cfg, opt: check_radial_3d_identity(cfg), "identities", 1, tolerance=1e-6),
+        lambda cfg, opt: check_radial_3d_identity(cfg), "identities", 1, k_max_limit=343,
+        k_max_reason="its top mode's lifted norm, validated to 1e-10, loses precision as the "
+        f"mode reaches r = {UNDERFLOW_RADIUS:.1f}, past which the Hermite recurrence's start "
+        "value underflows",
+        tolerance=1e-6),
     "appendix_identities": Check(
         lambda cfg, opt: check_appendix_identities(cfg), "identities", 10, tolerance=1e-9),
     "kato_nd": Check(lambda cfg, opt: check_kato(cfg, opt["n"], opt["delta"]), "kato", 2,

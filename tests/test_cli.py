@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: flags, files, exit codes."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,13 +8,14 @@ import sys
 
 import pytest
 
-from hermspec import verify
+from hermspec import spectral, verify
 from hermspec.cli import (
     CHECK_REGISTRY,
     COMMAND_CHECKS,
     EX_CANTCREAT,
     EX_USAGE,
     _write_outputs,
+    build_parser,
     main,
 )
 from hermspec.verify import (
@@ -28,6 +30,17 @@ from hermspec.verify import (
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _shrink_identity_rules(monkeypatch):
+    # odd_identity's tau rules cut to 2 and 4 nodes, and the radial lift's
+    # functional to its 20-panel floor (its doubled rule to 40): under-resolved
+    # rules, each doubled rule still a different rule
+    monkeypatch.setattr(spectral, "_tau_nodes", lambda k, scale: int(2 * scale))
+    real = verify._radial_mode_integrals
+    monkeypatch.setattr(verify, "_radial_mode_integrals",
+                        lambda top, delta, R, panels, nodes_pp:
+                        real(top, delta, R, 20 * nodes_pp // 8, nodes_pp))
 
 
 def test_every_command_maps_to_registered_checks():
@@ -77,7 +90,6 @@ def test_usage_errors_exit_64(capsys):
     assert main(["norms", "--bogus"]) == EX_USAGE
     assert main([]) == EX_USAGE
     assert main(["norms", "--kmax", "-3"]) == EX_USAGE
-    assert main(["norms", "--tol", "-1"]) == EX_USAGE
     # the flag does nothing outside kato and all, so it is refused there
     assert main(["norms", "--negative-controls", "--kmax", "2"]) == EX_USAGE
     assert "only to the kato and all commands" in capsys.readouterr().err
@@ -114,15 +126,34 @@ def test_kernel_scan_at_two_and_three_levels_exits_0(tmp_path, capsys, kmax):
 
 
 @pytest.mark.parametrize("argv", [
-    ["kato", "--rule-scale", "nan"],
-    ["kato", "--rule-scale", "inf"],
-    ["norms", "--tol", "nan"],
-    ["norms", "--tol", "inf"],
+    ["kato", "--delta", "nan"],
+    ["kato", "--delta", "inf"],
+    ["kato", "--delta=-inf"],
+    ["kato", "--n", "5", "--delta", "nan"],
 ])
 def test_non_finite_values_exit_64_and_write_nothing(tmp_path, capsys, argv):
+    # --delta is the one float option
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EX_USAGE
-    assert "must be finite" in capsys.readouterr().err
+    assert "hermspec: error: delta must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_option_set_is_pinned():
+    # a run varies k_max, trials and seed; the other options pick the checks,
+    # the per-level scan's dimension and weight, and the files written
+    options = {action.dest for action in build_parser()._actions}
+    assert options == {"help", "version", "command", "n", "delta", "kmax", "trials", "seed",
+                       "out", "format", "negative_controls"}
+    assert [f.name for f in dataclasses.fields(ScanConfig)] == ["k_max", "trials", "seed"]
+
+
+@pytest.mark.parametrize("argv", [["all", "--rule-scale", "2"], ["norms", "--tol", "1e-3"]])
+def test_removed_rule_and_tolerance_options_exit_64(tmp_path, capsys, argv):
+    # each check's rules and tolerances live in its CHECKS row
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EX_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -178,29 +209,37 @@ def test_norms_refuses_a_kmax_past_the_underflow_limit_before_any_check(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, check", [
-    ("identities", "odd_identity"), ("sobolev", "sobolev_s05"), ("collapse", "collapse_9d")])
-def test_coincident_doubling_rules_are_inconclusive(tmp_path, capsys, command, check):
-    # this scale puts each check's configured and doubled rule on the node or
-    # panel floor, so they are one rule and the doubling gate shows nothing
+def test_identities_refuses_a_kmax_past_the_lift_limit_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    # past 343 the radial lift's top mode loses its norm to the Hermite
+    # recurrence's underflow; the run is refused up front, not left unstable
+    limit = verify.CHECKS["radial_3d_identity"].k_max_limit
+    assert limit == 343
+
+    def ran(cfg, opt):
+        raise AssertionError("a check ran")
+
+    for key in COMMAND_CHECKS["identities"]:
+        monkeypatch.setitem(CHECK_REGISTRY, key, ran)
     out = tmp_path / "run"
-    assert main([command, "--rule-scale", "1e-3", "--out", str(out)]) == 2
-    assert f"{check}: inconclusive" in capsys.readouterr().out
-    manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
-    statuses = {key: r.status for key, r in zip(COMMAND_CHECKS[command], manifest.reports)}
-    assert statuses[check] == "inconclusive"
-    assert "failed" not in statuses.values()
+    assert main(["identities", "--kmax", str(limit + 1), "--out", str(out)]) == EX_USAGE
+    err = capsys.readouterr().err
+    assert "hermspec: error: radial_3d_identity is supported up to k_max = 343: " in err
+    assert "r = 37.6" in err and "underflows" in err
+    assert not out.exists()
 
 
-def test_reports_name_why_they_did_not_pass_and_round_trip(tmp_path, capsys):
+def test_reports_name_why_they_did_not_pass_and_round_trip(tmp_path, capsys, monkeypatch):
+    _shrink_identity_rules(monkeypatch)
     out = tmp_path / "run"
-    assert main(["identities", "--rule-scale", "1e-3", "--out", str(out)]) == 2
+    assert main(["identities", "--out", str(out)]) == 2
     capsys.readouterr()
     data = _read(out / "manifest.json")
     manifest = manifest_from_json_bytes(data)
     odd, radial, appendix = manifest.reports
-    # both rules sit on the node floor, and the per-level terms are off too
-    assert odd.parameters["unstable"] == "levels"
+    assert (odd.status, radial.status) == ("inconclusive", "inconclusive")
+    # the two shrunken rules disagree, and the per-level terms are off too
+    assert odd.parameters["unstable"] == "levels,functional"
     assert odd.parameters["failed"] == "per_level,identity"
     assert radial.parameters["unstable"] == "functional"
     assert appendix.status == "passed"
@@ -289,15 +328,17 @@ def test_unwritable_out_exits_74(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_failure_exits_1(tmp_path, capsys):
-    # an impossible equality tolerance forces a clean failure
+def test_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # an impossible equality tolerance in the check's row forces a clean failure
+    impossible = dataclasses.replace(verify.CHECKS["antideriv_norms"], tolerance=1e-30)
+    monkeypatch.setitem(verify.CHECKS, "antideriv_norms", impossible)
     out = tmp_path / "run"
-    code = main(["norms", "--kmax", "6", "--tol", "1e-30", "--out", str(out)])
+    code = main(["norms", "--kmax", "6", "--out", str(out)])
     assert code == 1
     capsys.readouterr()
     manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
     assert manifest.reports[0].status == "failed"
-    assert manifest.config.tol == 1e-30
+    assert manifest.reports[0].tolerance == 1e-30
 
 
 def test_inconclusive_exits_2(tmp_path, capsys, monkeypatch):

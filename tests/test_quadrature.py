@@ -14,7 +14,7 @@ from hermspec import (
 )
 from hermspec import quadrature
 from hermspec.errors import CapabilityError
-from hermspec.quadrature import MAX_HERMITE_NODES
+from hermspec.quadrature import MAX_HERMITE_NODES, MAX_LAGUERRE_NODES
 
 from oracles import (
     circle_directions,
@@ -402,6 +402,14 @@ def test_gauss_hermite_past_its_node_limit_raises():
     # the rule that used to come back with NaN nodes
     with pytest.raises(CapabilityError):
         gauss_rule("hermite", 800)
+
+
+def test_gauss_laguerre_past_its_node_limit_raises():
+    # the same error type as the Hermite cap, still a ValueError
+    gauss_rule("laguerre", MAX_LAGUERRE_NODES)
+    with pytest.raises(CapabilityError, match=f"limited to {MAX_LAGUERRE_NODES} nodes"):
+        gauss_rule("laguerre", 151, 0.5)
+    assert MAX_LAGUERRE_NODES == 150 and issubclass(CapabilityError, ValueError)
 
 
 def test_hermite_compensated_weights_memo():

@@ -108,16 +108,20 @@ def test_bessel_sobolev_gate_raises_on_nan(monkeypatch):
         bessel_sobolev_norm(make_state(1, {(0,): 1.0, (1,): complex(np.nan)}), 1.0)
 
 
-def test_bessel_sobolev_gate_raises_on_the_panel_floor():
-    # both rules sit on the 4-panel floor: one rule twice is no gate, for any row
+def test_bessel_sobolev_gate_raises_on_the_panel_floor(monkeypatch):
+    # at scales 1e-3 and 2e-3 both of the oracle's rules sit on the 4-panel
+    # floor: one rule twice is no gate, so it raises for any row
     assert spectral._sobolev_panels(1, 20, 1e-3) == spectral._sobolev_panels(1, 20, 2e-3) == 4
     assert spectral._sobolev_panels(2, 12, 1e-3) == spectral._sobolev_panels(2, 12, 2e-3) == 4
-    r = check_hermite_sobolev(ScanConfig(rule_scale=1e-3), 0.5)
+    with pytest.raises(ToleranceError, match="no doubling gate"):
+        bessel_sobolev_norm(random_state(1, 20, [7, 1]), 0.5, rule_scale=1e-3)
+    # the check's rules shrunk to 4 and 8 panels: two rules, and neither
+    # resolves any row, so every row is skipped
+    monkeypatch.setattr(spectral, "_sobolev_panels", lambda n, k_max, scale: int(4 * scale))
+    r = check_hermite_sobolev(ScanConfig(), 0.5)
     assert r.status == "inconclusive"
     assert r.parameters["unstable"] == "sharp,bessel_norm"
     assert _sobolev_rows(r) == []
-    with pytest.raises(ToleranceError, match="no doubling gate"):
-        bessel_sobolev_norm(random_state(1, 20, [7, 1]), 0.5, rule_scale=1e-3)
 
 
 def test_propagate_phases():
@@ -870,7 +874,8 @@ def test_radial_eigenvalue_ground_values_and_limits():
 
 def test_admissibility_rule_names_each_case():
     for dw, delta, odd, text in [
-        (3, -0.1, False, "delta must be >= 0"),
+        (3, -0.1, False, "delta must be finite and >= 0"),
+        (3, math.inf, False, "delta must be finite and >= 0"),
         (1, 1.5, True, "one-axis weight needs delta <= 1"),
         (1, 0.5, False, "needs every mode odd"),
         (2, 1.0, False, "two-axis weight needs delta < 1"),

@@ -71,28 +71,32 @@ def test_scan_config_validation():
         ScanConfig(trials=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ScanConfig(seed=-1)
-    with pytest.raises(ValueError):
-        ScanConfig(rule_scale=0.0)
-    # the tolerance override is one positive number
-    for bad in (0.0, -1e-3):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            ScanConfig(tol=bad)
+    # every field is an integer; numpy's are accepted
+    for field in ("k_max", "trials", "seed"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScanConfig(**{field: 2.0})
+    assert ScanConfig(k_max=np.int64(3)).k_max == 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scan_config_rejects_non_finite_values(bad):
-    with pytest.raises(ValueError, match="rule_scale"):
-        ScanConfig(rule_scale=bad)
-    with pytest.raises(ValueError, match="tol must be finite"):
-        ScanConfig(tol=bad)
+    for field in ("k_max", "trials", "seed"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScanConfig(**{field: bad})
 
 
-def test_scan_config_overrides():
+def test_scan_config_overrides(monkeypatch):
+    # a check's tolerance is its CHECKS row's, and a replaced row moves it
     equality = [key for key, row in CHECKS.items() if row.tolerance is not None]
-    cfg = ScanConfig(tol=1e-3)
-    assert [cfg.tolerance_for(key) for key in equality] == [1e-3] * len(equality)
-    assert [ScanConfig().tolerance_for(key) for key in equality] == [
-        CHECKS[key].tolerance for key in equality]
+    assert equality == ["antideriv_norms", "odd_identity", "radial_3d_identity",
+                        "appendix_identities"]
+    cfg = ScanConfig(k_max=4, trials=2)
+    runs = {key: CHECKS[key].run for key in equality}
+    for key in equality:
+        assert runs[key](cfg, {}).tolerance == CHECKS[key].tolerance
+        monkeypatch.setitem(CHECKS, key, dataclasses.replace(CHECKS[key], tolerance=1e-30))
+        r = runs[key](cfg, {})
+        assert (r.tolerance, r.status) == (1e-30, "failed"), key
 
 
 def test_report_invariants():
@@ -153,17 +157,16 @@ def test_verdict_recorder_names_what_did_not_hold():
     v.require("nan", math.nan <= 1.0)
     v.require("array", np.array([1.0, math.nan]) <= 2.0)
     v.require("nan", False)
-    v.gate("agrees", 1.0, 1.0 + 1e-12, rules=(40, 80))
+    v.gate("agrees", 1.0, 1.0 + 1e-12)
     v.gate("nan_drift", 1.0, math.nan)
-    v.gate("one_rule", 1.0, 1.0, rules=(4, 4))
     v.gate("nan_drift", 2.0, 1.0)
     assert list(v.failed) == ["nan", "array"]
-    assert list(v.unstable) == ["nan_drift", "one_rule"]
+    assert list(v.unstable) == ["nan_drift"]
     # the largest |fine - coarse| / |fine|; a NaN drift does not raise it
     assert v.route_drift == 1.0
     r = v.report("kato_nd", {"n": 3}, [("k=00", 2.0)], 20.0)
     assert r.status == "inconclusive"
-    assert r.parameters == {"n": 3, "failed": "nan,array", "unstable": "nan_drift,one_rule"}
+    assert r.parameters == {"n": 3, "failed": "nan,array", "unstable": "nan_drift"}
 
     failing = verify._Verdict()
     failing.require("bound", 3.0 <= 2.0)
@@ -179,14 +182,53 @@ def test_gate_returns_where_it_held():
     # an array gate holds entry by entry; a NaN entry does not hold
     held = v.gate("rows", np.array([1.0, 1.0, 2.0]), np.array([1.0, math.nan, 2.0 + 1e-6]))
     assert held.tolist() == [True, False, False]
-    # one rule twice holds nowhere, however close the values
-    assert v.gate("floor", np.ones(3), np.ones(3), rules=(4, 4)).tolist() == [False] * 3
-    assert v.gate("everywhere", np.ones(2), np.ones(2), rules=(4, 8)).tolist() == [True] * 2
+    assert v.gate("everywhere", np.ones(2), np.ones(2)).tolist() == [True] * 2
     # a scalar gate returns a bool, also for numpy scalars
     assert v.gate("scalar", np.float64(1.0), np.float64(1.0)) is True
-    assert v.gate("scalar_floor", 1.0, 1.0, rules=(4, 4)) is False
     assert v.gate("scalar_nan", 1.0, math.nan) is False
-    assert list(v.unstable) == ["rows", "floor", "scalar_floor", "scalar_nan"]
+    assert list(v.unstable) == ["rows", "scalar_nan"]
+
+
+def test_array_gates_feed_route_drift():
+    # an array gate's drift is its largest |fine - coarse| / |fine| over the
+    # entries where fine != 0; a NaN or zero entry does not raise it
+    v = verify._Verdict()
+    v.gate("rows", np.array([[1.0, 0.0], [4.0, math.nan]]), np.array([[1.5, 1e-3], [2.0, 1.0]]))
+    assert v.route_drift == 1.0
+    v.gate("scalar", 1.0, 1.25)
+    assert v.route_drift == 1.0
+    v.gate("rows", np.array([0.0, 1.5]), np.array([0.0, 0.25]))
+    assert v.route_drift == 5.0
+    assert v.gate("no_rows", np.zeros(0), np.zeros(0)).tolist() == []
+    assert v.route_drift == 5.0
+
+
+def test_every_doubled_rule_differs_from_its_configured_rule(monkeypatch):
+    # each gated check builds its configured rule at scale 1 and its doubled
+    # rule at scale 2, so the gate compares two rules at every k_max it runs at
+    for k_max in range(CHECKS["odd_identity"].k_max_limit + 1):
+        mode_cap = 2 * k_max + 1
+        assert spectral._tau_nodes(mode_cap, 1.0) < spectral._tau_nodes(mode_cap, 2.0)
+        for n in (1, 2):
+            assert spectral._sobolev_panels(n, k_max, 1.0) < spectral._sobolev_panels(
+                n, k_max, 2.0), (n, k_max)
+    # collapse_9d stops at level 3; sobolev_s05 has no k_max limit
+    for k_cap in range(4):
+        assert spectral._collapse_nodes(k_cap, 1.0) < spectral._collapse_nodes(k_cap, 2.0)
+    for k_max in range(CHECKS["odd_identity"].k_max_limit + 1, 1000):
+        assert spectral._sobolev_panels(1, k_max, 1.0) < spectral._sobolev_panels(1, k_max, 2.0)
+    # the radial lift's functional, on (panels, nodes per panel): the norm and
+    # the doubled rule share one rule, twice the configured one
+    rules = []
+    monkeypatch.setattr(verify, "_radial_mode_integrals",
+                        lambda top, delta, R, panels, nodes_pp:
+                        rules.append((delta, panels, nodes_pp)) or np.zeros(top + 1))
+    for k_max in range(CHECKS["radial_3d_identity"].k_max_limit + 1):
+        rules.clear()
+        check_radial_3d_identity(ScanConfig(k_max=k_max, trials=1))
+        (_, norm, nodes_n), (_, coarse, nodes_c), (_, fine, nodes_f) = rules
+        assert (norm, nodes_n) == (fine, nodes_f) == (2 * coarse, 2 * nodes_c)
+        assert coarse >= 20
 
 
 def test_no_check_assigns_its_verdict_by_hand():
@@ -282,8 +324,6 @@ def test_odd_identity_node_cap_is_checked_up_front():
     assert check_odd_identity(ScanConfig(k_max=150, trials=1)).status == "passed"
     with pytest.raises(CapabilityError, match="up to k_max = 363"):
         check_odd_identity(ScanConfig(k_max=364, trials=1))
-    with pytest.raises(CapabilityError, match="up to k_max = 363"):
-        check_odd_identity(ScanConfig(k_max=364, trials=1, rule_scale=40.0))
 
 
 def test_radial_3d_small():
@@ -592,8 +632,8 @@ def test_odd_identity_trials_match_the_per_trial_route(seed):
     for t in range(cfg.trials):
         g = random_state(1, 2 * cfg.k_max + 1, [seed, CHECKS["odd_identity"].stream, t],
                          parity="odd")
-        levels1 = time_avg_levels(g, 1.0, rule_scale=cfg.rule_scale)
-        levels2 = time_avg_levels(g, 1.0, rule_scale=2.0 * cfg.rule_scale)
+        levels1 = time_avg_levels(g, 1.0, rule_scale=1.0)
+        levels2 = time_avg_levels(g, 1.0, rule_scale=2.0)
         v1 = TWO_PI * math.fsum(levels1.values())
         v2 = TWO_PI * math.fsum(levels2.values())
         stable = stable and abs(v2 - v1) <= verify.GATE_TOL * (1.0 + abs(v2))
@@ -630,7 +670,7 @@ def test_radial_trials_match_the_per_trial_route(seed):
     r = check_radial_3d_identity(cfg)
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
-    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi * cfg.rule_scale)))
+    n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
 
     def lifted(g, delta, panels, nodes_pp):
         items = sorted(g.coefficients.items())
@@ -682,7 +722,7 @@ def test_sobolev_rows_match_the_per_state_route(seed):
         ok = max(sharp.values()) <= bound
         for label, state in states:
             try:
-                bess = bessel_sobolev_norm(state, s, rule_scale=cfg.rule_scale)
+                bess = bessel_sobolev_norm(state, s)
             except ToleranceError:
                 stable = False
                 continue
@@ -708,8 +748,8 @@ def test_collapse_trials_match_the_per_trial_route(seed):
     expected = {}
     ok = stable = True
     for label, f in states:
-        w1 = collapse_trace_norm(f, rule_scale=cfg.rule_scale)
-        w2 = collapse_trace_norm(f, rule_scale=2.0 * cfg.rule_scale)
+        w1 = collapse_trace_norm(f, rule_scale=1.0)
+        w2 = collapse_trace_norm(f, rule_scale=2.0)
         stable = stable and abs(w2 - w1) <= verify.GATE_TOL * (1.0 + abs(w2))
         expected[label] = w1 / oscillator_energy_sq(f)
         ok = ok and expected[label] <= CHECKS["collapse_9d"].bound
@@ -739,7 +779,7 @@ def test_even_3d_small():
 def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
     # the ground sample, the route gate and the trials share one build of
     # every even level's form on the level-6 rules, at the configured rule
-    # scale
+    # scale, 1
     real = spectral._level_form
     calls = []
 
@@ -749,8 +789,8 @@ def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(spectral, "_level_form", recording)
-    check_even_3d(ScanConfig(k_max=6, trials=3, rule_scale=1.5))
-    assert {args[4] for args in calls} == {1.5}
+    check_even_3d(ScanConfig(k_max=6, trials=3))
+    assert {args[4] for args in calls} == {1.0}
     assert sorted((args[1], len(args[5])) for args in calls) == [(6, 4)]
 
 
@@ -809,11 +849,9 @@ def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
 
 
 def test_even_3d_node_cap_is_checked_up_front():
-    # the limit bounds the size of its forms; it does not move with the rule scale
+    # the limit bounds the size of its forms
     with pytest.raises(CapabilityError, match="up to k_max = 80"):
         check_even_3d(ScanConfig(k_max=81, trials=1))
-    with pytest.raises(CapabilityError, match="up to k_max = 80"):
-        check_even_3d(ScanConfig(k_max=81, trials=1, rule_scale=0.5))
 
 
 def test_even_3d_limit_names_the_level_form_size(monkeypatch):
@@ -866,12 +904,16 @@ def test_sobolev_gate_failure_is_inconclusive(monkeypatch):
 
 @pytest.mark.parametrize("rule_scale", [1e-3, 0.25, 0.5, 0.75, 2.0])
 def test_sobolev_s1_reads_no_rule(monkeypatch, rule_scale):
-    # the exact ladder form has no rule to under-resolve: every rule scale
-    # gives the default's rows, and the quadrature route is never entered
+    # the exact ladder form has no rule to under-resolve: a shrunken or grown
+    # flat rule leaves the default's rows, and the quadrature route is never
+    # entered
     default = check_hermite_sobolev(ScanConfig(), 1.0)
     _perturbed_fine_sobolev_rows(monkeypatch)
     forms = _count_calls(monkeypatch, spectral._sobolev_form)
-    r = check_hermite_sobolev(ScanConfig(rule_scale=rule_scale), 1.0)
+    real = spectral._sobolev_panels
+    monkeypatch.setattr(spectral, "_sobolev_panels",
+                        lambda n, k_max, scale: real(n, k_max, scale * rule_scale))
+    r = check_hermite_sobolev(ScanConfig(), 1.0)
     assert (r.status, r.samples) == ("passed", default.samples)
     assert len(r.samples) == 2 + 21 + 8 and forms == []
     assert "route_drift" not in r.parameters
@@ -1230,25 +1272,26 @@ def test_csv_quotes_awkward_labels():
 
 def test_manifest_stores_each_fact_once(tmp_path):
     # the standard encoder's canonical bytes; the run's settings live in
-    # config alone, each bound in its report's tolerance, the override in tol
+    # config alone, each bound and tolerance in its report's tolerance
     from hermspec.cli import main
 
-    argv = ["all", "--negative-controls", "--kmax", "4", "--trials", "2", "--tol", "1e-3"]
+    argv = ["all", "--negative-controls", "--kmax", "4", "--trials", "2"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     data = (tmp_path / "manifest.json").read_bytes()
     obj = json.loads(data)
     assert data == (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
     assert manifest_to_json_bytes(manifest_from_json_bytes(data)) == data
-    assert obj["config"] == {"k_max": 4, "trials": 2, "seed": 42, "rule_scale": 1.0, "tol": 1e-3}
+    assert obj["config"] == {"k_max": 4, "trials": 2, "seed": 42}
+    assert obj["version"] == "0.3.0"
     reports = {r["check"]: r for r in obj["reports"]}
     assert len(reports) == len(CHECKS)
     for key, r in reports.items():
         assert "passed" not in r, key
-        assert not {"seed", "rule_scale", "trials", "bound"} & set(r["parameters"]), key
-        # an equality check reads the override, an inequality check its bound,
+        assert not {"seed", "trials", "bound"} & set(r["parameters"]), key
+        # an equality check reads its tolerance, an inequality check its bound,
         # and the divergence demonstration its required growth, 2
         row = CHECKS[key]
-        expected = 1e-3 if row.tolerance is not None else row.bound or 2.0
+        expected = row.tolerance or row.bound or 2.0
         assert r["tolerance"] == expected, key
     # collapse_9d caps k_max at 3: the one report that records a k_max
     assert {key: r["parameters"]["k_max"] for key, r in reports.items()
