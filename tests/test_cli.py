@@ -229,6 +229,29 @@ def test_identities_refuses_a_kmax_past_the_lift_limit_before_any_check(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, check, counter, shrunk", [
+    ("identities", "odd_identity", "_tau_nodes", lambda k, scale: int(2 * scale)),
+    ("sobolev", "sobolev_s05", "_sobolev_panels", lambda n, k, scale: int(4 * scale)),
+    ("collapse", "collapse_9d", "_collapse_nodes", lambda k, scale: int(2 * scale)),
+], ids=["identities-odd_identity", "sobolev-sobolev_s05", "collapse-collapse_9d"])
+def test_coincident_doubling_rules_are_inconclusive(
+        tmp_path, capsys, monkeypatch, command, check, counter, shrunk):
+    # a check's configured and doubled rule can no longer be one rule (they are
+    # built at rule scales 1 and 2; test_every_doubled_rule_differs_from_its_
+    # configured_rule), so the floor case this test once ran is gone.  What it
+    # held stays: when the doubling gate cannot vouch for a value, here two
+    # shrunken rules (2 and 4 nodes, or 4 and 8 panels) that disagree, the
+    # check is inconclusive and the run exits 2, with nothing failed
+    monkeypatch.setattr(spectral, counter, shrunk)
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out)]) == 2
+    assert f"{check}: inconclusive" in capsys.readouterr().out
+    manifest = manifest_from_json_bytes(_read(out / "manifest.json"))
+    statuses = {key: r.status for key, r in zip(COMMAND_CHECKS[command], manifest.reports)}
+    assert statuses[check] == "inconclusive"
+    assert "failed" not in statuses.values()
+
+
 def test_reports_name_why_they_did_not_pass_and_round_trip(tmp_path, capsys, monkeypatch):
     _shrink_identity_rules(monkeypatch)
     out = tmp_path / "run"
