@@ -16,6 +16,7 @@ import time
 
 from . import __version__
 from .render import RunManifest, emit_table
+from .spectral import check_admissible
 from .verify import CHECKS, ScanConfig, _require_k_max
 
 # dispatch goes through this registry, key -> callable(cfg, options) -> EstimateReport
@@ -86,9 +87,12 @@ def _select_checks(args) -> tuple:
 
 
 def run_checks(cfg: ScanConfig, keys, options) -> RunManifest:
-    """Check every key's k_max limit, then run the checks in order, timing each."""
+    """Check every key's k_max limit and, for kato_nd, the admissibility of
+    its n and delta, then run the checks in order, timing each."""
     for key in keys:
         _require_k_max(cfg, key)
+    if "kato_nd" in keys:
+        check_admissible(options["n"], options["delta"])
     wall: dict = {}
     reports = []
     for key in keys:

@@ -289,12 +289,14 @@ def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
 def check_admissible(dw: int, delta: float, odd_in_axis: bool = False) -> None:
     """The admissibility rule for a weight |x_w|^(-2 delta) on dw axes.
 
-    Raises ValueError naming the case violated: a negative or non-finite
-    delta; a one-axis weight past delta = 1, or at delta >= 1/2 unless every
-    mode is odd in that axis (odd_in_axis; a full level is not); a two-axis
-    weight at delta >= 1, where the integral diverges; three or more axes past
-    delta = 1.
+    Raises ValueError naming the case violated: no weighted axis; a negative
+    or non-finite delta; a one-axis weight past delta = 1, or at delta >= 1/2
+    unless every mode is odd in that axis (odd_in_axis; a full level is not);
+    a two-axis weight at delta >= 1, where the integral diverges; three or
+    more axes past delta = 1.
     """
+    if dw < 1:
+        raise ValueError("the weight needs at least one axis")
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be finite and >= 0")
     if dw == 1 and delta > 1.0:

@@ -1,8 +1,9 @@
 """The estimate harness: each smoothing identity or bound as a reproducible check.
 
-Every check draws its randomness from a seed sequence rooted at the config
-seed, computes the relevant ratios, and folds the result into an
-EstimateReport.  Equality checks compare against exact targets two-sided;
+Every check that draws random trial states draws each from its own
+standard-library random.Random, seeded by a stream key rooted at the config
+seed (Box-Muller turns its words into Gaussian coefficients; _trial_parts),
+computes the relevant ratios, and folds the result into an EstimateReport.  Equality checks compare against exact targets two-sided;
 inequality checks test a fixed bound plus a log-log growth trend, since
 the underlying constants are existential.  A report may only read "passed"
 when every constituent integral survived a rule-doubling gate; otherwise the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -216,13 +218,23 @@ def _ground_top(dw: int, weight_power: float) -> float:
 def _trial_parts(cfg: ScanConfig, name: str, size: int, unit: bool = False,
                  prefix: tuple = (), trials: int | None = None) -> tuple:
     """Every trial's real and imaginary coefficient parts, one row per trial
-    t < trials (default cfg.trials) from its stream [seed, CHECKS[name].stream,
-    *prefix, t]; with unit, each row is scaled to unit norm."""
-    stream = [cfg.seed, CHECKS[name].stream, *prefix]
-    re, im = np.stack([
-        np.random.default_rng(stream + [t]).standard_normal((2, size))
-        for t in range(cfg.trials if trials is None else trials)
-    ], axis=1)
+    t < trials (default cfg.trials); with unit, each row is scaled to unit norm.
+
+    Trial t's row comes from its own random.Random, seeded by the stream key
+    repr((seed, CHECKS[name].stream, *prefix, t)): 16 bytes per coefficient,
+    two little-endian 64-bit words whose top 53 bits give u1, u2 in [0, 1).
+    Box-Muller in polar form, sqrt(-2 log1p(-u1)) e^(2 pi i u2), makes the
+    two parts independent standard normals; 1 - u1 is in (0, 1], so none is
+    infinite.  random is loaded with numpy, so no draw imports a module.
+    """
+    key = (int(cfg.seed), CHECKS[name].stream, *prefix)
+    trials = cfg.trials if trials is None else trials
+    words = np.frombuffer(b"".join(
+        random.Random(repr((*key, t))).getrandbits(128 * size).to_bytes(16 * size, "little")
+        for t in range(trials)), "<u8").reshape(trials, size, 2)
+    u = (words >> 11) * 2.0 ** -53
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[..., 0])), TWO_PI * u[..., 1]
+    re, im = radius * np.cos(angle), radius * np.sin(angle)
     if unit:
         norm = np.sqrt(np.sum(re * re + im * im, axis=1))[:, None]
         re, im = re / norm, im / norm
@@ -333,27 +345,30 @@ def check_radial_3d_identity(cfg: ScanConfig) -> EstimateReport:
         for delta, panels, nodes_pp in
         ((0.0, 2 * n_panels, 16), (1.0, n_panels, 8), (1.0, 2 * n_panels, 16))
     )
-    samples = []
+    # every trial's sums: the line norm, the lifted norm and the functional on both rules
+    norm1, norm3, v1, v2 = (np.array([math.fsum(row) for row in sq * lift])
+                            for lift in (1.0, norm_lift, lift1, lift2))
+    v1, v2 = TWO_PI * v1, TWO_PI * v2
+    # the trials before the first whose lift fails validation are gated as one array
+    miscalibrated = np.abs(np.sqrt(norm3) - np.sqrt(norm1)) > corr_tol * np.sqrt(norm1)
+    valid = int(np.argmax(miscalibrated)) if miscalibrated.any() else cfg.trials
     verdict = _Verdict()
-    for t in range(cfg.trials):
-        norm3 = math.fsum(sq[t] * norm_lift)
-        norm1 = math.fsum(sq[t])
-        samples.append((f"trial={t:02d}/normsq", norm3 / norm1))
-        if abs(math.sqrt(norm3) - math.sqrt(norm1)) > corr_tol * math.sqrt(norm1):
-            params["error"] = (
-                "radial lift normalization failed validation: "
-                f"3D norm {math.sqrt(norm3):.15g} vs line norm "
-                f"{math.sqrt(norm1):.15g} (trial {t}); the identity check "
-                "cannot proceed on a miscalibrated correspondence"
-            )
-            verdict.unstable["lift_normalization"] = None
-            break
-        v1 = TWO_PI * math.fsum(sq[t] * lift1)
-        v2 = TWO_PI * math.fsum(sq[t] * lift2)
-        verdict.gate("functional", v1, v2)
-        ratio = v1 / norm3
-        samples.append((f"trial={t:02d}/functional", ratio))
-        verdict.require("identity", abs(ratio - FOUR_PI) <= tol * FOUR_PI)
+    verdict.gate("functional", v1[:valid], v2[:valid])
+    ratio = v1[:valid] / norm3[:valid]
+    verdict.require("identity", np.abs(ratio - FOUR_PI) <= tol * FOUR_PI)
+    samples = []
+    for t in range(valid):
+        samples += [(f"trial={t:02d}/normsq", norm3[t] / norm1[t]),
+                    (f"trial={t:02d}/functional", ratio[t])]
+    if valid < cfg.trials:
+        samples.append((f"trial={valid:02d}/normsq", norm3[valid] / norm1[valid]))
+        params["error"] = (
+            "radial lift normalization failed validation: "
+            f"3D norm {math.sqrt(norm3[valid]):.15g} vs line norm "
+            f"{math.sqrt(norm1[valid]):.15g} (trial {valid}); the identity check "
+            "cannot proceed on a miscalibrated correspondence"
+        )
+        verdict.unstable["lift_normalization"] = None
     return verdict.report("radial_3d_identity", params, samples, tol)
 
 
@@ -845,7 +860,7 @@ def negative_control_divergence(cfg: ScanConfig) -> EstimateReport:
 class Check:
     """One check: run(cfg, options) returns its report, command is the command
     that runs it (None: only --negative-controls does), stream is the index in
-    its seed sequences [seed, stream, ...], and k_max_limit is its largest
+    its stream keys (seed, stream, ..., trial), and k_max_limit is its largest
     k_max, for k_max_reason.  An equality check has a two-sided tolerance on
     its target; an inequality check has a one-sided bound on its sup ratio.
     A gated check builds its configured rule at scale 1 and its doubled rule

@@ -5,6 +5,7 @@ tests hold the two against each other.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -590,6 +591,32 @@ class SpectralState:
                 raise ValueError(f"index {alpha} exceeds k_max={self.k_max}")
 
 
+def stream_words(stream_key, count: int) -> list:
+    """The first count 64-bit words of a stream, one at a time: the words
+    random.Random(repr(tuple(stream_key))).getrandbits(64) returns in turn,
+    stream_key the ints (seed, stream, ..., t) that key a trial's draws."""
+    rng = random.Random(repr(tuple(stream_key)))
+    return [rng.getrandbits(64) for _ in range(count)]
+
+
+def gaussian_draws(stream_key, size: int, unit: bool = False) -> tuple:
+    """The real and imaginary parts of size draws from a stream, one index at
+    a time: the reference for a row of verify._trial_parts.  Index j reads
+    words 2j and 2j + 1, whose top 53 bits make u1 and u2 in [0, 1), and
+    draws sqrt(-2 log1p(-u1)) (cos 2 pi u2 + i sin 2 pi u2); with unit, the
+    draws are scaled to unit norm."""
+    words = stream_words(stream_key, 2 * size)
+    re, im = np.empty(size), np.empty(size)
+    for j in range(size):
+        u1, u2 = ((w >> 11) * 2.0 ** -53 for w in words[2 * j:2 * j + 2])
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u1)), TWO_PI * u2
+        re[j], im[j] = radius * np.cos(angle), radius * np.sin(angle)
+    if unit:
+        norm = math.sqrt(float(np.sum(re * re + im * im)))
+        re, im = re / norm, im / norm
+    return re, im
+
+
 def random_state(
     n: int,
     k_max: int,
@@ -597,17 +624,16 @@ def random_state(
     parity: str | None = None,
     parity_axis: int = 0,
 ) -> SpectralState:
-    """Unit-norm state with complex-Gaussian coefficients on all admissible indices:
-    the reference for verify._trial_parts's draws, one state at a time.
+    """Unit-norm state with complex-Gaussian coefficients on all admissible indices,
+    in level order: the per-trial route of the checks that draw trials.
 
-    seed_seq is any numpy SeedSequence-compatible value (int or list of ints);
-    parity "odd"/"even" restricts the index set along parity_axis.
+    seed_seq is the stream key, a sequence of ints (gaussian_draws draws the
+    coefficients); parity "odd"/"even" restricts the index set along parity_axis.
     """
     if parity not in (None, "odd", "even"):
         raise ValueError(f"parity must be None, 'odd' or 'even', not {parity!r}")
     if not 0 <= parity_axis < n:
         raise ValueError("axis out of range")
-    rng = np.random.default_rng(seed_seq)
     indices = []
     for k in range(k_max + 1):
         for alpha in _level_indices(n, k):
@@ -618,10 +644,8 @@ def random_state(
             indices.append(alpha)
     if not indices:
         raise ValueError("no admissible indices for the requested parity")
-    re = rng.standard_normal(len(indices))
-    im = rng.standard_normal(len(indices))
-    norm = math.sqrt(float(np.sum(re * re + im * im)))
-    coeffs = {a: complex(r, i) / norm for a, r, i in zip(indices, re, im)}
+    re, im = gaussian_draws(seed_seq, len(indices), unit=True)
+    coeffs = {a: complex(r, i) for a, r, i in zip(indices, re, im)}
     return SpectralState(n, coeffs, k_max)
 
 

@@ -139,6 +139,25 @@ def test_non_finite_values_exit_64_and_write_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["all", "--delta", "nan"], "delta must be finite and >= 0"),
+    (["all", "--n", "2", "--delta", "1"], "two-axis weight needs delta < 1"),
+    (["all", "--n", "0"], "the weight needs at least one axis"),
+])
+def test_inadmissible_n_and_delta_exit_64_before_any_check(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # kato_nd's admissibility rule is read with the k_max limits, before the
+    # checks ahead of it in `all` run
+    calls = []
+    for key in CHECK_REGISTRY:
+        monkeypatch.setitem(CHECK_REGISTRY, key, lambda cfg, opt, key=key: calls.append(key))
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EX_USAGE
+    assert f"hermspec: error: {message}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_the_option_set_is_pinned():
     # a run varies k_max, trials and seed; the other options pick the checks,
     # the per-level scan's dimension and weight, and the files written
@@ -159,7 +178,7 @@ def test_removed_rule_and_tolerance_options_exit_64(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["all", "kato"])
 def test_negative_seed_exits_64_before_any_check(tmp_path, capsys, monkeypatch, command):
-    # a seed no seed sequence takes is refused up front, not midway through the run
+    # a negative seed is refused up front, not midway through the run
     def ran(cfg, opt):
         raise AssertionError("a check ran")
 
@@ -412,12 +431,15 @@ def test_summary_lines_on_stdout(tmp_path, capsys):
 
 
 def test_full_run_loads_no_scipy(tmp_path):
-    # a fresh interpreter, so no other test's import can hide a lazy one
+    # nor numpy.random: the trials draw from the standard library's generator,
+    # which numpy already loads.  A fresh interpreter, so no other test's
+    # import can hide a lazy one
     code = (
         "import sys\n"
         "from hermspec.cli import main\n"
         f"rc = main(['all', '--kmax', '4', '--trials', '1', '--out', {str(tmp_path)!r}])\n"
-        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(rc, sorted(m for m in sys.modules\n"
+        "                 if m == 'scipy' or m.startswith(('scipy.', 'numpy.random'))))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

@@ -874,6 +874,7 @@ def test_radial_eigenvalue_ground_values_and_limits():
 
 def test_admissibility_rule_names_each_case():
     for dw, delta, odd, text in [
+        (0, 1.0, False, "the weight needs at least one axis"),
         (3, -0.1, False, "delta must be finite and >= 0"),
         (3, math.inf, False, "delta must be finite and >= 0"),
         (1, 1.5, True, "one-axis weight needs delta <= 1"),

@@ -2,6 +2,7 @@
 serialization round-trips, and each scan at desk scale."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -43,6 +44,7 @@ from oracles import (
     bessel_sobolev_norm,
     collapse_trace_norm,
     evaluate_state,
+    gaussian_draws,
     hermite_sobolev_norm,
     integrate_radial_3d,
     kernel_diagonal,
@@ -53,6 +55,7 @@ from oracles import (
     project,
     random_state,
     state_norm_sq,
+    stream_words,
     time_avg_levels,
     time_avg_weighted,
     x_odd,
@@ -245,7 +248,7 @@ def test_no_check_assigns_its_verdict_by_hand():
         assert not stored & {"ok", "stable"}, check.name
     # one gate rule: outside the recorder, the only use of a verdict's names is
     # the lift validation's write, whose 1e-10 tolerance is tighter than
-    # GATE_TOL and which ends the trial loop
+    # GATE_TOL and which ends the trial rows
     names = ("failed", "unstable")
     used, written = [], []
     for top in tree.body:
@@ -537,6 +540,60 @@ def test_morawetz_level_rows_are_the_mode_matrix_rows(k_max):
     assert list(check_morawetz_2d(cfg).samples) == expected
 
 
+@pytest.mark.parametrize("seed", [42, 1])
+def test_trial_rows_are_the_oracle_draws_bit_for_bit(monkeypatch, seed):
+    # every _trial_parts call of every check that draws trials, against the
+    # oracle's draws from the same stream key, one index at a time
+    real = verify._trial_parts
+    calls = []
+
+    def recording(cfg, name, size, unit=False, prefix=(), trials=None):
+        rows = real(cfg, name, size, unit, prefix, trials)
+        calls.append((name, size, unit, prefix, rows))
+        return rows
+
+    monkeypatch.setattr(verify, "_trial_parts", recording)
+    cfg = ScanConfig(k_max=6, trials=3, seed=seed)
+    for row in CHECKS.values():
+        row.run(cfg, {"n": 3, "delta": 1.0})
+    assert sorted({name for name, *_ in calls}) == [
+        "collapse_9d", "even_3d", "morawetz_2d", "odd_identity", "radial_3d_identity",
+        "sobolev_s05", "sobolev_s10"]
+    for name, size, unit, prefix, (re, im) in calls:
+        assert re.shape == im.shape == (4 if prefix else cfg.trials, size)
+        for t in range(re.shape[0]):
+            want_re, want_im = gaussian_draws([seed, CHECKS[name].stream, *prefix, t], size, unit)
+            assert np.array_equal(re[t], want_re) and np.array_equal(im[t], want_im), (name, t)
+
+
+def test_trial_stream_words_are_pinned():
+    # string seeding and getrandbits are the same on every platform, so the
+    # words of one stream (odd_identity's trial 0 at seed 42, 21 indices) are
+    # pinned; the draws that read them are held to the oracle above
+    words = stream_words((42, CHECKS["odd_identity"].stream, 0), 42)
+    data = b"".join(w.to_bytes(8, "little") for w in words)
+    assert hashlib.sha256(data).hexdigest() == (
+        "231c9a32eeedbd462c475577e1e4a2e4af8812e8564b48e8f5fa9864ff0c12d5")
+
+
+def test_trial_draws_are_standard_normal_and_do_not_depend_on_the_trial_count():
+    # row t is its own stream's, however many trials are drawn
+    few = verify._trial_parts(ScanConfig(trials=2), "morawetz_2d", 10, unit=True)
+    many = verify._trial_parts(ScanConfig(trials=2), "morawetz_2d", 10, unit=True, trials=5)
+    for a, b in zip(few, many):
+        assert np.array_equal(a, b[:2])
+    assert np.allclose(np.sum(many[0] ** 2 + many[1] ** 2, axis=1), 1.0, rtol=1e-15, atol=0)
+    # 10^5 draws per part: each part's mean, variance and the mean of their
+    # product within 5 sigma of 0, 1 and 0
+    re, im = verify._trial_parts(ScanConfig(trials=16), "morawetz_2d", 6250)
+    m = re.size
+    assert m == 10 ** 5 and np.isfinite(re).all() and np.isfinite(im).all()
+    for part in (re, im):
+        assert abs(part.mean()) <= 5.0 / math.sqrt(m)
+        assert abs(part.var() - 1.0) <= 5.0 * math.sqrt(2.0 / m)
+    assert abs(np.mean(re * im)) <= 5.0 / math.sqrt(m)
+
+
 def _traced_peak_mb(run) -> float:
     """Peak traced allocation (MB) while run() executes, from cold caches."""
     clear_caches()
@@ -663,11 +720,10 @@ def test_collapse_triples_found_once_per_level(monkeypatch):
     assert counts == [4, 4]
 
 
-@pytest.mark.parametrize("seed", [42, 1])
-def test_radial_trials_match_the_per_trial_route(seed):
-    # oracle: each trial as its own odd state, its lifted sums over its own items
-    cfg = ScanConfig(seed=seed)
-    r = check_radial_3d_identity(cfg)
+def _radial_per_trial_route(cfg):
+    """The radial check's rows, status and validation-failed trial (None when
+    every trial validates), each trial as its own odd state, its lifted sums
+    over its own items."""
     mode_cap = 2 * cfg.k_max + 1
     R = truncation_radius(mode_cap, 3)
     n_panels = max(20, int(math.ceil(R * math.sqrt(2 * mode_cap + 1) / math.pi)))
@@ -681,23 +737,55 @@ def test_radial_trials_match_the_per_trial_route(seed):
     expected = {}
     ok = stable = True
     for t in range(cfg.trials):
-        g = random_state(1, mode_cap, [seed, CHECKS["radial_3d_identity"].stream, t],
+        g = random_state(1, mode_cap, [cfg.seed, CHECKS["radial_3d_identity"].stream, t],
                          parity="odd")
         norm3 = lifted(g, 0.0, 2 * n_panels, 16)
         norm1 = state_norm_sq(g)
         expected[f"trial={t:02d}/normsq"] = norm3 / norm1
         if abs(math.sqrt(norm3) - math.sqrt(norm1)) > 1e-10 * math.sqrt(norm1):
-            stable = False
-            break
+            return expected, "inconclusive", t
         v1 = TWO_PI * lifted(g, 1.0, n_panels, 8)
         v2 = TWO_PI * lifted(g, 1.0, 2 * n_panels, 16)
         stable = stable and abs(v2 - v1) <= verify.GATE_TOL * (1.0 + abs(v2))
         expected[f"trial={t:02d}/functional"] = v1 / norm3
         ok = ok and abs(v1 / norm3 - FOUR_PI) <= 1e-6 * FOUR_PI
+    return expected, "inconclusive" if not stable else "passed" if ok else "failed", None
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_radial_trials_match_the_per_trial_route(seed):
+    cfg = ScanConfig(seed=seed)
+    r = check_radial_3d_identity(cfg)
+    expected, status, _ = _radial_per_trial_route(cfg)
     assert [lab for lab, _ in r.samples] == list(expected)
     for lab, got in r.samples:
         assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), lab
-    assert r.status == ("inconclusive" if not stable else "passed" if ok else "failed")
+    assert r.status == status
+
+
+def test_radial_lift_validation_ends_the_trial_rows(monkeypatch):
+    # degree 7's lifted norm 5e-9 off: the trials before the first that fails
+    # the validation keep both rows, that trial keeps its normsq row, and no
+    # later trial is read or gated
+    real = verify._radial_mode_integrals
+
+    def off(top, delta, R, n_panels, nodes_pp):
+        lift = real(top, delta, R, n_panels, nodes_pp)
+        if delta == 0.0:
+            lift[7] *= 1.0 + 5e-9
+        return lift
+
+    monkeypatch.setattr(verify, "_radial_mode_integrals", off)
+    cfg = ScanConfig()
+    r = check_radial_3d_identity(cfg)
+    expected, status, failed = _radial_per_trial_route(cfg)
+    assert 0 < failed < cfg.trials - 1
+    assert [lab for lab, _ in r.samples] == list(expected)
+    for lab, got in r.samples:
+        assert abs(got - expected[lab]) <= 1e-13 * abs(expected[lab]), lab
+    assert r.status == status == "inconclusive"
+    assert r.parameters["unstable"] == "lift_normalization"
+    assert f"(trial {failed})" in r.parameters["error"]
 
 
 @pytest.mark.parametrize("seed", [42, 1])
@@ -804,12 +892,8 @@ def test_even_3d_trials_match_the_per_trial_route(seed):
     samples = dict(r.samples)
     expected = {}
     for t in range(cfg.trials):
-        rng = np.random.default_rng([seed, CHECKS["even_3d"].stream, t])
-        re = rng.standard_normal(len(indices))
-        im = rng.standard_normal(len(indices))
-        norm = math.sqrt(float(np.sum(re * re + im * im)))
-        d = make_state(3, {a: complex(x, y) / norm for a, x, y in zip(indices, re, im)},
-                       cfg.k_max)
+        re, im = gaussian_draws([seed, CHECKS["even_3d"].stream, t], len(indices), unit=True)
+        d = make_state(3, {a: complex(x, y) for a, x, y in zip(indices, re, im)}, cfg.k_max)
         expected[f"trial={t:02d}"] = time_avg_weighted(d, 1.0) / state_norm_sq(d)
     assert [lab for lab, _ in r.samples if lab.startswith("trial=")] == list(expected)
     for lab, want in expected.items():
