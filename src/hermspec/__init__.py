@@ -60,7 +60,7 @@ from .verify import (
     negative_control_divergence,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CHECKS",

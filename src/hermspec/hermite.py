@@ -1,7 +1,8 @@
 """Hermite and Laguerre evaluation kernels.
 
 Normalized Hermite functions h_k (unit L2 norm, Gaussian weight folded in) are
-evaluated by the stable three-term recurrence; the classical polynomials H_k and
+evaluated by the stable three-term recurrence, with a scaled start far out on
+the line; the classical polynomials H_k and
 L_k^alpha and the closed-form integrals built from them live here too.
 All closed forms are evaluated in log-gamma space so nothing overflows below
 degree a few hundred.
@@ -10,16 +11,16 @@ degree a few hundred.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 PI_Q = math.pi ** -0.25  # pi^(-1/4), the h_0 amplitude
 
-# past this radius (about 37.6) the recurrence's start value h_0 = PI_Q e^(-t^2/2)
-# leaves the normal float range, and every row built from it loses precision
-UNDERFLOW_RADIUS = math.sqrt(2.0 * math.log(PI_Q / sys.float_info.min))
+# past this radius the recurrence starts from h_0 = PI_Q (_scaled_rows): the
+# plain start PI_Q e^(-t^2/2) leaves the normal float range past t = 37.6
+SCALED_START_RADIUS = 30.0
+_RESCALE = 2.0 ** 500
 
 
 def hermite_functions(k_max: int, t) -> np.ndarray:
@@ -28,6 +29,8 @@ def hermite_functions(k_max: int, t) -> np.ndarray:
     Three-term recurrence h_{k+1} = t sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1};
     every value stays O(1), no overflow at any degree.  Each step runs in
     place, in the order of that expression, so no temporary is allocated.
+    Where |t| > SCALED_START_RADIUS the columns are then rebuilt by
+    _scaled_rows; every other column is the plain recurrence's.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -44,6 +47,29 @@ def hermite_functions(k_max: int, t) -> np.ndarray:
         rows[k + 1] *= rows[k]
         np.multiply(math.sqrt(k / (k + 1.0)), rows[k - 1], out=lower)
         rows[k + 1] -= lower
+    far = np.flatnonzero(np.abs(x) > SCALED_START_RADIUS)
+    if far.size:
+        rows[:, far] = _scaled_rows(k_max, x[far])
+    return out
+
+
+def _scaled_rows(k_max: int, x: np.ndarray) -> np.ndarray:
+    """hermite_functions' rows at the points x, by the same recurrence from
+    h_0 = PI_Q, with e^(-x^2/2) carried as a per-point log scale: a point's
+    pair of rows that passes 2^500 is multiplied by 2^-500, its log scale
+    raised by 500 log 2, and each row is stored times e^(log scale)."""
+    out = np.empty((k_max + 1, x.size))
+    log_scale = -0.5 * x * x
+    prev, cur = np.zeros_like(x), np.full_like(x, PI_Q)
+    out[0] = cur * np.exp(log_scale)
+    for k in range(k_max):
+        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+        big = np.abs(cur) > _RESCALE
+        if big.any():
+            prev[big] /= _RESCALE
+            cur[big] /= _RESCALE
+            log_scale[big] += math.log(_RESCALE)
+        out[k + 1] = cur * np.exp(log_scale)
     return out
 
 

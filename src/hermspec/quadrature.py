@@ -1,11 +1,9 @@
 """Deterministic quadrature: Gauss rules, graded and uniform panels.
 
-* Gauss-Legendre, -Hermite, generalized -Laguerre and -Jacobi rules, each
-  from one memoized routine, gauss_rule, so a run builds each (family, node
-  count, exponents) once.  The Jacobi rules are the tau rules of the weighted
-  level forms (spectral._level_form), where the weight's singularity sits in
-  the rule's exponents.  The Hermite rules come with compensated weights
-  w e^(x^2), which integrate against dx and stay finite where w underflows.
+* Gauss-Legendre, -Hermite and generalized -Laguerre rules, each from one
+  memoized routine, gauss_rule, so a run builds each (family, node count,
+  exponent) once.  The Hermite rules come with compensated weights w e^(x^2),
+  which integrate against dx and stay finite where w underflows.
 * Graded Gauss-Legendre panels (geometric refinement toward r = 0, uniform
   panels out to the truncation radius) for generic radial integrands and for
   the divergence demonstrations, which refuse a non-integrable exponent.
@@ -33,9 +31,11 @@ MAX_GRADED_LEVELS = 160
 # and the e^s scale of the integrands they serve nears float64 overflow beyond
 MAX_LAGUERRE_NODES = 150
 
-# Gauss-Hermite rules stop here: past it, h_0 = pi^(-1/4) e^(-x^2/2) at the outer
-# node is subnormal (from 766 nodes it underflows to 0, and the nodes are NaN)
-MAX_HERMITE_NODES = 728
+# Gauss-Hermite rules stop here, at the doubled rule of odd_identity's k_max
+# limit.  The scaled start of hermite_functions keeps every node and weight
+# accurate past this size; the cap bounds the dense Golub-Welsch solve, whose
+# cost grows as m^3
+MAX_HERMITE_NODES = 1456
 
 
 def _legendre_poly(n: int, x: np.ndarray) -> tuple:
@@ -68,20 +68,6 @@ def _laguerre_poly(n: int, alpha: float, x: np.ndarray) -> tuple:
     return prev, p
 
 
-def _jacobi_poly(n: int, alpha: float, beta: float, x: np.ndarray) -> tuple:
-    """(P_(n-1)^(alpha,beta) / C(n-1+alpha, n-1), P_n^(alpha,beta) / C(n+alpha, n))(x),
-    n >= 1, in one pass of the difference form of the recurrence in x - 1."""
-    xm1 = x - 1
-    d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
-    prev, p = np.ones_like(x), d + 1
-    for k in range(1, n):
-        c = 2 * k + alpha + beta
-        d = (c * (c + 1) * (c + 2) * xm1 * p + 2 * k * (k + beta) * (c + 2) * d) / (
-            2 * (k + alpha + 1) * (k + alpha + beta + 1) * c)
-        prev, p = p, p + d
-    return prev, p
-
-
 def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal Jacobi matrix, ascending."""
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -103,19 +89,16 @@ def _christoffel(fm: np.ndarray, dy: np.ndarray) -> np.ndarray:
 # bounded: `hermspec all` uses about 25 distinct rules, but a long-lived
 # caller may ask for arbitrary exponents
 @lru_cache(maxsize=512)
-def gauss_rule(family: str, m: int, alpha: float = 0.0,
-               beta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def gauss_rule(family: str, m: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the m-point Gauss rule, memoized, read-only.
 
     family "legendre" is weight 1 on [-1, 1], "hermite" e^(-x^2) on the line,
-    "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
-    MAX_LAGUERRE_NODES nodes, CapabilityError past it) and "jacobi"
-    (1-x)^alpha (1+x)^beta on [-1, 1] (alpha, beta > -1).  Golub-Welsch: the
+    and "laguerre" x^alpha e^(-x) on the half line (alpha > -1; at most
+    MAX_LAGUERRE_NODES nodes, CapabilityError past it).  Golub-Welsch: the
     nodes are the Jacobi matrix's eigenvalues, polished by one Newton step,
     for which one recurrence pass gives p_(m-1) and p_m (and so p_m'); a
     second pass gives p_(m-1) at the polished nodes, and the weights are
-    1/(p_(m-1) p_m') (Jacobi: 1/((1-x^2) p_m'^2), from the second pass)
-    scaled to the weight's total mass.
+    1/(p_(m-1) p_m') scaled to the weight's total mass.
     Hermite rules use the normalized Hermite functions h_j, which never overflow,
     up to MAX_HERMITE_NODES nodes (CapabilityError past it), and their weights
     are compensated: c = w e^(x^2) = 1 / sum_(j<m) h_j^2, scaled so that
@@ -161,35 +144,8 @@ def gauss_rule(family: str, m: int, alpha: float = 0.0,
         dy = (m * y - m * p) / x
         x = x - y / dy
         w = _christoffel(_laguerre_poly(m, alpha, x)[0], dy)
-    elif family == "jacobi":
-        if alpha <= -1.0 or beta <= -1.0:
-            raise ValueError("Jacobi exponents must be > -1")
-        s = alpha + beta
-        mass = 2.0 ** (s + 1) * math.exp(
-            math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(s + 2))
-        # the monic recurrence, with t = 2k + s; off the diagonal the factor
-        # (k + s)/(t - 1) is 1 at k = 1
-        t = 2 * np.arange(m, dtype=float) + s
-        diag = np.append((beta - alpha) / (s + 2), (beta - alpha) * s / (t[1:] * (t[1:] + 2)))
-        t = t[1:]
-        off = 2 / t * np.sqrt(k * (k + alpha) * (k + beta) / (t + 1)
-                              * np.divide(k + s, t - 1, out=np.ones(m - 1), where=k > 1))
-
-        def slope(x):
-            # (2m+s)(1-x^2) P_m' = m((a-b) - (2m+s) x) P_m + 2m(m+b) P_(m-1)
-            p, y = _jacobi_poly(m, alpha, beta, x)
-            return y, (m * ((alpha - beta) - (2 * m + s) * x) * y + 2 * m * (m + beta) * p) / (
-                (2 * m + s) * (1 - x * x))
-
-        x = _golub_welsch(diag, off)
-        y, dy = slope(x)
-        x = x - y / dy
-        # 1/((1 - x^2) P_m'^2) at the polished nodes: near +-1 it moves far
-        # less with a node's rounding than 1/(P_(m-1) P_m') does
-        dy = slope(x)[1]
-        w = _christoffel((1 - x * x) * dy, dy)
     else:
-        raise ValueError("family must be legendre, hermite, laguerre or jacobi")
+        raise ValueError("family must be legendre, hermite or laguerre")
     # the compensated Hermite weights carry their mass against e^(-x^2)
     w = w * (mass / (np.dot(np.exp(-x * x), w) if family == "hermite" else w.sum()))
     x.flags.writeable = False

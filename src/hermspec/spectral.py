@@ -7,11 +7,12 @@ reduces to a level-by-level spatial integral, c^H G c against a form G
 (level, Sobolev and collapse forms, level-spectrum tables); this module
 never integrates in time, and the per-state routes are test oracles.
 
-Level integrals carry singular radial weights on a subset of the axes.  The
-Gamma identity |y|^(-2 delta) = Gamma(delta)^-1 integral s^(delta-1) e^(-s|y|^2) ds
-splits such a weight over the axes, so a weighted level form is one
-Gauss-Jacobi sum, in tau = 1/(1+s), of per-axis 1D matrices, each exact on a
-compensated Gauss-Hermite rule; the sum is exact on polynomial levels.
+Level integrals carry singular radial weights on a subset of the axes.  A
+radial weight is diagonal in the Laguerre x spherical-harmonic basis, so the
+level spectra are closed forms (level_spectrum).  At delta = 1 the forms
+themselves have exact routes: on odd 1D modes, h_d / x from one Hermite table
+(odd_inverse_squares), and on R^3, where mode (j, l) reads 2 / (2l + 1), the
+eigenvectors of the angular-momentum Casimir L^2 (even_casimir).
 
 The Fourier convention throughout is the unitary angular-frequency transform
 (2*pi)^(-1/2) integral f(x) e^(-i x xi) dx, under which the 1D mode of degree
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError
-from .hermite import hermite_functions
+from .hermite import SQRT2, hermite_functions
 from .quadrature import MAX_LAGUERRE_NODES, gauss_legendre_panels, gauss_rule, truncation_radius
 
 _MAX_LEVEL_SIZE = 2_000_000
@@ -212,78 +213,53 @@ def _sobolev_form(n: int, k_max: int, s: float, scale: float) -> np.ndarray:
     return M.reshape((d, d) * n).transpose(order).reshape(d ** n, d ** n)
 
 
-def _tau_nodes(k: int, scale: float) -> int:
-    # node count of the level-k tau rule at a rule scale, floored at 2; from
-    # k // 2 + 1 nodes it is exact on every level up to k
-    return max(2, int(math.ceil((k // 2 + 2) * scale)))
+def _odd_nodes(d_max: int, scale: float) -> int:
+    # node count of odd_inverse_squares' rule at a rule scale; from d_max
+    # nodes it is exact on every odd degree up to d_max
+    return int(math.ceil((d_max + 1) * scale))
 
 
-# entries per block of tau nodes in the form accumulation: a block's Hermite
-# tables, tau matrices and gathered products stay near 8 MB each
-_TAU_BLOCK = 1 << 20
+def odd_inverse_squares(d_max: int, scale: float) -> np.ndarray:
+    """<h_d, x^(-2) h_d> for every odd degree d <= d_max, ascending, on one
+    compensated Gauss-Hermite rule of _odd_nodes(d_max, scale) nodes.
 
-
-def _tau_matrices(degs: np.ndarray, tau: np.ndarray, odd: bool) -> np.ndarray:
-    """M[q, i, j] = tau_q^(-1/2) integral h_a h_b e^(-s_q x^2) dx, a = degs[i],
-    b = degs[j], s_q = 1/tau_q - 1 (divided by tau_q when odd): in
-    y = x / sqrt(tau_q) a polynomial of degree a + b times e^(-y^2), exact on
-    the (max(degs) + 1)-node Gauss-Hermite rule at sqrt(tau_q) y."""
-    m = int(degs[-1]) + 1
-    y, comp = gauss_rule("hermite", m)
-    w = comp * np.exp(-np.outer(1.0 - tau, y * y))
-    if odd:
-        w /= tau[:, None]
-    # (len(tau), len(degs), m): every degree at every tau's nodes
-    T = hermite_functions(m - 1, np.outer(np.sqrt(tau), y))[degs].transpose(1, 0, 2)
-    return (T * w[:, None, :]) @ T.transpose(0, 2, 1)
-
-
-def _level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
-                index_sets: tuple) -> tuple:
-    """Weighted grams of index sets of level <= k, one per set, on the level-k rules.
-
-    Entry (alpha, beta) of a set's form is integral Phi_alpha Phi_beta |x_w|^(-2 delta),
-    and a level's functional is c^H G c.  By the Gamma identity for the weight
-    and tau = 1/(1+s),
-        G[alpha, beta] = Gamma(delta)^-1 sum_q W_q prod_(c in wd) M_q[alpha_c, beta_c]
-                         prod_(c not in wd) [alpha_c = beta_c],
-    M the _tau_matrices of axis c: polynomials in tau of degree (a + b)/2, with
-    a factor tau that is divided out on the p weighted axes where every index
-    is odd.  So the tau rule is Gauss-Jacobi for (1 - tau)^(delta-1)
-    tau^(dw/2 - delta - 1 + p), exact on every level up to k, and the sets of a
-    scan share it; its exponents stay > -1 wherever check_admissible allows the
-    weight, and delta = 0 is the identity.
+    Dividing h_d's recurrence by x gives q_d = h_d / x its own:
+        q_1 = sqrt(2) h_0,  q_d = sqrt(2/d) h_(d-1) - sqrt((d-1)/d) q_(d-2),
+    so one Hermite table gives every q_d, with no division by x.  q_d^2 is a
+    polynomial of degree 2d - 2 times e^(-x^2), and sum c q_d^2 is exact on
+    any rule of at least d nodes.
     """
-    subs = [np.array(indices) for indices in index_sets]
-    idx = np.concatenate(subs)
-    if idx.sum(axis=1).max() > k:
-        raise ValueError(f"an index set reaches past its rules' level {k}")
-    if delta == 0.0:
-        forms = [np.eye(len(sub)) for sub in subs]
-    else:
-        wd = list(wd)
-        odd = (idx[:, wd] % 2 == 1).all(axis=0)
-        a, b = delta - 1.0, len(wd) / 2.0 - delta - 1.0 + int(odd.sum())
-        x, w = gauss_rule("jacobi", _tau_nodes(k, scale), a, b)
-        tau = (1.0 + x) / 2.0
-        w = w * (2.0 ** -(a + b + 1.0) / math.gamma(delta))
-        # each weighted axis's degrees, and each set's rows as positions among them
-        degs = [np.flatnonzero(np.bincount(idx[:, c])) for c in wd]
-        pos = np.stack([np.searchsorted(d, idx[:, c]) for d, c in zip(degs, wd)], axis=1)
-        rows = np.split(pos, np.cumsum([len(sub) for sub in subs])[:-1])
-        forms = [np.zeros((len(sub), len(sub))) for sub in subs]
-        per_node = max(max(len(sub) for sub in subs), int(idx.max()) + 1) ** 2
-        step = max(1, _TAU_BLOCK // per_node)
-        for lo in range(0, tau.size, step):
-            mats = [_tau_matrices(d, tau[lo : lo + step], o) for d, o in zip(degs, odd)]
-            wq = w[lo : lo + step]
-            for G, r in zip(forms, rows):
-                G += (wq @ _gathered_product(mats, r, r).reshape(wq.size, -1)).reshape(G.shape)
-        free = [c for c in range(n) if c not in wd]
-        if free:
-            for G, sub in zip(forms, subs):
-                G *= (sub[:, None, free] == sub[None, :, free]).all(axis=-1)
-    return tuple(forms)
+    x, comp = gauss_rule("hermite", _odd_nodes(d_max, scale))
+    h = hermite_functions(d_max - 1, x)
+    q = np.empty(((d_max + 1) // 2, x.size))
+    q[0] = SQRT2 * h[0]
+    for i, d in enumerate(range(3, d_max + 1, 2), 1):
+        q[i] = math.sqrt(2.0 / d) * h[d - 1] - math.sqrt((d - 1.0) / d) * q[i - 1]
+    return (q * q) @ comp
+
+
+def even_casimir(k: int) -> tuple:
+    """L^2 on the fully even part of level k of R^3: its eigenvalues,
+    ascending, and orthonormal eigenvectors, one column each.
+
+    The rows run over the indices 2 beta, |beta| = k/2, in the order of
+    enumerate_multiindices(3, k/2).  On level k, L^2 = k(k+1) I - A^T A with
+    A = sum_c a_c^2, which maps 2 beta to sqrt(2 b (2 b - 1)) 2 (beta - e_c),
+    b = beta_c, and so keeps every axis even; a radial mode (j, l), 2j + l = k,
+    has eigenvalue l(l+1).  The position of beta in its level's order is
+    r(r+1)/2 + r - beta_1, r = |beta| - beta_0.
+    """
+    beta = np.array(_level_indices(3, k // 2))
+    # level k - 2's fully even part holds C(k/2 + 1, 2) indices
+    A = np.zeros((k // 2 * (k // 2 + 1) // 2, len(beta)))
+    for c in range(3):
+        col = np.flatnonzero(beta[:, c])
+        lower = beta[col].copy()
+        lower[:, c] -= 1
+        r = lower[:, 1] + lower[:, 2]
+        b = 2.0 * beta[col, c]
+        A[r * (r + 1) // 2 + r - lower[:, 1], col] = np.sqrt(b * (b - 1.0))
+    return np.linalg.eigh(k * (k + 1.0) * np.eye(len(beta)) - A.T @ A)
 
 
 def check_admissible(dw: int, delta: float, odd_in_axis: bool = False) -> None:
@@ -446,15 +422,12 @@ def _collapse_nodes(k_max: int, scale: float) -> int:
 
 
 def _gathered_product(mats: list, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """prod_c mats[c][..., rows[i, c], cols[j, c]] at every (i, j): the Hadamard
-    product of one gathered factor per axis, shape (..., len(rows), len(cols));
-    a leading stack of matrices (one per tau node) stays in front.  Each factor
-    is one flat take from its matrices, at rows[i, c] * d + cols[j, c],
-    multiplied into the product as soon as it is taken."""
+    """prod_c mats[c][rows[i, c], cols[j, c]] at every (i, j): the Hadamard
+    product of one gathered factor per axis, shape (len(rows), len(cols)).
+    Each factor is one flat take from its matrix, at rows[i, c] * d +
+    cols[j, c], multiplied into the product as soon as it is taken."""
     def factor(c):
-        mat = mats[c]
-        flat = mat.reshape(mat.shape[:-2] + (-1,))
-        return np.take(flat, rows[:, c, None] * mat.shape[-1] + cols[:, c], axis=-1)
+        return np.take(mats[c], rows[:, c, None] * mats[c].shape[1] + cols[:, c])
 
     out = factor(0)
     for c in range(1, len(mats)):

@@ -33,7 +33,6 @@ from .antideriv import (
 )
 from .errors import CapabilityError
 from .hermite import (
-    UNDERFLOW_RADIUS,
     binom_reflection_holds,
     eval_laguerre,
     gamma_duplication_residual,
@@ -115,10 +114,11 @@ class _Verdict:
     """One check's verdict by name: require records a predicate and gate a
     rule-doubling (or two-route) gate.  Each name that does not hold is kept
     once, in first-failure order; route_drift is the largest
-    |fine - coarse| / |fine| of every gate, where fine != 0."""
+    |fine - coarse| / |fine| of every gate, where fine != 0, and None until
+    a gate runs."""
 
     def __init__(self):
-        self.failed, self.unstable, self.route_drift = {}, {}, 0.0
+        self.failed, self.unstable, self.route_drift = {}, {}, None
 
     def require(self, name: str, holds) -> None:
         # a bool or a bool array; a comparison with NaN is False, so it fails
@@ -132,18 +132,21 @@ class _Verdict:
         drift, size = np.abs(np.subtract(fine, coarse)), np.abs(fine)
         held = drift <= GATE_TOL * (1.0 + size)
         rel = drift / np.where(size > 0, size, np.inf)
-        self.route_drift = float(np.fmax.reduce(rel, axis=None, initial=self.route_drift))
+        self.route_drift = float(np.fmax.reduce(rel, axis=None, initial=self.route_drift or 0.0))
         if not held.all():
             self.unstable[name] = None
         return held if held.ndim else bool(held)
 
     def report(self, check, parameters, samples, tolerance) -> EstimateReport:
         """Inconclusive when a gate did not hold or there are no samples, else
-        failed or passed; what did not hold is named under "failed" and "unstable"."""
+        failed or passed; what did not hold is named under "failed" and
+        "unstable", and a check that ran a gate records its route_drift."""
         samples = tuple((str(lab), float(r)) for lab, r in samples)
         if not samples:
             self.unstable["no_samples"] = None
         parameters = dict(parameters)
+        if self.route_drift is not None:
+            parameters["route_drift"] = self.route_drift
         for key, names in (("failed", self.failed), ("unstable", self.unstable)):
             if names:
                 parameters[key] = ",".join(names)
@@ -185,9 +188,9 @@ def trend_slope(pairs) -> float:
 
 
 def clear_caches() -> None:
-    """Drop every memo, for honest re-runs: the Gauss rules (the level forms'
-    Gauss-Jacobi tau rules and the compensated Gauss-Hermite rules among
-    them), the level index tuples and the level-spectrum tables."""
+    """Drop every memo, for honest re-runs: the Gauss rules (the compensated
+    Gauss-Hermite rules among them), the level index tuples and the
+    level-spectrum tables."""
     gauss_rule.cache_clear()
     spectral._level_indices.cache_clear()
     spectral.level_spectrum.cache_clear()
@@ -250,6 +253,9 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
 
     The full functional over a period must equal 4*pi times the squared norm,
     and each level must contribute 2*pi times twice its squared coefficient.
+    Each odd level's 1x1 form <h_k, x^(-2) h_k> comes from one Hermite table
+    of h_k / x (spectral.odd_inverse_squares), on the configured and on the
+    doubled rule.
     """
     _require_k_max(cfg, "odd_identity")
     tol = CHECKS["odd_identity"].tolerance
@@ -261,10 +267,8 @@ def check_odd_identity(cfg: ScanConfig) -> EstimateReport:
     sq = np.hypot(re, im) ** 2
 
     def level_terms(scale):
-        # g |c|^2 per trial and level, g each level's 1x1 form, all on the top level's rules
-        forms = spectral._level_form(1, mode_cap, 1.0, (0,), scale,
-                                     tuple(((k,),) for k in ks))
-        g = np.array([G[0, 0] for G in forms])
+        # g |c|^2 per trial and level, g each odd level's 1x1 form
+        g = spectral.odd_inverse_squares(mode_cap, scale)
         return re * (g * re) + im * (g * im)
 
     verdict = _Verdict()
@@ -402,7 +406,6 @@ def check_kato(cfg: ScanConfig, n: int, delta: float, axes=None) -> EstimateRepo
         "axes": ",".join(str(c) for c in axes),
         "trend_slope": slope,
         "s0": s0,
-        "route_drift": verdict.route_drift,
     }
     return verdict.report("kato_nd", params, samples, bound)
 
@@ -440,7 +443,6 @@ def check_operator_norms(cfg: ScanConfig, n: int, deltas=(0.5, 1.0)) -> Estimate
         "n": n,
         "deltas": ",".join(f"{d:g}" for d in deltas),
         "norm0_delta1": norm0,
-        "route_drift": verdict.route_drift,
     }
     for d, s in slopes.items():
         params[f"trend_slope_delta{d:g}"] = s
@@ -526,45 +528,43 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
     At even k every radial mode has even degree l, with l/2 + 1 fully even
     harmonics, so the fully even part of level k keeps the level's sharp value
     2*pi s_k, s_k its exact top in level_tops(3, k_max, 2), gated by the
-    restricted level form's top eigenvalue and by the quadrature top.  Random fully even states must stay
-    below the largest sharp value; each trial's level term is one product with
-    that level's form, and every form comes from one build on the top even
-    level's rules.
+    quadrature top.  On that part the form of |x|^(-2) is 2 (I + 4 L^2)^(-1/2),
+    mode (j, l) reading 2/(2l + 1): V diag(2/(2l + 1)) V^T, with L^2's
+    eigenvectors V from spectral.even_casimir, one eigh per level.  The
+    casimir predicate holds every eigenvalue to l(l + 1) for an even l <= k.
+    Random fully even states must stay below the largest sharp value; each
+    trial's level term is read through V^T c.
     """
     _require_k_max(cfg, "even_3d")
     bound = CHECKS["even_3d"].bound
     verdict = _Verdict()
-    sharp = 0.0
-    # the fully even indices of level k are 2 beta, |beta| = k/2, in the
-    # descending order of enumerate_multiindices(3, k)
-    even = {
-        k: tuple(tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2))
-        for k in range(0, cfg.k_max + 1, 2)
-    }
-    # every even level's form on the top even level's rules
-    forms = spectral._level_form(3, max(even), 1.0, (0, 1, 2), 1.0, tuple(even.values()))
-    # the ground state's term: level 0's form is its one entry
-    v0 = TWO_PI * forms[0][0, 0]
+    levels = range(0, cfg.k_max + 1, 2)
+    # the ratios are scale-free, so the trials stay unnormalized; level k's
+    # fully even indices, C(k/2 + 2, 2) of them, are the columns lo:hi
+    cols = np.cumsum([0] + [(k // 2 + 1) * (k // 2 + 2) // 2 for k in levels])
+    re, im = _trial_parts(cfg, "even_3d", int(cols[-1]))
+    terms = []
+    for k, lo, hi in zip(levels, cols, cols[1:]):
+        casimir, V = spectral.even_casimir(k)
+        # each eigenvector's degree l, from its eigenvalue l(l + 1)
+        l = np.rint((np.sqrt(1.0 + 4.0 * casimir) - 1.0) / 2.0)
+        verdict.require("casimir", (l % 2 == 0) & (l <= k) & (
+            np.abs(casimir - l * (l + 1.0)) <= GATE_TOL * k * (k + 1.0)))
+        weights = 2.0 / (2.0 * l + 1.0)
+        if k == 0:
+            # the ground state's term: level 0's form is its one entry
+            v0 = TWO_PI * float(V[0] ** 2 @ weights)
+        # every trial's level term c^H G c at once; G and V are real
+        for part in (re[:, lo:hi], im[:, lo:hi]):
+            terms.append(((part @ V) ** 2) @ weights)
     samples = [("ground", v0)]
     verdict.require("ground", abs(v0 - FOUR_PI) <= 1e-9 * FOUR_PI)
     verdict.require("bound", v0 <= bound)
-    # the ratios are scale-free, so the trials stay unnormalized; level k's
-    # indices are the columns lo:hi
-    cols = np.cumsum([0] + [len(level) for level in even.values()])
-    re, im = _trial_parts(cfg, "even_3d", int(cols[-1]))
     tops, quads = level_tops(3, cfg.k_max, 2.0, (0, 1, 2))
-    # each even level's exact top, gated by its form's top and its quadrature top
-    even_tops = [tops[k] for k in even]
-    verdict.gate("level_top", [np.linalg.eigvalsh(form)[-1] for form in forms], even_tops)
-    verdict.gate("level_top", [quads[k] for k in even], even_tops)
-    terms = []
-    for k, form, lo, hi in zip(even, forms, cols, cols[1:]):
-        s_k = tops[k]
-        samples.append((f"k={k:02d}", TWO_PI * s_k))
-        sharp = max(sharp, TWO_PI * s_k)
-        # every trial's level term c^H G c at once; G is real
-        for part in (re[:, lo:hi], im[:, lo:hi]):
-            terms.append(np.einsum("ti,ti->t", part @ form, part))
+    # each even level's exact top, gated by its quadrature top
+    verdict.gate("level_top", [quads[k] for k in levels], [tops[k] for k in levels])
+    sharp = TWO_PI * max(tops[k] for k in levels)
+    samples += [(f"k={k:02d}", TWO_PI * tops[k]) for k in levels]
     verdict.require("bound", sharp <= bound)
     norm_sq = np.sum(re * re + im * im, axis=1)
     for t, row in enumerate(np.array(terms).T):
@@ -572,12 +572,7 @@ def check_even_3d(cfg: ScanConfig) -> EstimateReport:
         samples.append((f"trial={t:02d}", ratio))
         verdict.require("below_sharp", ratio <= sharp * (1.0 + GATE_TOL))
         verdict.require("bound", ratio <= bound)
-    params = {
-        "n": 3,
-        "delta": 1.0,
-        "sharp": sharp,
-        "route_drift": verdict.route_drift,
-    }
+    params = {"n": 3, "delta": 1.0, "sharp": sharp}
     return verdict.report("even_3d", params, samples, bound)
 
 
@@ -668,8 +663,6 @@ def check_hermite_sobolev(cfg: ScanConfig, s: float) -> EstimateReport:
         closed_key: {f"n={n}": closed[n] for n in families},
         closed_key + "_gap": {f"n={n}": closed[n] - sharp[n] for n in families},
     }
-    if scales:
-        params["route_drift"] = verdict.route_drift
     return verdict.report(key, params, samples, bound)
 
 
@@ -893,27 +886,28 @@ _LEVEL_SCAN_LIMIT = dict(
 # the limit predicate reads the s = 1 supremum (sqrt of the golden ratio at
 # n = 1), and heinz its Loewner-Heinz square root at s = 1/2.
 CHECKS = {
+    # scanned at every k_max: the gate's drift is near 1.9e-10 up to 479,
+    # 5.1e-10 at this k_max and 1.2e-9 at 481; at 482 the gate trips
     "antideriv_norms": Check(
         lambda cfg, opt: check_antideriv_norms(cfg), "norms", 9,
-        # the top integrand h_(2 k_max + 1) turns at sqrt(4 k_max + 3)
-        k_max_limit=int((UNDERFLOW_RADIUS ** 2 - 3.0) // 4),
-        k_max_reason="the turning point of its top integrand must stay inside "
-        f"r = {UNDERFLOW_RADIUS:.1f}, past which the Hermite recurrence's start value "
-        "underflows",
+        k_max_limit=480,
+        k_max_reason="its configured rule, two Gauss-Legendre panels per unit length, stops "
+        "resolving the top integrand: past this k_max its doubling gate trips",
         tolerance=1e-8),
     "odd_identity": Check(
         lambda cfg, opt: check_odd_identity(cfg), "identities", 0,
-        # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule
-        k_max_limit=(MAX_HERMITE_NODES - 2) // 2,
-        k_max_reason=f"the Hermite rule of its top mode is limited to {MAX_HERMITE_NODES} nodes",
+        # the top mode 2 k_max + 1 reads a (2 k_max + 2)-node Hermite rule,
+        # and its doubled rule has 4 k_max + 4 nodes
+        k_max_limit=(MAX_HERMITE_NODES - 4) // 4,
+        k_max_reason=f"the doubled Hermite rule of its top mode is limited to "
+        f"{MAX_HERMITE_NODES} nodes",
         tolerance=1e-7),
-    # the top mode's lifted norm on the doubled rule is off by 5.5e-13 at this
-    # k_max, 1/180 of the 1e-10 validation tolerance, and 4x more per step up
+    # the lifted norms hold to 3.1e-14 at 400 and 4.2e-14 at 500, against a
+    # 1e-10 validation tolerance; the limit is odd_identity's
     "radial_3d_identity": Check(
-        lambda cfg, opt: check_radial_3d_identity(cfg), "identities", 1, k_max_limit=343,
-        k_max_reason="its top mode's lifted norm, validated to 1e-10, loses precision as the "
-        f"mode reaches r = {UNDERFLOW_RADIUS:.1f}, past which the Hermite recurrence's start "
-        "value underflows",
+        lambda cfg, opt: check_radial_3d_identity(cfg), "identities", 1, k_max_limit=363,
+        k_max_reason="the Hermite table of its doubled radial rule grows as k_max^2, "
+        "to 109 MB at this k_max",
         tolerance=1e-6),
     "appendix_identities": Check(
         lambda cfg, opt: check_appendix_identities(cfg), "identities", 10, tolerance=1e-9),

@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from hermspec.errors import CapabilityError
 from hermspec.hermite import eval_laguerre
 from hermspec.quadrature import (
     MAX_LAGUERRE_NODES,
+    _christoffel,
+    _golub_welsch,
     gauss_rule,
     radial_rule_panels,
 )
@@ -25,7 +28,6 @@ from hermspec.spectral import (
     _collapse_triples,
     _indices_upto,
     _level_indices,
-    _level_form,
     _mode_matrix,
     _quadratic_rows,
     _sobolev_panels,
@@ -152,7 +154,7 @@ def grid_level_form(n, k, delta, wd, scale, divide, indices) -> np.ndarray:
     level k: the absorbing radial rule, sphere or circle directions and
     compensated Gauss-Hermite free axes, each mode divided by x_w first on the
     one-axis divide path (delta >= 1/2 on odd modes).  The oracle of
-    spectral._level_form."""
+    level_form."""
     base_pts, base_w = _level_grid(n, k, delta, wd, scale, divide)
     pts, w = _tensor_free_axes(base_pts, base_w, n, wd, k, scale)
     idx = np.array(indices)
@@ -271,6 +273,155 @@ def level_top(n: int, k: int, weight_power: float, weight_dims=None) -> LevelTop
              for l in ((kw % 2,) if dw == 1 else range(kw % 2, kw + 1, 2))]
     return max((LevelTop(radial_eigenvalue(dw, j, l, weight_power), j, l) for j, l in modes),
                key=lambda t: t.value)
+
+
+# ---------------------------------------------------------------------------
+# the Gamma-identity tau route: every weighted level form as one Gauss-Jacobi
+# sum in tau of per-axis Hermite matrices.  spectral's exact routes replaced
+# it for odd_identity and even_3d; time_avg_levels still reads it
+
+
+def _jacobi_poly(n: int, alpha: float, beta: float, x: np.ndarray) -> tuple:
+    """(P_(n-1)^(alpha,beta) / C(n-1+alpha, n-1), P_n^(alpha,beta) / C(n+alpha, n))(x),
+    n >= 1, in one pass of the difference form of the recurrence in x - 1."""
+    xm1 = x - 1
+    d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
+    prev, p = np.ones_like(x), d + 1
+    for k in range(1, n):
+        c = 2 * k + alpha + beta
+        d = (c * (c + 1) * (c + 2) * xm1 * p + 2 * k * (k + beta) * (c + 2) * d) / (
+            2 * (k + alpha + 1) * (k + alpha + beta + 1) * c)
+        prev, p = p, p + d
+    return prev, p
+
+
+@lru_cache(maxsize=512)
+def jacobi_rule(m: int, alpha: float, beta: float) -> tuple:
+    """Nodes (ascending) and weights of the m-point Gauss-Jacobi rule for
+    (1-x)^alpha (1+x)^beta on [-1, 1] (alpha, beta > -1), memoized, read-only.
+    Golub-Welsch as quadrature.gauss_rule, polished by one Newton step; the
+    weights are 1/((1-x^2) P_m'^2) at the polished nodes, scaled to the mass."""
+    if m < 1:
+        raise ValueError("node count must be >= 1")
+    if alpha <= -1.0 or beta <= -1.0:
+        raise ValueError("Jacobi exponents must be > -1")
+    k = np.arange(1, m, dtype=float)
+    s = alpha + beta
+    mass = 2.0 ** (s + 1) * math.exp(
+        math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(s + 2))
+    # the monic recurrence, with t = 2k + s; off the diagonal the factor
+    # (k + s)/(t - 1) is 1 at k = 1
+    t = 2 * np.arange(m, dtype=float) + s
+    diag = np.append((beta - alpha) / (s + 2), (beta - alpha) * s / (t[1:] * (t[1:] + 2)))
+    t = t[1:]
+    off = 2 / t * np.sqrt(k * (k + alpha) * (k + beta) / (t + 1)
+                          * np.divide(k + s, t - 1, out=np.ones(m - 1), where=k > 1))
+
+    def slope(x):
+        # (2m+s)(1-x^2) P_m' = m((a-b) - (2m+s) x) P_m + 2m(m+b) P_(m-1)
+        p, y = _jacobi_poly(m, alpha, beta, x)
+        return y, (m * ((alpha - beta) - (2 * m + s) * x) * y + 2 * m * (m + beta) * p) / (
+            (2 * m + s) * (1 - x * x))
+
+    x = _golub_welsch(diag, off)
+    y, dy = slope(x)
+    x = x - y / dy
+    # 1/((1 - x^2) P_m'^2) at the polished nodes: near +-1 it moves far
+    # less with a node's rounding than 1/(P_(m-1) P_m') does
+    dy = slope(x)[1]
+    w = _christoffel((1 - x * x) * dy, dy)
+    w = w * (mass / w.sum())
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _tau_nodes(k: int, scale: float) -> int:
+    # node count of the level-k tau rule at a rule scale, floored at 2; from
+    # k // 2 + 1 nodes it is exact on every level up to k
+    return max(2, int(math.ceil((k // 2 + 2) * scale)))
+
+
+# entries per block of tau nodes in the form accumulation: a block's Hermite
+# tables, tau matrices and gathered products stay near 8 MB each
+_TAU_BLOCK = 1 << 20
+
+
+def _tau_matrices(degs: np.ndarray, tau: np.ndarray, odd: bool) -> np.ndarray:
+    """M[q, i, j] = tau_q^(-1/2) integral h_a h_b e^(-s_q x^2) dx, a = degs[i],
+    b = degs[j], s_q = 1/tau_q - 1 (divided by tau_q when odd): in
+    y = x / sqrt(tau_q) a polynomial of degree a + b times e^(-y^2), exact on
+    the (max(degs) + 1)-node Gauss-Hermite rule at sqrt(tau_q) y."""
+    m = int(degs[-1]) + 1
+    y, comp = gauss_rule("hermite", m)
+    w = comp * np.exp(-np.outer(1.0 - tau, y * y))
+    if odd:
+        w /= tau[:, None]
+    # (len(tau), len(degs), m): every degree at every tau's nodes
+    T = hermite_functions(m - 1, np.outer(np.sqrt(tau), y))[degs].transpose(1, 0, 2)
+    return (T * w[:, None, :]) @ T.transpose(0, 2, 1)
+
+
+def _stacked_product(mats: list, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """spectral._gathered_product over a leading stack of matrices (one per
+    tau node), shape (len(tau), len(rows), len(cols))."""
+    def factor(c):
+        mat = mats[c]
+        flat = mat.reshape(mat.shape[0], -1)
+        return np.take(flat, rows[:, c, None] * mat.shape[-1] + cols[:, c], axis=-1)
+
+    out = factor(0)
+    for c in range(1, len(mats)):
+        out *= factor(c)
+    return out
+
+
+def level_form(n: int, k: int, delta: float, wd: tuple, scale: float,
+               index_sets: tuple) -> tuple:
+    """Weighted grams of index sets of level <= k, one per set, on the level-k rules.
+
+    Entry (alpha, beta) of a set's form is integral Phi_alpha Phi_beta |x_w|^(-2 delta),
+    and a level's functional is c^H G c.  By the Gamma identity
+    |y|^(-2 delta) = Gamma(delta)^-1 integral s^(delta-1) e^(-s|y|^2) ds
+    and tau = 1/(1+s),
+        G[alpha, beta] = Gamma(delta)^-1 sum_q W_q prod_(c in wd) M_q[alpha_c, beta_c]
+                         prod_(c not in wd) [alpha_c = beta_c],
+    M the _tau_matrices of axis c: polynomials in tau of degree (a + b)/2, with
+    a factor tau that is divided out on the p weighted axes where every index
+    is odd.  So the tau rule is Gauss-Jacobi for (1 - tau)^(delta-1)
+    tau^(dw/2 - delta - 1 + p), exact on every level up to k, and the sets of a
+    scan share it; its exponents stay > -1 wherever check_admissible allows the
+    weight, and delta = 0 is the identity.
+    """
+    subs = [np.array(indices) for indices in index_sets]
+    idx = np.concatenate(subs)
+    if idx.sum(axis=1).max() > k:
+        raise ValueError(f"an index set reaches past its rules' level {k}")
+    if delta == 0.0:
+        return tuple(np.eye(len(sub)) for sub in subs)
+    wd = list(wd)
+    odd = (idx[:, wd] % 2 == 1).all(axis=0)
+    a, b = delta - 1.0, len(wd) / 2.0 - delta - 1.0 + int(odd.sum())
+    x, w = jacobi_rule(_tau_nodes(k, scale), a, b)
+    tau = (1.0 + x) / 2.0
+    w = w * (2.0 ** -(a + b + 1.0) / math.gamma(delta))
+    # each weighted axis's degrees, and each set's rows as positions among them
+    degs = [np.flatnonzero(np.bincount(idx[:, c])) for c in wd]
+    pos = np.stack([np.searchsorted(d, idx[:, c]) for d, c in zip(degs, wd)], axis=1)
+    rows = np.split(pos, np.cumsum([len(sub) for sub in subs])[:-1])
+    forms = [np.zeros((len(sub), len(sub))) for sub in subs]
+    per_node = max(max(len(sub) for sub in subs), int(idx.max()) + 1) ** 2
+    step = max(1, _TAU_BLOCK // per_node)
+    for lo in range(0, tau.size, step):
+        mats = [_tau_matrices(d, tau[lo : lo + step], o) for d, o in zip(degs, odd)]
+        wq = w[lo : lo + step]
+        for G, r in zip(forms, rows):
+            G += (wq @ _stacked_product(mats, r, r).reshape(wq.size, -1)).reshape(G.shape)
+    free = [c for c in range(n) if c not in wd]
+    if free:
+        for G, sub in zip(forms, subs):
+            G *= (sub[:, None, free] == sub[None, :, free]).all(axis=-1)
+    return tuple(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +835,7 @@ def time_avg_levels(
     w = (sum of squares over weight_dims)^delta.  Admissibility is
     check_admissible, with the state's parity along a one-axis weight.  Each
     level's integral is c^H G c with G the level's form on its own rules
-    (spectral._level_form).
+    (level_form, the Gamma-identity tau route).
     """
     wd = _weight_axes(state.n, weight_dims)
     odd = len(wd) == 1 and all(a[wd[0]] % 2 for a in state.coefficients)
@@ -694,7 +845,7 @@ def time_avg_levels(
         by_level.setdefault(sum(alpha), []).append((alpha, coeff))
     levels = {}
     for k, items in sorted(by_level.items()):
-        (G,) = _level_form(state.n, k, float(delta), wd, float(rule_scale),
+        (G,) = level_form(state.n, k, float(delta), wd, float(rule_scale),
                            (tuple(alpha for alpha, _ in items),))
         c = np.array([coeff for _, coeff in items])
         levels[k] = float(np.vdot(c, G @ c).real)

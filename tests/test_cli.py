@@ -33,10 +33,10 @@ def _read(path):
 
 
 def _shrink_identity_rules(monkeypatch):
-    # odd_identity's tau rules cut to 2 and 4 nodes, and the radial lift's
+    # odd_identity's Hermite rules cut to 2 and 4 nodes, and the radial lift's
     # functional to its 20-panel floor (its doubled rule to 40): under-resolved
     # rules, each doubled rule still a different rule
-    monkeypatch.setattr(spectral, "_tau_nodes", lambda k, scale: int(2 * scale))
+    monkeypatch.setattr(spectral, "_odd_nodes", lambda d_max, scale: int(2 * scale))
     real = verify._radial_mode_integrals
     monkeypatch.setattr(verify, "_radial_mode_integrals",
                         lambda top, delta, R, panels, nodes_pp:
@@ -209,12 +209,11 @@ def test_all_refuses_a_kmax_past_a_check_limit_before_any_check(
     assert not out.exists()
 
 
-def test_norms_refuses_a_kmax_past_the_underflow_limit_before_any_check(
-        tmp_path, capsys, monkeypatch):
-    # at 354 the top integrand's turning point passes the Hermite recurrence's
-    # underflow radius; the run is refused up front, not reported as failed
+def test_norms_refuses_a_kmax_past_its_limit_before_any_check(tmp_path, capsys, monkeypatch):
+    # past 480 the configured rule stops resolving the top integrand, and at
+    # 482 the doubling gate trips; the run is refused up front
     limit = verify.CHECKS["antideriv_norms"].k_max_limit
-    assert limit == 353
+    assert limit == 480
 
     def ran(cfg, opt):
         raise AssertionError("a check ran")
@@ -223,17 +222,17 @@ def test_norms_refuses_a_kmax_past_the_underflow_limit_before_any_check(
     out = tmp_path / "run"
     assert main(["norms", "--kmax", str(limit + 1), "--out", str(out)]) == EX_USAGE
     err = capsys.readouterr().err
-    assert "hermspec: error: antideriv_norms is supported up to k_max = 353: " in err
-    assert "underflows" in err
+    assert "hermspec: error: antideriv_norms is supported up to k_max = 480: " in err
+    assert "Gauss-Legendre panels per unit length" in err and "gate trips" in err
     assert not out.exists()
 
 
 def test_identities_refuses_a_kmax_past_the_lift_limit_before_any_check(
         tmp_path, capsys, monkeypatch):
-    # past 343 the radial lift's top mode loses its norm to the Hermite
-    # recurrence's underflow; the run is refused up front, not left unstable
+    # the radial lift stops at odd_identity's limit, where the Hermite table
+    # of its doubled rule has grown as k_max^2; the run is refused up front
     limit = verify.CHECKS["radial_3d_identity"].k_max_limit
-    assert limit == 343
+    assert limit == verify.CHECKS["odd_identity"].k_max_limit == 363
 
     def ran(cfg, opt):
         raise AssertionError("a check ran")
@@ -242,14 +241,17 @@ def test_identities_refuses_a_kmax_past_the_lift_limit_before_any_check(
         monkeypatch.setitem(CHECK_REGISTRY, key, ran)
     out = tmp_path / "run"
     assert main(["identities", "--kmax", str(limit + 1), "--out", str(out)]) == EX_USAGE
-    err = capsys.readouterr().err
-    assert "hermspec: error: radial_3d_identity is supported up to k_max = 343: " in err
-    assert "r = 37.6" in err and "underflows" in err
+    # odd_identity comes first in the command and refuses first
+    assert ("hermspec: error: odd_identity is supported up to k_max = 363: "
+            in capsys.readouterr().err)
     assert not out.exists()
+    with pytest.raises(ValueError, match="radial_3d_identity is supported up to k_max = 363: "
+                       "the Hermite table of its doubled radial rule"):
+        verify.check_radial_3d_identity(ScanConfig(k_max=limit + 1))
 
 
 @pytest.mark.parametrize("command, check, counter, shrunk", [
-    ("identities", "odd_identity", "_tau_nodes", lambda k, scale: int(2 * scale)),
+    ("identities", "odd_identity", "_odd_nodes", lambda d_max, scale: int(2 * scale)),
     ("sobolev", "sobolev_s05", "_sobolev_panels", lambda n, k, scale: int(4 * scale)),
     ("collapse", "collapse_9d", "_collapse_nodes", lambda k, scale: int(2 * scale)),
 ], ids=["identities-odd_identity", "sobolev-sobolev_s05", "collapse-collapse_9d"])

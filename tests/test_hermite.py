@@ -18,7 +18,7 @@ from hermspec import (
     laguerre_exp_integral,
     verify_laguerre_hermite_relation,
 )
-from hermspec.hermite import PI_Q, SQRT2
+from hermspec.hermite import PI_Q, SCALED_START_RADIUS, SQRT2
 
 from oracles import binom_reflection_residual, half_line_integral_even, x_odd
 
@@ -51,6 +51,40 @@ def test_in_place_recurrence_is_bit_identical_to_the_expression(k_max):
         got = hermite_functions(k_max, t)
         want = _recurrence_by_expression(k_max, t)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_scaled_start_leaves_every_column_within_its_radius_bit_identical():
+    # inside SCALED_START_RADIUS every column is the plain recurrence's, also
+    # beside columns past it in the same call
+    near = np.linspace(-SCALED_START_RADIUS, SCALED_START_RADIUS, 601)
+    far = np.array([-53.9, -30.5, 38.5, 45.0])
+    for k_max in (0, 1, 40, 727):
+        got = hermite_functions(k_max, np.concatenate([near, far]))
+        assert np.array_equal(got[:, : near.size], _recurrence_by_expression(k_max, near))
+
+
+def _mpmath_hermite(k, x):
+    # h_k(x) by the recurrence in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        prev, cur = 0, mpmath.pi ** -0.25 * mpmath.exp(-x * x / 2)
+        for j in range(k):
+            prev, cur = cur, x * mpmath.sqrt(mpmath.mpf(2) / (j + 1)) * cur - mpmath.sqrt(
+                mpmath.mpf(j) / (j + 1)) * prev
+        return float(cur)
+
+
+@pytest.mark.parametrize("k, x", [(727, 38.5), (1455, 53.9)])
+def test_scaled_start_matches_mpmath_where_the_plain_start_fails(k, x):
+    # near the turning point of a mode past the radius where the plain start
+    # value PI_Q e^(-x^2/2) leaves the normal float range
+    want = _mpmath_hermite(k, x)
+    got = hermite_functions(k, np.array([x, -x]))[k]
+    assert abs(got[0] - want) <= 1e-13 * abs(want)
+    assert got[1] == (-1) ** k * got[0]
+    plain = _recurrence_by_expression(k, np.array([x]))[k, 0]
+    assert abs(plain - want) > 1e-3 * abs(want)
 
 
 def test_recurrence_matches_explicit_polynomial():

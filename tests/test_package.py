@@ -20,12 +20,15 @@ MODULES = (antideriv, cli, errors, hermite, quadrature, render, spectral, verify
 # integral, the Gauss-Hermite wrapper and second weight memo that
 # gauss_rule("hermite", m) replaces, the Fraction-valued binomial
 # identities that the integer predicates replace, the rule and Laguerre
-# parameter records that plain tuples and arguments replace, and the
-# hand-rolled JSON writer that the standard encoder replaces: deleted, or
-# moved to the tests' oracles
+# parameter records that plain tuples and arguments replace, the
+# hand-rolled JSON writer that the standard encoder replaces, the
+# Gamma-identity tau route and its Gauss-Jacobi rules that the h_d/x table
+# and the Casimir eigenvectors replace, and the underflow radius that the
+# scaled Hermite start retires: deleted, or moved to the tests' oracles
 RETIRED = (
     "KernelQuery", "LaguerreParams", "QuadratureRule", "SpectralState", "ToleranceError",
-    "_JsonText", "_QUARTER_PHASES", "_SEG_NODES",
+    "UNDERFLOW_RADIUS", "_JsonText", "_QUARTER_PHASES", "_SEG_NODES", "_TAU_BLOCK",
+    "_jacobi_poly", "_level_form", "_tau_matrices", "_tau_nodes",
     "_SEG_WIDTH", "_config_dict", "_cumulative_half_line", "_hermite_poly", "_hermite_sq_sum",
     "_json_text", "_report_dict", "_samples_json",
     "bessel_sobolev_norm", "binom_general_exact", "binom_reflection_residual",
@@ -48,6 +51,8 @@ NOT_RUN = {
     "verify.manifest_from_json_bytes": "contract: reads a manifest back (benchmark gate)",
     "verify.clear_caches": "contract: drops every memo, for honest re-runs",
     "cli._Parser.error": "argparse's usage-error hook, entered only on bad usage",
+    "hermite._scaled_rows": "the scaled Hermite start, entered only past |t| = 30 "
+    "(odd_identity from k_max 114, the radial lift from 100)",
 }
 
 

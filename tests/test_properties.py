@@ -21,7 +21,7 @@ from hermspec.quadrature import gauss_rule  # noqa: E402
 from hermspec.spectral import check_admissible  # noqa: E402
 from hermspec.verify import clear_caches  # noqa: E402
 
-from oracles import binom_general_exact, partial_binomial_sum_exact  # noqa: E402
+from oracles import binom_general_exact, jacobi_rule, partial_binomial_sum_exact  # noqa: E402
 
 # deterministic across runs, and nothing written to disk
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -41,7 +41,10 @@ def rules(draw, families=("legendre", "hermite", "laguerre", "jacobi")):
 
 def _weighted_rule(family: str, m: int, exponents: tuple) -> tuple:
     """The rule's nodes and its weights against the family's weight: the
-    Hermite rules' compensated weights w e^(x^2) times e^(-x^2)."""
+    Hermite rules' compensated weights w e^(x^2) times e^(-x^2), and the
+    Jacobi rules from the tests' oracle."""
+    if family == "jacobi":
+        return jacobi_rule(m, *exponents)
     x, w = gauss_rule(family, m, *exponents)
     return x, (w * np.exp(-x * x) if family == "hermite" else w)
 

@@ -17,9 +17,11 @@ from hermspec.errors import CapabilityError
 from hermspec.quadrature import MAX_HERMITE_NODES, MAX_LAGUERRE_NODES
 
 from oracles import (
+    _tau_matrices,
     circle_directions,
     integrate_cyl_2d,
     integrate_radial_3d,
+    jacobi_rule,
     radial_rule_absorbing,
     sphere_directions,
 )
@@ -192,9 +194,9 @@ def _max_rel(a, b):
     return float(np.max(np.abs(a - b) / np.abs(b)))
 
 
-# (alpha, beta) of the Jacobi rules: the tau rules of the 3D and the odd 1D
-# inverse-square forms, two-axis and 3D weights at delta = 1/2, the 1D weight
-# at delta = 0.3, and two off the program's path
+# (alpha, beta) of the oracle's Jacobi rules: the tau rules of the 3D and the
+# odd 1D inverse-square forms, two-axis and 3D weights at delta = 1/2, the 1D
+# weight at delta = 0.3, and two more
 JACOBI_EXPONENTS = ((0.0, 0.5), (0.0, -0.5), (-0.5, -0.5), (-0.5, 0.0), (-0.7, -0.8),
                     (0.5, -0.5), (1.0, 1.5))
 
@@ -234,7 +236,7 @@ def test_gauss_rule_matches_scipy(family, alpha):
     special = pytest.importorskip("scipy.special")
     if family == "jacobi":
         for m in range(1, 151):
-            x, w = _build_rule(family, m, *alpha)
+            x, w = jacobi_rule.__wrapped__(m, *alpha)
             xr, wr = special.roots_jacobi(m, *alpha)
             assert np.all(np.diff(x) > 0)
             assert np.max(np.abs(x - xr)) <= 1e-15, (alpha, m)
@@ -379,29 +381,26 @@ def test_hermite_compensated_weights_past_underflow():
 
 
 def test_gauss_hermite_at_its_node_limit():
+    # odd_identity's doubled rule at its k_max limit, 363: 4 * 363 + 4 nodes
     m = MAX_HERMITE_NODES
+    assert m == 1456
     x, comp = _build_rule("hermite", m)
     w = comp * np.exp(-x * x)
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
     assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
-    # the recurrence's starting value h_0 stays a normal float at every node
-    assert np.exp(-0.5 * x[-1] ** 2) >= np.finfo(float).tiny
+    # past the scaled start's radius, where e^(-x^2/2) alone leaves the normal range
+    assert x[-1] > 53.0 and np.exp(-0.5 * x[-1] ** 2) < np.finfo(float).tiny
     assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
     assert np.all(np.isfinite(comp)) and np.all(comp > 0)
     assert abs(np.dot(np.exp(-x * x), comp) - math.sqrt(math.pi)) <= 1e-13
-    # one node more and h_0 turns subnormal at the outer node (the largest
-    # eigenvalue of the (m+1)-point Jacobi matrix)
-    off = np.sqrt(np.arange(1, m + 1) / 2.0)
-    x_next = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1]
-    assert np.exp(-0.5 * x_next ** 2) < np.finfo(float).tiny
+    # the modes are orthonormal on it
+    h = hermite_functions(m - 1, x)
+    assert np.max(np.abs((h * comp) @ h.T - np.eye(m))) <= 2e-14
 
 
 def test_gauss_hermite_past_its_node_limit_raises():
     with pytest.raises(CapabilityError, match=f"limited to {MAX_HERMITE_NODES} nodes"):
         gauss_rule("hermite", MAX_HERMITE_NODES + 1)
-    # the rule that used to come back with NaN nodes
-    with pytest.raises(CapabilityError):
-        gauss_rule("hermite", 800)
 
 
 def test_gauss_laguerre_past_its_node_limit_raises():
@@ -437,7 +436,7 @@ def test_hermite_compensated_weights_memo():
 
 
 def test_one_hermite_rule_builds_two_hermite_tables(monkeypatch):
-    # the Newton polish and the Christoffel sum: a level form that reads the
+    # the Newton polish and the Christoffel sum: a form that reads the
     # rule's nodes and compensated weights builds them from one memo entry
     from hermspec import spectral
     from hermspec.verify import clear_caches
@@ -451,10 +450,17 @@ def test_one_hermite_rule_builds_two_hermite_tables(monkeypatch):
 
     monkeypatch.setattr(quadrature, "hermite_functions", counting)
     clear_caches()
-    spectral._tau_matrices(np.arange(5), np.array([0.25, 0.75]), False)
+    _tau_matrices(np.arange(5), np.array([0.25, 0.75]), False)
     assert len(calls) == 2
-    spectral._tau_matrices(np.arange(5), np.array([0.5]), True)
+    _tau_matrices(np.arange(5), np.array([0.5]), True)
     assert len(calls) == 2
+    # so does odd_identity's table of h_d / x, at the rule's two scales
+    clear_caches()
+    calls.clear()
+    for _ in range(2):
+        spectral.odd_inverse_squares(9, 1.0)
+        spectral.odd_inverse_squares(9, 2.0)
+    assert len(calls) == 4
 
 
 def test_gauss_rule_memo_is_read_only_shared_and_cleared():
@@ -481,8 +487,12 @@ def test_gauss_rule_guards():
         gauss_rule("chebyshev", 4)
     with pytest.raises(ValueError):
         gauss_rule("laguerre", 4, -1.0)
+    # the Gauss-Jacobi family lives in the tests' oracle alone
+    for args in ((), (0.5,)):
+        with pytest.raises(ValueError, match="family must be legendre, hermite or laguerre"):
+            gauss_rule("jacobi", 4, *args)
     for exponents in ((-1.0, 0.0), (0.0, -1.0)):
         with pytest.raises(ValueError):
-            gauss_rule("jacobi", 4, *exponents)
+            jacobi_rule(4, *exponents)
     with pytest.raises(ValueError):
         gauss_rule("laguerre", 151)

@@ -36,6 +36,7 @@ from oracles import (
     integrate_cyl_2d,
     kernel_diagonal,
     kernel_diagonal_ratio,
+    level_form,
     level_gram,
     level_top,
     make_state,
@@ -321,7 +322,7 @@ def _even_level(k):
 def test_folded_level_form_matches_the_full_grid(args):
     # the separable forms against the product-grid oracle; the last two
     # arguments are the oracle's divide flag and the index set
-    (got,) = spectral._level_form(*args[:5], (args[-1],))
+    (got,) = level_form(*args[:5], (args[-1],))
     want = grid_level_form(*args)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -341,7 +342,7 @@ def _full_level(k):
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_shared_grid_forms_match_each_level_own_form(n, top, delta, wd, divide, sets, scale):
     # each shared form against the grid oracle on its own level's grid
-    shared = spectral._level_form(n, top, delta, wd, scale, sets)
+    shared = level_form(n, top, delta, wd, scale, sets)
     assert len(shared) == len(sets)
     for indices, got in zip(sets, shared):
         want = grid_level_form(n, sum(indices[0]), delta, wd, scale, divide, indices)
@@ -351,7 +352,49 @@ def test_shared_grid_forms_match_each_level_own_form(n, top, delta, wd, divide, 
 def test_level_form_refuses_a_set_past_its_grid_level():
     # per-axis degree 2 fits the level-2 rules, but the index is on level 4
     with pytest.raises(ValueError, match="past its rules' level 2"):
-        spectral._level_form(3, 2, 1.0, (0, 1, 2), 1.0, (((2, 2, 0),),))
+        level_form(3, 2, 1.0, (0, 1, 2), 1.0, (((2, 2, 0),),))
+
+
+def test_odd_inverse_squares_match_the_tau_oracle_up_to_k_max_60():
+    # every odd level odd_identity reads at k_max = 60, on both of its rules,
+    # against the Gamma-identity tau forms on the top level's rules (which
+    # drift from 2 by up to 1.5e-13 here), and against 2 itself
+    mode_cap = 121
+    ks = range(1, mode_cap + 1, 2)
+    tau = [G[0, 0] for G in level_form(1, mode_cap, 1.0, (0,), 1.0, tuple(((k,),) for k in ks))]
+    for scale in (1.0, 2.0):
+        got = spectral.odd_inverse_squares(mode_cap, scale)
+        assert got.shape == (len(ks),)
+        assert np.max(np.abs(got - tau)) <= 1e-12
+        assert np.max(np.abs(got - 2.0)) <= 1e-14
+
+
+def _even_casimir_form(k):
+    # V diag(2/(2l+1)) V^T, each l read off its eigenvalue l(l+1)
+    casimir, V = spectral.even_casimir(k)
+    l = np.rint((np.sqrt(1.0 + 4.0 * casimir) - 1.0) / 2.0)
+    return (V * (2.0 / (2.0 * l + 1.0))) @ V.T
+
+
+def test_even_casimir_forms_match_the_tau_oracle_up_to_k_max_60():
+    # every even level even_3d reads at k_max = 60, its fully even indices in
+    # the order of enumerate_multiindices(3, k/2), against the tau forms
+    levels = range(0, 61, 2)
+    sets = tuple(tuple(tuple(2 * c for c in b) for b in enumerate_multiindices(3, k // 2))
+                 for k in levels)
+    for k, want in zip(levels, level_form(3, 60, 1.0, (0, 1, 2), 1.0, sets)):
+        got = _even_casimir_form(k)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
+
+
+@pytest.mark.parametrize("k", [0, 2, 8, 20, 40])
+def test_even_casimir_eigenvalues_are_the_radial_degrees(k):
+    # each even l <= k once per fully even harmonic of degree l, l/2 + 1 of them
+    casimir, V = spectral.even_casimir(k)
+    want = np.concatenate([np.full(l // 2 + 1, l * (l + 1.0)) for l in range(0, k + 1, 2)])
+    assert casimir.shape == (len(enumerate_multiindices(3, k // 2)),)
+    assert np.max(np.abs(casimir - want)) <= 1e-14 * max(1, k * (k + 1))
+    assert np.max(np.abs(V.T @ V - np.eye(len(casimir)))) <= 1e-13
 
 
 def test_time_avg_odd_single_mode_is_4pi():

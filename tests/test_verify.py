@@ -14,7 +14,7 @@ import pytest
 from hermspec.errors import CapabilityError
 from hermspec import antideriv, hermite, spectral, verify
 from hermspec.hermite import hermite_functions
-from hermspec.quadrature import gauss_legendre_panels, truncation_radius
+from hermspec.quadrature import MAX_HERMITE_NODES, gauss_legendre_panels, truncation_radius
 from hermspec.verify import (
     CHECKS,
     CSV_HEADER,
@@ -169,13 +169,17 @@ def test_verdict_recorder_names_what_did_not_hold():
     assert v.route_drift == 1.0
     r = v.report("kato_nd", {"n": 3}, [("k=00", 2.0)], 20.0)
     assert r.status == "inconclusive"
-    assert r.parameters == {"n": 3, "failed": "nan,array", "unstable": "nan_drift"}
+    # a report whose check ran a gate carries its route_drift
+    assert r.parameters == {"n": 3, "route_drift": 1.0, "failed": "nan,array",
+                            "unstable": "nan_drift"}
 
     failing = verify._Verdict()
     failing.require("bound", 3.0 <= 2.0)
     assert failing.report("kato_nd", {}, [("k=00", 3.0)], 2.0).parameters == {"failed": "bound"}
-    # a passing report gains no key; a report without samples is inconclusive
+    # a passing report with no gate gains no key; a report without samples
+    # is inconclusive
     assert verify._Verdict().report("kato_nd", {}, [("k=00", 1.0)], 2.0).parameters == {}
+    assert verify._Verdict().route_drift is None
     empty = verify._Verdict().report("kato_nd", {}, [], 2.0)
     assert (empty.status, empty.parameters) == ("inconclusive", {"unstable": "no_samples"})
 
@@ -211,7 +215,9 @@ def test_every_doubled_rule_differs_from_its_configured_rule(monkeypatch):
     # rule at scale 2, so the gate compares two rules at every k_max it runs at
     for k_max in range(CHECKS["odd_identity"].k_max_limit + 1):
         mode_cap = 2 * k_max + 1
-        assert spectral._tau_nodes(mode_cap, 1.0) < spectral._tau_nodes(mode_cap, 2.0)
+        # both odd_identity rules are exact on its top mode, and fit the node cap
+        assert mode_cap <= spectral._odd_nodes(mode_cap, 1.0) < spectral._odd_nodes(
+            mode_cap, 2.0) <= MAX_HERMITE_NODES
         for n in (1, 2):
             assert spectral._sobolev_panels(n, k_max, 1.0) < spectral._sobolev_panels(
                 n, k_max, 2.0), (n, k_max)
@@ -323,7 +329,8 @@ def test_odd_identity_small():
 
 
 def test_odd_identity_node_cap_is_checked_up_front():
-    # the top mode 2 k_max + 1 needs a (2 k_max + 2)-node Hermite rule, at most 728
+    # the top mode 2 k_max + 1 reads a (2 k_max + 2)-node Hermite rule, and its
+    # doubled rule, 4 k_max + 4 nodes, is at most 1456
     assert check_odd_identity(ScanConfig(k_max=150, trials=1)).status == "passed"
     with pytest.raises(CapabilityError, match="up to k_max = 363"):
         check_odd_identity(ScanConfig(k_max=364, trials=1))
@@ -651,11 +658,14 @@ def test_scan_tables_are_built_once_per_check_not_per_trial(monkeypatch, check):
         counts.append((len(tables), len(levels)))
     assert counts[0] == counts[1]
     # the 1D levels of odd_identity and radial_3d_identity hold one mode each,
-    # and morawetz_2d builds each level's rows from its two 1D tables: these
-    # enumerate nothing
+    # morawetz_2d builds each level's rows from its two 1D tables, and
+    # even_3d's Casimir places each index by arithmetic: these enumerate
+    # nothing.  even_3d reads no Hermite table either: its forms come from
+    # the Casimir's eigenvectors, and its tops are closed forms
     enumerates_nothing = check in (check_morawetz_2d, check_odd_identity,
-                                   check_radial_3d_identity)
-    assert counts[0][0] > 0 and (counts[0][1] > 0) == (not enumerates_nothing)
+                                   check_radial_3d_identity, check_even_3d)
+    assert (counts[0][0] > 0) == (check is not check_even_3d)
+    assert (counts[0][1] > 0) == (not enumerates_nothing)
 
 
 def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
@@ -670,12 +680,12 @@ def test_antideriv_norms_tables_per_rule_not_per_k(monkeypatch):
 
 
 def test_odd_identity_one_form_call_per_rule_scale(monkeypatch):
-    lookups = _count_calls(monkeypatch, spectral._level_form)
+    lookups = _count_calls(monkeypatch, spectral.odd_inverse_squares)
     for trials in (2, 5):
         lookups.clear()
         assert check_odd_identity(ScanConfig(k_max=6, trials=trials)).status == "passed"
-        # the odd levels 1, 3, ..., 13 in one call on the level-13 rules, at
-        # the configured and at the doubled rule scale
+        # the odd levels 1, 3, ..., 13 in one call on one table, at the
+        # configured and at the doubled rule scale
         assert len(lookups) == 2
 
 
@@ -864,22 +874,20 @@ def test_even_3d_small():
         assert samples[f"trial={t:02d}"] <= r.parameters["sharp"] * (1.0 + 1e-9)
 
 
-def test_even_3d_builds_forms_at_one_rule_scale_only(monkeypatch):
-    # the ground sample, the route gate and the trials share one build of
-    # every even level's form on the level-6 rules, at the configured rule
-    # scale, 1
-    real = spectral._level_form
+def test_even_3d_builds_one_casimir_per_even_level(monkeypatch):
+    # the ground sample, the casimir predicate and the trials share one
+    # eigh of each even level's L^2; no rule is built, so none has a scale
+    real = spectral.even_casimir
     calls = []
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(k):
+        calls.append(k)
+        return real(k)
 
     clear_caches()
-    monkeypatch.setattr(spectral, "_level_form", recording)
+    monkeypatch.setattr(spectral, "even_casimir", recording)
     check_even_3d(ScanConfig(k_max=6, trials=3))
-    assert {args[4] for args in calls} == {1.0}
-    assert sorted((args[1], len(args[5])) for args in calls) == [(6, 4)]
+    assert calls == [0, 2, 4, 6]
 
 
 @pytest.mark.parametrize("seed", [42, 1])
@@ -907,29 +915,46 @@ def test_even_3d_trials_match_the_per_trial_route(seed):
 
 
 def test_even_3d_form_lookups_do_not_grow_with_trials(monkeypatch):
-    lookups = _count_calls(monkeypatch, spectral._level_form)
+    lookups = _count_calls(monkeypatch, spectral.even_casimir)
     counts = []
     for trials in (1, 4, 16):
         lookups.clear()
         assert check_even_3d(ScanConfig(k_max=8, trials=trials)).status == "passed"
         counts.append(len(lookups))
-    # one for every even level at once, the ground state's among them
-    assert counts == [1, 1, 1]
+    # one for each even level, the ground state's among them
+    assert counts == [5, 5, 5]
 
 
 def test_even_3d_route_gate_trips_on_a_wrong_level_top(monkeypatch):
     real = verify.level_tops
 
-    # both of the table's routes shift together, so only the level form's
-    # eigvalsh gate can see it
+    # the exact tops shift, and the quadrature tops' gate sees it
     def shifted(n, k_max, weight_power, weight_dims=None):
         tops, quads = real(n, k_max, weight_power, weight_dims)
-        return [top * (1.0 + 1e-6) for top in tops], [q * (1.0 + 1e-6) for q in quads]
+        return [top * (1.0 + 1e-6) for top in tops], quads
 
     monkeypatch.setattr(verify, "level_tops", shifted)
     r = check_even_3d(ScanConfig(k_max=4, trials=1))
     assert r.status == "inconclusive"
     assert r.parameters["route_drift"] > 1e-7
+
+
+def test_even_3d_casimir_eigenvalue_off_by_1e_6_fails(monkeypatch):
+    # one eigenvalue of L^2 raised by 1e-6 on level 4 is no l(l + 1) within
+    # GATE_TOL k(k + 1); the forms, read from the rounded l, do not move
+    real = spectral.even_casimir
+
+    def raised(k):
+        casimir, vectors = real(k)
+        if k == 4:
+            casimir = casimir + np.eye(1, casimir.size, casimir.size - 1)[0] * 1e-6
+        return casimir, vectors
+
+    monkeypatch.setattr(spectral, "even_casimir", raised)
+    r = check_even_3d(ScanConfig(k_max=4, trials=2))
+    assert r.status == "failed"
+    assert r.parameters["failed"] == "casimir"
+    assert "unstable" not in r.parameters
 
 
 def test_even_3d_node_cap_is_checked_up_front():
@@ -943,7 +968,7 @@ def test_even_3d_limit_names_the_level_form_size(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the scan ran")
 
-    monkeypatch.setattr(spectral, "_level_form", no_work)
+    monkeypatch.setattr(spectral, "even_casimir", no_work)
     with pytest.raises(CapabilityError) as info:
         check_even_3d(ScanConfig(k_max=81, trials=1))
     message = str(info.value)
@@ -952,7 +977,7 @@ def test_even_3d_limit_names_the_level_form_size(monkeypatch):
         "the limit bounds the size of its level forms"
     )
     assert "doubled rule" not in message
-    with pytest.raises(CapabilityError, match="its top mode is limited to 728 nodes"):
+    with pytest.raises(CapabilityError, match="its top mode is limited to 1456 nodes"):
         check_odd_identity(ScanConfig(k_max=364, trials=1))
 
 
@@ -962,9 +987,9 @@ def test_antideriv_norms_refuses_a_kmax_past_its_limit_before_any_work(monkeypat
         raise AssertionError("the scan ran")
 
     monkeypatch.setattr(verify, "norm_sq_quadrature_all", no_work)
-    with pytest.raises(CapabilityError, match="up to k_max = 353: ") as info:
-        check_antideriv_norms(ScanConfig(k_max=354))
-    assert "underflows" in str(info.value)
+    with pytest.raises(CapabilityError, match="up to k_max = 480: ") as info:
+        check_antideriv_norms(ScanConfig(k_max=481))
+    assert "doubling gate trips" in str(info.value)
 
 
 def test_sobolev_small_and_bad_order():
@@ -1366,7 +1391,7 @@ def test_manifest_stores_each_fact_once(tmp_path):
     assert data == (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
     assert manifest_to_json_bytes(manifest_from_json_bytes(data)) == data
     assert obj["config"] == {"k_max": 4, "trials": 2, "seed": 42}
-    assert obj["version"] == "0.3.0"
+    assert obj["version"] == "0.4.0"
     reports = {r["check"]: r for r in obj["reports"]}
     assert len(reports) == len(CHECKS)
     for key, r in reports.items():
