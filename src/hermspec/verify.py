@@ -918,8 +918,8 @@ CHECKS = {
     "operator_norm_n3": Check(lambda cfg, opt: check_operator_norms(cfg, 3), "kernel", 4,
                               **_LEVEL_SCAN_LIMIT, bound=3.0),
     "morawetz_2d": Check(lambda cfg, opt: check_morawetz_2d(cfg), "morawetz", 5, bound=4.0),
-    # the forms hold sum over even k <= k_max of C(k/2 + 2, 2)^2 entries:
-    # 6.5e6 (52 MB) at this k_max, built in 4-6 s on 2 CPUs
+    # one eigh per even level, the largest C(k_max/2 + 2, 2) = 861 rows at
+    # this k_max: about 1 s for every level, cold, on one BLAS thread
     "even_3d": Check(lambda cfg, opt: check_even_3d(cfg), "even3d", 6, k_max_limit=80,
                      k_max_reason="the limit bounds the size of its level forms", bound=16.0),
     "sobolev_s05": Check(lambda cfg, opt: check_hermite_sobolev(cfg, 0.5), "sobolev", 7,
