@@ -15,12 +15,11 @@ from .antideriv import (
 from .errors import CapabilityError
 from .hermite import (
     binom_reflection_holds,
-    eval_hermite_poly,
     eval_laguerre,
     gamma_duplication_residual,
     hermite_functions,
     laguerre_exp_integral,
-    verify_laguerre_hermite_relation,
+    laguerre_hermite_bridge_residual,
 )
 from .quadrature import (
     gauss_legendre_panels,
@@ -84,7 +83,6 @@ __all__ = [
     "clear_caches",
     "emit_table",
     "enumerate_multiindices",
-    "eval_hermite_poly",
     "eval_laguerre",
     "gamma_duplication_residual",
     "gauss_legendre_panels",
@@ -92,6 +90,7 @@ __all__ = [
     "hermite_functions",
     "kernel_diagonals",
     "laguerre_exp_integral",
+    "laguerre_hermite_bridge_residual",
     "level_spectrum",
     "level_tops",
     "manifest_from_json_bytes",
@@ -105,5 +104,4 @@ __all__ = [
     "sobolev_ladder_form",
     "sobolev_twisted_form",
     "truncation_radius",
-    "verify_laguerre_hermite_relation",
 ]

@@ -2,10 +2,11 @@
 
 Normalized Hermite functions h_k (unit L2 norm, Gaussian weight folded in) are
 evaluated by the stable three-term recurrence, with a scaled start far out on
-the line; the classical polynomials H_k and
-L_k^alpha and the closed-form integrals built from them live here too.
-All closed forms are evaluated in log-gamma space so nothing overflows below
-degree a few hundred.
+the line; no other routine evaluates Hermite polynomials in floats.  The
+Laguerre polynomials L_k^alpha and their exponential integral come from
+recurrences and product chains, the duplication residual from log-gamma, and
+the Laguerre-Hermite bridge and the binomial reflection are decided on exact
+integers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ SQRT2 = math.sqrt(2.0)
 PI_Q = math.pi ** -0.25  # pi^(-1/4), the h_0 amplitude
 
 # past this radius the recurrence starts from h_0 = PI_Q (_scaled_rows): the
-# plain start PI_Q e^(-t^2/2) leaves the normal float range past t = 37.6
-SCALED_START_RADIUS = 30.0
+# plain start PI_Q e^(-t^2/2) leaves the normal float range past t = 37.6, and
+# inside it the plain route is the more accurate (no e^(log scale) rounding)
+SCALED_START_RADIUS = 37.0
 _RESCALE = 2.0 ** 500
 
 
@@ -70,27 +72,6 @@ def _scaled_rows(k_max: int, x: np.ndarray) -> np.ndarray:
             cur[big] /= _RESCALE
             log_scale[big] += math.log(_RESCALE)
         out[k + 1] = cur * np.exp(log_scale)
-    return out
-
-
-def eval_hermite_poly(k: int, t) -> np.ndarray:
-    """Classical Hermite polynomial H_k(t) from its explicit alternating sum.
-
-    Coefficients k!/(i!(k-2i)!) (-1)^i 2^(k-2i) are exact integers; fine to
-    degree ~40 in float64 evaluation.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    for i in range(k // 2 + 1):
-        coef = (
-            (-1) ** i
-            * math.factorial(k)
-            // (math.factorial(i) * math.factorial(k - 2 * i))
-            * 2 ** (k - 2 * i)
-        )
-        out = out + coef * t ** (k - 2 * i)
     return out
 
 
@@ -155,19 +136,27 @@ def binom_reflection_holds(p: int, q: int, k: int) -> bool:
     return lhs == (-1) ** k * rhs
 
 
-def verify_laguerre_hermite_relation(
-    k: int, t_samples, drop_factor_two: bool = False
-) -> float:
-    """Max residual of H_{2k+1}(t) = (-1)^k 2^(2k+1) k! L_k^(1/2)(t^2) t over samples.
-
-    Residual is |lhs - rhs| / (1 + |lhs|). With drop_factor_two the deliberately
-    wrong prefactor 2^(2k) is used; the residual then sits near 1/2, which is the
+def laguerre_hermite_bridge_residual(k: int, drop_factor_two: bool = False) -> float:
+    """Largest coefficient residual |a - b| / (1 + |a|) of the bridge
+    H_(2k+1)(t) = (-1)^k 2^(2k+1) k! t L_k^(1/2)(t^2), in integers: a runs over
+    H_(2k+1)'s coefficients, from H_(j+1) = 2t H_j - 2j H_(j-1), and b over
+    (-1)^k 2^(k+1) t P_k(t^2)'s, where P_j = 2^j j! L_j^(1/2) obeys
+    P_(j+1) = (4j+3-2x) P_j - 2j(2j+1) P_(j-1).  Exactly 0.0 when the identity
+    holds.  With drop_factor_two the deliberately wrong prefactor 2^(2k) is
+    used; the residual then sits near 1/2 (6/13 at k = 1), which is the
     negative control for the verification harness.
     """
-    t = np.asarray(t_samples, dtype=float)
-    lhs = eval_hermite_poly(2 * k + 1, t)
-    power = 2 * k if drop_factor_two else 2 * k + 1
-    rhs = (-1.0) ** k * 2.0 ** power * math.factorial(k) * eval_laguerre(
-        k, 0.5, t * t
-    ) * t
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    # coefficient lists, lowest power first; each step pads to the next degree
+    h_prev, h = [0], [1]
+    for j in range(2 * k + 1):
+        h_prev, h = h, [2 * a - 2 * j * b for a, b in zip([0] + h, h_prev + [0, 0])]
+    p_prev, p = [0], [1]
+    for j in range(k):
+        p_prev, p = p, [(4 * j + 3) * a - 2 * b - 2 * j * (2 * j + 1) * c
+                        for a, b, c in zip(p + [0], [0] + p, p_prev + [0, 0])]
+    scale = (-1) ** k * 2 ** (k if drop_factor_two else k + 1)
+    rhs = [0] * len(h)
+    rhs[1::2] = [scale * c for c in p]
+    return max(abs(a - b) / (1 + abs(a)) for a, b in zip(h, rhs))

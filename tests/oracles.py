@@ -589,6 +589,18 @@ def merge_identity_exact(k: int) -> Fraction:
     return lhs - rhs
 
 
+def hermite_poly(k: int, t) -> np.ndarray:
+    """Classical Hermite polynomial H_k(t) from its explicit alternating sum,
+    with exact integer coefficients k!/(i!(k-2i)!) (-1)^i 2^(k-2i); fine to
+    degree ~40 in float64 evaluation."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    for i in range(k // 2 + 1):
+        coef = (-1) ** i * math.factorial(k) // (math.factorial(i) * math.factorial(k - 2 * i))
+        out = out + coef * 2 ** (k - 2 * i) * t ** (k - 2 * i)
+    return out
+
+
 def half_line_integral_even(k: int) -> float:
     """integral_0^inf h_{2k}(t) dt in closed form.
 

@@ -23,8 +23,10 @@ MODULES = (antideriv, cli, errors, hermite, quadrature, render, spectral, verify
 # parameter records that plain tuples and arguments replace, the
 # hand-rolled JSON writer that the standard encoder replaces, the
 # Gamma-identity tau route and its Gauss-Jacobi rules that the h_d/x table
-# and the Casimir eigenvectors replace, and the underflow radius that the
-# scaled Hermite start retires: deleted, or moved to the tests' oracles
+# and the Casimir eigenvectors replace, the underflow radius that the
+# scaled Hermite start retires, and the float Hermite-polynomial evaluator
+# and float bridge residual that the integer bridge replaces: deleted, or
+# moved to the tests' oracles
 RETIRED = (
     "KernelQuery", "LaguerreParams", "QuadratureRule", "SpectralState", "ToleranceError",
     "UNDERFLOW_RADIUS", "_JsonText", "_QUARTER_PHASES", "_SEG_NODES", "_TAU_BLOCK",
@@ -33,7 +35,8 @@ RETIRED = (
     "_json_text", "_report_dict", "_samples_json",
     "bessel_sobolev_norm", "binom_general_exact", "binom_reflection_residual",
     "circle_directions",
-    "coefficients_from_function", "evaluate_phi", "evaluate_state", "evaluate_state_grid",
+    "coefficients_from_function", "eval_hermite_poly", "evaluate_phi", "evaluate_state",
+    "evaluate_state_grid",
     "fourier_transform_state", "gauss_hermite", "gauss_legendre", "half_line_integral_even",
     "half_line_integral_odd", "hermite_compensated_weights",
     "hermite_sobolev_norm", "integrate_cyl_2d", "integrate_radial_3d", "make_state",
@@ -43,7 +46,7 @@ RETIRED = (
     "partial_binomial_sum", "partial_binomial_sum_exact", "project",
     "projection_kernel",
     "propagate", "random_state", "sphere_directions", "state_norm_sq", "time_avg_levels",
-    "time_avg_weighted",
+    "time_avg_weighted", "verify_laguerre_hermite_relation",
 )
 
 # the functions no run of `hermspec all` enters, each with why it stays
@@ -51,8 +54,8 @@ NOT_RUN = {
     "verify.manifest_from_json_bytes": "contract: reads a manifest back (benchmark gate)",
     "verify.clear_caches": "contract: drops every memo, for honest re-runs",
     "cli._Parser.error": "argparse's usage-error hook, entered only on bad usage",
-    "hermite._scaled_rows": "the scaled Hermite start, entered only past |t| = 30 "
-    "(odd_identity from k_max 114, the radial lift from 100)",
+    "hermite._scaled_rows": "the scaled Hermite start, entered only past |t| = 37 "
+    "(odd_identity from k_max 176, the radial lift from 182)",
 }
 
 

@@ -3,6 +3,7 @@ serialization round-trips, and each scan at desk scale."""
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hermspec.errors import CapabilityError
 from hermspec import antideriv, hermite, spectral, verify
 from hermspec.hermite import hermite_functions
-from hermspec.quadrature import MAX_HERMITE_NODES, gauss_legendre_panels, truncation_radius
+from hermspec.quadrature import MAX_HERMITE_NODES, truncation_radius
 from hermspec.verify import (
     CHECKS,
     CSV_HEADER,
@@ -58,7 +59,6 @@ from oracles import (
     stream_words,
     time_avg_levels,
     time_avg_weighted,
-    x_odd,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -1172,8 +1172,25 @@ def test_antideriv_norms_check():
 def test_appendix_identities_check():
     r = check_appendix_identities(ScanConfig(k_max=10))
     assert r.status == "passed"
-    control = dict(r.samples)["bridge-control k=01"]
-    assert control >= 0.3
+    rows = dict(r.samples)
+    # the bridge is decided on integer coefficients: every row is exactly 0
+    assert [rows[f"bridge k={k:02d}"] for k in range(11)] == [0.0] * 11
+    assert rows["bridge-control k=01"] == 6 / 13
+    assert not any(lab.startswith("tail") for lab in rows)
+
+
+def test_appendix_bridge_fails_on_an_off_recurrence_coefficient(monkeypatch):
+    # the routine itself with 4j + 5 for 4j + 3 in P_j's recurrence: every
+    # bridge row from k = 1 is nonzero, and the check reads failed: bridge
+    source = inspect.getsource(hermite.laguerre_hermite_bridge_residual)
+    assert source.count("(4 * j + 3)") == 1
+    namespace = dict(vars(hermite))
+    exec(source.replace("(4 * j + 3)", "(4 * j + 5)"), namespace)
+    broken = namespace["laguerre_hermite_bridge_residual"]
+    assert broken(0) == 0.0 and min(broken(k) for k in range(1, 11)) > 0.0
+    monkeypatch.setattr(verify, "laguerre_hermite_bridge_residual", broken)
+    r = check_appendix_identities(ScanConfig())
+    assert (r.status, r.parameters["failed"]) == ("failed", "bridge")
 
 
 def test_appendix_laguerre_rows_match_the_per_pair_route():
@@ -1210,20 +1227,6 @@ def test_appendix_reflection_merge_fails_on_a_broken_identity(monkeypatch):
     monkeypatch.setattr(verify, "binom_reflection_holds", lambda p, q, k: k != 7)
     r = check_appendix_identities(ScanConfig())
     assert (r.status, r.parameters["failed"]) == ("failed", "reflection_merge")
-
-
-def test_appendix_tail_rows_come_from_one_table(monkeypatch):
-    tables = _count_calls(monkeypatch, hermite.hermite_functions)
-    r = check_appendix_identities(ScanConfig())
-    assert r.status == "passed"
-    assert len(tables) == 1
-    monkeypatch.undo()
-    # oracle: each row from its own h_2k table and x_odd(k - 1) table
-    x, w = gauss_legendre_panels(-20.0, 20.0, 160, 16)
-    rows = dict(r.samples)
-    for k in range(1, 21):
-        integrand = hermite_functions(2 * k, x)[2 * k] * x_odd(k - 1, x)
-        assert rows[f"tail-orthogonality k={k:02d}"] == abs(float(np.dot(w, integrand)))
 
 
 def test_negative_control_grows():
